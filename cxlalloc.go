@@ -77,6 +77,16 @@ type Crashed = crash.Crashed
 // LivenessConfig tunes the self-healing pod's heartbeat protocol.
 type LivenessConfig = liveness.Config
 
+// NoExpiryLiveness is the heartbeat configuration of a pod whose leases
+// never run out: the first renewal of a slot sets a deadline 2^40 ticks
+// away, the next is due 2^38 ticks later, so nothing is ever taken over
+// and no renewal is ever paid for. It is what a pod runs under when
+// intra-pod repair is not its subject (a fabric pod: the unit of failure
+// is the pod), and what a calibrating harness starts under before it
+// retunes to a measured lease (RetuneLiveness). The deadline must stay
+// inside the lease word's 48 timestamp bits.
+var NoExpiryLiveness = LivenessConfig{RenewInterval: 1 << 38, GraceMult: 4, PollInterval: 4}
+
 // LivenessEvent is one observable watchdog action (claim, repair, ...).
 type LivenessEvent = liveness.Event
 
@@ -279,7 +289,8 @@ func (pod *Pod) leaseTicks() uint64 { return pod.lcfg.LeaseTicks() }
 // that needs a wall-clock lease target must first measure the pod's
 // real tick rate and then retune. Only safe at a quiesce point: no
 // thread may be inside Run while the managers' configs are swapped.
-// Already-granted leases keep their old deadlines until next renewal.
+// Already-granted leases keep their old deadlines until each thread's
+// next Run, which renews under the new configuration.
 func (pod *Pod) RetuneLiveness(cfg LivenessConfig) {
 	pod.mu.Lock()
 	defer pod.mu.Unlock()
@@ -556,12 +567,18 @@ func (pod *Pod) tidsOfLocked(p *Process) []int {
 }
 
 // Thread returns a handle for slot tid, which must be owned by this
-// process and alive.
+// process and alive. A dead process hands out nothing: a slot of its
+// that is alive again was repaired by a survivor that has not adopted it
+// yet, and a handle minted now would heartbeat through the dead
+// process's watchdog and repair later victims into its revoked space.
 func (p *Process) Thread(tid int) (*Thread, error) {
 	p.pod.mu.Lock()
 	defer p.pod.mu.Unlock()
 	if tid < 0 || tid >= len(p.pod.tidOwner) || p.pod.tidOwner[tid] != p {
 		return nil, fmt.Errorf("cxlalloc: thread slot %d is not owned by process %d", tid, p.space.ID())
+	}
+	if p.dead {
+		return nil, fmt.Errorf("cxlalloc: process %d is dead", p.space.ID())
 	}
 	if !p.pod.heap.Alive(tid) {
 		return nil, fmt.Errorf("cxlalloc: thread slot %d is crashed", tid)

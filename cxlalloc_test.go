@@ -448,3 +448,28 @@ func TestPodRestartCrashRerun(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A watchdog repair makes the slot alive first and adopts it second.
+// In between its owner is still the dead process, and a handle minted
+// then would run that process's watchdog and repair the next victim into
+// its revoked space; ThreadOf has to say "not yet" instead.
+func TestPodNoHandleFromDeadProcess(t *testing.T) {
+	pod, _ := NewPod(smallPodConfig())
+	dead, survivor := pod.NewProcess(), pod.NewProcess()
+	th, _ := dead.AttachThread()
+	tid := th.ID()
+	pod.KillProcess(dead)
+	// The first half of a repair: recovered into the survivor's space,
+	// ownership not yet moved.
+	if _, err := pod.Heap().RecoverThread(tid, survivor.Space()); err != nil {
+		t.Fatal(err)
+	}
+	if h, err := pod.ThreadOf(tid); err == nil {
+		t.Fatalf("ThreadOf minted a handle under dead process %d", h.Process().ID())
+	}
+	pod.adoptSlot(tid, survivor)
+	h, err := pod.ThreadOf(tid)
+	if err != nil || h.Process() != survivor {
+		t.Fatalf("after adoption: handle %v, err %v; want one under the survivor", h, err)
+	}
+}

@@ -285,10 +285,9 @@ func RunLive(cfg LiveConfig) (*LiveReport, error) {
 	pod, err := cxlalloc.NewPodWith(cxlalloc.PodConfig{
 		Config:      pc,
 		AutoRecover: true,
-		// Start with an effectively infinite lease; calibration retunes
-		// it to LeaseWall once the pod's real tick rate is known. The
-		// deadline must stay inside the lease word's 48 timestamp bits.
-		Liveness: cxlalloc.LivenessConfig{RenewInterval: 4, GraceMult: 1 << 38, PollInterval: 4},
+		// Calibration retunes it to LeaseWall once the pod's real tick
+		// rate is known.
+		Liveness: cxlalloc.NoExpiryLiveness,
 		// A repair that finds a pending allocation (the victim crashed
 		// between taking a block and receiving the pointer) hands it to
 		// the harness, which frees it at teardown — the lost-ack oracle

@@ -290,7 +290,9 @@ func (f *Fabric) buildPod(i int) (*podNode, error) {
 		// repair is the single-pod experiments' subject; here the unit
 		// of failure is the whole pod, and an intra-pod repair racing a
 		// pod-level failover would blur the false-takeover ground truth.
-		Liveness: cxlalloc.LivenessConfig{RenewInterval: 4, GraceMult: 1 << 38, PollInterval: 4},
+		// A lease nobody can take is not worth an mCAS every few ticks to
+		// extend, so it is never renewed either.
+		Liveness: cxlalloc.NoExpiryLiveness,
 		OnEvent: func(ev cxlalloc.LivenessEvent) {
 			if ev.Kind == cxlalloc.LivenessRepair && ev.Report.PendingAlloc != 0 {
 				n.addOrphan(ev.Report.PendingAlloc)

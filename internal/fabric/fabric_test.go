@@ -483,3 +483,24 @@ func fabric_chaos_testConfig() ChaosConfig {
 		MigStall:  60 * time.Millisecond,
 	}
 }
+
+// An idle fabric's workers are parked, not polling; the pod clocks must
+// advance all the same (the server's sampler kicks them), or the monitor
+// would read every quiet pod as dark.
+func TestIdleFabricPodsStayLit(t *testing.T) {
+	cfg := testConfig()
+	f := newTestFabric(t, cfg)
+	before := make([]uint64, cfg.Pods)
+	for i := range before {
+		before[i] = f.Pod(i).Heap().ClockNow(0)
+	}
+	time.Sleep(3 * cfg.DarkGrace)
+	if st := f.Stats(); st.PodDarks != 0 || st.Failovers != 0 {
+		t.Fatalf("idle fabric: %d pods declared dark, %d failovers", st.PodDarks, st.Failovers)
+	}
+	for i, c0 := range before {
+		if c1 := f.Pod(i).Heap().ClockNow(0); c1 <= c0 {
+			t.Errorf("pod %d: clock stood at %d for %v of idleness", i, c1, 3*cfg.DarkGrace)
+		}
+	}
+}

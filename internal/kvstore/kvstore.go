@@ -144,33 +144,56 @@ func (s *Store) PutTracked(tid int, key, val []byte, onAlloc func(alloc.Ptr)) er
 
 // Get copies key's value into dst (growing it as needed) and reports
 // whether the key was found.
+//
+// A replace prepends the new node, then marks the old one deleted and
+// unlinks it, so a reader that loaded the bucket head before the prepend
+// can reach the old node after the mark, or walk past where it was after
+// the unlink, and would report a key that was never absent as missing.
+// Both are caught here: a deleted node that matches the probe, and the
+// end of the chain, are believed only if the head is still the one the
+// walk started from — nothing was prepended, so there was no newer node
+// to miss. Otherwise the walk restarts from the new head. Each restart
+// is paid for by a writer's completed prepend, so reads stay lock-free.
 func (s *Store) Get(tid int, key []byte, dst []byte) ([]byte, bool) {
 	h := hash(key)
+	b := &s.buckets[h&s.mask]
 	s.rec.Enter(tid)
 	defer s.rec.Exit(tid)
-	for n := s.buckets[h&s.mask].Load(); n != nil; n = n.next.Load() {
-		if n.deleted.Load() || n.hash != h || int(n.keyLen) != len(key) {
-			continue
+	for {
+		head := b.Load()
+		for n := head; n != nil; n = n.next.Load() {
+			if n.hash != h || int(n.keyLen) != len(key) {
+				continue
+			}
+			// A deleted node's bytes are still there to compare: it is
+			// retired after the mark, and this walk's guard predates that.
+			buf := s.mem.Bytes(tid, n.ptr, int(n.keyLen)+int(n.valLen))
+			if !bytes.Equal(buf[:n.keyLen], key) {
+				continue
+			}
+			if n.deleted.Load() {
+				break
+			}
+			s.mem.AccessHook(tid, n.ptr)
+			dst = append(dst[:0], buf[n.keyLen:]...)
+			s.hits.Add(1)
+			return dst, true
 		}
-		buf := s.mem.Bytes(tid, n.ptr, int(n.keyLen)+int(n.valLen))
-		if !bytes.Equal(buf[:n.keyLen], key) {
-			continue
+		if b.Load() == head {
+			s.misses.Add(1)
+			return dst, false
 		}
-		s.mem.AccessHook(tid, n.ptr)
-		dst = append(dst[:0], buf[n.keyLen:]...)
-		s.hits.Add(1)
-		return dst, true
 	}
-	s.misses.Add(1)
-	return dst, false
 }
 
 // Range calls fn for every live key/value pair, passing buffers that
 // alias allocator memory — fn must copy anything it keeps. The walk is
 // safe against concurrent readers and head-inserts (it holds an epoch
-// guard), best-effort under concurrent writes, and exact once writes
-// to the keys involved are frozen — the fabric migration copy path
-// freezes the shard before ranging. Returning false stops the walk.
+// guard), best-effort under concurrent writes — a replace racing the
+// walk can hide its key (see Get), and Range cannot restart a bucket
+// without repeating fn — and exact once writes to the
+// keys involved are frozen: the fabric migration copy path freezes the
+// shard before ranging. Returning false stops the walk.
 func (s *Store) Range(tid int, fn func(key, val []byte) bool) {
 	s.rec.Enter(tid)
 	defer s.rec.Exit(tid)
@@ -289,7 +312,9 @@ func (s *Store) unlink(tid int, h uint64, victim *node) {
 // logically deleted) node whose allocation is p. Crash resolution uses
 // it to decide whether an in-flight PutTracked committed: the head CAS
 // is the insert's linearization point, so a captured allocation that is
-// not linked afterwards never became visible to readers.
+// not linked afterwards never became visible to readers. The walk skips
+// nothing, and an unlinked node's next still leads back into the chain,
+// so a node that stays linked is always reached.
 func (s *Store) Linked(tid int, key []byte, p alloc.Ptr) bool {
 	h := hash(key)
 	s.rec.Enter(tid)

@@ -228,11 +228,10 @@ func TestPutTrackedLinkedUnderConcurrentDeletes(t *testing.T) {
 		linked := s.Linked(0, k, p)
 		v, ok := s.Get(0, k, val)
 		val = v
-		if linked != ok {
-			// One legal interleaving: deleted between the two probes.
-			if linked && !ok {
-				t.Fatalf("key %s: Linked true after value vanished", k)
-			}
+		// Linked and then gone is legal: a delete landed between the two
+		// probes. Gone and then visible is not: nobody else links the key.
+		if !linked && ok {
+			t.Fatalf("key %s: visible after Linked reported its node gone", k)
 		}
 		if ok && string(v) != string(want) {
 			t.Fatalf("key %s = %q, want %q (single writer)", k, v, want)
@@ -287,4 +286,56 @@ func TestSweepRestoresSingleNodeUnderConcurrentDeletes(t *testing.T) {
 		}
 	}
 	s.Drain(threads)
+}
+
+// TestGetNeverMissesAPresentKeyUnderReplace is ROADMAP item 0's probe:
+// one bucket, 16 keys that are always present, one writer re-putting them
+// round-robin, one reader. A replace prepends the new node before it
+// marks and unlinks the old one, so a reader holding a stale bucket head
+// used to walk off the end of the chain and report a miss (≈ 1 per 1 M
+// gets here, more under -race, which is how CI runs this).
+func TestGetNeverMissesAPresentKeyUnderReplace(t *testing.T) {
+	const (
+		nKeys = 16
+		gets  = 3_000_000
+	)
+	s, _ := newStore(1, 2)
+	keys := make([][]byte, nKeys)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("key-%02d", i))
+		if err := s.Put(0, keys[i], []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		val := []byte("value")
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := s.Put(0, keys[i%nKeys], val); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	var dst []byte
+	misses := 0
+	for i := 0; i < gets; i++ {
+		var ok bool
+		if dst, ok = s.Get(1, keys[i%nKeys], dst); !ok {
+			misses++
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if misses != 0 {
+		t.Fatalf("%d of %d gets missed a key that was never absent", misses, gets)
+	}
 }

@@ -212,9 +212,15 @@ func (m *Manager) Config() Config { return m.cfg }
 // process is inside Heartbeat/Poll — a quiesce point, such as the
 // calibration barrier of the online chaos harness, which measures the
 // pod's real tick rate and then widens the lease to a wall-clock target.
+// Every thread's next heartbeat renews under the new configuration: a
+// renewal scheduled by the old interval may lie arbitrarily far ahead,
+// and until it came the slot would keep its old deadline.
 func (m *Manager) Retune(cfg Config) {
 	m.pollMu.Lock()
 	m.cfg = cfg.WithDefaults()
+	for i := range m.renewAt {
+		m.renewAt[i].at.Store(0)
+	}
 	m.pollMu.Unlock()
 }
 
@@ -290,13 +296,14 @@ func (m *Manager) Poll(tid int, epoch uint16, now uint64) {
 		if v == tid {
 			continue
 		}
-		if !m.heap.LeaseExpired(tid, v, now) {
-			// Healthy, or repaired-and-releeased by someone else; any
-			// pending token of ours is stale either way.
+		seen, deadline := m.heap.LeaseRead(tid, v)
+		if seen == 0 || now <= deadline {
+			// Never leased, healthy, or repaired-and-releeased by someone
+			// else; any pending token of ours is stale either way.
 			delete(m.pending, v)
 			continue
 		}
-		m.pollSlot(tid, v, epoch, now)
+		m.pollSlot(tid, v, epoch, now, seen)
 	}
 }
 
@@ -306,8 +313,9 @@ func (m *Manager) Poll(tid int, epoch uint16, now uint64) {
 // ticking under the surviving threads meanwhile.
 const repairLeaseMult = 4
 
-// pollSlot runs the claim state machine for one expired slot.
-func (m *Manager) pollSlot(tid, v int, epoch uint16, now uint64) {
+// pollSlot runs the claim state machine for one expired slot; seen is the
+// lease epoch the sweep read the expired deadline under.
+func (m *Manager) pollSlot(tid, v int, epoch uint16, now uint64, seen uint16) {
 	heap := m.heap
 	tok, retrying := m.pending[v]
 	if retrying && tok.Claimant == tid && heap.ClaimHeldBy(v, tok) {
@@ -334,6 +342,15 @@ func (m *Manager) pollSlot(tid, v int, epoch uint16, now uint64) {
 		var ok bool
 		tok, ok = heap.ClaimAcquire(tid, v, now)
 		if !ok {
+			return
+		}
+		if cur, _ := heap.LeaseRead(tid, v); cur != seen {
+			// Another process's watchdog repaired v and released its claim
+			// between the sweep's read and ours: the expiry we saw belongs
+			// to an incarnation that is gone, and the one that is there
+			// now is nobody's takeover. (A slow thread renewing keeps its
+			// epoch, and is still counted below.)
+			heap.ClaimRelease(v, tok)
 			return
 		}
 		if wasAlive {

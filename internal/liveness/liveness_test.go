@@ -309,6 +309,52 @@ func TestSlowThreadNeverTornDown(t *testing.T) {
 	}
 }
 
+// Two processes' watchdogs sweep concurrently. One that read a victim's
+// lease expired, and reaches the claim only after the other has repaired
+// the victim and released its own claim, finds a healthy slot under a new
+// lease incarnation: that is not a takeover of anything, false or
+// otherwise, and it must leave the slot and the claim word alone.
+func TestSweepOvertakenByAnotherRepairIsNotAFalseTakeover(t *testing.T) {
+	e := newTenv(t, Config{})
+	e.lease(0, 2, 3)
+	e.h.MarkCrashed(3)
+	seen, deadline := e.h.LeaseRead(0, 3)
+	now := deadline + 1
+	for e.h.ClockNow(2) < now {
+		e.h.ClockTick(2)
+	}
+	for _, tid := range []int{0, 2} { // the survivors kept renewing
+		e.h.LeaseRenew(tid, e.epochs[tid], now+e.cfg.LeaseTicks())
+	}
+
+	// Process 1 (tid 2) sweeps, claims, repairs and re-leases the victim.
+	e.mgrs[1].Poll(2, e.epochs[2], now)
+	if got := e.count(3, KindRepair); got != 1 || !e.h.Alive(3) || !e.h.Leased(3) {
+		t.Fatalf("victim not repaired by the first sweep: %v", e.kinds(3))
+	}
+	before := len(e.events)
+
+	// Process 0 (tid 0) read the lease before that repair and gets to the
+	// claim after it.
+	m := e.mgrs[0]
+	m.pollMu.Lock()
+	m.pollSlot(0, 3, e.epochs[0], now, seen)
+	m.pollMu.Unlock()
+
+	if n := e.falseTakeovers(); n != 0 {
+		t.Fatalf("false takeovers = %d, want 0", n)
+	}
+	if len(e.events) != before {
+		t.Fatalf("the overtaken sweep emitted %+v", e.events[before:])
+	}
+	if holder, _, held := e.h.ClaimRead(0, 3); held {
+		t.Fatalf("victim's claim word still held by %d", holder)
+	}
+	if _, ok := m.pending[3]; ok {
+		t.Fatal("the overtaken sweep left a pending claim")
+	}
+}
+
 func TestOrphanRescue(t *testing.T) {
 	e := newTenv(t, Config{})
 	e.lease(0, 3)

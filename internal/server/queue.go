@@ -81,20 +81,21 @@ type shedReq struct {
 	err error
 }
 
-// pop returns the next executable request (nil if the queue is empty
-// or everything in it was shed) plus the requests shed on the way:
-// deadline-expired entries and CoDel drops. now/nowTick are the wall
-// and pod-logical clocks; a request is expired when either of its
-// deadline stamps has passed.
-func (q *queue) pop(now time.Time, nowTick uint64) (*Request, []shedReq) {
+// popBatch moves up to cap(batch) executable requests into batch under
+// one lock acquisition and one clock reading, and returns it with the
+// requests shed on the way: deadline-expired entries and CoDel drops.
+// now/nowTick are the wall and pod-logical clocks; a request is expired
+// when either of its deadline stamps has passed. The batch is empty when
+// the queue is, or when everything in it was shed.
+func (q *queue) popBatch(now time.Time, nowTick uint64, batch []*Request) ([]*Request, []shedReq) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	var shed []shedReq
-	for {
+	for len(batch) < cap(batch) {
 		depth := len(q.buf) - q.head
 		if depth == 0 {
 			q.firstAbove = time.Time{}
-			return nil, shed
+			break
 		}
 		var r *Request
 		if depth >= q.lifoAt {
@@ -111,22 +112,21 @@ func (q *queue) pop(now time.Time, nowTick uint64) (*Request, []shedReq) {
 			continue
 		}
 		sojourn := now.Sub(r.arriveWall)
-		if sojourn <= q.target {
+		switch {
+		case sojourn <= q.target:
 			q.firstAbove = time.Time{}
-			return r, shed
-		}
-		if q.firstAbove.IsZero() {
+		case q.firstAbove.IsZero():
 			// First above-target dequeue: start the grace interval, serve.
 			q.firstAbove = now.Add(q.interval)
-			return r, shed
+		case !now.Before(q.firstAbove):
+			// Sojourn has stayed above target for a full interval: shed until
+			// it comes back under.
+			shed = append(shed, shedReq{r, ErrCoDel})
+			continue
 		}
-		if now.Before(q.firstAbove) {
-			return r, shed
-		}
-		// Sojourn has stayed above target for a full interval: shed until
-		// it comes back under.
-		shed = append(shed, shedReq{r, ErrCoDel})
+		batch = append(batch, r)
 	}
+	return batch, shed
 }
 
 // drain removes and returns every queued request (breaker-open

@@ -7,12 +7,21 @@ import (
 )
 
 // qreq builds a queued-looking request with explicit stamps, bypassing
-// Submit (the queue is clock-agnostic: pop receives now/tick).
+// Submit (the queue is clock-agnostic: popBatch receives now/tick).
 func qreq(arrive time.Time, deadline time.Time) *Request {
 	r := NewRequest()
 	r.arriveWall = arrive
 	r.deadlineWall = deadline
 	return r
+}
+
+// pop1 takes one request, as a worker with a batch of one would.
+func pop1(q *queue, now time.Time, tick uint64) (*Request, []shedReq) {
+	b, sheds := q.popBatch(now, tick, make([]*Request, 0, 1))
+	if len(b) == 0 {
+		return nil, sheds
+	}
+	return b[0], sheds
 }
 
 func TestQueueBoundedEvictsOldest(t *testing.T) {
@@ -40,7 +49,7 @@ func TestQueueFIFOBelowThresholdLIFOAbove(t *testing.T) {
 	a, b := qreq(now, far), qreq(now, far)
 	q.push(a)
 	q.push(b)
-	if got, _ := q.pop(now, 0); got != a {
+	if got, _ := pop1(q, now, 0); got != a {
 		t.Fatalf("healthy queue served %p, want FIFO head %p", got, a)
 	}
 	q.drain()
@@ -49,15 +58,15 @@ func TestQueueFIFOBelowThresholdLIFOAbove(t *testing.T) {
 		q.push(r)
 	}
 	// Depth 4 >= lifoAt 3: newest-first.
-	if got, _ := q.pop(now, 0); got != reqs[3] {
+	if got, _ := pop1(q, now, 0); got != reqs[3] {
 		t.Fatalf("overloaded queue served %v, want LIFO tail", got)
 	}
 	// Depth 3 >= 3: still LIFO.
-	if got, _ := q.pop(now, 0); got != reqs[2] {
+	if got, _ := pop1(q, now, 0); got != reqs[2] {
 		t.Fatalf("overloaded queue served %v, want LIFO tail", got)
 	}
 	// Depth 2 < 3: back to FIFO.
-	if got, _ := q.pop(now, 0); got != reqs[0] {
+	if got, _ := pop1(q, now, 0); got != reqs[0] {
 		t.Fatalf("recovered queue served %v, want FIFO head", got)
 	}
 }
@@ -69,7 +78,7 @@ func TestQueuePopShedsExpired(t *testing.T) {
 	live := qreq(now, now.Add(time.Hour))
 	q.push(dead)
 	q.push(live)
-	got, sheds := q.pop(now, 0)
+	got, sheds := pop1(q, now, 0)
 	if got != live {
 		t.Fatalf("pop returned %v, want the live request", got)
 	}
@@ -84,11 +93,11 @@ func TestQueuePopShedsTickExpired(t *testing.T) {
 	r := qreq(now, now.Add(time.Hour)) // wall deadline far away
 	r.deadlineTick = 100
 	q.push(r)
-	if got, sheds := q.pop(now, 99); got != r || len(sheds) != 0 {
+	if got, sheds := pop1(q, now, 99); got != r || len(sheds) != 0 {
 		t.Fatalf("pop before tick deadline shed the request")
 	}
 	q.push(r)
-	got, sheds := q.pop(now, 101)
+	got, sheds := pop1(q, now, 101)
 	if got != nil || len(sheds) != 1 || !errors.Is(sheds[0].err, ErrDeadlineExceeded) {
 		t.Fatalf("pop past tick deadline: got %v sheds %+v, want tick-expiry shed", got, sheds)
 	}
@@ -104,12 +113,12 @@ func TestQueueCoDelShedsAfterSustainedDelay(t *testing.T) {
 	// First above-target dequeue starts the grace interval but serves.
 	q.push(old())
 	now := base.Add(2 * target)
-	if got, sheds := q.pop(now, 0); got == nil || len(sheds) != 0 {
+	if got, sheds := pop1(q, now, 0); got == nil || len(sheds) != 0 {
 		t.Fatalf("first above-target pop must serve, got %v/%v", got, sheds)
 	}
 	// Still inside the interval: serve.
 	q.push(old())
-	if got, sheds := q.pop(now.Add(interval/2), 0); got == nil || len(sheds) != 0 {
+	if got, sheds := pop1(q, now.Add(interval/2), 0); got == nil || len(sheds) != 0 {
 		t.Fatalf("pop inside grace interval must serve, got %v/%v", got, sheds)
 	}
 	// A full interval above target: shed until sojourn back under.
@@ -117,7 +126,7 @@ func TestQueueCoDelShedsAfterSustainedDelay(t *testing.T) {
 	q.push(old())
 	q.push(old())
 	q.push(fresh)
-	got, sheds := q.pop(base.Add(2*interval), 0)
+	got, sheds := pop1(q, base.Add(2*interval), 0)
 	if got != fresh {
 		t.Fatalf("CoDel pop served %v, want the fresh request", got)
 	}
@@ -131,7 +140,7 @@ func TestQueueCoDelShedsAfterSustainedDelay(t *testing.T) {
 	}
 	// Under-target dequeue resets the detector.
 	q.push(qreq(base.Add(2*interval), far))
-	if got, sheds := q.pop(base.Add(2*interval), 0); got == nil || len(sheds) != 0 {
+	if got, sheds := pop1(q, base.Add(2*interval), 0); got == nil || len(sheds) != 0 {
 		t.Fatalf("post-recovery pop must serve, got %v/%v", got, sheds)
 	}
 }

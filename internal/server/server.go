@@ -24,12 +24,12 @@ const (
 
 // Request is one simulated-RPC request. Create with NewRequest; the
 // buffers (Key, Val, Dst) belong to the caller and must stay untouched
-// until the response arrives. A request is stamped at admission with
-// arrival timestamps on both the pod logical clock and the wall clock,
-// and carries one absolute deadline for its whole lifetime — retries
-// re-enter admission with fresh arrival stamps but the original
-// deadline (deadline propagation: a request never outlives its budget
-// by being resubmitted).
+// until the response arrives. A request is stamped at admission with its
+// wall-clock arrival, and carries one absolute deadline for its whole
+// lifetime — on the wall clock, and on the pod logical clock too once a
+// tick rate is calibrated. Retries re-enter admission with a fresh
+// arrival stamp but the original deadline (deadline propagation: a
+// request never outlives its budget by being resubmitted).
 type Request struct {
 	Op    OpKind
 	Key   []byte
@@ -51,7 +51,6 @@ type Request struct {
 	ShardEpoch uint64
 
 	arriveWall   time.Time
-	arriveTick   uint64
 	deadlineWall time.Time
 	deadlineTick uint64 // 0: wall-clock deadline only
 
@@ -73,14 +72,10 @@ func (r *Request) Wait() *Response {
 func (r *Request) Reset() {
 	r.resp = Response{}
 	r.arriveWall, r.deadlineWall = time.Time{}, time.Time{}
-	r.arriveTick, r.deadlineTick = 0, 0
+	r.deadlineTick = 0
 	r.PrevVer = 0
 	r.Shard, r.ShardEpoch = 0, 0
 }
-
-// ArriveTick returns the pod-logical-clock arrival stamp of the most
-// recent admission.
-func (r *Request) ArriveTick() uint64 { return r.arriveTick }
 
 // expired reports whether either deadline stamp has passed.
 func (r *Request) expired(now time.Time, tick uint64) bool {
@@ -179,6 +174,42 @@ type group struct {
 	tids []int
 	q    *queue
 	brk  breaker
+
+	// Dispatch: a worker that finds q empty parks on wake; parked counts
+	// the workers that have announced themselves idle, so a push costs
+	// the submitter one atomic load while the group is busy and a channel
+	// send only when somebody is there to receive it.
+	parked atomic.Int32
+	wake   chan struct{} // one token wakes one worker; cap = len(tids)
+
+	admitted, executed atomic.Uint64
+}
+
+// signal wakes up to n parked workers of g. A token left over by a worker
+// that un-parked on its own costs that worker one empty pass later.
+func (g *group) signal(n int) {
+	if p := int(g.parked.Load()); p < n {
+		n = p
+	}
+	for ; n > 0; n-- {
+		select {
+		case g.wake <- struct{}{}:
+		default:
+			return // every worker already has a token waiting
+		}
+	}
+}
+
+// park blocks the calling worker until a push, the sampler's kick, or
+// Stop signals the group. The queue is re-checked after the worker has
+// announced itself: a push that could not yet see it parked left its
+// request in the queue, and a push that comes later sees it and signals.
+func (g *group) park(stopped *atomic.Bool) {
+	g.parked.Add(1)
+	if g.q.len() == 0 && !stopped.Load() {
+		<-g.wake
+	}
+	g.parked.Add(-1)
 }
 
 // Server is the KV service front end. One worker goroutine serves per
@@ -189,25 +220,42 @@ type Server struct {
 	heap   *core.Heap
 	groups []*group
 
-	rr       atomic.Uint64 // router cursor
 	pressure atomic.Uint64 // float64 bits of the latest sample
 	tickRate atomic.Uint64 // float64 bits; 0 = wall-clock deadlines only
 	stopped  atomic.Bool
 	wg       sync.WaitGroup
 
-	submitted, admitted, executed            atomic.Uint64
-	shedQueueFull, shedCoDel, shedDeadline   atomic.Uint64
-	shedWrite, shedPodFull, shedBreaker      atomic.Uint64
-	shedShard                                atomic.Uint64
-	breakerReroutes                          atomic.Uint64
-	workerCrashes, crashResolves             atomic.Uint64
-	pendingCrashed                           atomic.Int64
+	rr atomic.Uint64 // router cursor
+
+	// owed is how many ticks the pod clock has fallen behind its calibrated
+	// rate while a worker awaits repair; the next idle worker runs them.
+	owed atomic.Int64
+
+	refused                                atomic.Uint64 // answered by Submit itself, never routed
+	shedQueueFull, shedCoDel, shedDeadline atomic.Uint64
+	shedWrite, shedPodFull, shedBreaker    atomic.Uint64
+	shedShard                              atomic.Uint64
+	breakerReroutes                        atomic.Uint64
+	workerCrashes, crashResolves           atomic.Uint64
+	pendingCrashed                         atomic.Int64
 }
 
 const (
-	idleSleep  = 100 * time.Microsecond
+	// batchMax is how many requests a worker takes from its group's queue
+	// per lock acquisition and clock reading. Small, because a request in
+	// a private batch cannot be served by an idle sibling.
+	batchMax   = 8
 	repairPoll = 200 * time.Microsecond
 )
+
+// idlePeriod is how often the sampler kicks parked workers into their
+// idle tick. The pod clock must keep advancing on an idle server — the
+// fabric monitor reads a stalled clock as a dark pod, and a finite lease
+// is renewed from Thread.Run — and a millisecond is far inside the
+// shortest dark grace in use (60 ms). The sampler never sleeps longer than
+// this, whatever PressureEvery says. A variable only so the dispatch
+// tests can stretch it and prove that pushes, not kicks, wake the workers.
+var idlePeriod = time.Millisecond
 
 // New builds the server and starts its workers and pressure sampler.
 func New(cfg Config) *Server {
@@ -225,6 +273,7 @@ func New(cfg Config) *Server {
 			id:   gi,
 			tids: append([]int(nil), tids...),
 			q:    newQueue(cfg.QueueCap, cfg.LIFOThreshold, cfg.CoDelTarget, cfg.CoDelInterval),
+			wake: make(chan struct{}, len(tids)),
 		}
 		s.groups = append(s.groups, g)
 	}
@@ -236,19 +285,32 @@ func New(cfg Config) *Server {
 			// server must not shed ErrBreakerOpen in the instants before
 			// its workers first run.
 			g.brk.workerUp()
+			w := &worker{s: s, g: g, tid: tid, up: true}
+			w.batch = w.buf[:0]
 			s.wg.Add(1)
-			go s.worker(g, tid)
+			go w.serve()
 		}
 	}
 	return s
 }
 
-// Stop shuts the server down: workers exit, then every still-queued
-// request is answered ErrStopped. Callers that need every in-flight
-// op's true fate (the oracle harnesses) must wait for all outstanding
-// responses before stopping.
+// Stop shuts the server down: workers exit, answering the requests in
+// their private batches ErrStopped, then every still-queued request is
+// answered the same. Callers that need every in-flight op's true fate
+// (the oracle harnesses) must wait for all outstanding responses before
+// stopping.
 func (s *Server) Stop() {
 	s.stopped.Store(true)
+	for _, g := range s.groups {
+		// Unconditionally, not signal: a worker between its announcement
+		// and its stopped check is not counted yet but will need the token.
+		for range g.tids {
+			select {
+			case g.wake <- struct{}{}:
+			default:
+			}
+		}
+	}
 	s.wg.Wait()
 	for _, g := range s.groups {
 		for _, r := range g.q.drain() {
@@ -271,9 +333,6 @@ func (s *Server) SetTickRate(r float64) {
 // Stats assembles the service-plane resilience counters.
 func (s *Server) Stats() telemetry.ServerStats {
 	st := telemetry.ServerStats{
-		Submitted:       s.submitted.Load(),
-		Admitted:        s.admitted.Load(),
-		Executed:        s.executed.Load(),
 		ShedQueueFull:   s.shedQueueFull.Load(),
 		ShedCoDel:       s.shedCoDel.Load(),
 		ShedDeadline:    s.shedDeadline.Load(),
@@ -286,8 +345,11 @@ func (s *Server) Stats() telemetry.ServerStats {
 		CrashResolves:   s.crashResolves.Load(),
 	}
 	for _, g := range s.groups {
+		st.Admitted += g.admitted.Load()
+		st.Executed += g.executed.Load()
 		st.BreakerOpens += g.brk.opens.Load()
 	}
+	st.Submitted = st.Admitted + s.refused.Load()
 	return st
 }
 
@@ -297,8 +359,6 @@ func (s *Server) Stats() telemetry.ServerStats {
 // stopping the server: answering a maybe-applied write ErrStopped
 // would hide its true fate from the acked-write oracle.
 func (s *Server) PendingCrashed() int64 { return s.pendingCrashed.Load() }
-
-func (s *Server) clockNow() uint64 { return s.heap.ClockNow(0) }
 
 func (s *Server) respond(r *Request, err error) {
 	r.resp.Err = err
@@ -328,12 +388,11 @@ func Reject(r *Request, err error) {
 
 // Submit admits r (asynchronously; the response arrives on r's
 // channel): watermark checks, breaker-aware routing, then the chosen
-// group's bounded queue.
+// group's bounded queue. The pod clock is an HWcc load, read only when a
+// tick rate makes tick deadlines possible.
 func (s *Server) Submit(r *Request) {
-	s.submitted.Add(1)
 	now := time.Now()
 	r.arriveWall = now
-	r.arriveTick = s.clockNow()
 	if r.deadlineWall.IsZero() {
 		d := r.Deadline
 		if d <= 0 {
@@ -341,37 +400,52 @@ func (s *Server) Submit(r *Request) {
 		}
 		r.deadlineWall = now.Add(d)
 		if tr := math.Float64frombits(s.tickRate.Load()); tr > 0 {
-			r.deadlineTick = r.arriveTick + uint64(tr*d.Seconds())
+			r.deadlineTick = s.heap.ClockNow(0) + uint64(tr*d.Seconds())
 		}
 	}
-	if s.stopped.Load() {
-		s.respond(r, ErrStopped)
+	if err := s.refuse(r); err != nil {
+		s.refused.Add(1)
+		s.respond(r, err)
 		return
-	}
-	if r.Op != OpGet {
-		p := s.Pressure()
-		if p >= s.cfg.HardWatermark {
-			s.shedPodFull.Add(1)
-			s.respond(r, &ErrPodFull{Pressure: p, RetryAfter: s.cfg.RetryAfter})
-			return
-		}
-		if p >= s.cfg.SoftWatermark {
-			s.shedWrite.Add(1)
-			s.respond(r, ErrWriteShed)
-			return
-		}
 	}
 	g := s.route(nil)
 	if g == nil {
+		s.refused.Add(1)
 		s.shedBreaker.Add(1)
 		s.respond(r, ErrBreakerOpen)
 		return
 	}
-	s.admitted.Add(1)
+	g.admitted.Add(1)
+	s.enqueue(g, r)
+}
+
+// refuse is Submit's pre-routing checks: nil admits r.
+func (s *Server) refuse(r *Request) error {
+	if s.stopped.Load() {
+		return ErrStopped
+	}
+	if r.Op == OpGet {
+		return nil
+	}
+	p := s.Pressure()
+	if p >= s.cfg.HardWatermark {
+		s.shedPodFull.Add(1)
+		return &ErrPodFull{Pressure: p, RetryAfter: s.cfg.RetryAfter}
+	}
+	if p >= s.cfg.SoftWatermark {
+		s.shedWrite.Add(1)
+		return ErrWriteShed
+	}
+	return nil
+}
+
+// enqueue pushes r onto g's queue and wakes a parked worker for it.
+func (s *Server) enqueue(g *group, r *Request) {
 	if ev := g.q.push(r); ev != nil {
 		s.shedQueueFull.Add(1)
 		s.respond(ev, ErrQueueFull)
 	}
+	g.signal(1)
 }
 
 // route picks the next group round-robin, skipping open breakers and
@@ -397,30 +471,89 @@ func (s *Server) route(except *group) *group {
 	return nil
 }
 
+// readmit moves an already admitted request to a live group other than
+// except, or sheds it ErrBreakerOpen when there is none.
+func (s *Server) readmit(r *Request, except *group) bool {
+	t := s.route(except)
+	if t == nil {
+		s.shedBreaker.Add(1)
+		s.respond(r, ErrBreakerOpen)
+		return false
+	}
+	s.enqueue(t, r)
+	return true
+}
+
 // reroute drains a just-broken group's queue into live groups, so
 // admitted requests don't sit behind a ~400ms watchdog repair.
 func (s *Server) reroute(g *group) {
 	for _, r := range g.q.drain() {
-		t := s.route(g)
-		if t == nil {
-			s.shedBreaker.Add(1)
-			s.respond(r, ErrBreakerOpen)
-			continue
-		}
-		s.breakerReroutes.Add(1)
-		if ev := t.q.push(r); ev != nil {
-			s.shedQueueFull.Add(1)
-			s.respond(ev, ErrQueueFull)
+		if s.readmit(r, g) {
+			s.breakerReroutes.Add(1)
 		}
 	}
 }
 
+// sampler refreshes the pressure sample every PressureEvery and kicks the
+// parked workers every idlePeriod (see idlePeriod), sleeping the shorter
+// of the two. One goroutine with one timer does for every worker what a
+// timer each would.
 func (s *Server) sampler() {
 	defer s.wg.Done()
+	idle := idlePeriod
+	var sampled time.Time
+	kicked, want := time.Now(), uint64(0) // want: see pace
 	for !s.stopped.Load() {
-		s.pressure.Store(math.Float64bits(s.cfg.PressureFn()))
-		time.Sleep(s.cfg.PressureEvery)
+		now := time.Now()
+		if now.Sub(sampled) >= s.cfg.PressureEvery {
+			sampled = now
+			s.pressure.Store(math.Float64bits(s.cfg.PressureFn()))
+		}
+		if dt := now.Sub(kicked); dt >= idle {
+			kicked = now
+			want = s.pace(dt, want)
+			for _, g := range s.groups {
+				g.signal(len(g.tids))
+			}
+		}
+		time.Sleep(min(s.cfg.PressureEvery, idle))
 	}
+}
+
+// pace keeps lease expiry on its wall-clock target when traffic does not.
+// A lease is a number of pod ticks, sized from the tick rate measured
+// under load; one idle tick per worker per kick is a hundredth of that
+// rate, so a slot that died as the traffic ended would wait a hundred
+// lease lengths for its repair, and the crashed write it holds with it.
+// While a tick rate is installed and a worker is down, want is where the
+// clock would be at that rate, dt after the last kick; what the clock is
+// short of it goes to the idle workers (at most four kicks' worth: they
+// catch up, they do not jump). A clock that keeps up by itself, or nobody
+// to repair, re-anchors want to the clock.
+func (s *Server) pace(dt time.Duration, want uint64) uint64 {
+	tr := math.Float64frombits(s.tickRate.Load())
+	if tr == 0 {
+		return want
+	}
+	clock := s.heap.ClockNow(0)
+	step := uint64(tr * dt.Seconds())
+	want += step
+	if want <= clock || !s.workerDown() {
+		return clock
+	}
+	want = min(want, clock+4*step)
+	s.owed.Store(int64(want - clock))
+	return want
+}
+
+// workerDown reports whether any worker is waiting for its slot's repair.
+func (s *Server) workerDown() bool {
+	for _, g := range s.groups {
+		if int(g.brk.serving.Load()) < len(g.tids) {
+			return true
+		}
+	}
+	return false
 }
 
 func (s *Server) countShed(err error) {
@@ -450,113 +583,147 @@ func (p *pendOp) settle() {
 	}
 }
 
-// worker serves group g from thread slot tid. The loop mirrors the
-// livechaos worker's crash discipline: every store op runs inside
-// th.Run (heartbeat + watchdog + crash capture); an own-slot crash
-// drops the handle, opens the breaker if the group went dark, and
-// waits for the watchdog's repair; a crash with a foreign TID means a
-// repair hosted by our heartbeat died — our op never ran and is simply
-// retried.
-func (s *Server) worker(g *group, tid int) {
-	defer s.wg.Done()
-	th, err := s.cfg.Pod.ThreadOf(tid)
-	if err != nil {
-		th = nil
-	}
-	up := true // New pre-registered us as serving
-	markUp := func() {
-		if !up {
-			up = true
-			g.brk.workerUp()
-		}
-	}
-	markDown := func() {
-		if up {
-			up = false
-			if g.brk.workerDown() && !s.stopped.Load() {
-				s.reroute(g)
-			}
-		}
-	}
-	if th == nil {
-		markDown()
-	}
+// worker serves one group from one thread slot.
+type worker struct {
+	s   *Server
+	g   *group
+	tid int
+	th  *cxlalloc.Thread // nil while the slot is dead, until the watchdog repairs it
+	up  bool             // registered with the group's breaker as serving
 
-	var pend *pendOp
-	var held *Request
-	for {
-		if s.stopped.Load() && pend == nil {
-			if held != nil {
-				s.respond(held, ErrStopped)
+	// batch is what the worker popped and has not started: batch[0] runs
+	// next. Nobody else can serve these, so a worker that goes down gives
+	// them back before it waits for its repair.
+	batch []*Request
+	buf   [batchMax]*Request
+	pend  *pendOp // a crashed write awaiting its post-repair resolution
+}
+
+// down records that the worker's slot died: the handle is dropped and,
+// if the group just went dark, its queue is re-routed.
+func (w *worker) down() {
+	w.th = nil
+	if w.up {
+		w.up = false
+		if w.g.brk.workerDown() && !w.s.stopped.Load() {
+			w.s.reroute(w.g)
+		}
+	}
+}
+
+// handBack gives up the un-started batch: to the live groups' queues
+// (this one included while a sibling still serves it), or to the callers
+// as ErrStopped once the server has stopped.
+func (w *worker) handBack() {
+	for _, r := range w.batch {
+		if w.s.stopped.Load() {
+			w.s.respond(r, ErrStopped)
+		} else {
+			w.s.readmit(r, nil)
+		}
+	}
+	w.batch = w.buf[:0]
+}
+
+// idleTicks is what a kicked worker does: a benign tick keeps the pod
+// clock advancing, our lease renewed and the watchdog polling (repairs are
+// driven by live workers), and the ticks the sampler found the clock owed
+// keep a pending repair on schedule (see pace). False means a tick
+// crashed.
+func (w *worker) idleTicks() bool {
+	for n := 1 + w.s.owed.Swap(0); n > 0; n-- {
+		if c := w.th.Run(func() {}); c != nil {
+			if c.TID == w.tid {
+				w.down()
 			}
+			return false
+		}
+	}
+	return true
+}
+
+// fill pops the next batch, answering what the queue shed on the way.
+func (w *worker) fill() {
+	s := w.s
+	var tick uint64
+	if s.tickRate.Load() != 0 {
+		tick = s.heap.ClockNow(0)
+	}
+	var sheds []shedReq
+	w.batch, sheds = w.g.q.popBatch(time.Now(), tick, w.buf[:0])
+	for _, sd := range sheds {
+		s.countShed(sd.err)
+		s.respond(sd.req, sd.err)
+	}
+}
+
+// serve is the worker loop: pop a batch, execute it, park when the
+// queue is empty. It mirrors the livechaos worker's crash discipline:
+// every store op runs inside th.Run (heartbeat + watchdog + crash
+// capture); an own-slot crash drops the handle, opens the breaker if
+// the group went dark, hands the rest of the batch back and waits for
+// the watchdog's repair; a crash with a foreign TID means a repair
+// hosted by our heartbeat died — our op never ran and is simply retried.
+func (w *worker) serve() {
+	s, g, tid := w.s, w.g, w.tid
+	defer s.wg.Done()
+	if th, err := s.cfg.Pod.ThreadOf(tid); err == nil {
+		w.th = th
+	} else {
+		w.down()
+	}
+	idle := false // parked since the last request: a wake that finds nothing is a kick
+	for {
+		if s.stopped.Load() && w.pend == nil {
+			w.handBack()
 			return
 		}
-		if th == nil {
-			if th = s.awaitRepair(tid); th == nil {
+		if w.th == nil {
+			w.handBack()
+			if w.th = s.awaitRepair(tid); w.th == nil {
 				// Stopped while dead. A still-pending write here means the
 				// caller tore down with an op in flight; answer with the
 				// one honest error left.
-				if pend != nil {
-					s.respond(pend.req, ErrStopped)
-					pend.settle()
+				if p := w.pend; p != nil {
+					s.respond(p.req, ErrStopped)
+					p.settle()
 					s.pendingCrashed.Add(-1)
-				}
-				if held != nil {
-					s.respond(held, ErrStopped)
 				}
 				return
 			}
-			markUp()
+			w.up = true
+			g.brk.workerUp()
 		}
-		if pend != nil {
-			p := pend
-			c := th.Run(func() { p.applied = s.resolveCrashed(tid, p) })
+		if p := w.pend; p != nil {
+			c := w.th.Run(func() { p.applied = s.resolveCrashed(tid, p) })
 			if c != nil {
 				if c.TID == tid {
-					markDown()
-					th = nil
+					w.down()
 				}
 				continue // either way: resolve re-runs (it is idempotent)
 			}
 			s.crashResolves.Add(1)
 			p.req.resp.Applied = p.applied
-			pend = nil
+			w.pend = nil
 			s.respond(p.req, ErrCrashed)
 			p.settle()
 			s.pendingCrashed.Add(-1)
 			continue
 		}
 
-		req := held
-		held = nil
-		if req == nil {
-			now := time.Now()
-			var sheds []shedReq
-			req, sheds = g.q.pop(now, s.clockNow())
-			for _, sd := range sheds {
-				s.countShed(sd.err)
-				s.respond(sd.req, sd.err)
-			}
+		if len(w.batch) == 0 {
+			w.fill()
 		}
-		if req == nil {
-			// Idle: a benign tick keeps our heartbeat renewed and the
-			// watchdog polling (repairs are driven by live workers).
-			c := th.Run(func() {})
-			if c != nil {
-				if c.TID == tid {
-					markDown()
-					th = nil
-				}
+		if len(w.batch) == 0 {
+			if idle && !w.idleTicks() {
 				continue
 			}
-			time.Sleep(idleSleep)
+			idle = true
+			g.park(&s.stopped)
 			continue
 		}
-		if req.expired(time.Now(), s.clockNow()) {
-			s.shedDeadline.Add(1)
-			s.respond(req, ErrDeadlineExceeded)
-			continue
-		}
+		idle = false
+		req := w.batch[0]
 
 		// Execution-time ownership check: the shard may have moved or
 		// frozen between routing and dequeue; the permit (release) pins
@@ -564,17 +731,11 @@ func (s *Server) worker(g *group, tid int) {
 		var release func()
 		if s.cfg.Gate != nil {
 			var gerr error
-			release, gerr = s.cfg.Gate(req)
-			if gerr != nil {
+			if release, gerr = s.cfg.Gate(req); gerr != nil {
+				w.batch = w.batch[1:]
 				s.shedShard.Add(1)
 				s.respond(req, gerr)
 				continue
-			}
-		}
-		unpin := func() {
-			if release != nil {
-				release()
-				release = nil
 			}
 		}
 
@@ -582,45 +743,48 @@ func (s *Server) worker(g *group, tid int) {
 		if req.Op != OpGet {
 			pc = &pendOp{req: req}
 		}
-		executed := false
-		c := th.Run(func() {
-			executed = true
+		started := false
+		c := w.th.Run(func() {
+			started = true
 			s.execute(tid, req, pc)
 		})
-		if c != nil {
-			if c.TID != tid {
-				// A hosted repair crashed before our op ran; retry it
-				// (through the gate again — ownership may have changed).
-				unpin()
-				held = req
-				continue
+		if c == nil {
+			if release != nil {
+				release()
 			}
-			markDown()
-			th = nil
-			if !executed {
-				// Died in the heartbeat phase: the op never started.
-				unpin()
-				held = req
-				continue
-			}
-			s.workerCrashes.Add(1)
-			if req.Op == OpGet {
-				// Reads have no effect; the crash is the whole story.
-				unpin()
-				s.respond(req, ErrCrashed)
-			} else {
-				// Fate unknown until resolved after repair; the permit
-				// rides on the pend so a frozen shard waits for it.
-				pc.release = release
-				release = nil
-				pend = pc
-				s.pendingCrashed.Add(1)
+			w.batch = w.batch[1:]
+			g.executed.Add(1)
+			s.respond(req, req.resp.Err)
+			continue
+		}
+		if c.TID == tid {
+			w.down()
+		}
+		if c.TID != tid || !started {
+			// A hosted repair crashed before our op ran, or we died in the
+			// heartbeat phase: the op never started and is still batch[0],
+			// to be retried (through the gate again — ownership may have
+			// changed) by us or by whoever the batch is handed to.
+			if release != nil {
+				release()
 			}
 			continue
 		}
-		unpin()
-		s.executed.Add(1)
-		s.respond(req, req.resp.Err)
+		w.batch = w.batch[1:]
+		s.workerCrashes.Add(1)
+		if req.Op == OpGet {
+			// Reads have no effect; the crash is the whole story.
+			if release != nil {
+				release()
+			}
+			s.respond(req, ErrCrashed)
+		} else {
+			// Fate unknown until resolved after repair; the permit
+			// rides on the pend so a frozen shard waits for it.
+			pc.release = release
+			w.pend = pc
+			s.pendingCrashed.Add(1)
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"cxlalloc/internal/chaos"
+	"cxlalloc/internal/crash"
 )
 
 // testFixture builds a small pod+store and a server with an overridable
@@ -19,18 +20,29 @@ type testFixture struct {
 	pressure atomic.Uint64 // float64 bits
 }
 
+// testGroups serves newTestRun's 4-thread pod as two groups of two workers.
+var testGroups = [][]int{{0, 2}, {1, 3}}
+
+// newTestRun builds the small pod and store the package's tests and
+// benchmarks put a server on.
+func newTestRun(tb testing.TB, inj *crash.Injector) *sloRun {
+	tb.Helper()
+	cfg := SLOConfig{Threads: 4, Procs: 2, Keys: 64, Clients: 2, Window: time.Second}.withDefaults()
+	r, err := buildSLORun(cfg, inj)
+	if err != nil {
+		tb.Fatalf("buildSLORun: %v", err)
+	}
+	return r
+}
+
 func newTestFixture(t *testing.T) *testFixture {
 	t.Helper()
-	cfg := SLOConfig{Threads: 4, Procs: 2, Keys: 64, Clients: 2, Window: time.Second}.withDefaults()
-	r, err := buildSLORun(cfg, nil)
-	if err != nil {
-		t.Fatalf("buildSLORun: %v", err)
-	}
+	r := newTestRun(t, nil)
 	f := &testFixture{run: r}
 	f.srv = New(Config{
 		Pod:    r.pod,
 		Store:  r.store,
-		Groups: [][]int{{0, 2}, {1, 3}},
+		Groups: testGroups,
 		PressureFn: func() float64 {
 			return math.Float64frombits(f.pressure.Load())
 		},
@@ -43,7 +55,9 @@ func newTestFixture(t *testing.T) *testFixture {
 
 func (f *testFixture) setPressure(p float64) {
 	f.pressure.Store(math.Float64bits(p))
-	time.Sleep(2 * time.Millisecond) // let the sampler observe it
+	for f.srv.Pressure() != p { // until the sampler has observed it
+		time.Sleep(100 * time.Microsecond)
+	}
 }
 
 func (f *testFixture) do(r *Request) *Response {

@@ -276,10 +276,16 @@ func buildSLORun(cfg SLOConfig, inj *crash.Injector) (*sloRun, error) {
 	// Headroom matters: MemPressure is the mapped-slab high-water
 	// fraction, so the steady-state working set (keys x codec value
 	// sizes) must sit well under the soft watermark or the server sheds
-	// writes even when healthy. 512 codec keys peak near 15 large
-	// slabs; 4x that keeps honest runs under ~0.30 pressure.
+	// writes even when healthy. 512 codec keys need about 15 large
+	// slabs, but the high-water a run reaches is set by what is in
+	// flight on top of them — values retired and not yet past their
+	// epochs, blocks stranded by remote frees — and that grows with the
+	// service rate: half a second at capacity maps 47-52 large slabs at
+	// 280 k ops/s and 52-59 at 320 k. 128 keeps that under ~0.5, and
+	// capacityPhase fails the run outright if a faster service ever
+	// outgrows it, rather than let every later phase shed writes.
 	pc.MaxSmallSlabs = 256
-	pc.MaxLargeSlabs = 64
+	pc.MaxLargeSlabs = 128
 	pc.HugeRegionSize = 1 << 20
 	pc.NumReservations = 8
 	pc.DescsPerThread = 16
@@ -294,9 +300,9 @@ func buildSLORun(cfg SLOConfig, inj *crash.Injector) (*sloRun, error) {
 	pod, err := cxlalloc.NewPodWith(cxlalloc.PodConfig{
 		Config:      pc,
 		AutoRecover: true,
-		// Effectively infinite lease; the chaos variant retunes after
-		// calibration, the fault-free sweep never needs expiry.
-		Liveness: cxlalloc.LivenessConfig{RenewInterval: 4, GraceMult: 1 << 38, PollInterval: 4},
+		// The chaos variant retunes after calibration, the fault-free
+		// sweep never needs expiry.
+		Liveness: cxlalloc.NoExpiryLiveness,
 		OnEvent: func(ev cxlalloc.LivenessEvent) {
 			if ev.Kind == cxlalloc.LivenessRepair && ev.Report.PendingAlloc != 0 {
 				r.orphMu.Lock()
@@ -532,6 +538,33 @@ func (r *sloRun) closedLoop(window time.Duration) *pointTally {
 	return t
 }
 
+// capacityPhase measures 1x: the closed loop's acked rate, and the pod
+// clock's wall rate under it (the calibration every tick-denominated
+// quantity later in the run is sized from). It fails the run when the
+// phase acked nothing, and when the harness pod turned out too small for
+// the rate it measured: MemPressure only ever rises, so a capacity burst
+// that reaches the soft watermark has every later phase shedding writes,
+// and the run would report the pod's size, not the service's behaviour.
+func (r *sloRun) capacityPhase(rep *SLOReport) error {
+	heap := r.pod.Heap()
+	c0, t0 := heap.ClockNow(0), time.Now()
+	capT := r.closedLoop(r.cfg.Window)
+	c1, t1 := heap.ClockNow(0), time.Now()
+	if wall := t1.Sub(t0).Seconds(); wall > 0 {
+		rep.Capacity = float64(capT.acked.Load()) / wall
+		rep.TickRate = float64(c1-c0) / wall
+	}
+	if rep.Capacity == 0 {
+		r.audit(rep)
+		return fmt.Errorf("server: capacity phase acked nothing")
+	}
+	if p, soft := heap.MemPressure(0), r.srv.cfg.SoftWatermark; p >= soft {
+		r.audit(rep)
+		return fmt.Errorf("server: harness pod too small for %.0f ops/sec: memory pressure %.2f after the capacity phase is at the soft watermark (%.2f); raise MaxLargeSlabs in buildSLORun", rep.Capacity, p, soft)
+	}
+	return nil
+}
+
 // openLoop offers rate ops/sec for the window: arrivals are paced by a
 // seeded Poisson process per issuer, independent of response latency —
 // the load does not slow down because the service did. Each issuer owns
@@ -724,21 +757,10 @@ func RunSLO(cfg SLOConfig) (*SLOReport, error) {
 		Seed: cfg.Seed, Deadline: cfg.Deadline, Window: cfg.Window,
 	}
 
-	// Capacity phase: closed loop, also the pod-clock calibration.
-	heap := r.pod.Heap()
-	c0, t0 := heap.ClockNow(0), time.Now()
-	capT := r.closedLoop(cfg.Window)
-	c1, t1 := heap.ClockNow(0), time.Now()
-	capWall := t1.Sub(t0)
-	if capWall > 0 {
-		rep.Capacity = float64(capT.acked.Load()) / capWall.Seconds()
-		rep.TickRate = float64(c1-c0) / capWall.Seconds()
-		r.srv.SetTickRate(rep.TickRate)
+	if err := r.capacityPhase(rep); err != nil {
+		return rep, err
 	}
-	if rep.Capacity == 0 {
-		r.audit(rep)
-		return rep, fmt.Errorf("server: slo capacity phase acked nothing")
-	}
+	r.srv.SetTickRate(rep.TickRate)
 
 	// Open-loop sweep.
 	for pi, mult := range cfg.Rates {

@@ -46,18 +46,8 @@ func RunSLOChaos(cfg SLOConfig) (*SLOReport, error) {
 	}
 
 	// Phase 1 — capacity + clock calibration under the infinite lease.
-	heap := r.pod.Heap()
-	c0, t0 := heap.ClockNow(0), time.Now()
-	capT := r.closedLoop(cfg.Window)
-	c1, t1 := heap.ClockNow(0), time.Now()
-	capWall := t1.Sub(t0)
-	if capWall > 0 {
-		rep.Capacity = float64(capT.acked.Load()) / capWall.Seconds()
-		rep.TickRate = float64(c1-c0) / capWall.Seconds()
-	}
-	if rep.Capacity == 0 {
-		r.audit(rep)
-		return rep, fmt.Errorf("server: slochaos capacity phase acked nothing")
+	if err := r.capacityPhase(rep); err != nil {
+		return rep, err
 	}
 
 	// Quiesce point: RetuneLiveness requires no thread inside Run, and
@@ -70,7 +60,10 @@ func RunSLOChaos(cfg SLOConfig) (*SLOReport, error) {
 	if leaseTicks < 4096 {
 		leaseTicks = 4096 // floor: never a lease of a handful of ops
 	}
-	r.pod.RetuneLiveness(cxlalloc.LivenessConfig{RenewInterval: 4, GraceMult: leaseTicks / 4, PollInterval: 4})
+	// Renew at a sixth of the lease (the package default's grace ratio),
+	// not every few ticks: an mCAS per renewal is only worth paying as
+	// often as the lease in force needs it.
+	r.pod.RetuneLiveness(cxlalloc.LivenessConfig{RenewInterval: leaseTicks / 6, GraceMult: 6, PollInterval: 4})
 	for tid := 0; tid < cfg.Threads; tid++ {
 		if th, err := r.pod.ThreadOf(tid); err == nil {
 			th.Run(func() {}) // settle: one renewal under the new lease
@@ -94,6 +87,7 @@ func RunSLOChaos(cfg SLOConfig) (*SLOReport, error) {
 
 	// Phase 3 — convergence: traffic has drained; the workers' idle
 	// ticks keep the watchdog advancing until every slot is repaired.
+	heap := r.pod.Heap()
 	convDeadline := time.Now().Add(sloRepairWait)
 	for {
 		allLive := true

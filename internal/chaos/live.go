@@ -8,6 +8,13 @@ package chaos
 // recovery path is the liveness watchdog (lease expiry → fenced claim →
 // repair); the harness never calls Recover or Restart.
 //
+// The harness is the first client of the kernel in kernel.go, which owns
+// the gates ledger, injection pacing and record/replay, the death loop
+// and the end-of-run audit; what is livechaos's own is the in-process
+// worker (it talks to kvstore directly and validates reads against
+// bracketing oracle snapshots), plan/apply for thread, process and NMP
+// faults, and the persist adversary.
+//
 // Correctness is gated three ways at run end: the heap's full invariant
 // check plus ledger audit (every byte accounted, nothing leaked to a
 // crash), the lost-ack oracle (oracle.go — an acknowledged write the
@@ -31,10 +38,7 @@ import (
 	"time"
 
 	"cxlalloc"
-	"cxlalloc/internal/alloc"
-	"cxlalloc/internal/atomicx"
 	"cxlalloc/internal/crash"
-	"cxlalloc/internal/kvstore"
 	"cxlalloc/internal/memsim"
 	"cxlalloc/internal/nmp"
 	"cxlalloc/internal/telemetry"
@@ -126,13 +130,13 @@ type LiveReport struct {
 	Replayed             bool
 
 	// Traffic.
-	Ops, Acked                  uint64 // completed ops; acked writes
-	Puts, Gets, Deletes         uint64
-	Failed                      uint64 // ops rejected without a crash (e.g. transient OOM)
-	Crashes                     uint64 // worker-visible own-thread crashes
-	ReadsChecked, ReadsSkipped  uint64
-	Throughput                  float64 // completed ops per second of traffic
-	LatencyP50, LatencyP99      time.Duration
+	Ops, Acked                 uint64 // completed ops; acked writes
+	Puts, Gets, Deletes        uint64
+	Failed                     uint64 // ops rejected without a crash (e.g. transient OOM)
+	Crashes                    uint64 // worker-visible own-thread crashes
+	ReadsChecked, ReadsSkipped uint64
+	Throughput                 float64 // completed ops per second of traffic
+	LatencyP50, LatencyP99     time.Duration
 
 	// Injection coverage.
 	ThreadKills, ProcKills, NMPBursts int
@@ -145,11 +149,11 @@ type LiveReport struct {
 	FalseTakeovers                                    uint64
 
 	// Derived from telemetry crash→repair spans.
-	MTTRCount              int
-	MTTRP50, MTTRP99       time.Duration
-	MTTRMax                time.Duration
-	Availability           float64 // fraction of the window with all slots live
-	KeptLost               uint64  // retention overflow: metrics approximate if nonzero
+	MTTRCount        int
+	MTTRP50, MTTRP99 time.Duration
+	MTTRMax          time.Duration
+	Availability     float64 // fraction of the window with all slots live
+	KeptLost         uint64  // retention overflow: metrics approximate if nonzero
 
 	// CrashPoints tallies where the injected crashes actually landed.
 	CrashPoints map[string]int
@@ -171,13 +175,14 @@ func (r *LiveReport) Ok() bool {
 
 // liveRun is the shared runtime state of one online chaos run.
 type liveRun struct {
-	cfg    LiveConfig
-	inj    *crash.Injector
-	pod    *cxlalloc.Pod
-	procs  []*cxlalloc.Process
-	store  *kvstore.Store
-	orc    *oracle
-	tracer *telemetry.Tracer
+	*PodTarget // the pod, its processes, the store, adopted orphans
+
+	cfg       LiveConfig
+	inj       *crash.Injector
+	orc       *Oracle
+	gates     Gates
+	faults    *Injector
+	tracer    *telemetry.Tracer
 	ownTracer bool
 
 	stop atomic.Bool // stop issuing new ops; keep ticking
@@ -188,41 +193,10 @@ type liveRun struct {
 	persistSeed []atomic.Uint64
 	crashSeq    []atomic.Uint64
 
-	orphMu  sync.Mutex
-	orphans []cxlalloc.Ptr
-
-	gateMu      sync.Mutex
-	violations  []string
-	lostAcks    []string
+	cpMu        sync.Mutex
 	crashPoints map[string]int
 
 	workers []*liveWorker
-
-	schedule []FaultSpec
-	outcomes []FaultOutcome
-}
-
-const (
-	liveArmProb    = 0.02             // per-crash-point firing probability for armed victims
-	liveKillWait   = 15 * time.Second // arming → death deadline before downgrading the fault
-	liveRepairWait = 60 * time.Second // crash → watchdog repair deadline (violation past this)
-	liveTailGrace  = 2 * time.Second  // injection stops this early so repairs land in-window
-)
-
-func (r *liveRun) violation(msg string) {
-	r.gateMu.Lock()
-	if len(r.violations) < 64 {
-		r.violations = append(r.violations, msg)
-	}
-	r.gateMu.Unlock()
-}
-
-func (r *liveRun) lostAck(msg string) {
-	r.gateMu.Lock()
-	if len(r.lostAcks) < 64 {
-		r.lostAcks = append(r.lostAcks, msg)
-	}
-	r.gateMu.Unlock()
 }
 
 // liveWorker drives one thread slot's traffic from its own goroutine.
@@ -240,17 +214,16 @@ type liveWorker struct {
 	pend       *livePend
 	unresolved atomic.Bool
 
-	ops, acked, puts, gets, dels    uint64
-	failed, crashes                 uint64
-	readsChecked, readsSkipped      uint64
+	ops, acked, puts, gets, dels uint64
+	failed, crashes              uint64
+	readsChecked, readsSkipped   uint64
 }
 
 type livePend struct {
-	put  bool
-	key  int
-	ver  uint64      // put: target version; delete: the displaced version
-	prev kvState     // state the op was issued against
-	ptr  cxlalloc.Ptr // put: captured allocation (0 = Alloc never returned)
+	put bool
+	key int
+	ver uint64       // put: target version; delete: the displaced version
+	ptr cxlalloc.Ptr // put: captured allocation (0 = Alloc never returned)
 }
 
 // RunLive executes one online chaos run.
@@ -261,58 +234,17 @@ func RunLive(cfg LiveConfig) (*LiveReport, error) {
 	}
 
 	inj := crash.NewInjector()
-	pc := cxlalloc.DefaultConfig()
-	pc.NumThreads = cfg.Threads
-	pc.MaxSmallSlabs = 64
-	pc.MaxLargeSlabs = 16
-	pc.HugeRegionSize = 1 << 20
-	pc.NumReservations = 8
-	pc.DescsPerThread = 16
-	pc.NumHazards = 8
-	pc.UnsizedThreshold = 2
-	pc.Mode = atomicx.ModeMCAS // NMP data path live, so nmp-burst faults bite
-	pc.Crash = inj
-	pc.TrackPersist = true // adversarial CrashDiscard on every crash
-
-	r := &liveRun{
-		cfg:         cfg,
-		inj:         inj,
-		procs:       make([]*cxlalloc.Process, cfg.Procs),
-		orc:         newOracle(cfg.Keys),
-		persistSeed: make([]atomic.Uint64, cfg.Threads),
-		crashSeq:    make([]atomic.Uint64, cfg.Threads),
-	}
-	pod, err := cxlalloc.NewPodWith(cxlalloc.PodConfig{
-		Config:      pc,
-		AutoRecover: true,
-		// Calibration retunes it to LeaseWall once the pod's real tick
-		// rate is known.
-		Liveness: cxlalloc.NoExpiryLiveness,
-		// A repair that finds a pending allocation (the victim crashed
-		// between taking a block and receiving the pointer) hands it to
-		// the harness, which frees it at teardown — the lost-ack oracle
-		// never saw the pointer, so it cannot be a committed write.
-		OnEvent: func(ev cxlalloc.LivenessEvent) {
-			if ev.Kind == cxlalloc.LivenessRepair && ev.Report.PendingAlloc != 0 {
-				r.orphMu.Lock()
-				r.orphans = append(r.orphans, ev.Report.PendingAlloc)
-				r.orphMu.Unlock()
-			}
-		},
-	})
+	target, err := NewPodTarget(cfg.Threads, cfg.Procs, cfg.Keys, 64, 16, inj)
 	if err != nil {
 		return nil, err
 	}
-	r.pod = pod
-	for i := range r.procs {
-		r.procs[i] = pod.NewProcess()
+	pod := target.Pod
+	r := &liveRun{
+		cfg: cfg, inj: inj, PodTarget: target,
+		orc:         NewOracle(cfg.Keys),
+		persistSeed: make([]atomic.Uint64, cfg.Threads),
+		crashSeq:    make([]atomic.Uint64, cfg.Threads),
 	}
-	for tid := 0; tid < cfg.Threads; tid++ {
-		if _, err := r.procs[tid%cfg.Procs].AttachThreadID(tid); err != nil {
-			return nil, err
-		}
-	}
-	r.store = kvstore.New(alloc.NewCXL(pod.Heap(), "cxlalloc"), cfg.Keys*2, cfg.Threads)
 
 	// Per-crash adversarial persistence: every MarkCrashed resolves the
 	// victim's cache with a seeded random persist subset. The seed base
@@ -353,9 +285,9 @@ func RunLive(cfg LiveConfig) (*LiveReport, error) {
 	r.workers = make([]*liveWorker, cfg.Threads)
 	for tid := 0; tid < cfg.Threads; tid++ {
 		r.workers[tid] = &liveWorker{
-			run: r,
-			tid: tid,
-			rng: xrand.New(xrand.Mix(cfg.Seed ^ uint64(tid)*0xa076_1d64_78bd_642f)),
+			run:  r,
+			tid:  tid,
+			rng:  xrand.New(xrand.Mix(cfg.Seed ^ uint64(tid)*0xa076_1d64_78bd_642f)),
 			hist: new(telemetry.Hist),
 		}
 	}
@@ -369,9 +301,9 @@ func RunLive(cfg LiveConfig) (*LiveReport, error) {
 		wg.Add(1)
 		go func(w *liveWorker) {
 			defer wg.Done()
-			th, err := r.pod.ThreadOf(w.tid)
+			th, err := r.Pod.ThreadOf(w.tid)
 			if err != nil {
-				r.violation(fmt.Sprintf("warmup: no handle for tid %d: %v", w.tid, err))
+				r.gates.Violationf("warmup: no handle for tid %d: %v", w.tid, err)
 				return
 			}
 			for !warmStop.Load() {
@@ -384,22 +316,15 @@ func RunLive(cfg LiveConfig) (*LiveReport, error) {
 	t1, c1 := time.Now(), r.clockNow()
 	warmStop.Store(true)
 	wg.Wait()
-	if len(r.violations) > 0 {
-		return r.finishEarly(snap0), nil
+	if len(r.gates.Violations()) > 0 {
+		return r.finishEarly(), nil
 	}
 	tickHz := float64(c1-c0) / t1.Sub(t0).Seconds()
-	leaseTicks := uint64(tickHz * cfg.LeaseWall.Seconds())
-	if leaseTicks < 4096 {
-		leaseTicks = 4096 // floor: never let a lease shrink to a handful of ops
-	}
-	pod.RetuneLiveness(cxlalloc.LivenessConfig{RenewInterval: 4, GraceMult: leaseTicks / 4, PollInterval: 4})
-
-	// Settle: one renewal round under the new (shorter) lease before any
-	// fault, so no slot carries a stale infinite deadline... leases are
-	// monotone, so the old long deadlines are harmless for expiry-based
-	// takeover only in the "too late" direction; a settle round simply
-	// starts MTTR clocks from realistic lease ages.
-	r.runBenignRound()
+	pod.RetuneLiveness(cxlalloc.LivenessConfig{RenewInterval: 4, GraceMult: LeaseTicks(tickHz, cfg.LeaseWall) / 4, PollInterval: 4})
+	// Leases are monotone, so the old long deadlines are harmless for
+	// expiry-based takeover only in the "too late" direction; settle
+	// them before any fault.
+	SettleRound(pod, cfg.Threads)
 
 	// Phase 2 — live traffic with the injector.
 	start := time.Now()
@@ -407,70 +332,30 @@ func RunLive(cfg LiveConfig) (*LiveReport, error) {
 		wg.Add(1)
 		go w.loop(&wg)
 	}
-	injDone := make(chan struct{})
-	go func() {
-		defer close(injDone)
-		r.injectorLoop(start)
-	}()
-
-	if cfg.Replay == nil {
-		time.Sleep(cfg.Duration)
-	} else {
-		// Replay runs until the schedule is exhausted (plus a tail for
-		// the last repair), bounded by 4x the configured duration.
-		select {
-		case <-injDone:
-			time.Sleep(liveTailGrace)
-		case <-time.After(4 * cfg.Duration):
-			r.violation("replay: schedule not exhausted within 4x duration")
-		}
+	r.faults = &Injector{
+		Seed: xrand.Mix(cfg.Seed ^ 0xfa117c0de), FaultRate: cfg.FaultRate,
+		Duration: cfg.Duration, Replay: cfg.Replay,
+		Clock: r.clockNow, Stop: &r.stop, Gates: &r.gates,
+		Plan: r.plan, Apply: r.apply,
 	}
+	r.faults.Window(start)
 
-	// Phase 3 — convergence: stop issuing ops and clear all fault
-	// sources, then keep every worker ticking (heartbeats drive the
-	// watchdog) until all slots are alive+leased and every crashed op
-	// has been settled against ground truth.
-	r.stop.Store(true)
-	<-injDone
+	// Phase 3 — convergence: ops have stopped; clear all fault sources,
+	// then keep every worker ticking (heartbeats drive the watchdog)
+	// until all slots are alive+leased and every crashed op has been
+	// settled against ground truth.
 	r.inj.Disarm()
 	pod.Heap().NMP().ClearFaults()
 	elapsed := time.Since(start)
-
-	heap := pod.Heap()
-	convDeadline := time.Now().Add(liveRepairWait)
-	for {
-		allLive := true
-		for tid := 0; tid < cfg.Threads; tid++ {
-			if !heap.Alive(tid) || !heap.Leased(tid) {
-				allLive = false
-				break
-			}
-		}
-		pending := false
+	r.gates.Converge(ConvergeWait, func() []string {
+		down := SlotsDown(pod.Heap(), cfg.Threads)
 		for _, w := range r.workers {
 			if w.unresolved.Load() {
-				pending = true
-				break
+				down = append(down, fmt.Sprintf("tid %d op still unresolved", w.tid))
 			}
 		}
-		if allLive && !pending {
-			break
-		}
-		if time.Now().After(convDeadline) {
-			for tid := 0; tid < cfg.Threads; tid++ {
-				if !heap.Alive(tid) || !heap.Leased(tid) {
-					r.violation(fmt.Sprintf("convergence: slot %d not alive+leased after %v", tid, liveRepairWait))
-				}
-			}
-			for _, w := range r.workers {
-				if w.unresolved.Load() {
-					r.violation(fmt.Sprintf("convergence: tid %d op still unresolved", w.tid))
-				}
-			}
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
+		return down
+	})
 	r.done.Store(true)
 	wg.Wait()
 
@@ -483,11 +368,11 @@ func RunLive(cfg LiveConfig) (*LiveReport, error) {
 }
 
 // finishEarly aborts after a warmup failure with whatever gates fired.
-func (r *liveRun) finishEarly(snap0 telemetry.Snapshot) *LiveReport {
+func (r *liveRun) finishEarly() *LiveReport {
 	rep := &LiveReport{
 		Threads: r.cfg.Threads, Procs: r.cfg.Procs, Keys: r.cfg.Keys,
 		Seed: r.cfg.Seed, Duration: r.cfg.Duration,
-		Violations: r.violations, LostAcks: r.lostAcks,
+		Violations: r.gates.Violations(), LostAcks: r.gates.LostAcks(),
 	}
 	if r.ownTracer {
 		telemetry.Stop()
@@ -497,17 +382,7 @@ func (r *liveRun) finishEarly(snap0 telemetry.Snapshot) *LiveReport {
 
 func (r *liveRun) clockNow() uint64 {
 	// HWcc load through the device; safe from any goroutine.
-	return r.pod.Heap().ClockNow(0)
-}
-
-// runBenignRound runs one empty Run per live slot from this goroutine —
-// a deterministic quiesce-time way to tick the clock and renew leases.
-func (r *liveRun) runBenignRound() {
-	for tid := 0; tid < r.cfg.Threads; tid++ {
-		if th, err := r.pod.ThreadOf(tid); err == nil {
-			th.Run(func() {})
-		}
-	}
+	return r.Pod.Heap().ClockNow(0)
 }
 
 // --- worker ----------------------------------------------------------
@@ -515,7 +390,7 @@ func (r *liveRun) runBenignRound() {
 func (w *liveWorker) loop(wg *sync.WaitGroup) {
 	defer wg.Done()
 	r := w.run
-	th, err := r.pod.ThreadOf(w.tid)
+	th, err := r.Pod.ThreadOf(w.tid)
 	if err != nil {
 		th = w.awaitRepair()
 	}
@@ -543,12 +418,12 @@ func (w *liveWorker) loop(wg *sync.WaitGroup) {
 		})
 		if c != nil {
 			if c.TID == w.tid {
-				r.gateMu.Lock()
+				r.cpMu.Lock()
 				if r.crashPoints == nil {
 					r.crashPoints = make(map[string]int)
 				}
 				r.crashPoints[c.Point]++
-				r.gateMu.Unlock()
+				r.cpMu.Unlock()
 				// Our own crash — injected mid-op, or a self-fence. The
 				// slot is dead (or taken over); drop the handle and wait
 				// for the watchdog. pend, if set, survives in Go memory
@@ -576,16 +451,16 @@ func (w *liveWorker) loop(wg *sync.WaitGroup) {
 // handle. nil means the run is over or the repair never came.
 func (w *liveWorker) awaitRepair() *cxlalloc.Thread {
 	r := w.run
-	deadline := time.Now().Add(liveRepairWait)
+	deadline := time.Now().Add(ConvergeWait)
 	for {
-		if th, err := r.pod.ThreadOf(w.tid); err == nil {
+		if th, err := r.Pod.ThreadOf(w.tid); err == nil {
 			return th
 		}
 		if r.done.Load() {
 			return nil
 		}
 		if time.Now().After(deadline) {
-			r.violation(fmt.Sprintf("tid %d: watchdog repair did not arrive within %v", w.tid, liveRepairWait))
+			r.gates.Violationf("tid %d: watchdog repair did not arrive within %v", w.tid, ConvergeWait)
 			return nil
 		}
 		time.Sleep(200 * time.Microsecond)
@@ -616,30 +491,30 @@ func (w *liveWorker) ownKey() int {
 func (w *liveWorker) stepWrite() {
 	r := w.run
 	k := w.ownKey()
-	cur := r.orc.current(k)
-	w.keyb = liveKeyBytes(w.keyb, k)
+	cur := r.orc.Current(k)
+	w.keyb = KeyBytes(w.keyb, k)
 	if cur.Present && w.rng.Intn(100) < 30 {
 		// Delete. Issue → probe result → ack. A miss on a key the oracle
 		// has as present is a synchronously detected lost ack.
-		w.pend = &livePend{put: false, key: k, ver: cur.Ver, prev: cur}
-		r.orc.begin(k, kvState{})
-		found := r.store.Delete(w.tid, w.keyb)
+		w.pend = &livePend{put: false, key: k, ver: cur.Ver}
+		r.orc.Begin(k, KVState{})
+		found := r.Store.Delete(w.tid, w.keyb)
 		if !found {
-			r.lostAck(fmt.Sprintf("key %d: acked ver %d vanished before delete", k, cur.Ver))
+			r.gates.LostAckf("key %d: acked ver %d vanished before delete", k, cur.Ver)
 		}
-		r.orc.ack(k)
+		r.orc.Ack(k)
 		w.pend = nil
 		w.dels++
 		w.acked++
 		return
 	}
 	// Put (insert or replace).
-	ver := r.orc.nextVersion(k)
-	w.valb = encodeVal(w.valb, k, ver)
-	pend := &livePend{put: true, key: k, ver: ver, prev: cur}
+	ver := r.orc.NextVersion(k)
+	w.valb = EncodeVal(w.valb, k, ver)
+	pend := &livePend{put: true, key: k, ver: ver}
 	w.pend = pend
-	r.orc.begin(k, kvState{Ver: ver, Present: true})
-	err := r.store.PutTracked(w.tid, w.keyb, w.valb, func(p cxlalloc.Ptr) { pend.ptr = p })
+	r.orc.Begin(k, KVState{Ver: ver, Present: true})
+	err := r.Store.PutTracked(w.tid, w.keyb, w.valb, func(p cxlalloc.Ptr) { pend.ptr = p })
 	if err != nil {
 		// Rejected without linking (e.g. transient OOM while a dead
 		// process's memory awaits repair): the op did not happen.
@@ -647,14 +522,14 @@ func (w *liveWorker) stepWrite() {
 			// Alloc succeeded but a later stage failed — cannot happen in
 			// the current kvstore (only Alloc returns errors), so treat a
 			// future drift loudly.
-			r.violation(fmt.Sprintf("key %d: Put error %v after alloc", k, err))
+			r.gates.Violationf("key %d: Put error %v after alloc", k, err)
 		}
-		r.orc.resolve(k, false)
+		r.orc.Resolve(k, false)
 		w.pend = nil
 		w.failed++
 		return
 	}
-	r.orc.ack(k)
+	r.orc.Ack(k)
 	w.pend = nil
 	w.puts++
 	w.acked++
@@ -663,26 +538,26 @@ func (w *liveWorker) stepWrite() {
 func (w *liveWorker) stepReadOwn() {
 	r := w.run
 	k := w.ownKey()
-	cur := r.orc.current(k) // we are the writer: state is settled
-	w.keyb = liveKeyBytes(w.keyb, k)
-	got, found := r.store.Get(w.tid, w.keyb, w.getb)
+	cur := r.orc.Current(k) // we are the writer: state is settled
+	w.keyb = KeyBytes(w.keyb, k)
+	got, found := r.Store.Get(w.tid, w.keyb, w.getb)
 	w.getb = got
 	w.gets++
 	if !found {
 		if cur.Present {
-			r.lostAck(fmt.Sprintf("key %d: own read missed acked ver %d", k, cur.Ver))
+			r.gates.LostAckf("key %d: own read missed acked ver %d", k, cur.Ver)
 		} else {
 			w.readsChecked++
 		}
 		return
 	}
-	ver, err := decodeVal(k, got)
+	ver, err := DecodeVal(k, got)
 	if err != nil {
-		r.violation(fmt.Sprintf("key %d: own read corrupt: %v", k, err))
+		r.gates.Violationf("key %d: own read corrupt: %v", k, err)
 		return
 	}
 	if !cur.matches(ver, true) {
-		r.lostAck(fmt.Sprintf("key %d: own read saw ver %d, oracle has {ver %d present %v}", k, ver, cur.Ver, cur.Present))
+		r.gates.LostAckf("key %d: own read saw ver %d, oracle has {ver %d present %v}", k, ver, cur.Ver, cur.Present)
 		return
 	}
 	w.readsChecked++
@@ -691,18 +566,18 @@ func (w *liveWorker) stepReadOwn() {
 func (w *liveWorker) stepReadForeign() {
 	r := w.run
 	k := w.rng.Intn(r.cfg.Keys)
-	w.keyb = liveKeyBytes(w.keyb, k)
+	w.keyb = KeyBytes(w.keyb, k)
 	s1 := r.orc.snapshot(k)
-	got, found := r.store.Get(w.tid, w.keyb, w.getb)
+	got, found := r.Store.Get(w.tid, w.keyb, w.getb)
 	w.getb = got
 	w.gets++
 	var ver uint64
 	if found {
 		var err error
-		if ver, err = decodeVal(k, got); err != nil {
+		if ver, err = DecodeVal(k, got); err != nil {
 			// Linked values are fully written before the head CAS, so
 			// corruption here is real — never a racing writer.
-			r.violation(fmt.Sprintf("key %d: foreign read corrupt: %v", k, err))
+			r.gates.Violationf("key %d: foreign read corrupt: %v", k, err)
 			return
 		}
 	}
@@ -718,7 +593,7 @@ func (w *liveWorker) stepReadForeign() {
 		w.readsChecked++
 		return
 	}
-	r.lostAck(fmt.Sprintf("key %d: foreign read saw {ver %d found %v}, not admissible under gens %d-%d", k, ver, found, s1.gen, s2.gen))
+	r.gates.LostAckf("key %d: foreign read saw {ver %d found %v}, not admissible under gens %d-%d", k, ver, found, s1.gen, s2.gen)
 }
 
 // resolve settles the crashed op against ground truth. Runs inside
@@ -728,11 +603,11 @@ func (w *liveWorker) stepReadForeign() {
 func (w *liveWorker) resolve() {
 	r := w.run
 	p := w.pend
-	w.keyb = liveKeyBytes(w.keyb, p.key)
+	w.keyb = KeyBytes(w.keyb, p.key)
 	if p.put {
 		applied := false
 		if p.ptr != 0 {
-			if r.store.Linked(w.tid, w.keyb, p.ptr) {
+			if r.Store.Linked(w.tid, w.keyb, p.ptr) {
 				applied = true
 			} else {
 				// Allocated but never linked: ours to free. Pop the
@@ -741,32 +616,32 @@ func (w *liveWorker) resolve() {
 				// lead the retry into a double free.
 				ptr := p.ptr
 				p.ptr = 0
-				r.store.FreeOrphan(w.tid, ptr)
+				r.Store.FreeOrphan(w.tid, ptr)
 			}
 		}
 		// A Put that crashed between its head CAS and retiring the old
 		// entry leaves two live nodes; restore the invariant.
-		r.store.Sweep(w.tid, w.keyb)
-		r.orc.resolve(p.key, applied)
+		r.Store.Sweep(w.tid, w.keyb)
+		r.orc.Resolve(p.key, applied)
 	} else {
 		// Delete: applied iff the displaced version is no longer
 		// readable. The keyspace is single-writer, so any other surviving
 		// version is impossible.
-		got, found := r.store.Get(w.tid, w.keyb, w.getb)
+		got, found := r.Store.Get(w.tid, w.keyb, w.getb)
 		w.getb = got
 		applied := true
 		if found {
-			ver, err := decodeVal(p.key, got)
+			ver, err := DecodeVal(p.key, got)
 			switch {
 			case err != nil:
-				r.violation(fmt.Sprintf("key %d: delete-resolve read corrupt: %v", p.key, err))
+				r.gates.Violationf("key %d: delete-resolve read corrupt: %v", p.key, err)
 			case ver == p.ver:
 				applied = false
 			default:
-				r.violation(fmt.Sprintf("key %d: delete-resolve saw ver %d, expected %d or absent", p.key, ver, p.ver))
+				r.gates.Violationf("key %d: delete-resolve saw ver %d, expected %d or absent", p.key, ver, p.ver)
 			}
 		}
-		r.orc.resolve(p.key, applied)
+		r.orc.Resolve(p.key, applied)
 	}
 	w.pend = nil
 	w.unresolved.Store(false)
@@ -774,72 +649,9 @@ func (w *liveWorker) resolve() {
 
 // --- injector --------------------------------------------------------
 
-// injectorLoop paces and applies faults until the traffic window (or
-// the replay schedule) is exhausted.
-func (r *liveRun) injectorLoop(start time.Time) {
-	if r.cfg.Replay != nil {
-		for _, spec := range r.cfg.Replay {
-			if r.stop.Load() {
-				return
-			}
-			r.waitTick(spec.AtTick)
-			out := r.apply(spec)
-			r.schedule = append(r.schedule, spec)
-			r.outcomes = append(r.outcomes, out)
-		}
-		return
-	}
-	rng := xrand.New(xrand.Mix(r.cfg.Seed ^ 0xfa117c0de))
-	// Stop injecting before the window closes so the last fault's repair
-	// lands in-window; short runs scale the tail down.
-	tail := liveTailGrace
-	if tail > r.cfg.Duration/4 {
-		tail = r.cfg.Duration / 4
-	}
-	end := start.Add(r.cfg.Duration - tail)
-	i := 0
-	for {
-		mean := time.Duration(float64(time.Second) / r.cfg.FaultRate)
-		gap := time.Duration((0.5 + rng.Float64()) * float64(mean))
-		if !r.sleepUnlessStopped(gap) || time.Now().After(end) {
-			return
-		}
-		spec, ok := r.plan(i, rng)
-		if !ok {
-			continue // nothing eligible right now; retry after another gap
-		}
-		spec.AtTick = r.clockNow()
-		out := r.apply(spec)
-		r.schedule = append(r.schedule, spec)
-		r.outcomes = append(r.outcomes, out)
-		i++
-	}
-}
-
-func (r *liveRun) sleepUnlessStopped(d time.Duration) bool {
-	deadline := time.Now().Add(d)
-	for time.Now().Before(deadline) {
-		if r.stop.Load() {
-			return false
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	return !r.stop.Load()
-}
-
-// waitTick blocks until the pod clock reaches at (replay pacing). The
-// clock only advances while traffic runs, so this cannot spin forever
-// on a healthy run; a stuck clock is surfaced by the caller's timeout.
-func (r *liveRun) waitTick(at uint64) {
-	deadline := time.Now().Add(liveKillWait)
-	for r.clockNow() < at && time.Now().Before(deadline) && !r.stop.Load() {
-		time.Sleep(200 * time.Microsecond)
-	}
-}
-
 // aliveTids returns the currently-live slots.
 func (r *liveRun) aliveTids() []int {
-	heap := r.pod.Heap()
+	heap := r.Pod.Heap()
 	var out []int
 	for tid := 0; tid < r.cfg.Threads; tid++ {
 		if heap.Alive(tid) {
@@ -861,18 +673,18 @@ func (r *liveRun) aliveTids() []int {
 // alive and not mid-repair — and a mid-repair thread shows as alive
 // here — so the no-live-tids check cannot race a pending adoption.
 func (r *liveRun) killProcessSafely(spec FaultSpec, out *FaultOutcome) {
-	heap := r.pod.Heap()
-	p := r.procs[spec.Proc]
-	deadline := time.Now().Add(liveKillWait)
+	heap := r.Pod.Heap()
+	p := r.Procs[spec.Proc]
+	deadline := time.Now().Add(KillWait)
 	for round := 0; !p.Dead(); round++ {
 		var extra []int
 		for tid := 0; tid < r.cfg.Threads; tid++ {
-			if heap.Alive(tid) && r.pod.OwnerOf(tid) == p {
+			if heap.Alive(tid) && r.Pod.OwnerOf(tid) == p {
 				extra = append(extra, tid)
 			}
 		}
 		if len(extra) == 0 {
-			r.pod.KillProcess(p)
+			r.Pod.KillProcess(p)
 			out.ProcKilled = true
 			return
 		}
@@ -884,23 +696,16 @@ func (r *liveRun) killProcessSafely(spec FaultSpec, out *FaultOutcome) {
 			out.Note = "partial: adopted slots did not die before deadline"
 			return
 		}
-		for _, v := range extra {
-			r.persistSeed[v].Store(spec.PersistSeed + uint64(v)<<48)
-		}
-		r.inj.ArmRandom(spec.ArmProb, spec.ArmSeed+uint64(round+1), extra...)
-		died := make(map[int]bool, len(extra))
-		for {
-			for _, v := range extra {
-				if !died[v] && !heap.Alive(v) {
-					died[v] = true
-				}
-			}
-			if len(died) == len(extra) || time.Now().After(deadline) {
-				break
-			}
-			time.Sleep(200 * time.Microsecond)
-		}
-		r.inj.Disarm()
+		r.armPersist(spec, extra)
+		KillInOp(r.inj, spec.ArmProb, spec.ArmSeed+uint64(round+1), extra, heap.Alive, deadline)
+	}
+}
+
+// armPersist sets the victims' adversarial persist seed base, which the
+// heap's crash policy reads when each of them dies.
+func (r *liveRun) armPersist(spec FaultSpec, victims []int) {
+	for _, v := range victims {
+		r.persistSeed[v].Store(spec.PersistSeed + uint64(v)<<48)
 	}
 }
 
@@ -942,13 +747,13 @@ func (r *liveRun) plan(i int, rng *xrand.Rand) (FaultSpec, bool) {
 		// Eligible: a live process whose death leaves >= 2 live slots.
 		alive := r.aliveTids()
 		var cands []int
-		for pi, p := range r.procs {
+		for pi, p := range r.Procs {
 			if p.Dead() {
 				continue
 			}
 			owned := 0
 			for _, tid := range alive {
-				if r.pod.OwnerOf(tid) == p {
+				if r.Pod.OwnerOf(tid) == p {
 					owned++
 				}
 			}
@@ -963,11 +768,11 @@ func (r *liveRun) plan(i int, rng *xrand.Rand) (FaultSpec, bool) {
 		pi := cands[rng.Intn(len(cands))]
 		spec.Proc = pi
 		for _, tid := range alive {
-			if r.pod.OwnerOf(tid) == r.procs[pi] {
+			if r.Pod.OwnerOf(tid) == r.Procs[pi] {
 				spec.Victims = append(spec.Victims, tid)
 			}
 		}
-		spec.ArmProb = liveArmProb
+		spec.ArmProb = ArmProb
 		spec.ArmSeed = rng.Uint64()
 		spec.PersistSeed = rng.Uint64() | 1
 		return spec, true
@@ -987,7 +792,7 @@ func (r *liveRun) planThreadKill(i int, rng *xrand.Rand) (FaultSpec, bool) {
 		I:           i,
 		Kind:        FaultThreadKill,
 		Victims:     []int{v},
-		ArmProb:     liveArmProb,
+		ArmProb:     ArmProb,
 		ArmSeed:     rng.Uint64(),
 		PersistSeed: rng.Uint64() | 1,
 	}, true
@@ -998,7 +803,7 @@ func (r *liveRun) planThreadKill(i int, rng *xrand.Rand) (FaultSpec, bool) {
 // the injector itself never marks a running thread crashed.
 func (r *liveRun) apply(spec FaultSpec) FaultOutcome {
 	out := FaultOutcome{I: spec.I, Kind: spec.Kind}
-	heap := r.pod.Heap()
+	heap := r.Pod.Heap()
 	switch spec.Kind {
 	case FaultNMPBurst:
 		mode := nmp.FaultUnavailable
@@ -1030,31 +835,8 @@ func (r *liveRun) apply(spec FaultSpec) FaultOutcome {
 			out.Note = "victims already dead"
 			return out
 		}
-		for _, v := range targets {
-			r.persistSeed[v].Store(spec.PersistSeed + uint64(v)<<48)
-		}
-		r.inj.ArmRandom(spec.ArmProb, spec.ArmSeed, targets...)
-		// Death observation is sticky: a victim that died inside its own
-		// op counts even if the watchdog repairs it before we look again.
-		died := make(map[int]bool, len(targets))
-		deadline := time.Now().Add(liveKillWait)
-		for {
-			for _, v := range targets {
-				if !died[v] && !heap.Alive(v) {
-					died[v] = true
-				}
-			}
-			if len(died) == len(targets) || time.Now().After(deadline) {
-				break
-			}
-			time.Sleep(200 * time.Microsecond)
-		}
-		r.inj.Disarm()
-		for _, v := range targets {
-			if died[v] {
-				out.Died = append(out.Died, v)
-			}
-		}
+		r.armPersist(spec, targets)
+		out.Died = KillInOp(r.inj, spec.ArmProb, spec.ArmSeed, targets, heap.Alive, time.Now().Add(KillWait))
 		if len(out.Died) < len(targets) {
 			out.Note = "partial: not all victims died before deadline"
 		}
@@ -1071,69 +853,14 @@ func (r *liveRun) apply(spec FaultSpec) FaultOutcome {
 
 func (r *liveRun) audit(snap0 telemetry.Snapshot, kept0 int, elapsed time.Duration) *LiveReport {
 	cfg := r.cfg
-	heap := r.pod.Heap()
 	rep := &LiveReport{
 		Threads: cfg.Threads, Procs: cfg.Procs, Keys: cfg.Keys,
 		Seed: cfg.Seed, Duration: cfg.Duration, Elapsed: elapsed,
 		Replayed: cfg.Replay != nil,
-		Schedule: r.schedule, Outcomes: r.outcomes,
+		Schedule: r.faults.Schedule, Outcomes: r.faults.Outcomes,
 	}
 
-	// Final oracle sweep: authoritative, at quiescence, from slot 0.
-	var keyb, getb []byte
-	for k := 0; k < cfg.Keys; k++ {
-		exp, settled := r.orc.final(k)
-		if !settled {
-			r.violation(fmt.Sprintf("key %d: op still unresolved at audit", k))
-			continue
-		}
-		keyb = liveKeyBytes(keyb, k)
-		got, found := r.store.Get(0, keyb, getb)
-		getb = got
-		if !found {
-			if exp.Present {
-				r.lostAck(fmt.Sprintf("final: key %d acked ver %d missing", k, exp.Ver))
-			}
-			continue
-		}
-		ver, err := decodeVal(k, got)
-		if err != nil {
-			r.violation(fmt.Sprintf("final: key %d corrupt: %v", k, err))
-			continue
-		}
-		if !exp.matches(ver, true) {
-			r.lostAck(fmt.Sprintf("final: key %d has ver %d, oracle has {ver %d present %v}", k, ver, exp.Ver, exp.Present))
-		}
-	}
-
-	// Tear the store down and audit the heap ledger: everything the
-	// workload ever allocated must come back.
-	for k := 0; k < cfg.Keys; k++ {
-		keyb = liveKeyBytes(keyb, k)
-		for r.store.Delete(0, keyb) {
-		}
-	}
-	r.orphMu.Lock()
-	orphans := r.orphans
-	r.orphMu.Unlock()
-	rep.PendingAllocs = len(orphans)
-	for _, p := range orphans {
-		r.store.FreeOrphan(0, p)
-	}
-	r.store.Drain(cfg.Threads)
-	for round := 0; round < 3; round++ {
-		for tid := 0; tid < cfg.Threads; tid++ {
-			heap.Maintain(tid)
-		}
-	}
-	heap.PublishStats()
-	if err := heap.CheckAll(0); err != nil {
-		r.violation(fmt.Sprintf("invariants: %v", err))
-	}
-	heap.DrainCaches()
-	if err := heap.AuditEmpty(0); err != nil {
-		r.violation(fmt.Sprintf("ledger audit: %v", err))
-	}
+	rep.PendingAllocs = r.Audit(&r.gates, r.orc, cfg.Keys, cfg.Threads)
 
 	// Traffic counters.
 	for _, w := range r.workers {
@@ -1158,12 +885,12 @@ func (r *liveRun) audit(snap0 telemetry.Snapshot, kept0 int, elapsed time.Durati
 	rep.LatencyP99 = time.Duration(merged.Quantile(0.99))
 
 	// Injection coverage and watchdog tallies (delta over the run).
-	for i := range r.schedule {
-		switch r.schedule[i].Kind {
+	for i, spec := range rep.Schedule {
+		switch spec.Kind {
 		case FaultThreadKill:
 			rep.ThreadKills++
 		case FaultProcKill:
-			if r.outcomes[i].ProcKilled {
+			if rep.Outcomes[i].ProcKilled {
 				rep.ProcKills++
 			} else {
 				rep.ThreadKills++ // armed but not escalated
@@ -1172,7 +899,7 @@ func (r *liveRun) audit(snap0 telemetry.Snapshot, kept0 int, elapsed time.Durati
 			rep.NMPBursts++
 		}
 	}
-	snap := r.pod.Snapshot()
+	snap := r.Pod.Snapshot()
 	rep.NMPFaults = snap.NMP.FaultsInjected - snap0.NMP.FaultsInjected
 	rep.CrashDiscards = snap.Chaos.CrashDiscards - snap0.Chaos.CrashDiscards
 	rep.LinesDropped = snap.Chaos.LinesDroppedAtCrash - snap0.Chaos.LinesDroppedAtCrash
@@ -1181,7 +908,7 @@ func (r *liveRun) audit(snap0 telemetry.Snapshot, kept0 int, elapsed time.Durati
 	rep.FalseAlarms = snap.Liveness.FalseAlarms
 	rep.Rescues = snap.Liveness.Rescues
 	rep.SelfFences = snap.Liveness.SelfFences
-	rep.FalseTakeovers = r.pod.FalseTakeovers()
+	rep.FalseTakeovers = r.Pod.FalseTakeovers()
 
 	// MTTR and availability from the retained crash→repair spans.
 	kept := r.tracer.Kept()
@@ -1229,18 +956,9 @@ func (r *liveRun) audit(snap0 telemetry.Snapshot, kept0 int, elapsed time.Durati
 		rep.Availability = 1
 	}
 
-	if cfg.Replay != nil {
-		rep.ReplayOK = sameSchedule(cfg.Replay, r.schedule)
-		if !rep.ReplayOK {
-			r.violation("replay: emitted schedule differs from loaded schedule")
-		}
-	}
-
-	r.gateMu.Lock()
-	rep.Violations = r.violations
-	rep.LostAcks = r.lostAcks
-	rep.CrashPoints = r.crashPoints
-	r.gateMu.Unlock()
+	rep.ReplayOK = r.faults.ReplayOK()
+	rep.Violations, rep.LostAcks = r.gates.Violations(), r.gates.LostAcks()
+	rep.CrashPoints = r.crashPoints // workers have exited
 	return rep
 }
 

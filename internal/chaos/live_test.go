@@ -79,7 +79,7 @@ func TestLiveChaosReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameSchedule(rec.Schedule, loaded) {
+	if !SameSchedule(rec.Schedule, loaded) {
 		t.Fatal("schedule did not survive NDJSON round-trip")
 	}
 
@@ -162,9 +162,9 @@ func TestOracleStressNoFaults(t *testing.T) {
 	}
 	store := kvstore.New(alloc.NewCXL(pod.Heap(), "cxlalloc"), keys*2, threads)
 	run := &liveRun{
-		cfg:   LiveConfig{Threads: threads, Keys: keys},
-		store: store,
-		orc:   newOracle(keys),
+		cfg:       LiveConfig{Threads: threads, Keys: keys},
+		PodTarget: &PodTarget{Store: store},
+		orc:       NewOracle(keys),
 	}
 
 	errs := make(chan error, threads)
@@ -207,18 +207,18 @@ func TestOracleStressNoFaults(t *testing.T) {
 
 	var keyb, getb []byte
 	for k := 0; k < keys; k++ {
-		exp, settled := run.orc.final(k)
+		exp, settled := run.orc.Final(k)
 		if !settled {
 			t.Fatalf("key %d unsettled with no faults", k)
 		}
-		keyb = liveKeyBytes(keyb, k)
+		keyb = KeyBytes(keyb, k)
 		got, found := store.Get(0, keyb, getb)
 		getb = got
 		if found != exp.Present {
 			t.Fatalf("key %d: present=%v, oracle wants %v (ver %d)", k, found, exp.Present, exp.Ver)
 		}
 		if found {
-			ver, err := decodeVal(k, got)
+			ver, err := DecodeVal(k, got)
 			if err != nil {
 				t.Fatalf("key %d: %v", k, err)
 			}
@@ -227,11 +227,11 @@ func TestOracleStressNoFaults(t *testing.T) {
 			}
 		}
 	}
-	if len(run.violations) != 0 {
-		t.Fatalf("violations: %v", run.violations)
+	if len(run.gates.Violations()) != 0 {
+		t.Fatalf("violations: %v", run.gates.Violations())
 	}
-	if len(run.lostAcks) != 0 {
-		t.Fatalf("lost acks with no faults: %v", run.lostAcks)
+	if len(run.gates.LostAcks()) != 0 {
+		t.Fatalf("lost acks with no faults: %v", run.gates.LostAcks())
 	}
 }
 
@@ -241,25 +241,25 @@ func TestValueCodec(t *testing.T) {
 	var buf []byte
 	for k := 0; k < 32; k++ {
 		for ver := uint64(1); ver <= 8; ver++ {
-			buf = encodeVal(buf, k, ver)
-			got, err := decodeVal(k, buf)
+			buf = EncodeVal(buf, k, ver)
+			got, err := DecodeVal(k, buf)
 			if err != nil || got != ver {
 				t.Fatalf("key %d ver %d: got %d, %v", k, ver, got, err)
 			}
-			if _, err := decodeVal(k+1, buf); err == nil {
+			if _, err := DecodeVal(k+1, buf); err == nil {
 				t.Fatalf("key %d ver %d: accepted under wrong key", k, ver)
 			}
 		}
 	}
-	buf = encodeVal(buf, 3, 5)
+	buf = EncodeVal(buf, 3, 5)
 	for i := range buf {
 		buf[i] ^= 0x40
-		if _, err := decodeVal(3, buf); err == nil {
+		if _, err := DecodeVal(3, buf); err == nil {
 			t.Fatalf("corruption at byte %d not detected", i)
 		}
 		buf[i] ^= 0x40
 	}
-	if _, err := decodeVal(3, buf[:len(buf)-1]); err == nil {
+	if _, err := DecodeVal(3, buf[:len(buf)-1]); err == nil {
 		t.Fatal("truncation not detected")
 	}
 }

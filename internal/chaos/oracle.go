@@ -21,6 +21,13 @@ package chaos
 // for puts, a version probe for deletes) and tells the oracle which
 // branch happened. Versions are minted monotonically per key and never
 // reused, so a stale value can never masquerade as a newer one.
+//
+// Out-of-package harnesses (internal/server's issuer, fabricchaos)
+// drive the writer-side protocol — mint a version, Begin, then Ack on
+// success or Resolve from ground truth after a crash — and leave
+// exactness to FinalSweep; the bracketing-snapshot read validation
+// stays private to livechaos, because a service client validates reads
+// by the value codec alone.
 
 import (
 	"encoding/binary"
@@ -30,15 +37,15 @@ import (
 	"cxlalloc/internal/xrand"
 )
 
-// kvState is one key's settled shadow state. Ver 0 means never written.
-type kvState struct {
+// KVState is one key's settled shadow state. Ver 0 means never written.
+type KVState struct {
 	Ver     uint64
 	Present bool
 }
 
 // matches reports whether an observed read (found, ver) is exactly this
 // state.
-func (st kvState) matches(ver uint64, found bool) bool {
+func (st KVState) matches(ver uint64, found bool) bool {
 	if !found {
 		return !st.Present
 	}
@@ -51,23 +58,24 @@ func (st kvState) matches(ver uint64, found bool) bool {
 type oracleEntry struct {
 	mu      sync.Mutex
 	gen     uint64
-	cur     kvState
-	pend    kvState
+	cur     KVState
+	pend    KVState
 	pendOn  bool
 	nextVer uint64
 }
 
-// oracle is the shadow map over the whole keyspace.
-type oracle struct {
+// Oracle is the shadow map over the whole keyspace.
+type Oracle struct {
 	entries []oracleEntry
 }
 
-func newOracle(keys int) *oracle {
-	return &oracle{entries: make([]oracleEntry, keys)}
+// NewOracle returns an oracle over keys [0, keys).
+func NewOracle(keys int) *Oracle {
+	return &Oracle{entries: make([]oracleEntry, keys)}
 }
 
-// nextVersion mints key k's next version (called only by k's writer).
-func (o *oracle) nextVersion(k int) uint64 {
+// NextVersion mints key k's next version (called only by k's writer).
+func (o *Oracle) NextVersion(k int) uint64 {
 	e := &o.entries[k]
 	e.mu.Lock()
 	e.nextVer++
@@ -76,9 +84,9 @@ func (o *oracle) nextVersion(k int) uint64 {
 	return v
 }
 
-// begin records an in-flight op that will move k to target if it
+// Begin records an in-flight op that will move k to target if it
 // commits. The writer must have no other op in flight on k.
-func (o *oracle) begin(k int, target kvState) {
+func (o *Oracle) Begin(k int, target KVState) {
 	e := &o.entries[k]
 	e.mu.Lock()
 	e.pend = target
@@ -87,8 +95,8 @@ func (o *oracle) begin(k int, target kvState) {
 	e.mu.Unlock()
 }
 
-// ack commits the in-flight op: the store acknowledged it.
-func (o *oracle) ack(k int) {
+// Ack commits the in-flight op: the store acknowledged it.
+func (o *Oracle) Ack(k int) {
 	e := &o.entries[k]
 	e.mu.Lock()
 	e.cur = e.pend
@@ -97,9 +105,9 @@ func (o *oracle) ack(k int) {
 	e.mu.Unlock()
 }
 
-// resolve settles a crashed op from ground truth: applied reports
+// Resolve settles a crashed op from ground truth: applied reports
 // whether the op's effect is visible in the recovered store.
-func (o *oracle) resolve(k int, applied bool) {
+func (o *Oracle) Resolve(k int, applied bool) {
 	e := &o.entries[k]
 	e.mu.Lock()
 	if applied {
@@ -110,9 +118,9 @@ func (o *oracle) resolve(k int, applied bool) {
 	e.mu.Unlock()
 }
 
-// cur returns k's settled state; only meaningful to k's writer (no op
+// Current returns k's settled state; only meaningful to k's writer (no op
 // can be in flight).
-func (o *oracle) current(k int) kvState {
+func (o *Oracle) Current(k int) KVState {
 	e := &o.entries[k]
 	e.mu.Lock()
 	st := e.cur
@@ -123,12 +131,12 @@ func (o *oracle) current(k int) kvState {
 // oSnap is a point-in-time view of one key's shadow record.
 type oSnap struct {
 	gen    uint64
-	cur    kvState
-	pend   kvState
+	cur    KVState
+	pend   KVState
 	pendOn bool
 }
 
-func (o *oracle) snapshot(k int) oSnap {
+func (o *Oracle) snapshot(k int) oSnap {
 	e := &o.entries[k]
 	e.mu.Lock()
 	s := oSnap{gen: e.gen, cur: e.cur, pend: e.pend, pendOn: e.pendOn}
@@ -146,9 +154,9 @@ func (s oSnap) admits(ver uint64, found bool) bool {
 	return s.pendOn && s.pend.matches(ver, found)
 }
 
-// final returns k's authoritative end-of-run state. ok is false if an
+// Final returns k's authoritative end-of-run state. ok is false if an
 // op is still unresolved — the run failed to settle, itself a failure.
-func (o *oracle) final(k int) (kvState, bool) {
+func (o *Oracle) Final(k int) (KVState, bool) {
 	e := &o.entries[k]
 	e.mu.Lock()
 	st, pend := e.cur, e.pendOn
@@ -186,8 +194,9 @@ func valSize(key int, ver uint64) int {
 	}
 }
 
-// encodeVal renders (key, ver) into dst, reusing its capacity.
-func encodeVal(dst []byte, key int, ver uint64) []byte {
+// EncodeVal renders the self-validating value for (key, ver) into dst,
+// reusing its capacity.
+func EncodeVal(dst []byte, key int, ver uint64) []byte {
 	n := valSize(key, ver)
 	if cap(dst) < n {
 		dst = make([]byte, n)
@@ -202,8 +211,9 @@ func encodeVal(dst []byte, key int, ver uint64) []byte {
 	return dst
 }
 
-// decodeVal validates buf as a value of key and returns its version.
-func decodeVal(key int, buf []byte) (uint64, error) {
+// DecodeVal validates buf as a value of key and returns its version; a
+// torn, stale, or cross-key value is an error, never a plausible read.
+func DecodeVal(key int, buf []byte) (uint64, error) {
 	if len(buf) < valHeader {
 		return 0, fmt.Errorf("value too short (%d bytes)", len(buf))
 	}
@@ -223,8 +233,8 @@ func decodeVal(key int, buf []byte) (uint64, error) {
 	return ver, nil
 }
 
-// liveKeyBytes renders key k's fixed 16-byte key.
-func liveKeyBytes(dst []byte, k int) []byte {
+// KeyBytes renders key k's fixed 16-byte key.
+func KeyBytes(dst []byte, k int) []byte {
 	if cap(dst) < 16 {
 		dst = make([]byte, 16)
 	}

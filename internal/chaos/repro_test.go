@@ -57,9 +57,9 @@ func repairDrainFree(t *testing.T, point string) {
 	}
 	store := kvstore.New(alloc.NewCXL(pod.Heap(), "cxlalloc"), keys*2, threads)
 	run := &liveRun{
-		cfg:   LiveConfig{Threads: threads, Keys: keys},
-		store: store,
-		orc:   newOracle(keys),
+		cfg:       LiveConfig{Threads: threads, Keys: keys},
+		PodTarget: &PodTarget{Store: store},
+		orc:       NewOracle(keys),
 	}
 	workers := make([]*liveWorker, threads)
 	for tid := range workers {
@@ -126,14 +126,14 @@ func repairDrainFree(t *testing.T, point string) {
 			t.Fatalf("victim crashed post-repair at %s", c.Point)
 		}
 	}
-	if len(run.violations) != 0 || len(run.lostAcks) != 0 {
-		t.Fatalf("gates: %v / %v", run.violations, run.lostAcks)
+	if len(run.gates.Violations()) != 0 || len(run.gates.LostAcks()) != 0 {
+		t.Fatalf("gates: %v / %v", run.gates.Violations(), run.gates.LostAcks())
 	}
 
 	// Teardown + audit.
 	var keyb []byte
 	for k := 0; k < keys; k++ {
-		keyb = liveKeyBytes(keyb, k)
+		keyb = KeyBytes(keyb, k)
 		for store.Delete(0, keyb) {
 		}
 	}

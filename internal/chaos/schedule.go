@@ -138,14 +138,9 @@ func SaveSchedule(path string, specs []FaultSpec) error {
 	return f.Close()
 }
 
-// SameSchedule reports whether two schedules are identical — the
-// replay gate for harnesses outside this package (fabricchaos): a
-// replayed run must emit exactly the schedule it loaded.
-func SameSchedule(a, b []FaultSpec) bool { return sameSchedule(a, b) }
-
-// sameSchedule reports whether two schedules are identical — the replay
+// SameSchedule reports whether two schedules are identical — the replay
 // gate: a replayed run must emit exactly the schedule it loaded.
-func sameSchedule(a, b []FaultSpec) bool {
+func SameSchedule(a, b []FaultSpec) bool {
 	if len(a) != len(b) {
 		return false
 	}

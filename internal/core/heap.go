@@ -113,6 +113,10 @@ func (to *threadOps) bump(op int) {
 }
 
 // publish refreshes the shared mirror. Owner only (or quiesced owner).
+// The stores go in index order, each class's allocs before its frees;
+// Heap.Snapshot loads frees before allocs, and the pairing is what
+// keeps a concurrent snapshot from showing a thread's new frees against
+// its old allocs.
 func (to *threadOps) publish() {
 	to.since = 0
 	for i := range to.counts {

@@ -111,6 +111,13 @@ func TestMagazineStressRace(t *testing.T) {
 	cfg.Mode = atomicx.ModeSWFlush
 	cfg.CheckInvariants = false // checked at the barrier below
 	const nThreads = 4
+	// Every thread allocates from every small class, so one owned slab
+	// per thread x class is the floor; the test's own remote frees can
+	// strand one more generation of those (§3.2.1, the bound
+	// stableFootprint checks), and each thread can park UnsizedThreshold
+	// stolen slabs out of the allocators' reach. testConfig's 64 slabs
+	// sit 12 above the floor of 52, and -race's interleaving ran out.
+	cfg.MaxSmallSlabs = 2*nThreads*numSmallClasses + nThreads*cfg.UnsizedThreshold
 	e := newEnv(t, cfg, 2, nThreads/2)
 	boxes := make([]chan Ptr, nThreads)
 	for i := range boxes {
@@ -123,6 +130,14 @@ func TestMagazineStressRace(t *testing.T) {
 			defer wg.Done()
 			rng := xrand.New(uint64(tid) + 31)
 			var local []Ptr
+			// On every exit, an aborted run included, give back what this
+			// thread still holds, so the audits below judge the allocator
+			// and not the abort.
+			defer func() {
+				for _, p := range local {
+					e.h.Free(tid, p)
+				}
+			}()
 			for op := 0; op < 2500; op++ {
 				if op%403 == 0 {
 					e.h.SetMagazines((op/403+tid)%2 == 0)
@@ -163,12 +178,12 @@ func TestMagazineStressRace(t *testing.T) {
 					}
 				}
 			}
-			for _, p := range local {
-				e.h.Free(tid, p)
-			}
 		}(tid)
 	}
 	wg.Wait()
+	if t.Failed() {
+		t.FailNow() // a mutator aborted: the emptiness audit would only echo it
+	}
 	e.h.SetMagazines(true)
 	for tid := range boxes {
 		for {

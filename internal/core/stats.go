@@ -169,13 +169,21 @@ func (h *Heap) Snapshot() telemetry.Snapshot {
 			s.Cache.Flushes += cs.Flushes
 			s.Cache.Fences += cs.Fences
 		}
+		// Frees before allocs — the mirror image of threadOps.publish,
+		// which stores each class's allocs before its frees. A publish
+		// landing between the two groups of loads can then only add allocs
+		// to frees already read, so per thread a snapshot never shows more
+		// frees than allocs. Across threads it still can: a block freed by
+		// another thread than allocated it may be published by the freer
+		// first, so summed frees lead summed allocs by at most opsPubEvery
+		// per thread.
 		to := &h.ops[tid]
-		s.Alloc.SmallAllocs += to.pub[ocSmallAlloc].Load()
 		s.Alloc.SmallFrees += to.pub[ocSmallFree].Load()
-		s.Alloc.LargeAllocs += to.pub[ocLargeAlloc].Load()
 		s.Alloc.LargeFrees += to.pub[ocLargeFree].Load()
-		s.Alloc.HugeAllocs += to.pub[ocHugeAlloc].Load()
 		s.Alloc.HugeFrees += to.pub[ocHugeFree].Load()
+		s.Alloc.SmallAllocs += to.pub[ocSmallAlloc].Load()
+		s.Alloc.LargeAllocs += to.pub[ocLargeAlloc].Load()
+		s.Alloc.HugeAllocs += to.pub[ocHugeAlloc].Load()
 	}
 	hs := h.hw.Stats()
 	s.HW = telemetry.HWStats{

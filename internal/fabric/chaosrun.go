@@ -15,11 +15,12 @@ package fabric
 // failure surfaces disjoint.
 //
 // The harness lives in package fabric (not chaos) because the import
-// DAG runs fabric -> server -> chaos; it reuses chaos's fault
-// schedule, oracle, and value codec through their exported surface.
+// DAG runs fabric -> server -> chaos. It is a client of the harness
+// kernel (chaos/kernel.go: gates, injector, kill-in-op, audit) and of
+// server.Issuer; what is its own is the fabric as target, the fabric
+// tick as clock, and plan/apply for the three fabric faults.
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -188,20 +189,16 @@ func (r *ChaosReport) Ok() bool {
 		(!r.Replayed || r.ReplayOK)
 }
 
-const (
-	fcArmProb      = 0.02             // per-crash-point firing probability for armed victims
-	fcKillWait     = 15 * time.Second // arming -> death deadline before downgrading the fault
-	fcConvergeWait = 60 * time.Second // stop -> fabric quiesced deadline (violation past this)
-	fcTailGrace    = 2 * time.Second  // injection stops this early so failovers land in-window
-	fcLanes        = 4                // connection lanes per issuer
-)
+const fcLanes = 4 // connection lanes per issuer
 
 // chaosRun is the shared runtime state of one fabricchaos run.
 type chaosRun struct {
-	cfg  ChaosConfig
-	f    *Fabric
-	injs []*crash.Injector
-	orc  *chaos.AckOracle
+	cfg    ChaosConfig
+	f      *Fabric
+	injs   []*crash.Injector
+	orc    *chaos.Oracle
+	gates  chaos.Gates
+	faults *chaos.Injector
 
 	issuers []*chaosIssuer
 	stop    atomic.Bool
@@ -209,45 +206,14 @@ type chaosRun struct {
 	tickRate float64 // fabric ticks per wall second, from calibration
 
 	healWG sync.WaitGroup
-
-	gateMu     sync.Mutex
-	violations []string
-	lostAcks   []string
-
-	schedule []chaos.FaultSpec
-	outcomes []chaos.FaultOutcome
 }
 
-func (r *chaosRun) violation(msg string) {
-	r.gateMu.Lock()
-	if len(r.violations) < 64 {
-		r.violations = append(r.violations, msg)
-	}
-	r.gateMu.Unlock()
-}
-
-func (r *chaosRun) lostAck(msg string) {
-	r.gateMu.Lock()
-	if len(r.lostAcks) < 64 {
-		r.lostAcks = append(r.lostAcks, msg)
-	}
-	r.gateMu.Unlock()
-}
-
-// chaosIssuer is one client connection: a single-writer key partition
-// driven by fcLanes closed-loop lanes sharing one retry-budgeted
-// Client.
+// chaosIssuer is one client connection — the shared oracle-checked
+// issuer over a single-writer key partition, driven by fcLanes
+// closed-loop lanes through one retry-budgeted Client — and its traffic
+// tally.
 type chaosIssuer struct {
-	run     *chaosRun
-	id      int
-	keysPer int
-	client  *server.Client
-
-	prepMu sync.Mutex
-	rng    *xrand.Rand
-
-	busyMu sync.Mutex
-	busy   map[int]bool
+	*server.Issuer
 
 	histMu sync.Mutex
 	hist   *telemetry.Hist
@@ -256,138 +222,34 @@ type chaosIssuer struct {
 	puts, gets, dels            atomic.Uint64
 }
 
-// prepare draws the next op: 50% reads over the whole keyspace, else a
-// write on the issuer's own partition (single-writer-per-key for the
-// oracle), with ~30% of writes on present keys issued as deletes.
-// Writes landing only on busy keys degrade to reads.
-func (is *chaosIssuer) prepare(req *server.Request) {
-	is.prepMu.Lock()
-	defer is.prepMu.Unlock()
-	req.Reset()
-	req.Deadline = is.run.cfg.Deadline
-	asRead := func(k int) {
-		req.Op = server.OpGet
-		req.KeyID = k
-		req.Key = chaos.KeyBytes(req.Key, k)
-	}
-	if is.rng.Intn(100) < 50 {
-		asRead(is.rng.Intn(is.run.cfg.Keys))
-		return
-	}
-	k := -1
-	for try := 0; try < 4; try++ {
-		cand := is.rng.Intn(is.keysPer)*len(is.run.issuers) + is.id
-		is.busyMu.Lock()
-		if !is.busy[cand] {
-			is.busy[cand] = true
-			is.busyMu.Unlock()
-			k = cand
-			break
-		}
-		is.busyMu.Unlock()
-	}
-	if k < 0 {
-		asRead(is.rng.Intn(is.run.cfg.Keys))
-		return
-	}
-	req.KeyID = k
-	req.Key = chaos.KeyBytes(req.Key, k)
-	ver, present := is.run.orc.Current(k)
-	if present && is.rng.Intn(100) < 30 {
-		req.Op = server.OpDelete
-		req.PrevVer = ver
-		is.run.orc.BeginDelete(k)
-		return
-	}
-	nv := is.run.orc.NextVersion(k)
-	req.Op = server.OpPut
-	req.Val = chaos.EncodeVal(req.Val, k, nv)
-	is.run.orc.BeginPut(k, nv)
-}
-
-// finalize settles one response against the oracle: ack on success,
-// resolve from the server's ground truth after a crash, resolve
-// not-applied on any typed rejection (the op never executed).
-func (is *chaosIssuer) finalize(req *server.Request, fired time.Time, resp *server.Response) {
-	r := is.run
-	k := req.KeyID
-	isWrite := req.Op != server.OpGet
-	is.ops.Add(1)
-	switch {
-	case resp.Err == nil:
-		is.histMu.Lock()
-		is.hist.Observe(resp.DoneWall.Sub(fired))
-		is.histMu.Unlock()
-		is.acked.Add(1)
-		switch req.Op {
-		case server.OpPut:
-			is.puts.Add(1)
-			r.orc.Ack(k)
-		case server.OpDelete:
-			is.dels.Add(1)
-			if !resp.Found {
-				r.lostAck(fmt.Sprintf("key %d: acked ver %d vanished before delete", k, req.PrevVer))
-			}
-			r.orc.Ack(k)
-		default:
-			is.gets.Add(1)
-			if resp.Found {
-				if _, err := chaos.DecodeVal(k, resp.Value); err != nil {
-					r.violation(fmt.Sprintf("key %d: read corrupt: %v", k, err))
-				}
-			}
-		}
-	case errors.Is(resp.Err, server.ErrCrashed):
-		is.crashed.Add(1)
-		if isWrite {
-			r.orc.Resolve(k, resp.Applied)
-		}
-	default:
-		is.failed.Add(1)
-		if isWrite {
-			r.orc.Resolve(k, false)
-		}
-	}
-	if isWrite {
-		is.busyMu.Lock()
-		delete(is.busy, k)
-		is.busyMu.Unlock()
-	}
-}
-
-func (is *chaosIssuer) lane(wg *sync.WaitGroup) {
+func (r *chaosRun) lane(is *chaosIssuer, wg *sync.WaitGroup) {
 	defer wg.Done()
 	req := server.NewRequest()
-	for !is.run.stop.Load() {
-		is.prepare(req)
+	for !r.stop.Load() {
+		is.Prepare(req)
 		fired := time.Now()
-		resp := is.client.Do(req)
-		is.finalize(req, fired, resp)
-	}
-}
-
-// preload fills half the keyspace through the router so every shard
-// starts with data on its placed owner.
-func (r *chaosRun) preload() error {
-	c := server.NewClient(r.f, r.cfg.Seed^0x9a7e)
-	req := server.NewRequest()
-	for k := 0; k < r.cfg.Keys/2; k++ {
-		ver := r.orc.NextVersion(k)
-		req.Reset()
-		req.Deadline = time.Second
-		req.Op = server.OpPut
-		req.KeyID = k
-		req.Key = chaos.KeyBytes(req.Key, k)
-		req.Val = chaos.EncodeVal(req.Val, k, ver)
-		r.orc.BeginPut(k, ver)
-		resp := c.Do(req)
-		if resp.Err != nil {
-			r.orc.Resolve(k, false)
-			return fmt.Errorf("fabric: preload key %d: %w", k, resp.Err)
+		resp := is.Client.Do(req)
+		is.ops.Add(1)
+		switch is.Finalize(req, resp) {
+		case server.Acked:
+			is.histMu.Lock()
+			is.hist.Observe(resp.DoneWall.Sub(fired))
+			is.histMu.Unlock()
+			is.acked.Add(1)
+			switch req.Op {
+			case server.OpPut:
+				is.puts.Add(1)
+			case server.OpDelete:
+				is.dels.Add(1)
+			default:
+				is.gets.Add(1)
+			}
+		case server.Crashed:
+			is.crashed.Add(1)
+		default:
+			is.failed.Add(1)
 		}
-		r.orc.Ack(k)
 	}
-	return nil
 }
 
 // RunChaos executes one fabricchaos run.
@@ -408,22 +270,25 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &chaosRun{cfg: cfg, f: f, injs: injs, orc: chaos.NewAckOracle(cfg.Keys)}
+	r := &chaosRun{cfg: cfg, f: f, injs: injs, orc: chaos.NewOracle(cfg.Keys)}
 	defer f.Stop()
 
+	// Uniform keys: reads over the whole keyspace, writes over the
+	// issuer's own partition (keys congruent to its id).
 	keysPer := cfg.Keys / cfg.Issuers
 	for i := 0; i < cfg.Issuers; i++ {
+		rng := xrand.New(xrand.Mix(cfg.Seed) ^ xrand.Mix(uint64(i)+0xfab))
 		r.issuers = append(r.issuers, &chaosIssuer{
-			run:     r,
-			id:      i,
-			keysPer: keysPer,
-			client:  server.NewClient(f, cfg.Seed^uint64(i)*0xa0761d6478bd642f),
-			rng:     xrand.New(xrand.Mix(cfg.Seed) ^ xrand.Mix(uint64(i)+0xfab)),
-			busy:    make(map[int]bool),
-			hist:    new(telemetry.Hist),
+			Issuer: server.NewIssuer(server.NewClient(f, cfg.Seed^uint64(i)*0xa0761d6478bd642f),
+				r.orc, &r.gates, cfg.Deadline, rng,
+				func() int { return rng.Intn(cfg.Keys) },
+				func() int { return rng.Intn(keysPer)*cfg.Issuers + i }),
+			hist: new(telemetry.Hist),
 		})
 	}
-	if err := r.preload(); err != nil {
+	// Half the keyspace goes in through the router first, so every shard
+	// starts with data on its placed owner.
+	if err := server.Preload(f, r.orc, cfg.Keys/2, cfg.Seed^0x9a7e); err != nil {
 		return nil, err
 	}
 
@@ -435,7 +300,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	for _, is := range r.issuers {
 		for l := 0; l < fcLanes; l++ {
 			wg.Add(1)
-			go is.lane(&wg)
+			go r.lane(is, &wg)
 		}
 	}
 	c0, t0 := f.Tick(), time.Now()
@@ -443,58 +308,41 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	c1, t1 := f.Tick(), time.Now()
 	r.tickRate = float64(c1-c0) / t1.Sub(t0).Seconds()
 	if r.tickRate <= 0 {
-		r.violation("calibration: fabric clock did not advance under traffic")
+		r.gates.Violationf("calibration: fabric clock did not advance under traffic")
 	}
 
 	// Phase 2 — injection.
-	injDone := make(chan struct{})
-	go func() {
-		defer close(injDone)
-		r.injectorLoop(start)
-	}()
-	if cfg.Replay == nil {
-		time.Sleep(cfg.Duration)
-	} else {
-		select {
-		case <-injDone:
-			time.Sleep(fcTailGrace)
-		case <-time.After(4 * cfg.Duration):
-			r.violation("replay: schedule not exhausted within 4x duration")
-		}
+	r.faults = &chaos.Injector{
+		Seed: xrand.Mix(cfg.Seed ^ 0xfab81cc0de), FaultRate: cfg.FaultRate,
+		Duration: cfg.Duration, Replay: cfg.Replay,
+		Clock: f.Tick, Stop: &r.stop, Gates: &r.gates,
+		Plan: r.plan, Apply: r.apply,
 	}
+	r.faults.Window(start)
 
-	// Phase 3 — convergence: stop issuing, let scheduled heals land
-	// (then force any stragglers), and wait for the fabric to quiesce —
-	// no handoff in flight, every shard serving from a routable owner,
-	// every crashed write settled.
-	r.stop.Store(true)
-	<-injDone
+	// Phase 3 — convergence: issuing has stopped; let scheduled heals
+	// land (then force any stragglers), and wait for the fabric to
+	// quiesce — no handoff in flight, every shard serving from a
+	// routable owner, every crashed write settled.
 	r.healWG.Wait()
 	for i := 0; i < cfg.Pods; i++ {
 		f.HealPod(i) // no-op unless a fence survived the window
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
-	convDeadline := time.Now().Add(fcConvergeWait)
-	for {
+	r.gates.Converge(chaos.ConvergeWait, func() (out []string) {
+		if !f.Quiesced() {
+			out = append(out, "fabric not quiesced")
+		}
 		var pends int64
 		for i := 0; i < cfg.Pods; i++ {
 			pends += f.Server(i).PendingCrashed()
 		}
-		if f.Quiesced() && pends == 0 {
-			break
+		if pends > 0 {
+			out = append(out, fmt.Sprintf("%d crashed writes unsettled", pends))
 		}
-		if time.Now().After(convDeadline) {
-			if !f.Quiesced() {
-				r.violation(fmt.Sprintf("convergence: fabric not quiesced after %v", fcConvergeWait))
-			}
-			if pends > 0 {
-				r.violation(fmt.Sprintf("convergence: %d crashed writes unsettled after %v", pends, fcConvergeWait))
-			}
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
+		return out
+	})
 	f.Stop()
 
 	// Phase 4 — audit at quiescence.
@@ -502,69 +350,6 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 }
 
 // --- injector --------------------------------------------------------
-
-func (r *chaosRun) injectorLoop(start time.Time) {
-	if r.cfg.Replay != nil {
-		for _, spec := range r.cfg.Replay {
-			if r.stop.Load() {
-				return
-			}
-			r.waitTick(spec.AtTick)
-			out := r.apply(spec)
-			r.schedule = append(r.schedule, spec)
-			r.outcomes = append(r.outcomes, out)
-		}
-		return
-	}
-	rng := xrand.New(xrand.Mix(r.cfg.Seed ^ 0xfab81cc0de))
-	tail := fcTailGrace
-	if tail > r.cfg.Duration/4 {
-		tail = r.cfg.Duration / 4
-	}
-	end := start.Add(r.cfg.Duration - tail)
-	i := 0
-	for {
-		mean := time.Duration(float64(time.Second) / r.cfg.FaultRate)
-		gap := time.Duration((0.5 + rng.Float64()) * float64(mean))
-		if !r.sleepUnlessStopped(gap) || time.Now().After(end) {
-			return
-		}
-		spec, ok := r.plan(i, rng)
-		if !ok {
-			continue // nothing eligible right now; retry after another gap
-		}
-		spec.AtTick = r.f.Tick()
-		out := r.apply(spec)
-		r.schedule = append(r.schedule, spec)
-		r.outcomes = append(r.outcomes, out)
-		i++
-	}
-}
-
-func (r *chaosRun) sleepUnlessStopped(d time.Duration) bool {
-	deadline := time.Now().Add(d)
-	for time.Now().Before(deadline) {
-		if r.stop.Load() {
-			return false
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	return !r.stop.Load()
-}
-
-// waitTick blocks until the fabric clock reaches at (replay pacing and
-// fence-heal scheduling). The fabric clock advances as long as any pod
-// serves, so a healthy run cannot spin here; the wall deadline bounds
-// the pathological case.
-func (r *chaosRun) waitTick(at uint64) {
-	deadline := time.Now().Add(fcKillWait)
-	for r.f.Tick() < at && time.Now().Before(deadline) {
-		if r.stop.Load() {
-			return
-		}
-		time.Sleep(200 * time.Microsecond)
-	}
-}
 
 func (r *chaosRun) healthyPods() []int {
 	var out []int
@@ -611,7 +396,7 @@ func (r *chaosRun) plan(i int, rng *xrand.Rand) (chaos.FaultSpec, bool) {
 		pod := cands[rng.Intn(len(cands))]
 		spec := chaos.FaultSpec{
 			I: i, Kind: kind, Pod: pod,
-			ArmProb: fcArmProb, ArmSeed: rng.Uint64(),
+			ArmProb: chaos.ArmProb, ArmSeed: rng.Uint64(),
 		}
 		heap := r.f.Pod(pod).Heap()
 		for tid := 0; tid < r.cfg.Threads; tid++ {
@@ -704,7 +489,7 @@ func (r *chaosRun) applyPodFence(spec chaos.FaultSpec, out *chaos.FaultOutcome) 
 	r.healWG.Add(1)
 	go func() {
 		defer r.healWG.Done()
-		r.waitTick(spec.AtTick + spec.HealTicks)
+		r.faults.WaitTick(spec.AtTick + spec.HealTicks)
 		r.f.HealPod(spec.Pod)
 	}()
 }
@@ -733,33 +518,10 @@ func (r *chaosRun) applyPodKill(spec chaos.FaultSpec, out *chaos.FaultOutcome) {
 		}
 	}
 	r.f.MarkDying(i)
-	if len(targets) > 0 {
-		r.injs[i].ArmRandom(spec.ArmProb, spec.ArmSeed, targets...)
-		// Death observation is sticky (nothing revives a slot on a dying
-		// pod before failover, but the loop shape matches livechaos).
-		died := make(map[int]bool, len(targets))
-		deadline := time.Now().Add(fcKillWait)
-		for {
-			for _, v := range targets {
-				if !died[v] && !heap.Alive(v) {
-					died[v] = true
-				}
-			}
-			if len(died) == len(targets) || time.Now().After(deadline) {
-				break
-			}
-			time.Sleep(200 * time.Microsecond)
-		}
-		r.injs[i].Disarm()
-		for _, v := range targets {
-			if died[v] {
-				out.Died = append(out.Died, v)
-			}
-		}
-		if len(out.Died) < len(targets) {
-			out.Note = "partial: not all victims died before deadline"
-			return // pod stays dying; never KillProcess over a live slot
-		}
+	out.Died = chaos.KillInOp(r.injs[i], spec.ArmProb, spec.ArmSeed, targets, heap.Alive, time.Now().Add(chaos.KillWait))
+	if len(out.Died) < len(targets) {
+		out.Note = "partial: not all victims died before deadline"
+		return // pod stays dying; never KillProcess over a live slot
 	}
 	for p := range procs {
 		if p == nil || p.Dead() {
@@ -800,7 +562,7 @@ func (r *chaosRun) audit(elapsed time.Duration) *ChaosReport {
 		Seed: cfg.Seed, Duration: cfg.Duration, Elapsed: elapsed,
 		Replayed:  cfg.Replay != nil,
 		MTTRBound: cfg.MTTRBound,
-		Schedule:  r.schedule, Outcomes: r.outcomes,
+		Schedule:  r.faults.Schedule, Outcomes: r.faults.Outcomes,
 	}
 
 	// Final oracle sweep: every key read from its current owner pod's
@@ -817,33 +579,11 @@ func (r *chaosRun) audit(elapsed time.Duration) *ChaosReport {
 			continue
 		}
 		if err := r.f.AgentRun(p, func(tid int) {
-			var kb, gb []byte
-			for _, k := range keys {
-				ver, present, settled := r.orc.Final(k)
-				if !settled {
-					r.violation(fmt.Sprintf("key %d: op still unresolved at audit", k))
-					continue
-				}
-				kb = chaos.KeyBytes(kb, k)
-				got, found := r.f.Store(p).Get(tid, kb, gb)
-				gb = got
-				if !found {
-					if present {
-						r.lostAck(fmt.Sprintf("final: key %d acked ver %d missing from pod %d", k, ver, p))
-					}
-					continue
-				}
-				v, err := chaos.DecodeVal(k, got)
-				if err != nil {
-					r.violation(fmt.Sprintf("final: key %d corrupt on pod %d: %v", k, p, err))
-					continue
-				}
-				if !present || v != ver {
-					r.lostAck(fmt.Sprintf("final: key %d has ver %d on pod %d, oracle has {ver %d present %v}", k, v, p, ver, present))
-				}
-			}
+			r.orc.FinalSweep(&r.gates, keys, fmt.Sprintf(" on pod %d", p), func(key, buf []byte) ([]byte, bool) {
+				return r.f.Store(p).Get(tid, key, buf)
+			})
 		}); err != nil {
-			r.violation(fmt.Sprintf("final sweep: pod %d agent: %v", p, err))
+			r.gates.Violationf("final sweep: pod %d agent: %v", p, err)
 		}
 	}
 
@@ -853,38 +593,13 @@ func (r *chaosRun) audit(elapsed time.Duration) *ChaosReport {
 	// placement), free adopted orphans, and audit each heap to empty.
 	// Decommissioned pods audit too: their memory outlived them.
 	for p := 0; p < cfg.Pods; p++ {
-		st := r.f.Store(p)
-		if err := r.f.AgentRun(p, func(tid int) {
-			var kb []byte
-			for k := 0; k < cfg.Keys; k++ {
-				kb = chaos.KeyBytes(kb, k)
-				for st.Delete(tid, kb) {
-				}
-			}
-			orphans := r.f.Orphans(p)
-			rep.PendingAllocs += len(orphans)
-			for _, op := range orphans {
-				st.FreeOrphan(tid, op)
-			}
-		}); err != nil {
-			r.violation(fmt.Sprintf("teardown: pod %d agent: %v", p, err))
-			continue
-		}
-		st.Drain(cfg.Threads + 1)
-		heap := r.f.Pod(p).Heap()
-		for round := 0; round < 3; round++ {
-			for tid := 0; tid <= cfg.Threads; tid++ {
-				heap.Maintain(tid)
-			}
-		}
-		heap.PublishStats()
-		if err := heap.CheckAll(0); err != nil {
-			r.violation(fmt.Sprintf("pod %d invariants: %v", p, err))
-		}
-		heap.DrainCaches()
-		if err := heap.AuditEmpty(0); err != nil {
-			r.violation(fmt.Sprintf("pod %d ledger audit: %v", p, err))
-		}
+		rep.PendingAllocs += r.gates.Teardown(chaos.Target{
+			Label: fmt.Sprintf("pod %d ", p),
+			Heap:  r.f.Pod(p).Heap(), Store: r.f.Store(p),
+			Keys: cfg.Keys, Tids: cfg.Threads + 1, // the control slot too
+			On:      func(fn func(tid int)) error { return r.f.AgentRun(p, fn) },
+			Orphans: func() []cxlalloc.Ptr { return r.f.Orphans(p) },
+		})
 	}
 
 	// Traffic counters.
@@ -897,7 +612,7 @@ func (r *chaosRun) audit(elapsed time.Duration) *ChaosReport {
 		rep.Puts += is.puts.Load()
 		rep.Gets += is.gets.Load()
 		rep.Deletes += is.dels.Load()
-		rep.Retries += is.client.Retries()
+		rep.Retries += is.Client.Retries()
 		is.histMu.Lock()
 		merged.Merge(is.hist)
 		is.histMu.Unlock()
@@ -909,18 +624,18 @@ func (r *chaosRun) audit(elapsed time.Duration) *ChaosReport {
 	rep.LatencyP99 = time.Duration(merged.Quantile(0.99))
 
 	// Injection coverage: a fault counts only when it fully applied.
-	for i := range r.schedule {
-		switch r.schedule[i].Kind {
+	for i, spec := range rep.Schedule {
+		switch spec.Kind {
 		case chaos.FaultPodKill:
-			if r.outcomes[i].ProcKilled {
+			if rep.Outcomes[i].ProcKilled {
 				rep.PodKills++
 			}
 		case chaos.FaultPodFence:
-			if r.outcomes[i].Note == "" {
+			if rep.Outcomes[i].Note == "" {
 				rep.PodFences++
 			}
 		case chaos.FaultMigInterrupt:
-			if r.outcomes[i].Note == "" {
+			if rep.Outcomes[i].Note == "" {
 				rep.MigInterrupts++
 			}
 		}
@@ -929,7 +644,7 @@ func (r *chaosRun) audit(elapsed time.Duration) *ChaosReport {
 	rep.Fabric = r.f.Stats()
 	rep.ThreadFalseTakeovers = r.f.FalseTakeovers()
 	for _, v := range r.f.Violations() {
-		r.violation("fabric: " + v)
+		r.gates.Violationf("fabric: %s", v)
 	}
 	mttrs := r.f.MTTRs()
 	rep.MTTRCount = len(mttrs)
@@ -938,21 +653,12 @@ func (r *chaosRun) audit(elapsed time.Duration) *ChaosReport {
 		rep.MTTRP50 = mttrs[len(mttrs)/2]
 		rep.MTTRMax = mttrs[len(mttrs)-1]
 		if rep.MTTRMax > cfg.MTTRBound {
-			r.violation(fmt.Sprintf("failover MTTR %v exceeds bound %v", rep.MTTRMax, cfg.MTTRBound))
+			r.gates.Violationf("failover MTTR %v exceeds bound %v", rep.MTTRMax, cfg.MTTRBound)
 		}
 	}
 
-	if cfg.Replay != nil {
-		rep.ReplayOK = chaos.SameSchedule(cfg.Replay, r.schedule)
-		if !rep.ReplayOK {
-			r.violation("replay: emitted schedule differs from loaded schedule")
-		}
-	}
-
-	r.gateMu.Lock()
-	rep.Violations = r.violations
-	rep.LostAcks = r.lostAcks
-	r.gateMu.Unlock()
+	rep.ReplayOK = r.faults.ReplayOK()
+	rep.Violations, rep.LostAcks = r.gates.Violations(), r.gates.LostAcks()
 	return rep
 }
 

@@ -231,6 +231,11 @@ type Fabric struct {
 	migStarts, migFlips, migRetakes atomic.Uint64
 	migInterruptsN, migAborts       atomic.Uint64
 	routerRejects                   atomic.Uint64
+
+	// testHookPreInstall, when set, runs in drive just before the
+	// destination install: tests park a driver there to make it the
+	// slow-but-alive holder a retake supersedes.
+	testHookPreInstall func(m *migration)
 }
 
 // New builds the pods, stores, servers (workers start immediately,

@@ -271,6 +271,70 @@ func TestMigrateInterruptRecovered(t *testing.T) {
 	}
 }
 
+// A driver that is alive but slow is retaken like a dead one; when it
+// wakes, the shard belongs to its successor and must be left alone. The
+// first driver of a handoff is parked just before its install until the
+// retaker has flipped and clients have written to the new owner: it
+// must not scrub their new keys, put its old values over their new
+// ones, or report the moved-on destination as a verify mismatch.
+func TestSupersededDriverIsFencedOut(t *testing.T) {
+	cfg := testConfig()
+	cfg.MigStall = 5 * time.Millisecond
+	f := newTestFabric(t, cfg)
+	const s = 0
+	var keys [][]byte
+	for i := 0; len(keys) < 12; i++ {
+		if k := []byte(fmt.Sprintf("key-%04d", i)); f.ShardOfKey(k) == s {
+			keys = append(keys, k)
+		}
+	}
+	c := server.NewClient(f, 1)
+	for _, k := range keys[:8] {
+		doPut(t, c, k, append([]byte("old-"), k...))
+	}
+
+	release := make(chan struct{})
+	var parked atomic.Bool
+	f.testHookPreInstall = func(m *migration) {
+		if m.shard == s && parked.CompareAndSwap(false, true) {
+			<-release
+		}
+	}
+	src, epoch := f.Owner(s)
+	dst := (src + 1) % f.cfg.Pods
+	first := make(chan error, 1)
+	go func() { first <- f.Migrate(s, dst, "") }()
+	waitFor(t, 5*time.Second, func() bool {
+		p, e := f.Owner(s)
+		_, _, _, claimed := f.ShardState(s)
+		return p == dst && e == epoch+1 && !claimed
+	}, "the retaker to finish the handoff the parked driver started")
+	if !parked.Load() {
+		t.Fatal("the first driver was never parked")
+	}
+
+	// The new owner takes writes: every old key replaced, four keys new.
+	want := make(map[string][]byte)
+	for _, k := range keys {
+		want[string(k)] = append([]byte("new-"), k...)
+		doPut(t, c, k, want[string(k)])
+	}
+	close(release)
+	if err := <-first; err == nil {
+		t.Fatal("the superseded driver reported a completed handoff")
+	}
+	checkAllReadable(t, f, want)
+	if n := countShardKeys(t, f, dst, s); n != len(keys) {
+		t.Fatalf("new owner holds %d keys of the shard, want %d", n, len(keys))
+	}
+	if v := f.Violations(); len(v) != 0 {
+		t.Fatalf("violations: %v", v)
+	}
+	if p, e := f.Owner(s); p != dst || e != epoch+1 {
+		t.Fatalf("owner moved to pod %d epoch %d after the superseded driver woke", p, e)
+	}
+}
+
 func TestPodDarkFailover(t *testing.T) {
 	f := newTestFabric(t, testConfig())
 	data := preload(t, f, 96)

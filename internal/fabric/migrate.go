@@ -105,7 +105,12 @@ func (f *Fabric) interrupt(m *migration, step string) bool {
 func (f *Fabric) unwind(m *migration, scrubDst bool, reason string) error {
 	sl := &f.shard[m.shard]
 	if scrubDst {
-		f.scrubShard(f.pods[m.dst], m.shard)
+		// Partial copies from an unwound attempt must not survive to a
+		// later handoff — a stale extra key would resurrect a deleted
+		// value at flip time.
+		if held, _ := f.purge(f.pods[m.dst], m); !held {
+			return f.superseded(m, "unwind")
+		}
 	}
 	sl.word.CompareAndSwap(packWord(m.src, shardFrozen, m.epoch), packWord(m.src, shardServing, m.epoch))
 	sl.release(m.tok)
@@ -122,14 +127,43 @@ func (f *Fabric) stall(m *migration, err error) error {
 	return fmt.Errorf("fabric: shard %d handoff stalled (monitor will retake): %w", m.shard, err)
 }
 
-// scrubShard deletes every key of shard s from pod n's store (partial
-// copies from an unwound attempt must not survive to a later handoff —
-// a stale extra key would resurrect a deleted value at flip time).
-func (f *Fabric) scrubShard(n *podNode, s int) {
-	_ = n.agentRun(func(tid int) {
+// fenced runs fn on pod n's control thread on m's behalf — unless m's
+// claim has been superseded, in which case nothing runs and held is
+// false. Every store mutation a handoff makes goes through here. The
+// flip's own claim check is not enough: a driver that is alive but slow
+// (descheduled past MigStall) is retaken, its successor copies, flips,
+// and clients write to the destination; if the old driver then woke
+// into its install it would scrub those fresh keys and put old values
+// over new ones before ever reaching the flip check. The check is made
+// inside the agent's critical section because a retaker bumps the claim
+// before it does anything and needs this same agent for its own
+// install: a driver that still holds the claim here cannot interleave
+// with its successor, and one that does not must not touch the pod.
+func (f *Fabric) fenced(n *podNode, m *migration, fn func(tid int)) (held bool, err error) {
+	err = n.agentRun(func(tid int) {
+		if held = f.shard[m.shard].holds(m.tok); held {
+			fn(tid)
+		}
+	})
+	return held, err
+}
+
+// superseded ends a drive whose claim was retaken: the shard, the claim
+// and the registry entry are the successor's now, so nothing is
+// released, thawed or forgotten.
+func (f *Fabric) superseded(m *migration, step string) error {
+	f.migAborts.Add(1)
+	return fmt.Errorf("fabric: shard %d claim superseded before %s", m.shard, step)
+}
+
+// purge deletes every key of m's shard from pod n's store, fenced: the
+// unwind's scrub of a partial copy off the destination, and the drain
+// of the stale copy off the old owner after the flip.
+func (f *Fabric) purge(n *podNode, m *migration) (held bool, err error) {
+	return f.fenced(n, m, func(tid int) {
 		var doomed [][]byte
 		n.store.Range(tid, func(k, _ []byte) bool {
-			if f.ShardOfKey(k) == s {
+			if f.ShardOfKey(k) == m.shard {
 				doomed = append(doomed, append([]byte(nil), k...))
 			}
 			return true
@@ -226,7 +260,10 @@ func (f *Fabric) drive(m *migration) error {
 		fresh[string(k)] = true
 	}
 	var putErr error
-	if err := dst.agentRun(func(tid int) {
+	if f.testHookPreInstall != nil {
+		f.testHookPreInstall(m)
+	}
+	held, err := f.fenced(dst, m, func(tid int) {
 		var stale [][]byte
 		dst.store.Range(tid, func(k, _ []byte) bool {
 			if f.ShardOfKey(k) == m.shard && !fresh[string(k)] {
@@ -243,8 +280,12 @@ func (f *Fabric) drive(m *migration) error {
 				return
 			}
 		}
-	}); err != nil {
+	})
+	if err != nil {
 		return f.stall(m, err)
+	}
+	if !held {
+		return f.superseded(m, "install")
 	}
 	if putErr != nil {
 		return f.unwind(m, true, fmt.Sprintf("install failed: %v", putErr))
@@ -253,7 +294,7 @@ func (f *Fabric) drive(m *migration) error {
 	// Verify: re-read every entry from the destination and byte-compare
 	// against the captured copy (the frozen source cannot have moved).
 	mismatch := -1
-	if err := dst.agentRun(func(tid int) {
+	held, err = f.fenced(dst, m, func(tid int) {
 		var buf []byte
 		for i := range keys {
 			var ok bool
@@ -263,8 +304,14 @@ func (f *Fabric) drive(m *migration) error {
 				return
 			}
 		}
-	}); err != nil {
+	})
+	if err != nil {
 		return f.stall(m, err)
+	}
+	if !held {
+		// Not a mismatch: the successor flipped and the destination is
+		// live, so it has moved on from the captured copy by design.
+		return f.superseded(m, "verify")
 	}
 	if mismatch >= 0 {
 		f.violation(fmt.Sprintf("shard %d: verify mismatch on key %x during %d->%d handoff",
@@ -280,8 +327,7 @@ func (f *Fabric) drive(m *migration) error {
 	// superseded holder from racing the retaker's flip; the epoch CAS
 	// is the hard fence — of any racers, exactly one lands.
 	if !sl.holds(m.tok) {
-		f.migAborts.Add(1)
-		return fmt.Errorf("fabric: shard %d claim superseded before flip", m.shard)
+		return f.superseded(m, "flip")
 	}
 	if !sl.word.CompareAndSwap(packWord(m.src, shardFrozen, m.epoch), packWord(m.dst, shardServing, m.epoch+1)) {
 		sl.release(m.tok)
@@ -303,27 +349,17 @@ func (f *Fabric) drive(m *migration) error {
 // owner and drops the claim — the handoff's last, purely-janitorial
 // step. Idempotent; a crash here just means the retaker drains again.
 func (f *Fabric) drainAndRelease(m *migration) error {
-	src := f.pods[m.src]
-	if err := f.drainShard(src, m.shard); err != nil {
+	held, err := f.purge(f.pods[m.src], m)
+	if err != nil {
 		return f.stall(m, err)
+	}
+	if !held {
+		// A driver that flipped, stalled and was retaken: the successor
+		// has drained, and the shard may since have migrated back here.
+		return f.superseded(m, "drain")
 	}
 	f.emit(telemetry.EvShardDrain, uint64(m.shard), uint32(m.src))
 	f.forget(m)
 	f.shard[m.shard].release(m.tok)
 	return nil
-}
-
-func (f *Fabric) drainShard(n *podNode, s int) error {
-	return n.agentRun(func(tid int) {
-		var doomed [][]byte
-		n.store.Range(tid, func(k, _ []byte) bool {
-			if f.ShardOfKey(k) == s {
-				doomed = append(doomed, append([]byte(nil), k...))
-			}
-			return true
-		})
-		for _, k := range doomed {
-			n.store.Delete(tid, k)
-		}
-	})
 }

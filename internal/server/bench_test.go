@@ -11,7 +11,7 @@ import (
 func benchServer(b *testing.B, nKeys int) (*Server, [][]byte) {
 	b.Helper()
 	r := newTestRun(b, nil)
-	srv := New(Config{Pod: r.pod, Store: r.store, Groups: testGroups})
+	srv := New(Config{Pod: r.Pod, Store: r.Store, Groups: testGroups})
 	b.Cleanup(srv.Stop)
 	keys := make([][]byte, nKeys)
 	for i := range keys {

@@ -81,7 +81,7 @@ func newDispatchFixture(t *testing.T, inj *crash.Injector, gated bool) *dispatch
 	t.Helper()
 	r := newTestRun(t, inj)
 	f := &dispatchFixture{}
-	sc := Config{Pod: r.pod, Store: r.store, Groups: testGroups}
+	sc := Config{Pod: r.Pod, Store: r.Store, Groups: testGroups}
 	if gated {
 		f.bar = &barrier{}
 		sc.Gate = f.bar.gate
@@ -303,17 +303,17 @@ func TestDispatchIdleServerRepairsOnTheLeaseWallTarget(t *testing.T) {
 	inj := crash.NewInjector()
 	r := newTestRun(t, inj)
 	leaseTicks := uint64(tickRate * leaseWall.Seconds())
-	r.pod.RetuneLiveness(cxlalloc.LivenessConfig{RenewInterval: leaseTicks / 6, GraceMult: 6, PollInterval: 4})
+	r.Pod.RetuneLiveness(cxlalloc.LivenessConfig{RenewInterval: leaseTicks / 6, GraceMult: 6, PollInterval: 4})
 	for _, tids := range testGroups {
 		for _, tid := range tids {
-			th, err := r.pod.ThreadOf(tid)
+			th, err := r.Pod.ThreadOf(tid)
 			if err != nil {
 				t.Fatalf("ThreadOf(%d): %v", tid, err)
 			}
 			th.Run(func() {}) // one renewal under the finite lease
 		}
 	}
-	srv := New(Config{Pod: r.pod, Store: r.store, Groups: testGroups, TickRate: tickRate})
+	srv := New(Config{Pod: r.Pod, Store: r.Store, Groups: testGroups, TickRate: tickRate})
 	t.Cleanup(srv.Stop)
 
 	// The worker that takes this put dies inside it, holding the write.
@@ -335,7 +335,7 @@ func TestDispatchIdleServerRepairsOnTheLeaseWallTarget(t *testing.T) {
 	case <-time.After(12 * leaseWall):
 		t.Fatalf("crashed write unresolved %v after the crash: the idle pod is not keeping its clock at the calibrated rate", 12*leaseWall)
 	}
-	if n := r.pod.FalseTakeovers(); n != 0 {
+	if n := r.Pod.FalseTakeovers(); n != 0 {
 		t.Errorf("%d false takeovers", n)
 	}
 }

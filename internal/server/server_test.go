@@ -40,8 +40,8 @@ func newTestFixture(t *testing.T) *testFixture {
 	r := newTestRun(t, nil)
 	f := &testFixture{run: r}
 	f.srv = New(Config{
-		Pod:    r.pod,
-		Store:  r.store,
+		Pod:    r.Pod,
+		Store:  r.Store,
 		Groups: testGroups,
 		PressureFn: func() float64 {
 			return math.Float64frombits(f.pressure.Load())

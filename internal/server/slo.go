@@ -1,19 +1,14 @@
 package server
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"cxlalloc"
-	"cxlalloc/internal/alloc"
-	"cxlalloc/internal/atomicx"
 	"cxlalloc/internal/chaos"
 	"cxlalloc/internal/crash"
-	"cxlalloc/internal/kvstore"
 	"cxlalloc/internal/telemetry"
 	"cxlalloc/internal/workload"
 	"cxlalloc/internal/xrand"
@@ -53,14 +48,14 @@ type SLOConfig struct {
 // DefaultSLOConfig sizes a run for the CLI default (~10s total).
 func DefaultSLOConfig() SLOConfig {
 	return SLOConfig{
-		Threads:     8,
-		Procs:       4,
-		Keys:        512,
-		Clients:     16,
-		Seed:        2026,
-		Deadline:    25 * time.Millisecond,
-		Window:      1500 * time.Millisecond,
-		Rates:       []float64{0.5, 1, 2, 4},
+		Threads:  8,
+		Procs:    4,
+		Keys:     512,
+		Clients:  16,
+		Seed:     2026,
+		Deadline: 25 * time.Millisecond,
+		Window:   1500 * time.Millisecond,
+		Rates:    []float64{0.5, 1, 2, 4},
 		// The admission queue must be smaller than the clients' combined
 		// in-flight window (Clients x MaxInFlight) or bounded-queue
 		// eviction can never engage; 64 per group also keeps worst-case
@@ -139,9 +134,9 @@ type SLOPoint struct {
 	P99     time.Duration `json:"p99"`
 	P999    time.Duration `json:"p999"`
 
-	Server   telemetry.ServerStats `json:"server"` // delta over the point
-	Retries  uint64                `json:"retries"`
-	TotalShed uint64               `json:"total_shed"`
+	Server    telemetry.ServerStats `json:"server"` // delta over the point
+	Retries   uint64                `json:"retries"`
+	TotalShed uint64                `json:"total_shed"`
 }
 
 // SLOReport is one run's full outcome.
@@ -150,9 +145,9 @@ type SLOReport struct {
 	Seed                          uint64
 	Deadline, Window              time.Duration
 
-	Capacity  float64 // closed-loop acked ops/sec
-	TickRate  float64 // calibrated pod ticks/sec
-	Points    []SLOPoint
+	Capacity   float64 // closed-loop acked ops/sec
+	TickRate   float64 // calibrated pod ticks/sec
+	Points     []SLOPoint
 	ChaosPoint *SLOPoint // RunSLOChaos: the fault-injected point
 
 	// Chaos variant.
@@ -234,45 +229,28 @@ func (t *pointTally) observe(d time.Duration) {
 }
 
 type sloRun struct {
-	cfg   SLOConfig
-	pod   *cxlalloc.Pod
-	procs []*cxlalloc.Process
-	store *kvstore.Store
-	srv   *Server
-	orc   *chaos.AckOracle
-	inj   *crash.Injector
+	*chaos.PodTarget // the pod, its processes, the store, adopted orphans
+
+	cfg SLOConfig
+	srv *Server
+	orc *chaos.Oracle
+	inj *crash.Injector
 
 	issuers []*sloIssuer
-
-	gateMu     sync.Mutex
-	violations []string
-	lostAcks   []string
-
-	orphMu  sync.Mutex
-	orphans []cxlalloc.Ptr
+	gates   chaos.Gates
 }
 
-func (r *sloRun) violation(msg string) {
-	r.gateMu.Lock()
-	if len(r.violations) < 64 {
-		r.violations = append(r.violations, msg)
-	}
-	r.gateMu.Unlock()
-}
-
-func (r *sloRun) lostAck(msg string) {
-	r.gateMu.Lock()
-	if len(r.lostAcks) < 64 {
-		r.lostAcks = append(r.lostAcks, msg)
-	}
-	r.gateMu.Unlock()
+// sloIssuer is one client connection: the shared oracle-checked issuer
+// plus the connection's request pool (MaxInFlight is its concurrency
+// limit).
+type sloIssuer struct {
+	*Issuer
+	pool chan *Request
 }
 
 // build constructs the pod, store, oracle, and issuers. inj may be nil
 // (the fault-free sweep).
 func buildSLORun(cfg SLOConfig, inj *crash.Injector) (*sloRun, error) {
-	pc := cxlalloc.DefaultConfig()
-	pc.NumThreads = cfg.Threads
 	// Headroom matters: MemPressure is the mapped-slab high-water
 	// fraction, so the steady-state working set (keys x codec value
 	// sizes) must sit well under the soft watermark or the server sheds
@@ -284,60 +262,30 @@ func buildSLORun(cfg SLOConfig, inj *crash.Injector) (*sloRun, error) {
 	// 280 k ops/s and 52-59 at 320 k. 128 keeps that under ~0.5, and
 	// capacityPhase fails the run outright if a faster service ever
 	// outgrows it, rather than let every later phase shed writes.
-	pc.MaxSmallSlabs = 256
-	pc.MaxLargeSlabs = 128
-	pc.HugeRegionSize = 1 << 20
-	pc.NumReservations = 8
-	pc.DescsPerThread = 16
-	pc.NumHazards = 8
-	pc.UnsizedThreshold = 2
-	pc.Mode = atomicx.ModeMCAS
-	if inj != nil {
-		pc.Crash = inj
-		pc.TrackPersist = true
-	}
-	r := &sloRun{cfg: cfg, inj: inj, orc: chaos.NewAckOracle(cfg.Keys)}
-	pod, err := cxlalloc.NewPodWith(cxlalloc.PodConfig{
-		Config:      pc,
-		AutoRecover: true,
-		// The chaos variant retunes after calibration, the fault-free
-		// sweep never needs expiry.
-		Liveness: cxlalloc.NoExpiryLiveness,
-		OnEvent: func(ev cxlalloc.LivenessEvent) {
-			if ev.Kind == cxlalloc.LivenessRepair && ev.Report.PendingAlloc != 0 {
-				r.orphMu.Lock()
-				r.orphans = append(r.orphans, ev.Report.PendingAlloc)
-				r.orphMu.Unlock()
-			}
-		},
-	})
+	target, err := chaos.NewPodTarget(cfg.Threads, cfg.Procs, cfg.Keys, 256, 128, inj)
 	if err != nil {
 		return nil, err
 	}
-	r.pod = pod
-	r.procs = make([]*cxlalloc.Process, cfg.Procs)
-	for i := range r.procs {
-		r.procs[i] = pod.NewProcess()
+	r := &sloRun{
+		cfg: cfg, PodTarget: target, inj: inj,
+		orc: chaos.NewOracle(cfg.Keys),
 	}
-	for tid := 0; tid < cfg.Threads; tid++ {
-		if _, err := r.procs[tid%cfg.Procs].AttachThreadID(tid); err != nil {
-			return nil, err
-		}
-	}
-	r.store = kvstore.New(alloc.NewCXL(pod.Heap(), "cxlalloc"), cfg.Keys*2, cfg.Threads)
 
+	// YCSB-shaped key popularity: zipfian over the whole keyspace for
+	// reads and over the issuer's own partition (keys congruent to its
+	// id) for writes.
 	keysPer := cfg.Keys / cfg.Clients
 	for i := 0; i < cfg.Clients; i++ {
+		rng := xrand.New(xrand.Mix(cfg.Seed) ^ xrand.Mix(uint64(i)+0x51))
+		zipfAll := xrand.NewZipf(rng, uint64(cfg.Keys), 0.99)
+		zipfOwn := xrand.NewZipf(rng, uint64(keysPer), 0.99)
 		is := &sloIssuer{
-			run:     r,
-			id:      i,
-			keysPer: keysPer,
-			rng:     xrand.New(xrand.Mix(cfg.Seed) ^ xrand.Mix(uint64(i)+0x51)),
-			busy:    make(map[int]bool),
-			pool:    make(chan *Request, cfg.MaxInFlight),
+			// startServer installs the Client: slochaos starts two servers.
+			Issuer: NewIssuer(nil, r.orc, &r.gates, cfg.Deadline, rng,
+				func() int { return int(zipfAll.NextScrambled()) },
+				func() int { return int(zipfOwn.NextScrambled())*cfg.Clients + i }),
+			pool: make(chan *Request, cfg.MaxInFlight),
 		}
-		is.zipfAll = xrand.NewZipf(is.rng, uint64(cfg.Keys), 0.99)
-		is.zipfOwn = xrand.NewZipf(is.rng, uint64(keysPer), 0.99)
 		for j := 0; j < cfg.MaxInFlight; j++ {
 			is.pool <- NewRequest()
 		}
@@ -354,153 +302,28 @@ func (r *sloRun) startServer() {
 		groups[g] = append(groups[g], tid)
 	}
 	r.srv = New(Config{
-		Pod:       r.pod,
-		Store:     r.store,
+		Pod:       r.Pod,
+		Store:     r.Store,
 		Groups:    groups,
 		QueueCap:  r.cfg.QueueCap,
 		DecodeVer: chaos.DecodeVal,
 	})
-	for _, is := range r.issuers {
-		is.client = NewClient(r.srv, r.cfg.Seed^uint64(is.id)*0xa0761d6478bd642f)
+	for i, is := range r.issuers {
+		is.Client = NewClient(r.srv, r.cfg.Seed^uint64(i)*0xa0761d6478bd642f)
 	}
 }
 
-// preload fills half the keyspace through the store directly (tid 0),
-// with the oracle tracking every acked write.
-func (r *sloRun) preload() error {
-	th, err := r.pod.ThreadOf(0)
-	if err != nil {
-		return err
-	}
-	var keyb, valb []byte
-	for k := 0; k < r.cfg.Keys/2; k++ {
-		ver := r.orc.NextVersion(k)
-		keyb = chaos.KeyBytes(keyb, k)
-		valb = chaos.EncodeVal(valb, k, ver)
-		r.orc.BeginPut(k, ver)
-		var perr error
-		if c := th.Run(func() { perr = r.store.Put(0, keyb, valb) }); c != nil {
-			return fmt.Errorf("server: preload crashed at %s", c.Point)
-		}
-		if perr != nil {
-			return fmt.Errorf("server: preload key %d: %w", k, perr)
-		}
-		r.orc.Ack(k)
-	}
-	return nil
-}
-
-// --- issuers ---------------------------------------------------------
-
-type sloIssuer struct {
-	run     *sloRun
-	id      int
-	keysPer int
-	rng     *xrand.Rand
-	zipfAll *xrand.Zipf
-	zipfOwn *xrand.Zipf
-	client  *Client
-
-	pool chan *Request
-
-	// prepare draws from the issuer's rng/zipf state; capacity-phase
-	// lanes share the issuer, so draws serialize.
-	prepMu sync.Mutex
-
-	busyMu sync.Mutex
-	busy   map[int]bool
-}
-
-func (is *sloIssuer) ownKey(j int) int { return j*len(is.run.issuers) + is.id }
-
-// prepare draws the next YCSB-shaped op into req: zipfian key
-// popularity, 50% reads over the whole keyspace, 50% writes on the
-// issuer's own partition (single-writer-per-key for the oracle), with
-// ~30% of writes on present keys issued as deletes. Writes landing
-// only on busy keys degrade to reads, keeping the offered rate intact.
-func (is *sloIssuer) prepare(req *Request) {
-	is.prepMu.Lock()
-	defer is.prepMu.Unlock()
-	req.Reset()
-	req.Deadline = is.run.cfg.Deadline
-	asRead := func(k int) {
-		req.Op = OpGet
-		req.KeyID = k
-		req.Key = chaos.KeyBytes(req.Key, k)
-	}
-	if is.rng.Intn(100) < 50 {
-		asRead(int(is.zipfAll.NextScrambled()))
+// settle finalizes one response against the oracle and folds an
+// acknowledgement's latency into the point's tally.
+func (r *sloRun) settle(is *sloIssuer, req *Request, fired time.Time, resp *Response, t *pointTally) {
+	if is.Finalize(req, resp) != Acked {
 		return
 	}
-	k := -1
-	for try := 0; try < 4; try++ {
-		cand := is.ownKey(int(is.zipfOwn.NextScrambled()))
-		is.busyMu.Lock()
-		if !is.busy[cand] {
-			is.busy[cand] = true
-			is.busyMu.Unlock()
-			k = cand
-			break
-		}
-		is.busyMu.Unlock()
-	}
-	if k < 0 {
-		asRead(int(is.zipfAll.NextScrambled()))
-		return
-	}
-	req.KeyID = k
-	req.Key = chaos.KeyBytes(req.Key, k)
-	ver, present := is.run.orc.Current(k)
-	if present && is.rng.Intn(100) < 30 {
-		req.Op = OpDelete
-		req.PrevVer = ver
-		is.run.orc.BeginDelete(k)
-		return
-	}
-	nv := is.run.orc.NextVersion(k)
-	req.Op = OpPut
-	req.Val = chaos.EncodeVal(req.Val, k, nv)
-	is.run.orc.BeginPut(k, nv)
-}
-
-// finalize settles one response: latency accounting, oracle
-// ack/resolve, read validation, and busy-key release.
-func (is *sloIssuer) finalize(req *Request, fired time.Time, resp *Response, t *pointTally) {
-	r := is.run
-	k := req.KeyID
-	isWrite := req.Op != OpGet
-	switch {
-	case resp.Err == nil:
-		lat := resp.DoneWall.Sub(fired)
-		t.observe(lat)
-		t.acked.Add(1)
-		if lat <= r.cfg.Deadline {
-			t.good.Add(1)
-		}
-		if isWrite {
-			if req.Op == OpDelete && !resp.Found {
-				r.lostAck(fmt.Sprintf("key %d: acked ver %d vanished before delete", k, req.PrevVer))
-			}
-			r.orc.Ack(k)
-		} else if resp.Found {
-			if _, err := chaos.DecodeVal(k, resp.Value); err != nil {
-				r.violation(fmt.Sprintf("key %d: read corrupt: %v", k, err))
-			}
-		}
-	case errors.Is(resp.Err, ErrCrashed):
-		if isWrite {
-			r.orc.Resolve(k, resp.Applied)
-		}
-	default:
-		// Typed rejection: the op never executed.
-		if isWrite {
-			r.orc.Resolve(k, false)
-		}
-	}
-	if isWrite {
-		is.busyMu.Lock()
-		delete(is.busy, k)
-		is.busyMu.Unlock()
+	lat := resp.DoneWall.Sub(fired)
+	t.observe(lat)
+	t.acked.Add(1)
+	if lat <= r.cfg.Deadline {
+		t.good.Add(1)
 	}
 }
 
@@ -524,11 +347,10 @@ func (r *sloRun) closedLoop(window time.Duration) *pointTally {
 				defer wg.Done()
 				req := <-is.pool
 				for time.Now().Before(deadline) {
-					is.prepare(req)
+					is.Prepare(req)
 					t.offered.Add(1)
 					fired := time.Now()
-					resp := is.client.Do(req)
-					is.finalize(req, fired, resp, t)
+					r.settle(is, req, fired, is.Client.Do(req), t)
 				}
 				is.pool <- req
 			}(is)
@@ -546,7 +368,7 @@ func (r *sloRun) closedLoop(window time.Duration) *pointTally {
 // that reaches the soft watermark has every later phase shedding writes,
 // and the run would report the pod's size, not the service's behaviour.
 func (r *sloRun) capacityPhase(rep *SLOReport) error {
-	heap := r.pod.Heap()
+	heap := r.Pod.Heap()
 	c0, t0 := heap.ClockNow(0), time.Now()
 	capT := r.closedLoop(r.cfg.Window)
 	c1, t1 := heap.ClockNow(0), time.Now()
@@ -588,9 +410,8 @@ func (r *sloRun) openLoop(rate float64, window time.Duration, salt uint64) (*poi
 				defer lanes.Done()
 				req := <-is.pool
 				for fired := range fire {
-					is.prepare(req)
-					resp := is.client.Do(req)
-					is.finalize(req, fired, resp, t)
+					is.Prepare(req)
+					r.settle(is, req, fired, is.Client.Do(req), t)
 				}
 				is.pool <- req
 			}()
@@ -633,7 +454,7 @@ func (r *sloRun) openLoop(rate float64, window time.Duration, salt uint64) (*poi
 func (r *sloRun) retriesNow() uint64 {
 	var n uint64
 	for _, is := range r.issuers {
-		n += is.client.Retries()
+		n += is.Client.Retries()
 	}
 	return n
 }
@@ -673,93 +494,49 @@ func statsDelta(s, prev telemetry.ServerStats) telemetry.ServerStats {
 	return full.Server
 }
 
-// audit is the end-of-run authoritative check, identical in spirit to
-// livechaos: stop the server, sweep every key against the oracle's
-// settled state, tear the store down, and audit the heap ledger back
-// to empty.
+// audit is the end-of-run authoritative check, the same one livechaos
+// runs (chaos.PodTarget.Audit): stop the server, sweep every key
+// against the oracle's settled state, tear the store down, and audit
+// the heap ledger back to empty.
 func (r *sloRun) audit(rep *SLOReport) {
 	r.srv.Stop()
-	cfg := r.cfg
-	heap := r.pod.Heap()
-	var keyb, getb []byte
-	for k := 0; k < cfg.Keys; k++ {
-		ver, present, settled := r.orc.Final(k)
-		if !settled {
-			r.violation(fmt.Sprintf("key %d: op still unresolved at audit", k))
-			continue
-		}
-		keyb = chaos.KeyBytes(keyb, k)
-		got, found := r.store.Get(0, keyb, getb)
-		getb = got
-		if !found {
-			if present {
-				r.lostAck(fmt.Sprintf("final: key %d acked ver %d missing", k, ver))
-			}
-			continue
-		}
-		v, err := chaos.DecodeVal(k, got)
-		if err != nil {
-			r.violation(fmt.Sprintf("final: key %d corrupt: %v", k, err))
-			continue
-		}
-		if !present || v != ver {
-			r.lostAck(fmt.Sprintf("final: key %d has ver %d, oracle has {ver %d present %v}", k, v, ver, present))
-		}
-	}
-	for k := 0; k < cfg.Keys; k++ {
-		keyb = chaos.KeyBytes(keyb, k)
-		for r.store.Delete(0, keyb) {
-		}
-	}
-	r.orphMu.Lock()
-	orphans := r.orphans
-	r.orphMu.Unlock()
-	rep.PendingAllocs = len(orphans)
-	for _, p := range orphans {
-		r.store.FreeOrphan(0, p)
-	}
-	r.store.Drain(cfg.Threads)
-	for round := 0; round < 3; round++ {
-		for tid := 0; tid < cfg.Threads; tid++ {
-			heap.Maintain(tid)
-		}
-	}
-	heap.PublishStats()
-	if err := heap.CheckAll(0); err != nil {
-		r.violation(fmt.Sprintf("invariants: %v", err))
-	}
-	heap.DrainCaches()
-	if err := heap.AuditEmpty(0); err != nil {
-		r.violation(fmt.Sprintf("ledger audit: %v", err))
-	}
-	r.gateMu.Lock()
-	rep.Violations = r.violations
-	rep.LostAcks = r.lostAcks
-	r.gateMu.Unlock()
+	rep.PendingAllocs = r.Audit(&r.gates, r.orc, r.cfg.Keys, r.cfg.Threads)
+	rep.Violations, rep.LostAcks = r.gates.Violations(), r.gates.LostAcks()
 }
 
-// RunSLO executes the fault-free overload sweep.
-func RunSLO(cfg SLOConfig) (*SLOReport, error) {
+// openSLO is the opening RunSLO and RunSLOChaos share: build the pod and
+// issuers (inj nil for the fault-free sweep), start the server, preload
+// half the keyspace through it, and measure 1x capacity under the lease
+// that never expires. When the capacity phase fails, the report so far
+// comes back with the error.
+func openSLO(cfg SLOConfig, inj *crash.Injector) (*sloRun, *SLOReport, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	r, err := buildSLORun(cfg, nil)
+	r, err := buildSLORun(cfg, inj)
 	if err != nil {
-		return nil, err
-	}
-	if err := r.preload(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	r.startServer()
+	if err := Preload(r.srv, r.orc, cfg.Keys/2, cfg.Seed^0x9a7e); err != nil {
+		r.srv.Stop()
+		return nil, nil, err
+	}
 	rep := &SLOReport{
 		Threads: cfg.Threads, Procs: cfg.Procs, Keys: cfg.Keys, Clients: cfg.Clients,
 		Seed: cfg.Seed, Deadline: cfg.Deadline, Window: cfg.Window,
 	}
+	return r, rep, r.capacityPhase(rep)
+}
 
-	if err := r.capacityPhase(rep); err != nil {
+// RunSLO executes the fault-free overload sweep.
+func RunSLO(cfg SLOConfig) (*SLOReport, error) {
+	r, rep, err := openSLO(cfg, nil)
+	if err != nil {
 		return rep, err
 	}
+	cfg = r.cfg
 	r.srv.SetTickRate(rep.TickRate)
 
 	// Open-loop sweep.

@@ -1,10 +1,10 @@
 package server
 
 import (
-	"fmt"
 	"time"
 
 	"cxlalloc"
+	"cxlalloc/internal/chaos"
 	"cxlalloc/internal/crash"
 	"cxlalloc/internal/xrand"
 )
@@ -18,37 +18,16 @@ import (
 // that the breaker opened (requests re-routed to live processes instead
 // of queueing behind the ~lease-length repair), that every acked write
 // survived, and that the heap ledger audits back to empty.
-const (
-	sloArmProb    = 0.02             // per-crash-point firing probability
-	sloKillWait   = 15 * time.Second // arming -> death deadline per fault
-	sloRepairWait = 60 * time.Second // convergence deadline after traffic
-	sloTailGrace  = 1 * time.Second  // stop injecting this early
-)
+const sloTailGrace = 1 * time.Second // stop injecting this early
 
 // RunSLOChaos executes the fault-injected run.
 func RunSLOChaos(cfg SLOConfig) (*SLOReport, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	inj := crash.NewInjector()
-	r, err := buildSLORun(cfg, inj)
-	if err != nil {
-		return nil, err
-	}
-	if err := r.preload(); err != nil {
-		return nil, err
-	}
-	r.startServer()
-	rep := &SLOReport{
-		Threads: cfg.Threads, Procs: cfg.Procs, Keys: cfg.Keys, Clients: cfg.Clients,
-		Seed: cfg.Seed, Deadline: cfg.Deadline, Window: cfg.Window,
-	}
-
 	// Phase 1 — capacity + clock calibration under the infinite lease.
-	if err := r.capacityPhase(rep); err != nil {
+	r, rep, err := openSLO(cfg, crash.NewInjector())
+	if err != nil {
 		return rep, err
 	}
+	cfg = r.cfg
 
 	// Quiesce point: RetuneLiveness requires no thread inside Run, and
 	// Server.Stop waiting out its workers is exactly that barrier. The
@@ -56,19 +35,11 @@ func RunSLOChaos(cfg SLOConfig) (*SLOReport, error) {
 	// with the lease retuned from ticks-per-wall-second so expiry-based
 	// takeover lands near the configured wall target.
 	r.srv.Stop()
-	leaseTicks := uint64(rep.TickRate * cfg.LeaseWall.Seconds())
-	if leaseTicks < 4096 {
-		leaseTicks = 4096 // floor: never a lease of a handful of ops
-	}
 	// Renew at a sixth of the lease (the package default's grace ratio),
 	// not every few ticks: an mCAS per renewal is only worth paying as
 	// often as the lease in force needs it.
-	r.pod.RetuneLiveness(cxlalloc.LivenessConfig{RenewInterval: leaseTicks / 6, GraceMult: 6, PollInterval: 4})
-	for tid := 0; tid < cfg.Threads; tid++ {
-		if th, err := r.pod.ThreadOf(tid); err == nil {
-			th.Run(func() {}) // settle: one renewal under the new lease
-		}
-	}
+	r.Pod.RetuneLiveness(cxlalloc.LivenessConfig{RenewInterval: chaos.LeaseTicks(rep.TickRate, cfg.LeaseWall) / 6, GraceMult: 6, PollInterval: 4})
+	chaos.SettleRound(r.Pod, cfg.Threads)
 	r.startServer()
 	r.srv.SetTickRate(rep.TickRate)
 
@@ -87,31 +58,11 @@ func RunSLOChaos(cfg SLOConfig) (*SLOReport, error) {
 
 	// Phase 3 — convergence: traffic has drained; the workers' idle
 	// ticks keep the watchdog advancing until every slot is repaired.
-	heap := r.pod.Heap()
-	convDeadline := time.Now().Add(sloRepairWait)
-	for {
-		allLive := true
-		for tid := 0; tid < cfg.Threads; tid++ {
-			if !heap.Alive(tid) || !heap.Leased(tid) {
-				allLive = false
-				break
-			}
-		}
-		if allLive {
-			break
-		}
-		if time.Now().After(convDeadline) {
-			for tid := 0; tid < cfg.Threads; tid++ {
-				if !heap.Alive(tid) || !heap.Leased(tid) {
-					r.violation(fmt.Sprintf("convergence: slot %d not alive+leased after %v", tid, sloRepairWait))
-				}
-			}
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
+	r.gates.Converge(chaos.ConvergeWait, func() []string {
+		return chaos.SlotsDown(r.Pod.Heap(), cfg.Threads)
+	})
 
-	rep.FalseTakeovers = r.pod.FalseTakeovers()
+	rep.FalseTakeovers = r.Pod.FalseTakeovers()
 	r.audit(rep)
 	return rep, nil
 }
@@ -124,7 +75,7 @@ func RunSLOChaos(cfg SLOConfig) (*SLOReport, error) {
 // pod-wide (someone has to run the watchdog).
 func (r *sloRun) injectFaults(rep *SLOReport, window time.Duration) {
 	cfg := r.cfg
-	heap := r.pod.Heap()
+	heap := r.Pod.Heap()
 	grace := sloTailGrace
 	if grace > window/4 {
 		grace = window / 4
@@ -150,36 +101,28 @@ func (r *sloRun) injectFaults(rep *SLOReport, window time.Duration) {
 		if len(targets) == 0 || alive-len(targets) < 2 {
 			continue
 		}
-		r.inj.ArmRandom(sloArmProb, xrand.Mix(cfg.Seed)^xrand.Mix(uint64(i)+0xfa11), targets...)
-		died := make(map[int]bool, len(targets))
-		deadline := time.Now().Add(sloKillWait)
-		for {
-			for _, v := range targets {
-				if !died[v] && !heap.Alive(v) {
-					died[v] = true
-				}
-			}
-			if len(died) == len(targets) || time.Now().After(deadline) || !time.Now().Before(stop.Add(grace)) {
-				break
-			}
-			time.Sleep(200 * time.Microsecond)
+		// Give up on a victim at the kill deadline or the end of the
+		// window, whichever comes first.
+		deadline := time.Now().Add(chaos.KillWait)
+		if end := stop.Add(grace); end.Before(deadline) {
+			deadline = end
 		}
-		r.inj.Disarm()
+		died := chaos.KillInOp(r.inj, chaos.ArmProb, xrand.Mix(cfg.Seed)^xrand.Mix(uint64(i)+0xfa11), targets, heap.Alive, deadline)
 		rep.Kills += len(died)
 		if i == 0 && len(died) == len(targets) {
 			// Escalate to a process kill, livechaos-style: only once the
 			// process owns no live slot (adoption may have rebound repaired
 			// slots into it — if so, leave it be; the thread kills alone
 			// already opened the breaker).
-			p := r.procs[g]
+			p := r.Procs[g]
 			owned := 0
 			for tid := 0; tid < cfg.Threads; tid++ {
-				if heap.Alive(tid) && r.pod.OwnerOf(tid) == p {
+				if heap.Alive(tid) && r.Pod.OwnerOf(tid) == p {
 					owned++
 				}
 			}
 			if !p.Dead() && owned == 0 {
-				r.pod.KillProcess(p)
+				r.Pod.KillProcess(p)
 				rep.ProcKills++
 			}
 		}

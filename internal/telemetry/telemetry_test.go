@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -230,5 +231,65 @@ func TestWriteMetricsNDJSON(t *testing.T) {
 		if err := json.Unmarshal([]byte(ln), &rec); err != nil {
 			t.Fatalf("line %q: %v", ln, err)
 		}
+	}
+}
+
+// TestSnapshotDeltaCoversEveryField guards Delta's hand-written field
+// list: fill every leaf of Snapshot with a distinct non-zero value by
+// reflection, then a delta against zero must give the snapshot back and
+// a delta against itself must be zero everywhere but the documented
+// gauges. A counter added to Snapshot without a Delta line fails here
+// instead of going stale silently.
+func TestSnapshotDeltaCoversEveryField(t *testing.T) {
+	gauges := map[string]bool{"Chaos.CrashPointsInstrumented": true, "Trace.Enabled": true}
+
+	var s Snapshot
+	next := uint64(100)
+	eachLeaf(reflect.ValueOf(&s).Elem(), "", func(path string, leaf reflect.Value) {
+		next += 7
+		switch leaf.Kind() {
+		case reflect.Uint64:
+			leaf.SetUint(next)
+		case reflect.Bool:
+			leaf.SetBool(true)
+		default:
+			t.Fatalf("%s is a %s leaf; teach this test (and Delta) about it", path, leaf.Kind())
+		}
+	})
+	want := map[string]any{}
+	eachLeaf(reflect.ValueOf(s), "", func(path string, leaf reflect.Value) { want[path] = leaf.Interface() })
+	if len(want) < 50 {
+		t.Fatalf("walked only %d leaves of Snapshot", len(want))
+	}
+
+	eachLeaf(reflect.ValueOf(s.Delta(Snapshot{})), "", func(path string, leaf reflect.Value) {
+		if leaf.Interface() != want[path] {
+			t.Errorf("Delta(zero).%s = %v, want %v: Delta drops this field", path, leaf.Interface(), want[path])
+		}
+	})
+	eachLeaf(reflect.ValueOf(s.Delta(s)), "", func(path string, leaf reflect.Value) {
+		if gauges[path] {
+			if leaf.Interface() != want[path] {
+				t.Errorf("Delta(self).%s = %v, want the gauge's own value %v", path, leaf.Interface(), want[path])
+			}
+		} else if !leaf.IsZero() {
+			t.Errorf("Delta(self).%s = %v, want 0: a counter must subtract", path, leaf.Interface())
+		}
+	})
+}
+
+// eachLeaf visits every non-struct field under v, depth first, with its
+// dotted path.
+func eachLeaf(v reflect.Value, path string, visit func(path string, leaf reflect.Value)) {
+	if v.Kind() != reflect.Struct {
+		visit(path, v)
+		return
+	}
+	for i := 0; i < v.NumField(); i++ {
+		p := v.Type().Field(i).Name
+		if path != "" {
+			p = path + "." + p
+		}
+		eachLeaf(v.Field(i), p, visit)
 	}
 }

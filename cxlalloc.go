@@ -571,6 +571,11 @@ func (pod *Pod) tidsOfLocked(p *Process) []int {
 // that is alive again was repaired by a survivor that has not adopted it
 // yet, and a handle minted now would heartbeat through the dead
 // process's watchdog and repair later victims into its revoked space.
+// For the same reason an AutoRecover pod hands out nothing for a slot
+// that is alive but not yet leased: it is mid-repair, the watchdog
+// adopts it before it leases it, and a handle minted in between would
+// belong to the old owner (which may die later) and carry epoch 0,
+// which never renews and never self-fences.
 func (p *Process) Thread(tid int) (*Thread, error) {
 	p.pod.mu.Lock()
 	defer p.pod.mu.Unlock()
@@ -583,7 +588,11 @@ func (p *Process) Thread(tid int) (*Thread, error) {
 	if !p.pod.heap.Alive(tid) {
 		return nil, fmt.Errorf("cxlalloc: thread slot %d is crashed", tid)
 	}
-	return &Thread{proc: p, tid: tid, epoch: p.pod.heap.LeaseEpoch(tid)}, nil
+	epoch := p.pod.heap.LeaseEpoch(tid)
+	if p.pod.auto && epoch == 0 {
+		return nil, fmt.Errorf("cxlalloc: thread slot %d is being repaired (alive, not yet leased)", tid)
+	}
+	return &Thread{proc: p, tid: tid, epoch: epoch}, nil
 }
 
 // OwnerOf returns the process currently owning thread slot tid (nil if

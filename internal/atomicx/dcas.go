@@ -16,17 +16,50 @@ package atomicx
 //
 //  1. Begin: before attempting a CAS for a new operation with version v,
 //     thread t publishes help[t] = v<<1 ("v pending, not yet observed").
-//  2. Help: before any thread overwrites a word whose value is tagged
-//     (t, v), it CASes help[t] from v<<1 to v<<1|1 ("observed"). A failed
-//     help-CAS means either someone else already helped or t has moved
-//     on to a later operation; both make the update unnecessary.
+//  2. Help: before a thread u overwrites a word whose value is tagged
+//     (t, v), it makes sure help[t] cannot be left at v<<1:
+//     - t == u: nothing to do. A thread has one operation in flight, so
+//     an older tag of its own protects nothing it will ever ask about,
+//     and re-tagging a word with the version it already carries leaves
+//     the tag Succeeded looks for in place (if the overwriting CAS then
+//     loses to a third thread, that thread helped (t, v) itself).
+//     - t != u: u loads help[t] and, only if it reads v<<1, CASes it to
+//     v<<1|1 ("observed"). That CAS may still fail — another helper
+//     won, or t moved on in between — and both make it unnecessary.
 //  3. Succeeded: on recovery, t's CAS with version v took effect iff the
 //     target still carries the (t, v) tag, or help[t] == v<<1|1.
 //
-// All comparisons are exact matches, so 16-bit version wrap-around is
-// harmless: at most one operation per thread is in flight, and a stale
-// tag (t, v_old) left in some word can never corrupt help[t] once t has
-// begun a later operation, because the help-CAS expects v_old<<1 exactly.
+// Why the load may stand in for the CAS. The help step used to be the
+// CAS alone, issued unconditionally, and it failed about as often as it
+// succeeded: whenever t had begun a later operation, had already been
+// helped, or was the caller. A CAS that fails changes nothing and
+// linearizes at the instant it reads a value other than v<<1; a load
+// that reads a value other than v<<1 is that same instant with the same
+// (absent) effect. So every execution of this protocol is an execution
+// of the unconditional one in which each skipped CAS is placed at its
+// load, and Succeeded observes exactly the states it did before. What
+// changed is the price: on a pod without HWcc a failing CAS is a full
+// spwr/sprd pair (~2.3 µs, §5.4), the load one uncached read.
+//
+// With disabled set (the cxlalloc-nonrecoverable ablation of §5.2)
+// neither Begin nor the help step touches the help array, exactly as
+// before: CAS is the tagged hardware CAS and nothing else.
+//
+// Version wrap-around. Comparisons are exact matches on 16 bits, which
+// is sound for a tag that is overwritten before its writer issues
+// 65 536 further operations: a stale tag (t, v_old) cannot disturb
+// help[t] while t is in any operation v != v_old, because the help CAS
+// expects v_old<<1 exactly. It is not sound beyond that. A tag (t, v)
+// left in a word for exactly 65 536·k of t's operations matches t's
+// current pending v again, and whoever overwrites it then marks
+// observed an operation that may never have CASed; a recovering t would
+// skip a redo it owed. The self-skip above removes the instance a
+// thread used to inflict on itself (overwriting its own wrapped tag,
+// then losing the CAS and crashing). The cross-thread instance — u
+// overwrites t's wrapped tag, or u stalls between the help load and the
+// help CAS for 65 536 of t's operations — remains, as it does in the
+// unconditional protocol: a known bound on how long a tag may sit, not
+// a property the exact match provides.
 
 // Word layout: [ tid+1 : 16 | version : 16 | payload : 32 ].
 const (
@@ -73,6 +106,11 @@ type DCAS struct {
 	// cxlalloc-nonrecoverable ablation): words are still tagged so the
 	// layout is identical, but no help-array maintenance is performed.
 	disabled bool
+
+	// testHookPreHelpCAS, when set, runs in helpBeforeOverwrite between
+	// the help load that saw the writer pending and the help CAS. Nil in
+	// production; tests park a helper in that window.
+	testHookPreHelpCAS func()
 }
 
 // NewDCAS returns a detectable-CAS layer with per-thread help words at
@@ -119,15 +157,23 @@ func (d *DCAS) Store(tid, w int, payload uint32) {
 }
 
 // helpBeforeOverwrite marks the previous writer's pending version as
-// observed before destroying the evidence of its success. A single CAS
-// attempt suffices: failure means another helper won or the writer has
-// already begun a later operation.
+// observed before destroying the evidence of its success (step 2 of the
+// header comment). The caller's own tags are skipped, and the help CAS
+// is issued only when a load finds the writer still pending on exactly
+// that version; one attempt suffices, since failure means another helper
+// won or the writer has begun a later operation.
 func (d *DCAS) helpBeforeOverwrite(tid int, oldWord uint64) {
 	t, v, tagged := Tag(oldWord)
-	if !tagged {
+	if !tagged || t == tid {
 		return
 	}
 	hw := d.helpBase + t
+	if d.hw.Load(tid, hw) != helpPending(v) {
+		return
+	}
+	if d.testHookPreHelpCAS != nil {
+		d.testHookPreHelpCAS()
+	}
 	d.hw.CAS(tid, hw, helpPending(v), helpObserved(v))
 }
 

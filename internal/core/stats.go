@@ -200,6 +200,8 @@ func (h *Heap) Snapshot() telemetry.Snapshot {
 			Failures:       ns.Failures,
 			Conflicts:      ns.Conflicts,
 			FaultsInjected: ns.FaultsInjected,
+			Loads:          ns.Loads,
+			Stores:         ns.Stores,
 		}
 	}
 	if h.cfg.Crash != nil {

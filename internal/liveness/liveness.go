@@ -140,8 +140,9 @@ type Event struct {
 // Hooks connect a Manager to the pod layer without an import cycle.
 type Hooks struct {
 	// Adopt transfers ownership of a repaired slot to the Manager's
-	// process. Called after the repair committed and the slot was
-	// re-leased, outside any heap lock.
+	// process. Called after the repair committed and before the slot is
+	// re-leased (until then the pod layer mints no handle for it),
+	// outside any heap lock.
 	Adopt func(victim int)
 	// Rescue re-adopts an alive-but-unleased slot to the process owning
 	// the space it is bound to. It reports whether that process is still
@@ -387,10 +388,19 @@ func (m *Manager) pollSlot(tid, v int, epoch uint16, now uint64, seen uint16) {
 
 	switch {
 	case rerr == nil:
-		heap.LeaseAcquire(v, now+m.cfg.LeaseTicks())
+		// Ownership before lease, as in the rescue below: the pod layer
+		// mints no handle for an alive slot until it is leased, so by
+		// the time anyone can hold v it belongs to this process. The
+		// other order let a waiting worker mint a handle under v's old
+		// owner between the two steps; when that process was later
+		// killed (it owned no live slot, by the pod's books) the handle
+		// went on heartbeating through the dead watchdog and repaired
+		// later victims into a revoked space, where nobody could own
+		// them and every sweep re-claimed them forever.
 		if m.hooks.Adopt != nil {
 			m.hooks.Adopt(v)
 		}
+		heap.LeaseAcquire(v, now+m.cfg.LeaseTicks())
 		heap.ClaimRelease(v, tok)
 		delete(m.pending, v)
 		m.repairs.Add(1)

@@ -22,6 +22,7 @@ type tenv struct {
 	events []Event
 	epochs map[int]uint16
 	rescue func(victim int) bool
+	adopt  func(victim int)
 }
 
 func newTenv(t *testing.T, cfg Config) *tenv {
@@ -56,6 +57,11 @@ func newTenv(t *testing.T, cfg Config) *tenv {
 		m := NewManager(h, sp, cfg, Hooks{
 			Emit:   func(ev Event) { e.events = append(e.events, ev) },
 			Rescue: func(v int) bool { return e.rescue != nil && e.rescue(v) },
+			Adopt: func(v int) {
+				if e.adopt != nil {
+					e.adopt(v)
+				}
+			},
 		})
 		e.mgrs = append(e.mgrs, m)
 		for i := 0; i < 2; i++ {
@@ -380,5 +386,30 @@ func TestOrphanRescue(t *testing.T) {
 	}
 	if e.count(3, KindRescue) != 1 || e.count(3, KindRepair) != 0 {
 		t.Fatalf("events: %v", e.kinds(3))
+	}
+}
+
+// A repaired slot changes owner before it is leased. The pod layer hands
+// out no handle for an alive-but-unleased slot, so in this order nobody
+// can hold the slot under its old owner; in the other order a worker
+// waiting for the repair could, and kept that handle after the old
+// owner's process was killed.
+func TestRepairAdoptsBeforeItLeases(t *testing.T) {
+	e := newTenv(t, Config{})
+	e.lease(0, 2, 3)
+	e.h.MarkCrashed(3)
+	adopted := 0
+	e.adopt = func(v int) {
+		adopted++
+		if v != 3 || !e.h.Alive(3) {
+			t.Errorf("adopt hook saw victim %d (alive=%v), want the repaired slot 3", v, e.h.Alive(3))
+		}
+		if e.h.Leased(3) {
+			t.Error("slot 3 was leased before it was adopted: a handle minted now would name the old owner")
+		}
+	}
+	e.converge([]int{0}, 3)
+	if adopted != 1 {
+		t.Fatalf("adopt hook ran %d times, want 1", adopted)
 	}
 }

@@ -14,7 +14,10 @@
 //     the operation and returns a success bit plus the previous value.
 //   - At the end of each sprd, the unit checks its register array for any
 //     other in-progress spwr/sprd pair with a matching target address and
-//     fails the competing operation (Figure 6(b)).
+//     fails the competing operation (Figure 6(b)). The simulator keeps a
+//     count of in-progress registers and skips the check when the
+//     completing pair was the only one — the check could not have found
+//     anything, so no outcome changes.
 //   - On success, subsequent operations are stalled until the swap value
 //     has been written to memory — for a given address only one
 //     spwr/sprd pair is ever in progress.
@@ -28,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"cxlalloc/internal/memsim"
 	"cxlalloc/internal/telemetry"
@@ -57,6 +61,18 @@ type Stats struct {
 	// FaultsInjected counts mCAS operations rejected by injected device
 	// faults (chaos testing; zero in normal operation).
 	FaultsInjected uint64
+	// Loads and Stores count uncached accesses through the unit's data
+	// path (Load/Store), the HWcc reads and writes that are not mCAS.
+	Loads  uint64
+	Stores uint64
+}
+
+// dataCounts is one thread's data-path counters, padded to a cache line
+// so Load and Store never write a line another thread's do.
+type dataCounts struct {
+	loads  atomic.Uint64
+	stores atomic.Uint64
+	_      [48]byte
 }
 
 // FaultMode selects the class of injected device failure.
@@ -105,11 +121,21 @@ type Unit struct {
 	dev *memsim.Device
 	lat *memsim.Latency
 
-	mu     sync.Mutex
-	regs   [MaxThreads]pending
-	stats  Stats
-	faults FaultPlan
-	frng   *xrand.Rand
+	mu    sync.Mutex
+	regs  [MaxThreads]pending
+	stats Stats // Loads and Stores live in data, summed by Stats()
+	// inFlight is the number of registers with an spwr issued and no
+	// sprd yet. An abandoned op (a second spwr to the same register) is
+	// counted once.
+	inFlight int
+	scans    uint64 // register-array scans performed (tests)
+	faults   FaultPlan
+	frng     *xrand.Rand
+
+	// armed mirrors faults.Mode != FaultNone so the common, fault-free
+	// mCAS does not take mu a third time just to find no plan.
+	armed atomic.Bool
+	data  [MaxThreads]dataCounts
 }
 
 // New returns a unit managing dev's HWcc (device-biased) words, with
@@ -135,6 +161,9 @@ func (u *Unit) SpWr(tid int, addr int, expect, swap uint64) {
 	}
 	u.inject(func(l *memsim.Latency) { l.Inject(l.MCASSpWr) })
 	u.mu.Lock()
+	if !u.regs[tid].inFlight {
+		u.inFlight++
+	}
 	u.regs[tid] = pending{addr: addr, expect: expect, swap: swap, inFlight: true}
 	u.stats.SpWrs++
 	u.mu.Unlock()
@@ -159,6 +188,7 @@ func (u *Unit) SpRd(tid int) (old uint64, ok bool) {
 	u.inject(func(l *memsim.Latency) { l.Inject(l.MCASService) })
 
 	p.inFlight = false
+	u.inFlight--
 	if p.failed {
 		// A competing spwr/sprd pair to the same address committed while
 		// this operation was in progress (Figure 6(b), T2-N).
@@ -179,8 +209,14 @@ func (u *Unit) SpRd(tid int) (old uint64, ok bool) {
 }
 
 // failCompeting implements the end-of-sprd register-array scan: any
-// other in-flight operation targeting addr is marked failed.
+// other in-flight operation targeting addr is marked failed. The caller
+// has already retired its own register, so a zero count means no other
+// register is in flight and the scan has nothing to find.
 func (u *Unit) failCompeting(tid, addr int) {
+	if u.inFlight == 0 {
+		return
+	}
+	u.scans++
 	for i := range u.regs {
 		if i == tid {
 			continue
@@ -230,6 +266,7 @@ func (u *Unit) InjectFaults(plan FaultPlan) {
 	u.mu.Lock()
 	defer u.mu.Unlock()
 	u.faults = plan
+	u.armed.Store(plan.Mode != FaultNone)
 	if plan.Prob > 0 {
 		u.frng = xrand.New(plan.Seed)
 	} else {
@@ -244,6 +281,9 @@ func (u *Unit) ClearFaults() { u.InjectFaults(FaultPlan{}) }
 // the plan's budget. A timeout fault still costs the spwr/sprd latency
 // (the requester waited for a response that never came).
 func (u *Unit) maybeFault() error {
+	if !u.armed.Load() {
+		return nil
+	}
 	u.mu.Lock()
 	p := &u.faults
 	mode := p.Mode
@@ -261,6 +301,7 @@ func (u *Unit) maybeFault() error {
 		p.Count--
 		if p.Count == 0 {
 			p.Mode = FaultNone
+			u.armed.Store(false)
 		}
 	default:
 		// Prob == 0, Count == 0: every attempt faults until cleared.
@@ -284,6 +325,7 @@ func (u *Unit) maybeFault() error {
 // NMP data path.
 func (u *Unit) Load(tid int, addr int) uint64 {
 	u.inject(func(l *memsim.Latency) { l.Inject(l.CXLLoad) })
+	u.dataOf(tid).loads.Add(1)
 	return u.dev.HWccLoad(addr)
 }
 
@@ -294,12 +336,25 @@ func (u *Unit) Load(tid int, addr int) uint64 {
 // word concurrently.
 func (u *Unit) Store(tid int, addr int, v uint64) {
 	u.inject(func(l *memsim.Latency) { l.Inject(l.CXLStore) })
+	u.dataOf(tid).stores.Add(1)
 	u.dev.HWccStore(addr, v)
+}
+
+// dataOf returns the counter block tid's data-path accesses go to. The
+// data path takes any tid (it has no per-thread register), so the index
+// is folded rather than checked; Stats sums every block.
+func (u *Unit) dataOf(tid int) *dataCounts {
+	return &u.data[uint(tid)%MaxThreads]
 }
 
 // Stats returns a snapshot of the unit's counters.
 func (u *Unit) Stats() Stats {
 	u.mu.Lock()
-	defer u.mu.Unlock()
-	return u.stats
+	st := u.stats
+	u.mu.Unlock()
+	for i := range u.data {
+		st.Loads += u.data[i].loads.Load()
+		st.Stores += u.data[i].stores.Load()
+	}
+	return st
 }

@@ -306,3 +306,107 @@ func TestFaultProbabilisticCount(t *testing.T) {
 		t.Fatalf("FaultsInjected = %d, want 3", s.FaultsInjected)
 	}
 }
+
+// An abandoned op (two SpWrs, one SpRd) is counted in flight once: the
+// conflict rule still fails a competing same-address pair, and when
+// every register has retired the count is back at zero, so a later
+// uncontended pair ends without a register-array scan.
+func TestAbandonedOpCountedOnce(t *testing.T) {
+	dev, u := newUnit()
+	dev.HWccStore(4, 100)
+	u.SpWr(2, 4, 999, 1)   // abandoned
+	u.SpWr(2, 4, 100, 101) // replaces it in the same register
+	u.SpWr(3, 4, 100, 102) // competing pair, same address
+	if u.inFlight != 2 {
+		t.Fatalf("inFlight = %d after an abandoned op and a competitor, want 2", u.inFlight)
+	}
+	if old, ok := u.SpRd(2); !ok || old != 100 {
+		t.Fatalf("T2: old=%d ok=%v, want the second SpWr to win", old, ok)
+	}
+	if u.scans != 1 {
+		t.Fatalf("scans = %d, want 1: T3 was in flight when T2 completed", u.scans)
+	}
+	if old, ok := u.SpRd(3); ok || old != 101 {
+		t.Fatalf("T3: old=%d ok=%v, want failed by the conflict rule", old, ok)
+	}
+	if s := u.Stats(); s.Conflicts != 1 || s.SpWrs != 3 || s.SpRds != 2 {
+		t.Fatalf("stats = %+v, want 1 conflict, 3 spwr, 2 sprd", s)
+	}
+	if u.inFlight != 0 {
+		t.Fatalf("inFlight = %d with every register retired, want 0", u.inFlight)
+	}
+	scans := u.scans
+	if _, ok := u.MCAS(5, 4, 101, 103); !ok {
+		t.Fatal("uncontended mCAS failed")
+	}
+	if _, ok := u.MCAS(5, 4, 0, 1); ok {
+		t.Fatal("mismatching mCAS succeeded")
+	}
+	if u.scans != scans {
+		t.Fatalf("uncontended pairs scanned the register array %d times", u.scans-scans)
+	}
+}
+
+// The data-path counters are per thread and summed on read.
+func TestLoadStoreCounted(t *testing.T) {
+	_, u := newUnit()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(tid int) {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				u.Store(tid, 20+tid, uint64(i))
+				u.Load(tid, 20+tid)
+				u.Load(tid, 20+tid)
+			}
+		}(g)
+	}
+	wg.Wait()
+	u.MCAS(0, 1, 0, 1) // an mCAS is neither
+	if s := u.Stats(); s.Loads != 8000 || s.Stores != 4000 {
+		t.Fatalf("loads=%d stores=%d, want 8000 and 4000", s.Loads, s.Stores)
+	}
+}
+
+// A plan that has run out disarms the fast path again, and arming while
+// the unit is idle takes effect on the very next attempt.
+func TestFaultArmFlagFollowsPlan(t *testing.T) {
+	_, u := newUnit()
+	if u.armed.Load() {
+		t.Fatal("fresh unit is armed")
+	}
+	u.InjectFaults(FaultPlan{Mode: FaultUnavailable, Count: 1})
+	if _, _, err := u.TryMCAS(0, 0, 0, 1); err != ErrUnavailable {
+		t.Fatalf("armed attempt: err = %v", err)
+	}
+	if u.armed.Load() {
+		t.Fatal("exhausted deterministic plan left the unit armed")
+	}
+	u.InjectFaults(FaultPlan{Mode: FaultTimeout})
+	u.ClearFaults()
+	if u.armed.Load() {
+		t.Fatal("ClearFaults left the unit armed")
+	}
+}
+
+// The host cost of one uncontended spwr/sprd pair with no latency model:
+// two lock round trips and, before the in-flight count, a 512-register
+// scan under the second.
+func BenchmarkMCASUncontended(b *testing.B) {
+	_, u := newUnit()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		u.MCAS(0, 0, uint64(i), uint64(i+1))
+	}
+}
+
+// The same pair while another register is in flight on a different
+// address: the scan runs, as it must.
+func BenchmarkMCASOtherInFlight(b *testing.B) {
+	_, u := newUnit()
+	u.SpWr(1, 1, 0, 0)
+	for i := 0; i < b.N; i++ {
+		u.MCAS(0, 0, uint64(i), uint64(i+1))
+	}
+}

@@ -55,6 +55,9 @@ type NMPStats struct {
 	Failures       uint64 `json:"failures"`
 	Conflicts      uint64 `json:"conflicts"`
 	FaultsInjected uint64 `json:"faults_injected"`
+	// Loads and Stores are uncached data-path accesses (not mCAS).
+	Loads  uint64 `json:"loads"`
+	Stores uint64 `json:"stores"`
 }
 
 // AllocStats counts allocator operations by size domain, summed across
@@ -159,6 +162,8 @@ func (s Snapshot) Delta(prev Snapshot) Snapshot {
 			Failures:       s.NMP.Failures - prev.NMP.Failures,
 			Conflicts:      s.NMP.Conflicts - prev.NMP.Conflicts,
 			FaultsInjected: s.NMP.FaultsInjected - prev.NMP.FaultsInjected,
+			Loads:          s.NMP.Loads - prev.NMP.Loads,
+			Stores:         s.NMP.Stores - prev.NMP.Stores,
 		},
 		Alloc: AllocStats{
 			SmallAllocs: s.Alloc.SmallAllocs - prev.Alloc.SmallAllocs,

@@ -183,3 +183,44 @@ func TestPodLossAllSlotsDark(t *testing.T) {
 		t.Fatalf("heap audit after whole-pod rescue: %v", err)
 	}
 }
+
+// TestNoHandleForSlotMidRepair: between a repair's commit (the slot is
+// alive again) and its new lease, the slot still names its old owner
+// and carries lease epoch 0. A handle minted then would heartbeat
+// through the old owner's watchdog — which may be killed later, since by
+// the pod's books it no longer owns the slot — and epoch 0 never renews
+// and never self-fences. livechaos hit exactly that about once in fifty
+// loaded runs: a victim repaired into a dead process's revoked space
+// ("watchdog repair did not arrive", millions of false alarms), or a
+// worker segfaulting in a dead process.
+func TestNoHandleForSlotMidRepair(t *testing.T) {
+	pod, err := NewPodWith(PodConfig{Config: smallPodConfig(), AutoRecover: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	procA := pod.NewProcess()
+	th, err := procA.AttachThreadID(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	th.Kill()
+	// The repair commits (what the watchdog's RecoverThreadFenced does)…
+	if _, err := pod.Heap().RecoverThread(0, procA.Space()); err != nil {
+		t.Fatal(err)
+	}
+	if !pod.Heap().Alive(0) || pod.Heap().Leased(0) {
+		t.Fatal("setup: want slot 0 alive and not yet leased")
+	}
+	if _, err := pod.ThreadOf(0); err == nil {
+		t.Fatal("a handle was minted for a slot that is alive but not yet leased")
+	}
+	// …and is adopted, then leased: now the slot can be held.
+	pod.Heap().LeaseAcquire(0, pod.Heap().ClockNow(0)+pod.leaseTicks())
+	nth, err := pod.ThreadOf(0)
+	if err != nil {
+		t.Fatalf("leased slot refused: %v", err)
+	}
+	if c := nth.Run(func() {}); c != nil {
+		t.Fatalf("fresh handle crashed at %s", c.Point)
+	}
+}

@@ -81,3 +81,27 @@ type Properties struct {
 	// Strategy: "GC", "App", or "none".
 	Strategy string
 }
+
+// BatchFreer is implemented by allocators that free many pointers in one
+// call more cheaply than one at a time (cxlalloc: one countdown
+// decrement per remote slab). FreeBatch consumes *ps from its tail and
+// takes each pointer, or each group it frees as one, out of *ps before
+// that free begins, so a crash leaves in *ps exactly what is still owed.
+type BatchFreer interface {
+	FreeBatch(tid int, ps *[]Ptr)
+}
+
+// FreeAll frees every pointer in *ps on behalf of tid, through
+// FreeBatch when a implements BatchFreer and otherwise by popping and
+// Freeing one pointer at a time, with the same crash contract either way.
+func FreeAll(a Allocator, tid int, ps *[]Ptr) {
+	if b, ok := a.(BatchFreer); ok {
+		b.FreeBatch(tid, ps)
+		return
+	}
+	for len(*ps) > 0 {
+		p := (*ps)[len(*ps)-1]
+		*ps = (*ps)[:len(*ps)-1]
+		a.Free(tid, p)
+	}
+}

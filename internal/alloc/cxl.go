@@ -25,6 +25,8 @@ func (c *CXL) Alloc(tid int, size int) (Ptr, error) {
 
 func (c *CXL) Free(tid int, p Ptr) { c.heap.Free(tid, p) }
 
+func (c *CXL) FreeBatch(tid int, ps *[]Ptr) { c.heap.FreeBatch(tid, ps) }
+
 func (c *CXL) Bytes(tid int, p Ptr, n int) []byte {
 	return c.heap.Bytes(tid, p, n)
 }

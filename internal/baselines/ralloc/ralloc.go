@@ -22,6 +22,7 @@
 package ralloc
 
 import (
+	"fmt"
 	"sync/atomic"
 
 	"cxlalloc/internal/alloc"
@@ -180,12 +181,16 @@ func (a *Allocator) Alloc(tid int, size int) (alloc.Ptr, error) {
 	if c < 0 {
 		return 0, alloc.ErrUnsupportedSize
 	}
-	for {
+	for adopted := 0; ; {
 		sb := a.active[tid][c]
 		if sb < 0 {
 			var ok bool
 			sb, ok = a.adoptPartial(tid, c)
-			if !ok {
+			if ok {
+				if adopted++; adopted > maxAdoptSpins {
+					a.spinning(tid, c, "adopted %d exhausted superblocks in one Alloc", adopted)
+				}
+			} else {
 				var err error
 				sb, err = a.newSB(tid, c)
 				if err != nil {
@@ -215,10 +220,26 @@ func (a *Allocator) Alloc(tid int, size int) (alloc.Ptr, error) {
 	}
 }
 
+// maxAdoptSpins bounds both how many superblocks one Alloc adopts and
+// how many head CASes one adoptPartial loses. Past it, the class's
+// partial list is cyclic (a superblock pushed while already listed) or
+// livelocked, and Alloc panics naming the class and the list head
+// instead of spinning forever.
+const maxAdoptSpins = 1 << 20
+
+func (a *Allocator) spinning(tid, c int, format string, args ...any) {
+	h := a.hw.Load(tid, a.lay.classHeadW+c)
+	panic(fmt.Sprintf("ralloc: class %d (%d B): %s; partial list head superblock %d (word %#x)",
+		c, classSizes[c], fmt.Sprintf(format, args...), int(valOf(h))-1, h))
+}
+
 // adoptPartial pops a superblock from the class's shared partial list.
 func (a *Allocator) adoptPartial(tid, c int) (int32, bool) {
 	headW := a.lay.classHeadW + c
-	for {
+	for lost := 0; ; lost++ {
+		if lost > maxAdoptSpins {
+			a.spinning(tid, c, "adoptPartial lost %d head CASes", lost)
+		}
 		h := a.hw.Load(tid, headW)
 		sbp := valOf(h)
 		if sbp == 0 {

@@ -1,6 +1,8 @@
 package ralloc
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"cxlalloc/internal/alloc"
@@ -46,6 +48,38 @@ func TestSharedPartialSuperblocks(t *testing.T) {
 		t.Fatalf("thread 1 carved a new superblock (%d -> %d) with free blocks available", before, got)
 	}
 	a.Free(1, p)
+}
+
+// TestCyclicPartialListFailsByName pushes a superblock onto its class's
+// partial list twice: its owner keeps it active and drains it again
+// between two full -> partial frees, so the list becomes a self-loop of
+// one exhausted superblock. A peer's Alloc must then fail naming the
+// class and the list head, not spin forever.
+func TestCyclicPartialListFailsByName(t *testing.T) {
+	a := New(16<<20, 2, atomicx.ModeDRAM, nil)
+	var ps []alloc.Ptr
+	for i := 0; i < 1024; i++ { // fill the superblock: head -> 0
+		p, err := a.Alloc(0, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps = append(ps, p)
+	}
+	for i := 0; i < 2; i++ {
+		a.Free(1, ps[i])         // full -> partial: pushed
+		p, err := a.Alloc(0, 64) // still active at thread 0: drained again
+		if err != nil || p != ps[i] {
+			t.Fatalf("re-alloc = %#x, %v; want %#x", p, err, ps[i])
+		}
+	}
+	var msg string
+	func() {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		a.Alloc(1, 64)
+	}()
+	if !strings.Contains(msg, "class 3 (64 B)") || !strings.Contains(msg, "partial list head superblock 0") {
+		t.Fatalf("Alloc on a cyclic partial list: got %q, want a panic naming class 3 and superblock 0", msg)
+	}
 }
 
 func TestNameByMode(t *testing.T) {

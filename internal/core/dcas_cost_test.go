@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"cxlalloc/internal/atomicx"
@@ -55,11 +56,14 @@ func allocInOneSlab(t *testing.T, e *env, tid, n int) ([]Ptr, int) {
 
 // auditDrained checks the ledger once every block has been freed: the
 // bitset's free blocks must equal the countdown, which a remote free
-// decremented twice (or never) breaks.
+// decremented twice (or never) breaks. Every thread writes its cache
+// back first, so the auditor reads what owners' local frees left in
+// their own dirty lines.
 func auditDrained(t *testing.T, e *env) {
 	t.Helper()
 	for tid := 0; tid < 4; tid++ {
 		e.h.DrainMagazines(tid)
+		e.h.threads[tid].cache.WritebackAll()
 	}
 	e.checkAll(1)
 	if err := e.h.AuditEmpty(1); err != nil {
@@ -182,4 +186,153 @@ func TestSelfTaggedRemoteFreeRecovers(t *testing.T) {
 			auditDrained(t, e)
 		})
 	}
+}
+
+// freeCost runs f, which only tid may run, and returns the mCAS pairs
+// and the SWcc flushes (tid's exact count) it cost.
+func freeCost(e *env, tid int, f func()) (pairs, flushes uint64) {
+	c := e.h.threads[tid].cache
+	f0 := c.Stats().Flushes
+	d := nmpDelta(e, f)
+	return d.Successes + d.Failures, c.Stats().Flushes - f0
+}
+
+// freeBatch hands a copy of ptrs to FreeBatch and checks it consumed
+// them all.
+func freeBatch(t *testing.T, e *env, tid int, ptrs []Ptr) {
+	t.Helper()
+	ps := slices.Clone(ptrs)
+	e.h.FreeBatch(tid, &ps)
+	if len(ps) != 0 {
+		t.Fatalf("FreeBatch left %d pointers in the batch", len(ps))
+	}
+}
+
+// N remote frees of one slab's blocks handed to FreeBatch are one
+// countdown decrement by N: one mCAS pair and one oplog flush. The same
+// N through Free are N of each.
+func TestFreeBatchOnePairPerSlab(t *testing.T) {
+	const n = 24
+	for _, batch := range []bool{false, true} {
+		e, _ := costEnv(t)
+		ptrs, idx := allocInOneSlab(t, e, 0, n)
+		total := e.h.small.remoteCount(1, idx)
+		pairs, flushes := freeCost(e, 2, func() {
+			if batch {
+				freeBatch(t, e, 2, ptrs)
+				return
+			}
+			for _, p := range ptrs {
+				e.h.Free(2, p)
+			}
+		})
+		want := uint64(n)
+		if batch {
+			want = 1
+		}
+		if pairs != want || flushes != want {
+			t.Fatalf("batch=%v: %d remote frees into one slab cost %d pairs and %d flushes, want %d of each",
+				batch, n, pairs, flushes, want)
+		}
+		if got := e.h.small.remoteCount(1, idx); got != total-n {
+			t.Fatalf("batch=%v: countdown = %d, want %d", batch, got, total-n)
+		}
+		auditDrained(t, e)
+	}
+}
+
+// A batch spanning k slabs, small and large, owned by threads in both
+// processes, costs k pairs.
+func TestFreeBatchOnePairPerSlabAcrossSlabs(t *testing.T) {
+	e, _ := costEnv(t)
+	var ptrs []Ptr
+	for _, owner := range []int{0, 1, 3} {
+		ps, _ := allocInOneSlab(t, e, owner, 5)
+		ptrs = append(ptrs, ps...)
+	}
+	large := []Ptr{e.alloc(0, smallMax+1), e.alloc(0, smallMax+1)}
+	if e.h.large.slabOf(large[0]) != e.h.large.slabOf(large[1]) {
+		t.Fatalf("large blocks span two slabs")
+	}
+	ptrs = append(ptrs, large...)
+	const k = 4
+	pairs, flushes := freeCost(e, 2, func() { freeBatch(t, e, 2, ptrs) })
+	if pairs != k || flushes != k {
+		t.Fatalf("batch over %d slabs cost %d pairs and %d flushes, want %d of each", k, pairs, flushes, k)
+	}
+	auditDrained(t, e)
+}
+
+// A batch holding every block of a slab takes its countdown to zero in
+// one decrement and steals the slab exactly once.
+func TestFreeBatchStealsOnce(t *testing.T) {
+	e, _ := costEnv(t)
+	inj := e.cfg.Crash
+	inj.EnableCoverage()
+	ptrs := fillExactlyOneSlab(e, 0)
+	idx := e.h.small.slabOf(ptrs[0])
+	if e.h.small.slabOf(ptrs[len(ptrs)-1]) != idx {
+		t.Fatalf("fillExactlyOneSlab spans slabs")
+	}
+	steals0 := inj.Points()["small.steal.post-oplog"]
+	pairs, _ := freeCost(e, 2, func() { freeBatch(t, e, 2, ptrs) })
+	if steals := inj.Points()["small.steal.post-oplog"] - steals0; steals != 1 {
+		t.Fatalf("emptying slab %d in one batch stole it %d times, want 1", idx, steals)
+	}
+	if pairs != 1 {
+		t.Fatalf("emptying slab %d in one batch cost %d pairs, want 1", idx, pairs)
+	}
+	auditDrained(t, e)
+}
+
+// A batch mixing the freer's own magazine, local and huge blocks with
+// another thread's small and huge blocks frees each exactly once: the
+// op ledger counts every pointer, each takes its own path, only the
+// remote slab group costs a pair, and the drained heap audits clean.
+func TestFreeBatchMixedFreesEachOnce(t *testing.T) {
+	e, _ := costEnv(t)
+	inj := e.cfg.Crash
+	inj.EnableCoverage()
+	const b = 2
+	var ptrs []Ptr
+	for i := 0; i < 6; i++ {
+		ptrs = append(ptrs, e.alloc(b, 64)) // own: magazine
+	}
+	ptrs = append(ptrs, e.alloc(b, smallMax+1), e.alloc(b, smallMax+1)) // own: large magazine
+	full := fillExactlyOneSlab(e, b)
+	ptrs = append(ptrs, full[0])                                        // own, in a full slab: the classic local free
+	ptrs = append(ptrs, e.alloc(b, largeMax+1), e.alloc(0, largeMax+1)) // huge: own and remote
+	remote, _ := allocInOneSlab(t, e, 0, 5)
+	ptrs = append(ptrs, remote...)
+
+	points0 := inj.Points()
+	ops0 := e.h.ops[b].counts
+	pairs, _ := freeCost(e, b, func() { freeBatch(t, e, b, ptrs) })
+	ops := e.h.ops[b].counts
+	small, large, huge := ops[ocSmallFree]-ops0[ocSmallFree], ops[ocLargeFree]-ops0[ocLargeFree], ops[ocHugeFree]-ops0[ocHugeFree]
+	if small != 12 || large != 2 || huge != 2 {
+		t.Fatalf("ledger counted %d small, %d large, %d huge frees; want 12, 2, 2", small, large, huge)
+	}
+	points := inj.Points()
+	for point, want := range map[string]uint64{
+		"small.magfree.post-put":     6,
+		"large.magfree.post-put":     2,
+		"small.local-free.post-put":  1,
+		"huge.free.post-unmap":       2,
+		"small.remote-free.post-cas": 1,
+	} {
+		if got := points[point] - points0[point]; got != want {
+			t.Errorf("%s visited %d times, want %d", point, got, want)
+		}
+	}
+	if pairs != 1 {
+		t.Fatalf("mixed batch cost %d pairs, want 1 (the remote slab group)", pairs)
+	}
+	for _, p := range full[1:] {
+		e.h.Free(b, p)
+	}
+	for tid := 0; tid < 4; tid++ {
+		e.h.Maintain(tid)
+	}
+	auditDrained(t, e)
 }

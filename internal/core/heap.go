@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -438,11 +439,82 @@ func (h *Heap) Free(tid int, p Ptr) {
 	default:
 		panic(fmt.Sprintf("core: Free(%#x): pointer outside heap", p))
 	}
+	h.countFree(tid, oc, p, class)
+	h.maybeCheck(tid)
+}
+
+// maxRemoteGroup caps how many blocks one remote-free record covers: the
+// count rides in the record's 16-bit b field.
+const maxRemoteGroup = 1<<16 - 1
+
+// FreeBatch frees every pointer in *ps, exactly as calling Free on each
+// would, except that remote frees landing in one slab share one
+// countdown decrement: N blocks of a slab tid does not own cost one
+// detectable CAS and one redo record, not N (slabHeap.remoteFree). Local,
+// magazine and huge pointers take Free's paths one at a time.
+//
+// *ps is sorted, which groups blocks by slab, and then consumed from its
+// tail: each pointer, or each whole remote group, is truncated out of *ps
+// before its redo record is written, with no crash point in between. So
+// a crash leaves in *ps exactly the pointers whose free has not begun,
+// and the redo protocol completes the one that had. Nothing outlives the
+// call.
+func (h *Heap) FreeBatch(tid int, ps *[]Ptr) {
+	ts := h.ts(tid)
+	slices.Sort(*ps)
+	for len(*ps) > 0 {
+		v := *ps
+		p := v[len(v)-1]
+		var s *slabHeap
+		var oc int
+		var class uint32
+		switch {
+		case p >= h.lay.SmallDataOff && p < h.lay.LargeDataOff:
+			s, oc = h.small, ocSmallFree
+		case p >= h.lay.LargeDataOff && p < h.lay.HugeDataOff:
+			s, oc, class = h.large, ocLargeFree, evClassLarge
+		case p >= h.lay.HugeDataOff && p < h.lay.DataBytes:
+			*ps = v[:len(v)-1]
+			h.hugeFreePtr(ts, tid, p)
+			h.countFree(tid, ocHugeFree, p, evClassHuge)
+			h.maybeCheck(tid)
+			continue
+		default:
+			panic(fmt.Sprintf("core: FreeBatch(%#x): pointer outside heap", p))
+		}
+		idx := s.slabOf(p)
+		w0 := s.routeW0(ts, idx)
+		class |= uint32(w0Class(w0))
+		if w0Owner(w0) == uint16(tid+1) {
+			*ps = v[:len(v)-1]
+			s.freeOwned(ts, tid, idx, p, w0)
+			h.countFree(tid, oc, p, class)
+			h.maybeCheck(tid)
+			continue
+		}
+		// v is sorted and p is its largest pointer, so every pointer at or
+		// above the slab's base shares p's slab. The slab's countdown is at
+		// least n > 0 until this group lands, so nobody can steal or
+		// reinitialise it, and tid's routing cannot flip meanwhile.
+		n := 1
+		for n < len(v) && n < maxRemoteGroup && v[len(v)-1-n] >= s.slabData(idx) {
+			n++
+		}
+		*ps = v[:len(v)-n]
+		s.remoteFree(ts, tid, idx, n)
+		for _, q := range v[len(v)-n:] {
+			h.countFree(tid, oc, q, class)
+		}
+		h.maybeCheck(tid)
+	}
+}
+
+// countFree ticks one free in tid's op ledger and, sampled, the trace.
+func (h *Heap) countFree(tid, oc int, p Ptr, class uint32) {
 	h.ops[tid].bump(oc)
 	if telemetry.Enabled() && telemetry.SampleHot(&h.ops[tid].evTick) {
 		telemetry.Emit(tid, telemetry.EvFree, uint64(p), class)
 	}
-	h.maybeCheck(tid)
 }
 
 // UsableSize returns the number of bytes usable at allocation p (the

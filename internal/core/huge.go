@@ -216,15 +216,46 @@ func (h *Heap) claimRegion(ts *threadState, tid, region int) bool {
 // findDesc locates the in-use descriptor with exactly offset off by
 // walking the region owner's descriptor list (§3.1.2 "Deallocation").
 func (h *Heap) findDesc(ts *threadState, owner int, off uint64) (int, bool) {
-	cur := h.hugeLoad(ts, h.hugeHeadW(owner))
-	for steps := 0; uint32(cur) != 0 && steps <= h.cfg.DescsPerThread; steps++ {
-		id := int(uint32(cur)) - 1
-		w0 := h.hugeLoad(ts, h.descW(id, hdNext))
-		if w0&hdInUseBit != 0 && h.hugeLoad(ts, h.descW(id, hdOffset)) == off {
-			return id, true
+	return h.walkDescs(ts, owner, func(_ int, o uint64) bool { return o == off })
+}
+
+// maxDescWalkRestarts bounds how often one descriptor-list walk starts
+// over because the owner reclaimed a descriptor under it.
+const maxDescWalkRestarts = 1 << 10
+
+// walkDescs walks owner's descriptor list (§3.3.2) and returns the first
+// in-use descriptor whose offset satisfies match. The owner may reclaim
+// the descriptor a walker stands on, and a cleared descriptor reads
+// next = 0, which would end the walk early and miss every live
+// descriptor behind it. So a walk restarts from the owner's head when it
+// lands on a descriptor whose inUse bit is clear, when a match's
+// generation changed since its next word was read (reclaimed and reused
+// under the walker), or when it runs past the list's length bound.
+func (h *Heap) walkDescs(ts *threadState, owner int, match func(id int, off uint64) bool) (int, bool) {
+	id := -1
+	for restart := 0; restart <= maxDescWalkRestarts; restart++ {
+		cur := h.hugeLoad(ts, h.hugeHeadW(owner))
+		steps := 0
+		for ; uint32(cur) != 0 && steps <= h.cfg.DescsPerThread; steps++ {
+			id = int(uint32(cur)) - 1
+			w0 := h.hugeLoad(ts, h.descW(id, hdNext))
+			if w0&hdInUseBit == 0 {
+				break
+			}
+			if match(id, h.hugeLoad(ts, h.descW(id, hdOffset))) {
+				if w1 := h.hugeLoad(ts, h.descW(id, hdNext)); w1&hdInUseBit == 0 || hdGen(w1) != hdGen(w0) {
+					break
+				}
+				return id, true
+			}
+			cur = w0
 		}
-		cur = w0
+		if uint32(cur) == 0 {
+			return 0, false
+		}
 	}
+	h.fail("huge heap: walk of thread %d's descriptor list restarted %d times, last at descriptor %d",
+		owner, maxDescWalkRestarts, id)
 	return 0, false
 }
 
@@ -435,26 +466,22 @@ func (h *Heap) HandleFault(tid int, install func(off, n uint64), page uint64) bo
 		if ownerWord == 0 {
 			return false
 		}
-		owner := int(ownerWord) - 1
-		cur := h.hugeLoad(ts, h.hugeHeadW(owner))
-		for steps := 0; uint32(cur) != 0 && steps <= h.cfg.DescsPerThread; steps++ {
-			id := int(uint32(cur)) - 1
-			w0 := h.hugeLoad(ts, h.descW(id, hdNext))
-			off := h.hugeLoad(ts, h.descW(id, hdOffset))
-			size := h.hugeLoad(ts, h.descW(id, hdSize))
-			if w0&hdInUseBit != 0 && pageOff >= off && pageOff < off+size {
-				if h.hugeLoad(ts, h.descW(id, hdFree)) != 0 {
-					return false // use after free: let it segfault
-				}
-				if !h.tryPublishHazard(ts, tid, off) {
-					return false // hazard list full: cannot map safely
-				}
-				install(off, size)
-				return true
-			}
-			cur = w0
+		var off, size uint64
+		id, ok := h.walkDescs(ts, int(ownerWord)-1, func(id int, o uint64) bool {
+			off, size = o, h.hugeLoad(ts, h.descW(id, hdSize))
+			return pageOff >= off && pageOff < off+size
+		})
+		if !ok {
+			return false
 		}
-		return false
+		if h.hugeLoad(ts, h.descW(id, hdFree)) != 0 {
+			return false // use after free: let it segfault
+		}
+		if !h.tryPublishHazard(ts, tid, off) {
+			return false // hazard list full: cannot map safely
+		}
+		install(off, size)
+		return true
 	default:
 		return false
 	}

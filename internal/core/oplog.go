@@ -30,7 +30,7 @@ const (
 	opAllocBlock // a = slab index, b = block (application handoff record)
 	opLocalFree  // a = slab index, b = block
 	opEmpty      // a = slab index (sized -> unsized transfer)
-	opRemoteFree // a = slab index; ver on the remote-free word
+	opRemoteFree // a = slab index, b = blocks freed; ver on the remote-free word
 	opSteal      // a = slab index (remote count hit zero)
 	opReserve    // a = region index; ver on the reservation word
 	// Huge-heap ops record the allocation's page number in a (26 bits)

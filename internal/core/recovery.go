@@ -292,7 +292,8 @@ func (h *Heap) redo(ts *threadState, tid, op int, a uint32, b uint16, ver uint16
 		// List membership and class are repaired by the scan.
 
 	case opRemoteFree:
-		idx := int(a)
+		// b blocks were freed as one decrement (slabHeap.remoteFree).
+		idx, n := int(a), uint32(b)
 		cw := h.dcas.Load(tid, s.hwBase+idx)
 		if h.dcas.Succeeded(tid, ver, s.hwBase+idx) {
 			if atomicx.Payload(cw) == 0 {
@@ -300,15 +301,16 @@ func (h *Heap) redo(ts *threadState, tid, op int, a uint32, b uint16, ver uint16
 			}
 		} else {
 			// The free never landed; complete it (the application has
-			// already logically freed this block).
+			// already logically freed these blocks).
 			for {
 				cnt := atomicx.Payload(cw)
-				if cnt == 0 {
-					h.fail("%s heap: recovery remote free into empty slab %d", s.name, idx)
+				if cnt < n {
+					h.fail("%s heap: recovery remote free of %d blocks into slab %d with countdown %d",
+						s.name, n, idx, cnt)
 				}
 				h.dcas.Begin(tid, ver)
-				if h.dcas.CAS(tid, ver, s.hwBase+idx, cw, cnt-1) {
-					if cnt-1 == 0 {
+				if h.dcas.CAS(tid, ver, s.hwBase+idx, cw, cnt-n) {
+					if cnt == n {
 						h.redoSteal(ts, tid, s, idx)
 					}
 					break

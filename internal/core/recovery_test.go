@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -345,6 +346,71 @@ func TestSlabNotLeakedAcrossCrash(t *testing.T) {
 			}
 			e.checkAll(0)
 		})
+	}
+}
+
+// A grouped remote free (FreeBatch) crashed at either side of its one
+// decrement: recovery must take the countdown down by the whole group
+// exactly once, steal the slab if that reaches zero, and a second
+// recovery must change nothing.
+func TestGroupRemoteFreeCrashRecovery(t *testing.T) {
+	for _, point := range []string{
+		"small.remote-free.pre-cas",
+		"small.remote-free.post-cas",
+		"large.remote-free.post-cas",
+	} {
+		for _, toZero := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/to-zero=%v", point, toZero), func(t *testing.T) {
+				e, inj := crashEnv(t)
+				s, size, perSlab := e.h.small, smallMax, smallBlocks(e)
+				if strings.HasPrefix(point, "large.") {
+					s, size = e.h.large, largeMax/4
+					perSlab = e.cfg.LargeSlabSize / size
+				}
+				n := perSlab
+				if !toZero {
+					n = perSlab / 2
+				}
+				ptrs := make([]Ptr, n)
+				for i := range ptrs {
+					ptrs[i] = mustAlloc(e, 1, size)
+				}
+				idx := s.slabOf(ptrs[0])
+				for _, p := range ptrs {
+					if s.slabOf(p) != idx {
+						t.Fatalf("blocks span slabs %d and %d", idx, s.slabOf(p))
+					}
+				}
+				total := s.remoteCount(0, idx)
+				want := total - uint32(n)
+				if toZero && want != 0 {
+					t.Fatalf("countdown %d for a full slab of %d blocks", total, n)
+				}
+
+				inj.Arm(point, 0, 0)
+				ps := append([]Ptr(nil), ptrs...)
+				if c := crash.Run(func() { e.h.FreeBatch(0, &ps) }); c == nil || c.Point != point {
+					t.Fatalf("no crash at %q: %+v", point, c)
+				}
+				if len(ps) != 0 {
+					t.Fatalf("%d pointers left in the batch; the group's record was written", len(ps))
+				}
+				inj.Disarm()
+				for pass := 1; pass <= 2; pass++ {
+					e.h.MarkCrashed(0)
+					if _, err := e.h.RecoverThread(0, e.spaces[0]); err != nil {
+						t.Fatalf("recovery %d: %v", pass, err)
+					}
+					if got := s.remoteCount(0, idx); got != want {
+						t.Fatalf("countdown = %d after recovery %d, want %d", got, pass, want)
+					}
+					if leaked := e.leakedSlabs(s); len(leaked) != 0 {
+						t.Fatalf("slabs leaked after recovery %d: %v", pass, leaked)
+					}
+				}
+				auditDrained(t, e)
+			})
+		}
 	}
 }
 

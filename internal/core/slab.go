@@ -496,32 +496,41 @@ func (s *slabHeap) length(tid int) uint32 {
 // trace labeling, never for correctness.
 func (s *slabHeap) free(ts *threadState, tid int, p Ptr) int {
 	idx := s.slabOf(p)
-	var w0 uint64
-	if s.h.cfg.AlwaysFreshOwner {
-		w0 = ts.cache.LoadFresh(s.descW0(idx)) // ablation: no owner caching
-	} else {
-		// §3.2.2: the owner field may be read from a (possibly stale)
-		// cached line; the case analysis shows every stale outcome is
-		// safe because the remote path depends only on the HWcc word.
-		w0 = s.loadW0(ts, idx)
-	}
+	w0 := s.routeW0(ts, idx)
 	if w0Owner(w0) == uint16(tid+1) {
-		// A free landing inside the live magazine's window goes straight
-		// into the mask — one line, one fence, no descriptor traffic —
-		// and a window miss may re-target the magazine at the freed
-		// block's word (magAdopt). Routing here is safe against stale w0
-		// reads by the same §3.2.2 argument localFree relies on: only
-		// this thread relinquishes its own ownership, and its own stores
-		// are never stale in its own cache.
-		if class := w0Class(w0); class != 0 && s.h.magsEnabled() &&
-			s.magFree(ts, tid, idx, class, s.blockOf(p, idx, class)) {
-			return class
-		}
-		s.localFree(ts, tid, idx, p, w0)
+		s.freeOwned(ts, tid, idx, p, w0)
 	} else {
-		s.remoteFree(ts, tid, idx)
+		s.remoteFree(ts, tid, idx, 1)
 	}
 	return w0Class(w0)
+}
+
+// routeW0 loads the descriptor word a free of a block in slab idx is
+// routed by.
+func (s *slabHeap) routeW0(ts *threadState, idx int) uint64 {
+	if s.h.cfg.AlwaysFreshOwner {
+		return ts.cache.LoadFresh(s.descW0(idx)) // ablation: no owner caching
+	}
+	// §3.2.2: the owner field may be read from a (possibly stale) cached
+	// line; the case analysis shows every stale outcome is safe because
+	// the remote path depends only on the HWcc word.
+	return s.loadW0(ts, idx)
+}
+
+// freeOwned frees p into slab idx, which tid owns by w0.
+func (s *slabHeap) freeOwned(ts *threadState, tid, idx int, p Ptr, w0 uint64) {
+	// A free landing inside the live magazine's window goes straight
+	// into the mask — one line, one fence, no descriptor traffic — and a
+	// window miss may re-target the magazine at the freed block's word
+	// (magAdopt). Routing here is safe against stale w0 reads by the same
+	// §3.2.2 argument localFree relies on: only this thread relinquishes
+	// its own ownership, and its own stores are never stale in its own
+	// cache.
+	if class := w0Class(w0); class != 0 && s.h.magsEnabled() &&
+		s.magFree(ts, tid, idx, class, s.blockOf(p, idx, class)) {
+		return
+	}
+	s.localFree(ts, tid, idx, p, w0)
 }
 
 func (s *slabHeap) localFree(ts *threadState, tid, idx int, p Ptr, w0 uint64) {
@@ -573,20 +582,26 @@ func (s *slabHeap) emptyTransition(ts *threadState, tid, idx, class int) {
 	s.cp(tid, "empty.post-push")
 }
 
-func (s *slabHeap) remoteFree(ts *threadState, tid, idx int) {
+// remoteFree releases n blocks of slab idx, which tid does not own, as
+// one decrement of its countdown by n (§3.1.1 "Deallocation"): one
+// detectable CAS under one opRemoteFree record carrying n in b. A
+// countdown below n means some block was already freed. The decrement
+// that reaches zero steals the slab.
+func (s *slabHeap) remoteFree(ts *threadState, tid, idx, n int) {
 	cw := s.h.dcas.Load(tid, s.hwBase+idx)
 	for {
 		cnt := atomicx.Payload(cw)
-		if cnt == 0 {
-			s.h.fail("%s heap: remote free into fully freed slab %d", s.name, idx)
+		if cnt < uint32(n) {
+			s.h.fail("%s heap: remote free of %d blocks into slab %d with countdown %d (double free?)",
+				s.name, n, idx, cnt)
 		}
 		ver := ts.nextVer()
-		s.h.writeOplog(tid, ts, s.opc(opRemoteFree), uint32(idx), 0, ver)
+		s.h.writeOplog(tid, ts, s.opc(opRemoteFree), uint32(idx), uint16(n), ver)
 		s.h.dcas.Begin(tid, ver)
 		s.cp(tid, "remote-free.pre-cas")
-		if s.h.dcas.CAS(tid, ver, s.hwBase+idx, cw, cnt-1) {
+		if s.h.dcas.CAS(tid, ver, s.hwBase+idx, cw, cnt-uint32(n)) {
 			s.cp(tid, "remote-free.post-cas")
-			if cnt-1 == 0 {
+			if cnt == uint32(n) {
 				s.steal(ts, tid, idx)
 			}
 			s.h.clearOplog(tid, ts)

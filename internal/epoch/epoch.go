@@ -35,7 +35,7 @@ type threadState struct {
 	retires  int
 	// draining holds pointers whose grace period has elapsed but whose
 	// free has not completed. Retire moves a rotated bucket here BEFORE
-	// recording the new retiree: the frees below are crash-instrumented,
+	// recording the new retiree: the free below is crash-instrumented,
 	// and a crash must never unwind past the point where the retiree
 	// would have been recorded — the caller has already unlinked it, so
 	// a dropped pointer is a leaked block.
@@ -49,14 +49,20 @@ type Reclaimer struct {
 	global  atomic.Uint64
 	slots   []slot
 	threads []threadState
-	free    func(tid int, p uint64)
+	free    func(tid int, ps *[]uint64)
 
 	freed atomic.Uint64
 }
 
-// New creates a reclaimer; free is invoked when a retired pointer's
-// grace period has elapsed, on the thread that retired it.
-func New(nThreads int, free func(tid int, p uint64)) *Reclaimer {
+// New creates a reclaimer. free is handed every batch of retired
+// pointers whose grace period has elapsed, on the thread that retired
+// them, and must consume *ps from its tail, taking each pointer (or each
+// group it frees as one) out of *ps before that free begins: if the
+// thread crashes inside free and is revived, what is left in *ps is
+// exactly what the next drain still owes, and a pointer whose free had
+// begun is the allocator's redo protocol's to complete, never freed
+// twice. On return *ps is empty.
+func New(nThreads int, free func(tid int, ps *[]uint64)) *Reclaimer {
 	r := &Reclaimer{
 		slots:   make([]slot, nThreads),
 		threads: make([]threadState, nThreads),
@@ -94,22 +100,10 @@ func (r *Reclaimer) Retire(tid int, p uint64) {
 	}
 	b.ptrs = append(b.ptrs, p)
 	ts.retires++
-	r.drainAside(tid, ts)
+	r.drain(tid, &ts.draining)
 	if ts.retires >= retireThreshold {
 		ts.retires = 0
 		r.TryAdvance(tid)
-	}
-}
-
-// drainAside frees the set-aside pointers, popping each before its free
-// so a crashed-and-revived thread cannot double-free one whose free the
-// redo protocol already completed.
-func (r *Reclaimer) drainAside(tid int, ts *threadState) {
-	for len(ts.draining) > 0 {
-		p := ts.draining[len(ts.draining)-1]
-		ts.draining = ts.draining[:len(ts.draining)-1]
-		r.free(tid, p)
-		r.freed.Add(1)
 	}
 }
 
@@ -130,7 +124,7 @@ func (r *Reclaimer) TryAdvance(tid int) bool {
 	// Bucket (e+1)%3 holds retirements from epoch e-2 or older; with the
 	// global epoch now at e+1, their grace period is complete.
 	ts := &r.threads[tid]
-	r.drain(tid, &ts.buckets[(e+1)%buckets])
+	r.drain(tid, &ts.buckets[(e+1)%buckets].ptrs)
 	return true
 }
 
@@ -138,25 +132,22 @@ func (r *Reclaimer) TryAdvance(tid int) bool {
 // thread inside a critical section); benchmarks call it at teardown.
 func (r *Reclaimer) Flush(tid int) {
 	ts := &r.threads[tid]
-	r.drainAside(tid, ts)
+	r.drain(tid, &ts.draining)
 	for i := range ts.buckets {
-		r.drain(tid, &ts.buckets[i])
+		r.drain(tid, &ts.buckets[i].ptrs)
 	}
 }
 
-func (r *Reclaimer) drain(tid int, b *bucket) {
-	// Pop each pointer before freeing it: the allocator's Free is
-	// crash-instrumented, and a free that has started is irrevocable (a
-	// crash mid-free is completed by the redo protocol on recovery). If
-	// the owning thread crashes inside r.free and is revived, the next
-	// drain must not see — and double-free — a pointer whose free already
-	// ran to its redo-covered point.
-	for len(b.ptrs) > 0 {
-		p := b.ptrs[len(b.ptrs)-1]
-		b.ptrs = b.ptrs[:len(b.ptrs)-1]
-		r.free(tid, p)
-		r.freed.Add(1)
+// drain hands *ps to the free callback whole. The callback takes each
+// pointer out of *ps before its free begins (see New), so what left *ps
+// is what was freed, even when a crash unwinds through here.
+func (r *Reclaimer) drain(tid int, ps *[]uint64) {
+	if len(*ps) == 0 {
+		return
 	}
+	n := len(*ps)
+	defer func() { r.freed.Add(uint64(n - len(*ps))) }()
+	r.free(tid, ps)
 }
 
 // Freed returns how many retired pointers have been freed.

@@ -6,9 +6,21 @@ import (
 	"testing"
 )
 
+// each adapts a per-pointer free to the reclaimer's batch callback,
+// popping each pointer before freeing it.
+func each(free func(tid int, p uint64)) func(int, *[]uint64) {
+	return func(tid int, ps *[]uint64) {
+		for len(*ps) > 0 {
+			p := (*ps)[len(*ps)-1]
+			*ps = (*ps)[:len(*ps)-1]
+			free(tid, p)
+		}
+	}
+}
+
 func TestRetireNotFreedWhileReaderPinned(t *testing.T) {
 	var freed []uint64
-	r := New(2, func(tid int, p uint64) { freed = append(freed, p) })
+	r := New(2, each(func(tid int, p uint64) { freed = append(freed, p) }))
 	r.Enter(0) // reader pins the epoch
 	r.Enter(1)
 	r.Retire(1, 42)
@@ -33,7 +45,7 @@ func TestRetireNotFreedWhileReaderPinned(t *testing.T) {
 
 func TestFlushFreesEverything(t *testing.T) {
 	var n int
-	r := New(1, func(int, uint64) { n++ })
+	r := New(1, each(func(int, uint64) { n++ }))
 	for i := uint64(0); i < 10; i++ {
 		r.Retire(0, i)
 	}
@@ -47,7 +59,7 @@ func TestFlushFreesEverything(t *testing.T) {
 }
 
 func TestAdvanceRequiresAllThreadsCurrent(t *testing.T) {
-	r := New(3, func(int, uint64) {})
+	r := New(3, each(func(int, uint64) {}))
 	r.Enter(0)
 	r.Enter(1)
 	e := r.global.Load()
@@ -84,7 +96,7 @@ func TestConcurrentGraceSafety(t *testing.T) {
 	const readers = 4
 	const rounds = 3000
 	var freedAt sync.Map // ptr -> struct{}{}
-	r := New(readers+1, func(tid int, p uint64) { freedAt.Store(p, true) })
+	r := New(readers+1, each(func(tid int, p uint64) { freedAt.Store(p, true) }))
 
 	var next atomic.Uint64
 	next.Store(1)

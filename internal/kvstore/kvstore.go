@@ -66,8 +66,8 @@ func New(mem alloc.Allocator, nBuckets, nThreads int) *Store {
 		buckets: make([]atomic.Pointer[node], n),
 		mask:    uint64(n - 1),
 		mem:     mem,
-		rec: epoch.New(nThreads, func(tid int, p uint64) {
-			mem.Free(tid, p)
+		rec: epoch.New(nThreads, func(tid int, ps *[]uint64) {
+			alloc.FreeAll(mem, tid, ps)
 		}),
 		shards: make([]sync.Mutex, min(n, 4096)),
 	}

@@ -1,83 +1,47 @@
 package main
 
 import (
+	"errors"
 	"fmt"
-	"os"
 	"time"
 
 	"cxlalloc/internal/bench"
-	"cxlalloc/internal/chaos"
 	"cxlalloc/internal/fabric"
 )
 
-// fabricOpts carries the fabricchaos flags into runFabricChaos. The
-// schedule flags (-duration, -fault-rate, -replay, -schedule-out) are
-// shared with livechaos; -pods/-fabric-shards/-fabric-mttr are
-// fabric-only and rejected by validateFlags without -exp fabricchaos.
-type fabricOpts struct {
-	pods      int
-	shards    int
-	mttrBound time.Duration
-	darkGrace time.Duration
-	duration  time.Duration
-	faultRate float64
-	replay    string
-	schedOut  string
+// fabricChaosExp is the multi-pod fabric gate: live traffic through the
+// shard router while the injector kills whole pods, fences pods off, and
+// crashes migrators mid-handoff; the fabric monitor is the only recovery
+// path. Gates: zero lost acked writes (fabric-wide oracle), zero
+// invariant violations per surviving pod, zero false shard takeovers,
+// bounded failover MTTR, and — in record mode — fault coverage (at least
+// one full pod kill and one interrupted migration). Any gate failure is a
+// hard error (non-zero exit).
+func fabricChaosExp() *experiment {
+	cfg := fabric.DefaultChaosConfig()
+	fs := newFlags("fabricchaos")
+	fs.DurationVar(&cfg.Duration, "duration", cfg.Duration, "traffic window")
+	fs.DurationVar(&cfg.DarkGrace, "fabric-grace", cfg.DarkGrace, "pod dark-detection grace (raise on heavily shared machines to avoid benign false takeovers)")
+	schedOut := scheduleFlags(fs, &cfg.Replay)
+	return &experiment{
+		name:  "fabricchaos",
+		desc:  "multi-pod fabric gate: pod kills, fences, interrupted migrations under live traffic (failover + lost-ack + replay gates)",
+		flags: fs,
+		run: func(sc bench.Scale) ([]bench.Row, error) {
+			cfg.Seed = sc.Seed
+			return runFabricChaos(cfg, *schedOut)
+		},
+	}
 }
 
-var fabricFlags fabricOpts
-
-// runFabricChaos runs the multi-pod fabric gate: live traffic through
-// the shard router while the injector kills whole pods, fences pods
-// off, and crashes migrators mid-handoff; the fabric monitor is the
-// only recovery path. Gates: zero lost acked writes (fabric-wide
-// oracle), zero invariant violations per surviving pod, zero false
-// shard takeovers, bounded failover MTTR, and — in record mode — fault
-// coverage (at least one full pod kill and one interrupted migration).
-// Any gate failure is a hard error (non-zero exit).
-func runFabricChaos(sc bench.Scale, _ []string) ([]bench.Row, error) {
-	cfg := fabric.DefaultChaosConfig()
-	cfg.Seed = sc.Seed
-	if fabricFlags.pods > 0 {
-		cfg.Pods = fabricFlags.pods
-	}
-	if fabricFlags.shards > 0 {
-		cfg.Shards = fabricFlags.shards
-	}
-	if fabricFlags.mttrBound > 0 {
-		cfg.MTTRBound = fabricFlags.mttrBound
-	}
-	if fabricFlags.darkGrace > 0 {
-		cfg.DarkGrace = fabricFlags.darkGrace
-	}
-	if fabricFlags.duration > 0 {
-		cfg.Duration = fabricFlags.duration
-	}
-	if fabricFlags.faultRate > 0 {
-		cfg.FaultRate = fabricFlags.faultRate
-	}
-	if fabricFlags.replay != "" {
-		specs, err := chaos.LoadSchedule(fabricFlags.replay)
-		if err != nil {
-			return nil, fmt.Errorf("fabricchaos: %v", err)
-		}
-		if len(specs) == 0 {
-			return nil, fmt.Errorf("fabricchaos: %s holds no fault specs", fabricFlags.replay)
-		}
-		cfg.Replay = specs
-	}
-
+func runFabricChaos(cfg fabric.ChaosConfig, schedOut string) ([]bench.Row, error) {
 	rep, err := fabric.RunChaos(cfg)
 	if err != nil {
 		return nil, err
 	}
 	fmt.Print(fabric.FormatChaosReport(rep))
-
-	if fabricFlags.schedOut != "" {
-		if err := chaos.SaveSchedule(fabricFlags.schedOut, rep.Schedule); err != nil {
-			return nil, fmt.Errorf("fabricchaos: writing schedule: %v", err)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %d fault specs to %s\n", len(rep.Schedule), fabricFlags.schedOut)
+	if err := saveSchedule("fabricchaos", schedOut, rep.Schedule); err != nil {
+		return nil, err
 	}
 
 	s := rep.Fabric
@@ -121,10 +85,10 @@ func runFabricChaos(sc bench.Scale, _ []string) ([]bench.Row, error) {
 			len(rep.Violations), len(rep.LostAcks), s.FalseShardTakeovers, rep.MTTRMax, rep.MTTRBound)
 	}
 	if rep.Replayed && !rep.ReplayOK {
-		return rows, fmt.Errorf("fabricchaos replay gate failed: emitted schedule differs from %s", fabricFlags.replay)
+		return rows, errors.New("fabricchaos replay gate failed: emitted schedule differs from the replayed one")
 	}
 	if !rep.Replayed && (rep.PodKills < 1 || rep.MigInterrupts < 1) {
-		return rows, fmt.Errorf("fabricchaos coverage gate failed: %d pod kills, %d mig interrupts (need >= 1 of each; lengthen -duration or raise -fault-rate)",
+		return rows, fmt.Errorf("fabricchaos coverage gate failed: %d pod kills, %d mig interrupts (need >= 1 of each; lengthen -duration)",
 			rep.PodKills, rep.MigInterrupts)
 	}
 	return rows, nil

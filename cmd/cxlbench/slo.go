@@ -4,64 +4,33 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"time"
 
 	"cxlalloc/internal/bench"
 	"cxlalloc/internal/server"
 )
 
-// sloOpts carries the -slo-* flags into runSLO/runSLOChaos.
-type sloOpts struct {
-	window   time.Duration
-	deadline time.Duration
-	rates    string
-	clients  int
-	queueCap int
+// rates is -slo-rates: offered-load multipliers of measured capacity.
+type rates []float64
+
+func (r rates) String() string {
+	s := make([]string, len(r))
+	for i, m := range r {
+		s[i] = strconv.FormatFloat(m, 'g', -1, 64)
+	}
+	return strings.Join(s, ",")
 }
 
-var sloFlags sloOpts
-
-func parseRates(s string) ([]float64, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []float64
+func (r *rates) Set(s string) error {
+	var out rates
 	for _, f := range strings.Split(s, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
 		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("bad -slo-rates entry %q (want positive load multipliers, e.g. 0.5,1,2,4)", f)
+			return fmt.Errorf("bad entry %q (want positive load multipliers, e.g. 0.5,1,2,4)", f)
 		}
 		out = append(out, v)
 	}
-	return out, nil
-}
-
-func sloConfig(sc bench.Scale) (server.SLOConfig, error) {
-	cfg := server.DefaultSLOConfig()
-	cfg.Seed = sc.Seed
-	if sloFlags.window > 0 {
-		cfg.Window = sloFlags.window
-	}
-	if sloFlags.deadline > 0 {
-		cfg.Deadline = sloFlags.deadline
-	}
-	if sloFlags.clients > 0 {
-		cfg.Clients = sloFlags.clients
-	}
-	if sloFlags.queueCap > 0 {
-		cfg.QueueCap = sloFlags.queueCap
-	}
-	if liveFlags.leaseWall > 0 {
-		cfg.LeaseWall = liveFlags.leaseWall
-	}
-	rates, err := parseRates(sloFlags.rates)
-	if err != nil {
-		return cfg, err
-	}
-	if rates != nil {
-		cfg.Rates = rates
-	}
-	return cfg, nil
+	*r = out
+	return nil
 }
 
 func sloPointRow(rep *server.SLOReport, p *server.SLOPoint, workload string) bench.Row {
@@ -103,15 +72,27 @@ func sloPointRow(rep *server.SLOReport, p *server.SLOPoint, workload string) ben
 	}
 }
 
-// runSLO runs the service-level overload sweep: closed-loop capacity
+// sloExp is the service-level overload sweep: closed-loop capacity
 // measurement, then open-loop points at the configured multiples. Any
 // failed gate (lost ack, invariant violation, goodput collapse at 2x,
 // unbounded p99, shedding never engaging) is a hard error.
-func runSLO(sc bench.Scale, _ []string) ([]bench.Row, error) {
-	cfg, err := sloConfig(sc)
-	if err != nil {
-		return nil, err
+func sloExp() *experiment {
+	cfg := server.DefaultSLOConfig()
+	fs := newFlags("slo")
+	fs.DurationVar(&cfg.Window, "slo-window", cfg.Window, "measured window per rate point")
+	fs.Var((*rates)(&cfg.Rates), "slo-rates", "offered-load multipliers of measured capacity")
+	return &experiment{
+		name:  "slo",
+		desc:  "open-loop overload sweep through the KV service front end (goodput, p99, shed/retry gates)",
+		flags: fs,
+		run: func(sc bench.Scale) ([]bench.Row, error) {
+			cfg.Seed = sc.Seed
+			return runSLO(cfg)
+		},
 	}
+}
+
+func runSLO(cfg server.SLOConfig) ([]bench.Row, error) {
 	rep, err := server.RunSLO(cfg)
 	if err != nil {
 		return nil, err
@@ -129,15 +110,27 @@ func runSLO(sc bench.Scale, _ []string) ([]bench.Row, error) {
 	return rows, nil
 }
 
-// runSLOChaos runs the fault-injected service gate: 2x load while
-// whole process groups are killed, watchdog-only recovery. The breaker
-// must open (requests re-route around dead processes), no acked write
-// may be lost, and the heap must audit clean.
-func runSLOChaos(sc bench.Scale, _ []string) ([]bench.Row, error) {
-	cfg, err := sloConfig(sc)
-	if err != nil {
-		return nil, err
+// sloChaosExp is the fault-injected service gate: 2x load while whole
+// process groups are killed, watchdog-only recovery. The breaker must
+// open (requests re-route around dead processes), no acked write may be
+// lost, and the heap must audit clean.
+func sloChaosExp() *experiment {
+	cfg := server.DefaultSLOConfig()
+	fs := newFlags("slochaos")
+	fs.DurationVar(&cfg.Window, "slo-window", cfg.Window, "capacity-phase window; the chaos phase runs twice as long")
+	fs.DurationVar(&cfg.LeaseWall, "lease", cfg.LeaseWall, "target lease wall-clock expiry (raise on heavily shared machines to avoid benign claim storms)")
+	return &experiment{
+		name:  "slochaos",
+		desc:  "service gate under process-group kills at 2x load (breaker + lost-ack gates)",
+		flags: fs,
+		run: func(sc bench.Scale) ([]bench.Row, error) {
+			cfg.Seed = sc.Seed
+			return runSLOChaos(cfg)
+		},
 	}
+}
+
+func runSLOChaos(cfg server.SLOConfig) ([]bench.Row, error) {
 	rep, err := server.RunSLOChaos(cfg)
 	if err != nil {
 		return nil, err

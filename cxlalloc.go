@@ -335,7 +335,7 @@ func (pod *Pod) NewProcess() *Process {
 func (pod *Pod) newProcessLocked() *Process {
 	id := pod.nextProc
 	pod.nextProc++
-	sp := vas.NewSpace(id, pod.dev, pod.heap.Config().PageSize)
+	sp := vas.NewSpace(id, pod.dev, core.PageSize)
 	sp.SetHandler(func(tid int, s *vas.Space, page uint64) bool {
 		return pod.heap.HandleFault(tid, s.Install, page)
 	})

@@ -227,10 +227,3 @@ func Run(t *testing.T, factory func() alloc.Allocator, opts Options) {
 		}
 	})
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

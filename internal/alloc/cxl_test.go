@@ -34,7 +34,7 @@ func newCXL(t *testing.T, name string, mutate func(*core.Config)) alloc.Allocato
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := vas.NewSpace(0, dev, cfg.PageSize)
+	sp := vas.NewSpace(0, dev, core.PageSize)
 	sp.SetHandler(func(tid int, s *vas.Space, page uint64) bool {
 		return h.HandleFault(tid, s.Install, page)
 	})

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"cxlalloc/internal/alloc"
+	"cxlalloc/internal/core"
 )
 
 // RunAblationDisown demonstrates why the disowned slab state exists
@@ -34,8 +35,7 @@ func RunAblationDisown(sc Scale, rounds int) ([]Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		slabSize := inst.Heap.Config().SmallSlabSize
-		completed := mixedFreeRounds(inst.A, slabSize, rounds)
+		completed := mixedFreeRounds(inst.A, core.SmallSlabSize, rounds)
 		sLen, _ := inst.Heap.HeapLengths(0)
 		rows = append(rows, Row{
 			Experiment: "ablation-disown",

@@ -128,8 +128,8 @@ func NewCXLFactory(v CXLVariant, arenaBytes int) Factory {
 		if cfg.NumThreads > 512 {
 			return nil, fmt.Errorf("bench: %d threads exceeds slot limit", threads)
 		}
-		cfg.MaxSmallSlabs = arenaBytes / cfg.SmallSlabSize
-		cfg.MaxLargeSlabs = arenaBytes / cfg.LargeSlabSize
+		cfg.MaxSmallSlabs = arenaBytes / core.SmallSlabSize
+		cfg.MaxLargeSlabs = arenaBytes / core.LargeSlabSize
 		cfg.HugeRegionSize = 16 << 20
 		cfg.NumReservations = arenaBytes / int(cfg.HugeRegionSize)
 		cfg.DescsPerThread = 128
@@ -166,7 +166,7 @@ func NewCXLFactory(v CXLVariant, arenaBytes int) Factory {
 		}
 		inst := &Instance{A: alloc.NewCXL(h, v.Name), Heap: h, Crash: inj}
 		for p := 0; p < procs; p++ {
-			sp := vas.NewSpace(p, dev, cfg.PageSize)
+			sp := vas.NewSpace(p, dev, core.PageSize)
 			sp.SetHandler(func(tid int, s *vas.Space, page uint64) bool {
 				return h.HandleFault(tid, s.Install, page)
 			})

@@ -97,10 +97,3 @@ func runMicro(exp string, fac Factory, shape string, sc Scale, threads, objSize 
 	}
 	return summarizeTrials(row, tputs), nil
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -55,62 +55,6 @@ func RunHotpath(sc Scale) ([]Row, error) {
 	return rows, nil
 }
 
-// CheckHotpathGate compares the swcc threadtest-small cells of rows —
-// the tentpole metric of the hot-path trajectory — against the run
-// labeled baselineLabel in the BenchFile at path. A cell more than
-// warnPct percent slower returns a warning line; more than failPct
-// returns an error. A missing baseline run, or no comparable cell at
-// all, is an error: a silently vacuous gate is worse than none.
-// Throughputs are only comparable on the machine that recorded the
-// baseline — CI regenerates the baseline in the same job before gating.
-func CheckHotpathGate(path, baselineLabel string, rows []Row, warnPct, failPct float64) ([]string, error) {
-	base, err := loadBenchRun(path, baselineLabel)
-	if err != nil {
-		return nil, err
-	}
-	gated := func(r Row) bool {
-		return r.Experiment == "hotpath" && r.Workload == "threadtest-small" &&
-			r.Allocator == "cxlalloc-swcc" && r.Throughput > 0
-	}
-	key := func(r Row) string { return fmt.Sprintf("%d|%d", r.Threads, r.Procs) }
-	want := make(map[string]float64, len(base.Rows))
-	for _, r := range base.Rows {
-		if gated(r) {
-			want[key(r)] = r.Throughput
-		}
-	}
-	var warns, fails []string
-	compared := 0
-	for _, r := range rows {
-		if !gated(r) {
-			continue
-		}
-		b, ok := want[key(r)]
-		if !ok {
-			continue
-		}
-		compared++
-		drop := (1 - r.Throughput/b) * 100
-		line := fmt.Sprintf("swcc threadtest-small t=%d: %.0f ops/s vs baseline %.0f (-%.1f%%)",
-			r.Threads, r.Throughput, b, drop)
-		switch {
-		case drop > failPct:
-			fails = append(fails, line)
-		case drop > warnPct:
-			warns = append(warns, line)
-		}
-	}
-	if compared == 0 {
-		return nil, fmt.Errorf("hotpath gate: no swcc threadtest-small cell overlaps run %q in %s (gate would be vacuous)",
-			baselineLabel, path)
-	}
-	if len(fails) > 0 {
-		return warns, fmt.Errorf("hotpath gate: swcc threadtest-small regressed beyond %.0f%%:\n  %s",
-			failPct, joinLines(fails))
-	}
-	return warns, nil
-}
-
 // BenchRun is one labeled cxlbench invocation recorded in a BENCH_*.json
 // trajectory file.
 type BenchRun struct {

@@ -2,9 +2,9 @@ package bench
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -13,41 +13,35 @@ func hotRow(threads int, tput float64) Row {
 		Allocator: "cxlalloc-swcc", Threads: threads, Procs: 2, Throughput: tput}
 }
 
-func TestCheckHotpathGate(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_hotpath.json")
-	base := []Row{
-		hotRow(2, 1000),
-		// Non-gated cells must not trip the gate even when they tank.
-		{Experiment: "hotpath", Workload: "threadtest-small", Allocator: "cxlalloc-dram", Threads: 2, Procs: 2, Throughput: 1000},
-	}
-	if err := AppendBenchJSON(path, "after", base); err != nil {
+// TestRunHotpath checks the hotpath experiment returns one row per cell:
+// both shapes under every hotpath mode at every thread count.
+func TestRunHotpath(t *testing.T) {
+	sc := tinyScale()
+	rows, err := RunHotpath(sc)
+	if err != nil {
 		t.Fatal(err)
 	}
-
-	if warns, err := CheckHotpathGate(path, "after", []Row{hotRow(2, 950)}, 15, 30); err != nil || len(warns) != 0 {
-		t.Fatalf("within-tolerance run: warns=%v err=%v", warns, err)
+	seen := map[string]bool{}
+	for _, r := range rows {
+		if r.Experiment != "hotpath" {
+			t.Fatalf("row from experiment %q", r.Experiment)
+		}
+		if r.Failed == "" && r.Throughput <= 0 {
+			t.Fatalf("%s/%s t=%d: no throughput", r.Workload, r.Allocator, r.Threads)
+		}
+		seen[fmt.Sprintf("%s|%s|%d", r.Workload, r.Allocator, r.Threads)] = true
 	}
-
-	warns, err := CheckHotpathGate(path, "after", []Row{hotRow(2, 800)}, 15, 30)
-	if err != nil {
-		t.Fatalf("warn-band run failed hard: %v", err)
+	for _, shape := range []string{"threadtest-small", "xmalloc-small"} {
+		for _, m := range HotpathModes {
+			for _, threads := range sc.Threads {
+				if cell := fmt.Sprintf("%s|%s|%d", shape, m.Name, threads); !seen[cell] {
+					t.Errorf("no row for cell %s", cell)
+				}
+			}
+		}
 	}
-	if len(warns) != 1 || !strings.Contains(warns[0], "threadtest-small") {
-		t.Fatalf("warn-band run: warns=%v, want one naming the cell", warns)
-	}
-
-	if _, err := CheckHotpathGate(path, "after", []Row{hotRow(2, 600)}, 15, 30); err == nil {
-		t.Fatal("gate passed a 40% regression")
-	}
-
-	dramOnly := []Row{{Experiment: "hotpath", Workload: "threadtest-small",
-		Allocator: "cxlalloc-dram", Threads: 2, Procs: 2, Throughput: 100}}
-	if _, err := CheckHotpathGate(path, "after", dramOnly, 15, 30); err == nil {
-		t.Fatal("gate passed vacuously with no comparable swcc cell")
-	}
-
-	if _, err := CheckHotpathGate(path, "no-such-label", []Row{hotRow(2, 1000)}, 15, 30); err == nil {
-		t.Fatal("gate passed with a missing baseline run")
+	if want := 2 * len(HotpathModes) * len(sc.Threads); len(rows) != want {
+		t.Fatalf("rows = %d, want %d", len(rows), want)
 	}
 }
 

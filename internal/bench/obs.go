@@ -5,15 +5,12 @@ package bench
 // model — each cell run once with tracing disabled (the production
 // default: one atomic load + branch per instrumented site) and once with
 // a live tracer installed. The disabled-mode throughput is the row's
-// headline number and is what the CI gate compares against the committed
-// baseline in BENCH_obs.json; the enabled-mode throughput, the derived
-// overhead percentage, and the tracer's event/drop counts ride along in
-// Extra.
+// headline number, recorded per PR in BENCH_obs.json; the enabled-mode
+// throughput, the derived overhead percentage, and the tracer's
+// event/drop counts ride along in Extra.
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 
 	"cxlalloc/internal/telemetry"
 )
@@ -106,76 +103,4 @@ func RunObs(sc Scale) ([]Row, error) {
 		}
 	}
 	return rows, nil
-}
-
-// CheckObsGate compares the disabled-tracing throughput of rows against
-// the run labeled baselineLabel in the BenchFile at path, failing on any
-// cell more than tolPct percent slower. Cells absent from the baseline
-// (new shapes, new thread counts) pass; a missing baseline run is an
-// error, since a silently vacuous gate is worse than none. Throughputs
-// are only comparable on the machine that recorded the baseline — CI
-// regenerates the baseline in the same job before gating.
-func CheckObsGate(path, baselineLabel string, rows []Row, tolPct float64) error {
-	base, err := loadBenchRun(path, baselineLabel)
-	if err != nil {
-		return err
-	}
-	key := func(r Row) string {
-		return fmt.Sprintf("%s|%s|%d|%d", r.Workload, r.Allocator, r.Threads, r.Procs)
-	}
-	want := make(map[string]float64, len(base.Rows))
-	for _, r := range base.Rows {
-		if r.Experiment == "obs" && r.Throughput > 0 {
-			want[key(r)] = r.Throughput
-		}
-	}
-	var failures []string
-	for _, r := range rows {
-		if r.Experiment != "obs" || r.Throughput == 0 {
-			continue
-		}
-		b, ok := want[key(r)]
-		if !ok {
-			continue
-		}
-		if r.Throughput < b*(1-tolPct/100) {
-			failures = append(failures,
-				fmt.Sprintf("%s/%s t=%d: %.0f ops/s vs baseline %.0f (-%.1f%% > %.0f%%)",
-					r.Workload, r.Allocator, r.Threads, r.Throughput, b,
-					(1-r.Throughput/b)*100, tolPct))
-		}
-	}
-	if len(failures) > 0 {
-		return fmt.Errorf("obs gate: disabled-tracing throughput regressed:\n  %s",
-			joinLines(failures))
-	}
-	return nil
-}
-
-func loadBenchRun(path, label string) (BenchRun, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return BenchRun{}, err
-	}
-	var bf BenchFile
-	if err := json.Unmarshal(raw, &bf); err != nil {
-		return BenchRun{}, fmt.Errorf("bench: %s is not a BenchFile: %w", path, err)
-	}
-	for _, run := range bf.Runs {
-		if run.Label == label {
-			return run, nil
-		}
-	}
-	return BenchRun{}, fmt.Errorf("bench: no run labeled %q in %s", label, path)
-}
-
-func joinLines(ss []string) string {
-	out := ""
-	for i, s := range ss {
-		if i > 0 {
-			out += "\n  "
-		}
-		out += s
-	}
-	return out
 }

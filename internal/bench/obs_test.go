@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"path/filepath"
-	"strings"
 	"testing"
 
 	"cxlalloc/internal/telemetry"
@@ -37,41 +35,5 @@ func TestRunObs(t *testing.T) {
 	// RunObs must leave global tracing off.
 	if telemetry.Enabled() {
 		t.Fatal("RunObs left the global tracer installed")
-	}
-}
-
-func TestCheckObsGate(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_obs.json")
-	base := []Row{
-		{Experiment: "obs", Workload: "threadtest-small", Allocator: "cxlalloc-swcc", Threads: 2, Procs: 2, Throughput: 1000},
-		{Experiment: "obs", Workload: "xmalloc-small", Allocator: "cxlalloc-swcc", Threads: 2, Procs: 2, Throughput: 500},
-	}
-	if err := AppendBenchJSON(path, "baseline", base); err != nil {
-		t.Fatal(err)
-	}
-
-	pass := []Row{
-		{Experiment: "obs", Workload: "threadtest-small", Allocator: "cxlalloc-swcc", Threads: 2, Procs: 2, Throughput: 960},
-		// Unknown cells and non-obs rows are ignored.
-		{Experiment: "obs", Workload: "threadtest-small", Allocator: "cxlalloc-dram", Threads: 8, Procs: 2, Throughput: 1},
-		{Experiment: "fig9", Workload: "threadtest-small", Allocator: "cxlalloc-swcc", Threads: 2, Procs: 2, Throughput: 1},
-	}
-	if err := CheckObsGate(path, "baseline", pass, 5); err != nil {
-		t.Fatalf("gate failed on a within-tolerance run: %v", err)
-	}
-
-	fail := []Row{
-		{Experiment: "obs", Workload: "xmalloc-small", Allocator: "cxlalloc-swcc", Threads: 2, Procs: 2, Throughput: 400},
-	}
-	err := CheckObsGate(path, "baseline", fail, 5)
-	if err == nil {
-		t.Fatal("gate passed a 20% regression")
-	}
-	if !strings.Contains(err.Error(), "xmalloc-small") {
-		t.Fatalf("gate error does not name the regressed cell: %v", err)
-	}
-
-	if err := CheckObsGate(path, "no-such-label", pass, 5); err == nil {
-		t.Fatal("gate passed with a missing baseline run")
 	}
 }

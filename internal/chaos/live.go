@@ -45,12 +45,11 @@ import (
 	"cxlalloc/internal/xrand"
 )
 
-// LiveConfig parameterizes an online chaos run.
+// LiveConfig parameterizes an online chaos run. Start from
+// DefaultLiveConfig.
 type LiveConfig struct {
-	Threads int
-	Procs   int
-	Keys    int
-	Seed    uint64
+	Keys int
+	Seed uint64
 	// Duration is the live-traffic window (injection stops a little
 	// earlier so the last fault's repair lands inside the window).
 	Duration time.Duration
@@ -66,12 +65,19 @@ type LiveConfig struct {
 	Calibrate time.Duration
 }
 
+// A livechaos pod: four worker slots spread over two processes. The kill
+// guard keeps two slots alive (the watchdog needs survivors), so a
+// thread kill needs three live, and a process kill leaves the other
+// process's slots.
+const (
+	liveThreads = 4
+	liveProcs   = 2
+)
+
 // DefaultLiveConfig sizes a run for the CLI default: ~12 faults over
 // 10s with sub-second MTTR.
 func DefaultLiveConfig() LiveConfig {
 	return LiveConfig{
-		Threads:   4,
-		Procs:     2,
 		Keys:      384,
 		Seed:      2026,
 		Duration:  10 * time.Second,
@@ -81,42 +87,13 @@ func DefaultLiveConfig() LiveConfig {
 	}
 }
 
-func (c *LiveConfig) withDefaults() LiveConfig {
-	d := DefaultLiveConfig()
-	out := *c
-	if out.Threads == 0 {
-		out.Threads = d.Threads
-	}
-	if out.Procs == 0 {
-		out.Procs = d.Procs
-	}
-	if out.Keys == 0 {
-		out.Keys = d.Keys
-	}
-	if out.Seed == 0 {
-		out.Seed = d.Seed
-	}
-	if out.Duration == 0 {
-		out.Duration = d.Duration
-	}
-	if out.FaultRate == 0 {
-		out.FaultRate = d.FaultRate
-	}
-	if out.LeaseWall == 0 {
-		out.LeaseWall = d.LeaseWall
-	}
-	if out.Calibrate == 0 {
-		out.Calibrate = d.Calibrate
-	}
-	return out
-}
-
 func (c *LiveConfig) validate() error {
-	if c.Threads < 3 || c.Procs < 2 || c.Threads < c.Procs {
-		return fmt.Errorf("chaos: livechaos needs Threads >= 3, Procs >= 2, Threads >= Procs (got %d/%d): the kill guard keeps 2 survivors", c.Threads, c.Procs)
+	if c.Keys < liveThreads {
+		return fmt.Errorf("chaos: need at least one key per worker (keys %d, threads %d)", c.Keys, liveThreads)
 	}
-	if c.Keys < c.Threads {
-		return fmt.Errorf("chaos: need at least one key per worker (keys %d, threads %d)", c.Keys, c.Threads)
+	if c.Duration <= 0 || c.FaultRate <= 0 || c.LeaseWall <= 0 || c.Calibrate <= 0 {
+		return fmt.Errorf("chaos: livechaos needs a positive Duration, FaultRate, LeaseWall and Calibrate (got %v/%g/%v/%v)",
+			c.Duration, c.FaultRate, c.LeaseWall, c.Calibrate)
 	}
 	return nil
 }
@@ -228,13 +205,12 @@ type livePend struct {
 
 // RunLive executes one online chaos run.
 func RunLive(cfg LiveConfig) (*LiveReport, error) {
-	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 
 	inj := crash.NewInjector()
-	target, err := NewPodTarget(cfg.Threads, cfg.Procs, cfg.Keys, 64, 16, inj)
+	target, err := NewPodTarget(liveThreads, liveProcs, cfg.Keys, 64, 16, inj)
 	if err != nil {
 		return nil, err
 	}
@@ -242,8 +218,8 @@ func RunLive(cfg LiveConfig) (*LiveReport, error) {
 	r := &liveRun{
 		cfg: cfg, inj: inj, PodTarget: target,
 		orc:         NewOracle(cfg.Keys),
-		persistSeed: make([]atomic.Uint64, cfg.Threads),
-		crashSeq:    make([]atomic.Uint64, cfg.Threads),
+		persistSeed: make([]atomic.Uint64, liveThreads),
+		crashSeq:    make([]atomic.Uint64, liveThreads),
 	}
 
 	// Per-crash adversarial persistence: every MarkCrashed resolves the
@@ -275,15 +251,15 @@ func RunLive(cfg LiveConfig) (*LiveReport, error) {
 	if t := telemetry.Active(); t != nil {
 		r.tracer = t
 	} else {
-		r.tracer = telemetry.Start(cfg.Threads, 1<<14)
+		r.tracer = telemetry.Start(liveThreads, 1<<14)
 		r.ownTracer = true
 	}
 	r.tracer.Keep(telemetry.EvCrash, telemetry.EvRecoveryExit)
 	snap0 := pod.Snapshot()
 	kept0 := len(r.tracer.Kept())
 
-	r.workers = make([]*liveWorker, cfg.Threads)
-	for tid := 0; tid < cfg.Threads; tid++ {
+	r.workers = make([]*liveWorker, liveThreads)
+	for tid := 0; tid < liveThreads; tid++ {
 		r.workers[tid] = &liveWorker{
 			run:  r,
 			tid:  tid,
@@ -324,7 +300,7 @@ func RunLive(cfg LiveConfig) (*LiveReport, error) {
 	// Leases are monotone, so the old long deadlines are harmless for
 	// expiry-based takeover only in the "too late" direction; settle
 	// them before any fault.
-	SettleRound(pod, cfg.Threads)
+	SettleRound(pod, liveThreads)
 
 	// Phase 2 — live traffic with the injector.
 	start := time.Now()
@@ -348,7 +324,7 @@ func RunLive(cfg LiveConfig) (*LiveReport, error) {
 	pod.Heap().NMP().ClearFaults()
 	elapsed := time.Since(start)
 	r.gates.Converge(ConvergeWait, func() []string {
-		down := SlotsDown(pod.Heap(), cfg.Threads)
+		down := SlotsDown(pod.Heap(), liveThreads)
 		for _, w := range r.workers {
 			if w.unresolved.Load() {
 				down = append(down, fmt.Sprintf("tid %d op still unresolved", w.tid))
@@ -370,7 +346,7 @@ func RunLive(cfg LiveConfig) (*LiveReport, error) {
 // finishEarly aborts after a warmup failure with whatever gates fired.
 func (r *liveRun) finishEarly() *LiveReport {
 	rep := &LiveReport{
-		Threads: r.cfg.Threads, Procs: r.cfg.Procs, Keys: r.cfg.Keys,
+		Threads: liveThreads, Procs: liveProcs, Keys: r.cfg.Keys,
 		Seed: r.cfg.Seed, Duration: r.cfg.Duration,
 		Violations: r.gates.Violations(), LostAcks: r.gates.LostAcks(),
 	}
@@ -483,9 +459,8 @@ func (w *liveWorker) step() {
 
 // ownKey picks one of this worker's keys (single-writer partition).
 func (w *liveWorker) ownKey() int {
-	workers := w.run.cfg.Threads
-	n := w.run.cfg.Keys / workers
-	return w.rng.Intn(n)*workers + w.tid
+	n := w.run.cfg.Keys / liveThreads
+	return w.rng.Intn(n)*liveThreads + w.tid
 }
 
 func (w *liveWorker) stepWrite() {
@@ -599,30 +574,13 @@ func (w *liveWorker) stepReadForeign() {
 // resolve settles the crashed op against ground truth. Runs inside
 // th.Run on the repaired slot; it may itself crash (the injector may
 // have re-armed us), in which case it re-runs — every step here is
-// idempotent, with pointer ownership popped before any free.
+// idempotent.
 func (w *liveWorker) resolve() {
 	r := w.run
 	p := w.pend
 	w.keyb = KeyBytes(w.keyb, p.key)
 	if p.put {
-		applied := false
-		if p.ptr != 0 {
-			if r.Store.Linked(w.tid, w.keyb, p.ptr) {
-				applied = true
-			} else {
-				// Allocated but never linked: ours to free. Pop the
-				// pointer first — a free, once started, is completed by
-				// the redo protocol, and a crash inside it must not
-				// lead the retry into a double free.
-				ptr := p.ptr
-				p.ptr = 0
-				r.Store.FreeOrphan(w.tid, ptr)
-			}
-		}
-		// A Put that crashed between its head CAS and retiring the old
-		// entry leaves two live nodes; restore the invariant.
-		r.Store.Sweep(w.tid, w.keyb)
-		r.orc.Resolve(p.key, applied)
+		r.orc.Resolve(p.key, r.Store.ResolvePut(w.tid, w.keyb, &p.ptr))
 	} else {
 		// Delete: applied iff the displaced version is no longer
 		// readable. The keyspace is single-writer, so any other surviving
@@ -653,7 +611,7 @@ func (w *liveWorker) resolve() {
 func (r *liveRun) aliveTids() []int {
 	heap := r.Pod.Heap()
 	var out []int
-	for tid := 0; tid < r.cfg.Threads; tid++ {
+	for tid := 0; tid < liveThreads; tid++ {
 		if heap.Alive(tid) {
 			out = append(out, tid)
 		}
@@ -678,7 +636,7 @@ func (r *liveRun) killProcessSafely(spec FaultSpec, out *FaultOutcome) {
 	deadline := time.Now().Add(KillWait)
 	for round := 0; !p.Dead(); round++ {
 		var extra []int
-		for tid := 0; tid < r.cfg.Threads; tid++ {
+		for tid := 0; tid < liveThreads; tid++ {
 			if heap.Alive(tid) && r.Pod.OwnerOf(tid) == p {
 				extra = append(extra, tid)
 			}
@@ -854,13 +812,13 @@ func (r *liveRun) apply(spec FaultSpec) FaultOutcome {
 func (r *liveRun) audit(snap0 telemetry.Snapshot, kept0 int, elapsed time.Duration) *LiveReport {
 	cfg := r.cfg
 	rep := &LiveReport{
-		Threads: cfg.Threads, Procs: cfg.Procs, Keys: cfg.Keys,
+		Threads: liveThreads, Procs: liveProcs, Keys: cfg.Keys,
 		Seed: cfg.Seed, Duration: cfg.Duration, Elapsed: elapsed,
 		Replayed: cfg.Replay != nil,
 		Schedule: r.faults.Schedule, Outcomes: r.faults.Outcomes,
 	}
 
-	rep.PendingAllocs = r.Audit(&r.gates, r.orc, cfg.Keys, cfg.Threads)
+	rep.PendingAllocs = r.Audit(&r.gates, r.orc, cfg.Keys, liveThreads)
 
 	// Traffic counters.
 	for _, w := range r.workers {

@@ -51,6 +51,27 @@ func TestLiveChaosShort(t *testing.T) {
 
 // TestLiveChaosReplay records a short run's schedule and replays it,
 // requiring a bit-for-bit identical injection timeline and green gates.
+// A zero field is no longer a default: validate rejects each zero that
+// would divide by zero or run for no time.
+func TestLiveConfigRejectsZeroes(t *testing.T) {
+	for i, zero := range []func(*LiveConfig){
+		func(c *LiveConfig) { c.Keys = 0 },
+		func(c *LiveConfig) { c.Duration = 0 },
+		func(c *LiveConfig) { c.FaultRate = 0 },
+		func(c *LiveConfig) { c.LeaseWall = 0 },
+		func(c *LiveConfig) { c.Calibrate = 0 },
+	} {
+		cfg := DefaultLiveConfig()
+		zero(&cfg)
+		if cfg.validate() == nil {
+			t.Errorf("zeroed field %d validated", i)
+		}
+	}
+	if cfg := DefaultLiveConfig(); cfg.validate() != nil {
+		t.Fatalf("default config invalid: %v", cfg.validate())
+	}
+}
+
 func TestLiveChaosReplay(t *testing.T) {
 	cfg := DefaultLiveConfig()
 	cfg.Seed = 11
@@ -135,7 +156,7 @@ func TestLiveChaosLong(t *testing.T) {
 // version admissibility) is sound before any chaos is layered on it.
 func TestOracleStressNoFaults(t *testing.T) {
 	const (
-		threads = 4
+		threads = liveThreads
 		keys    = 64
 		opsPer  = 3000
 	)
@@ -162,7 +183,7 @@ func TestOracleStressNoFaults(t *testing.T) {
 	}
 	store := kvstore.New(alloc.NewCXL(pod.Heap(), "cxlalloc"), keys*2, threads)
 	run := &liveRun{
-		cfg:       LiveConfig{Threads: threads, Keys: keys},
+		cfg:       LiveConfig{Keys: keys},
 		PodTarget: &PodTarget{Store: store},
 		orc:       NewOracle(keys),
 	}

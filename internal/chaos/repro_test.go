@@ -27,7 +27,7 @@ func TestLiveRepairDrainFree(t *testing.T) {
 }
 
 func repairDrainFree(t *testing.T, point string) {
-	const threads, keys = 4, 64
+	const threads, keys = liveThreads, 64
 	inj := crash.NewInjector()
 	pc := cxlalloc.DefaultConfig()
 	pc.NumThreads = threads
@@ -57,7 +57,7 @@ func repairDrainFree(t *testing.T, point string) {
 	}
 	store := kvstore.New(alloc.NewCXL(pod.Heap(), "cxlalloc"), keys*2, threads)
 	run := &liveRun{
-		cfg:       LiveConfig{Threads: threads, Keys: keys},
+		cfg:       LiveConfig{Keys: keys},
 		PodTarget: &PodTarget{Store: store},
 		orc:       NewOracle(keys),
 	}

@@ -29,17 +29,21 @@ var ErrOutOfMemory = errors.New("cxlalloc: out of memory")
 // huge-heap capacity.
 var ErrTooLarge = errors.New("cxlalloc: allocation exceeds heap capacity")
 
+// The slab sizes of the small and large heaps are the paper prototype's,
+// and PageSize is the simulated mmap granularity. Each slab size covers
+// its heap's largest size class and is a whole number of pages.
+const (
+	SmallSlabSize = 32 << 10
+	LargeSlabSize = 512 << 10
+	PageSize      = 4096
+)
+
 // Config sizes and parameterizes a heap. The zero value is invalid; use
 // DefaultConfig (optionally modified) instead.
 type Config struct {
 	// NumThreads is the number of thread slots in the pod (NUM_THREAD in
 	// the paper's Figure 3). Thread IDs are 0..NumThreads-1.
 	NumThreads int
-
-	// SmallSlabSize and LargeSlabSize are the slab sizes of the small
-	// and large heaps. The paper uses 32 KiB and 512 KiB.
-	SmallSlabSize int
-	LargeSlabSize int
 
 	// MaxSmallSlabs / MaxLargeSlabs bound each heap's virtual address
 	// space reservation (the grey regions in Figure 2). Heaps start at
@@ -61,9 +65,6 @@ type Config struct {
 	// UnsizedThreshold is the thread-local unsized free list length at
 	// which slabs are spilled to the global free list (§3.1.1).
 	UnsizedThreshold int
-
-	// PageSize is the simulated mmap granularity.
-	PageSize int
 
 	// Mode selects the coherence model for HWcc metadata (§5.4):
 	// sw_cas on DRAM or HWcc CXL memory, sw_flush_cas, or NMP mCAS.
@@ -107,13 +108,6 @@ type Config struct {
 	// missing protocol flush. Never set outside that test.
 	SkipOplogFlush bool
 
-	// DisableMagazines turns off the thread-local allocation magazines
-	// (DESIGN.md §7.2), forcing every alloc and free through the classic
-	// slab protocol. Magazines are already inert in coherent modes; this
-	// knob exists for A/B benchmarking and for harnesses that need the
-	// classic crash points to stay reachable without the runtime toggle.
-	DisableMagazines bool
-
 	// SkipCommitFence elides the single commit fence of the magazine pop
 	// — the fence that makes the handoff record and the mask-clear
 	// durable together. This deliberately breaks the coalesced-fence
@@ -129,8 +123,6 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		NumThreads:       64,
-		SmallSlabSize:    32 << 10,
-		LargeSlabSize:    512 << 10,
 		MaxSmallSlabs:    2048, // 64 MiB of small data
 		MaxLargeSlabs:    256,  // 128 MiB of large data
 		HugeRegionSize:   8 << 20,
@@ -138,7 +130,6 @@ func DefaultConfig() Config {
 		DescsPerThread:   512,
 		NumHazards:       64,
 		UnsizedThreshold: 4,
-		PageSize:         4096,
 		Mode:             atomicx.ModeDRAM,
 	}
 }
@@ -148,15 +139,11 @@ func (c *Config) validate() error {
 	switch {
 	case c.NumThreads <= 0 || c.NumThreads > 512:
 		return fmt.Errorf("core: NumThreads %d out of range (1..512)", c.NumThreads)
-	case c.SmallSlabSize <= 0 || c.SmallSlabSize%c.PageSize != 0:
-		return fmt.Errorf("core: SmallSlabSize %d must be a positive multiple of page size", c.SmallSlabSize)
-	case c.LargeSlabSize <= 0 || c.LargeSlabSize%c.PageSize != 0:
-		return fmt.Errorf("core: LargeSlabSize %d must be a positive multiple of page size", c.LargeSlabSize)
 	case c.MaxSmallSlabs <= 0 || c.MaxLargeSlabs <= 0:
 		return errors.New("core: slab capacities must be positive")
 	case c.MaxSmallSlabs >= 1<<26 || c.MaxLargeSlabs >= 1<<26:
 		return errors.New("core: slab capacities exceed 26-bit recovery-state field")
-	case c.HugeRegionSize == 0 || c.HugeRegionSize%uint64(c.PageSize) != 0:
+	case c.HugeRegionSize == 0 || c.HugeRegionSize%PageSize != 0:
 		return errors.New("core: HugeRegionSize must be a positive multiple of page size")
 	case c.NumReservations <= 0 || c.DescsPerThread <= 0 || c.NumHazards <= 0:
 		return errors.New("core: huge heap parameters must be positive")
@@ -164,10 +151,6 @@ func (c *Config) validate() error {
 		return errors.New("core: huge descriptor count exceeds 16-bit recovery-state field")
 	case c.UnsizedThreshold <= 0:
 		return errors.New("core: UnsizedThreshold must be positive")
-	case c.PageSize <= 0 || c.PageSize&(c.PageSize-1) != 0:
-		return errors.New("core: PageSize must be a positive power of two")
-	case c.SmallSlabSize < smallMax || c.LargeSlabSize < largeMax:
-		return errors.New("core: slab sizes must cover their size-class ranges")
 	}
 	return nil
 }

@@ -52,7 +52,7 @@ func TestDetectsWrongOwnerOnSizedList(t *testing.T) {
 func TestDetectsListCycle(t *testing.T) {
 	e := newEnv(t, testConfig(), 1, 1)
 	// Two slabs on the unsized list, then make the tail point at the head.
-	blocks := e.cfg.SmallSlabSize / smallMax
+	blocks := SmallSlabSize / smallMax
 	var ps []Ptr
 	for i := 0; i < 2*blocks; i++ {
 		ps = append(ps, e.alloc(0, smallMax))
@@ -73,7 +73,7 @@ func TestDetectsListCycle(t *testing.T) {
 func TestDetectsOwnedSlabOnGlobalList(t *testing.T) {
 	e := newEnv(t, testConfig(), 1, 2)
 	// Spill slabs to the global list, then stamp an owner on its head.
-	blocks := e.cfg.SmallSlabSize / smallMax
+	blocks := SmallSlabSize / smallMax
 	var ps []Ptr
 	for i := 0; i < (e.cfg.UnsizedThreshold+3)*blocks; i++ {
 		ps = append(ps, e.alloc(0, smallMax))

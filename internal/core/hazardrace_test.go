@@ -44,7 +44,7 @@ func TestHazardReclaimVsRecoveryRebind(t *testing.T) {
 	h.MarkCrashed(2)
 	h.MarkCrashed(3) // space 1 dies wholesale; only thread 2 gets rebound
 
-	fresh := vas.NewSpace(2, e.dev, cfg.PageSize)
+	fresh := vas.NewSpace(2, e.dev, PageSize)
 	fresh.SetHandler(func(tid int, s *vas.Space, page uint64) bool {
 		return h.HandleFault(tid, s.Install, page)
 	})

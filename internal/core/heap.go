@@ -185,7 +185,7 @@ func NewHeap(cfg Config, dev *memsim.Device) (*Heap, error) {
 	h.small = &slabHeap{
 		h:           h,
 		name:        "small",
-		slabSize:    cfg.SmallSlabSize,
+		slabSize:    SmallSlabSize,
 		classes:     smallClassSizes,
 		maxSlabs:    cfg.MaxSmallSlabs,
 		lenW:        lay.SmallLenW,
@@ -204,7 +204,7 @@ func NewHeap(cfg Config, dev *memsim.Device) (*Heap, error) {
 	h.large = &slabHeap{
 		h:           h,
 		name:        "large",
-		slabSize:    cfg.LargeSlabSize,
+		slabSize:    LargeSlabSize,
 		classes:     largeClassSizes,
 		maxSlabs:    cfg.MaxLargeSlabs,
 		lenW:        lay.LargeLenW,

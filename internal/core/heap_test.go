@@ -77,7 +77,7 @@ func TestHeapExtension(t *testing.T) {
 	}
 	// One small slab holds 32768/1024 = 32 blocks of the top class;
 	// allocating 33 forces an extension.
-	blocks := e.cfg.SmallSlabSize / smallMax
+	blocks := SmallSlabSize / smallMax
 	var ptrs []Ptr
 	for i := 0; i <= blocks; i++ {
 		ptrs = append(ptrs, e.alloc(0, smallMax))
@@ -97,7 +97,7 @@ func TestOutOfMemory(t *testing.T) {
 	cfg.MaxSmallSlabs = 2
 	cfg.CheckInvariants = false
 	e := newEnv(t, cfg, 1, 1)
-	blocks := cfg.SmallSlabSize / smallMax
+	blocks := SmallSlabSize / smallMax
 	var ptrs []Ptr
 	var sawOOM bool
 	for i := 0; i < 3*blocks; i++ {
@@ -125,7 +125,7 @@ func TestOutOfMemory(t *testing.T) {
 
 func TestSlabDetachAndReattach(t *testing.T) {
 	e := newEnv(t, testConfig(), 1, 1)
-	blocks := e.cfg.SmallSlabSize / smallMax // 32
+	blocks := SmallSlabSize / smallMax // 32
 	ptrs := make([]Ptr, blocks)
 	for i := range ptrs {
 		ptrs[i] = e.alloc(0, smallMax)
@@ -156,7 +156,7 @@ func TestEmptySlabMovesToUnsizedAndSpills(t *testing.T) {
 	e := newEnv(t, testConfig(), 1, 2)
 	// Fill several slabs, then free everything: emptied slabs go to the
 	// unsized list, overflow spills to the global free list.
-	blocks := e.cfg.SmallSlabSize / smallMax
+	blocks := SmallSlabSize / smallMax
 	var ptrs []Ptr
 	for i := 0; i < 6*blocks; i++ {
 		ptrs = append(ptrs, e.alloc(0, smallMax))
@@ -186,7 +186,7 @@ func TestRemoteFreeCountdownAndSteal(t *testing.T) {
 	// Thread 0 allocates one full slab of 1 KiB blocks; thread 1 frees
 	// them all remotely. When the countdown hits zero, thread 1 steals
 	// the slab.
-	blocks := e.cfg.SmallSlabSize / smallMax
+	blocks := SmallSlabSize / smallMax
 	ptrs := make([]Ptr, blocks)
 	for i := range ptrs {
 		ptrs[i] = e.alloc(0, smallMax)
@@ -220,7 +220,7 @@ func TestRemoteFreeCountdownAndSteal(t *testing.T) {
 
 func TestDisownOnMixedFrees(t *testing.T) {
 	e := newEnv(t, testConfig(), 1, 2)
-	blocks := e.cfg.SmallSlabSize / smallMax
+	blocks := SmallSlabSize / smallMax
 	ptrs := make([]Ptr, blocks)
 	for i := 0; i < blocks-1; i++ {
 		ptrs[i] = e.alloc(0, smallMax)
@@ -271,7 +271,7 @@ func TestCrossProcessHeapExtension(t *testing.T) {
 	e := newEnv(t, testConfig(), 2, 1)
 	// Force thread 0 to extend the heap several times, then have
 	// process 1 dereference into the newest slab.
-	blocks := e.cfg.SmallSlabSize / smallMax
+	blocks := SmallSlabSize / smallMax
 	var last Ptr
 	for i := 0; i < 3*blocks; i++ {
 		last = e.alloc(0, smallMax)
@@ -290,7 +290,7 @@ func TestSegfaultOutsideHeap(t *testing.T) {
 		}
 	}()
 	// No slab 10 exists yet: the fault handler must refuse.
-	e.h.Bytes(0, e.h.lay.SmallDataOff+10*uint64(e.cfg.SmallSlabSize), 8)
+	e.h.Bytes(0, e.h.lay.SmallDataOff+10*uint64(SmallSlabSize), 8)
 }
 
 func TestDoubleFreePanics(t *testing.T) {
@@ -327,7 +327,7 @@ func TestUnsizedSlabReusedAcrossClasses(t *testing.T) {
 	e := newEnv(t, testConfig(), 1, 1)
 	// Exhaust one class, free everything (slab returns to unsized), then
 	// allocate a different class: the same slab must be reinitialized.
-	blocks := e.cfg.SmallSlabSize / smallMax
+	blocks := SmallSlabSize / smallMax
 	ptrs := make([]Ptr, blocks/2)
 	for i := range ptrs {
 		ptrs[i] = e.alloc(0, smallMax)
@@ -429,7 +429,7 @@ func TestFootprintAccounting(t *testing.T) {
 	}
 	p := e.alloc(0, 64)
 	f1 := e.h.Footprint(0)
-	if f1.DataBytes != uint64(e.cfg.SmallSlabSize) {
+	if f1.DataBytes != uint64(SmallSlabSize) {
 		t.Fatalf("data bytes after one slab = %d", f1.DataBytes)
 	}
 	if f1.HWccBytes <= f0.HWccBytes {

@@ -33,7 +33,7 @@ func benchHeap(b *testing.B, mode atomicx.Mode) *Heap {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sp := vas.NewSpace(0, dev, cfg.PageSize)
+	sp := vas.NewSpace(0, dev, PageSize)
 	sp.SetHandler(func(tid int, s *vas.Space, page uint64) bool {
 		return h.HandleFault(tid, s.Install, page)
 	})

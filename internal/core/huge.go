@@ -76,7 +76,7 @@ func (h *Heap) regionOf(p Ptr) int {
 
 // roundPage rounds size up to the page size.
 func (h *Heap) roundPage(n uint64) uint64 {
-	ps := uint64(h.cfg.PageSize)
+	ps := uint64(PageSize)
 	return (n + ps - 1) / ps * ps
 }
 
@@ -277,7 +277,7 @@ func (h *Heap) hugeFreePtr(ts *threadState, tid int, p Ptr) {
 	// thread crashes mid-free and the descriptor is reclaimed and reused
 	// before recovery runs, the redo must not touch the new incarnation.
 	gen := hdGen(h.hugeLoad(ts, h.descW(id, hdNext)))
-	h.writeOplog(tid, ts, opHugeFree, uint32(p/uint64(h.cfg.PageSize)), uint16(id), gen)
+	h.writeOplog(tid, ts, opHugeFree, uint32(p/uint64(PageSize)), uint16(id), gen)
 	h.crashPoint(tid, "huge.free.post-oplog")
 	if h.hugeLoad(ts, h.descW(id, hdFree)) != 0 {
 		h.fail("huge heap: double free of %#x", p)
@@ -387,7 +387,7 @@ func (h *Heap) hazardSweep(ts *threadState, tid int) {
 			continue
 		}
 		size := h.hugeLoad(ts, h.descW(id, hdSize))
-		h.writeOplog(tid, ts, opHugeUnmap, uint32(off/uint64(h.cfg.PageSize)), uint16(id), 0)
+		h.writeOplog(tid, ts, opHugeUnmap, uint32(off/uint64(PageSize)), uint16(id), 0)
 		h.crashPoint(tid, "huge.unmap.post-oplog")
 		ts.space.Unmap(off, size)
 		h.crashPoint(tid, "huge.unmap.post-unmap")
@@ -417,7 +417,7 @@ func (h *Heap) hugeReclaim(ts *threadState, tid int) {
 			cur = next
 			continue
 		}
-		h.writeOplog(tid, ts, opHugeReclaim, uint32(off/uint64(h.cfg.PageSize)), uint16(id), 0)
+		h.writeOplog(tid, ts, opHugeReclaim, uint32(off/uint64(PageSize)), uint16(id), 0)
 		h.crashPoint(tid, "huge.reclaim.post-oplog")
 		// Unlink: the predecessor is either the list head word or a
 		// descriptor's next word; preserve the predecessor's inUse bit
@@ -440,7 +440,7 @@ func (h *Heap) hugeReclaim(ts *threadState, tid int) {
 // it as each Space's fault handler.
 func (h *Heap) HandleFault(tid int, install func(off, n uint64), page uint64) bool {
 	ts := h.ts(tid)
-	pageOff := page * uint64(h.cfg.PageSize)
+	pageOff := page * uint64(PageSize)
 	switch {
 	case pageOff >= h.lay.SmallDataOff && pageOff < h.lay.LargeDataOff:
 		// §3.3.1: valid iff the containing slab is below the heap length.

@@ -53,7 +53,7 @@ func TestHugeMultiRegionAllocation(t *testing.T) {
 func TestHugeTooLarge(t *testing.T) {
 	e := newEnv(t, testConfig(), 1, 1)
 	max := int(uint64(e.cfg.NumReservations) * e.cfg.HugeRegionSize)
-	if _, err := e.h.Alloc(0, max+e.cfg.PageSize); err != ErrTooLarge {
+	if _, err := e.h.Alloc(0, max+PageSize); err != ErrTooLarge {
 		t.Fatalf("oversized alloc error = %v, want ErrTooLarge", err)
 	}
 }
@@ -204,7 +204,7 @@ func TestHugePageRounding(t *testing.T) {
 	e := newEnv(t, testConfig(), 1, 1)
 	p := e.alloc(0, largeMax+3) // not page aligned
 	us := e.h.UsableSize(0, p)
-	if us%e.cfg.PageSize != 0 || us < largeMax+3 {
+	if us%PageSize != 0 || us < largeMax+3 {
 		t.Fatalf("huge usable size %d not page-rounded", us)
 	}
 	e.h.Free(0, p)

@@ -202,7 +202,7 @@ func (h *Heap) checkHugeLocal(ts *threadState, tid int) error {
 		if off < h.lay.HugeDataOff || off+size > h.lay.DataBytes || size == 0 {
 			return fmt.Errorf("huge: descriptor %d has bad range [%#x, %#x)", id, off, off+size)
 		}
-		if off%uint64(h.cfg.PageSize) != 0 || size%uint64(h.cfg.PageSize) != 0 {
+		if off%uint64(PageSize) != 0 || size%uint64(PageSize) != 0 {
 			return fmt.Errorf("huge: descriptor %d range not page aligned", id)
 		}
 		cur = w0
@@ -228,7 +228,7 @@ func (h *Heap) checkHugeLocal(ts *threadState, tid int) error {
 		if v == 0 {
 			continue
 		}
-		if v < h.lay.HugeDataOff || v >= h.lay.DataBytes || v%uint64(h.cfg.PageSize) != 0 {
+		if v < h.lay.HugeDataOff || v >= h.lay.DataBytes || v%uint64(PageSize) != 0 {
 			return fmt.Errorf("huge: thread %d hazard slot %d holds invalid offset %#x", tid, i, v)
 		}
 	}

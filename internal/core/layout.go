@@ -110,12 +110,12 @@ func computeLayout(c *Config) Layout {
 
 	// Slab descriptors: word 0 packs next/owner/class, word 1 is the
 	// free count, words 2.. are the availability bitset.
-	l.SmallBitsetWords = (c.SmallSlabSize/smallMin + 63) / 64
+	l.SmallBitsetWords = (SmallSlabSize/smallMin + 63) / 64
 	l.SmallDescBase = w
 	l.SmallDescStride = roundWords(2 + l.SmallBitsetWords)
 	w += c.MaxSmallSlabs * l.SmallDescStride
 
-	l.LargeBitsetWords = (c.LargeSlabSize/largeClassSizes[1] + 63) / 64
+	l.LargeBitsetWords = (LargeSlabSize/largeClassSizes[1] + 63) / 64
 	l.LargeDescBase = w
 	l.LargeDescStride = roundWords(2 + l.LargeBitsetWords)
 	w += c.MaxLargeSlabs * l.LargeDescStride
@@ -149,11 +149,11 @@ func computeLayout(c *Config) Layout {
 	l.SWccWords = w
 
 	// --- Data region ---
-	off := uint64(c.PageSize) // guard page
+	off := uint64(PageSize) // guard page
 	l.SmallDataOff = off
-	off += uint64(c.MaxSmallSlabs) * uint64(c.SmallSlabSize)
+	off += uint64(c.MaxSmallSlabs) * uint64(SmallSlabSize)
 	l.LargeDataOff = off
-	off += uint64(c.MaxLargeSlabs) * uint64(c.LargeSlabSize)
+	off += uint64(c.MaxLargeSlabs) * uint64(LargeSlabSize)
 	l.HugeDataOff = off
 	off += uint64(c.NumReservations) * c.HugeRegionSize
 	l.DataBytes = off

@@ -60,13 +60,13 @@ func magMetaWord(w uint64) int    { return int(uint16(w >> 32)) }
 func magMetaClass(w uint64) int   { return int(uint8(w >> 48)) }
 
 // magsEnabled gates the magazine fast path: incoherent device, the
-// recovery protocol on, not configured off, and the runtime toggle on.
-// NonRecoverable turns magazines off because their entire value is
-// amortizing durability traffic — with no oplog flushes or fences to
-// coalesce, the classic path runs on cached stores alone and a magazine
-// line's flush+fence would be pure added cost.
+// recovery protocol on, and the runtime toggle on. NonRecoverable turns
+// magazines off because their entire value is amortizing durability
+// traffic — with no oplog flushes or fences to coalesce, the classic path
+// runs on cached stores alone and a magazine line's flush+fence would be
+// pure added cost.
 func (h *Heap) magsEnabled() bool {
-	return !h.coherent && !h.cfg.NonRecoverable && !h.cfg.DisableMagazines && !h.magsOff.Load()
+	return !h.coherent && !h.cfg.NonRecoverable && !h.magsOff.Load()
 }
 
 // SetMagazines toggles the magazine fast path at runtime. Toggling off

@@ -10,7 +10,7 @@ import (
 
 // TestMagazineGating pins the magazine availability rules: active on an
 // incoherent device, inert on DRAM (the coherent baseline must stay
-// byte-identical), and controllable via config and runtime toggle.
+// byte-identical), and controllable via the runtime toggle.
 func TestMagazineGating(t *testing.T) {
 	cfg := testConfig()
 	cfg.Mode = atomicx.ModeSWFlush
@@ -32,14 +32,6 @@ func TestMagazineGating(t *testing.T) {
 	de := newEnv(t, dcfg, 1, 2)
 	if de.h.MagazinesEnabled() {
 		t.Fatal("magazines must be inert on a coherent device")
-	}
-
-	ocfg := testConfig()
-	ocfg.Mode = atomicx.ModeSWFlush
-	ocfg.DisableMagazines = true
-	oe := newEnv(t, ocfg, 1, 2)
-	if oe.h.MagazinesEnabled() {
-		t.Fatal("DisableMagazines did not take")
 	}
 }
 

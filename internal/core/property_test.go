@@ -38,7 +38,7 @@ func TestQuickPointerGeometry(t *testing.T) {
 			rel := p - e.h.large.slabData(e.h.large.slabOf(p))
 			return rel%uint64(us) == 0
 		default:
-			return p >= e.h.lay.HugeDataOff && p%uint64(e.cfg.PageSize) == 0
+			return p >= e.h.lay.HugeDataOff && p%uint64(PageSize) == 0
 		}
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {

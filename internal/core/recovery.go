@@ -377,13 +377,13 @@ func (h *Heap) redo(ts *threadState, tid, op int, a uint32, b uint16, ver uint16
 		h.redoHugeAlloc(ts, tid, int(b), report)
 
 	case opHugeFree:
-		h.redoHugeFree(ts, tid, int(b), uint64(a)*uint64(h.cfg.PageSize), ver)
+		h.redoHugeFree(ts, tid, int(b), uint64(a)*uint64(PageSize), ver)
 
 	case opHugeUnmap:
-		h.redoHugeUnmap(ts, tid, int(b), uint64(a)*uint64(h.cfg.PageSize))
+		h.redoHugeUnmap(ts, tid, int(b), uint64(a)*uint64(PageSize))
 
 	case opHugeReclaim:
-		h.redoHugeReclaim(ts, tid, int(b), uint64(a)*uint64(h.cfg.PageSize))
+		h.redoHugeReclaim(ts, tid, int(b), uint64(a)*uint64(PageSize))
 
 	case opClaim:
 		// The thread died between claiming victim a's recovery and

@@ -22,7 +22,7 @@ func crashEnv(t *testing.T) (*env, *crash.Injector) {
 }
 
 // smallBlocks is the number of top-class blocks per small slab.
-func smallBlocks(e *env) int { return e.cfg.SmallSlabSize / smallMax }
+func smallBlocks(e *env) int { return SmallSlabSize / smallMax }
 
 // White-box crash scenarios (§5.1): each drives thread 0 through a
 // specific crash point. The scenario returns any pointers other threads
@@ -365,7 +365,7 @@ func TestGroupRemoteFreeCrashRecovery(t *testing.T) {
 				s, size, perSlab := e.h.small, smallMax, smallBlocks(e)
 				if strings.HasPrefix(point, "large.") {
 					s, size = e.h.large, largeMax/4
-					perSlab = e.cfg.LargeSlabSize / size
+					perSlab = LargeSlabSize / size
 				}
 				n := perSlab
 				if !toZero {

@@ -94,17 +94,17 @@ func TestLayoutDisjointAndAligned(t *testing.T) {
 		t.Fatal("oplog base not line aligned")
 	}
 	// Data regions in order with a guard page.
-	if l.SmallDataOff != uint64(cfg.PageSize) {
+	if l.SmallDataOff != uint64(PageSize) {
 		t.Fatalf("guard page missing: small data at %d", l.SmallDataOff)
 	}
 	if !(l.SmallDataOff < l.LargeDataOff && l.LargeDataOff < l.HugeDataOff && l.HugeDataOff < l.DataBytes) {
 		t.Fatalf("data layout out of order: %+v", l)
 	}
 	// Bitsets must cover the densest class.
-	if l.SmallBitsetWords*64 < cfg.SmallSlabSize/smallMin {
+	if l.SmallBitsetWords*64 < SmallSlabSize/smallMin {
 		t.Fatal("small bitset too small")
 	}
-	if l.LargeBitsetWords*64 < cfg.LargeSlabSize/largeClassSizes[1] {
+	if l.LargeBitsetWords*64 < LargeSlabSize/largeClassSizes[1] {
 		t.Fatal("large bitset too small")
 	}
 }
@@ -113,16 +113,12 @@ func TestConfigValidation(t *testing.T) {
 	bads := []func(*Config){
 		func(c *Config) { c.NumThreads = 0 },
 		func(c *Config) { c.NumThreads = 1000 },
-		func(c *Config) { c.SmallSlabSize = 1000 },
-		func(c *Config) { c.LargeSlabSize = 0 },
 		func(c *Config) { c.MaxSmallSlabs = 0 },
 		func(c *Config) { c.HugeRegionSize = 100 },
 		func(c *Config) { c.NumReservations = 0 },
 		func(c *Config) { c.DescsPerThread = 0 },
 		func(c *Config) { c.NumHazards = -1 },
 		func(c *Config) { c.UnsizedThreshold = 0 },
-		func(c *Config) { c.PageSize = 3000 },
-		func(c *Config) { c.SmallSlabSize = 512 },
 		func(c *Config) { c.DescsPerThread = 1 << 20 },
 	}
 	for i, mutate := range bads {

@@ -56,7 +56,7 @@ func runStaleOwnerStress(t *testing.T, mode atomicx.Mode) {
 	// Two simulated processes, threads round-robin.
 	spaces := make([]*vas.Space, 2)
 	for p := range spaces {
-		sp := vas.NewSpace(p, dev, cfg.PageSize)
+		sp := vas.NewSpace(p, dev, PageSize)
 		sp.SetHandler(func(tid int, s *vas.Space, page uint64) bool {
 			return h.HandleFault(tid, s.Install, page)
 		})

@@ -52,7 +52,7 @@ func (h *Heap) Footprint(tid int) Footprint {
 		largeLen*uint64(h.lay.LargeDescStride) +
 		uint64(h.cfg.NumThreads)*uint64(h.lay.SmallLocalStride+h.lay.LargeLocalStride+h.lay.HugeLocalStride+lineWords))
 
-	f.DataBytes = smallLen*uint64(h.cfg.SmallSlabSize) + largeLen*uint64(h.cfg.LargeSlabSize)
+	f.DataBytes = smallLen*uint64(SmallSlabSize) + largeLen*uint64(LargeSlabSize)
 
 	// Live huge allocations and their descriptors.
 	for t := 0; t < h.cfg.NumThreads; t++ {

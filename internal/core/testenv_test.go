@@ -47,7 +47,7 @@ func newEnv(t *testing.T, cfg Config, nProcs, threadsPerProc int) *env {
 	}
 	e := &env{t: t, cfg: cfg, dev: dev, h: h}
 	for p := 0; p < nProcs; p++ {
-		sp := vas.NewSpace(p, dev, cfg.PageSize)
+		sp := vas.NewSpace(p, dev, PageSize)
 		sp.SetHandler(func(tid int, s *vas.Space, page uint64) bool {
 			return h.HandleFault(tid, s.Install, page)
 		})

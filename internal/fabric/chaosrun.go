@@ -36,12 +36,9 @@ import (
 	"cxlalloc/internal/xrand"
 )
 
-// ChaosConfig parameterizes one fabricchaos run.
+// ChaosConfig parameterizes one fabricchaos run. Start from
+// DefaultChaosConfig.
 type ChaosConfig struct {
-	Pods    int
-	Threads int
-	Procs   int
-	Shards  int
 	Keys    int
 	Issuers int // client connections (single-writer key partitions)
 	Seed    uint64
@@ -55,93 +52,44 @@ type ChaosConfig struct {
 	// drawing faults; the run ends when the schedule is exhausted.
 	Replay []chaos.FaultSpec
 
-	Deadline  time.Duration // per-request budget
-	Calibrate time.Duration // fault-free warmup measuring the fabric tick rate
-	FenceWall time.Duration // wall-clock target a pod-fence stays up (converted to HealTicks)
-
 	DarkGrace time.Duration // fabric monitor: heartbeat stall before dark
 	MigStall  time.Duration // fabric monitor: claim age before retake
-	MTTRBound time.Duration // gate: max acceptable failover MTTR
 }
+
+// The fabric every fabricchaos run drives: a pod kill must leave >= 2
+// survivors, so three pods.
+const (
+	chaosPods    = 3
+	chaosThreads = 4
+	chaosProcs   = 2
+	chaosShards  = 16
+
+	chaosDeadline  = 50 * time.Millisecond  // per-request budget
+	chaosCalibrate = 250 * time.Millisecond // fault-free warmup measuring the fabric tick rate
+	chaosFenceWall = 600 * time.Millisecond // wall-clock target a pod-fence stays up (converted to HealTicks)
+	chaosMTTRBound = 10 * time.Second       // gate: max acceptable failover MTTR
+)
 
 // DefaultChaosConfig sizes a run for the CLI default: ~7 faults over
 // 10s across 3 pods.
 func DefaultChaosConfig() ChaosConfig {
 	return ChaosConfig{
-		Pods:      3,
-		Threads:   4,
-		Procs:     2,
-		Shards:    16,
 		Keys:      384,
 		Issuers:   6,
 		Seed:      2026,
 		Duration:  10 * time.Second,
 		FaultRate: 0.8,
-		Deadline:  50 * time.Millisecond,
-		Calibrate: 250 * time.Millisecond,
-		FenceWall: 600 * time.Millisecond,
 		DarkGrace: 250 * time.Millisecond,
 		MigStall:  100 * time.Millisecond,
-		MTTRBound: 10 * time.Second,
 	}
-}
-
-func (c ChaosConfig) withDefaults() ChaosConfig {
-	d := DefaultChaosConfig()
-	if c.Pods == 0 {
-		c.Pods = d.Pods
-	}
-	if c.Threads == 0 {
-		c.Threads = d.Threads
-	}
-	if c.Procs == 0 {
-		c.Procs = d.Procs
-	}
-	if c.Shards == 0 {
-		c.Shards = d.Shards
-	}
-	if c.Keys == 0 {
-		c.Keys = d.Keys
-	}
-	if c.Issuers == 0 {
-		c.Issuers = d.Issuers
-	}
-	if c.Seed == 0 {
-		c.Seed = d.Seed
-	}
-	if c.Duration == 0 {
-		c.Duration = d.Duration
-	}
-	if c.FaultRate == 0 {
-		c.FaultRate = d.FaultRate
-	}
-	if c.Deadline == 0 {
-		c.Deadline = d.Deadline
-	}
-	if c.Calibrate == 0 {
-		c.Calibrate = d.Calibrate
-	}
-	if c.FenceWall == 0 {
-		c.FenceWall = d.FenceWall
-	}
-	if c.DarkGrace == 0 {
-		c.DarkGrace = d.DarkGrace
-	}
-	if c.MigStall == 0 {
-		c.MigStall = d.MigStall
-	}
-	if c.MTTRBound == 0 {
-		c.MTTRBound = d.MTTRBound
-	}
-	return c
 }
 
 func (c ChaosConfig) validate() error {
-	if c.Pods < 3 {
-		return fmt.Errorf("fabric: fabricchaos needs >= 3 pods (got %d): a pod kill must leave >= 2 survivors", c.Pods)
+	if c.Issuers < 1 || c.Keys < 2*c.Issuers {
+		return fmt.Errorf("fabric: fabricchaos needs Issuers >= 1 and Keys >= 2*Issuers (got %d/%d)", c.Keys, c.Issuers)
 	}
-	if c.Keys < 2*c.Issuers {
-		return fmt.Errorf("fabric: fabricchaos needs Keys >= 2*Issuers (got %d/%d)", c.Keys, c.Issuers)
+	if c.Duration <= 0 || c.FaultRate <= 0 {
+		return fmt.Errorf("fabric: fabricchaos needs a positive Duration and FaultRate (got %v/%g)", c.Duration, c.FaultRate)
 	}
 	return nil
 }
@@ -254,16 +202,15 @@ func (r *chaosRun) lane(is *chaosIssuer, wg *sync.WaitGroup) {
 
 // RunChaos executes one fabricchaos run.
 func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
-	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	injs := make([]*crash.Injector, cfg.Pods)
+	injs := make([]*crash.Injector, chaosPods)
 	for i := range injs {
 		injs[i] = crash.NewInjector()
 	}
 	f, err := New(Config{
-		Pods: cfg.Pods, Threads: cfg.Threads, Procs: cfg.Procs, Shards: cfg.Shards,
+		Pods: chaosPods, Threads: chaosThreads, Procs: chaosProcs, Shards: chaosShards,
 		Seed: cfg.Seed, DarkGrace: cfg.DarkGrace, MigStall: cfg.MigStall,
 		DecodeVer: chaos.DecodeVal, Injectors: injs,
 	})
@@ -280,7 +227,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 		rng := xrand.New(xrand.Mix(cfg.Seed) ^ xrand.Mix(uint64(i)+0xfab))
 		r.issuers = append(r.issuers, &chaosIssuer{
 			Issuer: server.NewIssuer(server.NewClient(f, cfg.Seed^uint64(i)*0xa0761d6478bd642f),
-				r.orc, &r.gates, cfg.Deadline, rng,
+				r.orc, &r.gates, chaosDeadline, rng,
 				func() int { return rng.Intn(cfg.Keys) },
 				func() int { return rng.Intn(keysPer)*cfg.Issuers + i }),
 			hist: new(telemetry.Hist),
@@ -304,7 +251,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 		}
 	}
 	c0, t0 := f.Tick(), time.Now()
-	time.Sleep(cfg.Calibrate)
+	time.Sleep(chaosCalibrate)
 	c1, t1 := f.Tick(), time.Now()
 	r.tickRate = float64(c1-c0) / t1.Sub(t0).Seconds()
 	if r.tickRate <= 0 {
@@ -325,7 +272,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	// quiesce — no handoff in flight, every shard serving from a
 	// routable owner, every crashed write settled.
 	r.healWG.Wait()
-	for i := 0; i < cfg.Pods; i++ {
+	for i := 0; i < chaosPods; i++ {
 		f.HealPod(i) // no-op unless a fence survived the window
 	}
 	wg.Wait()
@@ -335,7 +282,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 			out = append(out, "fabric not quiesced")
 		}
 		var pends int64
-		for i := 0; i < cfg.Pods; i++ {
+		for i := 0; i < chaosPods; i++ {
 			pends += f.Server(i).PendingCrashed()
 		}
 		if pends > 0 {
@@ -353,7 +300,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 
 func (r *chaosRun) healthyPods() []int {
 	var out []int
-	for p := 0; p < r.cfg.Pods; p++ {
+	for p := 0; p < chaosPods; p++ {
 		if r.f.Endpoint(p) {
 			out = append(out, p)
 		}
@@ -399,7 +346,7 @@ func (r *chaosRun) plan(i int, rng *xrand.Rand) (chaos.FaultSpec, bool) {
 			ArmProb: chaos.ArmProb, ArmSeed: rng.Uint64(),
 		}
 		heap := r.f.Pod(pod).Heap()
-		for tid := 0; tid < r.cfg.Threads; tid++ {
+		for tid := 0; tid < chaosThreads; tid++ {
 			if heap.Alive(tid) {
 				spec.Victims = append(spec.Victims, tid)
 			}
@@ -416,7 +363,7 @@ func (r *chaosRun) plan(i int, rng *xrand.Rand) (chaos.FaultSpec, bool) {
 		if len(cands) < 3 {
 			return r.planMigInterrupt(i, rng)
 		}
-		ht := uint64(r.tickRate * r.cfg.FenceWall.Seconds())
+		ht := uint64(r.tickRate * chaosFenceWall.Seconds())
 		if ht < 1 {
 			ht = 1
 		}
@@ -429,7 +376,7 @@ func (r *chaosRun) plan(i int, rng *xrand.Rand) (chaos.FaultSpec, bool) {
 
 func (r *chaosRun) planMigInterrupt(i int, rng *xrand.Rand) (chaos.FaultSpec, bool) {
 	var shards []int
-	for s := 0; s < r.cfg.Shards; s++ {
+	for s := 0; s < chaosShards; s++ {
 		owner, _, frozen, claimed := r.f.ShardState(s)
 		if !frozen && !claimed && r.f.Endpoint(owner) {
 			shards = append(shards, s)
@@ -441,7 +388,7 @@ func (r *chaosRun) planMigInterrupt(i int, rng *xrand.Rand) (chaos.FaultSpec, bo
 	s := shards[rng.Intn(len(shards))]
 	owner, _, _, _ := r.f.ShardState(s)
 	var targets []int
-	for p := 0; p < r.cfg.Pods; p++ {
+	for p := 0; p < chaosPods; p++ {
 		if p != owner && r.f.Endpoint(p) {
 			targets = append(targets, p)
 		}
@@ -512,7 +459,7 @@ func (r *chaosRun) applyPodKill(spec chaos.FaultSpec, out *chaos.FaultOutcome) {
 	procs := make(map[*cxlalloc.Process]bool)
 	var targets []int
 	for _, v := range spec.Victims {
-		if v >= 0 && v < r.cfg.Threads && heap.Alive(v) {
+		if v >= 0 && v < chaosThreads && heap.Alive(v) {
 			targets = append(targets, v)
 			procs[pod.OwnerOf(v)] = true
 		}
@@ -528,7 +475,7 @@ func (r *chaosRun) applyPodKill(spec chaos.FaultSpec, out *chaos.FaultOutcome) {
 			continue
 		}
 		owns := false
-		for tid := 0; tid < r.cfg.Threads; tid++ {
+		for tid := 0; tid < chaosThreads; tid++ {
 			if heap.Alive(tid) && pod.OwnerOf(tid) == p {
 				owns = true
 				break
@@ -557,17 +504,17 @@ func (r *chaosRun) applyPodKill(spec chaos.FaultSpec, out *chaos.FaultOutcome) {
 func (r *chaosRun) audit(elapsed time.Duration) *ChaosReport {
 	cfg := r.cfg
 	rep := &ChaosReport{
-		Pods: cfg.Pods, Threads: cfg.Threads, Procs: cfg.Procs,
-		Shards: cfg.Shards, Keys: cfg.Keys, Issuers: cfg.Issuers,
+		Pods: chaosPods, Threads: chaosThreads, Procs: chaosProcs,
+		Shards: chaosShards, Keys: cfg.Keys, Issuers: cfg.Issuers,
 		Seed: cfg.Seed, Duration: cfg.Duration, Elapsed: elapsed,
 		Replayed:  cfg.Replay != nil,
-		MTTRBound: cfg.MTTRBound,
+		MTTRBound: chaosMTTRBound,
 		Schedule:  r.faults.Schedule, Outcomes: r.faults.Outcomes,
 	}
 
 	// Final oracle sweep: every key read from its current owner pod's
 	// control thread, at quiescence, and byte-validated by the codec.
-	byPod := make([][]int, cfg.Pods)
+	byPod := make([][]int, chaosPods)
 	var keyb []byte
 	for k := 0; k < cfg.Keys; k++ {
 		keyb = chaos.KeyBytes(keyb, k)
@@ -592,11 +539,11 @@ func (r *chaosRun) audit(elapsed time.Duration) *ChaosReport {
 	// deleting from all pods makes the audit's verdict about bytes, not
 	// placement), free adopted orphans, and audit each heap to empty.
 	// Decommissioned pods audit too: their memory outlived them.
-	for p := 0; p < cfg.Pods; p++ {
+	for p := 0; p < chaosPods; p++ {
 		rep.PendingAllocs += r.gates.Teardown(chaos.Target{
 			Label: fmt.Sprintf("pod %d ", p),
 			Heap:  r.f.Pod(p).Heap(), Store: r.f.Store(p),
-			Keys: cfg.Keys, Tids: cfg.Threads + 1, // the control slot too
+			Keys: cfg.Keys, Tids: chaosThreads + 1, // the control slot too
 			On:      func(fn func(tid int)) error { return r.f.AgentRun(p, fn) },
 			Orphans: func() []cxlalloc.Ptr { return r.f.Orphans(p) },
 		})
@@ -652,8 +599,8 @@ func (r *chaosRun) audit(elapsed time.Duration) *ChaosReport {
 		sort.Slice(mttrs, func(a, b int) bool { return mttrs[a] < mttrs[b] })
 		rep.MTTRP50 = mttrs[len(mttrs)/2]
 		rep.MTTRMax = mttrs[len(mttrs)-1]
-		if rep.MTTRMax > cfg.MTTRBound {
-			r.gates.Violationf("failover MTTR %v exceeds bound %v", rep.MTTRMax, cfg.MTTRBound)
+		if rep.MTTRMax > chaosMTTRBound {
+			r.gates.Violationf("failover MTTR %v exceeds bound %v", rep.MTTRMax, chaosMTTRBound)
 		}
 	}
 

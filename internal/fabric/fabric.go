@@ -48,16 +48,13 @@ type Config struct {
 	Threads int // serving thread slots per pod (default 4); slot Threads is the control agent
 	Procs   int // process groups per pod (default 2)
 	Shards  int // keyspace shards (default 16)
-	VNodes  int // virtual ring nodes per pod (default 8)
 	Buckets int // kvstore buckets per pod (default 1024)
 
 	QueueCap int    // per-group admission queue bound
 	Seed     uint64 // placement/ring hashing salt only; 0 is valid
 
-	DarkGrace  time.Duration // heartbeat stall before a pod is declared dark (default 250ms)
-	MigStall   time.Duration // claim age before a stalled migration is retaken (default 100ms)
-	FreezeWait time.Duration // max wait for a frozen shard's pins to drain (default 3s)
-	PendWait   time.Duration // failover: max wait for pending crashed writes to settle (default 10s)
+	DarkGrace time.Duration // heartbeat stall before a pod is declared dark (default 250ms)
+	MigStall  time.Duration // claim age before a stalled migration is retaken (default 100ms)
 
 	// DecodeVer is passed through to each pod's server (crashed-delete
 	// resolution).
@@ -66,6 +63,11 @@ type Config struct {
 	// (chaos runs); len must equal Pods.
 	Injectors []*crash.Injector
 }
+
+const (
+	freezeWait = 3 * time.Second  // max wait for a frozen shard's pins to drain
+	pendWait   = 10 * time.Second // failover: max wait for pending crashed writes to settle
+)
 
 func (c Config) withDefaults() Config {
 	if c.Pods == 0 {
@@ -80,9 +82,6 @@ func (c Config) withDefaults() Config {
 	if c.Shards == 0 {
 		c.Shards = 16
 	}
-	if c.VNodes == 0 {
-		c.VNodes = 8
-	}
 	if c.Buckets == 0 {
 		c.Buckets = 1024
 	}
@@ -94,12 +93,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MigStall == 0 {
 		c.MigStall = 100 * time.Millisecond
-	}
-	if c.FreezeWait == 0 {
-		c.FreezeWait = 3 * time.Second
-	}
-	if c.PendWait == 0 {
-		c.PendWait = 10 * time.Second
 	}
 	return c
 }
@@ -253,7 +246,7 @@ func New(cfg Config) (*Fabric, error) {
 		}
 		f.pods = append(f.pods, n)
 	}
-	f.ring = buildRing(cfg.Pods, cfg.VNodes, cfg.Seed, func(p int) bool { return true })
+	f.ring = buildRing(cfg.Pods, cfg.Seed, func(p int) bool { return true })
 	f.shard = make([]shardSlot, cfg.Shards)
 	for s := range f.shard {
 		f.shard[s].word.Store(packWord(f.ring.place(uint64(s), cfg.Seed), shardServing, 1))

@@ -20,7 +20,6 @@ func testConfig() Config {
 		Threads:   4,
 		Procs:     2,
 		Shards:    16,
-		VNodes:    8,
 		Seed:      7,
 		DarkGrace: 60 * time.Millisecond,
 		MigStall:  30 * time.Millisecond,
@@ -110,10 +109,10 @@ func countShardKeys(t *testing.T, f *Fabric, p, s int) int {
 }
 
 func TestRingPlacementDeterministicAndStable(t *testing.T) {
-	const pods, vnodes, shards = 5, 8, 64
+	const pods, shards = 5, 64
 	all := func(int) bool { return true }
-	r1 := buildRing(pods, vnodes, 42, all)
-	r2 := buildRing(pods, vnodes, 42, all)
+	r1 := buildRing(pods, 42, all)
+	r2 := buildRing(pods, 42, all)
 	owners := make([]int, shards)
 	for s := 0; s < shards; s++ {
 		owners[s] = r1.place(uint64(s), 42)
@@ -122,7 +121,7 @@ func TestRingPlacementDeterministicAndStable(t *testing.T) {
 		}
 	}
 	// Removing pod 2 must move only pod 2's shards.
-	r3 := buildRing(pods, vnodes, 42, func(p int) bool { return p != 2 })
+	r3 := buildRing(pods, 42, func(p int) bool { return p != 2 })
 	for s := 0; s < shards; s++ {
 		got := r3.place(uint64(s), 42)
 		if owners[s] != 2 && got != owners[s] {
@@ -532,20 +531,32 @@ func TestFabricChaosRecordReplay(t *testing.T) {
 	}
 }
 
-func fabric_chaos_testConfig() ChaosConfig {
-	return ChaosConfig{
-		Pods:      3,
-		Threads:   4,
-		Procs:     2,
-		Shards:    16,
-		Keys:      96,
-		Issuers:   4,
-		Seed:      41,
-		Duration:  2500 * time.Millisecond,
-		FaultRate: 2.5,
-		DarkGrace: 150 * time.Millisecond,
-		MigStall:  60 * time.Millisecond,
+// A zero field is no longer a default: validate rejects each zero that
+// would divide by zero or run for no time.
+func TestChaosConfigRejectsZeroes(t *testing.T) {
+	for i, zero := range []func(*ChaosConfig){
+		func(c *ChaosConfig) { c.Issuers = 0 },
+		func(c *ChaosConfig) { c.Keys = 0 },
+		func(c *ChaosConfig) { c.Duration = 0 },
+		func(c *ChaosConfig) { c.FaultRate = 0 },
+	} {
+		cfg := DefaultChaosConfig()
+		zero(&cfg)
+		if cfg.validate() == nil {
+			t.Errorf("zeroed field %d validated", i)
+		}
 	}
+	if err := DefaultChaosConfig().validate(); err != nil {
+		t.Fatalf("default config invalid: %v", err)
+	}
+}
+
+func fabric_chaos_testConfig() ChaosConfig {
+	cfg := DefaultChaosConfig()
+	cfg.Keys, cfg.Issuers, cfg.Seed = 96, 4, 41
+	cfg.Duration, cfg.FaultRate = 2500*time.Millisecond, 2.5
+	cfg.DarkGrace, cfg.MigStall = 150*time.Millisecond, 60*time.Millisecond
+	return cfg
 }
 
 // An idle fabric's workers are parked, not polling; the pod clocks must

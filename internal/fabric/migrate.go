@@ -220,7 +220,7 @@ func (f *Fabric) drive(m *migration) error {
 
 	// Wait out in-flight pinned writes; after this the source copy is
 	// immutable (pin-then-recheck in the gate closes the race).
-	pinDeadline := time.Now().Add(f.cfg.FreezeWait)
+	pinDeadline := time.Now().Add(freezeWait)
 	for sl.pins.Load() != 0 {
 		if time.Now().After(pinDeadline) {
 			return f.unwind(m, false, "pins did not drain")

@@ -132,7 +132,7 @@ func (f *Fabric) failover(n *podNode) {
 	// unsettled pend is an ack-racing op whose effect the copy would
 	// fork. Only then stop the server (stopping first would answer
 	// maybe-applied writes ErrStopped — a manufactured lost ack).
-	deadline := time.Now().Add(f.cfg.PendWait)
+	deadline := time.Now().Add(pendWait)
 	for n.srv.PendingCrashed() != 0 {
 		if time.Now().After(deadline) {
 			f.violation(fmt.Sprintf("pod %d: %d crashed writes unsettled at failover", n.id, n.srv.PendingCrashed()))
@@ -264,7 +264,7 @@ func (f *Fabric) pickTarget(s int) int {
 // consistent hashing keeps every survivor's shards where they are.
 func (f *Fabric) rebuildRing() {
 	f.ringMu.Lock()
-	f.ring = buildRing(f.cfg.Pods, f.cfg.VNodes, f.cfg.Seed, func(p int) bool {
+	f.ring = buildRing(f.cfg.Pods, f.cfg.Seed, func(p int) bool {
 		return !f.pods[p].decommissioned.Load()
 	})
 	f.ringMu.Unlock()

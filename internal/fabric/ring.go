@@ -6,11 +6,13 @@ import (
 	"cxlalloc/internal/xrand"
 )
 
-// Consistent-hash placement: each in-ring pod contributes VNodes
+// Consistent-hash placement: each in-ring pod contributes vnodes
 // points on a 64-bit ring; shard s lives on the pod owning the first
 // point clockwise from hash(s). Removing a pod (decommission) moves
 // only that pod's shards — survivors' placements are stable, which is
 // what bounds failover copy traffic to the dead pod's share.
+
+const vnodes = 8
 
 type ringPoint struct {
 	hash uint64
@@ -23,7 +25,7 @@ type ring struct {
 
 // buildRing hashes vnodes points per in-ring pod, salted by seed so
 // placement is deterministic per fabric.
-func buildRing(pods, vnodes int, seed uint64, in func(pod int) bool) *ring {
+func buildRing(pods int, seed uint64, in func(pod int) bool) *ring {
 	r := &ring{}
 	for p := 0; p < pods; p++ {
 		if !in(p) {

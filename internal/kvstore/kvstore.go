@@ -73,13 +73,6 @@ func New(mem alloc.Allocator, nBuckets, nThreads int) *Store {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func (s *Store) shard(h uint64) *sync.Mutex {
 	return &s.shards[(h&s.mask)%uint64(len(s.shards))]
 }
@@ -104,11 +97,10 @@ func (s *Store) Put(tid int, key, val []byte) error {
 // PutTracked is Put with an allocation-visibility hook for crash-aware
 // clients: onAlloc (when non-nil) runs as soon as the value allocation
 // has returned, before any byte is written or the node is linked. A
-// client that crashes mid-Put can then resolve the op's fate exactly —
-// Linked reports whether the insert committed; if it did not, the
-// captured pointer is the client's to FreeOrphan. (A crash before
-// onAlloc runs leaves the allocation, if any, to the recovery report's
-// PendingAlloc — the two windows cannot overlap.)
+// client that crashes mid-Put can then resolve the op's fate exactly
+// with ResolvePut. (A crash before onAlloc runs leaves the allocation, if
+// any, to the recovery report's PendingAlloc — the two windows cannot
+// overlap.)
 func (s *Store) PutTracked(tid int, key, val []byte, onAlloc func(alloc.Ptr)) error {
 	p, err := s.mem.Alloc(tid, len(key)+len(val))
 	if err != nil {
@@ -308,14 +300,35 @@ func (s *Store) unlink(tid int, h uint64, victim *node) {
 	s.rec.Retire(tid, victim.ptr)
 }
 
-// Linked reports whether key's chain currently holds a live (not
-// logically deleted) node whose allocation is p. Crash resolution uses
-// it to decide whether an in-flight PutTracked committed: the head CAS
-// is the insert's linearization point, so a captured allocation that is
-// not linked afterwards never became visible to readers. The walk skips
+// ResolvePut settles a PutTracked that crashed, from the repaired slot:
+// *p is the allocation its onAlloc captured (0 if Alloc never returned).
+// The put applied iff that allocation is linked. If it is not, it is the
+// caller's, and it is freed — with *p cleared first: a free, once started,
+// is completed by the redo protocol, and a crash inside it must not lead
+// the retry into a double free. Either way, a put that crashed between
+// its head CAS and retiring the older entry left two live nodes for key,
+// and the older one is swept. Idempotent: a crash inside ResolvePut is
+// resolved by calling it again with the same p.
+func (s *Store) ResolvePut(tid int, key []byte, p *alloc.Ptr) (applied bool) {
+	if ptr := *p; ptr != 0 {
+		if s.linked(tid, key, ptr) {
+			applied = true
+		} else {
+			*p = 0
+			s.FreeOrphan(tid, ptr)
+		}
+	}
+	s.sweep(tid, key)
+	return applied
+}
+
+// linked reports whether key's chain currently holds a live (not
+// logically deleted) node whose allocation is p: the head CAS is the
+// insert's linearization point, so a captured allocation that is not
+// linked afterwards never became visible to readers. The walk skips
 // nothing, and an unlinked node's next still leads back into the chain,
 // so a node that stays linked is always reached.
-func (s *Store) Linked(tid int, key []byte, p alloc.Ptr) bool {
+func (s *Store) linked(tid int, key []byte, p alloc.Ptr) bool {
 	h := hash(key)
 	s.rec.Enter(tid)
 	defer s.rec.Exit(tid)
@@ -327,13 +340,11 @@ func (s *Store) Linked(tid int, key []byte, p alloc.Ptr) bool {
 	return false
 }
 
-// Sweep restores the at-most-one-live-node invariant for key after a
-// crashed Put: a Put that crashed between its head CAS and the retire
-// of the older entry leaves two live nodes for the key. Sweep keeps the
-// first (newest) live match and deletes every later one, returning how
-// many duplicates it removed. Idempotent — a crash inside Sweep is
-// resolved by running it again.
-func (s *Store) Sweep(tid int, key []byte) int {
+// sweep restores the at-most-one-live-node invariant for key after a
+// crashed Put: it keeps the first (newest) live match and deletes every
+// later one, returning how many duplicates it removed. Idempotent — a
+// crash inside sweep is resolved by running it again.
+func (s *Store) sweep(tid int, key []byte) int {
 	h := hash(key)
 	s.rec.Enter(tid)
 	defer s.rec.Exit(tid)

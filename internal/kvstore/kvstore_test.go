@@ -187,8 +187,8 @@ func TestChurnBoundedFootprint(t *testing.T) {
 
 // The crash-resolution protocol (server/chaos) leans on three
 // guarantees under concurrency: PutTracked reports the allocation
-// before linking it, Linked answers whether that exact allocation is
-// the key's live node, and Sweep restores the at-most-one-live-node
+// before linking it, linked answers whether that exact allocation is
+// the key's live node, and sweep restores the at-most-one-live-node
 // invariant. Exercise all three against racing deleters.
 func TestPutTrackedLinkedUnderConcurrentDeletes(t *testing.T) {
 	const threads = 4
@@ -222,16 +222,16 @@ func TestPutTrackedLinkedUnderConcurrentDeletes(t *testing.T) {
 		if p == 0 {
 			t.Fatal("PutTracked never reported its allocation")
 		}
-		// Linked(p) must agree with visible state: if the node is still
+		// linked(p) must agree with visible state: if the node is still
 		// live it is THIS allocation; if a racing delete won, the key is
 		// gone (a replace by someone else is impossible: single writer).
-		linked := s.Linked(0, k, p)
+		linked := s.linked(0, k, p)
 		v, ok := s.Get(0, k, val)
 		val = v
-		// Linked and then gone is legal: a delete landed between the two
+		// linked and then gone is legal: a delete landed between the two
 		// probes. Gone and then visible is not: nobody else links the key.
 		if !linked && ok {
-			t.Fatalf("key %s: visible after Linked reported its node gone", k)
+			t.Fatalf("key %s: visible after linked reported its node gone", k)
 		}
 		if ok && string(v) != string(want) {
 			t.Fatalf("key %s = %q, want %q (single writer)", k, v, want)
@@ -242,7 +242,7 @@ func TestPutTrackedLinkedUnderConcurrentDeletes(t *testing.T) {
 	s.Drain(threads)
 }
 
-// Sweep after a simulated crashed replace: two live nodes for one key
+// sweep after a simulated crashed replace: two live nodes for one key
 // (the old value and the crash-leaked new one) must collapse back to
 // one — the newest — and report the removals, with deleters racing.
 func TestSweepRestoresSingleNodeUnderConcurrentDeletes(t *testing.T) {
@@ -253,7 +253,7 @@ func TestSweepRestoresSingleNodeUnderConcurrentDeletes(t *testing.T) {
 		// A normal put, then a tracked put for the same key emulating the
 		// replace path's fresh node (the store links the new node first,
 		// unlinking the old one afterwards; a crash between the two leaves
-		// both live — Sweep is the repair).
+		// both live — sweep is the repair).
 		if err := s.Put(0, k, []byte("old")); err != nil {
 			t.Fatal(err)
 		}
@@ -268,18 +268,18 @@ func TestSweepRestoresSingleNodeUnderConcurrentDeletes(t *testing.T) {
 				if tid%2 == 1 {
 					s.Delete(tid, []byte(fmt.Sprintf("crash-%d", (tid+round)%8)))
 				}
-				s.Sweep(tid, k)
+				s.sweep(tid, k)
 			}(d)
 		}
-		removed := s.Sweep(0, k)
+		removed := s.sweep(0, k)
 		wg.Wait()
 		if removed < 0 || removed > 1 {
-			t.Fatalf("round %d: Sweep removed %d nodes for one key, want 0 or 1", round, removed)
+			t.Fatalf("round %d: sweep removed %d nodes for one key, want 0 or 1", round, removed)
 		}
 		// Invariant after sweeping: at most one live node, and if the key
 		// is present its value is the newest.
-		if extra := s.Sweep(0, k); extra != 0 {
-			t.Fatalf("round %d: second Sweep removed %d more nodes", round, extra)
+		if extra := s.sweep(0, k); extra != 0 {
+			t.Fatalf("round %d: second sweep removed %d more nodes", round, extra)
 		}
 		if v, ok := s.Get(0, k, nil); ok && string(v) != "new" {
 			t.Fatalf("round %d: survivor = %q, want the newest node", round, v)

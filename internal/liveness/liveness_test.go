@@ -49,7 +49,7 @@ func newTenv(t *testing.T, cfg Config) *tenv {
 	}
 	e := &tenv{t: t, h: h, inj: inj, cfg: cfg.WithDefaults(), epochs: map[int]uint16{}}
 	for p := 0; p < 2; p++ {
-		sp := vas.NewSpace(p, dev, hc.PageSize)
+		sp := vas.NewSpace(p, dev, core.PageSize)
 		sp.SetHandler(func(tid int, s *vas.Space, page uint64) bool {
 			return h.HandleFault(tid, s.Install, page)
 		})

@@ -35,7 +35,7 @@ func stressPod(tb testing.TB, n, procs int, cfg Config) (*core.Heap, []*Manager,
 	mgrs := make([]*Manager, procs)
 	spaces := make([]*vas.Space, procs)
 	for p := 0; p < procs; p++ {
-		spaces[p] = vas.NewSpace(p, dev, hc.PageSize)
+		spaces[p] = vas.NewSpace(p, dev, core.PageSize)
 		spaces[p].SetHandler(func(tid int, s *vas.Space, page uint64) bool {
 			return h.HandleFault(tid, s.Install, page)
 		})

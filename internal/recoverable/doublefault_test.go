@@ -36,7 +36,7 @@ func newCXLQueueEnv(t *testing.T) (*core.Heap, *crash.Injector, []*vas.Space, *Q
 	}
 	spaces := make([]*vas.Space, cfg.NumThreads)
 	for tid := 0; tid < cfg.NumThreads; tid++ {
-		sp := vas.NewSpace(tid, dev, cfg.PageSize)
+		sp := vas.NewSpace(tid, dev, core.PageSize)
 		sp.SetHandler(func(tid int, s *vas.Space, page uint64) bool {
 			return h.HandleFault(tid, s.Install, page)
 		})

@@ -313,8 +313,9 @@ func TestDispatchIdleServerRepairsOnTheLeaseWallTarget(t *testing.T) {
 			th.Run(func() {}) // one renewal under the finite lease
 		}
 	}
-	srv := New(Config{Pod: r.Pod, Store: r.Store, Groups: testGroups, TickRate: tickRate})
+	srv := New(Config{Pod: r.Pod, Store: r.Store, Groups: testGroups})
 	t.Cleanup(srv.Stop)
+	srv.SetTickRate(tickRate)
 
 	// The worker that takes this put dies inside it, holding the write.
 	inj.ArmRandom(1, 1, 0, 1, 2, 3)

@@ -98,7 +98,7 @@ type Response struct {
 }
 
 // Config parameterizes a Server. Pod, Store, and Groups are required;
-// zero values elsewhere take the documented defaults.
+// a zero QueueCap takes the default of 512.
 type Config struct {
 	Pod   *cxlalloc.Pod
 	Store *kvstore.Store
@@ -106,24 +106,11 @@ type Config struct {
 	// queue, one circuit breaker, and one worker goroutine per tid.
 	Groups [][]int
 
-	QueueCap      int           // per-group admission queue bound (default 512)
-	LIFOThreshold int           // depth at which pop turns newest-first (default QueueCap/2)
-	CoDelTarget   time.Duration // sojourn target (default 5ms)
-	CoDelInterval time.Duration // above-target grace interval (default 100ms)
+	QueueCap int // per-group admission queue bound (default 512)
 
-	SoftWatermark float64       // shed writes at this mapped-slab fraction (default 0.90)
-	HardWatermark float64       // ErrPodFull at this fraction (default 0.98)
-	RetryAfter    time.Duration // ErrPodFull hint (default 5ms)
 	// PressureFn overrides the memory-pressure source (tests). Default:
-	// the heap's MemPressure sampled every PressureEvery.
-	PressureFn    func() float64
-	PressureEvery time.Duration // sampler period (default 1ms)
-
-	// TickRate, when nonzero, is the calibrated pod-clock rate in
-	// ticks/second; deadlines are then stamped on the pod logical clock
-	// too and enforced against whichever clock expires first. Harnesses
-	// that calibrate mid-run use SetTickRate instead.
-	TickRate float64
+	// the heap's MemPressure sampled every pressureEvery.
+	PressureFn func() float64
 
 	// DecodeVer extracts the version from a value's bytes (the
 	// versioned client's codec); used to resolve a crashed delete's
@@ -140,33 +127,17 @@ type Config struct {
 	Gate func(r *Request) (release func(), err error)
 }
 
-func (c Config) withDefaults() Config {
-	if c.QueueCap == 0 {
-		c.QueueCap = 512
-	}
-	if c.LIFOThreshold == 0 {
-		c.LIFOThreshold = c.QueueCap / 2
-	}
-	if c.CoDelTarget == 0 {
-		c.CoDelTarget = 5 * time.Millisecond
-	}
-	if c.CoDelInterval == 0 {
-		c.CoDelInterval = 100 * time.Millisecond
-	}
-	if c.SoftWatermark == 0 {
-		c.SoftWatermark = 0.90
-	}
-	if c.HardWatermark == 0 {
-		c.HardWatermark = 0.98
-	}
-	if c.RetryAfter == 0 {
-		c.RetryAfter = 5 * time.Millisecond
-	}
-	if c.PressureEvery == 0 {
-		c.PressureEvery = time.Millisecond
-	}
-	return c
-}
+// Admission and shedding policy. A group's queue pops newest-first once
+// it is half full (LIFO at QueueCap/2).
+const (
+	defaultQueueCap = 512
+	coDelTarget     = 5 * time.Millisecond   // sojourn target
+	coDelInterval   = 100 * time.Millisecond // above-target grace interval
+	softWatermark   = 0.90                   // shed writes at this mapped-slab fraction
+	hardWatermark   = 0.98                   // ErrPodFull at this fraction
+	retryAfter      = 5 * time.Millisecond   // ErrPodFull hint
+	pressureEvery   = time.Millisecond       // pressure sampler period
+)
 
 // group is one process group's service state.
 type group struct {
@@ -253,13 +224,15 @@ const (
 // fabric monitor reads a stalled clock as a dark pod, and a finite lease
 // is renewed from Thread.Run — and a millisecond is far inside the
 // shortest dark grace in use (60 ms). The sampler never sleeps longer than
-// this, whatever PressureEvery says. A variable only so the dispatch
+// this, whatever pressureEvery says. A variable only so the dispatch
 // tests can stretch it and prove that pushes, not kicks, wake the workers.
 var idlePeriod = time.Millisecond
 
 // New builds the server and starts its workers and pressure sampler.
 func New(cfg Config) *Server {
-	cfg = cfg.withDefaults()
+	if cfg.QueueCap == 0 {
+		cfg.QueueCap = defaultQueueCap
+	}
 	s := &Server{cfg: cfg, heap: cfg.Pod.Heap()}
 	if cfg.PressureFn == nil {
 		heap := s.heap
@@ -267,12 +240,11 @@ func New(cfg Config) *Server {
 		s.cfg.PressureFn = cfg.PressureFn
 	}
 	s.pressure.Store(math.Float64bits(cfg.PressureFn()))
-	s.tickRate.Store(math.Float64bits(cfg.TickRate))
 	for gi, tids := range cfg.Groups {
 		g := &group{
 			id:   gi,
 			tids: append([]int(nil), tids...),
-			q:    newQueue(cfg.QueueCap, cfg.LIFOThreshold, cfg.CoDelTarget, cfg.CoDelInterval),
+			q:    newQueue(cfg.QueueCap, cfg.QueueCap/2, coDelTarget, coDelInterval),
 			wake: make(chan struct{}, len(tids)),
 		}
 		s.groups = append(s.groups, g)
@@ -428,11 +400,11 @@ func (s *Server) refuse(r *Request) error {
 		return nil
 	}
 	p := s.Pressure()
-	if p >= s.cfg.HardWatermark {
+	if p >= hardWatermark {
 		s.shedPodFull.Add(1)
-		return &ErrPodFull{Pressure: p, RetryAfter: s.cfg.RetryAfter}
+		return &ErrPodFull{Pressure: p, RetryAfter: retryAfter}
 	}
-	if p >= s.cfg.SoftWatermark {
+	if p >= softWatermark {
 		s.shedWrite.Add(1)
 		return ErrWriteShed
 	}
@@ -494,7 +466,7 @@ func (s *Server) reroute(g *group) {
 	}
 }
 
-// sampler refreshes the pressure sample every PressureEvery and kicks the
+// sampler refreshes the pressure sample every pressureEvery and kicks the
 // parked workers every idlePeriod (see idlePeriod), sleeping the shorter
 // of the two. One goroutine with one timer does for every worker what a
 // timer each would.
@@ -505,7 +477,7 @@ func (s *Server) sampler() {
 	kicked, want := time.Now(), uint64(0) // want: see pace
 	for !s.stopped.Load() {
 		now := time.Now()
-		if now.Sub(sampled) >= s.cfg.PressureEvery {
+		if now.Sub(sampled) >= pressureEvery {
 			sampled = now
 			s.pressure.Store(math.Float64bits(s.cfg.PressureFn()))
 		}
@@ -516,7 +488,7 @@ func (s *Server) sampler() {
 				g.signal(len(g.tids))
 			}
 		}
-		time.Sleep(min(s.cfg.PressureEvery, idle))
+		time.Sleep(min(pressureEvery, idle))
 	}
 }
 
@@ -814,7 +786,7 @@ func (s *Server) execute(tid int, r *Request, pc *pendOp) {
 			// The allocator's authoritative backstop: typed, with a hint —
 			// never a panic or a wedged worker.
 			s.shedPodFull.Add(1)
-			r.resp.Err = &ErrPodFull{Pressure: s.Pressure(), RetryAfter: s.cfg.RetryAfter}
+			r.resp.Err = &ErrPodFull{Pressure: s.Pressure(), RetryAfter: retryAfter}
 		} else {
 			r.resp.Err = err
 		}
@@ -825,24 +797,11 @@ func (s *Server) execute(tid int, r *Request, pc *pendOp) {
 
 // resolveCrashed settles a crashed write against ground truth (inside
 // th.Run on the repaired slot). It may itself crash and re-run; every
-// step is idempotent, with pointer ownership popped before any free.
+// step is idempotent.
 func (s *Server) resolveCrashed(tid int, p *pendOp) bool {
 	r := p.req
 	if r.Op == OpPut {
-		applied := false
-		if p.ptr != 0 {
-			if s.cfg.Store.Linked(tid, r.Key, p.ptr) {
-				applied = true
-			} else {
-				ptr := p.ptr
-				p.ptr = 0
-				s.cfg.Store.FreeOrphan(tid, ptr)
-			}
-		}
-		// A Put that crashed between its head CAS and retiring the old
-		// entry leaves two live nodes; restore the invariant.
-		s.cfg.Store.Sweep(tid, r.Key)
-		return applied
+		return s.cfg.Store.ResolvePut(tid, r.Key, &p.ptr)
 	}
 	// Delete: applied iff the displaced version is gone. The versioned
 	// client keeps the key single-writer, so any other version is

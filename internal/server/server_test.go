@@ -27,7 +27,8 @@ var testGroups = [][]int{{0, 2}, {1, 3}}
 // benchmarks put a server on.
 func newTestRun(tb testing.TB, inj *crash.Injector) *sloRun {
 	tb.Helper()
-	cfg := SLOConfig{Threads: 4, Procs: 2, Keys: 64, Clients: 2, Window: time.Second}.withDefaults()
+	cfg := DefaultSLOConfig()
+	cfg.Threads, cfg.Procs, cfg.Keys, cfg.Clients, cfg.Window = 4, 2, 64, 2, time.Second
 	r, err := buildSLORun(cfg, inj)
 	if err != nil {
 		tb.Fatalf("buildSLORun: %v", err)
@@ -46,8 +47,7 @@ func newTestFixture(t *testing.T) *testFixture {
 		PressureFn: func() float64 {
 			return math.Float64frombits(f.pressure.Load())
 		},
-		PressureEvery: 100 * time.Microsecond,
-		DecodeVer:     chaos.DecodeVal,
+		DecodeVer: chaos.DecodeVal,
 	})
 	t.Cleanup(f.srv.Stop)
 	return f
@@ -210,6 +210,28 @@ func TestClientDoesNotRetryNonIdempotentCrashedWrite(t *testing.T) {
 		if got := Retryable(c.err, c.isRead); got != c.want {
 			t.Errorf("Retryable(%v, read=%v) = %v, want %v", c.err, c.isRead, got, c.want)
 		}
+	}
+}
+
+// A zero field is no longer a default: validate rejects each zero that
+// would divide by zero or run for no time.
+func TestSLOConfigRejectsZeroes(t *testing.T) {
+	for i, zero := range []func(*SLOConfig){
+		func(c *SLOConfig) { c.Clients = 0 },
+		func(c *SLOConfig) { c.Procs = 0 },
+		func(c *SLOConfig) { c.Window = 0 },
+		func(c *SLOConfig) { c.FaultEvery = 0 },
+		func(c *SLOConfig) { c.LeaseWall = 0 },
+		func(c *SLOConfig) { c.Rates = []float64{1, 0} },
+	} {
+		cfg := DefaultSLOConfig()
+		zero(&cfg)
+		if cfg.validate() == nil {
+			t.Errorf("zeroed field %d validated", i)
+		}
+	}
+	if err := DefaultSLOConfig().validate(); err != nil {
+		t.Fatalf("default config invalid: %v", err)
 	}
 }
 

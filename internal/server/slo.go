@@ -24,8 +24,8 @@ import (
 // service path, and the run ends with the same authoritative audit as
 // livechaos: final sweep, teardown, heap invariants, empty-ledger.
 
-// SLOConfig parameterizes RunSLO/RunSLOChaos. Zero fields take the
-// defaults in DefaultSLOConfig.
+// SLOConfig parameterizes RunSLO/RunSLOChaos. Start from
+// DefaultSLOConfig.
 type SLOConfig struct {
 	Threads int // pod thread slots = server workers
 	Procs   int // process groups
@@ -33,87 +33,53 @@ type SLOConfig struct {
 	Clients int // issuer connections (key partitions)
 	Seed    uint64
 
-	Deadline time.Duration // per-request budget
-	Window   time.Duration // measured window per rate point
-	Rates    []float64     // offered-load multipliers of measured capacity
-
-	QueueCap    int // per-group admission bound
-	MaxInFlight int // per-issuer connection concurrency limit
+	Window time.Duration // measured window per rate point
+	Rates  []float64     // offered-load multipliers of measured capacity
 
 	// Chaos variant only: fault pacing and the wall-clock lease target.
 	FaultEvery time.Duration
 	LeaseWall  time.Duration
 }
 
+const (
+	sloDeadline = 25 * time.Millisecond // per-request budget
+	// The admission queue must be smaller than the clients' combined
+	// in-flight window (Clients x sloMaxInFlight) or bounded-queue
+	// eviction can never engage; 64 per group also keeps worst-case
+	// sojourn (~queue/service rate) well inside the deadline.
+	sloQueueCap    = 64
+	sloMaxInFlight = 32 // per-issuer connection concurrency limit
+)
+
 // DefaultSLOConfig sizes a run for the CLI default (~10s total).
 func DefaultSLOConfig() SLOConfig {
 	return SLOConfig{
-		Threads:  8,
-		Procs:    4,
-		Keys:     512,
-		Clients:  16,
-		Seed:     2026,
-		Deadline: 25 * time.Millisecond,
-		Window:   1500 * time.Millisecond,
-		Rates:    []float64{0.5, 1, 2, 4},
-		// The admission queue must be smaller than the clients' combined
-		// in-flight window (Clients x MaxInFlight) or bounded-queue
-		// eviction can never engage; 64 per group also keeps worst-case
-		// sojourn (~queue/service rate) well inside the deadline.
-		QueueCap:    64,
-		MaxInFlight: 32,
-		FaultEvery:  900 * time.Millisecond,
-		LeaseWall:   400 * time.Millisecond,
+		Threads:    8,
+		Procs:      4,
+		Keys:       512,
+		Clients:    16,
+		Seed:       2026,
+		Window:     1500 * time.Millisecond,
+		Rates:      []float64{0.5, 1, 2, 4},
+		FaultEvery: 900 * time.Millisecond,
+		LeaseWall:  400 * time.Millisecond,
 	}
-}
-
-func (c SLOConfig) withDefaults() SLOConfig {
-	d := DefaultSLOConfig()
-	if c.Threads == 0 {
-		c.Threads = d.Threads
-	}
-	if c.Procs == 0 {
-		c.Procs = d.Procs
-	}
-	if c.Keys == 0 {
-		c.Keys = d.Keys
-	}
-	if c.Clients == 0 {
-		c.Clients = d.Clients
-	}
-	if c.Seed == 0 {
-		c.Seed = d.Seed
-	}
-	if c.Deadline == 0 {
-		c.Deadline = d.Deadline
-	}
-	if c.Window == 0 {
-		c.Window = d.Window
-	}
-	if len(c.Rates) == 0 {
-		c.Rates = d.Rates
-	}
-	if c.QueueCap == 0 {
-		c.QueueCap = d.QueueCap
-	}
-	if c.MaxInFlight == 0 {
-		c.MaxInFlight = d.MaxInFlight
-	}
-	if c.FaultEvery == 0 {
-		c.FaultEvery = d.FaultEvery
-	}
-	if c.LeaseWall == 0 {
-		c.LeaseWall = d.LeaseWall
-	}
-	return c
 }
 
 func (c SLOConfig) validate() error {
 	if c.Threads < c.Procs || c.Procs < 2 {
 		return fmt.Errorf("server: slo needs Threads >= Procs >= 2 (got %d/%d)", c.Threads, c.Procs)
 	}
-	if c.Keys < 2*c.Clients {
-		return fmt.Errorf("server: slo needs Keys >= 2*Clients (got %d/%d)", c.Keys, c.Clients)
+	if c.Clients < 1 || c.Keys < 2*c.Clients {
+		return fmt.Errorf("server: slo needs Clients >= 1 and Keys >= 2*Clients (got %d/%d)", c.Keys, c.Clients)
+	}
+	if c.Window <= 0 || c.FaultEvery <= 0 || c.LeaseWall <= 0 {
+		return fmt.Errorf("server: slo needs a positive Window, FaultEvery and LeaseWall (got %v/%v/%v)", c.Window, c.FaultEvery, c.LeaseWall)
+	}
+	for _, m := range c.Rates {
+		if m <= 0 {
+			return fmt.Errorf("server: slo rate multiplier %g is not positive", m)
+		}
 	}
 	return nil
 }
@@ -241,8 +207,8 @@ type sloRun struct {
 }
 
 // sloIssuer is one client connection: the shared oracle-checked issuer
-// plus the connection's request pool (MaxInFlight is its concurrency
-// limit).
+// plus the connection's request pool (sloMaxInFlight is its
+// concurrency limit).
 type sloIssuer struct {
 	*Issuer
 	pool chan *Request
@@ -281,12 +247,12 @@ func buildSLORun(cfg SLOConfig, inj *crash.Injector) (*sloRun, error) {
 		zipfOwn := xrand.NewZipf(rng, uint64(keysPer), 0.99)
 		is := &sloIssuer{
 			// startServer installs the Client: slochaos starts two servers.
-			Issuer: NewIssuer(nil, r.orc, &r.gates, cfg.Deadline, rng,
+			Issuer: NewIssuer(nil, r.orc, &r.gates, sloDeadline, rng,
 				func() int { return int(zipfAll.NextScrambled()) },
 				func() int { return int(zipfOwn.NextScrambled())*cfg.Clients + i }),
-			pool: make(chan *Request, cfg.MaxInFlight),
+			pool: make(chan *Request, sloMaxInFlight),
 		}
-		for j := 0; j < cfg.MaxInFlight; j++ {
+		for j := 0; j < sloMaxInFlight; j++ {
 			is.pool <- NewRequest()
 		}
 		r.issuers = append(r.issuers, is)
@@ -305,7 +271,7 @@ func (r *sloRun) startServer() {
 		Pod:       r.Pod,
 		Store:     r.Store,
 		Groups:    groups,
-		QueueCap:  r.cfg.QueueCap,
+		QueueCap:  sloQueueCap,
 		DecodeVer: chaos.DecodeVal,
 	})
 	for i, is := range r.issuers {
@@ -322,7 +288,7 @@ func (r *sloRun) settle(is *sloIssuer, req *Request, fired time.Time, resp *Resp
 	lat := resp.DoneWall.Sub(fired)
 	t.observe(lat)
 	t.acked.Add(1)
-	if lat <= r.cfg.Deadline {
+	if lat <= sloDeadline {
 		t.good.Add(1)
 	}
 }
@@ -334,10 +300,7 @@ func (r *sloRun) settle(is *sloIssuer, req *Request, fired time.Time, resp *Resp
 // actually overload.
 func (r *sloRun) closedLoop(window time.Duration) *pointTally {
 	t := newPointTally()
-	lanes := 8
-	if lanes > r.cfg.MaxInFlight {
-		lanes = r.cfg.MaxInFlight
-	}
+	const lanes = min(8, sloMaxInFlight)
 	deadline := time.Now().Add(window)
 	var wg sync.WaitGroup
 	for _, is := range r.issuers {
@@ -380,7 +343,7 @@ func (r *sloRun) capacityPhase(rep *SLOReport) error {
 		r.audit(rep)
 		return fmt.Errorf("server: capacity phase acked nothing")
 	}
-	if p, soft := heap.MemPressure(0), r.srv.cfg.SoftWatermark; p >= soft {
+	if p, soft := heap.MemPressure(0), softWatermark; p >= soft {
 		r.audit(rep)
 		return fmt.Errorf("server: harness pod too small for %.0f ops/sec: memory pressure %.2f after the capacity phase is at the soft watermark (%.2f); raise MaxLargeSlabs in buildSLORun", rep.Capacity, p, soft)
 	}
@@ -390,7 +353,7 @@ func (r *sloRun) capacityPhase(rep *SLOReport) error {
 // openLoop offers rate ops/sec for the window: arrivals are paced by a
 // seeded Poisson process per issuer, independent of response latency —
 // the load does not slow down because the service did. Each issuer owns
-// MaxInFlight persistent lanes (its connection limit); an arrival that
+// sloMaxInFlight persistent lanes (its connection limit); an arrival that
 // finds every lane busy and the fire buffer full is a client-side
 // drop, counted against goodput like any other failure. The pacer
 // wakes on a coarse quantum and fires everything due, so pacing costs
@@ -402,9 +365,9 @@ func (r *sloRun) openLoop(rate float64, window time.Duration, salt uint64) (*poi
 	stop := start.Add(window)
 	var wg sync.WaitGroup
 	for i, is := range r.issuers {
-		fire := make(chan time.Time, r.cfg.MaxInFlight)
+		fire := make(chan time.Time, sloMaxInFlight)
 		var lanes sync.WaitGroup
-		for l := 0; l < r.cfg.MaxInFlight; l++ {
+		for l := 0; l < sloMaxInFlight; l++ {
 			lanes.Add(1)
 			go func() {
 				defer lanes.Done()
@@ -510,7 +473,6 @@ func (r *sloRun) audit(rep *SLOReport) {
 // that never expires. When the capacity phase fails, the report so far
 // comes back with the error.
 func openSLO(cfg SLOConfig, inj *crash.Injector) (*sloRun, *SLOReport, error) {
-	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, nil, err
 	}
@@ -525,7 +487,7 @@ func openSLO(cfg SLOConfig, inj *crash.Injector) (*sloRun, *SLOReport, error) {
 	}
 	rep := &SLOReport{
 		Threads: cfg.Threads, Procs: cfg.Procs, Keys: cfg.Keys, Clients: cfg.Clients,
-		Seed: cfg.Seed, Deadline: cfg.Deadline, Window: cfg.Window,
+		Seed: cfg.Seed, Deadline: sloDeadline, Window: cfg.Window,
 	}
 	return r, rep, r.capacityPhase(rep)
 }

@@ -10,6 +10,7 @@ import (
 
 	"cxlalloc/internal/bench"
 	"cxlalloc/internal/chaos"
+	"cxlalloc/internal/server"
 )
 
 // runChaos runs the robustness gate: every crash point the workload
@@ -108,7 +109,7 @@ func saveSchedule(exp, path string, specs []chaos.FaultSpec) error {
 // oracle. Any gate failure (invariant/ledger violation, a lost acked
 // write, a false takeover) is a hard error (non-zero exit).
 func liveChaosExp() *experiment {
-	cfg := chaos.DefaultLiveConfig()
+	cfg := server.DefaultLiveConfig()
 	fs := newFlags("livechaos")
 	fs.DurationVar(&cfg.Duration, "duration", cfg.Duration, "traffic window")
 	fs.DurationVar(&cfg.LeaseWall, "lease", cfg.LeaseWall, "target lease wall-clock expiry (raise on heavily shared machines to avoid benign claim storms)")
@@ -124,12 +125,12 @@ func liveChaosExp() *experiment {
 	}
 }
 
-func runLiveChaos(cfg chaos.LiveConfig, schedOut string) ([]bench.Row, error) {
-	rep, err := chaos.RunLive(cfg)
+func runLiveChaos(cfg server.LiveConfig, schedOut string) ([]bench.Row, error) {
+	rep, err := server.RunLive(cfg)
 	if err != nil {
 		return nil, err
 	}
-	fmt.Print(chaos.FormatLiveReport(rep))
+	fmt.Print(server.FormatLiveReport(rep))
 	if err := saveSchedule("livechaos", schedOut, rep.Schedule); err != nil {
 		return nil, err
 	}

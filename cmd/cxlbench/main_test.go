@@ -75,7 +75,7 @@ func TestFlagOfAnotherExperimentIsRejected(t *testing.T) {
 // Each experiment flag's default is its config's default: the flag binds
 // into the config, so -h prints the value a run without the flag uses.
 func TestExperimentFlagDefaultsAreConfigDefaults(t *testing.T) {
-	live, fab := chaos.DefaultLiveConfig(), fabric.DefaultChaosConfig()
+	live, fab := server.DefaultLiveConfig(), fabric.DefaultChaosConfig()
 	slo, per := server.DefaultSLOConfig(), chaos.DefaultPersistConfig()
 	want := map[string]map[string]any{
 		"fig8":        {"workloads": ""},

@@ -2,7 +2,7 @@ package chaos
 
 // The online-harness kernel: the one copy of everything livechaos,
 // slo/slochaos and fabricchaos share. A harness supplies its target (a
-// pod, a server over a pod, a fabric of pods), its fault planner
+// server over a pod, a fabric of pods), its fault planner
 // (plan/apply), the logical clock its faults are stamped on, and any
 // gate beyond the common three (violations, lost acks, false
 // takeovers). The kernel owns the rest: the gate ledger, the seeded

@@ -4,30 +4,29 @@ package chaos
 // records every acknowledged Put/Delete, so an acked write the pod
 // silently loses to a crash is a run failure, not a shrug.
 //
-// The keyspace is partitioned one-writer-per-key (worker w owns keys
-// congruent to w mod workers), so each key's shadow history is a simple
-// linear version sequence. Readers on foreign keys cannot know exactly
-// where in that sequence a concurrent writer is, so mid-run reads are
-// validated against a bracketing pair of shadow snapshots: the observed
-// (version, found) must be admissible under the state before or after
-// the read, and reads that raced more than one transition are skipped
-// (counted, not checked). The authoritative check is the end-of-run
-// sweep at quiescence: every key's store content must exactly equal its
-// settled shadow state.
+// The keyspace is partitioned one-writer-per-key (issuer i owns keys
+// congruent to i mod issuers), so each key's shadow history is a simple
+// linear version sequence. A reader cannot know exactly where in that
+// sequence a concurrent writer is, so mid-run reads are validated
+// against a bracket: ReadMark before the read is issued, CheckRead once
+// it has returned. The observed (version, found) must be admissible
+// under the state at either end, and reads that raced more than one
+// transition are skipped (counted, not checked). The authoritative check
+// is the end-of-run sweep at quiescence: every key's store content must
+// exactly equal its settled shadow state.
 //
-// An in-flight op whose issuer crashes is a fork in the history — the
+// An in-flight op whose worker crashes is a fork in the history — the
 // op either committed or it did not — and is settled by ground truth,
-// not by guessing: the recovered writer probes the store (kvstore.Linked
-// for puts, a version probe for deletes) and tells the oracle which
-// branch happened. Versions are minted monotonically per key and never
-// reused, so a stale value can never masquerade as a newer one.
+// not by guessing: the repaired worker probes the store (kvstore.Linked
+// for puts, a version probe for deletes) and the response tells the
+// oracle which branch happened. Versions are minted monotonically per
+// key and never reused, so a stale value can never masquerade as a
+// newer one.
 //
-// Out-of-package harnesses (internal/server's issuer, fabricchaos)
-// drive the writer-side protocol — mint a version, Begin, then Ack on
-// success or Resolve from ground truth after a crash — and leave
-// exactness to FinalSweep; the bracketing-snapshot read validation
-// stays private to livechaos, because a service client validates reads
-// by the value codec alone.
+// The oracle's one client is internal/server's Issuer, which every
+// online harness (livechaos, slo/slochaos, fabricchaos) drives: it runs
+// the writer-side protocol — mint a version, Begin, then Ack on success
+// or Resolve from ground truth after a crash — and brackets every read.
 
 import (
 	"encoding/binary"
@@ -52,16 +51,29 @@ func (st KVState) matches(ver uint64, found bool) bool {
 	return st.Present && st.Ver == ver
 }
 
+// shadow is one key's state as readers see it: the settled state and,
+// while a write is in flight, its target.
+type shadow struct {
+	cur, pend KVState
+	pendOn    bool
+}
+
+// admits reports whether an observed read is explainable by this state:
+// the settled state, or the in-flight target (the reader may serialize
+// before or after a concurrent op's linearization point).
+func (s shadow) admits(ver uint64, found bool) bool {
+	return s.cur.matches(ver, found) || s.pendOn && s.pend.matches(ver, found)
+}
+
 // oracleEntry is one key's shadow record. gen counts transitions
 // (begin/ack/resolve), letting readers detect how much history they
-// raced with.
+// raced with; before is the state the last transition left, so a read
+// that raced one transition can be checked against both ends of it.
 type oracleEntry struct {
-	mu      sync.Mutex
-	gen     uint64
-	cur     KVState
-	pend    KVState
-	pendOn  bool
-	nextVer uint64
+	mu          sync.Mutex
+	gen         uint64
+	now, before shadow
+	nextVer     uint64
 }
 
 // Oracle is the shadow map over the whole keyspace.
@@ -84,84 +96,84 @@ func (o *Oracle) NextVersion(k int) uint64 {
 	return v
 }
 
-// Begin records an in-flight op that will move k to target if it
-// commits. The writer must have no other op in flight on k.
-func (o *Oracle) Begin(k int, target KVState) {
+// transition moves k's shadow state on by one generation.
+func (o *Oracle) transition(k int, move func(s *shadow)) {
 	e := &o.entries[k]
 	e.mu.Lock()
-	e.pend = target
-	e.pendOn = true
+	e.before = e.now
+	move(&e.now)
 	e.gen++
 	e.mu.Unlock()
 }
 
+// Begin records an in-flight op that will move k to target if it
+// commits. The writer must have no other op in flight on k.
+func (o *Oracle) Begin(k int, target KVState) {
+	o.transition(k, func(s *shadow) { s.pend, s.pendOn = target, true })
+}
+
 // Ack commits the in-flight op: the store acknowledged it.
 func (o *Oracle) Ack(k int) {
-	e := &o.entries[k]
-	e.mu.Lock()
-	e.cur = e.pend
-	e.pendOn = false
-	e.gen++
-	e.mu.Unlock()
+	o.transition(k, func(s *shadow) { s.cur, s.pendOn = s.pend, false })
 }
 
 // Resolve settles a crashed op from ground truth: applied reports
 // whether the op's effect is visible in the recovered store.
 func (o *Oracle) Resolve(k int, applied bool) {
+	o.transition(k, func(s *shadow) {
+		if applied {
+			s.cur = s.pend
+		}
+		s.pendOn = false
+	})
+}
+
+// read returns k's generation and its state now and before the last
+// transition.
+func (o *Oracle) read(k int) (gen uint64, now, before shadow) {
 	e := &o.entries[k]
 	e.mu.Lock()
-	if applied {
-		e.cur = e.pend
-	}
-	e.pendOn = false
-	e.gen++
-	e.mu.Unlock()
+	defer e.mu.Unlock()
+	return e.gen, e.now, e.before
 }
 
 // Current returns k's settled state; only meaningful to k's writer (no op
 // can be in flight).
 func (o *Oracle) Current(k int) KVState {
-	e := &o.entries[k]
-	e.mu.Lock()
-	st := e.cur
-	e.mu.Unlock()
-	return st
+	_, now, _ := o.read(k)
+	return now.cur
 }
 
-// oSnap is a point-in-time view of one key's shadow record.
-type oSnap struct {
-	gen    uint64
-	cur    KVState
-	pend   KVState
-	pendOn bool
+// ReadMark opens a read's bracket on k: taken before the read is issued,
+// it is what CheckRead measures the read's window against.
+func (o *Oracle) ReadMark(k int) uint64 {
+	gen, _, _ := o.read(k)
+	return gen
 }
 
-func (o *Oracle) snapshot(k int) oSnap {
-	e := &o.entries[k]
-	e.mu.Lock()
-	s := oSnap{gen: e.gen, cur: e.cur, pend: e.pend, pendOn: e.pendOn}
-	e.mu.Unlock()
-	return s
-}
-
-// admits reports whether an observed read is explainable by this
-// snapshot: the settled state, or the in-flight target (the reader may
-// serialize before or after a concurrent op's linearization point).
-func (s oSnap) admits(ver uint64, found bool) bool {
-	if s.cur.matches(ver, found) {
-		return true
+// CheckRead closes the bracket ReadMark opened, once the read has
+// returned: the observed (ver, found) must be admissible under k's state
+// at the mark or now. With no transition in between the two are one
+// state; with one, the state at the mark is the one that transition
+// left. A read that raced two or more transitions cannot be placed — the
+// states in between are gone — so it is skipped (checked is false),
+// never flagged. A read no bracketing state admits is a lost ack.
+func (o *Oracle) CheckRead(g *Gates, k int, mark, ver uint64, found bool) (checked bool) {
+	gen, now, before := o.read(k)
+	switch {
+	case gen-mark > 1:
+		return false
+	case !now.admits(ver, found) && (gen == mark || !before.admits(ver, found)):
+		g.LostAckf("key %d: read saw {ver %d found %v}, not admissible under gens %d-%d", k, ver, found, mark, gen)
 	}
-	return s.pendOn && s.pend.matches(ver, found)
+	return true
 }
 
 // Final returns k's authoritative end-of-run state. ok is false if an
 // op is still unresolved — the run failed to settle, itself a failure.
 func (o *Oracle) Final(k int) (KVState, bool) {
-	e := &o.entries[k]
-	e.mu.Lock()
-	st, pend := e.cur, e.pendOn
-	e.mu.Unlock()
-	return st, !pend
+	_, now, _ := o.read(k)
+	return now.cur, !now.pendOn
 }
 
 // --- self-validating value codec ------------------------------------

@@ -420,6 +420,24 @@ func (h *Heap) redoSteal(ts *threadState, tid int, s *slabHeap, idx int) {
 	// steal itself does — a crash between the countdown decrement and
 	// steal's durable clear must not leave owner==old-owner fetchable.
 	s.flushDesc(ts, idx)
+	// steal hands the slab to pushUnsized, which spills past the
+	// threshold. The rebuild scan links every owned classless slab and
+	// spills nothing, so spill here as that push would have.
+	if s.ownedUnsized(ts, tid, idx) >= h.cfg.UnsizedThreshold {
+		s.pushGlobal(ts, tid, idx)
+	}
+}
+
+// ownedUnsized counts tid's classless slabs other than idx: what the
+// rebuild scan will link into tid's unsized list.
+func (s *slabHeap) ownedUnsized(ts *threadState, tid, idx int) (n int) {
+	me := uint16(tid + 1)
+	for j := 0; j < int(s.length(tid)); j++ {
+		if w0 := s.loadW0(ts, j); j != idx && w0Owner(w0) == me && w0Class(w0) == 0 {
+			n++
+		}
+	}
+	return n
 }
 
 func (h *Heap) redoHugeAlloc(ts *threadState, tid, id int, report *RecoveryReport) {

@@ -352,20 +352,44 @@ func TestSlabNotLeakedAcrossCrash(t *testing.T) {
 // A grouped remote free (FreeBatch) crashed at either side of its one
 // decrement: recovery must take the countdown down by the whole group
 // exactly once, steal the slab if that reaches zero, and a second
-// recovery must change nothing.
+// recovery must change nothing. With the freer's unsized list already
+// at its spill threshold, the stolen slab must spill to the global list
+// as a finished steal's would, not overflow the rebuilt list.
 func TestGroupRemoteFreeCrashRecovery(t *testing.T) {
 	for _, point := range []string{
 		"small.remote-free.pre-cas",
 		"small.remote-free.post-cas",
 		"large.remote-free.post-cas",
 	} {
-		for _, toZero := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/to-zero=%v", point, toZero), func(t *testing.T) {
+		for _, c := range []struct{ toZero, fullUnsized bool }{{false, false}, {true, false}, {true, true}} {
+			toZero := c.toZero
+			name := fmt.Sprintf("%s/to-zero=%v", point, toZero)
+			if c.fullUnsized {
+				name += "/unsized-full"
+			}
+			t.Run(name, func(t *testing.T) {
 				e, inj := crashEnv(t)
 				s, size, perSlab := e.h.small, smallMax, smallBlocks(e)
 				if strings.HasPrefix(point, "large.") {
 					s, size = e.h.large, largeMax/4
 					perSlab = LargeSlabSize / size
+				}
+				if c.fullUnsized {
+					// Empty UnsizedThreshold slabs of thread 0 through the
+					// classic local free path, leaving them on its unsized list.
+					e.h.SetMagazines(false)
+					var own []Ptr
+					for i := 0; i < e.cfg.UnsizedThreshold*perSlab; i++ {
+						own = append(own, mustAlloc(e, 0, size))
+					}
+					for _, p := range own {
+						e.h.Free(0, p)
+					}
+					e.h.SetMagazines(true)
+					ts := &e.h.threads[0]
+					if got := s.tlLen(ts, s.localW(0, 0), 8); got != e.cfg.UnsizedThreshold {
+						t.Fatalf("thread 0's unsized list has %d slabs, want %d", got, e.cfg.UnsizedThreshold)
+					}
 				}
 				n := perSlab
 				if !toZero {

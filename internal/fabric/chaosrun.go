@@ -17,8 +17,9 @@ package fabric
 // The harness lives in package fabric (not chaos) because the import
 // DAG runs fabric -> server -> chaos. It is a client of the harness
 // kernel (chaos/kernel.go: gates, injector, kill-in-op, audit) and of
-// server.Issuer; what is its own is the fabric as target, the fabric
-// tick as clock, and plan/apply for the three fabric faults.
+// server.Issuer and its closed-loop server.Lanes; what is its own is the
+// fabric as target, the fabric tick as clock, and plan/apply for the
+// three fabric faults.
 
 import (
 	"fmt"
@@ -32,7 +33,6 @@ import (
 	"cxlalloc/internal/chaos"
 	"cxlalloc/internal/crash"
 	"cxlalloc/internal/server"
-	"cxlalloc/internal/telemetry"
 	"cxlalloc/internal/xrand"
 )
 
@@ -105,6 +105,7 @@ type ChaosReport struct {
 	Ops, Acked, Failed, Crashed uint64
 	Puts, Gets, Deletes         uint64
 	Retries                     uint64 // client resubmissions (reroutes included)
+	ReadsChecked, ReadsSkipped  uint64
 	Throughput                  float64
 	LatencyP50, LatencyP99      time.Duration
 
@@ -148,56 +149,15 @@ type chaosRun struct {
 	gates  chaos.Gates
 	faults *chaos.Injector
 
-	issuers []*chaosIssuer
+	// Client connections: each an oracle-checked issuer over a
+	// single-writer key partition, driven by fcLanes closed-loop lanes
+	// through one retry-budgeted Client.
+	issuers []*server.Issuer
 	stop    atomic.Bool
 
 	tickRate float64 // fabric ticks per wall second, from calibration
 
 	healWG sync.WaitGroup
-}
-
-// chaosIssuer is one client connection — the shared oracle-checked
-// issuer over a single-writer key partition, driven by fcLanes
-// closed-loop lanes through one retry-budgeted Client — and its traffic
-// tally.
-type chaosIssuer struct {
-	*server.Issuer
-
-	histMu sync.Mutex
-	hist   *telemetry.Hist
-
-	ops, acked, failed, crashed atomic.Uint64
-	puts, gets, dels            atomic.Uint64
-}
-
-func (r *chaosRun) lane(is *chaosIssuer, wg *sync.WaitGroup) {
-	defer wg.Done()
-	req := server.NewRequest()
-	for !r.stop.Load() {
-		is.Prepare(req)
-		fired := time.Now()
-		resp := is.Client.Do(req)
-		is.ops.Add(1)
-		switch is.Finalize(req, resp) {
-		case server.Acked:
-			is.histMu.Lock()
-			is.hist.Observe(resp.DoneWall.Sub(fired))
-			is.histMu.Unlock()
-			is.acked.Add(1)
-			switch req.Op {
-			case server.OpPut:
-				is.puts.Add(1)
-			case server.OpDelete:
-				is.dels.Add(1)
-			default:
-				is.gets.Add(1)
-			}
-		case server.Crashed:
-			is.crashed.Add(1)
-		default:
-			is.failed.Add(1)
-		}
-	}
 }
 
 // RunChaos executes one fabricchaos run.
@@ -225,13 +185,10 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	keysPer := cfg.Keys / cfg.Issuers
 	for i := 0; i < cfg.Issuers; i++ {
 		rng := xrand.New(xrand.Mix(cfg.Seed) ^ xrand.Mix(uint64(i)+0xfab))
-		r.issuers = append(r.issuers, &chaosIssuer{
-			Issuer: server.NewIssuer(server.NewClient(f, cfg.Seed^uint64(i)*0xa0761d6478bd642f),
-				r.orc, &r.gates, chaosDeadline, rng,
-				func() int { return rng.Intn(cfg.Keys) },
-				func() int { return rng.Intn(keysPer)*cfg.Issuers + i }),
-			hist: new(telemetry.Hist),
-		})
+		r.issuers = append(r.issuers, server.NewIssuer(server.NewClient(f, cfg.Seed^uint64(i)*0xa0761d6478bd642f),
+			r.orc, &r.gates, chaosDeadline, rng,
+			func() int { return rng.Intn(cfg.Keys) },
+			func() int { return rng.Intn(keysPer)*cfg.Issuers + i }))
 	}
 	// Half the keyspace goes in through the router first, so every shard
 	// starts with data on its placed owner.
@@ -243,13 +200,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	// fabric tick rate (pod-fence heal times are denominated in fabric
 	// ticks so replay paces on the same logical timeline).
 	start := time.Now()
-	var wg sync.WaitGroup
-	for _, is := range r.issuers {
-		for l := 0; l < fcLanes; l++ {
-			wg.Add(1)
-			go r.lane(is, &wg)
-		}
-	}
+	lanes := server.Lanes(r.issuers, fcLanes, &r.stop)
 	c0, t0 := f.Tick(), time.Now()
 	time.Sleep(chaosCalibrate)
 	c1, t1 := f.Tick(), time.Now()
@@ -275,7 +226,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	for i := 0; i < chaosPods; i++ {
 		f.HealPod(i) // no-op unless a fence survived the window
 	}
-	wg.Wait()
+	tally := <-lanes
 	elapsed := time.Since(start)
 	r.gates.Converge(chaos.ConvergeWait, func() (out []string) {
 		if !f.Quiesced() {
@@ -293,7 +244,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	f.Stop()
 
 	// Phase 4 — audit at quiescence.
-	return r.audit(elapsed), nil
+	return r.audit(tally, elapsed), nil
 }
 
 // --- injector --------------------------------------------------------
@@ -501,7 +452,7 @@ func (r *chaosRun) applyPodKill(spec chaos.FaultSpec, out *chaos.FaultOutcome) {
 
 // --- audit and reporting ---------------------------------------------
 
-func (r *chaosRun) audit(elapsed time.Duration) *ChaosReport {
+func (r *chaosRun) audit(t *server.Tally, elapsed time.Duration) *ChaosReport {
 	cfg := r.cfg
 	rep := &ChaosReport{
 		Pods: chaosPods, Threads: chaosThreads, Procs: chaosProcs,
@@ -550,25 +501,17 @@ func (r *chaosRun) audit(elapsed time.Duration) *ChaosReport {
 	}
 
 	// Traffic counters.
-	merged := new(telemetry.Hist)
+	rep.Ops, rep.Acked, rep.Failed, rep.Crashed = t.Ops, t.Acked, t.Failed, t.Crashed
+	rep.Puts, rep.Gets, rep.Deletes = t.Puts, t.Gets, t.Deletes
 	for _, is := range r.issuers {
-		rep.Ops += is.ops.Load()
-		rep.Acked += is.acked.Load()
-		rep.Failed += is.failed.Load()
-		rep.Crashed += is.crashed.Load()
-		rep.Puts += is.puts.Load()
-		rep.Gets += is.gets.Load()
-		rep.Deletes += is.dels.Load()
 		rep.Retries += is.Client.Retries()
-		is.histMu.Lock()
-		merged.Merge(is.hist)
-		is.histMu.Unlock()
 	}
+	rep.ReadsChecked, rep.ReadsSkipped = server.Reads(r.issuers)
 	if elapsed > 0 {
 		rep.Throughput = float64(rep.Ops) / elapsed.Seconds()
 	}
-	rep.LatencyP50 = time.Duration(merged.Quantile(0.50))
-	rep.LatencyP99 = time.Duration(merged.Quantile(0.99))
+	rep.LatencyP50 = time.Duration(t.Latency.Quantile(0.50))
+	rep.LatencyP99 = time.Duration(t.Latency.Quantile(0.99))
 
 	// Injection coverage: a fault counts only when it fully applied.
 	for i, spec := range rep.Schedule {
@@ -621,6 +564,7 @@ func FormatChaosReport(r *ChaosReport) string {
 	fmt.Fprintf(&b, "  traffic:   %d ops (%.0f ops/s), %d acked (%d puts, %d deletes), %d gets, %d failed, %d crashed, %d retries\n",
 		r.Ops, r.Throughput, r.Acked, r.Puts, r.Deletes, r.Gets, r.Failed, r.Crashed, r.Retries)
 	fmt.Fprintf(&b, "  latency:   p50 %v  p99 %v\n", r.LatencyP50, r.LatencyP99)
+	fmt.Fprintf(&b, "  oracle:    %d reads checked, %d skipped (raced >1 transition)\n", r.ReadsChecked, r.ReadsSkipped)
 	fmt.Fprintf(&b, "  injected:  %d pod kills, %d pod fences, %d mig interrupts (%d faults scheduled)\n",
 		r.PodKills, r.PodFences, r.MigInterrupts, len(r.Schedule))
 	s := r.Fabric

@@ -124,6 +124,12 @@ type podNode struct {
 	agentTid int
 	srv      *server.Server
 
+	// reads counts, per shard, the reads the gate let execute here that
+	// have not finished; readDone[s] is shard s's release, built once so
+	// the read path allocates nothing.
+	reads    []readPin
+	readDone []func()
+
 	// agent is the control thread used for preload, migration copies,
 	// and failover rescue work — never a serving worker slot, so agent
 	// ops and worker ops never race one Thread handle.
@@ -280,7 +286,10 @@ func (f *Fabric) buildPod(i int) (*podNode, error) {
 		pc.Crash = cfg.Injectors[i]
 		pc.TrackPersist = true
 	}
-	n := &podNode{id: i, agentTid: cfg.Threads}
+	n := &podNode{id: i, agentTid: cfg.Threads, reads: make([]readPin, cfg.Shards), readDone: make([]func(), cfg.Shards)}
+	for s := range n.reads {
+		n.readDone[s] = n.reads[s].done
+	}
 	pod, err := cxlalloc.NewPodWith(cxlalloc.PodConfig{
 		Config:      pc,
 		AutoRecover: true,
@@ -372,9 +381,10 @@ func (f *Fabric) Submit(r *server.Request) {
 
 // gateFor builds pod p's execution-time ownership check. Writes pin
 // the shard (freeze waits for pins to drain) with a pin-then-recheck
-// so a pin can never slip in after a freeze observed zero; reads are
-// epoch-checked but pinless — a frozen shard's source copy is
-// immutable, so reads keep serving through a handoff.
+// so a pin can never slip in after a freeze observed zero; reads keep
+// serving through a handoff — a frozen shard's source copy is
+// immutable — and count themselves per pod, so the drain that deletes
+// the source copy after the flip waits for the reads still on it.
 func (f *Fabric) gateFor(p int) func(r *server.Request) (func(), error) {
 	return func(r *server.Request) (func(), error) {
 		sl := &f.shard[r.Shard]
@@ -383,7 +393,16 @@ func (f *Fabric) gateFor(p int) func(r *server.Request) (func(), error) {
 			return nil, &ShardMovedError{Shard: r.Shard}
 		}
 		if r.Op == server.OpGet {
-			return nil, nil
+			// No pin against a freeze: a frozen source copy is immutable.
+			// But the post-flip drain deletes that copy, so a read counts
+			// itself here (pin-then-recheck, as below) and the drain waits.
+			pin := &f.pods[p].reads[r.Shard]
+			pin.Add(1)
+			if w := sl.word.Load(); wordOwner(w) != p || wordEpoch(w) != r.ShardEpoch {
+				pin.done()
+				return nil, &ShardMovedError{Shard: r.Shard}
+			}
+			return f.pods[p].readDone[r.Shard], nil
 		}
 		if wordState(w) != shardServing {
 			return nil, &ShardFrozenError{Shard: r.Shard}

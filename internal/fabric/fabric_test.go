@@ -237,6 +237,44 @@ func TestMigrateMovesShard(t *testing.T) {
 	}
 }
 
+// A read the gate admitted on the source before the flip may still be
+// running when the drain comes to delete the source copy. The drain
+// waits it out, so the read cannot answer "absent" for a key the
+// destination holds.
+func TestDrainWaitsForReadsOnTheSource(t *testing.T) {
+	f := newTestFabric(t, testConfig())
+	data := preload(t, f, 96)
+	s := 0
+	src, epoch := f.Owner(s)
+	dst := (src + 1) % f.cfg.Pods
+
+	r := server.NewRequest()
+	r.Op, r.Shard, r.ShardEpoch = server.OpGet, s, epoch
+	release, err := f.gateFor(src)(r) // a worker about to run the read
+	if err != nil {
+		t.Fatalf("gate refused a current read: %v", err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- f.Migrate(s, dst, "") }()
+	waitFor(t, 5*time.Second, func() bool { p, _ := f.Owner(s); return p == dst }, "the flip")
+	select {
+	case err := <-done:
+		t.Fatalf("handoff finished with a read still on the source (err %v)", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	if n := countShardKeys(t, f, src, s); n == 0 {
+		t.Fatal("source copy drained under an admitted read")
+	}
+	release()
+	if err := <-done; err != nil {
+		t.Fatalf("Migrate: %v", err)
+	}
+	if n := countShardKeys(t, f, src, s); n != 0 {
+		t.Fatalf("source still holds %d keys of shard %d after the read finished", n, s)
+	}
+	checkAllReadable(t, f, data)
+}
+
 func TestMigrateInterruptRecovered(t *testing.T) {
 	for _, step := range MigrationSteps {
 		t.Run(step, func(t *testing.T) {

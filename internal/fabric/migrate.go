@@ -349,6 +349,18 @@ func (f *Fabric) drive(m *migration) error {
 // owner and drops the claim — the handoff's last, purely-janitorial
 // step. Idempotent; a crash here just means the retaker drains again.
 func (f *Fabric) drainAndRelease(m *migration) error {
+	// Reads the gate admitted on the source before the flip may still be
+	// running; deleting under them would answer "absent" for a key the
+	// destination holds. No new one can start there: the owner moved.
+	pins := &f.pods[m.src].reads[m.shard]
+	deadline := time.Now().Add(freezeWait)
+	for pins.Load() != 0 {
+		if time.Now().After(deadline) {
+			return f.stall(m, fmt.Errorf("%d reads still on pod %d", pins.Load(), m.src))
+		}
+		m.progress() // waiting, not stalled: the monitor must not retake
+		time.Sleep(50 * time.Microsecond)
+	}
 	held, err := f.purge(f.pods[m.src], m)
 	if err != nil {
 		return f.stall(m, err)

@@ -30,6 +30,11 @@ type shardSlot struct {
 	claim atomic.Uint64 // gen<<1 | held
 }
 
+// readPin counts one pod's in-flight reads of one shard.
+type readPin struct{ atomic.Int64 }
+
+func (p *readPin) done() { p.Add(-1) }
+
 func packWord(owner, state int, epoch uint64) uint64 {
 	return uint64(owner)<<56 | uint64(state)<<48 | (epoch & (1<<48 - 1))
 }

@@ -4,20 +4,22 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"cxlalloc/internal/chaos"
+	"cxlalloc/internal/telemetry"
 	"cxlalloc/internal/xrand"
 )
 
 // Issuer is one oracle-checked client connection: it draws KV requests,
-// runs every write through the lost-ack oracle's writer protocol, and
-// settles each response against it. Any number of lanes may share one
-// issuer; the oracle's single-writer-per-key precondition holds because
-// writes go only to the issuer's own key partition and a key with a
-// write in flight is busy until that write settles. The slo harness
-// drives a Server with it, fabricchaos a fabric router — anything a
-// Client can submit to.
+// runs every write through the lost-ack oracle's writer protocol,
+// brackets every read against it, and settles each response. Any number
+// of lanes may share one issuer; the oracle's single-writer-per-key
+// precondition holds because writes go only to the issuer's own key
+// partition and a key with a write in flight is busy until that write
+// settles. livechaos and slo drive a Server with it, fabricchaos a
+// fabric router — anything a Client can submit to.
 type Issuer struct {
 	Client *Client // the retry policy lanes submit through
 
@@ -33,6 +35,8 @@ type Issuer struct {
 
 	busyMu sync.Mutex
 	busy   map[int]bool
+
+	readsChecked, readsSkipped atomic.Uint64
 }
 
 // Outcome is how a response settled, for the caller's own tallies.
@@ -60,8 +64,9 @@ func NewIssuer(client *Client, orc *chaos.Oracle, gates *chaos.Gates, deadline t
 // Prepare draws the next op into req: 50% reads over the whole
 // keyspace, else a write on the issuer's own partition, with ~30% of
 // writes on present keys issued as deletes. A write that lands only on
-// busy keys degrades to a read, keeping the offered rate intact.
-func (is *Issuer) Prepare(req *Request) {
+// busy keys degrades to a read, keeping the offered rate intact. A read
+// returns its oracle mark, which Finalize needs back.
+func (is *Issuer) Prepare(req *Request) (mark uint64) {
 	is.prepMu.Lock()
 	defer is.prepMu.Unlock()
 	req.Reset()
@@ -82,7 +87,7 @@ func (is *Issuer) Prepare(req *Request) {
 		req.Op = OpGet
 		req.KeyID = is.anyKey()
 		req.Key = chaos.KeyBytes(req.Key, req.KeyID)
-		return
+		return is.orc.ReadMark(req.KeyID)
 	}
 	req.KeyID = k
 	req.Key = chaos.KeyBytes(req.Key, k)
@@ -91,19 +96,21 @@ func (is *Issuer) Prepare(req *Request) {
 		req.Op = OpDelete
 		req.PrevVer = cur.Ver
 		is.orc.Begin(k, chaos.KVState{})
-		return
+		return 0
 	}
 	nv := is.orc.NextVersion(k)
 	req.Op = OpPut
 	req.Val = chaos.EncodeVal(req.Val, k, nv)
 	is.orc.Begin(k, chaos.KVState{Ver: nv, Present: true})
+	return 0
 }
 
 // Finalize settles one response: ack on success, resolve from the
 // server's ground truth after a crash, resolve not-applied on a typed
-// rejection; reads are validated by the value codec alone (exactness is
-// the final sweep's job). A settled write releases its key.
-func (is *Issuer) Finalize(req *Request, resp *Response) Outcome {
+// rejection. An acknowledged read is checked against the oracle
+// bracket its mark opened; a crashed delete against the version it
+// displaced. A settled write releases its key.
+func (is *Issuer) Finalize(req *Request, mark uint64, resp *Response) Outcome {
 	k := req.KeyID
 	out := Rejected
 	switch {
@@ -112,13 +119,21 @@ func (is *Issuer) Finalize(req *Request, resp *Response) Outcome {
 		if req.Op == OpDelete && !resp.Found {
 			is.gates.LostAckf("key %d: acked ver %d vanished before delete", k, req.PrevVer)
 		}
-		if req.Op == OpGet && resp.Found {
-			if _, err := chaos.DecodeVal(k, resp.Value); err != nil {
-				is.gates.Violationf("key %d: read corrupt: %v", k, err)
-			}
+		if req.Op == OpGet {
+			is.checkRead(k, mark, resp)
 		}
 	case errors.Is(resp.Err, ErrCrashed):
 		out = Crashed
+		if req.Op == OpDelete && resp.Found {
+			// The server resolved the delete by reading the key back. The
+			// key has one writer, so anything but the displaced version is
+			// impossible.
+			if ver, err := chaos.DecodeVal(k, resp.Value); err != nil {
+				is.gates.Violationf("key %d: delete-resolve read corrupt: %v", k, err)
+			} else if ver != req.PrevVer {
+				is.gates.Violationf("key %d: delete-resolve saw ver %d, expected %d or absent", k, ver, req.PrevVer)
+			}
+		}
 	}
 	if req.Op != OpGet {
 		if out == Acked {
@@ -131,6 +146,111 @@ func (is *Issuer) Finalize(req *Request, resp *Response) Outcome {
 		is.busyMu.Unlock()
 	}
 	return out
+}
+
+// checkRead validates an acknowledged read: its bytes by the value codec
+// (linked values are fully written before they are published, so
+// corruption is real, never a racing writer), its version by the
+// oracle bracket.
+func (is *Issuer) checkRead(k int, mark uint64, resp *Response) {
+	var ver uint64
+	if resp.Found {
+		var err error
+		if ver, err = chaos.DecodeVal(k, resp.Value); err != nil {
+			is.gates.Violationf("key %d: read corrupt: %v", k, err)
+			return
+		}
+	}
+	if is.orc.CheckRead(is.gates, k, mark, ver, resp.Found) {
+		is.readsChecked.Add(1)
+	} else {
+		is.readsSkipped.Add(1)
+	}
+}
+
+// Reads sums what the issuers' oracle brackets did with the acknowledged
+// reads: checked, or skipped for racing more than one transition.
+func Reads(issuers []*Issuer) (checked, skipped uint64) {
+	for _, is := range issuers {
+		checked += is.readsChecked.Load()
+		skipped += is.readsSkipped.Load()
+	}
+	return checked, skipped
+}
+
+// Tally is what closed-loop lanes did: every op by how it settled, the
+// acknowledged ones by kind, and their latency.
+type Tally struct {
+	Ops, Acked, Failed, Crashed uint64
+	Puts, Gets, Deletes         uint64
+	Latency                     telemetry.Hist
+}
+
+func (t *Tally) add(o *Tally) {
+	t.Ops += o.Ops
+	t.Acked += o.Acked
+	t.Failed += o.Failed
+	t.Crashed += o.Crashed
+	t.Puts += o.Puts
+	t.Gets += o.Gets
+	t.Deletes += o.Deletes
+	t.Latency.Merge(&o.Latency)
+}
+
+// Lanes drives every issuer with n closed-loop lanes — prepare, submit,
+// wait, settle, again — until stop is set. The channel yields what they
+// did once every lane has settled its last op.
+func Lanes(issuers []*Issuer, n int, stop *atomic.Bool) <-chan *Tally {
+	done := make(chan *Tally, 1)
+	total := new(Tally)
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	for _, is := range issuers {
+		for l := 0; l < n; l++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				t := is.lane(stop)
+				mu.Lock()
+				total.add(t)
+				mu.Unlock()
+			}()
+		}
+	}
+	go func() {
+		wg.Wait()
+		done <- total
+	}()
+	return done
+}
+
+func (is *Issuer) lane(stop *atomic.Bool) *Tally {
+	t := new(Tally)
+	req := NewRequest()
+	for !stop.Load() {
+		mark := is.Prepare(req)
+		fired := time.Now()
+		resp := is.Client.Do(req)
+		t.Ops++
+		switch is.Finalize(req, mark, resp) {
+		case Acked:
+			t.Acked++
+			t.Latency.Observe(resp.DoneWall.Sub(fired))
+			switch req.Op {
+			case OpPut:
+				t.Puts++
+			case OpDelete:
+				t.Deletes++
+			default:
+				t.Gets++
+			}
+		case Crashed:
+			t.Crashed++
+		default:
+			t.Failed++
+		}
+	}
+	return t
 }
 
 // Preload puts keys [0, n) through sub, one acknowledged write each

@@ -80,6 +80,13 @@ func (s *scriptedStore) Submit(r *Request) {
 		if r.Op != OpGet {
 			delete(s.inFlight, r.KeyID)
 		}
+		if fate >= 2 && r.Op == OpDelete {
+			// The server resolves a crashed delete by reading the key back.
+			ver, present = s.vers[r.KeyID]
+			r.resp.Found = present
+			r.Dst = chaos.EncodeVal(r.Dst, r.KeyID, ver)
+			r.resp.Value = r.Dst
+		}
 		s.mu.Unlock()
 		if fate >= 2 {
 			r.resp.Applied = fate == 2
@@ -115,8 +122,8 @@ func TestIssuerLanesShareOneIssuer(t *testing.T) {
 			defer wg.Done()
 			req := NewRequest()
 			for i := 0; i < opsPerLane; i++ {
-				is.Prepare(req)
-				out := is.Finalize(req, is.Client.Do(req))
+				mark := is.Prepare(req)
+				out := is.Finalize(req, mark, is.Client.Do(req))
 				mu.Lock()
 				seen[out]++
 				mu.Unlock()
@@ -148,5 +155,67 @@ func TestIssuerLanesShareOneIssuer(t *testing.T) {
 	})
 	if v, l := gates.Violations(), gates.LostAcks(); len(v) != 0 || len(l) != 0 {
 		t.Fatalf("violations %q, lost acks %q", v, l)
+	}
+}
+
+// TestIssuerChecksEachResponse: each scripted response gives exactly its
+// own gate entry, and a read that raced two transitions gives none — it
+// is counted skipped. Key 1 holds ver 2, so ver 1 is stale.
+func TestIssuerChecksEachResponse(t *testing.T) {
+	const k = 1
+	val := func(ver uint64) []byte { return chaos.EncodeVal(nil, k, ver) }
+	corrupt := func(b []byte) []byte { b[len(b)-1] ^= 0x40; return b }
+	begin := func(o *chaos.Oracle) { o.Begin(k, chaos.KVState{Ver: o.NextVersion(k), Present: true}) }
+	ack := func(o *chaos.Oracle) { o.Ack(k) }
+	for _, c := range []struct {
+		name                 string
+		op                   OpKind
+		pre, window          []func(*chaos.Oracle) // before the read's mark; between mark and response
+		resp                 Response
+		violations, lostAcks int
+		checked, skipped     uint64
+	}{
+		{name: "current read", op: OpGet, resp: Response{Found: true, Value: val(2)}, checked: 1},
+		{name: "stale read", op: OpGet, resp: Response{Found: true, Value: val(1)}, lostAcks: 1, checked: 1},
+		{name: "corrupt read", op: OpGet, resp: Response{Found: true, Value: corrupt(val(2))}, violations: 1},
+		{name: "read racing one ack sees what it replaced", op: OpGet, pre: []func(*chaos.Oracle){begin},
+			window: []func(*chaos.Oracle){ack}, resp: Response{Found: true, Value: val(2)}, checked: 1},
+		{name: "read racing two transitions", op: OpGet, window: []func(*chaos.Oracle){begin, ack},
+			resp: Response{Found: true, Value: val(1)}, skipped: 1},
+		{name: "crashed delete, not applied", op: OpDelete, resp: Response{Err: ErrCrashed, Found: true, Value: val(2)}},
+		{name: "crashed delete, foreign version", op: OpDelete, resp: Response{Err: ErrCrashed, Found: true, Value: val(1)}, violations: 1},
+		{name: "crashed delete, corrupt value", op: OpDelete, resp: Response{Err: ErrCrashed, Found: true, Value: corrupt(val(2))}, violations: 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			orc := chaos.NewOracle(4)
+			var gates chaos.Gates
+			for range 2 {
+				begin(orc)
+				ack(orc)
+			}
+			for _, f := range c.pre {
+				f(orc)
+			}
+			is := NewIssuer(nil, orc, &gates, time.Second, xrand.New(1), func() int { return k }, func() int { return k })
+			req := NewRequest()
+			var mark uint64
+			if c.op == OpGet {
+				is.busy[k] = true // every write draw is busy: Prepare issues a read
+				mark = is.Prepare(req)
+			} else {
+				req.Op, req.KeyID, req.PrevVer = OpDelete, k, 2
+				orc.Begin(k, chaos.KVState{})
+			}
+			for _, f := range c.window {
+				f(orc)
+			}
+			is.Finalize(req, mark, &c.resp)
+			v, l := gates.Violations(), gates.LostAcks()
+			checked, skipped := Reads([]*Issuer{is})
+			if len(v) != c.violations || len(l) != c.lostAcks || checked != c.checked || skipped != c.skipped {
+				t.Fatalf("violations %q, lost acks %q, %d checked, %d skipped; want %d, %d, %d, %d",
+					v, l, checked, skipped, c.violations, c.lostAcks, c.checked, c.skipped)
+			}
+		})
 	}
 }

@@ -1,25 +1,26 @@
-package chaos
+package server
 
-// Online chaos mode (ROADMAP item 5): N worker goroutines drive the
-// kvstore workload continuously — no quiesce, no scripted crash points —
-// while a seeded injector concurrently kills threads and whole
-// processes at random crash points, resolves every crash with an
+// Online chaos mode (ROADMAP item 5): closed-loop Issuer lanes drive a
+// Server over a four-slot pod continuously — no quiesce, no scripted
+// crash points — while a seeded injector concurrently kills threads and
+// whole processes at random crash points, resolves every crash with an
 // adversarial persist-subset drop, and fires NMP fault bursts. The ONLY
 // recovery path is the liveness watchdog (lease expiry → fenced claim →
 // repair); the harness never calls Recover or Restart.
 //
-// The harness is the first client of the kernel in kernel.go, which owns
-// the gates ledger, injection pacing and record/replay, the death loop
-// and the end-of-run audit; what is livechaos's own is the in-process
-// worker (it talks to kvstore directly and validates reads against
-// bracketing oracle snapshots), plan/apply for thread, process and NMP
-// faults, and the persist adversary.
+// The harness is a client of the server, like slochaos and fabricchaos:
+// the crash discipline is worker.serve's (a crashed write settles
+// against ground truth after the watchdog's repair), the write protocol
+// and the bracketed read checks are Issuer's, and the gates ledger,
+// injection pacing and record/replay, the death loop and the end-of-run
+// audit are the chaos kernel's. What is livechaos's own is plan/apply
+// for thread, process and NMP faults, and the persist adversary.
 //
 // Correctness is gated three ways at run end: the heap's full invariant
 // check plus ledger audit (every byte accounted, nothing leaked to a
-// crash), the lost-ack oracle (oracle.go — an acknowledged write the
-// pod lost fails the run), and zero false takeovers from the watchdog's
-// ground truth (a live, leased thread must never be torn down).
+// crash), the lost-ack oracle (an acknowledged write the pod lost fails
+// the run), and zero false takeovers from the watchdog's ground truth
+// (a live, leased thread must never be torn down).
 //
 // Leases are denominated in pod logical-clock ticks, which makes them
 // load-adaptive (a globally descheduled pod stalls its own clock), but
@@ -33,11 +34,11 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"cxlalloc"
+	"cxlalloc/internal/chaos"
 	"cxlalloc/internal/crash"
 	"cxlalloc/internal/memsim"
 	"cxlalloc/internal/nmp"
@@ -57,7 +58,7 @@ type LiveConfig struct {
 	FaultRate float64
 	// Replay, when non-nil, executes this schedule verbatim instead of
 	// drawing faults; the run ends when the schedule is exhausted.
-	Replay []FaultSpec
+	Replay []chaos.FaultSpec
 	// LeaseWall is the wall-clock lease target the calibration phase
 	// tunes toward; Calibrate is the fault-free warmup used to measure
 	// the pod's tick rate.
@@ -65,13 +66,16 @@ type LiveConfig struct {
 	Calibrate time.Duration
 }
 
-// A livechaos pod: four worker slots spread over two processes. The kill
-// guard keeps two slots alive (the watchdog needs survivors), so a
-// thread kill needs three live, and a process kill leaves the other
-// process's slots.
+// A livechaos pod: four worker slots spread over two processes, each
+// process one server group. The kill guard keeps two slots alive (the
+// watchdog needs survivors), so a thread kill needs three live, and a
+// process kill leaves the other process's slots. One issuer per slot
+// owns a key partition; each runs two lanes, so a worker finds the next
+// request queued while its lane handles the last response.
 const (
 	liveThreads = 4
 	liveProcs   = 2
+	liveLanes   = 2
 )
 
 // DefaultLiveConfig sizes a run for the CLI default: ~12 faults over
@@ -89,10 +93,10 @@ func DefaultLiveConfig() LiveConfig {
 
 func (c *LiveConfig) validate() error {
 	if c.Keys < liveThreads {
-		return fmt.Errorf("chaos: need at least one key per worker (keys %d, threads %d)", c.Keys, liveThreads)
+		return fmt.Errorf("server: livechaos needs at least one key per worker (keys %d, threads %d)", c.Keys, liveThreads)
 	}
 	if c.Duration <= 0 || c.FaultRate <= 0 || c.LeaseWall <= 0 || c.Calibrate <= 0 {
-		return fmt.Errorf("chaos: livechaos needs a positive Duration, FaultRate, LeaseWall and Calibrate (got %v/%g/%v/%v)",
+		return fmt.Errorf("server: livechaos needs a positive Duration, FaultRate, LeaseWall and Calibrate (got %v/%g/%v/%v)",
 			c.Duration, c.FaultRate, c.LeaseWall, c.Calibrate)
 	}
 	return nil
@@ -110,7 +114,7 @@ type LiveReport struct {
 	Ops, Acked                 uint64 // completed ops; acked writes
 	Puts, Gets, Deletes        uint64
 	Failed                     uint64 // ops rejected without a crash (e.g. transient OOM)
-	Crashes                    uint64 // worker-visible own-thread crashes
+	Crashes                    uint64 // ops the server saw crash mid-execution
 	ReadsChecked, ReadsSkipped uint64
 	Throughput                 float64 // completed ops per second of traffic
 	LatencyP50, LatencyP99     time.Duration
@@ -133,11 +137,11 @@ type LiveReport struct {
 	KeptLost         uint64  // retention overflow: metrics approximate if nonzero
 
 	// CrashPoints tallies where the injected crashes actually landed.
-	CrashPoints map[string]int
+	CrashPoints map[string]uint64
 
 	// Schedule (record or replayed) and per-spec outcomes.
-	Schedule []FaultSpec
-	Outcomes []FaultOutcome
+	Schedule []chaos.FaultSpec
+	Outcomes []chaos.FaultOutcome
 	ReplayOK bool // replay mode: emitted schedule == loaded schedule
 
 	// Gates.
@@ -152,55 +156,19 @@ func (r *LiveReport) Ok() bool {
 
 // liveRun is the shared runtime state of one online chaos run.
 type liveRun struct {
-	*PodTarget // the pod, its processes, the store, adopted orphans
+	*podService
 
 	cfg       LiveConfig
 	inj       *crash.Injector
-	orc       *Oracle
-	gates     Gates
-	faults    *Injector
+	faults    *chaos.Injector
 	tracer    *telemetry.Tracer
 	ownTracer bool
-
-	stop atomic.Bool // stop issuing new ops; keep ticking
-	done atomic.Bool // convergence reached; workers may exit
+	stop      atomic.Bool // the injector's stop-issuing flag
 
 	// Per-tid adversarial persist state, read by the heap's crash policy
 	// from whichever goroutine marks the crash.
 	persistSeed []atomic.Uint64
 	crashSeq    []atomic.Uint64
-
-	cpMu        sync.Mutex
-	crashPoints map[string]int
-
-	workers []*liveWorker
-}
-
-// liveWorker drives one thread slot's traffic from its own goroutine.
-type liveWorker struct {
-	run  *liveRun
-	tid  int
-	rng  *xrand.Rand
-	hist *telemetry.Hist
-	keyb []byte
-	valb []byte
-	getb []byte
-
-	// pend is the in-flight op to settle after a crash. It lives in Go
-	// memory, so a panic unwind leaves it exactly as the crash did.
-	pend       *livePend
-	unresolved atomic.Bool
-
-	ops, acked, puts, gets, dels uint64
-	failed, crashes              uint64
-	readsChecked, readsSkipped   uint64
-}
-
-type livePend struct {
-	put bool
-	key int
-	ver uint64       // put: target version; delete: the displaced version
-	ptr cxlalloc.Ptr // put: captured allocation (0 = Alloc never returned)
 }
 
 // RunLive executes one online chaos run.
@@ -210,14 +178,18 @@ func RunLive(cfg LiveConfig) (*LiveReport, error) {
 	}
 
 	inj := crash.NewInjector()
-	target, err := NewPodTarget(liveThreads, liveProcs, cfg.Keys, 64, 16, inj)
+	target, err := chaos.NewPodTarget(liveThreads, liveProcs, cfg.Keys, 64, 16, inj)
 	if err != nil {
 		return nil, err
 	}
 	pod := target.Pod
 	r := &liveRun{
-		cfg: cfg, inj: inj, PodTarget: target,
-		orc:         NewOracle(cfg.Keys),
+		cfg: cfg, inj: inj,
+		podService: &podService{
+			PodTarget: target,
+			threads:   liveThreads, procs: liveProcs, keys: cfg.Keys, seed: cfg.Seed,
+			full: true, orc: chaos.NewOracle(cfg.Keys),
+		},
 		persistSeed: make([]atomic.Uint64, liveThreads),
 		crashSeq:    make([]atomic.Uint64, liveThreads),
 	}
@@ -258,57 +230,36 @@ func RunLive(cfg LiveConfig) (*LiveReport, error) {
 	snap0 := pod.Snapshot()
 	kept0 := len(r.tracer.Kept())
 
-	r.workers = make([]*liveWorker, liveThreads)
-	for tid := 0; tid < liveThreads; tid++ {
-		r.workers[tid] = &liveWorker{
-			run:  r,
-			tid:  tid,
-			rng:  xrand.New(xrand.Mix(cfg.Seed ^ uint64(tid)*0xa076_1d64_78bd_642f)),
-			hist: new(telemetry.Hist),
-		}
+	// One issuer per slot, owning the keys congruent to it; uniform key
+	// draws over the whole keyspace (reads) and the partition (writes).
+	// Requests carry no deadline: the run gates crash safety, not latency.
+	keysPer := cfg.Keys / liveThreads
+	for i := 0; i < liveThreads; i++ {
+		rng := xrand.New(xrand.Mix(cfg.Seed ^ uint64(i)*0xa076_1d64_78bd_642f))
+		r.issuers = append(r.issuers, NewIssuer(nil, r.orc, &r.gates, 0, rng,
+			func() int { return rng.Intn(cfg.Keys) },
+			func() int { return rng.Intn(keysPer)*liveThreads + i }))
 	}
+	r.startServer()
 
 	// Phase 1 — calibration: fault-free traffic under the infinite
 	// lease, measuring the pod's wall tick rate; then, at a quiesce
-	// barrier, retune the lease to the wall-clock target.
-	var wg sync.WaitGroup
-	warmStop := &atomic.Bool{}
-	for _, w := range r.workers {
-		wg.Add(1)
-		go func(w *liveWorker) {
-			defer wg.Done()
-			th, err := r.Pod.ThreadOf(w.tid)
-			if err != nil {
-				r.gates.Violationf("warmup: no handle for tid %d: %v", w.tid, err)
-				return
-			}
-			for !warmStop.Load() {
-				th.Run(func() { w.step() })
-			}
-		}(w)
-	}
+	// barrier, retune the lease to the wall-clock target, renewing every
+	// 4 ticks.
+	var warmStop atomic.Bool
+	warm := Lanes(r.issuers, liveLanes, &warmStop)
 	t0, c0 := time.Now(), r.clockNow()
 	time.Sleep(cfg.Calibrate)
 	t1, c1 := time.Now(), r.clockNow()
 	warmStop.Store(true)
-	wg.Wait()
-	if len(r.gates.Violations()) > 0 {
-		return r.finishEarly(), nil
-	}
+	<-warm
 	tickHz := float64(c1-c0) / t1.Sub(t0).Seconds()
-	pod.RetuneLiveness(cxlalloc.LivenessConfig{RenewInterval: 4, GraceMult: LeaseTicks(tickHz, cfg.LeaseWall) / 4, PollInterval: 4})
-	// Leases are monotone, so the old long deadlines are harmless for
-	// expiry-based takeover only in the "too late" direction; settle
-	// them before any fault.
-	SettleRound(pod, liveThreads)
+	r.retune(cxlalloc.LivenessConfig{RenewInterval: 4, GraceMult: chaos.LeaseTicks(tickHz, cfg.LeaseWall) / 4, PollInterval: 4}, tickHz)
 
 	// Phase 2 — live traffic with the injector.
 	start := time.Now()
-	for _, w := range r.workers {
-		wg.Add(1)
-		go w.loop(&wg)
-	}
-	r.faults = &Injector{
+	lanes := Lanes(r.issuers, liveLanes, &r.stop)
+	r.faults = &chaos.Injector{
 		Seed: xrand.Mix(cfg.Seed ^ 0xfa117c0de), FaultRate: cfg.FaultRate,
 		Duration: cfg.Duration, Replay: cfg.Replay,
 		Clock: r.clockNow, Stop: &r.stop, Gates: &r.gates,
@@ -316,293 +267,34 @@ func RunLive(cfg LiveConfig) (*LiveReport, error) {
 	}
 	r.faults.Window(start)
 
-	// Phase 3 — convergence: ops have stopped; clear all fault sources,
-	// then keep every worker ticking (heartbeats drive the watchdog)
-	// until all slots are alive+leased and every crashed op has been
-	// settled against ground truth.
+	// Phase 3 — convergence: issuing has stopped; clear all fault
+	// sources, then let the server's idle ticks drive the watchdog until
+	// every slot is alive+leased and every lane has its last response —
+	// a crashed write's comes once it is settled against ground truth.
 	r.inj.Disarm()
 	pod.Heap().NMP().ClearFaults()
 	elapsed := time.Since(start)
-	r.gates.Converge(ConvergeWait, func() []string {
-		down := SlotsDown(pod.Heap(), liveThreads)
-		for _, w := range r.workers {
-			if w.unresolved.Load() {
-				down = append(down, fmt.Sprintf("tid %d op still unresolved", w.tid))
-			}
+	r.gates.Converge(chaos.ConvergeWait, func() []string {
+		down := chaos.SlotsDown(pod.Heap(), liveThreads)
+		if len(lanes) == 0 {
+			down = append(down, "lanes still awaiting responses")
 		}
 		return down
 	})
-	r.done.Store(true)
-	wg.Wait()
+	r.srv.Stop() // answers whatever a failed convergence left waiting
+	tally := <-lanes
 
 	// Phase 4 — audit at quiescence.
-	rep := r.audit(snap0, kept0, elapsed)
+	rep := r.report(tally, snap0, kept0, elapsed)
 	if r.ownTracer {
 		telemetry.Stop()
 	}
 	return rep, nil
 }
 
-// finishEarly aborts after a warmup failure with whatever gates fired.
-func (r *liveRun) finishEarly() *LiveReport {
-	rep := &LiveReport{
-		Threads: liveThreads, Procs: liveProcs, Keys: r.cfg.Keys,
-		Seed: r.cfg.Seed, Duration: r.cfg.Duration,
-		Violations: r.gates.Violations(), LostAcks: r.gates.LostAcks(),
-	}
-	if r.ownTracer {
-		telemetry.Stop()
-	}
-	return rep
-}
-
 func (r *liveRun) clockNow() uint64 {
 	// HWcc load through the device; safe from any goroutine.
 	return r.Pod.Heap().ClockNow(0)
-}
-
-// --- worker ----------------------------------------------------------
-
-func (w *liveWorker) loop(wg *sync.WaitGroup) {
-	defer wg.Done()
-	r := w.run
-	th, err := r.Pod.ThreadOf(w.tid)
-	if err != nil {
-		th = w.awaitRepair()
-	}
-	for {
-		if r.done.Load() && w.pend == nil {
-			return
-		}
-		if th == nil {
-			if th = w.awaitRepair(); th == nil {
-				return // run aborted; violation already recorded
-			}
-		}
-		ranOp := false
-		begin := time.Now()
-		c := th.Run(func() {
-			if w.pend != nil {
-				w.resolve()
-				return
-			}
-			if r.stop.Load() {
-				return // benign tick: convergence mode
-			}
-			ranOp = true
-			w.step()
-		})
-		if c != nil {
-			if c.TID == w.tid {
-				r.cpMu.Lock()
-				if r.crashPoints == nil {
-					r.crashPoints = make(map[string]int)
-				}
-				r.crashPoints[c.Point]++
-				r.cpMu.Unlock()
-				// Our own crash — injected mid-op, or a self-fence. The
-				// slot is dead (or taken over); drop the handle and wait
-				// for the watchdog. pend, if set, survives in Go memory
-				// for ground-truth resolution after repair.
-				w.crashes++
-				if w.pend != nil {
-					w.unresolved.Store(true)
-				}
-				th = nil
-			}
-			// c.TID != w.tid: a watchdog repair our heartbeat was running
-			// crashed (the victim was armed). Our slot is untouched and
-			// our op never ran; just continue.
-			continue
-		}
-		if ranOp {
-			w.hist.Observe(time.Since(begin))
-			w.ops++
-		}
-	}
-}
-
-// awaitRepair blocks until the watchdog has repaired this worker's slot
-// (driven by the surviving workers' heartbeats) and returns a fresh
-// handle. nil means the run is over or the repair never came.
-func (w *liveWorker) awaitRepair() *cxlalloc.Thread {
-	r := w.run
-	deadline := time.Now().Add(ConvergeWait)
-	for {
-		if th, err := r.Pod.ThreadOf(w.tid); err == nil {
-			return th
-		}
-		if r.done.Load() {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			r.gates.Violationf("tid %d: watchdog repair did not arrive within %v", w.tid, ConvergeWait)
-			return nil
-		}
-		time.Sleep(200 * time.Microsecond)
-	}
-}
-
-// step runs one workload op. Runs inside th.Run: an injected crash
-// unwinds from anywhere in here, leaving pend for resolution.
-func (w *liveWorker) step() {
-	roll := w.rng.Intn(100)
-	switch {
-	case roll < 50:
-		w.stepWrite()
-	case roll < 85:
-		w.stepReadForeign()
-	default:
-		w.stepReadOwn()
-	}
-}
-
-// ownKey picks one of this worker's keys (single-writer partition).
-func (w *liveWorker) ownKey() int {
-	n := w.run.cfg.Keys / liveThreads
-	return w.rng.Intn(n)*liveThreads + w.tid
-}
-
-func (w *liveWorker) stepWrite() {
-	r := w.run
-	k := w.ownKey()
-	cur := r.orc.Current(k)
-	w.keyb = KeyBytes(w.keyb, k)
-	if cur.Present && w.rng.Intn(100) < 30 {
-		// Delete. Issue → probe result → ack. A miss on a key the oracle
-		// has as present is a synchronously detected lost ack.
-		w.pend = &livePend{put: false, key: k, ver: cur.Ver}
-		r.orc.Begin(k, KVState{})
-		found := r.Store.Delete(w.tid, w.keyb)
-		if !found {
-			r.gates.LostAckf("key %d: acked ver %d vanished before delete", k, cur.Ver)
-		}
-		r.orc.Ack(k)
-		w.pend = nil
-		w.dels++
-		w.acked++
-		return
-	}
-	// Put (insert or replace).
-	ver := r.orc.NextVersion(k)
-	w.valb = EncodeVal(w.valb, k, ver)
-	pend := &livePend{put: true, key: k, ver: ver}
-	w.pend = pend
-	r.orc.Begin(k, KVState{Ver: ver, Present: true})
-	err := r.Store.PutTracked(w.tid, w.keyb, w.valb, func(p cxlalloc.Ptr) { pend.ptr = p })
-	if err != nil {
-		// Rejected without linking (e.g. transient OOM while a dead
-		// process's memory awaits repair): the op did not happen.
-		if pend.ptr != 0 {
-			// Alloc succeeded but a later stage failed — cannot happen in
-			// the current kvstore (only Alloc returns errors), so treat a
-			// future drift loudly.
-			r.gates.Violationf("key %d: Put error %v after alloc", k, err)
-		}
-		r.orc.Resolve(k, false)
-		w.pend = nil
-		w.failed++
-		return
-	}
-	r.orc.Ack(k)
-	w.pend = nil
-	w.puts++
-	w.acked++
-}
-
-func (w *liveWorker) stepReadOwn() {
-	r := w.run
-	k := w.ownKey()
-	cur := r.orc.Current(k) // we are the writer: state is settled
-	w.keyb = KeyBytes(w.keyb, k)
-	got, found := r.Store.Get(w.tid, w.keyb, w.getb)
-	w.getb = got
-	w.gets++
-	if !found {
-		if cur.Present {
-			r.gates.LostAckf("key %d: own read missed acked ver %d", k, cur.Ver)
-		} else {
-			w.readsChecked++
-		}
-		return
-	}
-	ver, err := DecodeVal(k, got)
-	if err != nil {
-		r.gates.Violationf("key %d: own read corrupt: %v", k, err)
-		return
-	}
-	if !cur.matches(ver, true) {
-		r.gates.LostAckf("key %d: own read saw ver %d, oracle has {ver %d present %v}", k, ver, cur.Ver, cur.Present)
-		return
-	}
-	w.readsChecked++
-}
-
-func (w *liveWorker) stepReadForeign() {
-	r := w.run
-	k := w.rng.Intn(r.cfg.Keys)
-	w.keyb = KeyBytes(w.keyb, k)
-	s1 := r.orc.snapshot(k)
-	got, found := r.Store.Get(w.tid, w.keyb, w.getb)
-	w.getb = got
-	w.gets++
-	var ver uint64
-	if found {
-		var err error
-		if ver, err = DecodeVal(k, got); err != nil {
-			// Linked values are fully written before the head CAS, so
-			// corruption here is real — never a racing writer.
-			r.gates.Violationf("key %d: foreign read corrupt: %v", k, err)
-			return
-		}
-	}
-	s2 := r.orc.snapshot(k)
-	if s2.gen-s1.gen > 1 {
-		// More than one shadow transition raced this read; the bracketing
-		// pair no longer covers every intermediate state. Skip, and count
-		// the skip so a pathological run cannot silently check nothing.
-		w.readsSkipped++
-		return
-	}
-	if s1.admits(ver, found) || s2.admits(ver, found) {
-		w.readsChecked++
-		return
-	}
-	r.gates.LostAckf("key %d: foreign read saw {ver %d found %v}, not admissible under gens %d-%d", k, ver, found, s1.gen, s2.gen)
-}
-
-// resolve settles the crashed op against ground truth. Runs inside
-// th.Run on the repaired slot; it may itself crash (the injector may
-// have re-armed us), in which case it re-runs — every step here is
-// idempotent.
-func (w *liveWorker) resolve() {
-	r := w.run
-	p := w.pend
-	w.keyb = KeyBytes(w.keyb, p.key)
-	if p.put {
-		r.orc.Resolve(p.key, r.Store.ResolvePut(w.tid, w.keyb, &p.ptr))
-	} else {
-		// Delete: applied iff the displaced version is no longer
-		// readable. The keyspace is single-writer, so any other surviving
-		// version is impossible.
-		got, found := r.Store.Get(w.tid, w.keyb, w.getb)
-		w.getb = got
-		applied := true
-		if found {
-			ver, err := DecodeVal(p.key, got)
-			switch {
-			case err != nil:
-				r.gates.Violationf("key %d: delete-resolve read corrupt: %v", p.key, err)
-			case ver == p.ver:
-				applied = false
-			default:
-				r.gates.Violationf("key %d: delete-resolve saw ver %d, expected %d or absent", p.key, ver, p.ver)
-			}
-		}
-		r.orc.Resolve(p.key, applied)
-	}
-	w.pend = nil
-	w.unresolved.Store(false)
 }
 
 // --- injector --------------------------------------------------------
@@ -630,10 +322,10 @@ func (r *liveRun) aliveTids() []int {
 // any victim. Adoption into the process needs one of its own threads
 // alive and not mid-repair — and a mid-repair thread shows as alive
 // here — so the no-live-tids check cannot race a pending adoption.
-func (r *liveRun) killProcessSafely(spec FaultSpec, out *FaultOutcome) {
+func (r *liveRun) killProcessSafely(spec chaos.FaultSpec, out *chaos.FaultOutcome) {
 	heap := r.Pod.Heap()
 	p := r.Procs[spec.Proc]
-	deadline := time.Now().Add(KillWait)
+	deadline := time.Now().Add(chaos.KillWait)
 	for round := 0; !p.Dead(); round++ {
 		var extra []int
 		for tid := 0; tid < liveThreads; tid++ {
@@ -655,13 +347,13 @@ func (r *liveRun) killProcessSafely(spec FaultSpec, out *FaultOutcome) {
 			return
 		}
 		r.armPersist(spec, extra)
-		KillInOp(r.inj, spec.ArmProb, spec.ArmSeed+uint64(round+1), extra, heap.Alive, deadline)
+		chaos.KillInOp(r.inj, spec.ArmProb, spec.ArmSeed+uint64(round+1), extra, heap.Alive, deadline)
 	}
 }
 
 // armPersist sets the victims' adversarial persist seed base, which the
 // heap's crash policy reads when each of them dies.
-func (r *liveRun) armPersist(spec FaultSpec, victims []int) {
+func (r *liveRun) armPersist(spec chaos.FaultSpec, victims []int) {
 	for _, v := range victims {
 		r.persistSeed[v].Store(spec.PersistSeed + uint64(v)<<48)
 	}
@@ -670,29 +362,29 @@ func (r *liveRun) armPersist(spec FaultSpec, victims []int) {
 // plan draws fault i from the seeded stream. The first three faults are
 // a fixed rotation — thread-kill, nmp-burst, proc-kill — so even a
 // short run covers every fault class; afterwards the mix is random.
-func (r *liveRun) plan(i int, rng *xrand.Rand) (FaultSpec, bool) {
-	var kind FaultKind
+func (r *liveRun) plan(i int, rng *xrand.Rand) (chaos.FaultSpec, bool) {
+	var kind chaos.FaultKind
 	switch {
 	case i == 0:
-		kind = FaultThreadKill
+		kind = chaos.FaultThreadKill
 	case i == 1:
-		kind = FaultNMPBurst
+		kind = chaos.FaultNMPBurst
 	case i == 2:
-		kind = FaultProcKill
+		kind = chaos.FaultProcKill
 	default:
 		switch roll := rng.Intn(100); {
 		case roll < 50:
-			kind = FaultThreadKill
+			kind = chaos.FaultThreadKill
 		case roll < 75:
-			kind = FaultNMPBurst
+			kind = chaos.FaultNMPBurst
 		default:
-			kind = FaultProcKill
+			kind = chaos.FaultProcKill
 		}
 	}
 
-	spec := FaultSpec{I: i, Kind: kind}
+	spec := chaos.FaultSpec{I: i, Kind: kind}
 	switch kind {
-	case FaultNMPBurst:
+	case chaos.FaultNMPBurst:
 		if rng.Intn(2) == 0 {
 			spec.NMPMode = "timeout"
 		} else {
@@ -701,7 +393,7 @@ func (r *liveRun) plan(i int, rng *xrand.Rand) (FaultSpec, bool) {
 		spec.NMPCount = 8 + rng.Intn(57)
 		return spec, true
 
-	case FaultProcKill:
+	case chaos.FaultProcKill:
 		// Eligible: a live process whose death leaves >= 2 live slots.
 		alive := r.aliveTids()
 		var cands []int
@@ -730,7 +422,7 @@ func (r *liveRun) plan(i int, rng *xrand.Rand) (FaultSpec, bool) {
 				spec.Victims = append(spec.Victims, tid)
 			}
 		}
-		spec.ArmProb = ArmProb
+		spec.ArmProb = chaos.ArmProb
 		spec.ArmSeed = rng.Uint64()
 		spec.PersistSeed = rng.Uint64() | 1
 		return spec, true
@@ -740,17 +432,17 @@ func (r *liveRun) plan(i int, rng *xrand.Rand) (FaultSpec, bool) {
 	}
 }
 
-func (r *liveRun) planThreadKill(i int, rng *xrand.Rand) (FaultSpec, bool) {
+func (r *liveRun) planThreadKill(i int, rng *xrand.Rand) (chaos.FaultSpec, bool) {
 	alive := r.aliveTids()
 	if len(alive) < 3 {
-		return FaultSpec{}, false // keep >= 2 survivors
+		return chaos.FaultSpec{}, false // keep >= 2 survivors
 	}
 	v := alive[rng.Intn(len(alive))]
-	return FaultSpec{
+	return chaos.FaultSpec{
 		I:           i,
-		Kind:        FaultThreadKill,
+		Kind:        chaos.FaultThreadKill,
 		Victims:     []int{v},
-		ArmProb:     ArmProb,
+		ArmProb:     chaos.ArmProb,
 		ArmSeed:     rng.Uint64(),
 		PersistSeed: rng.Uint64() | 1,
 	}, true
@@ -759,11 +451,11 @@ func (r *liveRun) planThreadKill(i int, rng *xrand.Rand) (FaultSpec, bool) {
 // apply executes one spec. Kills arm the victims' random crash points
 // and wait for the deaths to happen inside the victims' own operations;
 // the injector itself never marks a running thread crashed.
-func (r *liveRun) apply(spec FaultSpec) FaultOutcome {
-	out := FaultOutcome{I: spec.I, Kind: spec.Kind}
+func (r *liveRun) apply(spec chaos.FaultSpec) chaos.FaultOutcome {
+	out := chaos.FaultOutcome{I: spec.I, Kind: spec.Kind}
 	heap := r.Pod.Heap()
 	switch spec.Kind {
-	case FaultNMPBurst:
+	case chaos.FaultNMPBurst:
 		mode := nmp.FaultUnavailable
 		if spec.NMPMode == "timeout" {
 			mode = nmp.FaultTimeout
@@ -771,7 +463,7 @@ func (r *liveRun) apply(spec FaultSpec) FaultOutcome {
 		heap.NMP().InjectFaults(nmp.FaultPlan{Mode: mode, Count: spec.NMPCount})
 		return out
 
-	case FaultThreadKill, FaultProcKill:
+	case chaos.FaultThreadKill, chaos.FaultProcKill:
 		// Filter to victims still alive (replay drift), keeping the
 		// >=2-survivors guard even when replaying.
 		alive := r.aliveTids()
@@ -794,11 +486,11 @@ func (r *liveRun) apply(spec FaultSpec) FaultOutcome {
 			return out
 		}
 		r.armPersist(spec, targets)
-		out.Died = KillInOp(r.inj, spec.ArmProb, spec.ArmSeed, targets, heap.Alive, time.Now().Add(KillWait))
+		out.Died = chaos.KillInOp(r.inj, spec.ArmProb, spec.ArmSeed, targets, heap.Alive, time.Now().Add(chaos.KillWait))
 		if len(out.Died) < len(targets) {
 			out.Note = "partial: not all victims died before deadline"
 		}
-		if spec.Kind == FaultProcKill && len(out.Died) == len(targets) {
+		if spec.Kind == chaos.FaultProcKill && len(out.Died) == len(targets) {
 			r.killProcessSafely(spec, &out)
 		}
 		return out
@@ -809,7 +501,7 @@ func (r *liveRun) apply(spec FaultSpec) FaultOutcome {
 
 // --- audit and reporting ---------------------------------------------
 
-func (r *liveRun) audit(snap0 telemetry.Snapshot, kept0 int, elapsed time.Duration) *LiveReport {
+func (r *liveRun) report(t *Tally, snap0 telemetry.Snapshot, kept0 int, elapsed time.Duration) *LiveReport {
 	cfg := r.cfg
 	rep := &LiveReport{
 		Threads: liveThreads, Procs: liveProcs, Keys: cfg.Keys,
@@ -818,42 +510,32 @@ func (r *liveRun) audit(snap0 telemetry.Snapshot, kept0 int, elapsed time.Durati
 		Schedule: r.faults.Schedule, Outcomes: r.faults.Outcomes,
 	}
 
-	rep.PendingAllocs = r.Audit(&r.gates, r.orc, cfg.Keys, liveThreads)
+	rep.PendingAllocs = r.audit()
 
 	// Traffic counters.
-	for _, w := range r.workers {
-		rep.Ops += w.ops
-		rep.Acked += w.acked
-		rep.Puts += w.puts
-		rep.Gets += w.gets
-		rep.Deletes += w.dels
-		rep.Failed += w.failed
-		rep.Crashes += w.crashes
-		rep.ReadsChecked += w.readsChecked
-		rep.ReadsSkipped += w.readsSkipped
-	}
+	rep.Ops, rep.Failed = t.Ops, t.Failed
+	rep.Puts, rep.Gets, rep.Deletes = t.Puts, t.Gets, t.Deletes
+	rep.Acked = t.Puts + t.Deletes
+	rep.Crashes = r.srv.Stats().WorkerCrashes
+	rep.ReadsChecked, rep.ReadsSkipped = Reads(r.issuers)
 	if elapsed > 0 {
 		rep.Throughput = float64(rep.Ops) / elapsed.Seconds()
 	}
-	merged := new(telemetry.Hist)
-	for _, w := range r.workers {
-		merged.Merge(w.hist)
-	}
-	rep.LatencyP50 = time.Duration(merged.Quantile(0.50))
-	rep.LatencyP99 = time.Duration(merged.Quantile(0.99))
+	rep.LatencyP50 = time.Duration(t.Latency.Quantile(0.50))
+	rep.LatencyP99 = time.Duration(t.Latency.Quantile(0.99))
 
 	// Injection coverage and watchdog tallies (delta over the run).
 	for i, spec := range rep.Schedule {
 		switch spec.Kind {
-		case FaultThreadKill:
+		case chaos.FaultThreadKill:
 			rep.ThreadKills++
-		case FaultProcKill:
+		case chaos.FaultProcKill:
 			if rep.Outcomes[i].ProcKilled {
 				rep.ProcKills++
 			} else {
 				rep.ThreadKills++ // armed but not escalated
 			}
-		case FaultNMPBurst:
+		case chaos.FaultNMPBurst:
 			rep.NMPBursts++
 		}
 	}
@@ -867,6 +549,7 @@ func (r *liveRun) audit(snap0 telemetry.Snapshot, kept0 int, elapsed time.Durati
 	rep.Rescues = snap.Liveness.Rescues
 	rep.SelfFences = snap.Liveness.SelfFences
 	rep.FalseTakeovers = r.Pod.FalseTakeovers()
+	rep.CrashPoints = r.inj.Fired()
 
 	// MTTR and availability from the retained crash→repair spans.
 	kept := r.tracer.Kept()
@@ -904,11 +587,7 @@ func (r *liveRun) audit(snap0 telemetry.Snapshot, kept0 int, elapsed time.Durati
 		}
 		covered += curE - curS
 		if win := elapsed.Nanoseconds(); win > 0 {
-			av := 1 - float64(covered)/float64(win)
-			if av < 0 {
-				av = 0
-			}
-			rep.Availability = av
+			rep.Availability = max(0, 1-float64(covered)/float64(win))
 		}
 	} else {
 		rep.Availability = 1
@@ -916,7 +595,6 @@ func (r *liveRun) audit(snap0 telemetry.Snapshot, kept0 int, elapsed time.Durati
 
 	rep.ReplayOK = r.faults.ReplayOK()
 	rep.Violations, rep.LostAcks = r.gates.Violations(), r.gates.LostAcks()
-	rep.CrashPoints = r.crashPoints // workers have exited
 	return rep
 }
 

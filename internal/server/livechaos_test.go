@@ -1,17 +1,12 @@
-package chaos
+package server
 
 import (
 	"bytes"
-	"fmt"
-	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"cxlalloc"
-	"cxlalloc/internal/alloc"
-	"cxlalloc/internal/atomicx"
-	"cxlalloc/internal/kvstore"
-	"cxlalloc/internal/xrand"
+	"cxlalloc/internal/chaos"
 )
 
 // TestLiveChaosShort is the always-on smoke: a small online run with a
@@ -38,8 +33,8 @@ func TestLiveChaosShort(t *testing.T) {
 		t.Fatalf("gates failed: %d violations, %d lost acks, %d false takeovers\n%s",
 			len(rep.Violations), len(rep.LostAcks), rep.FalseTakeovers, FormatLiveReport(rep))
 	}
-	if rep.Ops == 0 || rep.Acked == 0 {
-		t.Fatalf("no traffic ran: %d ops, %d acked", rep.Ops, rep.Acked)
+	if rep.Ops == 0 || rep.Acked == 0 || rep.ReadsChecked == 0 {
+		t.Fatalf("no traffic ran: %d ops, %d acked, %d reads checked", rep.Ops, rep.Acked, rep.ReadsChecked)
 	}
 	if rep.Crashes == 0 {
 		t.Errorf("no crashes landed mid-traffic (rate too low for window?)")
@@ -49,8 +44,6 @@ func TestLiveChaosShort(t *testing.T) {
 	}
 }
 
-// TestLiveChaosReplay records a short run's schedule and replays it,
-// requiring a bit-for-bit identical injection timeline and green gates.
 // A zero field is no longer a default: validate rejects each zero that
 // would divide by zero or run for no time.
 func TestLiveConfigRejectsZeroes(t *testing.T) {
@@ -72,6 +65,8 @@ func TestLiveConfigRejectsZeroes(t *testing.T) {
 	}
 }
 
+// TestLiveChaosReplay records a short run's schedule and replays it,
+// requiring a bit-for-bit identical injection timeline and green gates.
 func TestLiveChaosReplay(t *testing.T) {
 	cfg := DefaultLiveConfig()
 	cfg.Seed = 11
@@ -93,14 +88,14 @@ func TestLiveChaosReplay(t *testing.T) {
 
 	// Round-trip through NDJSON, as the CLI does.
 	var buf bytes.Buffer
-	if err := WriteSchedule(&buf, rec.Schedule); err != nil {
+	if err := chaos.WriteSchedule(&buf, rec.Schedule); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := ReadSchedule(&buf)
+	loaded, err := chaos.ReadSchedule(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !SameSchedule(rec.Schedule, loaded) {
+	if !chaos.SameSchedule(rec.Schedule, loaded) {
 		t.Fatal("schedule did not survive NDJSON round-trip")
 	}
 
@@ -150,137 +145,29 @@ func TestLiveChaosLong(t *testing.T) {
 	}
 }
 
-// TestOracleStressNoFaults races mixed Put/Get/Delete across all
-// threads with NO fault injection and asserts the per-key oracle — the
-// satellite -race check that the oracle itself (snapshot bracketing,
-// version admissibility) is sound before any chaos is layered on it.
+// TestOracleStressNoFaults races Issuer lanes over a real Server with
+// NO fault injection and asserts the oracle end to end — the -race check
+// that the bracketed read check and the writer protocol are sound
+// through the queue hop before any chaos is layered on them. The slo
+// issuers' zipfian draws keep every lane on a few hot keys.
 func TestOracleStressNoFaults(t *testing.T) {
-	const (
-		threads = liveThreads
-		keys    = 64
-		opsPer  = 3000
-	)
-	pc := cxlalloc.DefaultConfig()
-	pc.NumThreads = threads
-	pc.MaxSmallSlabs = 64
-	pc.MaxLargeSlabs = 16
-	pc.HugeRegionSize = 1 << 20
-	pc.NumReservations = 8
-	pc.DescsPerThread = 16
-	pc.NumHazards = 8
-	pc.UnsizedThreshold = 2
-	pc.Mode = atomicx.ModeMCAS
-	pod, err := cxlalloc.NewPodWith(cxlalloc.PodConfig{Config: pc, AutoRecover: true})
-	if err != nil {
-		t.Fatal(err)
+	r := newTestRun(t, nil)
+	r.startServer()
+	var stop atomic.Bool
+	lanes := Lanes(r.issuers, 4, &stop)
+	time.Sleep(300 * time.Millisecond)
+	stop.Store(true)
+	tally := <-lanes
+	if tally.Crashed != 0 {
+		t.Fatalf("%d ops crashed with no fault armed", tally.Crashed)
 	}
-	procs := []*cxlalloc.Process{pod.NewProcess(), pod.NewProcess()}
-	ths := make([]*cxlalloc.Thread, threads)
-	for tid := 0; tid < threads; tid++ {
-		if ths[tid], err = procs[tid%2].AttachThreadID(tid); err != nil {
-			t.Fatal(err)
-		}
+	r.audit()
+	checked, skipped := Reads(r.issuers)
+	t.Logf("%d ops (%d failed), %d reads checked, %d skipped", tally.Ops, tally.Failed, checked, skipped)
+	if v, l := r.gates.Violations(), r.gates.LostAcks(); len(v) != 0 || len(l) != 0 {
+		t.Fatalf("violations %q, lost acks %q", v, l)
 	}
-	store := kvstore.New(alloc.NewCXL(pod.Heap(), "cxlalloc"), keys*2, threads)
-	run := &liveRun{
-		cfg:       LiveConfig{Keys: keys},
-		PodTarget: &PodTarget{Store: store},
-		orc:       NewOracle(keys),
-	}
-
-	errs := make(chan error, threads)
-	var wg sync.WaitGroup
-	for tid := 0; tid < threads; tid++ {
-		wg.Add(1)
-		go func(tid int) {
-			defer wg.Done()
-			w := &liveWorker{
-				run: run,
-				tid: tid,
-				rng: xrand.New(uint64(tid) + 1),
-			}
-			for i := 0; i < opsPer; i++ {
-				if c := ths[tid].Run(func() {
-					switch w.rng.Intn(3) {
-					case 0:
-						w.stepWrite()
-					case 1:
-						w.stepReadForeign()
-					default:
-						w.stepReadOwn()
-					}
-				}); c != nil {
-					errs <- fmt.Errorf("tid %d: unexpected crash at %s", tid, c.Point)
-					return
-				}
-				if w.pend != nil {
-					errs <- fmt.Errorf("tid %d: pend left set without a crash", tid)
-					return
-				}
-			}
-		}(tid)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-
-	var keyb, getb []byte
-	for k := 0; k < keys; k++ {
-		exp, settled := run.orc.Final(k)
-		if !settled {
-			t.Fatalf("key %d unsettled with no faults", k)
-		}
-		keyb = KeyBytes(keyb, k)
-		got, found := store.Get(0, keyb, getb)
-		getb = got
-		if found != exp.Present {
-			t.Fatalf("key %d: present=%v, oracle wants %v (ver %d)", k, found, exp.Present, exp.Ver)
-		}
-		if found {
-			ver, err := DecodeVal(k, got)
-			if err != nil {
-				t.Fatalf("key %d: %v", k, err)
-			}
-			if ver != exp.Ver {
-				t.Fatalf("key %d: ver %d, oracle wants %d", k, ver, exp.Ver)
-			}
-		}
-	}
-	if len(run.gates.Violations()) != 0 {
-		t.Fatalf("violations: %v", run.gates.Violations())
-	}
-	if len(run.gates.LostAcks()) != 0 {
-		t.Fatalf("lost acks with no faults: %v", run.gates.LostAcks())
-	}
-}
-
-// TestValueCodec pins the self-validating codec: round-trips decode,
-// and every single-byte corruption is caught.
-func TestValueCodec(t *testing.T) {
-	var buf []byte
-	for k := 0; k < 32; k++ {
-		for ver := uint64(1); ver <= 8; ver++ {
-			buf = EncodeVal(buf, k, ver)
-			got, err := DecodeVal(k, buf)
-			if err != nil || got != ver {
-				t.Fatalf("key %d ver %d: got %d, %v", k, ver, got, err)
-			}
-			if _, err := DecodeVal(k+1, buf); err == nil {
-				t.Fatalf("key %d ver %d: accepted under wrong key", k, ver)
-			}
-		}
-	}
-	buf = EncodeVal(buf, 3, 5)
-	for i := range buf {
-		buf[i] ^= 0x40
-		if _, err := DecodeVal(3, buf); err == nil {
-			t.Fatalf("corruption at byte %d not detected", i)
-		}
-		buf[i] ^= 0x40
-	}
-	if _, err := DecodeVal(3, buf[:len(buf)-1]); err == nil {
-		t.Fatal("truncation not detected")
+	if checked == 0 || tally.Puts == 0 || tally.Deletes == 0 {
+		t.Fatalf("stress did too little: %d reads checked, %d puts, %d deletes", checked, tally.Puts, tally.Deletes)
 	}
 }

@@ -630,11 +630,12 @@ func (w *worker) fill() {
 }
 
 // serve is the worker loop: pop a batch, execute it, park when the
-// queue is empty. It mirrors the livechaos worker's crash discipline:
-// every store op runs inside th.Run (heartbeat + watchdog + crash
-// capture); an own-slot crash drops the handle, opens the breaker if
-// the group went dark, hands the rest of the batch back and waits for
-// the watchdog's repair; a crash with a foreign TID means a repair
+// queue is empty. It is the one crash discipline every online harness
+// runs KV ops under: every store op runs inside th.Run (heartbeat +
+// watchdog + crash capture); an own-slot crash drops the handle, opens
+// the breaker if the group went dark, hands the rest of the batch back
+// and waits for the watchdog's repair, then settles a crashed write
+// against ground truth; a crash with a foreign TID means a repair
 // hosted by our heartbeat died — our op never ran and is simply retried.
 func (w *worker) serve() {
 	s, g, tid := w.s, w.g, w.tid
@@ -805,8 +806,10 @@ func (s *Server) resolveCrashed(tid int, p *pendOp) bool {
 	}
 	// Delete: applied iff the displaced version is gone. The versioned
 	// client keeps the key single-writer, so any other version is
-	// impossible while this op is unresolved.
+	// impossible while this op is unresolved; the response carries what
+	// was read back, for the client to check that.
 	r.Dst, r.resp.Found = s.cfg.Store.Get(tid, r.Key, r.Dst)
+	r.resp.Value = r.Dst
 	if !r.resp.Found {
 		return true
 	}

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"cxlalloc"
 	"cxlalloc/internal/chaos"
 	"cxlalloc/internal/crash"
 	"cxlalloc/internal/telemetry"
@@ -120,9 +121,10 @@ type SLOReport struct {
 	Kills, ProcKills int
 	FalseTakeovers   uint64
 
-	PendingAllocs int
-	Violations    []string
-	LostAcks      []string
+	PendingAllocs              int
+	ReadsChecked, ReadsSkipped uint64
+	Violations                 []string
+	LostAcks                   []string
 }
 
 // SLOGates is the run's pass/fail summary.
@@ -194,24 +196,83 @@ func (t *pointTally) observe(d time.Duration) {
 	t.mu.Unlock()
 }
 
-type sloRun struct {
+// podService is a Server over one chaos.PodTarget, with the oracle and
+// the issuers that drive it: the half of a run livechaos and slo/slochaos
+// share.
+type podService struct {
 	*chaos.PodTarget // the pod, its processes, the store, adopted orphans
 
-	cfg SLOConfig
-	srv *Server
-	orc *chaos.Oracle
-	inj *crash.Injector
+	threads, procs, keys int
+	seed                 uint64
+	// full marks a pod sized to run full (livechaos): the allocator's
+	// transient out-of-memory is part of the fault surface, so the
+	// watermarks, which would shed every write, stay off, and the clients
+	// never retry — a rejected op counts as failed, as the allocator
+	// returned it.
+	full bool
 
-	issuers []*sloIssuer
+	srv     *Server
+	orc     *chaos.Oracle
 	gates   chaos.Gates
+	issuers []*Issuer
 }
 
-// sloIssuer is one client connection: the shared oracle-checked issuer
-// plus the connection's request pool (sloMaxInFlight is its
-// concurrency limit).
-type sloIssuer struct {
-	*Issuer
-	pool chan *Request
+// startServer builds and starts the front end over the pod — one group
+// per process, thread tid serving group tid%procs — and points every
+// issuer's client at it.
+func (p *podService) startServer() {
+	groups := make([][]int, p.procs)
+	for tid := 0; tid < p.threads; tid++ {
+		groups[tid%p.procs] = append(groups[tid%p.procs], tid)
+	}
+	cfg := Config{
+		Pod:       p.Pod,
+		Store:     p.Store,
+		Groups:    groups,
+		QueueCap:  sloQueueCap,
+		DecodeVer: chaos.DecodeVal,
+	}
+	if p.full {
+		cfg.PressureFn = func() float64 { return 0 }
+	}
+	p.srv = New(cfg)
+	for i, is := range p.issuers {
+		is.Client = NewClient(p.srv, p.seed^uint64(i)*0xa0761d6478bd642f)
+		if p.full {
+			is.Client.maxBudget = 0
+			is.Client.budget.Store(0)
+		}
+	}
+}
+
+// retune is the quiesce-and-retune step between a harness's fault-free
+// calibration and its fault phase. RetuneLiveness requires no thread
+// inside Run, and Stop waiting out the workers is exactly that barrier;
+// a settle round then renews every slot under the new lease (no slot
+// keeps a stale infinite deadline), and a fresh server over the same
+// pod and store takes the traffic, stamping tick deadlines and pacing
+// repairs at the calibrated rate. The lease shape is the caller's.
+func (p *podService) retune(lease cxlalloc.LivenessConfig, tickHz float64) {
+	p.srv.Stop()
+	p.Pod.RetuneLiveness(lease)
+	chaos.SettleRound(p.Pod, p.threads)
+	p.startServer()
+	p.srv.SetTickRate(tickHz)
+}
+
+// audit is the end-of-run authoritative check (chaos.PodTarget.Audit):
+// stop the server, sweep every key against the oracle's settled state,
+// tear the store down, and audit the heap ledger back to empty. It
+// returns how many adopted pending allocations were freed.
+func (p *podService) audit() (pendingAllocs int) {
+	p.srv.Stop()
+	return p.Audit(&p.gates, p.orc, p.keys, p.threads)
+}
+
+type sloRun struct {
+	*podService
+	cfg SLOConfig
+	inj *crash.Injector
 }
 
 // build constructs the pod, store, oracle, and issuers. inj may be nil
@@ -232,57 +293,32 @@ func buildSLORun(cfg SLOConfig, inj *crash.Injector) (*sloRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &sloRun{
-		cfg: cfg, PodTarget: target, inj: inj,
+	r := &sloRun{cfg: cfg, inj: inj, podService: &podService{
+		PodTarget: target,
+		threads:   cfg.Threads, procs: cfg.Procs, keys: cfg.Keys, seed: cfg.Seed,
 		orc: chaos.NewOracle(cfg.Keys),
-	}
+	}}
 
 	// YCSB-shaped key popularity: zipfian over the whole keyspace for
 	// reads and over the issuer's own partition (keys congruent to its
-	// id) for writes.
+	// id) for writes. startServer installs the Clients: slochaos starts
+	// two servers.
 	keysPer := cfg.Keys / cfg.Clients
 	for i := 0; i < cfg.Clients; i++ {
 		rng := xrand.New(xrand.Mix(cfg.Seed) ^ xrand.Mix(uint64(i)+0x51))
 		zipfAll := xrand.NewZipf(rng, uint64(cfg.Keys), 0.99)
 		zipfOwn := xrand.NewZipf(rng, uint64(keysPer), 0.99)
-		is := &sloIssuer{
-			// startServer installs the Client: slochaos starts two servers.
-			Issuer: NewIssuer(nil, r.orc, &r.gates, sloDeadline, rng,
-				func() int { return int(zipfAll.NextScrambled()) },
-				func() int { return int(zipfOwn.NextScrambled())*cfg.Clients + i }),
-			pool: make(chan *Request, sloMaxInFlight),
-		}
-		for j := 0; j < sloMaxInFlight; j++ {
-			is.pool <- NewRequest()
-		}
-		r.issuers = append(r.issuers, is)
+		r.issuers = append(r.issuers, NewIssuer(nil, r.orc, &r.gates, sloDeadline, rng,
+			func() int { return int(zipfAll.NextScrambled()) },
+			func() int { return int(zipfOwn.NextScrambled())*cfg.Clients + i }))
 	}
 	return r, nil
 }
 
-// startServer builds and starts the front end over the run's pod.
-func (r *sloRun) startServer() {
-	groups := make([][]int, r.cfg.Procs)
-	for tid := 0; tid < r.cfg.Threads; tid++ {
-		g := tid % r.cfg.Procs
-		groups[g] = append(groups[g], tid)
-	}
-	r.srv = New(Config{
-		Pod:       r.Pod,
-		Store:     r.Store,
-		Groups:    groups,
-		QueueCap:  sloQueueCap,
-		DecodeVer: chaos.DecodeVal,
-	})
-	for i, is := range r.issuers {
-		is.Client = NewClient(r.srv, r.cfg.Seed^uint64(i)*0xa0761d6478bd642f)
-	}
-}
-
 // settle finalizes one response against the oracle and folds an
 // acknowledgement's latency into the point's tally.
-func (r *sloRun) settle(is *sloIssuer, req *Request, fired time.Time, resp *Response, t *pointTally) {
-	if is.Finalize(req, resp) != Acked {
+func (r *sloRun) settle(is *Issuer, req *Request, mark uint64, fired time.Time, resp *Response, t *pointTally) {
+	if is.Finalize(req, mark, resp) != Acked {
 		return
 	}
 	lat := resp.DoneWall.Sub(fired)
@@ -306,17 +342,16 @@ func (r *sloRun) closedLoop(window time.Duration) *pointTally {
 	for _, is := range r.issuers {
 		for l := 0; l < lanes; l++ {
 			wg.Add(1)
-			go func(is *sloIssuer) {
+			go func() {
 				defer wg.Done()
-				req := <-is.pool
+				req := NewRequest()
 				for time.Now().Before(deadline) {
-					is.Prepare(req)
+					mark := is.Prepare(req)
 					t.offered.Add(1)
 					fired := time.Now()
-					r.settle(is, req, fired, is.Client.Do(req), t)
+					r.settle(is, req, mark, fired, is.Client.Do(req), t)
 				}
-				is.pool <- req
-			}(is)
+			}()
 		}
 	}
 	wg.Wait()
@@ -340,11 +375,11 @@ func (r *sloRun) capacityPhase(rep *SLOReport) error {
 		rep.TickRate = float64(c1-c0) / wall
 	}
 	if rep.Capacity == 0 {
-		r.audit(rep)
+		r.report(rep)
 		return fmt.Errorf("server: capacity phase acked nothing")
 	}
 	if p, soft := heap.MemPressure(0), softWatermark; p >= soft {
-		r.audit(rep)
+		r.report(rep)
 		return fmt.Errorf("server: harness pod too small for %.0f ops/sec: memory pressure %.2f after the capacity phase is at the soft watermark (%.2f); raise MaxLargeSlabs in buildSLORun", rep.Capacity, p, soft)
 	}
 	return nil
@@ -371,16 +406,15 @@ func (r *sloRun) openLoop(rate float64, window time.Duration, salt uint64) (*poi
 			lanes.Add(1)
 			go func() {
 				defer lanes.Done()
-				req := <-is.pool
+				req := NewRequest()
 				for fired := range fire {
-					is.Prepare(req)
-					r.settle(is, req, fired, is.Client.Do(req), t)
+					mark := is.Prepare(req)
+					r.settle(is, req, mark, fired, is.Client.Do(req), t)
 				}
-				is.pool <- req
 			}()
 		}
 		wg.Add(1)
-		go func(i int, is *sloIssuer, fire chan time.Time) {
+		go func(i int, is *Issuer, fire chan time.Time) {
 			defer wg.Done()
 			arr := workload.NewArrivals(xrand.Mix(r.cfg.Seed^salt)+uint64(i), per)
 			next := time.Now()
@@ -457,13 +491,10 @@ func statsDelta(s, prev telemetry.ServerStats) telemetry.ServerStats {
 	return full.Server
 }
 
-// audit is the end-of-run authoritative check, the same one livechaos
-// runs (chaos.PodTarget.Audit): stop the server, sweep every key
-// against the oracle's settled state, tear the store down, and audit
-// the heap ledger back to empty.
-func (r *sloRun) audit(rep *SLOReport) {
-	r.srv.Stop()
-	rep.PendingAllocs = r.Audit(&r.gates, r.orc, r.cfg.Keys, r.cfg.Threads)
+// report runs the end-of-run audit into rep.
+func (r *sloRun) report(rep *SLOReport) {
+	rep.PendingAllocs = r.audit()
+	rep.ReadsChecked, rep.ReadsSkipped = Reads(r.issuers)
 	rep.Violations, rep.LostAcks = r.gates.Violations(), r.gates.LostAcks()
 }
 
@@ -509,7 +540,7 @@ func RunSLO(cfg SLOConfig) (*SLOReport, error) {
 		rep.Points = append(rep.Points, r.summarize(mult, rate, t, elapsed, s0, r0))
 	}
 
-	r.audit(rep)
+	r.report(rep)
 	return rep, nil
 }
 
@@ -541,6 +572,7 @@ func FormatSLOReport(r *SLOReport, isChaos bool) string {
 	if r.PendingAllocs > 0 {
 		fmt.Fprintf(&b, "  pending allocs adopted from repairs: %d\n", r.PendingAllocs)
 	}
+	fmt.Fprintf(&b, "  oracle: %d reads checked, %d skipped (raced >1 transition)\n", r.ReadsChecked, r.ReadsSkipped)
 	g := r.Gates(isChaos)
 	fmt.Fprintf(&b, "  gates: violations=%d lostAcks=%d goodputOK=%v p99Bounded=%v shedEngaged=%v breakerEngaged=%v => ok=%v\n",
 		len(r.Violations), len(r.LostAcks), g.GoodputOK, g.P99Bounded, g.ShedEngaged, g.BreakerEngaged, g.Ok())

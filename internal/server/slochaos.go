@@ -29,19 +29,11 @@ func RunSLOChaos(cfg SLOConfig) (*SLOReport, error) {
 	}
 	cfg = r.cfg
 
-	// Quiesce point: RetuneLiveness requires no thread inside Run, and
-	// Server.Stop waiting out its workers is exactly that barrier. The
-	// fault phase then runs a fresh server over the same pod and store,
-	// with the lease retuned from ticks-per-wall-second so expiry-based
-	// takeover lands near the configured wall target.
-	r.srv.Stop()
-	// Renew at a sixth of the lease (the package default's grace ratio),
-	// not every few ticks: an mCAS per renewal is only worth paying as
-	// often as the lease in force needs it.
-	r.Pod.RetuneLiveness(cxlalloc.LivenessConfig{RenewInterval: chaos.LeaseTicks(rep.TickRate, cfg.LeaseWall) / 6, GraceMult: 6, PollInterval: 4})
-	chaos.SettleRound(r.Pod, cfg.Threads)
-	r.startServer()
-	r.srv.SetTickRate(rep.TickRate)
+	// The fault phase runs on a fresh server under the lease retuned to
+	// the wall target. Renew at a sixth of the lease (the package
+	// default's grace ratio), not every few ticks: an mCAS per renewal is
+	// only worth paying as often as the lease in force needs it.
+	r.retune(cxlalloc.LivenessConfig{RenewInterval: chaos.LeaseTicks(rep.TickRate, cfg.LeaseWall) / 6, GraceMult: 6, PollInterval: 4}, rep.TickRate)
 
 	// Phase 2 — open loop at 2x capacity with group kills in parallel.
 	window := 2 * cfg.Window
@@ -63,7 +55,7 @@ func RunSLOChaos(cfg SLOConfig) (*SLOReport, error) {
 	})
 
 	rep.FalseTakeovers = r.Pod.FalseTakeovers()
-	r.audit(rep)
+	r.report(rep)
 	return rep, nil
 }
 

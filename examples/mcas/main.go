@@ -62,7 +62,7 @@ func main() {
 	}()
 	wg.Wait()
 
-	st := pod.Heap().NMPStats()
+	st := pod.Snapshot().NMP
 	fmt.Printf("moved %d messages with zero hardware cache coherence\n", msgs)
 	fmt.Printf("NMP unit served %d spwr / %d sprd operations\n", st.SpWrs, st.SpRds)
 	fmt.Printf("  mCAS successes: %d, failures: %d (of which %d same-address conflicts)\n",

@@ -20,14 +20,15 @@ package chaos
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 
 	"cxlalloc"
 	"cxlalloc/internal/atomicx"
 	"cxlalloc/internal/core"
 	"cxlalloc/internal/crash"
+	"cxlalloc/internal/memsim"
 	"cxlalloc/internal/nmp"
+	"cxlalloc/internal/telemetry"
 	"cxlalloc/internal/xrand"
 )
 
@@ -44,13 +45,35 @@ const (
 	ModeProcessCrash Mode = "process-crash"
 )
 
-// Config parameterizes a sweep.
-type Config struct {
+// Script is the canonical workload's shape, shared by the chaos and
+// persist sweeps.
+type Script struct {
 	Threads int    // simulated threads, round-robin across Procs processes
 	Procs   int    // simulated processes (>= 2 so process death has survivors)
 	Ops     int    // workload steps in the main phase
-	Seed    uint64 // workload RNG seed (reproducible)
-	Modes   []Mode // nil = both modes
+	Seed    uint64 // workload RNG seed: rerun with it to replay verbatim
+}
+
+// defaultScript is sized for CI: small enough to run every point × mode
+// in seconds, large enough to visit every instrumented point (slab
+// fill/spill, steal, huge alloc/free/reclaim, cross-process faults and
+// hazards, and recovery itself).
+var defaultScript = Script{Threads: 4, Procs: 2, Ops: 600, Seed: 2026}
+
+func (s *Script) validate() error {
+	if s.Threads < 2 || s.Procs < 2 || s.Threads < s.Procs {
+		return fmt.Errorf("chaos: need Threads >= Procs >= 2, got %d/%d", s.Threads, s.Procs)
+	}
+	if s.Ops < 50 {
+		return fmt.Errorf("chaos: Ops %d too small to reach the slab transition points", s.Ops)
+	}
+	return nil
+}
+
+// Config parameterizes a sweep.
+type Config struct {
+	Script
+	Modes []Mode // nil = both modes
 
 	// AutoRecover runs the sweep on a self-healing pod: the harness makes
 	// NO Recover/Restart calls at all — after every crash (including
@@ -61,13 +84,8 @@ type Config struct {
 	AutoRecover bool
 }
 
-// DefaultConfig returns a sweep sized for CI: small enough to run every
-// point × mode in seconds, large enough to visit every instrumented
-// point (slab fill/spill, steal, huge alloc/free/reclaim, cross-process
-// faults and hazards, and recovery itself).
-func DefaultConfig() Config {
-	return Config{Threads: 4, Procs: 2, Ops: 600, Seed: 2026}
-}
+// DefaultConfig returns a sweep sized for CI.
+func DefaultConfig() Config { return Config{Script: defaultScript} }
 
 func (c *Config) modes() []Mode {
 	if len(c.Modes) == 0 {
@@ -76,14 +94,10 @@ func (c *Config) modes() []Mode {
 	return c.Modes
 }
 
-func (c *Config) validate() error {
-	if c.Threads < 2 || c.Procs < 2 || c.Threads < c.Procs {
-		return fmt.Errorf("chaos: need Threads >= Procs >= 2, got %d/%d", c.Threads, c.Procs)
-	}
-	if c.Ops < 50 {
-		return fmt.Errorf("chaos: Ops %d too small to reach the slab transition points", c.Ops)
-	}
-	return nil
+// cell is c's sweep cell: point armed on a DRAM pod, answered with mode
+// and recovered the way c says.
+func (c *Config) cell(point string, mode Mode) cell {
+	return cell{Script: c.Script, auto: c.AutoRecover, point: point, mode: mode}
 }
 
 // PointRun is the outcome of one point × mode sweep run.
@@ -114,7 +128,6 @@ type Report struct {
 	Unswept    []string   // "point/mode" combos whose crash never fired
 	Violations []string   // invariant or recovery failures
 	NMP        NMPResult
-	Stats      core.Stats // coverage + degraded-mode counters
 }
 
 // Ok reports whether the sweep met the robustness gate: every discovered
@@ -123,6 +136,17 @@ type Report struct {
 func (r *Report) Ok() bool {
 	return len(r.Unswept) == 0 && len(r.Violations) == 0 &&
 		r.NMP.Completed && r.NMP.Fallbacks > 0
+}
+
+// swept counts the points whose crash fired under every mode.
+func (r *Report) swept() int {
+	missed := make(map[string]bool)
+	for _, run := range r.Runs {
+		if !run.Fired {
+			missed[run.Point] = true
+		}
+	}
+	return len(r.Points) - len(missed)
 }
 
 // Summary returns a one-line outcome for logs.
@@ -148,12 +172,6 @@ func Sweep(cfg Config) (*Report, error) {
 	}
 	rep := &Report{Auto: cfg.AutoRecover, Seed: cfg.Seed}
 
-	points, err := discover(cfg)
-	if err != nil {
-		return nil, err
-	}
-	rep.Points = points
-
 	// The profiling workload must reach the allocator's interesting
 	// transitions and the recovery path; otherwise the sweep would
 	// vacuously pass over a too-gentle workload. A self-healing sweep must
@@ -163,38 +181,56 @@ func Sweep(cfg Config) (*Report, error) {
 	if cfg.AutoRecover {
 		musts = append(musts, core.LivenessCrashPoints...)
 	}
-	for _, must := range musts {
-		if !contains(points, must) {
-			rep.Violations = append(rep.Violations,
-				fmt.Sprintf("profiling never visited %q: workload too gentle", must))
-		}
+	points, missing, err := discover(cfg.cell("", ""), musts)
+	if err != nil {
+		return nil, err
 	}
+	rep.Points, rep.Violations = points, missing
 
-	swept := make(map[string]int, len(points))
 	for _, point := range points {
 		for _, mode := range cfg.modes() {
-			run := sweepOne(cfg, point, mode)
-			rep.Runs = append(rep.Runs, run)
-			if run.Fired {
-				swept[point]++
-			} else {
+			res := runCell(cfg.cell(point, mode))
+			rep.Runs = append(rep.Runs, PointRun{
+				Point: point, Mode: mode, Fired: res.fired, CrashTID: res.tid, Err: res.err,
+			})
+			if !res.fired {
 				rep.Unswept = append(rep.Unswept, point+"/"+string(mode))
 			}
-			if run.Err != "" {
+			if res.err != "" {
 				rep.Violations = append(rep.Violations,
-					fmt.Sprintf("%s/%s: %s", point, mode, run.Err))
+					fmt.Sprintf("%s/%s: %s", point, mode, res.err))
 			}
 		}
 	}
 
-	rep.NMP = runNMPFaults(cfg, rep)
-	rep.Stats.CrashPointsInstrumented = len(points)
-	for _, n := range swept {
-		if n == len(cfg.modes()) {
-			rep.Stats.CrashPointsSwept++
-		}
+	// The degraded-mode phase: the script on an mCAS pod whose NMP unit is
+	// unavailable for the whole run. Every CAS must retry, fall back to
+	// sw_flush_cas, and the workload must complete invariant-clean.
+	nc := cfg.cell("", "")
+	nc.device, nc.nmpFaults = atomicx.ModeMCAS, true
+	if res := runCell(nc); res.err != "" {
+		rep.NMP.Err = res.err
+	} else {
+		rep.NMP = NMPResult{Completed: true, Fallbacks: res.snap.HW.HWCASFallbacks,
+			Retries: res.snap.HW.MCASRetries, Faults: res.snap.NMP.FaultsInjected}
 	}
 	return rep, nil
+}
+
+// discover runs c's script with nothing armed and returns every crash
+// point it visits, plus one error line per point of musts it never
+// reached.
+func discover(c cell, musts []string) (points, missing []string, err error) {
+	res := runCell(c)
+	if res.err != "" {
+		return nil, nil, fmt.Errorf("chaos: profiling run failed: %s", res.err)
+	}
+	for _, must := range musts {
+		if !contains(res.points, must) {
+			missing = append(missing, fmt.Sprintf("profiling never visited %q: workload too gentle", must))
+		}
+	}
+	return res.points, missing, nil
 }
 
 func contains(ss []string, s string) bool {
@@ -206,130 +242,121 @@ func contains(ss []string, s string) bool {
 	return false
 }
 
-// discover runs the canonical script with coverage enabled and nothing
-// armed, returning every crash point it visits.
-func discover(cfg Config) ([]string, error) {
+// cell is one scripted run of the canonical workload: the pod it runs
+// on, the crash point armed for every thread, and how the harness
+// answers that crash.
+type cell struct {
+	Script
+	auto      bool          // self-healing pod: the watchdog, not the harness, recovers
+	device    atomicx.Mode  // coherence mode of the pod
+	point     string        // armed for every thread; "" arms nothing
+	mode      Mode          // failure response when point fires
+	policy    persistPolicy // resolves the armed crash's in-play lines; nil = writeback-all
+	nmpFaults bool          // the NMP unit is unavailable for the whole run (ModeMCAS)
+
+	// The deliberate protocol mutations the persist sweep must catch:
+	// the redo log's durability flush removed, or the magazine pop's
+	// commit fence elided.
+	skipOplogFlush, skipCommitFence bool
+}
+
+// cellResult is one cell's outcome.
+type cellResult struct {
+	points []string // every crash point the run visited
+	fired  bool
+	tid    int     // thread the armed point crashed (-1 if it never fired)
+	window []int32 // in-play lines at the armed crash (policy cells)
+	mask   uint64  // effective persist mask (valid when sized)
+	sized  bool    // the window fit a 64-bit mask
+	snap   telemetry.Snapshot
+	err    string
+}
+
+// runCell is the only way a scripted crash runs: build c's pod, arm
+// c.point on every thread, run the script answering the crash with
+// c.mode, and end with the invariants after the drain plus the ledger
+// audit. A panic (the heap's corruption detector) is captured as the
+// cell's error, not allowed to abort the whole gate. snap holds the
+// heap's counters once the script has stopped, whether or not it failed.
+func runCell(c cell) (res cellResult) {
+	res.tid = -1
+	defer func() {
+		if r := recover(); r != nil {
+			res.err = fmt.Sprintf("panic: %v", r)
+		}
+	}()
 	inj := crash.NewInjector()
 	inj.EnableCoverage()
-	h, err := newHarness(cfg, inj, atomicx.ModeDRAM)
+	h, err := newHarness(c, inj)
 	if err != nil {
-		return nil, err
+		res.err = err.Error()
+		return res
 	}
-	if err := h.runScript(nil); err != nil {
-		return nil, fmt.Errorf("chaos: profiling run failed: %w", err)
+	heap := h.pod.Heap()
+	if c.policy != nil {
+		// Apply the adversarial policy exactly once, at the armed crash:
+		// FiredTotal is bumped before the crash panic unwinds into
+		// MarkCrashed, so this recognizes it even though the decider
+		// cannot see the crash record itself. Scripted kills and any
+		// secondary crashes resolve as PersistAll: they happen between
+		// operations (or after the policy's one shot), where the drain
+		// model — not the adversary — applies.
+		applied := false
+		heap.SetCrashPersistPolicy(func(tid int, inPlay []int32) memsim.CrashPolicy {
+			if !applied && inj.FiredTotal() == 1 {
+				applied = true
+				res.window = append([]int32(nil), inPlay...)
+				pol := c.policy(len(inPlay))
+				res.mask, res.sized = effectiveMask(pol, len(inPlay))
+				return pol
+			}
+			return memsim.CrashPolicy{Kind: memsim.PersistAll}
+		})
 	}
-	names := inj.PointNames()
-	sort.Strings(names)
-	return names, nil
-}
-
-// sweepOne replays the script with point armed for every thread and mode
-// as the failure response. A panic (the heap's corruption detector)
-// is captured as the run's error, not allowed to abort the whole gate.
-func sweepOne(cfg Config, point string, mode Mode) (run PointRun) {
-	run = PointRun{Point: point, Mode: mode, CrashTID: -1}
-	defer func() {
-		if r := recover(); r != nil {
-			run.Err = fmt.Sprintf("panic: %v", r)
+	if c.nmpFaults {
+		heap.NMP().InjectFaults(nmp.FaultPlan{Mode: nmp.FaultUnavailable, Seed: c.Seed})
+	}
+	if c.point != "" {
+		for tid := 0; tid < c.Threads; tid++ {
+			inj.Arm(c.point, tid, 0)
 		}
-	}()
-	inj := crash.NewInjector()
-	h, err := newHarness(cfg, inj, atomicx.ModeDRAM)
-	if err != nil {
-		run.Err = err.Error()
-		return run
 	}
-	for tid := 0; tid < cfg.Threads; tid++ {
-		inj.Arm(point, tid, 0)
-	}
-	err = h.runScript(func(c *crash.Crashed) error {
-		if c.Point != point {
-			return fmt.Errorf("crashed at %q while sweeping %q", c.Point, point)
+	err = h.runScript(func(cr *crash.Crashed) error {
+		if cr.Point != c.point {
+			return fmt.Errorf("crashed at %q while sweeping %q", cr.Point, c.point)
 		}
-		run.Fired = true
-		run.CrashTID = c.TID
-		return h.handleCrash(c, mode)
+		res.fired, res.tid = true, cr.TID
+		return h.handleCrash(cr)
 	})
+	res.points = inj.PointNames()
+	res.snap = heap.Snapshot()
+	if err == nil {
+		err = h.audit()
+	}
 	if err != nil {
-		run.Err = err.Error()
+		res.err = err.Error()
 	}
-	return run
-}
-
-// runNMPFaults drives the script on an mCAS pod whose NMP unit is
-// unavailable for the whole run: every CAS must retry, fall back to
-// sw_flush_cas, and the workload must complete invariant-clean.
-func runNMPFaults(cfg Config, rep *Report) NMPResult {
-	var res NMPResult
-	// As in sweepOne: a heap-corruption panic is this phase's failure
-	// verdict, not a reason to abort the whole gate.
-	defer func() {
-		if r := recover(); r != nil {
-			res.Completed = false
-			res.Err = fmt.Sprintf("panic: %v", r)
-		}
-	}()
-	h, err := newHarness(cfg, nil, atomicx.ModeMCAS)
-	if err != nil {
-		res.Err = err.Error()
-		return res
-	}
-	h.pod.Heap().NMP().InjectFaults(nmp.FaultPlan{Mode: nmp.FaultUnavailable, Seed: cfg.Seed})
-	if err := h.runScript(nil); err != nil {
-		res.Err = err.Error()
-		return res
-	}
-	st := h.pod.Heap().Stats()
-	res.Completed = true
-	res.Fallbacks = st.HWCASFallbacks
-	res.Retries = st.MCASRetries
-	res.Faults = st.NMPFaultsInjected
-	rep.Stats.HWCASFallbacks = st.HWCASFallbacks
-	rep.Stats.MCASFaults = st.MCASFaults
-	rep.Stats.MCASRetries = st.MCASRetries
-	rep.Stats.NMPFaultsInjected = st.NMPFaultsInjected
 	return res
 }
 
-// crashHandler responds to a fired crash; nil means crashes are
-// unexpected (profiling, NMP phase).
+// crashHandler responds to a fired crash.
 type crashHandler func(*crash.Crashed) error
 
-// harness drives one pod through the canonical script. All simulated
-// threads run from a single goroutine (round-robin), so runs are
-// deterministic given the seed and the heap is quiescent whenever the
-// invariant checker runs.
+// harness drives one cell's pod through the canonical script. All
+// simulated threads run from a single goroutine (round-robin), so runs
+// are deterministic given the seed and the heap is quiescent whenever
+// the invariant checker runs.
 type harness struct {
-	cfg     Config
-	inj     *crash.Injector
-	pod     *cxlalloc.Pod
-	procs   []*cxlalloc.Process
-	threads []*cxlalloc.Thread // indexed by tid
-	rng     *xrand.Rand
-	live    []cxlalloc.Ptr
+	cell
+	inj  *crash.Injector
+	pod  *cxlalloc.Pod
+	rng  *xrand.Rand
+	live []cxlalloc.Ptr
 }
 
-// harnessOpts are persist-harness extras over the plain chaos harness.
-type harnessOpts struct {
-	// trackPersist enables per-line durability tracking so MarkCrashed
-	// can resolve crashes with CrashDiscard (persist.go).
-	trackPersist bool
-	// skipOplogFlush removes the redo log's durability flush — the
-	// deliberate protocol mutation the persist sweep must catch.
-	skipOplogFlush bool
-	// skipCommitFence elides the magazine pop's commit fence — the
-	// second deliberate mutation, proving the sweep guards the
-	// coalesced-fence discipline too.
-	skipCommitFence bool
-}
-
-func newHarness(cfg Config, inj *crash.Injector, mode atomicx.Mode) (*harness, error) {
-	return newHarnessOpts(cfg, inj, mode, harnessOpts{})
-}
-
-func newHarnessOpts(cfg Config, inj *crash.Injector, mode atomicx.Mode, opts harnessOpts) (*harness, error) {
+func newHarness(c cell, inj *crash.Injector) (*harness, error) {
 	pc := cxlalloc.DefaultConfig()
-	pc.NumThreads = cfg.Threads
+	pc.NumThreads = c.Threads
 	pc.MaxSmallSlabs = 64
 	pc.MaxLargeSlabs = 16
 	pc.HugeRegionSize = 1 << 20
@@ -337,25 +364,21 @@ func newHarnessOpts(cfg Config, inj *crash.Injector, mode atomicx.Mode, opts har
 	pc.DescsPerThread = 16
 	pc.NumHazards = 8
 	pc.UnsizedThreshold = 2
-	pc.Mode = mode
+	pc.Mode = c.device
 	pc.Crash = inj
-	pc.TrackPersist = opts.trackPersist
-	pc.SkipOplogFlush = opts.skipOplogFlush
-	pc.SkipCommitFence = opts.skipCommitFence
-	h := &harness{
-		cfg:     cfg,
-		inj:     inj,
-		procs:   make([]*cxlalloc.Process, cfg.Procs),
-		threads: make([]*cxlalloc.Thread, cfg.Threads),
-		rng:     xrand.New(cfg.Seed),
-	}
+	// Per-line durability tracking lets MarkCrashed resolve the armed
+	// crash with CrashDiscard (persist.go).
+	pc.TrackPersist = c.policy != nil
+	pc.SkipOplogFlush = c.skipOplogFlush
+	pc.SkipCommitFence = c.skipCommitFence
+	h := &harness{cell: c, inj: inj, rng: xrand.New(c.Seed)}
 	pod, err := cxlalloc.NewPodWith(cxlalloc.PodConfig{
 		Config:      pc,
-		AutoRecover: cfg.AutoRecover,
+		AutoRecover: c.auto,
 		// A watchdog repair that finds a pending allocation (the victim
 		// crashed between taking a block and receiving the pointer) hands
-		// it to the application here — the auto-mode twin of the manual
-		// handlers' rep.PendingAlloc adoption.
+		// it to the application here — the auto-mode twin of recover's
+		// PendingAlloc adoption.
 		OnEvent: func(ev cxlalloc.LivenessEvent) {
 			if ev.Kind == cxlalloc.LivenessRepair && ev.Report.PendingAlloc != 0 {
 				h.addLive(ev.Report.PendingAlloc)
@@ -366,27 +389,22 @@ func newHarnessOpts(cfg Config, inj *crash.Injector, mode atomicx.Mode, opts har
 		return nil, err
 	}
 	h.pod = pod
-	for i := range h.procs {
-		h.procs[i] = pod.NewProcess()
+	procs := make([]*cxlalloc.Process, c.Procs)
+	for i := range procs {
+		procs[i] = pod.NewProcess()
 	}
-	for tid := 0; tid < cfg.Threads; tid++ {
-		th, err := h.procs[tid%cfg.Procs].AttachThreadID(tid)
-		if err != nil {
+	for tid := 0; tid < c.Threads; tid++ {
+		if _, err := procs[tid%c.Procs].AttachThreadID(tid); err != nil {
 			return nil, err
 		}
-		h.threads[tid] = th
 	}
 	return h, nil
 }
 
-// th returns the handle to drive slot tid with: the tracked handle in
-// manual mode; in auto mode a freshly minted one under the slot's
-// current owner and lease epoch, since ownership moves whenever the
-// watchdog repairs a slot. nil means the slot is currently dead.
+// th returns a handle for slot tid under its current owner and lease
+// epoch — ownership moves whenever a slot is recovered, restarted or
+// repaired. nil means the slot is currently dead.
 func (h *harness) th(tid int) *cxlalloc.Thread {
-	if !h.cfg.AutoRecover {
-		return h.threads[tid]
-	}
 	th, err := h.pod.ThreadOf(tid)
 	if err != nil {
 		return nil
@@ -394,16 +412,14 @@ func (h *harness) th(tid int) *cxlalloc.Thread {
 	return th
 }
 
-func (h *harness) procIdx(tid int) int { return tid % h.cfg.Procs }
-
 // killTID is the scripted kill victim: the highest tid, so tid 0 (the
 // invariant checker's vantage point) survives the scripted segment.
-func (h *harness) killTID() int { return h.cfg.Threads - 1 }
+func (h *harness) killTID() int { return h.Threads - 1 }
 
 // aliveTID returns a live thread slot to check invariants from.
 func (h *harness) aliveTID() int {
 	heap := h.pod.Heap()
-	for tid := range h.threads {
+	for tid := 0; tid < h.Threads; tid++ {
 		if heap.Alive(tid) {
 			return tid
 		}
@@ -414,19 +430,15 @@ func (h *harness) aliveTID() int {
 // runScript is the canonical deterministic workload: a main phase, a
 // scripted thread kill + recovery (so the recover.* points are visited
 // in every run — in auto mode the watchdog, not the harness, recovers),
-// a tail phase, and a full drain with leak audit.
+// a tail phase, and a full drain.
 func (h *harness) runScript(onCrash crashHandler) error {
-	if err := h.driveOps(h.cfg.Ops, onCrash); err != nil {
+	if err := h.driveOps(h.Ops, onCrash); err != nil {
 		return err
 	}
-	if h.cfg.AutoRecover {
-		if err := h.scriptedKillAuto(onCrash); err != nil {
-			return err
-		}
-	} else if err := h.scriptedKillRecover(onCrash); err != nil {
+	if err := h.scriptedKill(onCrash); err != nil {
 		return err
 	}
-	if err := h.driveOps(h.cfg.Ops/2, onCrash); err != nil {
+	if err := h.driveOps(h.Ops/2, onCrash); err != nil {
 		return err
 	}
 	return h.drain(onCrash)
@@ -505,7 +517,7 @@ func (h *harness) addLive(p cxlalloc.Ptr) {
 // driveOps runs n steps round-robin, routing crashes to onCrash.
 func (h *harness) driveOps(n int, onCrash crashHandler) error {
 	for i := 0; i < n; i++ {
-		tid := i % h.cfg.Threads
+		tid := i % h.Threads
 		th := h.th(tid)
 		if th == nil {
 			continue // dead slot mid-convergence; the watchdog will revive it
@@ -519,55 +531,37 @@ func (h *harness) driveOps(n int, onCrash crashHandler) error {
 	return nil
 }
 
-// scriptedKillRecover kills one thread cleanly and recovers it, which is
-// what routes every profiling and sweep run through RecoverThread (and
-// therefore through the recover.* crash points).
-func (h *harness) scriptedKillRecover(onCrash crashHandler) error {
+// scriptedKill kills one thread cleanly and brings it back, which routes
+// every profiling and sweep run through recovery (and therefore through
+// the recover.* crash points). In manual mode the harness calls Recover;
+// an auto pod gets no recovery call at all — the survivors keep running
+// until the watchdog has claimed and repaired the slot. An armed point
+// that fires inside either recovery routes to onCrash like any other
+// crash.
+func (h *harness) scriptedKill(onCrash crashHandler) error {
 	tid := h.killTID()
-	heap := h.pod.Heap()
-	if heap.Alive(tid) {
-		h.threads[tid].Kill()
+	if th := h.th(tid); th != nil {
+		th.Kill()
 	}
-	var rep cxlalloc.RecoveryReport
-	var th *cxlalloc.Thread
-	var rerr error
-	c := crash.Run(func() {
-		th, rep, rerr = h.procs[h.procIdx(tid)].Recover(tid)
-	})
-	if c != nil {
+	if h.auto {
+		if err := h.awaitRepair(onCrash); err != nil {
+			return err
+		}
+		return h.checkAll()
+	}
+	var err error
+	if c := crash.Run(func() { err = h.recoverManual(tid, nil) }); c != nil {
 		// The armed point fired inside recovery itself. Drain the aborted
 		// recovery's cache and let the failure-mode handler converge —
 		// proving recovery is re-runnable.
-		heap.MarkCrashed(c.TID)
+		h.pod.Heap().MarkCrashed(c.TID)
 		return h.dispatch(c, onCrash)
 	}
-	if rerr != nil {
-		if errors.Is(rerr, cxlalloc.ErrNotCrashed) {
-			return nil // an earlier crash handler already revived the slot
-		}
-		return fmt.Errorf("scripted recovery: %w", rerr)
+	if errors.Is(err, cxlalloc.ErrNotCrashed) {
+		return nil // an earlier crash handler already revived the slot
 	}
-	h.threads[tid] = th
-	if rep.PendingAlloc != 0 {
-		h.addLive(rep.PendingAlloc)
-	}
-	return h.checkAll()
-}
-
-// scriptedKillAuto is the self-healing twin of scriptedKillRecover: it
-// kills the scripted victim and then does nothing but keep the survivors
-// running — the watchdog must detect the expired lease, claim the slot,
-// and repair it. Armed recover.*/liveness.* points fire inside that
-// watchdog repair and route to onCrash like any other crash.
-func (h *harness) scriptedKillAuto(onCrash crashHandler) error {
-	tid := h.killTID()
-	if h.pod.Heap().Alive(tid) {
-		if th := h.th(tid); th != nil {
-			th.Kill()
-		}
-	}
-	if err := h.awaitRepair(onCrash); err != nil {
-		return err
+	if err != nil {
+		return fmt.Errorf("scripted recovery: %w", err)
 	}
 	return h.checkAll()
 }
@@ -575,13 +569,13 @@ func (h *harness) scriptedKillAuto(onCrash crashHandler) error {
 // awaitRepair drives benign Runs on live threads until every slot is
 // alive and leased again. The harness makes no recovery calls: repair
 // happens inside the survivors' heartbeats. Crashes injected into those
-// repairs dispatch to onCrash, whose auto handler recurses here with the
+// repairs dispatch to onCrash, whose handler recurses here with the
 // injector disarmed, so the recursion is bounded at one level.
 func (h *harness) awaitRepair(onCrash crashHandler) error {
 	heap := h.pod.Heap()
 	for round := 0; round < 512; round++ {
 		converged := true
-		for tid := 0; tid < h.cfg.Threads; tid++ {
+		for tid := 0; tid < h.Threads; tid++ {
 			if !heap.Alive(tid) || !heap.Leased(tid) {
 				converged = false
 			}
@@ -602,12 +596,13 @@ func (h *harness) awaitRepair(onCrash crashHandler) error {
 	return errors.New("watchdog did not converge the pod within its budget")
 }
 
-// drain frees every live pointer, runs Maintain everywhere, and audits.
+// drain frees every live pointer, runs Maintain everywhere, and checks
+// every invariant.
 func (h *harness) drain(onCrash crashHandler) error {
 	for i := 0; len(h.live) > 0; i++ {
 		p := h.live[len(h.live)-1]
 		h.live = h.live[:len(h.live)-1]
-		tid := i % h.cfg.Threads
+		tid := i % h.Threads
 		th := h.th(tid)
 		if th == nil {
 			h.live = append(h.live, p) // retry from another slot
@@ -625,7 +620,7 @@ func (h *harness) drain(onCrash crashHandler) error {
 	// leaves a descriptor in use whenever the owner's Maintain ran
 	// before the hazard holder's.
 	for round := 0; round < 2; round++ {
-		for tid := 0; tid < h.cfg.Threads; tid++ {
+		for tid := 0; tid < h.Threads; tid++ {
 			th := h.th(tid)
 			if th == nil {
 				continue
@@ -654,7 +649,7 @@ func (h *harness) dispatch(c *crash.Crashed, onCrash crashHandler) error {
 	if err := onCrash(c); err != nil {
 		return err
 	}
-	for tid := range h.threads {
+	for tid := 0; tid < h.Threads; tid++ {
 		if !h.pod.Heap().Alive(tid) {
 			return fmt.Errorf("thread %d still dead after crash handling", tid)
 		}
@@ -662,90 +657,64 @@ func (h *harness) dispatch(c *crash.Crashed, onCrash crashHandler) error {
 	return nil
 }
 
-// handleCrash is the failure-mode response used by sweep runs: disarm,
-// prove survivors are not blocked, recover, and check every invariant.
-// In manual mode recovery is an explicit Recover/Restart call; in auto
-// mode the harness only escalates (process mode kills the victim's whole
-// process) and then waits for the watchdog to converge the pod.
-func (h *harness) handleCrash(c *crash.Crashed, mode Mode) error {
+// handleCrash is the one failure response: disarm, escalate (process
+// mode kills the victim's whole process), prove the survivors keep
+// allocating, recover, and check every invariant. Manual recovery is an
+// explicit Recover or Restart; an auto pod is only waited on until the
+// watchdog has converged it.
+func (h *harness) handleCrash(c *crash.Crashed) error {
 	h.inj.Disarm()
-	if h.cfg.AutoRecover {
-		return h.handleCrashAuto(c, mode)
-	}
-	switch mode {
+	var killed *cxlalloc.Process
+	switch h.mode {
 	case ModeThreadCrash:
-		return h.recoverThreadCrash(c.TID)
+		// Nothing: only the crashed thread is dead.
 	case ModeProcessCrash:
-		return h.recoverProcessCrash(c.TID)
-	default:
-		return fmt.Errorf("unknown mode %q", mode)
-	}
-}
-
-// handleCrashAuto responds to a fired crash without a single recovery
-// call: escalate if the mode says so, prove the survivors keep
-// allocating, then let the watchdog repair everything.
-func (h *harness) handleCrashAuto(c *crash.Crashed, mode Mode) error {
-	switch mode {
-	case ModeThreadCrash:
-		// Nothing: the dead slot's lease expires and a survivor claims it.
-	case ModeProcessCrash:
-		if p := h.pod.OwnerOf(c.TID); p != nil {
-			h.pod.KillProcess(p)
+		if killed = h.pod.OwnerOf(c.TID); killed != nil {
+			h.pod.KillProcess(killed)
 		}
 	default:
-		return fmt.Errorf("unknown mode %q", mode)
+		return fmt.Errorf("unknown mode %q", h.mode)
 	}
 	if err := h.survivorOps(40); err != nil {
 		return err
 	}
-	// The injector is disarmed, so this convergence cannot crash again.
-	if err := h.awaitRepair(nil); err != nil {
+	// The injector is disarmed, so this recovery cannot crash again.
+	var err error
+	if h.auto {
+		err = h.awaitRepair(nil)
+	} else {
+		err = h.recoverManual(c.TID, killed)
+	}
+	if err != nil {
 		return err
 	}
 	return h.checkAll()
 }
 
-func (h *harness) recoverThreadCrash(tid int) error {
-	if err := h.survivorOps(40); err != nil {
-		return err
+// recoverManual Restarts the killed process, or else Recovers slot tid
+// through its owner. Pending allocations the recovery reports are
+// adopted as live.
+func (h *harness) recoverManual(tid int, killed *cxlalloc.Process) error {
+	var reports []cxlalloc.RecoveryReport
+	if killed != nil {
+		_, reps, err := killed.Restart()
+		if err != nil {
+			return fmt.Errorf("process restart: %w", err)
+		}
+		reports = reps
+	} else {
+		_, rep, err := h.pod.OwnerOf(tid).Recover(tid)
+		if err != nil {
+			return fmt.Errorf("thread recovery: %w", err)
+		}
+		reports = append(reports, rep)
 	}
-	th, rep, err := h.procs[h.procIdx(tid)].Recover(tid)
-	if err != nil {
-		return fmt.Errorf("thread recovery: %w", err)
-	}
-	h.threads[tid] = th
-	if rep.PendingAlloc != 0 {
-		h.addLive(rep.PendingAlloc)
-	}
-	return h.checkAll()
-}
-
-func (h *harness) recoverProcessCrash(tid int) error {
-	pi := h.procIdx(tid)
-	proc := h.procs[pi]
-	h.pod.KillProcess(proc)
-	if err := h.survivorOps(40); err != nil {
-		return err
-	}
-	np, reports, err := proc.Restart()
-	if err != nil {
-		return fmt.Errorf("process restart: %w", err)
-	}
-	h.procs[pi] = np
 	for _, rep := range reports {
 		if rep.PendingAlloc != 0 {
 			h.addLive(rep.PendingAlloc)
 		}
 	}
-	for _, ntid := range np.TIDs() {
-		th, err := np.Thread(ntid)
-		if err != nil {
-			return fmt.Errorf("rebinding tid %d: %w", ntid, err)
-		}
-		h.threads[ntid] = th
-	}
-	return h.checkAll()
+	return nil
 }
 
 // survivorOps proves the non-blocking property: while the victim is
@@ -754,7 +723,7 @@ func (h *harness) survivorOps(n int) error {
 	heap := h.pod.Heap()
 	done := 0
 	for i := 0; done < n && i < 10*n; i++ {
-		tid := i % h.cfg.Threads
+		tid := i % h.Threads
 		if !heap.Alive(tid) {
 			continue
 		}
@@ -785,12 +754,31 @@ func (h *harness) checkAll() error {
 	return nil
 }
 
+// audit is every cell's end-of-cell ledger check: the script drained
+// every allocation, so nothing may still be marked allocated. A dropped
+// line that silently leaked a block (or resurrected one) is invisible to
+// shape invariants and shows up only here. Every cache drains first —
+// the audit reads the device image, and local-op effects are
+// deliberately unflushed.
+func (h *harness) audit() error {
+	heap := h.pod.Heap()
+	heap.DrainCaches()
+	tid := h.aliveTID()
+	if tid < 0 {
+		return errors.New("no live thread to audit from")
+	}
+	if err := heap.AuditEmpty(tid); err != nil {
+		return fmt.Errorf("ledger audit: %w", err)
+	}
+	return nil
+}
+
 // FormatReport renders the report for cxlbench.
 func FormatReport(r *Report) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n", r.Summary())
 	fmt.Fprintf(&b, "  points instrumented: %d, fully swept: %d (modes: thread-crash, process-crash)\n",
-		r.Stats.CrashPointsInstrumented, r.Stats.CrashPointsSwept)
+		len(r.Points), r.swept())
 	fmt.Fprintf(&b, "  nmp fault phase: faults=%d retries=%d fallbacks=%d completed=%v\n",
 		r.NMP.Faults, r.NMP.Retries, r.NMP.Fallbacks, r.NMP.Completed)
 	if len(r.Unswept) > 0 {

@@ -11,7 +11,7 @@ import (
 // the workload discovers must fire under both failure modes with zero
 // invariant violations, and the NMP fault phase must complete degraded.
 func TestSweepSmall(t *testing.T) {
-	cfg := Config{Threads: 4, Procs: 2, Ops: 400, Seed: 7}
+	cfg := Config{Script: Script{Threads: 4, Procs: 2, Ops: 400, Seed: 7}}
 	rep, err := Sweep(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -46,8 +46,8 @@ func TestSweepSmall(t *testing.T) {
 	if rep.NMP.Faults == 0 {
 		t.Error("NMP fault run injected no faults")
 	}
-	if rep.Stats.CrashPointsSwept != len(rep.Points) {
-		t.Errorf("swept %d of %d points", rep.Stats.CrashPointsSwept, len(rep.Points))
+	if rep.swept() != len(rep.Points) {
+		t.Errorf("swept %d of %d points", rep.swept(), len(rep.Points))
 	}
 	if !rep.Ok() {
 		t.Fatalf("report not Ok: %s", rep.Summary())
@@ -65,7 +65,7 @@ func TestSweepSmall(t *testing.T) {
 // inside recovery and inside the claim protocol — must be converged by
 // the watchdog alone, and the liveness crash points must be swept too.
 func TestSweepAuto(t *testing.T) {
-	cfg := Config{Threads: 4, Procs: 2, Ops: 400, Seed: 7, AutoRecover: true}
+	cfg := Config{Script: Script{Threads: 4, Procs: 2, Ops: 400, Seed: 7}, AutoRecover: true}
 	rep, err := Sweep(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -102,10 +102,10 @@ func TestSweepAuto(t *testing.T) {
 // would leave no survivors.
 func TestSweepConfigValidation(t *testing.T) {
 	for _, cfg := range []Config{
-		{Threads: 1, Procs: 1, Ops: 400},
-		{Threads: 4, Procs: 1, Ops: 400},
-		{Threads: 2, Procs: 4, Ops: 400},
-		{Threads: 4, Procs: 2, Ops: 10},
+		{Script: Script{Threads: 1, Procs: 1, Ops: 400}},
+		{Script: Script{Threads: 4, Procs: 1, Ops: 400}},
+		{Script: Script{Threads: 2, Procs: 4, Ops: 400}},
+		{Script: Script{Threads: 4, Procs: 2, Ops: 10}},
 	} {
 		if _, err := Sweep(cfg); err == nil {
 			t.Errorf("config %+v accepted", cfg)
@@ -115,7 +115,7 @@ func TestSweepConfigValidation(t *testing.T) {
 
 // TestSweepSingleMode restricts the sweep to thread crashes only.
 func TestSweepSingleMode(t *testing.T) {
-	cfg := Config{Threads: 4, Procs: 2, Ops: 200, Seed: 11, Modes: []Mode{ModeThreadCrash}}
+	cfg := Config{Script: Script{Threads: 4, Procs: 2, Ops: 200, Seed: 11}, Modes: []Mode{ModeThreadCrash}}
 	rep, err := Sweep(cfg)
 	if err != nil {
 		t.Fatal(err)

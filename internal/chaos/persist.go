@@ -21,22 +21,17 @@ package chaos
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 
 	"cxlalloc/internal/atomicx"
 	"cxlalloc/internal/core"
-	"cxlalloc/internal/crash"
 	"cxlalloc/internal/memsim"
 	"cxlalloc/internal/xrand"
 )
 
 // PersistConfig parameterizes a persist sweep.
 type PersistConfig struct {
-	Threads int    // simulated threads, round-robin across Procs processes
-	Procs   int    // simulated processes
-	Ops     int    // workload steps in the main phase
-	Seed    uint64 // workload RNG seed; printed in every repro line
+	Script
 
 	// SubsetCap bounds exhaustive enumeration: a crash window of n ≤
 	// SubsetCap in-play lines gets all 2^n persist subsets; a larger
@@ -65,19 +60,19 @@ type PersistConfig struct {
 // DefaultPersistConfig returns a sweep sized like DefaultConfig, with an
 // enumeration cap that keeps the worst window to ~1k cells.
 func DefaultPersistConfig() PersistConfig {
-	return PersistConfig{
-		Threads: 4, Procs: 2, Ops: 600, Seed: 2026,
-		SubsetCap: 10, Samples: 24,
-	}
+	return PersistConfig{Script: defaultScript, SubsetCap: 10, Samples: 24}
 }
 
-func (c *PersistConfig) chaosConfig() Config {
-	return Config{Threads: c.Threads, Procs: c.Procs, Ops: c.Ops, Seed: c.Seed}
+// cell is c's persist cell: point armed on an HWcc pod built with c's
+// mutant, the armed crash resolved under pol (nil: writeback-all) and
+// answered as a thread crash with manual recovery.
+func (c *PersistConfig) cell(point string, pol persistPolicy) cell {
+	return cell{Script: c.Script, device: atomicx.ModeHWcc, point: point, mode: ModeThreadCrash,
+		policy: pol, skipOplogFlush: c.SkipOplogFlush, skipCommitFence: c.SkipCommitFence}
 }
 
 func (c *PersistConfig) validate() error {
-	cc := c.chaosConfig()
-	if err := cc.validate(); err != nil {
+	if err := c.Script.validate(); err != nil {
 		return err
 	}
 	if c.SubsetCap < 1 || c.SubsetCap > 20 {
@@ -126,8 +121,6 @@ type PersistReport struct {
 
 	Violations []PersistViolation `json:"violations,omitempty"`
 	Errors     []string           `json:"errors,omitempty"` // harness-level failures (coverage, nondeterminism)
-
-	Stats core.Stats `json:"-"`
 }
 
 // Ok reports whether the sweep met the gate: every point's probe fired,
@@ -155,20 +148,13 @@ func (r *PersistReport) Summary() string {
 // size is known (the decider learns it only at the crash).
 type persistPolicy func(n int) memsim.CrashPolicy
 
+// persistAll is the probe's policy: every in-play line persists.
+func persistAll(int) memsim.CrashPolicy { return memsim.CrashPolicy{Kind: memsim.PersistAll} }
+
 func subsetPolicy(mask uint64) persistPolicy {
 	return func(int) memsim.CrashPolicy {
 		return memsim.CrashPolicy{Kind: memsim.PersistSubset, Mask: mask}
 	}
-}
-
-// cellResult is one persist-cell run's outcome.
-type cellResult struct {
-	fired   bool
-	window  []int32 // in-play lines at the armed crash
-	mask    uint64  // effective persist mask (valid when len(window) <= 64)
-	sized   bool    // mask is meaningful (window fit in 64 bits)
-	dropped uint64  // lines dropped (heap counter)
-	err     string
 }
 
 // PersistSweep runs the full adversarial persistence gate: discover the
@@ -183,11 +169,6 @@ func PersistSweep(cfg PersistConfig) (*PersistReport, error) {
 		Mutated: cfg.SkipOplogFlush || cfg.SkipCommitFence,
 	}
 
-	points, err := discoverPersist(cfg)
-	if err != nil {
-		return nil, err
-	}
-
 	// Same teeth check as the chaos sweep: the workload must reach the
 	// interesting transitions, or the sweep passes vacuously. This sweep
 	// runs on an incoherent device, where the magazines are live — their
@@ -198,12 +179,11 @@ func PersistSweep(cfg PersistConfig) (*PersistReport, error) {
 		"small.magfree.post-adopt", "small.magdrain.post-oplog",
 		"small.magdrain.pre-commit", "small.magdrain.post-clear"},
 		core.RecoveryCrashPoints...)
-	for _, must := range musts {
-		if !contains(points, must) {
-			rep.Errors = append(rep.Errors,
-				fmt.Sprintf("profiling never visited %q: workload too gentle", must))
-		}
+	points, missing, err := discover(cfg.cell("", nil), musts)
+	if err != nil {
+		return nil, err
 	}
+	rep.Errors = missing
 
 	if len(cfg.Points) > 0 {
 		var kept []string
@@ -213,27 +193,21 @@ func PersistSweep(cfg PersistConfig) (*PersistReport, error) {
 			}
 		}
 		points = kept
-		rep.Errors = rep.Errors[:0] // point filter waives the coverage musts
+		rep.Errors = nil // point filter waives the coverage musts
 	}
 
 	for _, point := range points {
 		sweepPersistPoint(cfg, point, rep)
 	}
-	rep.Stats.CrashPointsInstrumented = len(points)
-	rep.Stats.CrashPointsSwept = len(points) - len(rep.Unfired)
-	rep.Stats.PersistSubsetsSwept = rep.CellsRun
-	rep.Stats.LinesDroppedAtCrash = rep.LinesDropped
 	return rep, nil
 }
 
 // sweepPersistPoint probes one crash point's in-play window, then runs
 // every (or a sample of) persist subsets over it.
 func sweepPersistPoint(cfg PersistConfig, point string, rep *PersistReport) {
-	probe := runPersistCell(cfg, point, func(n int) memsim.CrashPolicy {
-		return memsim.CrashPolicy{Kind: memsim.PersistAll}
-	})
+	probe := runCell(cfg.cell(point, persistAll))
 	rep.CellsRun++
-	rep.LinesDropped += probe.dropped
+	rep.LinesDropped += probe.snap.Chaos.LinesDroppedAtCrash
 	if !probe.fired {
 		rep.Unfired = append(rep.Unfired, point)
 		return
@@ -289,10 +263,10 @@ func sweepPersistPoint(cfg PersistConfig, point string, rep *PersistReport) {
 	}
 
 	for ci, pol := range cells {
-		res := runPersistCell(cfg, point, pol)
+		res := runCell(cfg.cell(point, pol))
 		rep.CellsRun++
 		pp.Cells++
-		rep.LinesDropped += res.dropped
+		rep.LinesDropped += res.snap.Chaos.LinesDroppedAtCrash
 		if !res.fired {
 			rep.Errors = append(rep.Errors, fmt.Sprintf(
 				"%s: probe fired but subset cell %d did not: nondeterministic workload", point, ci))
@@ -344,7 +318,7 @@ func minimizeCell(cfg PersistConfig, point string, window []int32, mask uint64, 
 			if try == full {
 				continue // dropping nothing is the probe; it passed
 			}
-			if res := runPersistCell(cfg, point, subsetPolicy(try)); res.err != "" {
+			if res := runCell(cfg.cell(point, subsetPolicy(try))); res.err != "" {
 				cur, curErr = try, res.err
 				changed = true
 			}
@@ -382,7 +356,7 @@ func ReplayPersistCell(cfg PersistConfig, point string, mask uint64) (int, error
 	if err := cfg.validate(); err != nil {
 		return 0, err
 	}
-	res := runPersistCell(cfg, point, subsetPolicy(mask))
+	res := runCell(cfg.cell(point, subsetPolicy(mask)))
 	if !res.fired {
 		return 0, fmt.Errorf("chaos: crash point %q never fired (wrong point name or seed?)", point)
 	}
@@ -390,74 +364,6 @@ func ReplayPersistCell(cfg PersistConfig, point string, mask uint64) (int, error
 		return len(res.window), errors.New(res.err)
 	}
 	return len(res.window), nil
-}
-
-// runPersistCell runs the canonical script once with point armed and the
-// armed crash resolved under mkPolicy, then recovers (thread mode) and
-// audits invariants plus the drain-time ledger. Scripted kills and any
-// secondary crashes resolve as PersistAll: they happen between
-// operations (or after the policy's one shot), where the drain model —
-// not the adversary — applies.
-func runPersistCell(cfg PersistConfig, point string, mkPolicy persistPolicy) (res cellResult) {
-	defer func() {
-		if r := recover(); r != nil {
-			res.err = fmt.Sprintf("panic: %v", r)
-		}
-	}()
-	inj := crash.NewInjector()
-	h, err := newHarnessOpts(cfg.chaosConfig(), inj, atomicx.ModeHWcc,
-		harnessOpts{trackPersist: true, skipOplogFlush: cfg.SkipOplogFlush,
-			skipCommitFence: cfg.SkipCommitFence})
-	if err != nil {
-		res.err = err.Error()
-		return res
-	}
-	heap := h.pod.Heap()
-	applied := false
-	heap.SetCrashPersistPolicy(func(tid int, inPlay []int32) memsim.CrashPolicy {
-		// Apply the adversarial policy exactly once, at the armed crash:
-		// FiredTotal is bumped before the crash panic unwinds into
-		// MarkCrashed, so this recognizes it even though the decider
-		// cannot see the crash record itself.
-		if !applied && inj.FiredTotal() == 1 {
-			applied = true
-			res.window = append([]int32(nil), inPlay...)
-			pol := mkPolicy(len(inPlay))
-			res.mask, res.sized = effectiveMask(pol, len(inPlay))
-			return pol
-		}
-		return memsim.CrashPolicy{Kind: memsim.PersistAll}
-	})
-	for tid := 0; tid < cfg.Threads; tid++ {
-		inj.Arm(point, tid, 0)
-	}
-	err = h.runScript(func(c *crash.Crashed) error {
-		if c.Point != point {
-			return fmt.Errorf("crashed at %q while sweeping %q", c.Point, point)
-		}
-		res.fired = true
-		return h.handleCrash(c, ModeThreadCrash)
-	})
-	res.dropped = heap.Stats().LinesDroppedAtCrash
-	if err != nil {
-		res.err = err.Error()
-		return res
-	}
-	// Ledger audit: the script drained every allocation, so nothing may
-	// still be marked allocated. A dropped line that silently leaked a
-	// block (or resurrected one) is invisible to shape invariants and
-	// shows up only here. Drain every cache first — the audit reads the
-	// device image, and local-op effects are deliberately unflushed.
-	heap.DrainCaches()
-	tid := h.aliveTID()
-	if tid < 0 {
-		res.err = "no live thread to audit from"
-		return res
-	}
-	if aerr := heap.AuditEmpty(tid); aerr != nil {
-		res.err = "ledger audit: " + aerr.Error()
-	}
-	return res
 }
 
 // effectiveMask returns the persist mask pol resolves to over an n-line
@@ -490,27 +396,6 @@ func effectiveMask(pol memsim.CrashPolicy, n int) (uint64, bool) {
 	default:
 		return 0, false
 	}
-}
-
-// discoverPersist profiles the canonical script under the persist
-// harness configuration (incoherent SWcc mode, tracking on, and the
-// mutation flag if set — the cell runs must see the same crash points
-// profiling saw).
-func discoverPersist(cfg PersistConfig) ([]string, error) {
-	inj := crash.NewInjector()
-	inj.EnableCoverage()
-	h, err := newHarnessOpts(cfg.chaosConfig(), inj, atomicx.ModeHWcc,
-		harnessOpts{trackPersist: true, skipOplogFlush: cfg.SkipOplogFlush,
-			skipCommitFence: cfg.SkipCommitFence})
-	if err != nil {
-		return nil, err
-	}
-	if err := h.runScript(nil); err != nil {
-		return nil, fmt.Errorf("chaos: persist profiling run failed: %w", err)
-	}
-	names := inj.PointNames()
-	sort.Strings(names)
-	return names, nil
 }
 
 // hashPoint derives a stable per-point seed component.

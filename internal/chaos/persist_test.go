@@ -1,12 +1,8 @@
 package chaos
 
 import (
-	"fmt"
 	"strings"
 	"testing"
-
-	"cxlalloc/internal/atomicx"
-	"cxlalloc/internal/crash"
 )
 
 // TestPersistSweepPasses is the adversarial persistence gate: every
@@ -110,43 +106,10 @@ func TestPersistSweepCatchesMissingCommitFence(t *testing.T) {
 	t.Logf("minimized: window=%d drop=%v err=%q", win, v.MinDrop, v.MinErr)
 }
 
-// legacySWccPoint runs the canonical chaos script under ModeHWcc with
-// the legacy writeback-all crash path (no persist adversary) and a
-// single armed crash point. The persist sweep grew out of exactly this
-// configuration: it exposed two pre-existing SWcc protocol bugs that
-// ModeDRAM sweeps (coherent caches, no staleness) could never see.
-func legacySWccPoint(cfg Config, point string) (run PointRun) {
-	run = PointRun{Point: point, Mode: ModeThreadCrash, CrashTID: -1}
-	defer func() {
-		if r := recover(); r != nil {
-			run.Err = fmt.Sprintf("panic: %v", r)
-		}
-	}()
-	inj := crash.NewInjector()
-	h, err := newHarness(cfg, inj, atomicx.ModeHWcc)
-	if err != nil {
-		run.Err = err.Error()
-		return run
-	}
-	for tid := 0; tid < cfg.Threads; tid++ {
-		inj.Arm(point, tid, 0)
-	}
-	err = h.runScript(func(c *crash.Crashed) error {
-		if c.Point != point {
-			return fmt.Errorf("crashed at %q while sweeping %q", c.Point, point)
-		}
-		run.Fired = true
-		run.CrashTID = c.TID
-		return h.handleCrash(c, ModeThreadCrash)
-	})
-	if err != nil {
-		run.Err = err.Error()
-	}
-	return run
-}
-
 // TestSWccCrashRegressions pins the two SWcc-mode crash-recovery bugs
-// the persist sweep surfaced (both fired even under writeback-all):
+// the persist sweep surfaced. Its cells run under ModeHWcc with the
+// writeback-all crash path (no persist adversary): both bugs fire there,
+// and ModeDRAM sweeps (coherent caches, no staleness) never see them.
 //
 //   - large.pop-global.post-cas: recovery's rebuild scan left a crashed
 //     thread's descriptor lines resident, so after a thief stole and
@@ -156,18 +119,47 @@ func legacySWccPoint(cfg Config, point string) (run PointRun) {
 //   - large.push-global.post-cas: same mechanism, surfacing as a
 //     double handout after the fabricated empty transition.
 func TestSWccCrashRegressions(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := DefaultPersistConfig()
 	for _, point := range []string{
 		"large.pop-global.post-cas",
 		"large.push-global.post-cas",
 		"large.pop-global.post-push",
 	} {
-		run := legacySWccPoint(cfg, point)
-		if !run.Fired {
+		res := runCell(cfg.cell(point, nil))
+		if !res.fired {
 			t.Errorf("%s: crash point never fired", point)
 		}
-		if run.Err != "" {
-			t.Errorf("%s: %s", point, run.Err)
+		if res.err != "" {
+			t.Errorf("%s: %s", point, res.err)
+		}
+	}
+}
+
+// TestRemoteFreeRedoStealsOnlyItsOwnZero pins the double ownership at
+// large.remote-free.post-cas. The crashed freer's decrement left the
+// countdown above zero; survivors running before its recovery freed the
+// slab's last block, and that freer stole it. Recovery then read the
+// zero countdown as its own and stole the slab a second time, so one
+// slab sat on two threads' lists ("slab 0 on thread 1's unsized list has
+// owner 4") and its blocks were handed out twice. Seeds 3 and 4 reach
+// that interleaving in both the manual DRAM sweep and the HWcc persist
+// probe.
+func TestRemoteFreeRedoStealsOnlyItsOwnZero(t *testing.T) {
+	const point = "large.remote-free.post-cas"
+	for _, seed := range []uint64{3, 4} {
+		cfg, pcfg := DefaultConfig(), DefaultPersistConfig()
+		cfg.Seed, pcfg.Seed = seed, seed
+		for name, c := range map[string]cell{
+			"dram-thread-crash":  cfg.cell(point, ModeThreadCrash),
+			"hwcc-persist-probe": pcfg.cell(point, persistAll),
+		} {
+			res := runCell(c)
+			if !res.fired {
+				t.Errorf("seed %d %s: crash point never fired", seed, name)
+			}
+			if res.err != "" {
+				t.Errorf("seed %d %s: %s", seed, name, res.err)
+			}
 		}
 	}
 }

@@ -14,7 +14,7 @@ import (
 // one derived crash→repair span — the satellite guarantee that a chaos
 // run is reconstructible from the telemetry plane alone.
 func TestSweepEmitsCrashRepairSpans(t *testing.T) {
-	cfg := Config{Threads: 4, Procs: 2, Ops: 200, Seed: 11, Modes: []Mode{ModeThreadCrash}}
+	cfg := Config{Script: Script{Threads: 4, Procs: 2, Ops: 200, Seed: 11}, Modes: []Mode{ModeThreadCrash}}
 	tr := telemetry.Start(cfg.Threads, 1<<14)
 	defer telemetry.Stop()
 

@@ -248,20 +248,9 @@ func (h *Heap) Layout() Layout { return h.lay }
 // Device returns the underlying device.
 func (h *Heap) Device() *memsim.Device { return h.dev }
 
-// NMPStats returns the NMP unit's counters (zero when not in mCAS mode).
-func (h *Heap) NMPStats() nmp.Stats {
-	if h.unit == nil {
-		return nmp.Stats{}
-	}
-	return h.unit.Stats()
-}
-
 // NMP returns the heap's NMP unit, or nil unless the heap runs in mCAS
 // mode. Chaos harnesses use it to inject device faults.
 func (h *Heap) NMP() *nmp.Unit { return h.unit }
-
-// HWStats returns the atomic-operation layer's degraded-mode counters.
-func (h *Heap) HWStats() atomicx.HWStats { return h.hw.Stats() }
 
 // AttachThread binds thread slot tid to a process address space. The
 // thread starts with a cold cache. It is the caller's responsibility
@@ -444,8 +433,8 @@ func (h *Heap) Free(tid int, p Ptr) {
 }
 
 // maxRemoteGroup caps how many blocks one remote-free record covers: the
-// count rides in the record's 16-bit b field.
-const maxRemoteGroup = 1<<16 - 1
+// count rides in the record's b field, below the remoteZero flag.
+const maxRemoteGroup = remoteZero - 1
 
 // FreeBatch frees every pointer in *ps, exactly as calling Free on each
 // would, except that remote frees landing in one slab share one

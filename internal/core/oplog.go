@@ -30,7 +30,7 @@ const (
 	opAllocBlock // a = slab index, b = block (application handoff record)
 	opLocalFree  // a = slab index, b = block
 	opEmpty      // a = slab index (sized -> unsized transfer)
-	opRemoteFree // a = slab index, b = blocks freed; ver on the remote-free word
+	opRemoteFree // a = slab index, b = blocks freed (| remoteZero); ver on the remote-free word
 	opSteal      // a = slab index (remote count hit zero)
 	opReserve    // a = region index; ver on the reservation word
 	// Huge-heap ops record the allocation's page number in a (26 bits)
@@ -54,6 +54,13 @@ const (
 )
 
 const opAMask = 1<<26 - 1
+
+// remoteZero flags an opRemoteFree record whose decrement takes the
+// countdown to zero, so the freer owes the steal. Recovery cannot learn
+// that from the countdown: once the slot is dead, survivors may free the
+// slab's last blocks, steal it, and leave a zero that is not the
+// freer's. Group sizes stay below the flag (maxRemoteGroup).
+const remoteZero = 1 << 15
 
 // opCASBearing reports whether the record's ver field holds a
 // detectable-CAS version (and so must seed the recovered thread's

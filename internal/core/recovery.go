@@ -293,10 +293,13 @@ func (h *Heap) redo(ts *threadState, tid, op int, a uint32, b uint16, ver uint16
 
 	case opRemoteFree:
 		// b blocks were freed as one decrement (slabHeap.remoteFree).
-		idx, n := int(a), uint32(b)
+		idx, n := int(a), uint32(b&^remoteZero)
 		cw := h.dcas.Load(tid, s.hwBase+idx)
 		if h.dcas.Succeeded(tid, ver, s.hwBase+idx) {
-			if atomicx.Payload(cw) == 0 {
+			// Steal only if the landed decrement was the one to reach
+			// zero. A zero read now may be a survivor's, who stole the
+			// slab itself while this slot was dead.
+			if b&remoteZero != 0 {
 				h.redoSteal(ts, tid, s, idx)
 			}
 		} else {

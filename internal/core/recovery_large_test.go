@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"cxlalloc/internal/crash"
@@ -134,4 +135,41 @@ func TestCrashRecoveryHeapIsolation(t *testing.T) {
 	}
 	e.h.Free(0, pl)
 	e.checkAll(0)
+}
+
+// A remote free whose decrement landed but did not reach zero must not
+// steal in redo, even when the countdown reads zero by then: thread 0
+// crashes after taking a two-block slab from 2 to 1, and before thread
+// 0 is recovered thread 2 frees the last block and steals the slab
+// itself. Redo reading that zero as its own stole the slab twice: kept
+// on thread 2's unsized list, or — when thread 2 already held
+// UnsizedThreshold slabs and its steal spilled — on the global free
+// list, stamped with thread 0 as owner.
+func TestRemoteFreeRedoLeavesASurvivorsSteal(t *testing.T) {
+	for _, spilled := range []bool{false, true} {
+		t.Run(fmt.Sprintf("spilled=%v", spilled), func(t *testing.T) {
+			e, inj := crashEnv(t)
+			if spilled {
+				ps := []Ptr{largeAllocTop(e, 2), largeAllocTop(e, 2)}
+				for _, p := range ps {
+					e.h.Free(2, p) // two empty slabs on thread 2's unsized list
+				}
+			}
+			p, q := mustAlloc(e, 1, largeMax/2), mustAlloc(e, 1, largeMax/2)
+			inj.Arm("large.remote-free.post-cas", 0, 0)
+			if c := crash.Run(func() { e.h.Free(0, p) }); c == nil {
+				t.Fatal("remote free never reached large.remote-free.post-cas")
+			}
+			e.h.MarkCrashed(0)
+			inj.Disarm()
+			e.h.Free(2, q) // the last block: thread 2 steals the slab
+			if _, err := e.h.RecoverThread(0, e.spaces[0]); err != nil {
+				t.Fatalf("RecoverThread: %v", err)
+			}
+			e.checkAll(0)
+			if leaked := e.leakedSlabs(e.h.large); len(leaked) != 0 {
+				t.Fatalf("large slabs leaked: %v", leaked)
+			}
+		})
+	}
 }

@@ -586,7 +586,7 @@ func (s *slabHeap) emptyTransition(ts *threadState, tid, idx, class int) {
 // one decrement of its countdown by n (§3.1.1 "Deallocation"): one
 // detectable CAS under one opRemoteFree record carrying n in b. A
 // countdown below n means some block was already freed. The decrement
-// that reaches zero steals the slab.
+// that reaches zero steals the slab, and its record says so.
 func (s *slabHeap) remoteFree(ts *threadState, tid, idx, n int) {
 	cw := s.h.dcas.Load(tid, s.hwBase+idx)
 	for {
@@ -595,8 +595,12 @@ func (s *slabHeap) remoteFree(ts *threadState, tid, idx, n int) {
 			s.h.fail("%s heap: remote free of %d blocks into slab %d with countdown %d (double free?)",
 				s.name, n, idx, cnt)
 		}
+		b := uint16(n)
+		if cnt == uint32(n) {
+			b |= remoteZero
+		}
 		ver := ts.nextVer()
-		s.h.writeOplog(tid, ts, s.opc(opRemoteFree), uint32(idx), uint16(n), ver)
+		s.h.writeOplog(tid, ts, s.opc(opRemoteFree), uint32(idx), b, ver)
 		s.h.dcas.Begin(tid, ver)
 		s.cp(tid, "remote-free.pre-cas")
 		if s.h.dcas.CAS(tid, ver, s.hwBase+idx, cw, cnt-uint32(n)) {

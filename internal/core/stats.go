@@ -96,40 +96,6 @@ func (s *slabHeap) remoteCount(tid, idx int) uint32 {
 	return atomicx.Payload(s.h.dcas.Load(tid, s.hwBase+idx))
 }
 
-// Stats is the robustness counter block: crash-point sweep coverage and
-// degraded-mode operation counts. The chaos harness fills the sweep
-// fields from its coverage report; the heap fills the hardware-path
-// counters. Future PRs assert these never regress.
-type Stats struct {
-	// CrashPointsInstrumented is the number of distinct crash points a
-	// profiling run discovered in the allocator.
-	CrashPointsInstrumented int
-	// CrashPointsSwept is how many of those points a chaos sweep has
-	// exercised under every sweep mode.
-	CrashPointsSwept int
-
-	// PersistSubsetsSwept is how many persist-subset cells (crash point ×
-	// persist mask) an adversarial persistence sweep ran. Harness overlay,
-	// like CrashPointsSwept.
-	PersistSubsetsSwept int
-	// CrashDiscards counts crashes resolved by CrashDiscard (under an
-	// installed persist policy) rather than the optimistic WritebackAll.
-	CrashDiscards uint64
-	// LinesDroppedAtCrash is the total in-play cache lines the adversary
-	// dropped (reverted to their durable floor) across those crashes.
-	LinesDroppedAtCrash uint64
-
-	// HWCASFallbacks counts CASes completed via the sw_flush_cas fallback
-	// after the NMP unit faulted (graceful degradation).
-	HWCASFallbacks uint64
-	// MCASFaults / MCASRetries count faulted mCAS attempts and the
-	// bounded retries they triggered.
-	MCASFaults  uint64
-	MCASRetries uint64
-	// NMPFaultsInjected is the device-side count of injected faults.
-	NMPFaultsInjected uint64
-}
-
 // PublishStats force-refreshes every thread slot's published counter
 // mirrors (SWcc cache stats and the allocator op ledger) from the
 // owner-side counters. Every mutator thread must be quiesced — the
@@ -217,24 +183,4 @@ func (h *Heap) Snapshot() telemetry.Snapshot {
 	s.Liveness.Claims = h.claimsWon.Load()
 	s.FillTrace()
 	return s
-}
-
-// Stats returns the heap's robustness counters. Sweep coverage fields
-// are zero here; the chaos harness overlays them.
-func (h *Heap) Stats() Stats {
-	hs := h.hw.Stats()
-	st := Stats{
-		HWCASFallbacks:      hs.Fallbacks,
-		MCASFaults:          hs.MCASFaults,
-		MCASRetries:         hs.MCASRetries,
-		CrashDiscards:       h.crashDiscards.Load(),
-		LinesDroppedAtCrash: h.linesDropped.Load(),
-	}
-	if h.cfg.Crash != nil {
-		st.CrashPointsInstrumented = len(h.cfg.Crash.PointNames())
-	}
-	if h.unit != nil {
-		st.NMPFaultsInjected = h.unit.Stats().FaultsInjected
-	}
-	return st
 }

@@ -1,57 +1,12 @@
-// Package stats provides the summary statistics the benchmark harness
-// reports: mean and standard deviation across trials (the paper runs 10
-// trials with error bars) and latency percentiles (Figure 11 reports
-// p50/p90/p99/p99.9).
+// Package stats provides the latency percentiles the benchmark harness
+// reports (Figure 11 reports p50/p90/p99/p99.9).
 package stats
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"time"
 )
-
-// Summary holds the mean and standard deviation of a set of trials.
-type Summary struct {
-	N      int
-	Mean   float64
-	Stddev float64
-	Min    float64
-	Max    float64
-}
-
-// Summarize computes a Summary over xs. An empty slice yields a zero
-// Summary.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	s := Summary{N: len(xs), Min: xs[0], Max: xs[0]}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
-	s.Mean = sum / float64(len(xs))
-	if len(xs) > 1 {
-		varSum := 0.0
-		for _, x := range xs {
-			d := x - s.Mean
-			varSum += d * d
-		}
-		s.Stddev = math.Sqrt(varSum / float64(len(xs)-1))
-	}
-	return s
-}
-
-func (s Summary) String() string {
-	return fmt.Sprintf("%.3g ± %.2g (n=%d)", s.Mean, s.Stddev, s.N)
-}
 
 // Percentiles holds the latency percentiles reported in Figure 11.
 type Percentiles struct {
@@ -85,12 +40,4 @@ func LatencyPercentiles(samples []time.Duration) Percentiles {
 func (p Percentiles) String() string {
 	return fmt.Sprintf("p50=%v p90=%v p99=%v p99.9=%v (n=%d)",
 		p.P50, p.P90, p.P99, p.P999, p.Count)
-}
-
-// Throughput converts an operation count and elapsed time into ops/sec.
-func Throughput(ops int, elapsed time.Duration) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(ops) / elapsed.Seconds()
 }

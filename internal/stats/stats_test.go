@@ -1,35 +1,9 @@
 package stats
 
 import (
-	"math"
 	"testing"
 	"time"
 )
-
-func TestSummarizeBasic(t *testing.T) {
-	s := Summarize([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if s.N != 8 || s.Mean != 5 {
-		t.Fatalf("mean = %v (n=%d), want 5 (n=8)", s.Mean, s.N)
-	}
-	// Sample stddev of this classic sequence is sqrt(32/7).
-	want := math.Sqrt(32.0 / 7.0)
-	if math.Abs(s.Stddev-want) > 1e-12 {
-		t.Fatalf("stddev = %v, want %v", s.Stddev, want)
-	}
-	if s.Min != 2 || s.Max != 9 {
-		t.Fatalf("min/max = %v/%v", s.Min, s.Max)
-	}
-}
-
-func TestSummarizeEdge(t *testing.T) {
-	if s := Summarize(nil); s.N != 0 || s.Mean != 0 {
-		t.Fatalf("empty summary = %+v", s)
-	}
-	s := Summarize([]float64{3})
-	if s.N != 1 || s.Mean != 3 || s.Stddev != 0 {
-		t.Fatalf("single summary = %+v", s)
-	}
-}
 
 func TestLatencyPercentiles(t *testing.T) {
 	var samples []time.Duration
@@ -62,17 +36,5 @@ func TestLatencyPercentilesUnsortedInput(t *testing.T) {
 func TestLatencyPercentilesEmpty(t *testing.T) {
 	if p := LatencyPercentiles(nil); p.Count != 0 || p.P999 != 0 {
 		t.Fatalf("empty percentiles = %+v", p)
-	}
-}
-
-func TestThroughput(t *testing.T) {
-	if got := Throughput(1000, time.Second); got != 1000 {
-		t.Fatalf("Throughput = %v", got)
-	}
-	if got := Throughput(500, 2*time.Second); got != 250 {
-		t.Fatalf("Throughput = %v", got)
-	}
-	if got := Throughput(10, 0); got != 0 {
-		t.Fatalf("Throughput with zero elapsed = %v", got)
 	}
 }

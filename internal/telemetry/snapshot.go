@@ -6,8 +6,8 @@ import (
 )
 
 // Snapshot is the unified, diffable metrics view of a pod: one typed
-// struct subsuming the counters previously scattered across core.Stats,
-// nmp.Stats, atomicx.HWStats, per-thread CacheStatsFor, and the
+// struct mirroring the counters of nmp.Stats, atomicx.HWStats,
+// per-thread CacheStatsFor, the crash and recovery tallies, and the
 // liveness watchdog. The owning packages fill the mirrored sub-structs
 // (telemetry cannot import them — every instrumented layer imports
 // telemetry); core.(*Heap).Snapshot and cxlalloc.(*Pod).Snapshot are

@@ -134,48 +134,55 @@ func runLiveChaos(cfg server.LiveConfig, schedOut string) ([]bench.Row, error) {
 	if err := saveSchedule("livechaos", schedOut, rep.Schedule); err != nil {
 		return nil, err
 	}
-
-	row := bench.Row{
-		Experiment: "livechaos",
-		Workload:   "online",
-		Allocator:  "cxlalloc-mcas",
-		Threads:    rep.Threads,
-		Procs:      rep.Procs,
-		Ops:        int(rep.Ops),
-		ElapsedSec: rep.Elapsed.Seconds(),
-		Throughput: rep.Throughput,
-		Extra: map[string]string{
-			"seed":            fmt.Sprint(rep.Seed),
-			"latency_p50":     rep.LatencyP50.String(),
-			"latency_p99":     rep.LatencyP99.String(),
-			"acked":           fmt.Sprint(rep.Acked),
-			"crashes":         fmt.Sprint(rep.Crashes),
-			"thread_kills":    fmt.Sprint(rep.ThreadKills),
-			"proc_kills":      fmt.Sprint(rep.ProcKills),
-			"nmp_bursts":      fmt.Sprint(rep.NMPBursts),
-			"nmp_faults":      fmt.Sprint(rep.NMPFaults),
-			"crash_discards":  fmt.Sprint(rep.CrashDiscards),
-			"lines_dropped":   fmt.Sprint(rep.LinesDropped),
-			"repairs":         fmt.Sprint(rep.Repairs),
-			"mttr_p50":        rep.MTTRP50.Round(time.Millisecond).String(),
-			"mttr_p99":        rep.MTTRP99.Round(time.Millisecond).String(),
-			"mttr_max":        rep.MTTRMax.Round(time.Millisecond).String(),
-			"availability":    fmt.Sprintf("%.4f", rep.Availability),
-			"violations":      fmt.Sprint(len(rep.Violations)),
-			"lost_acks":       fmt.Sprint(len(rep.LostAcks)),
-			"false_takeovers": fmt.Sprint(rep.FalseTakeovers),
-			"replayed":        fmt.Sprint(rep.Replayed),
-			"replay_ok":       fmt.Sprint(rep.ReplayOK),
-		},
-	}
+	rows := []bench.Row{liveChaosRow(rep)}
 	if !rep.Ok() {
-		return []bench.Row{row}, fmt.Errorf("livechaos gate failed: %d invariant violations, %d lost acks, %d false takeovers",
+		return rows, fmt.Errorf("livechaos gate failed: %d invariant violations, %d lost acks, %d false takeovers",
 			len(rep.Violations), len(rep.LostAcks), rep.FalseTakeovers)
 	}
-	if rep.Replayed && !rep.ReplayOK {
-		return []bench.Row{row}, errors.New("livechaos replay gate failed: emitted schedule differs from the replayed one")
+	return rows, nil
+}
+
+func liveChaosRow(rep *server.LiveReport) bench.Row {
+	return onlineRow("livechaos", rep.Threads, rep.Procs, &rep.Report, map[string]string{
+		"crashes":         fmt.Sprint(rep.Crashes),
+		"thread_kills":    fmt.Sprint(rep.ThreadKills),
+		"proc_kills":      fmt.Sprint(rep.ProcKills),
+		"nmp_bursts":      fmt.Sprint(rep.NMPBursts),
+		"nmp_faults":      fmt.Sprint(rep.NMPFaults),
+		"crash_discards":  fmt.Sprint(rep.CrashDiscards),
+		"lines_dropped":   fmt.Sprint(rep.LinesDropped),
+		"repairs":         fmt.Sprint(rep.Repairs),
+		"mttr_p50":        rep.MTTRP50.Round(time.Millisecond).String(),
+		"mttr_p99":        rep.MTTRP99.Round(time.Millisecond).String(),
+		"mttr_max":        rep.MTTRMax.Round(time.Millisecond).String(),
+		"availability":    fmt.Sprintf("%.4f", rep.Availability),
+		"false_takeovers": fmt.Sprint(rep.FalseTakeovers),
+	})
+}
+
+// onlineRow is the bench row of a fault-injected online run (livechaos,
+// fabricchaos): the report core's columns and Extra keys, added to the
+// harness's own in extra.
+func onlineRow(exp string, threads, procs int, r *server.Report, extra map[string]string) bench.Row {
+	extra["seed"] = fmt.Sprint(r.Seed)
+	extra["latency_p50"] = r.LatencyP50.String()
+	extra["latency_p99"] = r.LatencyP99.String()
+	extra["acked"] = fmt.Sprint(r.Acked)
+	extra["violations"] = fmt.Sprint(len(r.Violations))
+	extra["lost_acks"] = fmt.Sprint(len(r.LostAcks))
+	extra["replayed"] = fmt.Sprint(r.Replayed)
+	extra["replay_ok"] = fmt.Sprint(r.ReplayOK)
+	return bench.Row{
+		Experiment: exp,
+		Workload:   "online",
+		Allocator:  "cxlalloc-mcas",
+		Threads:    threads,
+		Procs:      procs,
+		Ops:        int(r.Ops),
+		ElapsedSec: r.Elapsed.Seconds(),
+		Throughput: r.Throughput,
+		Extra:      extra,
 	}
-	return []bench.Row{row}, nil
 }
 
 // persistExp is the adversarial persistence gate: the crash-point ×

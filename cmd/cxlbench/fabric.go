@@ -1,7 +1,6 @@
 package main
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -43,53 +42,34 @@ func runFabricChaos(cfg fabric.ChaosConfig, schedOut string) ([]bench.Row, error
 	if err := saveSchedule("fabricchaos", schedOut, rep.Schedule); err != nil {
 		return nil, err
 	}
-
-	s := rep.Fabric
-	row := bench.Row{
-		Experiment: "fabricchaos",
-		Workload:   "online",
-		Allocator:  "cxlalloc-mcas",
-		Threads:    rep.Threads,
-		Procs:      rep.Procs,
-		Ops:        int(rep.Ops),
-		ElapsedSec: rep.Elapsed.Seconds(),
-		Throughput: rep.Throughput,
-		Extra: map[string]string{
-			"seed":                  fmt.Sprint(rep.Seed),
-			"pods":                  fmt.Sprint(rep.Pods),
-			"shards":                fmt.Sprint(rep.Shards),
-			"latency_p50":           rep.LatencyP50.String(),
-			"latency_p99":           rep.LatencyP99.String(),
-			"acked":                 fmt.Sprint(rep.Acked),
-			"retries":               fmt.Sprint(rep.Retries),
-			"pod_kills":             fmt.Sprint(rep.PodKills),
-			"pod_fences":            fmt.Sprint(rep.PodFences),
-			"mig_interrupts":        fmt.Sprint(rep.MigInterrupts),
-			"failovers":             fmt.Sprint(s.Failovers),
-			"mig_flips":             fmt.Sprint(s.MigFlips),
-			"mig_retakes":           fmt.Sprint(s.MigRetakes),
-			"router_rejects":        fmt.Sprint(s.RouterRejects),
-			"mttr_p50":              rep.MTTRP50.Round(time.Millisecond).String(),
-			"mttr_max":              rep.MTTRMax.Round(time.Millisecond).String(),
-			"violations":            fmt.Sprint(len(rep.Violations)),
-			"lost_acks":             fmt.Sprint(len(rep.LostAcks)),
-			"false_shard_takeovers": fmt.Sprint(s.FalseShardTakeovers),
-			"false_takeovers":       fmt.Sprint(rep.ThreadFalseTakeovers),
-			"replayed":              fmt.Sprint(rep.Replayed),
-			"replay_ok":             fmt.Sprint(rep.ReplayOK),
-		},
-	}
-	rows := []bench.Row{row}
+	rows := []bench.Row{fabricChaosRow(rep)}
 	if !rep.Ok() {
 		return rows, fmt.Errorf("fabricchaos gate failed: %d violations, %d lost acks, %d false shard takeovers, MTTR max %v (bound %v)",
-			len(rep.Violations), len(rep.LostAcks), s.FalseShardTakeovers, rep.MTTRMax, rep.MTTRBound)
-	}
-	if rep.Replayed && !rep.ReplayOK {
-		return rows, errors.New("fabricchaos replay gate failed: emitted schedule differs from the replayed one")
+			len(rep.Violations), len(rep.LostAcks), rep.Fabric.FalseShardTakeovers, rep.MTTRMax, rep.MTTRBound)
 	}
 	if !rep.Replayed && (rep.PodKills < 1 || rep.MigInterrupts < 1) {
 		return rows, fmt.Errorf("fabricchaos coverage gate failed: %d pod kills, %d mig interrupts (need >= 1 of each; lengthen -duration)",
 			rep.PodKills, rep.MigInterrupts)
 	}
 	return rows, nil
+}
+
+func fabricChaosRow(rep *fabric.ChaosReport) bench.Row {
+	s := rep.Fabric
+	return onlineRow("fabricchaos", rep.Threads, rep.Procs, &rep.Report, map[string]string{
+		"pods":                  fmt.Sprint(rep.Pods),
+		"shards":                fmt.Sprint(rep.Shards),
+		"retries":               fmt.Sprint(rep.Retries),
+		"pod_kills":             fmt.Sprint(rep.PodKills),
+		"pod_fences":            fmt.Sprint(rep.PodFences),
+		"mig_interrupts":        fmt.Sprint(rep.MigInterrupts),
+		"failovers":             fmt.Sprint(s.Failovers),
+		"mig_flips":             fmt.Sprint(s.MigFlips),
+		"mig_retakes":           fmt.Sprint(s.MigRetakes),
+		"router_rejects":        fmt.Sprint(s.RouterRejects),
+		"mttr_p50":              rep.MTTRP50.Round(time.Millisecond).String(),
+		"mttr_max":              rep.MTTRMax.Round(time.Millisecond).String(),
+		"false_shard_takeovers": fmt.Sprint(s.FalseShardTakeovers),
+		"false_takeovers":       fmt.Sprint(rep.ThreadFalseTakeovers),
+	})
 }

@@ -138,15 +138,19 @@ func runSLOChaos(cfg server.SLOConfig) ([]bench.Row, error) {
 	fmt.Print(server.FormatSLOReport(rep, true))
 	var rows []bench.Row
 	if rep.ChaosPoint != nil {
-		row := sloPointRow(rep, rep.ChaosPoint, "chaos/2x")
-		row.Extra["thread_kills"] = fmt.Sprint(rep.Kills)
-		row.Extra["proc_kills"] = fmt.Sprint(rep.ProcKills)
-		row.Extra["false_takeovers"] = fmt.Sprint(rep.FalseTakeovers)
-		rows = append(rows, row)
+		rows = append(rows, sloChaosRow(rep))
 	}
 	if g := rep.Gates(true); !g.Ok() {
 		return rows, fmt.Errorf("slochaos gate failed: violations=%d lostAcks=%d falseTakeovers=%d breakerEngaged=%v",
 			len(rep.Violations), len(rep.LostAcks), rep.FalseTakeovers, g.BreakerEngaged)
 	}
 	return rows, nil
+}
+
+func sloChaosRow(rep *server.SLOReport) bench.Row {
+	row := sloPointRow(rep, rep.ChaosPoint, "chaos/2x")
+	row.Extra["thread_kills"] = fmt.Sprint(rep.Kills)
+	row.Extra["proc_kills"] = fmt.Sprint(rep.ProcKills)
+	row.Extra["false_takeovers"] = fmt.Sprint(rep.FalseTakeovers)
+	return row
 }

@@ -7,12 +7,13 @@ package chaos
 // gate beyond the common three (violations, lost acks, false
 // takeovers). The kernel owns the rest: the gate ledger, the seeded
 // tick-paced injector in record and replay mode, the kill-in-op death
-// loop, the convergence wait, and the end-of-run audit — the final
-// oracle sweep (Oracle.FinalSweep) and the store teardown plus heap
-// ledger audit (Gates.Teardown).
+// loop, the convergence wait, the tick-rate calibration, and the
+// end-of-run audit — the final oracle sweep (Oracle.FinalSweep) and the
+// store teardown plus heap ledger audit (Gates.Teardown).
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,10 +28,11 @@ import (
 )
 
 const (
-	ArmProb      = 0.02             // per-crash-point firing probability for armed victims
-	KillWait     = 15 * time.Second // arming → death deadline before downgrading the fault
-	ConvergeWait = 60 * time.Second // crash → repaired-and-settled deadline (violation past this)
-	TailGrace    = 2 * time.Second  // injection stops this early so repairs land in-window
+	ArmProb      = 0.02                   // per-crash-point firing probability for armed victims
+	KillWait     = 15 * time.Second       // arming → death deadline before downgrading the fault
+	ConvergeWait = 60 * time.Second       // crash → repaired-and-settled deadline (violation past this)
+	TailGrace    = 2 * time.Second        // injection stops this early so repairs land in-window
+	Calibrate    = 250 * time.Millisecond // fault-free warmup a harness measures its clock's tick rate over
 
 	gateCap = 64 // entries kept per gate: enough to diagnose, bounded under a storm
 )
@@ -279,6 +281,39 @@ func LeaseTicks(tickHz float64, wall time.Duration) uint64 {
 		ticks = 4096 // floor: never let a lease shrink to a handful of ops
 	}
 	return ticks
+}
+
+// TickRate measures clock in ticks per wall second over d of fault-free
+// traffic: the calibration a harness sizes every tick-denominated
+// quantity of its run from (leases, heal timers, request tick deadlines).
+func TickRate(clock func() uint64, d time.Duration) float64 {
+	c0, t0 := clock(), time.Now()
+	time.Sleep(d)
+	return float64(clock()-c0) / time.Since(t0).Seconds()
+}
+
+// MTTR summarizes repair spans as their median, 99th percentile and
+// longest; no spans give zeroes. It sorts spans in place.
+func MTTR(spans []time.Duration) (p50, p99, longest time.Duration) {
+	if len(spans) == 0 {
+		return 0, 0, 0
+	}
+	slices.Sort(spans)
+	return spans[len(spans)/2], spans[len(spans)*99/100], spans[len(spans)-1]
+}
+
+// OwnedLive lists the live slots of [0, tids) process p owns. A process
+// may be killed only once it owns none: KillProcess would otherwise mark
+// a slot crashed under a running worker, an out-of-band kill the crash
+// model forbids.
+func OwnedLive(pod *cxlalloc.Pod, p *cxlalloc.Process, tids int) (owned []int) {
+	heap := pod.Heap()
+	for tid := 0; tid < tids; tid++ {
+		if heap.Alive(tid) && pod.OwnerOf(tid) == p {
+			owned = append(owned, tid)
+		}
+	}
+	return owned
 }
 
 // SettleRound runs one empty Run per live slot from this goroutine — a

@@ -23,7 +23,6 @@ package fabric
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -65,7 +64,6 @@ const (
 	chaosShards  = 16
 
 	chaosDeadline  = 50 * time.Millisecond  // per-request budget
-	chaosCalibrate = 250 * time.Millisecond // fault-free warmup measuring the fabric tick rate
 	chaosFenceWall = 600 * time.Millisecond // wall-clock target a pod-fence stays up (converted to HealTicks)
 	chaosMTTRBound = 10 * time.Second       // gate: max acceptable failover MTTR
 )
@@ -96,18 +94,10 @@ func (c ChaosConfig) validate() error {
 
 // ChaosReport is one fabricchaos run's full outcome.
 type ChaosReport struct {
+	server.Report
 	Pods, Threads, Procs, Shards, Keys, Issuers int
-	Seed                                        uint64
-	Duration, Elapsed                           time.Duration
-	Replayed                                    bool
 
-	// Traffic.
-	Ops, Acked, Failed, Crashed uint64
-	Puts, Gets, Deletes         uint64
-	Retries                     uint64 // client resubmissions (reroutes included)
-	ReadsChecked, ReadsSkipped  uint64
-	Throughput                  float64
-	LatencyP50, LatencyP99      time.Duration
+	Retries uint64 // client resubmissions (reroutes included)
 
 	// Injection coverage (faults that fully applied).
 	PodKills, PodFences, MigInterrupts int
@@ -118,24 +108,12 @@ type ChaosReport struct {
 	MTTRCount            int
 	MTTRP50, MTTRMax     time.Duration
 	MTTRBound            time.Duration
-	PendingAllocs        int
-
-	// Schedule (record or replayed) and per-spec outcomes.
-	Schedule []chaos.FaultSpec
-	Outcomes []chaos.FaultOutcome
-	ReplayOK bool
-
-	// Gates.
-	Violations []string
-	LostAcks   []string
 }
 
-// Ok reports whether every correctness gate passed.
+// Ok reports whether every correctness gate passed. An MTTR past its
+// bound is a violation.
 func (r *ChaosReport) Ok() bool {
-	return len(r.Violations) == 0 && len(r.LostAcks) == 0 &&
-		r.Fabric.FalseShardTakeovers == 0 && r.ThreadFalseTakeovers == 0 &&
-		(r.MTTRCount == 0 || r.MTTRMax <= r.MTTRBound) &&
-		(!r.Replayed || r.ReplayOK)
+	return r.Verdict.Ok() && r.Fabric.FalseShardTakeovers == 0 && r.ThreadFalseTakeovers == 0
 }
 
 const fcLanes = 4 // connection lanes per issuer
@@ -158,6 +136,7 @@ type chaosRun struct {
 	tickRate float64 // fabric ticks per wall second, from calibration
 
 	healWG sync.WaitGroup
+	dying  [chaosPods]bool // pods a kill marked dying; written by apply only
 }
 
 // RunChaos executes one fabricchaos run.
@@ -201,10 +180,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	// ticks so replay paces on the same logical timeline).
 	start := time.Now()
 	lanes := server.Lanes(r.issuers, fcLanes, &r.stop)
-	c0, t0 := f.Tick(), time.Now()
-	time.Sleep(chaosCalibrate)
-	c1, t1 := f.Tick(), time.Now()
-	r.tickRate = float64(c1-c0) / t1.Sub(t0).Seconds()
+	r.tickRate = chaos.TickRate(f.Tick, chaos.Calibrate)
 	if r.tickRate <= 0 {
 		r.gates.Violationf("calibration: fabric clock did not advance under traffic")
 	}
@@ -221,30 +197,46 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	// Phase 3 — convergence: issuing has stopped; let scheduled heals
 	// land (then force any stragglers), and wait for the fabric to
 	// quiesce — no handoff in flight, every shard serving from a
-	// routable owner, every crashed write settled.
+	// routable owner, every crashed write settled, every lane answered.
 	r.healWG.Wait()
 	for i := 0; i < chaosPods; i++ {
 		f.HealPod(i) // no-op unless a fence survived the window
 	}
-	tally := <-lanes
 	elapsed := time.Since(start)
-	r.gates.Converge(chaos.ConvergeWait, func() (out []string) {
-		if !f.Quiesced() {
-			out = append(out, "fabric not quiesced")
-		}
-		var pends int64
-		for i := 0; i < chaosPods; i++ {
-			pends += f.Server(i).PendingCrashed()
-		}
-		if pends > 0 {
-			out = append(out, fmt.Sprintf("%d crashed writes unsettled", pends))
-		}
-		return out
-	})
-	f.Stop()
+	tally := server.EndWindow(&r.gates, chaos.ConvergeWait, lanes, f.Stop, r.outstanding)
 
 	// Phase 4 — audit at quiescence.
 	return r.audit(tally, elapsed), nil
+}
+
+// outstanding is the convergence complaint list. A pod a kill left dying
+// but not dark (a victim that never died in its own op, nothing
+// repairing its dead slots, its live ones keeping its clock moving) is
+// named with its slots: its lanes' crashed writes wait on it.
+func (r *chaosRun) outstanding() (out []string) {
+	f := r.f
+	if !f.Quiesced() {
+		out = append(out, "fabric not quiesced")
+	}
+	var pends int64
+	for i := 0; i < chaosPods; i++ {
+		pends += f.Server(i).PendingCrashed()
+		if r.dying[i] && !f.Decommissioned(i) {
+			var dead, live []int
+			for tid := 0; tid < chaosThreads; tid++ {
+				if f.Pod(i).Heap().Alive(tid) {
+					live = append(live, tid)
+				} else {
+					dead = append(dead, tid)
+				}
+			}
+			out = append(out, fmt.Sprintf("pod %d dying but not dark (slots %v dead, %v live)", i, dead, live))
+		}
+	}
+	if pends > 0 {
+		out = append(out, fmt.Sprintf("%d crashed writes unsettled", pends))
+	}
+	return out
 }
 
 // --- injector --------------------------------------------------------
@@ -416,6 +408,7 @@ func (r *chaosRun) applyPodKill(spec chaos.FaultSpec, out *chaos.FaultOutcome) {
 		}
 	}
 	r.f.MarkDying(i)
+	r.dying[i] = true
 	out.Died = chaos.KillInOp(r.injs[i], spec.ArmProb, spec.ArmSeed, targets, heap.Alive, time.Now().Add(chaos.KillWait))
 	if len(out.Died) < len(targets) {
 		out.Note = "partial: not all victims died before deadline"
@@ -425,14 +418,7 @@ func (r *chaosRun) applyPodKill(spec chaos.FaultSpec, out *chaos.FaultOutcome) {
 		if p == nil || p.Dead() {
 			continue
 		}
-		owns := false
-		for tid := 0; tid < chaosThreads; tid++ {
-			if heap.Alive(tid) && pod.OwnerOf(tid) == p {
-				owns = true
-				break
-			}
-		}
-		if owns {
+		if len(chaos.OwnedLive(pod, p, chaosThreads)) > 0 {
 			out.Note = "partial: process still owns live slots"
 			continue
 		}
@@ -454,14 +440,6 @@ func (r *chaosRun) applyPodKill(spec chaos.FaultSpec, out *chaos.FaultOutcome) {
 
 func (r *chaosRun) audit(t *server.Tally, elapsed time.Duration) *ChaosReport {
 	cfg := r.cfg
-	rep := &ChaosReport{
-		Pods: chaosPods, Threads: chaosThreads, Procs: chaosProcs,
-		Shards: chaosShards, Keys: cfg.Keys, Issuers: cfg.Issuers,
-		Seed: cfg.Seed, Duration: cfg.Duration, Elapsed: elapsed,
-		Replayed:  cfg.Replay != nil,
-		MTTRBound: chaosMTTRBound,
-		Schedule:  r.faults.Schedule, Outcomes: r.faults.Outcomes,
-	}
 
 	// Final oracle sweep: every key read from its current owner pod's
 	// control thread, at quiescence, and byte-validated by the codec.
@@ -490,8 +468,9 @@ func (r *chaosRun) audit(t *server.Tally, elapsed time.Duration) *ChaosReport {
 	// deleting from all pods makes the audit's verdict about bytes, not
 	// placement), free adopted orphans, and audit each heap to empty.
 	// Decommissioned pods audit too: their memory outlived them.
+	pending := 0
 	for p := 0; p < chaosPods; p++ {
-		rep.PendingAllocs += r.gates.Teardown(chaos.Target{
+		pending += r.gates.Teardown(chaos.Target{
 			Label: fmt.Sprintf("pod %d ", p),
 			Heap:  r.f.Pod(p).Heap(), Store: r.f.Store(p),
 			Keys: cfg.Keys, Tids: chaosThreads + 1, // the control slot too
@@ -500,19 +479,26 @@ func (r *chaosRun) audit(t *server.Tally, elapsed time.Duration) *ChaosReport {
 		})
 	}
 
-	// Traffic counters.
-	rep.Ops, rep.Acked, rep.Failed, rep.Crashed = t.Ops, t.Acked, t.Failed, t.Crashed
-	rep.Puts, rep.Gets, rep.Deletes = t.Puts, t.Gets, t.Deletes
+	// The fabric's own invariants and the failover bound are violations.
+	for _, v := range r.f.Violations() {
+		r.gates.Violationf("fabric: %s", v)
+	}
+	rep := &ChaosReport{
+		Pods: chaosPods, Threads: chaosThreads, Procs: chaosProcs,
+		Shards: chaosShards, Keys: cfg.Keys, Issuers: cfg.Issuers,
+		MTTRBound: chaosMTTRBound,
+	}
+	mttrs := r.f.MTTRs()
+	rep.MTTRCount = len(mttrs)
+	rep.MTTRP50, _, rep.MTTRMax = chaos.MTTR(mttrs)
+	if rep.MTTRMax > chaosMTTRBound {
+		r.gates.Violationf("failover MTTR %v exceeds bound %v", rep.MTTRMax, chaosMTTRBound)
+	}
+	rep.Report = server.NewReport(cfg.Seed, elapsed, t, r.issuers, r.faults, pending)
+
 	for _, is := range r.issuers {
 		rep.Retries += is.Client.Retries()
 	}
-	rep.ReadsChecked, rep.ReadsSkipped = server.Reads(r.issuers)
-	if elapsed > 0 {
-		rep.Throughput = float64(rep.Ops) / elapsed.Seconds()
-	}
-	rep.LatencyP50 = time.Duration(t.Latency.Quantile(0.50))
-	rep.LatencyP99 = time.Duration(t.Latency.Quantile(0.99))
-
 	// Injection coverage: a fault counts only when it fully applied.
 	for i, spec := range rep.Schedule {
 		switch spec.Kind {
@@ -530,41 +516,14 @@ func (r *chaosRun) audit(t *server.Tally, elapsed time.Duration) *ChaosReport {
 			}
 		}
 	}
-
 	rep.Fabric = r.f.Stats()
 	rep.ThreadFalseTakeovers = r.f.FalseTakeovers()
-	for _, v := range r.f.Violations() {
-		r.gates.Violationf("fabric: %s", v)
-	}
-	mttrs := r.f.MTTRs()
-	rep.MTTRCount = len(mttrs)
-	if len(mttrs) > 0 {
-		sort.Slice(mttrs, func(a, b int) bool { return mttrs[a] < mttrs[b] })
-		rep.MTTRP50 = mttrs[len(mttrs)/2]
-		rep.MTTRMax = mttrs[len(mttrs)-1]
-		if rep.MTTRMax > chaosMTTRBound {
-			r.gates.Violationf("failover MTTR %v exceeds bound %v", rep.MTTRMax, chaosMTTRBound)
-		}
-	}
-
-	rep.ReplayOK = r.faults.ReplayOK()
-	rep.Violations, rep.LostAcks = r.gates.Violations(), r.gates.LostAcks()
 	return rep
 }
 
 // FormatChaosReport renders a human-readable summary.
 func FormatChaosReport(r *ChaosReport) string {
 	var b strings.Builder
-	mode := "record"
-	if r.Replayed {
-		mode = "replay"
-	}
-	fmt.Fprintf(&b, "fabricchaos: %d pods x %d threads, %d shards, %d keys, %d issuers, seed %d, %v traffic (%s mode)\n",
-		r.Pods, r.Threads, r.Shards, r.Keys, r.Issuers, r.Seed, r.Elapsed.Round(time.Millisecond), mode)
-	fmt.Fprintf(&b, "  traffic:   %d ops (%.0f ops/s), %d acked (%d puts, %d deletes), %d gets, %d failed, %d crashed, %d retries\n",
-		r.Ops, r.Throughput, r.Acked, r.Puts, r.Deletes, r.Gets, r.Failed, r.Crashed, r.Retries)
-	fmt.Fprintf(&b, "  latency:   p50 %v  p99 %v\n", r.LatencyP50, r.LatencyP99)
-	fmt.Fprintf(&b, "  oracle:    %d reads checked, %d skipped (raced >1 transition)\n", r.ReadsChecked, r.ReadsSkipped)
 	fmt.Fprintf(&b, "  injected:  %d pod kills, %d pod fences, %d mig interrupts (%d faults scheduled)\n",
 		r.PodKills, r.PodFences, r.MigInterrupts, len(r.Schedule))
 	s := r.Fabric
@@ -575,17 +534,14 @@ func FormatChaosReport(r *ChaosReport) string {
 	if r.PendingAllocs > 0 {
 		fmt.Fprintf(&b, "  pending allocs adopted from rescues: %d\n", r.PendingAllocs)
 	}
-	if r.Replayed {
-		fmt.Fprintf(&b, "  replay:    schedule match = %v (%d faults)\n", r.ReplayOK, len(r.Schedule))
-	}
-	fmt.Fprintf(&b, "  gates:     %d violations, %d lost acks, %d false shard takeovers, %d thread false takeovers -> %s\n",
-		len(r.Violations), len(r.LostAcks), r.Fabric.FalseShardTakeovers, r.ThreadFalseTakeovers,
-		map[bool]string{true: "PASS", false: "FAIL"}[r.Ok()])
-	for _, v := range r.Violations {
-		fmt.Fprintf(&b, "    violation: %s\n", v)
-	}
-	for _, v := range r.LostAcks {
-		fmt.Fprintf(&b, "    lost-ack:  %s\n", v)
-	}
-	return b.String()
+	return r.Format(server.Lines{
+		Head: fmt.Sprintf("fabricchaos: %d pods x %d threads, %d shards, %d keys, %d issuers",
+			r.Pods, r.Threads, r.Shards, r.Keys, r.Issuers),
+		Traffic: fmt.Sprintf("%d acked (%d puts, %d deletes), %d gets, %d failed, %d crashed, %d retries",
+			r.Acked, r.Puts, r.Deletes, r.Gets, r.Failed, r.Crashed, r.Retries),
+		Body: b.String(),
+		Gates: fmt.Sprintf("%d violations, %d lost acks, %d false shard takeovers, %d thread false takeovers",
+			len(r.Violations), len(r.LostAcks), r.Fabric.FalseShardTakeovers, r.ThreadFalseTakeovers),
+		Ok: r.Ok(),
+	})
 }

@@ -178,11 +178,13 @@ func Reads(issuers []*Issuer) (checked, skipped uint64) {
 	return checked, skipped
 }
 
-// Tally is what closed-loop lanes did: every op by how it settled, the
-// acknowledged ones by kind, and their latency.
+// Tally is what lanes did: every op by how it settled, the acknowledged
+// ones by kind, and their latency. Good counts the acknowledgements that
+// came within the request deadline (all of them when there is none).
 type Tally struct {
 	Ops, Acked, Failed, Crashed uint64
 	Puts, Gets, Deletes         uint64
+	Good                        uint64
 	Latency                     telemetry.Hist
 }
 
@@ -194,6 +196,7 @@ func (t *Tally) add(o *Tally) {
 	t.Puts += o.Puts
 	t.Gets += o.Gets
 	t.Deletes += o.Deletes
+	t.Good += o.Good
 	t.Latency.Merge(&o.Latency)
 }
 
@@ -201,21 +204,38 @@ func (t *Tally) add(o *Tally) {
 // wait, settle, again — until stop is set. The channel yields what they
 // did once every lane has settled its last op.
 func Lanes(issuers []*Issuer, n int, stop *atomic.Bool) <-chan *Tally {
+	var lanes []func(*Tally)
+	for _, is := range issuers {
+		for range n {
+			lanes = append(lanes, func(t *Tally) {
+				req := NewRequest()
+				for !stop.Load() {
+					mark := is.Prepare(req)
+					is.issue(req, mark, time.Now(), t)
+				}
+			})
+		}
+	}
+	return gather(lanes)
+}
+
+// gather runs each lane on its own goroutine into its own Tally; the
+// channel yields their sum once the last lane has returned.
+func gather(lanes []func(*Tally)) <-chan *Tally {
 	done := make(chan *Tally, 1)
 	total := new(Tally)
 	var mu sync.Mutex
 	var wg sync.WaitGroup
-	for _, is := range issuers {
-		for l := 0; l < n; l++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				t := is.lane(stop)
-				mu.Lock()
-				total.add(t)
-				mu.Unlock()
-			}()
-		}
+	for _, lane := range lanes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			t := new(Tally)
+			lane(t)
+			mu.Lock()
+			total.add(t)
+			mu.Unlock()
+		}()
 	}
 	go func() {
 		wg.Wait()
@@ -224,33 +244,32 @@ func Lanes(issuers []*Issuer, n int, stop *atomic.Bool) <-chan *Tally {
 	return done
 }
 
-func (is *Issuer) lane(stop *atomic.Bool) *Tally {
-	t := new(Tally)
-	req := NewRequest()
-	for !stop.Load() {
-		mark := is.Prepare(req)
-		fired := time.Now()
-		resp := is.Client.Do(req)
-		t.Ops++
-		switch is.Finalize(req, mark, resp) {
-		case Acked:
-			t.Acked++
-			t.Latency.Observe(resp.DoneWall.Sub(fired))
-			switch req.Op {
-			case OpPut:
-				t.Puts++
-			case OpDelete:
-				t.Deletes++
-			default:
-				t.Gets++
-			}
-		case Crashed:
-			t.Crashed++
-		default:
-			t.Failed++
+// issue submits a prepared op, settles its response and tallies how it
+// settled. An acknowledgement's latency runs from fired.
+func (is *Issuer) issue(req *Request, mark uint64, fired time.Time, t *Tally) {
+	resp := is.Client.Do(req)
+	t.Ops++
+	switch is.Finalize(req, mark, resp) {
+	case Acked:
+		lat := resp.DoneWall.Sub(fired)
+		t.Acked++
+		t.Latency.Observe(lat)
+		if is.deadline == 0 || lat <= is.deadline {
+			t.Good++
 		}
+		switch req.Op {
+		case OpPut:
+			t.Puts++
+		case OpDelete:
+			t.Deletes++
+		default:
+			t.Gets++
+		}
+	case Crashed:
+		t.Crashed++
+	default:
+		t.Failed++
 	}
-	return t
 }
 
 // Preload puts keys [0, n) through sub, one acknowledged write each

@@ -60,10 +60,8 @@ type LiveConfig struct {
 	// drawing faults; the run ends when the schedule is exhausted.
 	Replay []chaos.FaultSpec
 	// LeaseWall is the wall-clock lease target the calibration phase
-	// tunes toward; Calibrate is the fault-free warmup used to measure
-	// the pod's tick rate.
+	// tunes toward.
 	LeaseWall time.Duration
-	Calibrate time.Duration
 }
 
 // A livechaos pod: four worker slots spread over two processes, each
@@ -87,7 +85,6 @@ func DefaultLiveConfig() LiveConfig {
 		Duration:  10 * time.Second,
 		FaultRate: 1.2,
 		LeaseWall: 400 * time.Millisecond,
-		Calibrate: 250 * time.Millisecond,
 	}
 }
 
@@ -95,35 +92,24 @@ func (c *LiveConfig) validate() error {
 	if c.Keys < liveThreads {
 		return fmt.Errorf("server: livechaos needs at least one key per worker (keys %d, threads %d)", c.Keys, liveThreads)
 	}
-	if c.Duration <= 0 || c.FaultRate <= 0 || c.LeaseWall <= 0 || c.Calibrate <= 0 {
-		return fmt.Errorf("server: livechaos needs a positive Duration, FaultRate, LeaseWall and Calibrate (got %v/%g/%v/%v)",
-			c.Duration, c.FaultRate, c.LeaseWall, c.Calibrate)
+	if c.Duration <= 0 || c.FaultRate <= 0 || c.LeaseWall <= 0 {
+		return fmt.Errorf("server: livechaos needs a positive Duration, FaultRate and LeaseWall (got %v/%g/%v)",
+			c.Duration, c.FaultRate, c.LeaseWall)
 	}
 	return nil
 }
 
-// LiveReport is one online chaos run's full outcome.
+// LiveReport is one online chaos run's full outcome. Its Failed ops were
+// rejected without a crash (e.g. transient out-of-memory).
 type LiveReport struct {
+	Report
 	Threads, Procs, Keys int
-	Seed                 uint64
-	Duration             time.Duration // configured traffic window
-	Elapsed              time.Duration // measured traffic wall time
-	Replayed             bool
-
-	// Traffic.
-	Ops, Acked                 uint64 // completed ops; acked writes
-	Puts, Gets, Deletes        uint64
-	Failed                     uint64 // ops rejected without a crash (e.g. transient OOM)
-	Crashes                    uint64 // ops the server saw crash mid-execution
-	ReadsChecked, ReadsSkipped uint64
-	Throughput                 float64 // completed ops per second of traffic
-	LatencyP50, LatencyP99     time.Duration
 
 	// Injection coverage.
+	Crashes                           uint64 // ops the server saw crash mid-execution
 	ThreadKills, ProcKills, NMPBursts int
 	NMPFaults                         uint64 // mCAS faults actually fired
 	CrashDiscards, LinesDropped       uint64 // adversarial persist resolutions
-	PendingAllocs                     int    // allocations adopted from repair reports
 
 	// Watchdog activity (all recovery is watchdog-only).
 	Repairs, Fenced, FalseAlarms, Rescues, SelfFences uint64
@@ -138,21 +124,10 @@ type LiveReport struct {
 
 	// CrashPoints tallies where the injected crashes actually landed.
 	CrashPoints map[string]uint64
-
-	// Schedule (record or replayed) and per-spec outcomes.
-	Schedule []chaos.FaultSpec
-	Outcomes []chaos.FaultOutcome
-	ReplayOK bool // replay mode: emitted schedule == loaded schedule
-
-	// Gates.
-	Violations []string
-	LostAcks   []string
 }
 
 // Ok reports whether all three correctness gates passed.
-func (r *LiveReport) Ok() bool {
-	return len(r.Violations) == 0 && len(r.LostAcks) == 0 && r.FalseTakeovers == 0
-}
+func (r *LiveReport) Ok() bool { return r.Verdict.Ok() && r.FalseTakeovers == 0 }
 
 // liveRun is the shared runtime state of one online chaos run.
 type liveRun struct {
@@ -248,12 +223,9 @@ func RunLive(cfg LiveConfig) (*LiveReport, error) {
 	// 4 ticks.
 	var warmStop atomic.Bool
 	warm := Lanes(r.issuers, liveLanes, &warmStop)
-	t0, c0 := time.Now(), r.clockNow()
-	time.Sleep(cfg.Calibrate)
-	t1, c1 := time.Now(), r.clockNow()
+	tickHz := chaos.TickRate(r.clockNow, chaos.Calibrate)
 	warmStop.Store(true)
 	<-warm
-	tickHz := float64(c1-c0) / t1.Sub(t0).Seconds()
 	r.retune(cxlalloc.LivenessConfig{RenewInterval: 4, GraceMult: chaos.LeaseTicks(tickHz, cfg.LeaseWall) / 4, PollInterval: 4}, tickHz)
 
 	// Phase 2 — live traffic with the injector.
@@ -274,15 +246,9 @@ func RunLive(cfg LiveConfig) (*LiveReport, error) {
 	r.inj.Disarm()
 	pod.Heap().NMP().ClearFaults()
 	elapsed := time.Since(start)
-	r.gates.Converge(chaos.ConvergeWait, func() []string {
-		down := chaos.SlotsDown(pod.Heap(), liveThreads)
-		if len(lanes) == 0 {
-			down = append(down, "lanes still awaiting responses")
-		}
-		return down
+	tally := EndWindow(&r.gates, chaos.ConvergeWait, lanes, r.srv.Stop, func() []string {
+		return chaos.SlotsDown(pod.Heap(), liveThreads)
 	})
-	r.srv.Stop() // answers whatever a failed convergence left waiting
-	tally := <-lanes
 
 	// Phase 4 — audit at quiescence.
 	rep := r.report(tally, snap0, kept0, elapsed)
@@ -290,11 +256,6 @@ func RunLive(cfg LiveConfig) (*LiveReport, error) {
 		telemetry.Stop()
 	}
 	return rep, nil
-}
-
-func (r *liveRun) clockNow() uint64 {
-	// HWcc load through the device; safe from any goroutine.
-	return r.Pod.Heap().ClockNow(0)
 }
 
 // --- injector --------------------------------------------------------
@@ -323,16 +284,10 @@ func (r *liveRun) aliveTids() []int {
 // alive and not mid-repair — and a mid-repair thread shows as alive
 // here — so the no-live-tids check cannot race a pending adoption.
 func (r *liveRun) killProcessSafely(spec chaos.FaultSpec, out *chaos.FaultOutcome) {
-	heap := r.Pod.Heap()
 	p := r.Procs[spec.Proc]
 	deadline := time.Now().Add(chaos.KillWait)
 	for round := 0; !p.Dead(); round++ {
-		var extra []int
-		for tid := 0; tid < liveThreads; tid++ {
-			if heap.Alive(tid) && r.Pod.OwnerOf(tid) == p {
-				extra = append(extra, tid)
-			}
-		}
+		extra := chaos.OwnedLive(r.Pod, p, liveThreads)
 		if len(extra) == 0 {
 			r.Pod.KillProcess(p)
 			out.ProcKilled = true
@@ -347,7 +302,7 @@ func (r *liveRun) killProcessSafely(spec chaos.FaultSpec, out *chaos.FaultOutcom
 			return
 		}
 		r.armPersist(spec, extra)
-		chaos.KillInOp(r.inj, spec.ArmProb, spec.ArmSeed+uint64(round+1), extra, heap.Alive, deadline)
+		chaos.KillInOp(r.inj, spec.ArmProb, spec.ArmSeed+uint64(round+1), extra, r.Pod.Heap().Alive, deadline)
 	}
 }
 
@@ -395,19 +350,13 @@ func (r *liveRun) plan(i int, rng *xrand.Rand) (chaos.FaultSpec, bool) {
 
 	case chaos.FaultProcKill:
 		// Eligible: a live process whose death leaves >= 2 live slots.
-		alive := r.aliveTids()
+		alive := len(r.aliveTids())
 		var cands []int
 		for pi, p := range r.Procs {
 			if p.Dead() {
 				continue
 			}
-			owned := 0
-			for _, tid := range alive {
-				if r.Pod.OwnerOf(tid) == p {
-					owned++
-				}
-			}
-			if owned > 0 && len(alive)-owned >= 2 {
+			if owned := chaos.OwnedLive(r.Pod, p, liveThreads); len(owned) > 0 && alive-len(owned) >= 2 {
 				cands = append(cands, pi)
 			}
 		}
@@ -415,13 +364,8 @@ func (r *liveRun) plan(i int, rng *xrand.Rand) (chaos.FaultSpec, bool) {
 			// Downgrade to a thread kill so the stream stays productive.
 			return r.planThreadKill(i, rng)
 		}
-		pi := cands[rng.Intn(len(cands))]
-		spec.Proc = pi
-		for _, tid := range alive {
-			if r.Pod.OwnerOf(tid) == r.Procs[pi] {
-				spec.Victims = append(spec.Victims, tid)
-			}
-		}
+		spec.Proc = cands[rng.Intn(len(cands))]
+		spec.Victims = chaos.OwnedLive(r.Pod, r.Procs[spec.Proc], liveThreads)
 		spec.ArmProb = chaos.ArmProb
 		spec.ArmSeed = rng.Uint64()
 		spec.PersistSeed = rng.Uint64() | 1
@@ -504,25 +448,10 @@ func (r *liveRun) apply(spec chaos.FaultSpec) chaos.FaultOutcome {
 func (r *liveRun) report(t *Tally, snap0 telemetry.Snapshot, kept0 int, elapsed time.Duration) *LiveReport {
 	cfg := r.cfg
 	rep := &LiveReport{
+		Report:  NewReport(cfg.Seed, elapsed, t, r.issuers, r.faults, r.audit()),
 		Threads: liveThreads, Procs: liveProcs, Keys: cfg.Keys,
-		Seed: cfg.Seed, Duration: cfg.Duration, Elapsed: elapsed,
-		Replayed: cfg.Replay != nil,
-		Schedule: r.faults.Schedule, Outcomes: r.faults.Outcomes,
+		Crashes: r.srv.Stats().WorkerCrashes,
 	}
-
-	rep.PendingAllocs = r.audit()
-
-	// Traffic counters.
-	rep.Ops, rep.Failed = t.Ops, t.Failed
-	rep.Puts, rep.Gets, rep.Deletes = t.Puts, t.Gets, t.Deletes
-	rep.Acked = t.Puts + t.Deletes
-	rep.Crashes = r.srv.Stats().WorkerCrashes
-	rep.ReadsChecked, rep.ReadsSkipped = Reads(r.issuers)
-	if elapsed > 0 {
-		rep.Throughput = float64(rep.Ops) / elapsed.Seconds()
-	}
-	rep.LatencyP50 = time.Duration(t.Latency.Quantile(0.50))
-	rep.LatencyP99 = time.Duration(t.Latency.Quantile(0.99))
 
 	// Injection coverage and watchdog tallies (delta over the run).
 	for i, spec := range rep.Schedule {
@@ -539,15 +468,11 @@ func (r *liveRun) report(t *Tally, snap0 telemetry.Snapshot, kept0 int, elapsed 
 			rep.NMPBursts++
 		}
 	}
-	snap := r.Pod.Snapshot()
-	rep.NMPFaults = snap.NMP.FaultsInjected - snap0.NMP.FaultsInjected
-	rep.CrashDiscards = snap.Chaos.CrashDiscards - snap0.Chaos.CrashDiscards
-	rep.LinesDropped = snap.Chaos.LinesDroppedAtCrash - snap0.Chaos.LinesDroppedAtCrash
-	rep.Repairs = snap.Liveness.Repairs
-	rep.Fenced = snap.Liveness.Fenced
-	rep.FalseAlarms = snap.Liveness.FalseAlarms
-	rep.Rescues = snap.Liveness.Rescues
-	rep.SelfFences = snap.Liveness.SelfFences
+	d := r.Pod.Snapshot().Delta(snap0)
+	rep.NMPFaults = d.NMP.FaultsInjected
+	rep.CrashDiscards, rep.LinesDropped = d.Chaos.CrashDiscards, d.Chaos.LinesDroppedAtCrash
+	rep.Repairs, rep.Fenced, rep.FalseAlarms = d.Liveness.Repairs, d.Liveness.Fenced, d.Liveness.FalseAlarms
+	rep.Rescues, rep.SelfFences = d.Liveness.Rescues, d.Liveness.SelfFences
 	rep.FalseTakeovers = r.Pod.FalseTakeovers()
 	rep.CrashPoints = r.inj.Fired()
 
@@ -567,10 +492,7 @@ func (r *liveRun) report(t *Tally, snap0 telemetry.Snapshot, kept0 int, elapsed 
 			durs = append(durs, time.Duration(sp.End-sp.Start))
 			ivs = append(ivs, iv{sp.Start, sp.End})
 		}
-		sort.Slice(durs, func(a, b int) bool { return durs[a] < durs[b] })
-		rep.MTTRP50 = durs[len(durs)/2]
-		rep.MTTRP99 = durs[(len(durs)*99)/100]
-		rep.MTTRMax = durs[len(durs)-1]
+		rep.MTTRP50, rep.MTTRP99, rep.MTTRMax = chaos.MTTR(durs)
 		// Availability: 1 - union(crash→repair intervals)/window. The
 		// union length is offset-invariant, so span timestamps need no
 		// rebasing onto the traffic window.
@@ -592,25 +514,12 @@ func (r *liveRun) report(t *Tally, snap0 telemetry.Snapshot, kept0 int, elapsed 
 	} else {
 		rep.Availability = 1
 	}
-
-	rep.ReplayOK = r.faults.ReplayOK()
-	rep.Violations, rep.LostAcks = r.gates.Violations(), r.gates.LostAcks()
 	return rep
 }
 
 // FormatLiveReport renders a human-readable summary.
 func FormatLiveReport(r *LiveReport) string {
 	var b strings.Builder
-	mode := "record"
-	if r.Replayed {
-		mode = "replay"
-	}
-	fmt.Fprintf(&b, "livechaos: %d threads / %d procs / %d keys, seed %d, %v traffic (%s mode)\n",
-		r.Threads, r.Procs, r.Keys, r.Seed, r.Elapsed.Round(time.Millisecond), mode)
-	fmt.Fprintf(&b, "  traffic:   %d ops (%.0f ops/s), %d acked writes (%d puts, %d deletes), %d gets, %d failed\n",
-		r.Ops, r.Throughput, r.Acked, r.Puts, r.Deletes, r.Gets, r.Failed)
-	fmt.Fprintf(&b, "  latency:   p50 %v  p99 %v\n", r.LatencyP50, r.LatencyP99)
-	fmt.Fprintf(&b, "  oracle:    %d reads checked, %d skipped (raced >1 transition)\n", r.ReadsChecked, r.ReadsSkipped)
 	fmt.Fprintf(&b, "  injected:  %d thread kills, %d proc kills, %d nmp bursts -> %d crashes, %d mCAS faults, %d crash-discards (%d lines dropped), %d pending allocs adopted\n",
 		r.ThreadKills, r.ProcKills, r.NMPBursts, r.Crashes, r.NMPFaults, r.CrashDiscards, r.LinesDropped, r.PendingAllocs)
 	if len(r.CrashPoints) > 0 {
@@ -628,16 +537,11 @@ func FormatLiveReport(r *LiveReport) string {
 	if r.KeptLost > 0 {
 		fmt.Fprintf(&b, "  WARNING:   %d retained events lost; MTTR/availability approximate\n", r.KeptLost)
 	}
-	if r.Replayed {
-		fmt.Fprintf(&b, "  replay:    schedule match = %v (%d faults)\n", r.ReplayOK, len(r.Schedule))
-	}
-	fmt.Fprintf(&b, "  gates:     %d invariant violations, %d lost acks, %d false takeovers -> %s\n",
-		len(r.Violations), len(r.LostAcks), r.FalseTakeovers, map[bool]string{true: "PASS", false: "FAIL"}[r.Ok()])
-	for _, v := range r.Violations {
-		fmt.Fprintf(&b, "    violation: %s\n", v)
-	}
-	for _, v := range r.LostAcks {
-		fmt.Fprintf(&b, "    lost-ack:  %s\n", v)
-	}
-	return b.String()
+	return r.Format(Lines{
+		Head:    fmt.Sprintf("livechaos: %d threads / %d procs / %d keys", r.Threads, r.Procs, r.Keys),
+		Traffic: fmt.Sprintf("%d acked writes (%d puts, %d deletes), %d gets, %d failed", r.Puts+r.Deletes, r.Puts, r.Deletes, r.Gets, r.Failed),
+		Body:    b.String(),
+		Gates:   fmt.Sprintf("%d invariant violations, %d lost acks, %d false takeovers", len(r.Violations), len(r.LostAcks), r.FalseTakeovers),
+		Ok:      r.Ok(),
+	})
 }

@@ -17,7 +17,6 @@ func TestLiveChaosShort(t *testing.T) {
 	cfg.Duration = 1500 * time.Millisecond
 	cfg.FaultRate = 2.0
 	cfg.Keys = 128
-	cfg.Calibrate = 150 * time.Millisecond
 	// Shared/few-core CI runners can stall a healthy worker past the
 	// default 400ms lease wall, storming benign false alarms that the
 	// strict takeover gate counts. The wall is not what these tests
@@ -52,7 +51,6 @@ func TestLiveConfigRejectsZeroes(t *testing.T) {
 		func(c *LiveConfig) { c.Duration = 0 },
 		func(c *LiveConfig) { c.FaultRate = 0 },
 		func(c *LiveConfig) { c.LeaseWall = 0 },
-		func(c *LiveConfig) { c.Calibrate = 0 },
 	} {
 		cfg := DefaultLiveConfig()
 		zero(&cfg)
@@ -73,7 +71,6 @@ func TestLiveChaosReplay(t *testing.T) {
 	cfg.Duration = 1500 * time.Millisecond
 	cfg.FaultRate = 2.0
 	cfg.Keys = 128
-	cfg.Calibrate = 150 * time.Millisecond
 	cfg.LeaseWall = time.Second // see TestLiveChaosShort
 	rec, err := RunLive(cfg)
 	if err != nil {

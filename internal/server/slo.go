@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -108,8 +107,8 @@ type SLOPoint struct {
 
 // SLOReport is one run's full outcome.
 type SLOReport struct {
+	Verdict
 	Threads, Procs, Keys, Clients int
-	Seed                          uint64
 	Deadline, Window              time.Duration
 
 	Capacity   float64 // closed-loop acked ops/sec
@@ -120,11 +119,6 @@ type SLOReport struct {
 	// Chaos variant.
 	Kills, ProcKills int
 	FalseTakeovers   uint64
-
-	PendingAllocs              int
-	ReadsChecked, ReadsSkipped uint64
-	Violations                 []string
-	LostAcks                   []string
 }
 
 // SLOGates is the run's pass/fail summary.
@@ -180,22 +174,6 @@ func (g SLOGates) Ok() bool {
 
 // --- run state -------------------------------------------------------
 
-type pointTally struct {
-	offered, clientDrops atomic.Uint64
-	acked, good          atomic.Uint64
-
-	mu   sync.Mutex
-	hist *telemetry.Hist
-}
-
-func newPointTally() *pointTally { return &pointTally{hist: new(telemetry.Hist)} }
-
-func (t *pointTally) observe(d time.Duration) {
-	t.mu.Lock()
-	t.hist.Observe(d)
-	t.mu.Unlock()
-}
-
 // podService is a Server over one chaos.PodTarget, with the oracle and
 // the issuers that drive it: the half of a run livechaos and slo/slochaos
 // share.
@@ -244,6 +222,10 @@ func (p *podService) startServer() {
 		}
 	}
 }
+
+// clockNow reads the pod's logical clock (an HWcc load through the
+// device; safe from any goroutine).
+func (p *podService) clockNow() uint64 { return p.Pod.Heap().ClockNow(0) }
 
 // retune is the quiesce-and-retune step between a harness's fault-free
 // calibration and its fault phase. RetuneLiveness requires no thread
@@ -315,121 +297,83 @@ func buildSLORun(cfg SLOConfig, inj *crash.Injector) (*sloRun, error) {
 	return r, nil
 }
 
-// settle finalizes one response against the oracle and folds an
-// acknowledgement's latency into the point's tally.
-func (r *sloRun) settle(is *Issuer, req *Request, mark uint64, fired time.Time, resp *Response, t *pointTally) {
-	if is.Finalize(req, mark, resp) != Acked {
-		return
-	}
-	lat := resp.DoneWall.Sub(fired)
-	t.observe(lat)
-	t.acked.Add(1)
-	if lat <= sloDeadline {
-		t.good.Add(1)
-	}
-}
-
-// closedLoop drives every issuer back-to-back for the window (the
-// capacity phase). Each issuer runs several lanes so the pool of
-// outstanding requests comfortably saturates the workers — capacity
-// must be the service's real ceiling, or the sweep's "2x" point is not
-// actually overload.
-func (r *sloRun) closedLoop(window time.Duration) *pointTally {
-	t := newPointTally()
-	const lanes = min(8, sloMaxInFlight)
-	deadline := time.Now().Add(window)
-	var wg sync.WaitGroup
-	for _, is := range r.issuers {
-		for l := 0; l < lanes; l++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				req := NewRequest()
-				for time.Now().Before(deadline) {
-					mark := is.Prepare(req)
-					t.offered.Add(1)
-					fired := time.Now()
-					r.settle(is, req, mark, fired, is.Client.Do(req), t)
-				}
-			}()
-		}
-	}
-	wg.Wait()
-	return t
-}
-
-// capacityPhase measures 1x: the closed loop's acked rate, and the pod
-// clock's wall rate under it (the calibration every tick-denominated
-// quantity later in the run is sized from). It fails the run when the
-// phase acked nothing, and when the harness pod turned out too small for
-// the rate it measured: MemPressure only ever rises, so a capacity burst
-// that reaches the soft watermark has every later phase shedding writes,
-// and the run would report the pod's size, not the service's behaviour.
+// capacityPhase measures 1x: the acked rate of closed-loop lanes — eight
+// per issuer, so the outstanding requests comfortably saturate the
+// workers (capacity must be the service's real ceiling, or the sweep's
+// "2x" point is not actually overload) — and the pod clock's wall rate
+// under them (the calibration every tick-denominated quantity later in
+// the run is sized from). It fails the run when the phase acked
+// nothing, and when the harness pod turned out too small for the rate it
+// measured: MemPressure only ever rises, so a capacity burst that
+// reaches the soft watermark has every later phase shedding writes, and
+// the run would report the pod's size, not the service's behaviour.
 func (r *sloRun) capacityPhase(rep *SLOReport) error {
-	heap := r.Pod.Heap()
-	c0, t0 := heap.ClockNow(0), time.Now()
-	capT := r.closedLoop(r.cfg.Window)
-	c1, t1 := heap.ClockNow(0), time.Now()
-	if wall := t1.Sub(t0).Seconds(); wall > 0 {
-		rep.Capacity = float64(capT.acked.Load()) / wall
-		rep.TickRate = float64(c1-c0) / wall
-	}
+	var stop atomic.Bool
+	start := time.Now()
+	lanes := Lanes(r.issuers, 8, &stop)
+	rep.TickRate = chaos.TickRate(r.clockNow, r.cfg.Window)
+	stop.Store(true)
+	rep.Capacity = float64((<-lanes).Acked) / time.Since(start).Seconds()
 	if rep.Capacity == 0 {
 		r.report(rep)
 		return fmt.Errorf("server: capacity phase acked nothing")
 	}
-	if p, soft := heap.MemPressure(0), softWatermark; p >= soft {
+	if p, soft := r.Pod.Heap().MemPressure(0), softWatermark; p >= soft {
 		r.report(rep)
 		return fmt.Errorf("server: harness pod too small for %.0f ops/sec: memory pressure %.2f after the capacity phase is at the soft watermark (%.2f); raise MaxLargeSlabs in buildSLORun", rep.Capacity, p, soft)
 	}
 	return nil
 }
 
-// openLoop offers rate ops/sec for the window: arrivals are paced by a
-// seeded Poisson process per issuer, independent of response latency —
-// the load does not slow down because the service did. Each issuer owns
-// sloMaxInFlight persistent lanes (its connection limit); an arrival that
-// finds every lane busy and the fire buffer full is a client-side
-// drop, counted against goodput like any other failure. The pacer
-// wakes on a coarse quantum and fires everything due, so pacing costs
-// a bounded number of wakeups rather than one per arrival.
-func (r *sloRun) openLoop(rate float64, window time.Duration, salt uint64) (*pointTally, time.Duration) {
-	t := newPointTally()
-	per := rate / float64(len(r.issuers))
+// openLoop offers p.TargetRate ops/sec for the window: arrivals are
+// paced by a seeded Poisson process per issuer, independent of response
+// latency — the load does not slow down because the service did. Each
+// issuer owns sloMaxInFlight persistent lanes (its connection limit); an
+// arrival that finds every lane busy and the fire buffer full is a
+// client-side drop, counted against goodput like any other failure. The
+// pacer wakes on a coarse quantum and fires everything due, so pacing
+// costs a bounded number of wakeups rather than one per arrival. It
+// fills p's arrivals, drops and elapsed time and returns what the lanes
+// did.
+func (r *sloRun) openLoop(p *SLOPoint, window time.Duration, salt uint64) *Tally {
+	per := p.TargetRate / float64(len(r.issuers))
 	start := time.Now()
 	stop := start.Add(window)
-	var wg sync.WaitGroup
+	fires := make([]chan time.Time, len(r.issuers))
+	var lanes []func(*Tally)
 	for i, is := range r.issuers {
 		fire := make(chan time.Time, sloMaxInFlight)
-		var lanes sync.WaitGroup
-		for l := 0; l < sloMaxInFlight; l++ {
-			lanes.Add(1)
-			go func() {
-				defer lanes.Done()
+		fires[i] = fire
+		for range sloMaxInFlight {
+			lanes = append(lanes, func(t *Tally) {
 				req := NewRequest()
 				for fired := range fire {
 					mark := is.Prepare(req)
-					r.settle(is, req, mark, fired, is.Client.Do(req), t)
+					is.issue(req, mark, fired, t)
 				}
-			}()
+			})
 		}
-		wg.Add(1)
-		go func(i int, is *Issuer, fire chan time.Time) {
-			defer wg.Done()
+	}
+	done := gather(lanes)
+	var offered, drops atomic.Uint64
+	for i, fire := range fires {
+		go func() {
+			// Closing fire ends this issuer's lanes: once the lanes' tally
+			// is in, so are this pacer's counts.
+			defer close(fire)
 			arr := workload.NewArrivals(xrand.Mix(r.cfg.Seed^salt)+uint64(i), per)
-			next := time.Now()
-			for {
+			for next := time.Now(); ; {
 				now := time.Now()
 				if now.After(stop) {
-					break
+					return
 				}
 				for !next.After(now) {
 					next = next.Add(arr.Next())
-					t.offered.Add(1)
+					offered.Add(1)
 					select {
 					case fire <- now:
 					default:
-						t.clientDrops.Add(1)
+						drops.Add(1)
 					}
 				}
 				sleep := next.Sub(now)
@@ -440,12 +384,11 @@ func (r *sloRun) openLoop(rate float64, window time.Duration, salt uint64) (*poi
 				}
 				time.Sleep(sleep)
 			}
-			close(fire)
-			lanes.Wait()
-		}(i, is, fire)
+		}()
 	}
-	wg.Wait()
-	return t, time.Since(start)
+	t := <-done
+	p.Offered, p.ClientDrops, p.Elapsed = offered.Load(), drops.Load(), time.Since(start)
+	return t
 }
 
 func (r *sloRun) retriesNow() uint64 {
@@ -460,30 +403,19 @@ func totalShed(s telemetry.ServerStats) uint64 {
 	return s.ShedQueueFull + s.ShedCoDel + s.ShedDeadline + s.ShedWrite + s.ShedPodFull + s.ShedBreaker
 }
 
-// summarize folds a tally plus the stat deltas into a point.
-func (r *sloRun) summarize(mult, rate float64, t *pointTally, elapsed time.Duration, s0 telemetry.ServerStats, r0 uint64) SLOPoint {
-	sd := statsDelta(r.srv.Stats(), s0)
-	p := SLOPoint{
-		Mult:        mult,
-		TargetRate:  rate,
-		Elapsed:     elapsed,
-		Offered:     t.offered.Load(),
-		ClientDrops: t.clientDrops.Load(),
-		Acked:       t.acked.Load(),
-		Good:        t.good.Load(),
-		Server:      sd,
-		Retries:     r.retriesNow() - r0,
-		TotalShed:   totalShed(sd),
+// summarize fills the rest of point p from its lanes' tally and the
+// server and client counters since s0 and r0.
+func (r *sloRun) summarize(p *SLOPoint, t *Tally, s0 telemetry.ServerStats, r0 uint64) {
+	p.Server = statsDelta(r.srv.Stats(), s0)
+	p.TotalShed = totalShed(p.Server)
+	p.Retries = r.retriesNow() - r0
+	p.Acked, p.Good = t.Acked, t.Good
+	if p.Elapsed > 0 {
+		p.Goodput = float64(p.Good) / p.Elapsed.Seconds()
 	}
-	if elapsed > 0 {
-		p.Goodput = float64(p.Good) / elapsed.Seconds()
-	}
-	t.mu.Lock()
-	p.P50 = time.Duration(t.hist.Quantile(0.50))
-	p.P99 = time.Duration(t.hist.Quantile(0.99))
-	p.P999 = time.Duration(t.hist.Quantile(0.999))
-	t.mu.Unlock()
-	return p
+	p.P50 = time.Duration(t.Latency.Quantile(0.50))
+	p.P99 = time.Duration(t.Latency.Quantile(0.99))
+	p.P999 = time.Duration(t.Latency.Quantile(0.999))
 }
 
 func statsDelta(s, prev telemetry.ServerStats) telemetry.ServerStats {
@@ -493,9 +425,7 @@ func statsDelta(s, prev telemetry.ServerStats) telemetry.ServerStats {
 
 // report runs the end-of-run audit into rep.
 func (r *sloRun) report(rep *SLOReport) {
-	rep.PendingAllocs = r.audit()
-	rep.ReadsChecked, rep.ReadsSkipped = Reads(r.issuers)
-	rep.Violations, rep.LostAcks = r.gates.Violations(), r.gates.LostAcks()
+	rep.Verdict = verdict(r.cfg.Seed, r.audit(), r.issuers, &r.gates)
 }
 
 // openSLO is the opening RunSLO and RunSLOChaos share: build the pod and
@@ -517,8 +447,9 @@ func openSLO(cfg SLOConfig, inj *crash.Injector) (*sloRun, *SLOReport, error) {
 		return nil, nil, err
 	}
 	rep := &SLOReport{
+		Verdict: Verdict{Seed: cfg.Seed},
 		Threads: cfg.Threads, Procs: cfg.Procs, Keys: cfg.Keys, Clients: cfg.Clients,
-		Seed: cfg.Seed, Deadline: sloDeadline, Window: cfg.Window,
+		Deadline: sloDeadline, Window: cfg.Window,
 	}
 	return r, rep, r.capacityPhase(rep)
 }
@@ -534,10 +465,10 @@ func RunSLO(cfg SLOConfig) (*SLOReport, error) {
 
 	// Open-loop sweep.
 	for pi, mult := range cfg.Rates {
-		rate := mult * rep.Capacity
+		p := SLOPoint{Mult: mult, TargetRate: mult * rep.Capacity}
 		s0, r0 := r.srv.Stats(), r.retriesNow()
-		t, elapsed := r.openLoop(rate, cfg.Window, uint64(pi)+0x510)
-		rep.Points = append(rep.Points, r.summarize(mult, rate, t, elapsed, s0, r0))
+		r.summarize(&p, r.openLoop(&p, cfg.Window, uint64(pi)+0x510), s0, r0)
+		rep.Points = append(rep.Points, p)
 	}
 
 	r.report(rep)

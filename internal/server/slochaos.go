@@ -43,9 +43,10 @@ func RunSLOChaos(cfg SLOConfig) (*SLOReport, error) {
 		defer close(injDone)
 		r.injectFaults(rep, window)
 	}()
-	t, elapsed := r.openLoop(2*rep.Capacity, window, 0xc4a05)
+	p := SLOPoint{Mult: 2, TargetRate: 2 * rep.Capacity}
+	t := r.openLoop(&p, window, 0xc4a05)
 	<-injDone
-	p := r.summarize(2, 2*rep.Capacity, t, elapsed, s0, r0)
+	r.summarize(&p, t, s0, r0)
 	rep.ChaosPoint = &p
 
 	// Phase 3 — convergence: traffic has drained; the workers' idle
@@ -107,13 +108,7 @@ func (r *sloRun) injectFaults(rep *SLOReport, window time.Duration) {
 			// slots into it — if so, leave it be; the thread kills alone
 			// already opened the breaker).
 			p := r.Procs[g]
-			owned := 0
-			for tid := 0; tid < cfg.Threads; tid++ {
-				if heap.Alive(tid) && r.Pod.OwnerOf(tid) == p {
-					owned++
-				}
-			}
-			if !p.Dead() && owned == 0 {
+			if !p.Dead() && len(chaos.OwnedLive(r.Pod, p, cfg.Threads)) == 0 {
 				r.Pod.KillProcess(p)
 				rep.ProcKills++
 			}

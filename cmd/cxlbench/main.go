@@ -109,19 +109,19 @@ func newFlags(name string) *flag.FlagSet {
 func experiments() []*experiment {
 	return []*experiment{
 		paperExp("table1", "property matrix across allocators (Table 1)", bench.RunTable1),
-		paperExp("table2", "YCSB workload suite at default scale (Table 2)", func(sc bench.Scale) ([]bench.Row, error) { return bench.RunTable2(sc, 0) }),
-		paperExp("fig7", "recovery time vs live objects (Figure 7)", func(sc bench.Scale) ([]bench.Row, error) { return bench.RunFig7(sc, 0, 0) }),
+		paperExp("table2", "workload statistics measured from the generators (Table 2)", func(sc bench.Scale) ([]bench.Row, error) { return bench.RunTable2(sc, 0) }),
+		paperExp("fig7", "recoverable structures timed under 0, 1 or 2 thread crashes (Figure 7)", func(sc bench.Scale) ([]bench.Row, error) { return bench.RunFig7(sc, 0, 0) }),
 		fig8Exp(),
-		paperExp("fig9", "multi-process scaling (Figure 9)", bench.RunFig9),
-		paperExp("fig10", "PSS footprint under churn (Figure 10)", func(sc bench.Scale) ([]bench.Row, error) { return bench.RunFig10(sc, nil) }),
+		paperExp("fig9", "small-object microbenchmarks across allocators (Figure 9)", bench.RunFig9),
+		paperExp("fig10", "huge-allocation microbenchmarks across process counts (Figure 10)", func(sc bench.Scale) ([]bench.Row, error) { return bench.RunFig10(sc, nil) }),
 		paperExp("fig11", "operation latency percentiles by thread count (Figure 11)", func(sc bench.Scale) ([]bench.Row, error) {
 			return bench.RunFig11(sc.Threads, max(sc.Ops/100, 200))
 		}),
-		paperExp("fig12", "HWcc traffic accounting (Figure 12)", bench.RunFig12),
+		paperExp("fig12", "throughput under the DRAM, HWcc and mCAS coherence models (Figure 12)", bench.RunFig12),
 		paperExp("ablation-recovery", "recovery path ablation", bench.RunAblationRecovery),
 		paperExp("ablation-owner-cache", "owner-cache ablation", bench.RunAblationOwnerCache),
 		paperExp("ablation-hwcc", "HWcc accounting ablation", bench.RunAblationHWccAccounting),
-		paperExp("ablation-disown", "disown batching ablation", func(sc bench.Scale) ([]bench.Row, error) { return bench.RunAblationDisown(sc, 0) }),
+		paperExp("ablation-disown", "disowned-slab-state ablation", func(sc bench.Scale) ([]bench.Row, error) { return bench.RunAblationDisown(sc, 0) }),
 		paperExp("chaos", "crash-point sweep gate (thread/process kills, NMP faults)", runChaos),
 		persistExp(),
 		paperExp("mttr", "watchdog repair-time distribution", bench.RunMTTR),

@@ -217,7 +217,7 @@ func (pod *Pod) FalseTakeovers() uint64 {
 	var n uint64
 	for _, p := range procs {
 		if p.mgr != nil {
-			n += p.mgr.FalseTakeovers()
+			n += p.mgr.Stats().FalseTakeovers
 		}
 	}
 	return n
@@ -235,15 +235,9 @@ func (pod *Pod) Snapshot() telemetry.Snapshot {
 	procs := append([]*Process(nil), pod.procs...)
 	pod.mu.Unlock()
 	for _, p := range procs {
-		if p.mgr == nil {
-			continue
+		if p.mgr != nil {
+			s.Liveness = telemetry.Add(s.Liveness, p.mgr.Stats())
 		}
-		s.Liveness.Repairs += p.mgr.Count(liveness.KindRepair)
-		s.Liveness.Fenced += p.mgr.Count(liveness.KindFenced)
-		s.Liveness.FalseAlarms += p.mgr.Count(liveness.KindFalseAlarm)
-		s.Liveness.Rescues += p.mgr.Count(liveness.KindRescue)
-		s.Liveness.SelfFences += p.mgr.Count(liveness.KindSelfFence)
-		s.Liveness.FalseTakeovers += p.mgr.FalseTakeovers()
 	}
 	return s
 }

@@ -54,15 +54,6 @@ func (m Mode) String() string {
 	}
 }
 
-// HWStats counts degraded-mode events on the hw_cas (mCAS) path: device
-// faults observed, bounded retries, and CASes that completed through the
-// sw_flush_cas fallback instead of the NMP unit.
-type HWStats struct {
-	MCASFaults  uint64 // faulted mCAS attempts observed by CAS
-	MCASRetries uint64 // retries issued after a fault
-	Fallbacks   uint64 // CASes completed via the sw_flush_cas fallback
-}
-
 // mcasAttempts bounds the retry loop on a faulting NMP unit: the first
 // attempt plus three retries with exponential backoff, after which CAS
 // degrades to sw_flush_cas.
@@ -194,11 +185,11 @@ func (h *HW) CAS(tid, w int, old, new uint64) (cur uint64, ok bool) {
 }
 
 // Stats returns a snapshot of the degraded-mode counters.
-func (h *HW) Stats() HWStats {
-	return HWStats{
-		MCASFaults:  h.mcasFaults.Load(),
-		MCASRetries: h.mcasRetries.Load(),
-		Fallbacks:   h.fallbacks.Load(),
+func (h *HW) Stats() telemetry.HWStats {
+	return telemetry.HWStats{
+		MCASFaults:     h.mcasFaults.Load(),
+		MCASRetries:    h.mcasRetries.Load(),
+		HWCASFallbacks: h.fallbacks.Load(),
 	}
 }
 

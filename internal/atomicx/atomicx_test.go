@@ -332,7 +332,7 @@ func TestCASRetriesTransientFaults(t *testing.T) {
 		t.Fatalf("swap lost: %d", got)
 	}
 	s := hw.Stats()
-	if s.MCASFaults != 2 || s.MCASRetries != 2 || s.Fallbacks != 0 {
+	if s.MCASFaults != 2 || s.MCASRetries != 2 || s.HWCASFallbacks != 0 {
 		t.Fatalf("stats = %+v, want 2 faults, 2 retries, 0 fallbacks", s)
 	}
 }
@@ -355,8 +355,8 @@ func TestCASFallsBackWhenUnitDown(t *testing.T) {
 		t.Fatalf("fallback CAS failure path: cur=%d ok=%v", cur, ok)
 	}
 	s := hw.Stats()
-	if s.Fallbacks != 2 {
-		t.Fatalf("fallbacks = %d, want 2", s.Fallbacks)
+	if s.HWCASFallbacks != 2 {
+		t.Fatalf("fallbacks = %d, want 2", s.HWCASFallbacks)
 	}
 	if s.MCASFaults != 2*mcasAttempts || s.MCASRetries != 2*(mcasAttempts-1) {
 		t.Fatalf("stats = %+v, want %d faults, %d retries", s, 2*mcasAttempts, 2*(mcasAttempts-1))
@@ -366,7 +366,7 @@ func TestCASFallsBackWhenUnitDown(t *testing.T) {
 	if _, ok := hw.CAS(0, 2, 41, 43); !ok {
 		t.Fatal("CAS after unit recovery failed")
 	}
-	if s := hw.Stats(); s.Fallbacks != 2 {
-		t.Fatalf("fallbacks grew after recovery: %d", s.Fallbacks)
+	if s := hw.Stats(); s.HWCASFallbacks != 2 {
+		t.Fatalf("fallbacks grew after recovery: %d", s.HWCASFallbacks)
 	}
 }

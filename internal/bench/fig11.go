@@ -7,7 +7,6 @@ import (
 
 	"cxlalloc/internal/memsim"
 	"cxlalloc/internal/nmp"
-	"cxlalloc/internal/stats"
 	"cxlalloc/internal/telemetry"
 )
 
@@ -57,7 +56,7 @@ func RunFig11(threadCounts []int, opsPerThread int) ([]Row, error) {
 // (telemetry.Hist) instead of raw sample slices: constant memory per
 // thread regardless of opsPerThread, and the merged percentiles are
 // within one log-bucket (~3%) of the exact sorted-sample values.
-func measureCAS(impl string, threads, opsPerThread int, lat *memsim.Latency) stats.Percentiles {
+func measureCAS(impl string, threads, opsPerThread int, lat *memsim.Latency) telemetry.Percentiles {
 	dev := memsim.NewDevice(memsim.Config{HWccWords: 64})
 	var unit *nmp.Unit
 	if impl == "hw_cas" {

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"cxlalloc/internal/alloc"
 	"cxlalloc/internal/atomicx"
 	"cxlalloc/internal/baselines/ralloc"
 	"cxlalloc/internal/memsim"
@@ -59,5 +58,3 @@ func RunFig12(sc Scale) ([]Row, error) {
 	}
 	return rows, nil
 }
-
-var _ = alloc.Ptr(0)

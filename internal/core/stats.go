@@ -118,7 +118,7 @@ func (h *Heap) PublishStats() {
 // concurrently with running mutators: every field comes from an atomic
 // counter, a mutex-guarded structure, or a published mirror that lags
 // its owner by a bounded number of operations. cxlalloc.(*Pod).Snapshot
-// overlays the liveness watchdog's counters on top.
+// adds the liveness watchdogs' counters.
 func (h *Heap) Snapshot() telemetry.Snapshot {
 	var s telemetry.Snapshot
 	for tid := range h.threads {
@@ -126,14 +126,7 @@ func (h *Heap) Snapshot() telemetry.Snapshot {
 		c := h.threads[tid].cache
 		h.recMu[tid].Unlock()
 		if c != nil {
-			cs := c.SharedStats()
-			s.Cache.Loads += cs.Loads
-			s.Cache.Hits += cs.Hits
-			s.Cache.Stores += cs.Stores
-			s.Cache.Fetches += cs.Fetches
-			s.Cache.Writebacks += cs.Writebacks
-			s.Cache.Flushes += cs.Flushes
-			s.Cache.Fences += cs.Fences
+			s.Cache = telemetry.Add(s.Cache, c.SharedStats())
 		}
 		// Frees before allocs — the mirror image of threadOps.publish,
 		// which stores each class's allocs before its frees. A publish
@@ -151,24 +144,9 @@ func (h *Heap) Snapshot() telemetry.Snapshot {
 		s.Alloc.LargeAllocs += to.pub[ocLargeAlloc].Load()
 		s.Alloc.HugeAllocs += to.pub[ocHugeAlloc].Load()
 	}
-	hs := h.hw.Stats()
-	s.HW = telemetry.HWStats{
-		MCASFaults:     hs.MCASFaults,
-		MCASRetries:    hs.MCASRetries,
-		HWCASFallbacks: hs.Fallbacks,
-	}
+	s.HW = h.hw.Stats()
 	if h.unit != nil {
-		ns := h.unit.Stats()
-		s.NMP = telemetry.NMPStats{
-			SpWrs:          ns.SpWrs,
-			SpRds:          ns.SpRds,
-			Successes:      ns.Successes,
-			Failures:       ns.Failures,
-			Conflicts:      ns.Conflicts,
-			FaultsInjected: ns.FaultsInjected,
-			Loads:          ns.Loads,
-			Stores:         ns.Stores,
-		}
+		s.NMP = h.unit.Stats()
 	}
 	if h.cfg.Crash != nil {
 		s.Chaos.CrashPointsInstrumented = uint64(len(h.cfg.Crash.PointNames()))

@@ -178,7 +178,6 @@ type Manager struct {
 	pending map[int]core.ClaimToken
 
 	falseTakeovers atomic.Uint64
-	repairs        atomic.Uint64
 
 	// counts tallies emitted events per Kind; snapshot readers load them
 	// concurrently with a running pod.
@@ -225,20 +224,20 @@ func (m *Manager) Retune(cfg Config) {
 	m.pollMu.Unlock()
 }
 
-// FalseTakeovers returns how many claims this manager won on slots that
-// were actually alive. Must stay 0 under a sane grace multiple.
-func (m *Manager) FalseTakeovers() uint64 { return m.falseTakeovers.Load() }
-
-// Repairs returns how many repairs this manager committed.
-func (m *Manager) Repairs() uint64 { return m.repairs.Load() }
-
-// Count returns how many events of kind k this manager has emitted.
-// Safe to call concurrently with a running pod.
-func (m *Manager) Count(k Kind) uint64 {
-	if k < 0 || int(k) >= len(m.counts) {
-		return 0
+// Stats returns this manager's share of the liveness counters: the
+// watchdog outcomes it emitted, and its false takeovers — claims it won
+// on slots that were actually alive, which must stay 0 under a sane
+// grace multiple. (The heap counts Renews and Claims.) Safe to call
+// concurrently with a running pod.
+func (m *Manager) Stats() telemetry.LivenessStats {
+	return telemetry.LivenessStats{
+		Repairs:        m.counts[KindRepair].Load(),
+		Fenced:         m.counts[KindFenced].Load(),
+		FalseAlarms:    m.counts[KindFalseAlarm].Load(),
+		Rescues:        m.counts[KindRescue].Load(),
+		SelfFences:     m.counts[KindSelfFence].Load(),
+		FalseTakeovers: m.falseTakeovers.Load(),
 	}
-	return m.counts[k].Load()
 }
 
 // Heartbeat is one liveness step for thread tid, piggybacked on every
@@ -403,7 +402,6 @@ func (m *Manager) pollSlot(tid, v int, epoch uint16, now uint64, seen uint16) {
 		heap.LeaseAcquire(v, now+m.cfg.LeaseTicks())
 		heap.ClaimRelease(v, tok)
 		delete(m.pending, v)
-		m.repairs.Add(1)
 		m.emit(Event{Kind: KindRepair, Tick: now, Victim: v, Claimant: tid,
 			Gen: tok.Gen, Report: rep})
 

@@ -146,7 +146,7 @@ func (e *tenv) count(victim int, k Kind) int {
 func (e *tenv) falseTakeovers() uint64 {
 	var n uint64
 	for _, m := range e.mgrs {
-		n += m.FalseTakeovers()
+		n += m.Stats().FalseTakeovers
 	}
 	return n
 }

@@ -95,10 +95,10 @@ func TestHeartbeatConcurrentStress(t *testing.T) {
 		}
 	}
 	for p, m := range mgrs {
-		if ft := m.FalseTakeovers(); ft != 0 {
+		if ft := m.Stats().FalseTakeovers; ft != 0 {
 			t.Errorf("manager %d: %d false takeovers", p, ft)
 		}
-		if r := m.Repairs(); r != 0 {
+		if r := m.Stats().Repairs; r != 0 {
 			t.Errorf("manager %d: %d repairs of healthy threads", p, r)
 		}
 	}

@@ -54,7 +54,7 @@ const (
 // one integer compare plus an array access.
 type Cache struct {
 	dev   *Device
-	stats CacheStats
+	stats telemetry.CacheStats
 
 	// owner is the simulated thread this core-private cache belongs to
 	// (telemetry.SystemTID until SetOwner); it tags trace events.
@@ -104,18 +104,6 @@ type cacheSlot struct {
 	words [LineWords]uint64
 }
 
-// CacheStats counts coherence-relevant events; the benchmarks report
-// them to show where the SWcc protocol pays its costs.
-type CacheStats struct {
-	Loads      uint64 // loads served (hit or miss)
-	Hits       uint64 // loads/stores served from a resident line
-	Stores     uint64
-	Fetches    uint64 // lines fetched from device memory
-	Writebacks uint64 // lines written back to device memory
-	Flushes    uint64 // explicit Flush calls (incl. LoadFresh's, both modes)
-	Fences     uint64
-}
-
 // initialSlots is the starting table size: 64 slots ≈ 4.5 KiB per
 // thread, enough for a thread's descriptor working set without growth in
 // the common case.
@@ -158,8 +146,8 @@ func (c *Cache) publish() {
 // SharedStats returns the last published counters. Unlike Stats it is
 // safe to call from any goroutine while the owner is running; the view
 // lags the owner by at most pubEvery fences.
-func (c *Cache) SharedStats() CacheStats {
-	return CacheStats{
+func (c *Cache) SharedStats() telemetry.CacheStats {
+	return telemetry.CacheStats{
 		Loads:      c.pub[0].Load(),
 		Hits:       c.pub[1].Load(),
 		Stores:     c.pub[2].Load(),
@@ -298,7 +286,7 @@ func (c *Cache) evict(pos uint32) {
 // SharedStats for concurrent readers. Calling it also republishes the
 // shared mirror, so a quiesce-then-Stats sequence leaves SharedStats
 // exact too.
-func (c *Cache) Stats() CacheStats {
+func (c *Cache) Stats() telemetry.CacheStats {
 	c.publish()
 	return c.stats
 }

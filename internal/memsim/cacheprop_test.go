@@ -15,6 +15,7 @@ import (
 	"sort"
 	"testing"
 
+	"cxlalloc/internal/telemetry"
 	"cxlalloc/internal/xrand"
 )
 
@@ -24,7 +25,7 @@ import (
 type refCache struct {
 	dev    *Device
 	lines  map[int]*refLine
-	stats  CacheStats
+	stats  telemetry.CacheStats
 	track  bool
 	recent map[int]*refRev
 }

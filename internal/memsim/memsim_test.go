@@ -1,6 +1,7 @@
 package memsim
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -295,5 +296,20 @@ func TestLatencyInject(t *testing.T) {
 	dram := LatencyDRAM()
 	if !dram.Enabled || dram.MCASService != 0 {
 		t.Fatalf("DRAM model misconfigured: %+v", dram)
+	}
+}
+
+// TestSharedStatsMirrorsEveryCounter guards the published mirror: the
+// cache counts in telemetry.CacheStats, so a counter added there is
+// summed into every Snapshot only if publish and SharedStats carry it.
+func TestSharedStatsMirrorsEveryCounter(t *testing.T) {
+	c := newDev().NewCache()
+	v := reflect.ValueOf(&c.stats).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		v.Field(i).SetUint(uint64(100 + i))
+	}
+	want := c.Stats() // republishes
+	if got := c.SharedStats(); got != want {
+		t.Fatalf("SharedStats = %+v, want %+v: the mirror drops a counter", got, want)
 	}
 }

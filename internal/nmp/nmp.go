@@ -51,22 +51,6 @@ type pending struct {
 	failed   bool // a competing op committed to the same address
 }
 
-// Stats counts NMP activity for the evaluation.
-type Stats struct {
-	SpWrs     uint64
-	SpRds     uint64
-	Successes uint64
-	Failures  uint64
-	Conflicts uint64 // operations failed by the same-address check
-	// FaultsInjected counts mCAS operations rejected by injected device
-	// faults (chaos testing; zero in normal operation).
-	FaultsInjected uint64
-	// Loads and Stores count uncached accesses through the unit's data
-	// path (Load/Store), the HWcc reads and writes that are not mCAS.
-	Loads  uint64
-	Stores uint64
-}
-
 // dataCounts is one thread's data-path counters, padded to a cache line
 // so Load and Store never write a line another thread's do.
 type dataCounts struct {
@@ -123,7 +107,7 @@ type Unit struct {
 
 	mu    sync.Mutex
 	regs  [MaxThreads]pending
-	stats Stats // Loads and Stores live in data, summed by Stats()
+	stats telemetry.NMPStats // Loads and Stores live in data, summed by Stats()
 	// inFlight is the number of registers with an spwr issued and no
 	// sprd yet. An abandoned op (a second spwr to the same register) is
 	// counted once.
@@ -348,7 +332,7 @@ func (u *Unit) dataOf(tid int) *dataCounts {
 }
 
 // Stats returns a snapshot of the unit's counters.
-func (u *Unit) Stats() Stats {
+func (u *Unit) Stats() telemetry.NMPStats {
 	u.mu.Lock()
 	st := u.stats
 	u.mu.Unlock()

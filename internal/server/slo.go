@@ -406,7 +406,7 @@ func totalShed(s telemetry.ServerStats) uint64 {
 // summarize fills the rest of point p from its lanes' tally and the
 // server and client counters since s0 and r0.
 func (r *sloRun) summarize(p *SLOPoint, t *Tally, s0 telemetry.ServerStats, r0 uint64) {
-	p.Server = statsDelta(r.srv.Stats(), s0)
+	p.Server = telemetry.Delta(r.srv.Stats(), s0)
 	p.TotalShed = totalShed(p.Server)
 	p.Retries = r.retriesNow() - r0
 	p.Acked, p.Good = t.Acked, t.Good
@@ -416,11 +416,6 @@ func (r *sloRun) summarize(p *SLOPoint, t *Tally, s0 telemetry.ServerStats, r0 u
 	p.P50 = time.Duration(t.Latency.Quantile(0.50))
 	p.P99 = time.Duration(t.Latency.Quantile(0.99))
 	p.P999 = time.Duration(t.Latency.Quantile(0.999))
-}
-
-func statsDelta(s, prev telemetry.ServerStats) telemetry.ServerStats {
-	full := telemetry.Snapshot{Server: s}.Delta(telemetry.Snapshot{Server: prev})
-	return full.Server
 }
 
 // report runs the end-of-run audit into rep.

@@ -1,10 +1,9 @@
 package telemetry
 
 import (
+	"fmt"
 	"math/bits"
 	"time"
-
-	"cxlalloc/internal/stats"
 )
 
 // Hist is a log-linear (HDR-style) latency histogram: values below
@@ -113,7 +112,7 @@ func (h *Hist) Mean() float64 {
 }
 
 // Quantile returns the value at quantile q in [0,1], using the same
-// nearest-rank convention as stats.LatencyPercentiles
+// nearest-rank convention as an exact sort of the samples
 // (rank = int(q*(n-1))), so a Hist-reported percentile agrees with the
 // sorted-sample one to within half a sub-bucket's width.
 func (h *Hist) Quantile(q float64) uint64 {
@@ -146,10 +145,24 @@ func (h *Hist) Quantile(q float64) uint64 {
 	return h.max
 }
 
-// Percentiles summarizes the histogram in the bench harness's
-// stats.Percentiles form (durations in nanoseconds).
-func (h *Hist) Percentiles() stats.Percentiles {
-	return stats.Percentiles{
+// Percentiles holds the latency percentiles Figure 11 reports.
+type Percentiles struct {
+	P50   time.Duration
+	P90   time.Duration
+	P99   time.Duration
+	P999  time.Duration
+	Count int
+}
+
+func (p Percentiles) String() string {
+	return fmt.Sprintf("p50=%v p90=%v p99=%v p99.9=%v (n=%d)",
+		p.P50, p.P90, p.P99, p.P999, p.Count)
+}
+
+// Percentiles summarizes the histogram as Percentiles (durations in
+// nanoseconds).
+func (h *Hist) Percentiles() Percentiles {
+	return Percentiles{
 		P50:   time.Duration(h.Quantile(0.50)),
 		P90:   time.Duration(h.Quantile(0.90)),
 		P99:   time.Duration(h.Quantile(0.99)),

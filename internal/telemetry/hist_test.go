@@ -2,10 +2,10 @@ package telemetry
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"time"
 
-	"cxlalloc/internal/stats"
 	"cxlalloc/internal/xrand"
 )
 
@@ -51,7 +51,7 @@ func TestHistQuantileMatchesSortedSamples(t *testing.T) {
 				h.Record(v)
 				samples = append(samples, time.Duration(v))
 			}
-			exact := stats.LatencyPercentiles(samples)
+			exact := latencyPercentiles(samples)
 			got := h.Percentiles()
 			if got.Count != exact.Count {
 				t.Fatalf("%s/n=%d: count %d vs %d", name, n, got.Count, exact.Count)
@@ -124,5 +124,59 @@ func TestHistBucketBounds(t *testing.T) {
 				t.Fatalf("bucketMid(%d)=%d lands in bucket %d", b, bucketMid(b), mb)
 			}
 		}
+	}
+}
+
+// latencyPercentiles is the exact reference Hist's percentiles are held
+// to: p50/p90/p99/p99.9 by nearest rank over the sorted samples. The
+// input slice is sorted in place.
+func latencyPercentiles(samples []time.Duration) Percentiles {
+	if len(samples) == 0 {
+		return Percentiles{}
+	}
+	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
+	at := func(q float64) time.Duration {
+		return samples[int(q*float64(len(samples)-1))]
+	}
+	return Percentiles{
+		P50:   at(0.50),
+		P90:   at(0.90),
+		P99:   at(0.99),
+		P999:  at(0.999),
+		Count: len(samples),
+	}
+}
+
+func TestLatencyPercentiles(t *testing.T) {
+	var samples []time.Duration
+	for i := 1; i <= 1000; i++ {
+		samples = append(samples, time.Duration(i)*time.Microsecond)
+	}
+	p := latencyPercentiles(samples)
+	if p.P50 < 490*time.Microsecond || p.P50 > 510*time.Microsecond {
+		t.Fatalf("p50 = %v", p.P50)
+	}
+	if p.P99 < 985*time.Microsecond || p.P99 > 995*time.Microsecond {
+		t.Fatalf("p99 = %v", p.P99)
+	}
+	if p.P999 < p.P99 || p.P99 < p.P90 || p.P90 < p.P50 {
+		t.Fatalf("percentiles not monotone: %+v", p)
+	}
+	if p.Count != 1000 {
+		t.Fatalf("count = %d", p.Count)
+	}
+}
+
+func TestLatencyPercentilesUnsortedInput(t *testing.T) {
+	samples := []time.Duration{5, 1, 4, 2, 3}
+	p := latencyPercentiles(samples)
+	if p.P50 != 3 {
+		t.Fatalf("p50 = %v, want 3", p.P50)
+	}
+}
+
+func TestLatencyPercentilesEmpty(t *testing.T) {
+	if p := latencyPercentiles(nil); p.Count != 0 || p.P999 != 0 {
+		t.Fatalf("empty percentiles = %+v", p)
 	}
 }

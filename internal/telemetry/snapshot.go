@@ -3,17 +3,17 @@ package telemetry
 import (
 	"encoding/json"
 	"io"
+	"reflect"
 )
 
-// Snapshot is the unified, diffable metrics view of a pod: one typed
-// struct mirroring the counters of nmp.Stats, atomicx.HWStats,
-// per-thread CacheStatsFor, the crash and recovery tallies, and the
-// liveness watchdog. The owning packages fill the mirrored sub-structs
-// (telemetry cannot import them — every instrumented layer imports
-// telemetry); core.(*Heap).Snapshot and cxlalloc.(*Pod).Snapshot are
-// the aggregation points.
+// Snapshot is the unified, diffable metrics view of a pod. Each layer
+// counts directly in this package's types — memsim's caches in
+// CacheStats, atomicx in HWStats, the NMP unit in NMPStats, the
+// liveness watchdog in LivenessStats — so a Snapshot is assembled by
+// Add, not by copying fields: core.(*Heap).Snapshot sums the heap's
+// layers and cxlalloc.(*Pod).Snapshot adds every process's watchdog.
 //
-// All fields are cumulative counters (or gauges marked as such), so
+// All fields are cumulative counters (or gauges tagged as such), so
 // "rate over an interval" is Delta of two snapshots.
 type Snapshot struct {
 	Cache    CacheStats    `json:"cache"`
@@ -26,36 +26,41 @@ type Snapshot struct {
 	Server   ServerStats   `json:"server"`
 }
 
-// CacheStats aggregates the SWcc cache protocol counters
-// (memsim.CacheStats) across threads.
+// CacheStats counts one SWcc cache's coherence-relevant events
+// (memsim.Cache), or their sum across threads in a Snapshot: where the
+// SWcc protocol pays its costs.
 type CacheStats struct {
-	Loads      uint64 `json:"loads"`
-	Hits       uint64 `json:"hits"`
+	Loads      uint64 `json:"loads"` // loads served (hit or miss)
+	Hits       uint64 `json:"hits"`  // loads/stores served from a resident line
 	Stores     uint64 `json:"stores"`
-	Fetches    uint64 `json:"fetches"`
-	Writebacks uint64 `json:"writebacks"`
-	Flushes    uint64 `json:"flushes"`
+	Fetches    uint64 `json:"fetches"`    // lines fetched from device memory
+	Writebacks uint64 `json:"writebacks"` // lines written back to device memory
+	Flushes    uint64 `json:"flushes"`    // explicit Flush calls (incl. LoadFresh's, both modes)
 	Fences     uint64 `json:"fences"`
 }
 
-// HWStats mirrors atomicx.HWStats: the mCAS offload retry/fallback
-// picture.
+// HWStats counts degraded-mode events on atomicx's hw_cas (mCAS) path:
+// device faults observed, bounded retries, and CASes that completed
+// through the sw_flush_cas fallback instead of the NMP unit.
 type HWStats struct {
-	MCASFaults     uint64 `json:"mcas_faults"`
-	MCASRetries    uint64 `json:"mcas_retries"`
-	HWCASFallbacks uint64 `json:"hwcas_fallbacks"`
+	MCASFaults     uint64 `json:"mcas_faults"`     // faulted mCAS attempts observed by CAS
+	MCASRetries    uint64 `json:"mcas_retries"`    // retries issued after a fault
+	HWCASFallbacks uint64 `json:"hwcas_fallbacks"` // CASes completed via the sw_flush_cas fallback
 }
 
-// NMPStats mirrors nmp.Stats: the near-memory-processing unit's op and
-// fault counters.
+// NMPStats counts the near-memory-processing unit's (nmp.Unit) ops and
+// faults.
 type NMPStats struct {
-	SpWrs          uint64 `json:"spwrs"`
-	SpRds          uint64 `json:"sprds"`
-	Successes      uint64 `json:"successes"`
-	Failures       uint64 `json:"failures"`
-	Conflicts      uint64 `json:"conflicts"`
+	SpWrs     uint64 `json:"spwrs"`
+	SpRds     uint64 `json:"sprds"`
+	Successes uint64 `json:"successes"`
+	Failures  uint64 `json:"failures"`
+	Conflicts uint64 `json:"conflicts"` // operations failed by the same-address check
+	// FaultsInjected counts mCAS operations rejected by injected device
+	// faults (chaos testing; zero in normal operation).
 	FaultsInjected uint64 `json:"faults_injected"`
-	// Loads and Stores are uncached data-path accesses (not mCAS).
+	// Loads and Stores count uncached accesses through the unit's data
+	// path (Load/Store), the HWcc reads and writes that are not mCAS.
 	Loads  uint64 `json:"loads"`
 	Stores uint64 `json:"stores"`
 }
@@ -73,7 +78,7 @@ type AllocStats struct {
 
 // ChaosStats covers crash injection and recovery.
 type ChaosStats struct {
-	CrashPointsInstrumented uint64 `json:"crash_points_instrumented"` // gauge
+	CrashPointsInstrumented uint64 `json:"crash_points_instrumented" telemetry:"gauge"`
 	CrashPointsFired        uint64 `json:"crash_points_fired"`
 	CrashesMarked           uint64 `json:"crashes_marked"`
 	Recoveries              uint64 `json:"recoveries"`
@@ -82,7 +87,8 @@ type ChaosStats struct {
 	LinesDroppedAtCrash     uint64 `json:"lines_dropped_at_crash"`
 }
 
-// LivenessStats covers the heartbeat/lease/claim plane.
+// LivenessStats covers the heartbeat/lease/claim plane. The heap counts
+// Renews and Claims; each process's liveness.Manager counts the rest.
 type LivenessStats struct {
 	Renews         uint64 `json:"renews"`
 	Claims         uint64 `json:"claims"`
@@ -137,84 +143,40 @@ func (s *Snapshot) FillTrace() {
 	}
 }
 
-// Delta returns s minus prev, field-wise, for cumulative counters;
-// gauges (CrashPointsInstrumented, Trace.Enabled) keep s's value.
-func (s Snapshot) Delta(prev Snapshot) Snapshot {
-	d := Snapshot{
-		Cache: CacheStats{
-			Loads:      s.Cache.Loads - prev.Cache.Loads,
-			Hits:       s.Cache.Hits - prev.Cache.Hits,
-			Stores:     s.Cache.Stores - prev.Cache.Stores,
-			Fetches:    s.Cache.Fetches - prev.Cache.Fetches,
-			Writebacks: s.Cache.Writebacks - prev.Cache.Writebacks,
-			Flushes:    s.Cache.Flushes - prev.Cache.Flushes,
-			Fences:     s.Cache.Fences - prev.Cache.Fences,
-		},
-		HW: HWStats{
-			MCASFaults:     s.HW.MCASFaults - prev.HW.MCASFaults,
-			MCASRetries:    s.HW.MCASRetries - prev.HW.MCASRetries,
-			HWCASFallbacks: s.HW.HWCASFallbacks - prev.HW.HWCASFallbacks,
-		},
-		NMP: NMPStats{
-			SpWrs:          s.NMP.SpWrs - prev.NMP.SpWrs,
-			SpRds:          s.NMP.SpRds - prev.NMP.SpRds,
-			Successes:      s.NMP.Successes - prev.NMP.Successes,
-			Failures:       s.NMP.Failures - prev.NMP.Failures,
-			Conflicts:      s.NMP.Conflicts - prev.NMP.Conflicts,
-			FaultsInjected: s.NMP.FaultsInjected - prev.NMP.FaultsInjected,
-			Loads:          s.NMP.Loads - prev.NMP.Loads,
-			Stores:         s.NMP.Stores - prev.NMP.Stores,
-		},
-		Alloc: AllocStats{
-			SmallAllocs: s.Alloc.SmallAllocs - prev.Alloc.SmallAllocs,
-			SmallFrees:  s.Alloc.SmallFrees - prev.Alloc.SmallFrees,
-			LargeAllocs: s.Alloc.LargeAllocs - prev.Alloc.LargeAllocs,
-			LargeFrees:  s.Alloc.LargeFrees - prev.Alloc.LargeFrees,
-			HugeAllocs:  s.Alloc.HugeAllocs - prev.Alloc.HugeAllocs,
-			HugeFrees:   s.Alloc.HugeFrees - prev.Alloc.HugeFrees,
-		},
-		Chaos: ChaosStats{
-			CrashPointsInstrumented: s.Chaos.CrashPointsInstrumented,
-			CrashPointsFired:        s.Chaos.CrashPointsFired - prev.Chaos.CrashPointsFired,
-			CrashesMarked:           s.Chaos.CrashesMarked - prev.Chaos.CrashesMarked,
-			Recoveries:              s.Chaos.Recoveries - prev.Chaos.Recoveries,
-			RecoveriesFenced:        s.Chaos.RecoveriesFenced - prev.Chaos.RecoveriesFenced,
-			CrashDiscards:           s.Chaos.CrashDiscards - prev.Chaos.CrashDiscards,
-			LinesDroppedAtCrash:     s.Chaos.LinesDroppedAtCrash - prev.Chaos.LinesDroppedAtCrash,
-		},
-		Liveness: LivenessStats{
-			Renews:         s.Liveness.Renews - prev.Liveness.Renews,
-			Claims:         s.Liveness.Claims - prev.Liveness.Claims,
-			Repairs:        s.Liveness.Repairs - prev.Liveness.Repairs,
-			Fenced:         s.Liveness.Fenced - prev.Liveness.Fenced,
-			FalseAlarms:    s.Liveness.FalseAlarms - prev.Liveness.FalseAlarms,
-			Rescues:        s.Liveness.Rescues - prev.Liveness.Rescues,
-			SelfFences:     s.Liveness.SelfFences - prev.Liveness.SelfFences,
-			FalseTakeovers: s.Liveness.FalseTakeovers - prev.Liveness.FalseTakeovers,
-		},
-		Trace: TraceStats{
-			Enabled:  s.Trace.Enabled,
-			Recorded: s.Trace.Recorded - prev.Trace.Recorded,
-			Dropped:  s.Trace.Dropped - prev.Trace.Dropped,
-		},
-		Server: ServerStats{
-			Submitted:       s.Server.Submitted - prev.Server.Submitted,
-			Admitted:        s.Server.Admitted - prev.Server.Admitted,
-			Executed:        s.Server.Executed - prev.Server.Executed,
-			ShedQueueFull:   s.Server.ShedQueueFull - prev.Server.ShedQueueFull,
-			ShedCoDel:       s.Server.ShedCoDel - prev.Server.ShedCoDel,
-			ShedDeadline:    s.Server.ShedDeadline - prev.Server.ShedDeadline,
-			ShedWrite:       s.Server.ShedWrite - prev.Server.ShedWrite,
-			ShedPodFull:     s.Server.ShedPodFull - prev.Server.ShedPodFull,
-			ShedBreaker:     s.Server.ShedBreaker - prev.Server.ShedBreaker,
-			ShedShard:       s.Server.ShedShard - prev.Server.ShedShard,
-			BreakerOpens:    s.Server.BreakerOpens - prev.Server.BreakerOpens,
-			BreakerReroutes: s.Server.BreakerReroutes - prev.Server.BreakerReroutes,
-			WorkerCrashes:   s.Server.WorkerCrashes - prev.Server.WorkerCrashes,
-			CrashResolves:   s.Server.CrashResolves - prev.Server.CrashResolves,
-		},
+// Delta returns s minus prev: the rule of the package-level Delta.
+func (s Snapshot) Delta(prev Snapshot) Snapshot { return Delta(s, prev) }
+
+// Delta returns s minus prev, leaf by leaf, for any counter struct of
+// this package (Snapshot or one of its parts): a uint64 subtracts, while
+// a bool or a field tagged `telemetry:"gauge"` keeps s's value. So
+// "rate over an interval" is Delta of two snapshots, and a counter added
+// to any stats struct is covered without another edit.
+func Delta[T any](s, prev T) T {
+	return combine(s, prev, func(x, y uint64) uint64 { return x - y })
+}
+
+// Add returns a plus b under the same rule as Delta: uint64 counters
+// sum, bools and gauges keep a's value. Snapshot assembly is Add over
+// the owning layers' counters.
+func Add[T any](a, b T) T {
+	return combine(a, b, func(x, y uint64) uint64 { return x + y })
+}
+
+func combine[T any](a, b T, op func(x, y uint64) uint64) T {
+	combineInto(reflect.ValueOf(&a).Elem(), reflect.ValueOf(b), op)
+	return a
+}
+
+func combineInto(a, b reflect.Value, op func(x, y uint64) uint64) {
+	for i := 0; i < a.NumField(); i++ {
+		f := a.Type().Field(i)
+		switch {
+		case f.Type.Kind() == reflect.Struct:
+			combineInto(a.Field(i), b.Field(i), op)
+		case f.Type.Kind() == reflect.Uint64 && f.Tag.Get("telemetry") != "gauge":
+			a.Field(i).SetUint(op(a.Field(i).Uint(), b.Field(i).Uint()))
+		}
 	}
-	return d
 }
 
 // MetricsRecord is one NDJSON metrics line: a labeled snapshot with

@@ -4,9 +4,10 @@
 // NDJSON metrics).
 //
 // The package sits below every instrumented layer (memsim, atomicx,
-// nmp, crash, core, liveness), so it may import only leaf packages
-// (internal/stats). Foreign counter structs are mirrored here rather
-// than imported; the owning packages convert when they fill a Snapshot.
+// nmp, crash, core, liveness) and imports no internal package. It owns
+// the counter format: each layer counts directly in this package's
+// stats types, and Snapshot arithmetic is one rule (Delta, Add) over
+// their uint64 leaves.
 //
 // Tracing cost model (DESIGN.md §8): the disabled path is one inlined
 // atomic pointer load plus a predicted branch per instrumentation site

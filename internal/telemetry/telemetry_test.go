@@ -234,30 +234,17 @@ func TestWriteMetricsNDJSON(t *testing.T) {
 	}
 }
 
-// TestSnapshotDeltaCoversEveryField guards Delta's hand-written field
-// list: fill every leaf of Snapshot with a distinct non-zero value by
-// reflection, then a delta against zero must give the snapshot back and
-// a delta against itself must be zero everywhere but the documented
-// gauges. A counter added to Snapshot without a Delta line fails here
-// instead of going stale silently.
+// TestSnapshotDeltaCoversEveryField guards Snapshot.Delta: fill every
+// leaf of Snapshot with a distinct non-zero value by reflection, then a
+// delta against zero must give the snapshot back and a delta against
+// itself must be zero everywhere but the documented gauges. A counter
+// added to Snapshot that Delta skipped would fail here instead of going
+// stale silently.
 func TestSnapshotDeltaCoversEveryField(t *testing.T) {
 	gauges := map[string]bool{"Chaos.CrashPointsInstrumented": true, "Trace.Enabled": true}
 
 	var s Snapshot
-	next := uint64(100)
-	eachLeaf(reflect.ValueOf(&s).Elem(), "", func(path string, leaf reflect.Value) {
-		next += 7
-		switch leaf.Kind() {
-		case reflect.Uint64:
-			leaf.SetUint(next)
-		case reflect.Bool:
-			leaf.SetBool(true)
-		default:
-			t.Fatalf("%s is a %s leaf; teach this test (and Delta) about it", path, leaf.Kind())
-		}
-	})
-	want := map[string]any{}
-	eachLeaf(reflect.ValueOf(s), "", func(path string, leaf reflect.Value) { want[path] = leaf.Interface() })
+	want := fillDistinct(t, &s, 100)
 	if len(want) < 50 {
 		t.Fatalf("walked only %d leaves of Snapshot", len(want))
 	}

@@ -217,15 +217,15 @@ func persistExp() *experiment {
 	fs.IntVar(&cfg.SubsetCap, "persist-cap", cfg.SubsetCap, "exhaustive subset enumeration cap (windows wider than this are sampled)")
 	fs.IntVar(&cfg.Samples, "persist-samples", cfg.Samples, "sampled cells per capped window")
 	fs.BoolVar(&cfg.SkipOplogFlush, "persist-mutate", cfg.SkipOplogFlush, "run against the SkipOplogFlush mutant (sweep must fail; meta-test)")
-	fs.BoolVar(&cfg.SkipCommitFence, "persist-mutate-fence", cfg.SkipCommitFence, "run against the SkipCommitFence mutant — magazine pop without its commit fence (sweep must fail; meta-test)")
+	fs.BoolVar(&cfg.LateHandoffRecord, "persist-mutate-record", cfg.LateHandoffRecord, "run against the LateHandoffRecord mutant — magazine pop that stores its handoff record after its commit fence (sweep must fail; meta-test)")
 	return &experiment{
 		name:  "persist",
 		desc:  "adversarial persistence gate (crash point x persist subset)",
 		inAll: true,
 		flags: fs,
 		check: func() error {
-			if cfg.SkipOplogFlush && cfg.SkipCommitFence {
-				return errors.New("-persist-mutate and -persist-mutate-fence are separate meta-tests; run one at a time")
+			if cfg.SkipOplogFlush && cfg.LateHandoffRecord {
+				return errors.New("-persist-mutate and -persist-mutate-record are separate meta-tests; run one at a time")
 			}
 			if mask != nil && cfg.Points == nil {
 				return errors.New("-persist-mask requires -persist-point (a repro line names both)")
@@ -242,7 +242,7 @@ func persistExp() *experiment {
 	}
 }
 
-func mutated(cfg chaos.PersistConfig) bool { return cfg.SkipOplogFlush || cfg.SkipCommitFence }
+func mutated(cfg chaos.PersistConfig) bool { return cfg.SkipOplogFlush || cfg.LateHandoffRecord }
 
 func replayPersistCell(cfg chaos.PersistConfig, mask uint64) ([]bench.Row, error) {
 	point := cfg.Points[0]
@@ -295,8 +295,8 @@ func runPersist(cfg chaos.PersistConfig) ([]bench.Row, error) {
 		// and the catch must carry a minimized, replayable repro.
 		if len(rep.Violations) == 0 {
 			which := "SkipOplogFlush"
-			if cfg.SkipCommitFence {
-				which = "SkipCommitFence"
+			if cfg.LateHandoffRecord {
+				which = "LateHandoffRecord"
 			}
 			return rows, fmt.Errorf("persist mutation gate failed: %s sweep found no violation", which)
 		}

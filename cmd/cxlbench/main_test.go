@@ -79,7 +79,7 @@ func TestExperimentFlagDefaultsAreConfigDefaults(t *testing.T) {
 	slo, per := server.DefaultSLOConfig(), chaos.DefaultPersistConfig()
 	want := map[string]map[string]any{
 		"fig8":        {"workloads": ""},
-		"persist":     {"persist-point": "", "persist-mask": "", "persist-cap": per.SubsetCap, "persist-samples": per.Samples, "persist-mutate": per.SkipOplogFlush, "persist-mutate-fence": per.SkipCommitFence},
+		"persist":     {"persist-point": "", "persist-mask": "", "persist-cap": per.SubsetCap, "persist-samples": per.Samples, "persist-mutate": per.SkipOplogFlush, "persist-mutate-record": per.LateHandoffRecord},
 		"livechaos":   {"duration": live.Duration, "lease": live.LeaseWall, "replay": "", "schedule-out": ""},
 		"slo":         {"slo-window": slo.Window, "slo-rates": rates(slo.Rates)},
 		"slochaos":    {"slo-window": slo.Window, "lease": slo.LeaseWall},

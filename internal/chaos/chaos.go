@@ -256,8 +256,8 @@ type cell struct {
 
 	// The deliberate protocol mutations the persist sweep must catch:
 	// the redo log's durability flush removed, or the magazine pop's
-	// commit fence elided.
-	skipOplogFlush, skipCommitFence bool
+	// handoff record stored after its commit fence.
+	skipOplogFlush, lateHandoffRecord bool
 }
 
 // cellResult is one cell's outcome.
@@ -370,7 +370,7 @@ func newHarness(c cell, inj *crash.Injector) (*harness, error) {
 	// crash with CrashDiscard (persist.go).
 	pc.TrackPersist = c.policy != nil
 	pc.SkipOplogFlush = c.skipOplogFlush
-	pc.SkipCommitFence = c.skipCommitFence
+	pc.LateHandoffRecord = c.lateHandoffRecord
 	h := &harness{cell: c, inj: inj, rng: xrand.New(c.Seed)}
 	pod, err := cxlalloc.NewPodWith(cxlalloc.PodConfig{
 		Config:      pc,

@@ -50,11 +50,11 @@ type PersistConfig struct {
 	// meta-test proving the sweep detects a missing protocol flush.
 	SkipOplogFlush bool
 
-	// SkipCommitFence runs the sweep against the variant that elides the
-	// magazine pop's commit fence (core.Config.SkipCommitFence) — the
-	// meta-test proving the sweep guards the coalesced-fence discipline
-	// of DESIGN.md §7.1.
-	SkipCommitFence bool
+	// LateHandoffRecord runs the sweep against the variant that stores
+	// the magazine pop's handoff record after its commit fence
+	// (core.Config.LateHandoffRecord) — the meta-test proving the sweep
+	// guards the one-line pop of DESIGN.md §7.1.
+	LateHandoffRecord bool
 }
 
 // DefaultPersistConfig returns a sweep sized like DefaultConfig, with an
@@ -68,7 +68,7 @@ func DefaultPersistConfig() PersistConfig {
 // answered as a thread crash with manual recovery.
 func (c *PersistConfig) cell(point string, pol persistPolicy) cell {
 	return cell{Script: c.Script, device: atomicx.ModeHWcc, point: point, mode: ModeThreadCrash,
-		policy: pol, skipOplogFlush: c.SkipOplogFlush, skipCommitFence: c.SkipCommitFence}
+		policy: pol, skipOplogFlush: c.SkipOplogFlush, lateHandoffRecord: c.LateHandoffRecord}
 }
 
 func (c *PersistConfig) validate() error {
@@ -166,7 +166,7 @@ func PersistSweep(cfg PersistConfig) (*PersistReport, error) {
 	}
 	rep := &PersistReport{
 		Seed: cfg.Seed, SubsetCap: cfg.SubsetCap, Samples: cfg.Samples,
-		Mutated: cfg.SkipOplogFlush || cfg.SkipCommitFence,
+		Mutated: cfg.SkipOplogFlush || cfg.LateHandoffRecord,
 	}
 
 	// Same teeth check as the chaos sweep: the workload must reach the
@@ -341,8 +341,8 @@ func ReproLine(cfg PersistConfig, point string, mask uint64) string {
 	if cfg.SkipOplogFlush {
 		mut = " -persist-mutate"
 	}
-	if cfg.SkipCommitFence {
-		mut += " -persist-mutate-fence"
+	if cfg.LateHandoffRecord {
+		mut += " -persist-mutate-record"
 	}
 	return fmt.Sprintf("go run ./cmd/cxlbench -exp persist -seed %d -persist-point %s -persist-mask 0x%x%s",
 		cfg.Seed, point, mask, mut)

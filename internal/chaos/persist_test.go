@@ -71,15 +71,16 @@ func TestPersistSweepCatchesMissingOplogFlush(t *testing.T) {
 	t.Logf("minimized: window=%d drop=%v err=%q", win, v.MinDrop, v.MinErr)
 }
 
-// TestPersistSweepCatchesMissingCommitFence is the second mutation
-// meta-test, guarding the coalesced-fence discipline (DESIGN.md §7.1):
-// the magazine pop defers its record's fence to the operation commit
-// boundary, so eliding that one fence leaves the handoff record and the
-// mask-clear uncommitted together. The sweep must catch the resulting
-// lost block at the pop's crash point and minimize the counterexample.
-func TestPersistSweepCatchesMissingCommitFence(t *testing.T) {
+// TestPersistSweepCatchesLateHandoffRecord is the second mutation
+// meta-test, guarding the one-line magazine pop (DESIGN.md §7.1): the
+// pop's handoff record rides in the magazine line and commits with the
+// mask-clear under one fence, so storing the record after that fence
+// lets the mask-clear persist while the record is dropped. The sweep
+// must catch the resulting lost block at the pop's crash point and
+// minimize the counterexample.
+func TestPersistSweepCatchesLateHandoffRecord(t *testing.T) {
 	cfg := DefaultPersistConfig()
-	cfg.SkipCommitFence = true
+	cfg.LateHandoffRecord = true
 	cfg.Points = []string{"small.magalloc.post-take"}
 	rep, err := PersistSweep(cfg)
 	if err != nil {
@@ -87,10 +88,10 @@ func TestPersistSweepCatchesMissingCommitFence(t *testing.T) {
 	}
 	t.Log(rep.Summary())
 	if len(rep.Violations) == 0 {
-		t.Fatal("sweep did not catch the missing commit fence: an uncommitted magazine pop went unnoticed")
+		t.Fatal("sweep did not catch the late handoff record: a dropped magazine pop record went unnoticed")
 	}
 	v := rep.Violations[0]
-	if v.Repro == "" || !strings.Contains(v.Repro, "-persist-mutate-fence") {
+	if v.Repro == "" || !strings.Contains(v.Repro, "-persist-mutate-record") {
 		t.Fatalf("violation carries no mutated repro line: %+v", v)
 	}
 	if len(v.MinDrop) == 0 {

@@ -108,13 +108,14 @@ type Config struct {
 	// missing protocol flush. Never set outside that test.
 	SkipOplogFlush bool
 
-	// SkipCommitFence elides the single commit fence of the magazine pop
-	// — the fence that makes the handoff record and the mask-clear
-	// durable together. This deliberately breaks the coalesced-fence
-	// discipline of DESIGN.md §7.1; it exists ONLY so the persist sweep's
-	// mutation meta-test can prove the sweep detects a missing
-	// commit-boundary fence. Never set outside that test.
-	SkipCommitFence bool
+	// LateHandoffRecord stores the magazine pop's handoff record after
+	// the pop's commit fence instead of before it, so the mask-clear can
+	// become durable while the record that names the taken block is
+	// still in play. This deliberately breaks the one-line pop of
+	// DESIGN.md §7.1; it exists ONLY so the persist sweep's mutation
+	// meta-test can prove the sweep detects a handoff record that is not
+	// committed with its effect. Never set outside that test.
+	LateHandoffRecord bool
 }
 
 // DefaultConfig returns a configuration sized for tests and examples:

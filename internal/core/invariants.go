@@ -120,10 +120,24 @@ func (s *slabHeap) checkLocal(ts *threadState, tid int) error {
 
 	// Magazines: every live mirror must reference a slab on this thread's
 	// sized list of the right class, its mask disjoint from the shared
-	// bitset, and the durable magazine line in sync with the mirror.
+	// bitset, and the thread's cached magazine line in sync with the
+	// mirror. No pop is in flight at quiescence, so no cached meta word —
+	// not even one whose last pop emptied its mask — may still hold a
+	// handoff record: every pop stores the cleared meta before it
+	// returns. The device copy is not checked; it keeps the last pop's
+	// record until the line's next flush, the same lazy clear as
+	// clearOplog's.
 	if mags := ts.mags[s.magIdx]; mags != nil {
 		for c := 1; c < len(s.classes); c++ {
 			m := &mags[c]
+			if m.slab == 0 {
+				continue
+			}
+			mw := s.magW(tid, c)
+			if meta := ts.cache.Load(mw); magMetaRecord(meta) != 0 {
+				return fmt.Errorf("%s: magazine line of thread %d class %d holds a handoff record at quiescence (meta %#x)",
+					s.name, tid, c, meta)
+			}
 			if m.mask == 0 {
 				continue
 			}
@@ -141,7 +155,6 @@ func (s *slabHeap) checkLocal(ts *threadState, tid int) error {
 				return fmt.Errorf("%s: magazine mask overlaps bitset of slab %d (word %d: %#x & %#x)",
 					s.name, idx, m.word, bw, m.mask)
 			}
-			mw := s.magW(tid, c)
 			if meta := ts.cache.Load(mw); meta != packMagMeta(idx, int(m.word), c) {
 				return fmt.Errorf("%s: magazine line of thread %d class %d out of sync (meta %#x, mirror slab %d word %d)",
 					s.name, tid, c, meta, idx, m.word)

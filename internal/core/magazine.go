@@ -11,11 +11,12 @@ import "math/bits"
 // refill (privatize a word) and drain (return the mask).
 //
 // The magazine line is a durable ownership record, exactly like the
-// oplog: word 0 packs the source slab, bitset word, and class; word 1
-// is the mask of privatized free blocks. Crash-time reclamation unions
-// a dead thread's masks back into the slab bitsets during recovery
-// (reclaimMagazines), and the drain-time ledger audit counts magazine
-// blocks as free (magUnionMasks), so a privatized block is never lost.
+// oplog: word 0 packs the source slab, bitset word, class, and the
+// in-flight pop's handoff record; word 1 is the mask of privatized free
+// blocks. Crash-time reclamation unions a dead thread's masks back into
+// the slab bitsets during recovery (reclaimMagazines), and the
+// drain-time ledger audit counts magazine blocks as free
+// (magUnionMasks), so a privatized block is never lost.
 //
 // Safety invariants, each load-bearing for recovery:
 //
@@ -50,14 +51,19 @@ func (s *slabHeap) magW(tid, class int) int {
 	return s.magBase + (tid*(len(s.classes)-1)+(class-1))*lineWords
 }
 
-// Magazine meta word: [ slab+1 : 32 | bitset word : 16 | class : 8 ].
+// Magazine meta word: [ slab+1 : 32 | bitset word : 16 | class : 8 |
+// record : 8 ]. The record byte is the pop handoff record: bit+1 of the
+// block magPop is taking, 0 when no pop is in flight.
 func packMagMeta(idx, word, class int) uint64 {
 	return uint64(uint32(idx+1)) | uint64(uint16(word))<<32 | uint64(uint8(class))<<48
 }
 
+func magRecord(bit int) uint64 { return uint64(bit+1) << 56 }
+
 func magMetaSlab(w uint64) uint32 { return uint32(w) }
 func magMetaWord(w uint64) int    { return int(uint16(w >> 32)) }
 func magMetaClass(w uint64) int   { return int(uint8(w >> 48)) }
+func magMetaRecord(w uint64) int  { return int(w >> 56) }
 
 // magsEnabled gates the magazine fast path: incoherent device, the
 // recovery protocol on, and the runtime toggle on. NonRecoverable turns
@@ -90,13 +96,15 @@ func (s *slabHeap) magAt(ts *threadState, class int) *magSlot {
 	return &mags[class]
 }
 
-// magPop takes one block from the class magazine. The commit discipline
-// is the tightest in the allocator: the handoff record (opMagAlloc) and
-// the mask-clear are both plain SWcc stores with no crash point between
-// them, so a single fence commits them atomically — writeOplogDeferred's
-// legality conditions. Redo reads the durable mask: bit cleared means
-// the pop committed (report the pending block for adoption), bit still
-// set means it never happened (reclamation unions the block back).
+// magPop takes one block from the class magazine in one line: the
+// handoff record (the taken bit, in the meta word's record byte) and the
+// mask-clear are stored together, so one flush and one fence commit
+// them, and the adversary persists both or neither. Reclamation reads
+// the durable line: a record whose mask bit is cleared means the pop
+// committed (report the pending block for adoption); a bit still set
+// means it never happened. The record is cleared lazily, like
+// clearOplog: the line's next flush carries the clear, and the next
+// fence drains it, so a later crash never reports this block again.
 func (s *slabHeap) magPop(ts *threadState, tid, class int) (Ptr, bool) {
 	m := s.magAt(ts, class)
 	if m == nil || m.mask == 0 {
@@ -105,26 +113,32 @@ func (s *slabHeap) magPop(ts *threadState, tid, class int) (Ptr, bool) {
 	b := bits.TrailingZeros64(m.mask)
 	idx := int(m.slab) - 1
 	block := int(m.word)*64 + b
-	s.h.writeOplogDeferred(tid, ts, s.opc(opMagAlloc), uint32(idx), uint16(block), uint16(class))
+	meta := packMagMeta(idx, int(m.word), class)
 	m.mask &^= 1 << uint(b)
 	mw := s.magW(tid, class)
+	late := s.h.cfg.LateHandoffRecord
+	if !late {
+		ts.cache.Store(mw, meta|magRecord(b))
+	}
 	ts.cache.Store(mw+1, m.mask)
-	ts.cache.FlushOpt(mw + 1)
-	if !s.h.cfg.SkipCommitFence {
-		ts.cache.Fence()
+	ts.cache.FlushOpt(mw)
+	ts.cache.Fence()
+	if late {
+		ts.cache.Store(mw, meta|magRecord(b))
 	}
 	s.cp(tid, "magalloc.post-take")
-	s.h.clearOplog(tid, ts)
+	ts.cache.Store(mw, meta)
 	return s.ptrOf(idx, block, class), true
 }
 
 // magFree returns block into the class magazine if the magazine covers
 // its slab and bitset word. No record is needed: the mask-set is a
 // single store committed by its own fence, after which the free is
-// durable (an older record still cached as cleared is committed by the
-// same fence, so redo never resurrects a completed pop). On a window
-// miss it tries to re-target the magazine at the freed block's word
-// (magAdopt) before falling back to the classic local free.
+// durable (a completed pop's lazily cleared record shares the line, so
+// this flush and fence commit the clear and reclamation never
+// resurrects that pop). On a window miss it tries to re-target the
+// magazine at the freed block's word (magAdopt) before falling back to
+// the classic local free.
 //
 // A slab whose last allocated blocks return through the mask stays on
 // the sized list with fc < total — deliberate retention, bounded at one
@@ -361,25 +375,35 @@ func (h *Heap) DrainMagazines(tid int) {
 }
 
 // reclaimMagazines, recovery only: union every nonzero magazine mask of
-// the crashed thread back into its slab's bitset, then retire the line.
-// mask != 0 proves the slab was owned by the dead thread at the crash
-// (see the invariants above), so the bitset write is single-writer. The
-// union is idempotent with every crash window the protocol can leave:
-// refill's pre-commit overlap re-sets bits that were never cleared, a
-// completed drain's bits are re-set in place, and a committed pop's
-// block is in neither set — which is exactly the pending allocation the
-// opMagAlloc redo reports.
-func (s *slabHeap) reclaimMagazines(ts *threadState, tid int) {
+// the crashed thread back into its slab's bitset, report an in-flight
+// pop's block, then retire the line. A live line proves the slab was
+// owned by the dead thread at the crash (see the invariants above), so
+// the bitset write is single-writer. The union is idempotent with every
+// crash window the protocol can leave: refill's pre-commit overlap
+// re-sets bits that were never cleared, a completed drain's bits are
+// re-set in place, and a committed pop's block is in neither set — its
+// record, still durable with the mask bit cleared, names it as the
+// pending allocation. The meta word is read even when the mask is 0:
+// the pop that took the last block leaves exactly that line.
+//
+// A pending pop's record is the only durable name of its block, so it
+// outlives this pass: only the mask is retired, and recovery clears the
+// record at its commit point (retireMagRecords). A crash later in
+// recovery re-runs this pass on a line with mask 0 and the record set,
+// and reports the same block again. A record whose bit is still in the
+// mask names no pending block, and is retired with the rest of the line.
+func (s *slabHeap) reclaimMagazines(ts *threadState, tid int, report *RecoveryReport) {
 	for class := 1; class < len(s.classes); class++ {
 		mw := s.magW(tid, class)
-		mask := ts.cache.LoadFresh(mw + 1)
-		if mask == 0 {
+		meta := ts.cache.LoadFresh(mw)
+		mask := ts.cache.Load(mw + 1)
+		rec := magMetaRecord(meta)
+		if mask == 0 && rec == 0 {
 			continue
 		}
-		meta := ts.cache.LoadFresh(mw)
 		idx := int(magMetaSlab(meta)) - 1
 		word := magMetaWord(meta)
-		if idx < 0 || magMetaClass(meta) != class {
+		if idx < 0 || magMetaClass(meta) != class || rec > 64 {
 			s.h.fail("%s heap: corrupt magazine line for thread %d class %d (meta %#x)",
 				s.name, tid, class, meta)
 		}
@@ -387,12 +411,31 @@ func (s *slabHeap) reclaimMagazines(ts *threadState, tid int) {
 			s.h.fail("%s heap: magazine of thread %d class %d references slab %d it does not own",
 				s.name, tid, class, idx)
 		}
+		pending := rec != 0 && mask&(1<<uint(rec-1)) == 0
+		if pending {
+			s.pend(report, idx, word*64+rec-1, class)
+		} else {
+			ts.cache.Store(mw, 0)
+		}
 		wi := s.bitsetW(idx) + word
 		ts.cache.Store(wi, ts.cache.Load(wi)|mask)
-		ts.cache.Store(mw, 0)
 		ts.cache.Store(mw+1, 0)
 		ts.cache.FlushOpt(mw)
 		ts.cache.Fence()
+	}
+}
+
+// retireMagRecords, recovery's commit point only: clear the pending
+// pop's record that reclaimMagazines left in place. The caller's commit
+// fence makes the clear durable together with the oplog clear, so the
+// block, adopted once recovery returns, is never reported again.
+func (s *slabHeap) retireMagRecords(ts *threadState, tid int) {
+	for class := 1; class < len(s.classes); class++ {
+		mw := s.magW(tid, class)
+		if magMetaRecord(ts.cache.Load(mw)) != 0 {
+			ts.cache.Store(mw, 0)
+			ts.cache.FlushOpt(mw)
+		}
 	}
 }
 

@@ -18,6 +18,11 @@ package core
 // crashed thread's cache drains under the partial-failure model). Redo
 // handlers are idempotent, so recovering a record whose operation had
 // already completed is harmless.
+//
+// One operation keeps its record elsewhere: the magazine pop writes its
+// handoff record into the magazine line it already flushes (the meta
+// word's record byte, magazine.go), so a steady-state pop writes back
+// one line, not two, and never touches this word.
 
 const (
 	opNone       = iota
@@ -43,10 +48,9 @@ const (
 	opClaim       // a = victim tid, b = claim generation; ver on the claim word
 	// Magazine ops (thread-local allocation caches, DESIGN.md §7). The
 	// magazine line itself is the durable record of which blocks a thread
-	// privatized; these records cover the window where the magazine and
-	// the slab bitset disagree.
+	// privatized, and of the pop in flight; these records cover the
+	// windows where the magazine and the slab bitset disagree.
 	opMagRefill // a = slab index, b = class<<8 | bitset word (fill in flight)
-	opMagAlloc  // a = slab index, b = block, ver = class (pop handoff record)
 	opMagDrain  // a = slab index, b = class<<8 | word, ver = pending block+1
 
 	// opLargeBit distinguishes large-heap slab operations from small.
@@ -83,7 +87,7 @@ func opName(op int) string {
 		"none", "extend", "pop-global", "push-global", "init", "detach",
 		"disown", "alloc-block", "local-free", "empty", "remote-free",
 		"steal", "reserve", "huge-alloc", "huge-free", "huge-unmap",
-		"huge-reclaim", "claim", "mag-refill", "mag-alloc", "mag-drain",
+		"huge-reclaim", "claim", "mag-refill", "mag-drain",
 	}
 	n := "invalid"
 	if base < len(names) {
@@ -120,27 +124,6 @@ func (h *Heap) writeOplog(tid int, ts *threadState, op int, a uint32, b uint16, 
 	if !h.coherent && !h.cfg.SkipOplogFlush {
 		ts.cache.FlushOpt(w)
 		ts.cache.Fence()
-	}
-}
-
-// writeOplogDeferred records the operation WITHOUT its own fence: the
-// record is stored and written back, and the caller's single commit
-// fence makes it durable together with the operation's effects. This is
-// only legal when (a) every effect covered by the record is a SWcc
-// store by this same thread (so record and effects commit atomically at
-// the shared fence — the adversary cannot persist an effect without the
-// record, or vice versa, because neither is durable until the fence),
-// and (b) no crash point fires between this call and that fence. The
-// magazine pop uses it (DESIGN.md §7.2); everything multi-step stays on
-// the eager writeOplog.
-func (h *Heap) writeOplogDeferred(tid int, ts *threadState, op int, a uint32, b uint16, ver uint16) {
-	if h.cfg.NonRecoverable {
-		return
-	}
-	w := h.lay.oplogW(tid)
-	ts.cache.Store(w, packOp(op, a, b, ver))
-	if !h.coherent && !h.cfg.SkipOplogFlush {
-		ts.cache.FlushOpt(w)
 	}
 }
 

@@ -143,10 +143,10 @@ func (h *Heap) recoverThread(tid int, space *vas.Space, tok ClaimToken) (Recover
 
 	// Reclaim the dead incarnation's magazines before the list rebuild,
 	// so the returned blocks are in the bitsets the rebuild scans
-	// (magazine.go). Must follow redo: the opMagAlloc handler reads the
-	// pre-reclaim mask to classify the in-flight pop.
-	h.small.reclaimMagazines(ts, tid)
-	h.large.reclaimMagazines(ts, tid)
+	// (magazine.go). Must follow redo: the opMagDrain handler reads the
+	// pre-reclaim line to classify its pending block.
+	h.small.reclaimMagazines(ts, tid, &report)
+	h.large.reclaimMagazines(ts, tid, &report)
 	// The volatile mirrors died with the thread; anything they claimed is
 	// back in the bitsets now, so a stale mirror surviving an in-process
 	// recovery must not resurrect those masks.
@@ -177,9 +177,12 @@ func (h *Heap) recoverThread(tid int, space *vas.Space, tok ClaimToken) (Recover
 		return report, ErrFenced
 	}
 
-	// Mark the slot clean, then alive. The record is cleared only after
-	// every redo and rebuild finished: re-running recovery up to this
-	// point redoes the same idempotent work from the same record.
+	// Mark the slot clean, then alive. The records — the oplog and a
+	// pending pop's magazine line — are cleared only after every redo and
+	// rebuild finished: re-running recovery up to this point redoes the
+	// same idempotent work from the same records.
+	h.small.retireMagRecords(ts, tid)
+	h.large.retireMagRecords(ts, tid)
 	ts.cache.Store(h.lay.oplogW(tid), packOp(opNone, 0, 0, 0))
 	ts.cache.FlushOpt(h.lay.oplogW(tid))
 	ts.cache.Fence()
@@ -189,6 +192,20 @@ func (h *Heap) recoverThread(tid int, space *vas.Space, tok ClaimToken) (Recover
 		telemetry.Emit(rtid, telemetry.EvRecoveryExit, uint64(tid), telemetry.RecoveryOK)
 	}
 	return report, nil
+}
+
+// pend reports block of slab idx as the recovered thread's pending
+// allocation. A thread has at most one allocation in flight, so a
+// second report means two handoff records were durable at once —
+// adopting either could hand a block out twice.
+func (s *slabHeap) pend(report *RecoveryReport, idx, block, class int) {
+	p := s.ptrOf(idx, block, class)
+	if report.PendingAlloc != 0 {
+		s.h.fail("%s heap: recovery of thread %d found two pending allocations (%#x and %#x)",
+			s.name, report.TID, report.PendingAlloc, p)
+	}
+	report.PendingAlloc = p
+	report.PendingSize = s.classes[class]
 }
 
 // redo idempotently completes (or safely abandons) the in-flight op.
@@ -265,8 +282,7 @@ func (h *Heap) redo(ts *threadState, tid, op int, a uint32, b uint16, ver uint16
 		if ver != 0 {
 			idx, block, class := int(a), int(ver-1), int(b)
 			if !s.blockBit(ts, idx, block) {
-				report.PendingAlloc = s.ptrOf(idx, block, class)
-				report.PendingSize = s.classes[class]
+				s.pend(report, idx, block, class)
 			}
 		}
 
@@ -277,8 +293,7 @@ func (h *Heap) redo(ts *threadState, tid, op int, a uint32, b uint16, ver uint16
 		if class != 0 && w0Owner(w0) == uint16(tid+1) && !s.blockBit(ts, idx, block) {
 			// The block was taken but the pointer never reached the
 			// application: report it for app-level adoption.
-			report.PendingAlloc = s.ptrOf(idx, block, class)
-			report.PendingSize = s.classes[class]
+			s.pend(report, idx, block, class)
 		}
 
 	case opLocalFree:
@@ -331,20 +346,6 @@ func (h *Heap) redo(ts *threadState, tid, op int, a uint32, b uint16, ver uint16
 		// the bitset (idempotent against the pre-commit overlap window),
 		// and the rebuild scan recomputes the free count.
 
-	case opMagAlloc:
-		// The pop's record and mask-clear commit under one fence. If the
-		// durable mask still has the block's bit, the pop never happened
-		// (reclamation returns it); if the bit is cleared, the block was
-		// taken but the pointer never reached the application — report it
-		// for adoption, like opAllocBlock.
-		idx, block, class := int(a), int(b), int(ver)
-		maskW := s.magW(tid, class) + 1
-		mask := ts.cache.LoadFresh(maskW)
-		if mask&(1<<(uint(block)%64)) == 0 {
-			report.PendingAlloc = s.ptrOf(idx, block, class)
-			report.PendingSize = s.classes[class]
-		}
-
 	case opMagDrain:
 		// The union itself is repaired by reclamation (bits still in the
 		// durable mask re-union; a committed drain's cleared mask is a
@@ -368,8 +369,7 @@ func (h *Heap) redo(ts *threadState, tid, op int, a uint32, b uint16, ver uint16
 				magMetaWord(meta) == block/64 &&
 				mask&(1<<(uint(block)%64)) != 0
 			if !s.blockBit(ts, idx, block) && !covered {
-				report.PendingAlloc = s.ptrOf(idx, block, class)
-				report.PendingSize = s.classes[class]
+				s.pend(report, idx, block, class)
 			}
 		}
 

@@ -211,6 +211,11 @@ func (a *Allocator) Alloc(tid int, size int) (alloc.Ptr, error) {
 			}
 			next := links[idx-1].Load()
 			if _, ok := a.hw.CAS(tid, headW, h, pack(verOf(h)+1, next)); ok {
+				if next == 0 {
+					// Full: let it go, so the free that makes it partial
+					// again publishes it to a list nobody holds it from.
+					a.active[tid][c] = -1
+				}
 				if a.Hook != nil {
 					a.Hook(tid)
 				}

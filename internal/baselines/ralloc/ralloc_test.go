@@ -50,28 +50,56 @@ func TestSharedPartialSuperblocks(t *testing.T) {
 	a.Free(1, p)
 }
 
-// TestCyclicPartialListFailsByName pushes a superblock onto its class's
-// partial list twice: its owner keeps it active and drains it again
-// between two full -> partial frees, so the list becomes a self-loop of
-// one exhausted superblock. A peer's Alloc must then fail naming the
-// class and the list head, not spin forever.
-func TestCyclicPartialListFailsByName(t *testing.T) {
-	a := New(16<<20, 2, atomicx.ModeDRAM, nil)
+// fillSuperblock allocates every 64 B block of a fresh superblock at
+// thread 0, so its free list is empty.
+func fillSuperblock(t *testing.T, a *Allocator) []alloc.Ptr {
+	t.Helper()
 	var ps []alloc.Ptr
-	for i := 0; i < 1024; i++ { // fill the superblock: head -> 0
+	for i := 0; i < 1024; i++ {
 		p, err := a.Alloc(0, 64)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ps = append(ps, p)
 	}
+	return ps
+}
+
+// TestRefilledSuperblockIsListedOnce frees into a full superblock twice,
+// its owner draining it again in between. Each free is a full -> partial
+// transition and publishes it; an owner that kept a drained superblock
+// active would refill it without adopting it, so the second publish
+// would list it twice — a self-loop a peer's Alloc then spins on.
+func TestRefilledSuperblockIsListedOnce(t *testing.T) {
+	a := New(16<<20, 2, atomicx.ModeDRAM, nil)
+	ps := fillSuperblock(t, a)
 	for i := 0; i < 2; i++ {
-		a.Free(1, ps[i])         // full -> partial: pushed
-		p, err := a.Alloc(0, 64) // still active at thread 0: drained again
+		a.Free(1, ps[i])
+		p, err := a.Alloc(0, 64)
 		if err != nil || p != ps[i] {
 			t.Fatalf("re-alloc = %#x, %v; want %#x", p, err, ps[i])
 		}
 	}
+	defer func() {
+		if msg := recover(); msg != nil {
+			t.Fatalf("peer Alloc after two refills: %v", msg)
+		}
+	}()
+	if _, err := a.Alloc(1, 64); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCyclicPartialListFailsByName pushes a full superblock onto its
+// class's partial list twice, so the list becomes a self-loop of one
+// exhausted superblock. A peer's Alloc must then fail naming the class
+// and the list head, not spin forever.
+func TestCyclicPartialListFailsByName(t *testing.T) {
+	a := New(16<<20, 2, atomicx.ModeDRAM, nil)
+	fillSuperblock(t, a)
+	c := classOf(64)
+	a.pushPartial(1, 0, c)
+	a.pushPartial(1, 0, c)
 	var msg string
 	func() {
 		defer func() { msg = fmt.Sprint(recover()) }()

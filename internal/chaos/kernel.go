@@ -285,7 +285,7 @@ func LeaseTicks(tickHz float64, wall time.Duration) uint64 {
 
 // TickRate measures clock in ticks per wall second over d of fault-free
 // traffic: the calibration a harness sizes every tick-denominated
-// quantity of its run from (leases, heal timers, request tick deadlines).
+// quantity of its run from (leases, heal timers, repair pacing).
 func TickRate(clock func() uint64, d time.Duration) float64 {
 	c0, t0 := clock(), time.Now()
 	time.Sleep(d)

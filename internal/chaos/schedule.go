@@ -23,9 +23,9 @@ import (
 type FaultKind string
 
 const (
-	// FaultThreadKill arms random crash points for one victim thread;
-	// it dies mid-operation, unscripted, and only the watchdog may
-	// repair it.
+	// FaultThreadKill arms random crash points for its victim threads
+	// (livechaos: one; slochaos: a server group's live slots); each dies
+	// mid-operation, unscripted, and only the watchdog may repair it.
 	FaultThreadKill FaultKind = "thread-kill"
 	// FaultProcKill arms every thread of one process; once all are
 	// dead the process itself is killed (mappings revoked). The dead

@@ -103,7 +103,6 @@ func (f *Fabric) interrupt(m *migration, step string) bool {
 // unwind aborts a handoff cleanly: scrub any partial copy off dst,
 // thaw the routing word back to serving on src, release the claim.
 func (f *Fabric) unwind(m *migration, scrubDst bool, reason string) error {
-	sl := &f.shard[m.shard]
 	if scrubDst {
 		// Partial copies from an unwound attempt must not survive to a
 		// later handoff — a stale extra key would resurrect a deleted
@@ -112,11 +111,18 @@ func (f *Fabric) unwind(m *migration, scrubDst bool, reason string) error {
 			return f.superseded(m, "unwind")
 		}
 	}
-	sl.word.CompareAndSwap(packWord(m.src, shardFrozen, m.epoch), packWord(m.src, shardServing, m.epoch))
-	sl.release(m.tok)
+	f.shard[m.shard].word.CompareAndSwap(packWord(m.src, shardFrozen, m.epoch), packWord(m.src, shardServing, m.epoch))
+	return f.abandon(m, "fabric: shard %d handoff aborted: %s", m.shard, reason)
+}
+
+// abandon ends a drive that still holds its claim: release the claim,
+// forget the handoff, count the abort, and return the error format
+// names.
+func (f *Fabric) abandon(m *migration, format string, args ...any) error {
+	f.shard[m.shard].release(m.tok)
 	f.forget(m)
 	f.migAborts.Add(1)
-	return fmt.Errorf("fabric: shard %d handoff aborted: %s", m.shard, reason)
+	return fmt.Errorf(format, args...)
 }
 
 // stall leaves the handoff exactly as it stands — claim held, state
@@ -188,10 +194,7 @@ func (f *Fabric) drive(m *migration) error {
 	if !m.failover && !src.endpoint() {
 		// The source is dying or dark: the failover path owns this
 		// shard's fate now; just stop competing for it.
-		sl.release(m.tok)
-		f.forget(m)
-		f.migAborts.Add(1)
-		return fmt.Errorf("fabric: shard %d source %d left service", m.shard, m.src)
+		return f.abandon(m, "fabric: shard %d source %d left service", m.shard, m.src)
 	}
 
 	// Freeze: writes stop at the router and the gate; reads continue
@@ -200,10 +203,7 @@ func (f *Fabric) drive(m *migration) error {
 	switch {
 	case w == packWord(m.src, shardServing, m.epoch):
 		if !sl.word.CompareAndSwap(w, packWord(m.src, shardFrozen, m.epoch)) {
-			sl.release(m.tok)
-			f.forget(m)
-			f.migAborts.Add(1)
-			return fmt.Errorf("fabric: shard %d freeze lost", m.shard)
+			return f.abandon(m, "fabric: shard %d freeze lost", m.shard)
 		}
 	case w == packWord(m.src, shardFrozen, m.epoch):
 		// Re-drive of an interrupted handoff: already frozen.
@@ -211,10 +211,7 @@ func (f *Fabric) drive(m *migration) error {
 		// The previous holder died between flip and drain.
 		return f.drainAndRelease(m)
 	default:
-		sl.release(m.tok)
-		f.forget(m)
-		f.migAborts.Add(1)
-		return fmt.Errorf("fabric: shard %d superseded (word %x)", m.shard, w)
+		return f.abandon(m, "fabric: shard %d superseded (word %x)", m.shard, w)
 	}
 	m.progress()
 
@@ -330,10 +327,7 @@ func (f *Fabric) drive(m *migration) error {
 		return f.superseded(m, "flip")
 	}
 	if !sl.word.CompareAndSwap(packWord(m.src, shardFrozen, m.epoch), packWord(m.dst, shardServing, m.epoch+1)) {
-		sl.release(m.tok)
-		f.forget(m)
-		f.migAborts.Add(1)
-		return fmt.Errorf("fabric: shard %d flip lost", m.shard)
+		return f.abandon(m, "fabric: shard %d flip lost", m.shard)
 	}
 	f.migFlips.Add(1)
 	f.emit(telemetry.EvShardFlip, uint64(m.shard), uint32(m.dst))

@@ -84,10 +84,9 @@ type shedReq struct {
 // popBatch moves up to cap(batch) executable requests into batch under
 // one lock acquisition and one clock reading, and returns it with the
 // requests shed on the way: deadline-expired entries and CoDel drops.
-// now/nowTick are the wall and pod-logical clocks; a request is expired
-// when either of its deadline stamps has passed. The batch is empty when
-// the queue is, or when everything in it was shed.
-func (q *queue) popBatch(now time.Time, nowTick uint64, batch []*Request) ([]*Request, []shedReq) {
+// The batch is empty when the queue is, or when everything in it was
+// shed.
+func (q *queue) popBatch(now time.Time, batch []*Request) ([]*Request, []shedReq) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	var shed []shedReq
@@ -107,7 +106,7 @@ func (q *queue) popBatch(now time.Time, nowTick uint64, batch []*Request) ([]*Re
 			q.buf[q.head] = nil
 			q.head++
 		}
-		if r.expired(now, nowTick) {
+		if now.After(r.deadlineWall) {
 			shed = append(shed, shedReq{r, ErrDeadlineExceeded})
 			continue
 		}

@@ -7,7 +7,7 @@ import (
 )
 
 // qreq builds a queued-looking request with explicit stamps, bypassing
-// Submit (the queue is clock-agnostic: popBatch receives now/tick).
+// Submit (the queue reads no clock: popBatch is handed now).
 func qreq(arrive time.Time, deadline time.Time) *Request {
 	r := NewRequest()
 	r.arriveWall = arrive
@@ -16,8 +16,8 @@ func qreq(arrive time.Time, deadline time.Time) *Request {
 }
 
 // pop1 takes one request, as a worker with a batch of one would.
-func pop1(q *queue, now time.Time, tick uint64) (*Request, []shedReq) {
-	b, sheds := q.popBatch(now, tick, make([]*Request, 0, 1))
+func pop1(q *queue, now time.Time) (*Request, []shedReq) {
+	b, sheds := q.popBatch(now, make([]*Request, 0, 1))
 	if len(b) == 0 {
 		return nil, sheds
 	}
@@ -49,7 +49,7 @@ func TestQueueFIFOBelowThresholdLIFOAbove(t *testing.T) {
 	a, b := qreq(now, far), qreq(now, far)
 	q.push(a)
 	q.push(b)
-	if got, _ := pop1(q, now, 0); got != a {
+	if got, _ := pop1(q, now); got != a {
 		t.Fatalf("healthy queue served %p, want FIFO head %p", got, a)
 	}
 	q.drain()
@@ -58,15 +58,15 @@ func TestQueueFIFOBelowThresholdLIFOAbove(t *testing.T) {
 		q.push(r)
 	}
 	// Depth 4 >= lifoAt 3: newest-first.
-	if got, _ := pop1(q, now, 0); got != reqs[3] {
+	if got, _ := pop1(q, now); got != reqs[3] {
 		t.Fatalf("overloaded queue served %v, want LIFO tail", got)
 	}
 	// Depth 3 >= 3: still LIFO.
-	if got, _ := pop1(q, now, 0); got != reqs[2] {
+	if got, _ := pop1(q, now); got != reqs[2] {
 		t.Fatalf("overloaded queue served %v, want LIFO tail", got)
 	}
 	// Depth 2 < 3: back to FIFO.
-	if got, _ := pop1(q, now, 0); got != reqs[0] {
+	if got, _ := pop1(q, now); got != reqs[0] {
 		t.Fatalf("recovered queue served %v, want FIFO head", got)
 	}
 }
@@ -78,28 +78,12 @@ func TestQueuePopShedsExpired(t *testing.T) {
 	live := qreq(now, now.Add(time.Hour))
 	q.push(dead)
 	q.push(live)
-	got, sheds := pop1(q, now, 0)
+	got, sheds := pop1(q, now)
 	if got != live {
 		t.Fatalf("pop returned %v, want the live request", got)
 	}
 	if len(sheds) != 1 || sheds[0].req != dead || !errors.Is(sheds[0].err, ErrDeadlineExceeded) {
 		t.Fatalf("sheds = %+v, want the expired request with ErrDeadlineExceeded", sheds)
-	}
-}
-
-func TestQueuePopShedsTickExpired(t *testing.T) {
-	q := newQueue(16, 100, time.Second, time.Second)
-	now := time.Now()
-	r := qreq(now, now.Add(time.Hour)) // wall deadline far away
-	r.deadlineTick = 100
-	q.push(r)
-	if got, sheds := pop1(q, now, 99); got != r || len(sheds) != 0 {
-		t.Fatalf("pop before tick deadline shed the request")
-	}
-	q.push(r)
-	got, sheds := pop1(q, now, 101)
-	if got != nil || len(sheds) != 1 || !errors.Is(sheds[0].err, ErrDeadlineExceeded) {
-		t.Fatalf("pop past tick deadline: got %v sheds %+v, want tick-expiry shed", got, sheds)
 	}
 }
 
@@ -113,12 +97,12 @@ func TestQueueCoDelShedsAfterSustainedDelay(t *testing.T) {
 	// First above-target dequeue starts the grace interval but serves.
 	q.push(old())
 	now := base.Add(2 * target)
-	if got, sheds := pop1(q, now, 0); got == nil || len(sheds) != 0 {
+	if got, sheds := pop1(q, now); got == nil || len(sheds) != 0 {
 		t.Fatalf("first above-target pop must serve, got %v/%v", got, sheds)
 	}
 	// Still inside the interval: serve.
 	q.push(old())
-	if got, sheds := pop1(q, now.Add(interval/2), 0); got == nil || len(sheds) != 0 {
+	if got, sheds := pop1(q, now.Add(interval/2)); got == nil || len(sheds) != 0 {
 		t.Fatalf("pop inside grace interval must serve, got %v/%v", got, sheds)
 	}
 	// A full interval above target: shed until sojourn back under.
@@ -126,7 +110,7 @@ func TestQueueCoDelShedsAfterSustainedDelay(t *testing.T) {
 	q.push(old())
 	q.push(old())
 	q.push(fresh)
-	got, sheds := pop1(q, base.Add(2*interval), 0)
+	got, sheds := pop1(q, base.Add(2*interval))
 	if got != fresh {
 		t.Fatalf("CoDel pop served %v, want the fresh request", got)
 	}
@@ -140,7 +124,7 @@ func TestQueueCoDelShedsAfterSustainedDelay(t *testing.T) {
 	}
 	// Under-target dequeue resets the detector.
 	q.push(qreq(base.Add(2*interval), far))
-	if got, sheds := pop1(q, base.Add(2*interval), 0); got == nil || len(sheds) != 0 {
+	if got, sheds := pop1(q, base.Add(2*interval)); got == nil || len(sheds) != 0 {
 		t.Fatalf("post-recovery pop must serve, got %v/%v", got, sheds)
 	}
 }

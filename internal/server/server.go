@@ -25,11 +25,10 @@ const (
 // Request is one simulated-RPC request. Create with NewRequest; the
 // buffers (Key, Val, Dst) belong to the caller and must stay untouched
 // until the response arrives. A request is stamped at admission with its
-// wall-clock arrival, and carries one absolute deadline for its whole
-// lifetime — on the wall clock, and on the pod logical clock too once a
-// tick rate is calibrated. Retries re-enter admission with a fresh
-// arrival stamp but the original deadline (deadline propagation: a
-// request never outlives its budget by being resubmitted).
+// wall-clock arrival, and carries one absolute wall-clock deadline for
+// its whole lifetime. Retries re-enter admission with a fresh arrival
+// stamp but the original deadline (deadline propagation: a request never
+// outlives its budget by being resubmitted).
 type Request struct {
 	Op    OpKind
 	Key   []byte
@@ -52,7 +51,6 @@ type Request struct {
 
 	arriveWall   time.Time
 	deadlineWall time.Time
-	deadlineTick uint64 // 0: wall-clock deadline only
 
 	resp Response
 	done chan *Request
@@ -72,17 +70,21 @@ func (r *Request) Wait() *Response {
 func (r *Request) Reset() {
 	r.resp = Response{}
 	r.arriveWall, r.deadlineWall = time.Time{}, time.Time{}
-	r.deadlineTick = 0
 	r.PrevVer = 0
 	r.Shard, r.ShardEpoch = 0, 0
 }
 
-// expired reports whether either deadline stamp has passed.
-func (r *Request) expired(now time.Time, tick uint64) bool {
-	if now.After(r.deadlineWall) {
-		return true
+// stamp records r's arrival at now and, the first time it is admitted
+// or rejected, its absolute deadline; a resubmission keeps that one.
+func (r *Request) stamp(now time.Time) {
+	r.arriveWall = now
+	if r.deadlineWall.IsZero() {
+		d := r.Deadline
+		if d <= 0 {
+			d = 24 * time.Hour
+		}
+		r.deadlineWall = now.Add(d)
 	}
-	return r.deadlineTick != 0 && tick > r.deadlineTick
 }
 
 // Response is the server's answer. Err == nil means the op executed
@@ -192,7 +194,7 @@ type Server struct {
 	groups []*group
 
 	pressure atomic.Uint64 // float64 bits of the latest sample
-	tickRate atomic.Uint64 // float64 bits; 0 = wall-clock deadlines only
+	tickRate atomic.Uint64 // float64 bits; 0 = pace off
 	stopped  atomic.Bool
 	wg       sync.WaitGroup
 
@@ -296,8 +298,9 @@ func (s *Server) Pressure() float64 {
 	return math.Float64frombits(s.pressure.Load())
 }
 
-// SetTickRate installs a calibrated pod-clock rate (ticks/second);
-// subsequent admissions stamp tick deadlines from it.
+// SetTickRate installs the calibrated pod-clock rate (ticks/second) a
+// finite lease was sized from; pace keeps the clock at it while a worker
+// awaits repair.
 func (s *Server) SetTickRate(r float64) {
 	s.tickRate.Store(math.Float64bits(r))
 }
@@ -340,19 +343,11 @@ func (s *Server) respond(r *Request, err error) {
 
 // Reject answers r with err without admitting it to any server — the
 // router-level rejection path (fabric: dark pod, frozen shard, no
-// owner). It stamps arrival and the absolute deadline exactly like
-// Submit, so client backoff and deadline propagation see a normally
-// stamped request.
+// owner). It stamps r as Submit does, so client backoff and deadline
+// propagation see a normally stamped request.
 func Reject(r *Request, err error) {
 	now := time.Now()
-	r.arriveWall = now
-	if r.deadlineWall.IsZero() {
-		d := r.Deadline
-		if d <= 0 {
-			d = 24 * time.Hour
-		}
-		r.deadlineWall = now.Add(d)
-	}
+	r.stamp(now)
 	r.resp.Err = err
 	r.resp.DoneWall = now
 	r.done <- r
@@ -360,21 +355,9 @@ func Reject(r *Request, err error) {
 
 // Submit admits r (asynchronously; the response arrives on r's
 // channel): watermark checks, breaker-aware routing, then the chosen
-// group's bounded queue. The pod clock is an HWcc load, read only when a
-// tick rate makes tick deadlines possible.
+// group's bounded queue.
 func (s *Server) Submit(r *Request) {
-	now := time.Now()
-	r.arriveWall = now
-	if r.deadlineWall.IsZero() {
-		d := r.Deadline
-		if d <= 0 {
-			d = 24 * time.Hour
-		}
-		r.deadlineWall = now.Add(d)
-		if tr := math.Float64frombits(s.tickRate.Load()); tr > 0 {
-			r.deadlineTick = s.heap.ClockNow(0) + uint64(tr*d.Seconds())
-		}
-	}
+	r.stamp(time.Now())
 	if err := s.refuse(r); err != nil {
 		s.refused.Add(1)
 		s.respond(r, err)
@@ -617,12 +600,8 @@ func (w *worker) idleTicks() bool {
 // fill pops the next batch, answering what the queue shed on the way.
 func (w *worker) fill() {
 	s := w.s
-	var tick uint64
-	if s.tickRate.Load() != 0 {
-		tick = s.heap.ClockNow(0)
-	}
 	var sheds []shedReq
-	w.batch, sheds = w.g.q.popBatch(time.Now(), tick, w.buf[:0])
+	w.batch, sheds = w.g.q.popBatch(time.Now(), w.buf[:0])
 	for _, sd := range sheds {
 		s.countShed(sd.err)
 		s.respond(sd.req, sd.err)

@@ -170,6 +170,28 @@ func TestClientRetriesShedAndStopsAtDeadline(t *testing.T) {
 	}
 }
 
+// Deadline propagation through the one stamp Reject and Submit share: a
+// request a router rejected and its client resubmitted keeps the
+// absolute deadline of its first answer; only its arrival moves.
+func TestResubmitAfterRejectKeepsFirstDeadline(t *testing.T) {
+	f := newTestFixture(t)
+	r := putReq("k", "v")
+	r.Deadline = time.Hour
+	Reject(r, ErrBreakerOpen)
+	r.Wait()
+	arrived, deadline := r.arriveWall, r.deadlineWall
+	time.Sleep(time.Millisecond)
+	if resp := f.do(r); resp.Err != nil {
+		t.Fatalf("resubmitted put: %v", resp.Err)
+	}
+	if !r.deadlineWall.Equal(deadline) {
+		t.Fatalf("resubmission moved the deadline from %v to %v", deadline, r.deadlineWall)
+	}
+	if !r.arriveWall.After(arrived) {
+		t.Fatal("resubmission kept the first arrival stamp")
+	}
+}
+
 func TestClientRetryBudgetBoundsAmplification(t *testing.T) {
 	f := newTestFixture(t)
 	f.setPressure(0.95)
@@ -272,5 +294,15 @@ func TestRunSLOChaosShortEndToEnd(t *testing.T) {
 	}
 	if rep.Kills == 0 {
 		t.Fatalf("no faults landed:\n%s", FormatSLOReport(rep, true))
+	}
+	if rep.Schedule[0].Kind != chaos.FaultProcKill {
+		t.Fatalf("schedule starts with a %s, want a %s", rep.Schedule[0].Kind, chaos.FaultProcKill)
+	}
+	died := 0
+	for _, out := range rep.Outcomes {
+		died += len(out.Died)
+	}
+	if rep.Kills != died {
+		t.Fatalf("Kills = %d, but the outcomes record %d deaths", rep.Kills, died)
 	}
 }

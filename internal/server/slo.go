@@ -36,7 +36,8 @@ type SLOConfig struct {
 	Window time.Duration // measured window per rate point
 	Rates  []float64     // offered-load multipliers of measured capacity
 
-	// Chaos variant only: fault pacing and the wall-clock lease target.
+	// Chaos variant only: the mean gap between faults (each gap is drawn
+	// from 0.5-1.5x it) and the wall-clock lease target.
 	FaultEvery time.Duration
 	LeaseWall  time.Duration
 }
@@ -116,7 +117,10 @@ type SLOReport struct {
 	Points     []SLOPoint
 	ChaosPoint *SLOPoint // RunSLOChaos: the fault-injected point
 
-	// Chaos variant.
+	// Chaos variant: the injector's schedule, what each fault did, and
+	// the thread and process kills that landed.
+	Schedule         []chaos.FaultSpec
+	Outcomes         []chaos.FaultOutcome
 	Kills, ProcKills int
 	FalseTakeovers   uint64
 }
@@ -232,8 +236,8 @@ func (p *podService) clockNow() uint64 { return p.Pod.Heap().ClockNow(0) }
 // inside Run, and Stop waiting out the workers is exactly that barrier;
 // a settle round then renews every slot under the new lease (no slot
 // keeps a stale infinite deadline), and a fresh server over the same
-// pod and store takes the traffic, stamping tick deadlines and pacing
-// repairs at the calibrated rate. The lease shape is the caller's.
+// pod and store takes the traffic, pacing repairs at the calibrated
+// rate. The lease shape is the caller's.
 func (p *podService) retune(lease cxlalloc.LivenessConfig, tickHz float64) {
 	p.srv.Stop()
 	p.Pod.RetuneLiveness(lease)
@@ -332,10 +336,11 @@ func (r *sloRun) capacityPhase(rep *SLOReport) error {
 // arrival that finds every lane busy and the fire buffer full is a
 // client-side drop, counted against goodput like any other failure. The
 // pacer wakes on a coarse quantum and fires everything due, so pacing
-// costs a bounded number of wakeups rather than one per arrival. It
-// fills p's arrivals, drops and elapsed time and returns what the lanes
-// did.
-func (r *sloRun) openLoop(p *SLOPoint, window time.Duration, salt uint64) *Tally {
+// costs a bounded number of wakeups rather than one per arrival. The
+// channel it returns yields what the lanes did once the last of them
+// has returned, by which time p's arrivals, drops and elapsed time are
+// filled.
+func (r *sloRun) openLoop(p *SLOPoint, window time.Duration, salt uint64) <-chan *Tally {
 	per := p.TargetRate / float64(len(r.issuers))
 	start := time.Now()
 	stop := start.Add(window)
@@ -386,9 +391,13 @@ func (r *sloRun) openLoop(p *SLOPoint, window time.Duration, salt uint64) *Tally
 			}
 		}()
 	}
-	t := <-done
-	p.Offered, p.ClientDrops, p.Elapsed = offered.Load(), drops.Load(), time.Since(start)
-	return t
+	out := make(chan *Tally, 1)
+	go func() {
+		t := <-done
+		p.Offered, p.ClientDrops, p.Elapsed = offered.Load(), drops.Load(), time.Since(start)
+		out <- t
+	}()
+	return out
 }
 
 func (r *sloRun) retriesNow() uint64 {
@@ -456,13 +465,12 @@ func RunSLO(cfg SLOConfig) (*SLOReport, error) {
 		return rep, err
 	}
 	cfg = r.cfg
-	r.srv.SetTickRate(rep.TickRate)
 
 	// Open-loop sweep.
 	for pi, mult := range cfg.Rates {
 		p := SLOPoint{Mult: mult, TargetRate: mult * rep.Capacity}
 		s0, r0 := r.srv.Stats(), r.retriesNow()
-		r.summarize(&p, r.openLoop(&p, cfg.Window, uint64(pi)+0x510), s0, r0)
+		r.summarize(&p, <-r.openLoop(&p, cfg.Window, uint64(pi)+0x510), s0, r0)
 		rep.Points = append(rep.Points, p)
 	}
 

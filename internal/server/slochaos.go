@@ -1,6 +1,7 @@
 package server
 
 import (
+	"sync/atomic"
 	"time"
 
 	"cxlalloc"
@@ -18,9 +19,6 @@ import (
 // that the breaker opened (requests re-routed to live processes instead
 // of queueing behind the ~lease-length repair), that every acked write
 // survived, and that the heap ledger audits back to empty.
-const sloTailGrace = 1 * time.Second // stop injecting this early
-
-// RunSLOChaos executes the fault-injected run.
 func RunSLOChaos(cfg SLOConfig) (*SLOReport, error) {
 	// Phase 1 — capacity + clock calibration under the infinite lease.
 	r, rep, err := openSLO(cfg, crash.NewInjector())
@@ -35,83 +33,95 @@ func RunSLOChaos(cfg SLOConfig) (*SLOReport, error) {
 	// only worth paying as often as the lease in force needs it.
 	r.retune(cxlalloc.LivenessConfig{RenewInterval: chaos.LeaseTicks(rep.TickRate, cfg.LeaseWall) / 6, GraceMult: 6, PollInterval: 4}, rep.TickRate)
 
-	// Phase 2 — open loop at 2x capacity with group kills in parallel.
+	// Phase 2 — open loop at 2x capacity with group kills in parallel,
+	// one every FaultEvery on average.
 	window := 2 * cfg.Window
 	s0, r0 := r.srv.Stats(), r.retriesNow()
-	injDone := make(chan struct{})
-	go func() {
-		defer close(injDone)
-		r.injectFaults(rep, window)
-	}()
+	start := time.Now()
 	p := SLOPoint{Mult: 2, TargetRate: 2 * rep.Capacity}
-	t := r.openLoop(&p, window, 0xc4a05)
-	<-injDone
-	r.summarize(&p, t, s0, r0)
-	rep.ChaosPoint = &p
+	lanes := r.openLoop(&p, window, 0xc4a05)
+	var stop atomic.Bool
+	faults := &chaos.Injector{
+		Seed: xrand.Mix(cfg.Seed ^ 0x5105fa11), FaultRate: float64(time.Second) / float64(cfg.FaultEvery),
+		Duration: window, Clock: r.clockNow, Stop: &stop, Gates: &r.gates,
+		Plan: r.plan,
+		Apply: func(spec chaos.FaultSpec) chaos.FaultOutcome {
+			return r.apply(spec, start.Add(window))
+		},
+	}
+	faults.Window(start)
 
-	// Phase 3 — convergence: traffic has drained; the workers' idle
-	// ticks keep the watchdog advancing until every slot is repaired.
-	r.gates.Converge(chaos.ConvergeWait, func() []string {
+	// Phase 3 — convergence: the pacers have stopped; the workers' idle
+	// ticks keep the watchdog advancing until every slot is repaired and
+	// every lane has its last response.
+	t := EndWindow(&r.gates, chaos.ConvergeWait, lanes, r.srv.Stop, func() []string {
 		return chaos.SlotsDown(r.Pod.Heap(), cfg.Threads)
 	})
-
+	r.summarize(&p, t, s0, r0)
+	rep.ChaosPoint = &p
+	rep.Schedule, rep.Outcomes = faults.Schedule, faults.Outcomes
+	for _, out := range faults.Outcomes {
+		rep.Kills += len(out.Died)
+		if out.ProcKilled {
+			rep.ProcKills++
+		}
+	}
 	rep.FalseTakeovers = r.Pod.FalseTakeovers()
 	r.report(rep)
 	return rep, nil
 }
 
-// injectFaults kills one whole process group roughly every FaultEvery:
-// every live tid of the group is armed and dies inside its own op, so
-// the group goes fully dark and the breaker must open. The first fault
-// escalates to a process kill once the group owns no live slot. Groups
-// are skipped when killing them would leave fewer than 2 live slots
-// pod-wide (someone has to run the watchdog).
-func (r *sloRun) injectFaults(rep *SLOReport, window time.Duration) {
-	cfg := r.cfg
+// plan draws group kill i: every live tid of one process group, so the
+// group goes fully dark and the breaker must open. Fault i takes the
+// first group, from i%Procs on, whose kill leaves at least 2 live slots
+// pod-wide (someone has to run the watchdog). Fault 0 is a process kill.
+func (r *sloRun) plan(i int, rng *xrand.Rand) (chaos.FaultSpec, bool) {
 	heap := r.Pod.Heap()
-	grace := sloTailGrace
-	if grace > window/4 {
-		grace = window / 4
-	}
-	stop := time.Now().Add(window - grace)
-	for i := 0; time.Now().Before(stop); i++ {
-		time.Sleep(cfg.FaultEvery)
-		if !time.Now().Before(stop) {
-			return
-		}
-		g := i % cfg.Procs
-		var targets []int
-		alive := 0
-		for tid := 0; tid < cfg.Threads; tid++ {
-			if !heap.Alive(tid) {
-				continue
-			}
+	alive := 0
+	for tid := 0; tid < r.cfg.Threads; tid++ {
+		if heap.Alive(tid) {
 			alive++
-			if tid%cfg.Procs == g {
+		}
+	}
+	for k := 0; k < r.cfg.Procs; k++ {
+		g := (i + k) % r.cfg.Procs
+		var targets []int
+		for tid := g; tid < r.cfg.Threads; tid += r.cfg.Procs {
+			if heap.Alive(tid) {
 				targets = append(targets, tid)
 			}
 		}
 		if len(targets) == 0 || alive-len(targets) < 2 {
 			continue
 		}
-		// Give up on a victim at the kill deadline or the end of the
-		// window, whichever comes first.
-		deadline := time.Now().Add(chaos.KillWait)
-		if end := stop.Add(grace); end.Before(deadline) {
-			deadline = end
+		spec := chaos.FaultSpec{I: i, Kind: chaos.FaultThreadKill, Victims: targets, ArmProb: chaos.ArmProb, ArmSeed: rng.Uint64()}
+		if i == 0 {
+			spec.Kind, spec.Proc = chaos.FaultProcKill, g
 		}
-		died := chaos.KillInOp(r.inj, chaos.ArmProb, xrand.Mix(cfg.Seed)^xrand.Mix(uint64(i)+0xfa11), targets, heap.Alive, deadline)
-		rep.Kills += len(died)
-		if i == 0 && len(died) == len(targets) {
-			// Escalate to a process kill, livechaos-style: only once the
-			// process owns no live slot (adoption may have rebound repaired
-			// slots into it — if so, leave it be; the thread kills alone
-			// already opened the breaker).
-			p := r.Procs[g]
-			if !p.Dead() && len(chaos.OwnedLive(r.Pod, p, cfg.Threads)) == 0 {
-				r.Pod.KillProcess(p)
-				rep.ProcKills++
-			}
-		}
+		return spec, true
 	}
+	return chaos.FaultSpec{}, false
+}
+
+// apply kills spec's victims in their own ops, giving up at the kill
+// deadline or end, whichever comes first. A process kill escalates,
+// livechaos-style, only once the process owns no live slot: adoption may
+// have rebound repaired slots into it, and if so it is left be — the
+// thread kills alone already opened the breaker.
+func (r *sloRun) apply(spec chaos.FaultSpec, end time.Time) chaos.FaultOutcome {
+	out := chaos.FaultOutcome{I: spec.I, Kind: spec.Kind}
+	deadline := time.Now().Add(chaos.KillWait)
+	if end.Before(deadline) {
+		deadline = end
+	}
+	out.Died = chaos.KillInOp(r.inj, spec.ArmProb, spec.ArmSeed, spec.Victims, r.Pod.Heap().Alive, deadline)
+	if len(out.Died) < len(spec.Victims) {
+		out.Note = "partial: not all victims died before deadline"
+		return out
+	}
+	if p := r.Procs[spec.Proc]; spec.Kind == chaos.FaultProcKill && !p.Dead() && len(chaos.OwnedLive(r.Pod, p, r.cfg.Threads)) == 0 {
+		r.Pod.KillProcess(p)
+		out.ProcKilled = true
+	}
+	return out
 }

@@ -88,7 +88,7 @@ func TestDetectsOwnedSlabOnGlobalList(t *testing.T) {
 	idx := int(head - 1)
 	probe := e.dev.NewCache()
 	w0 := probe.LoadFresh(e.h.small.descW0(idx))
-	probe.Store(e.h.small.descW0(idx), packW0(w0Next(w0), 1, 0))
+	probe.Store(e.h.small.descW0(idx), packW0(w0Next(w0), 1, 0, w0Ext(w0)))
 	probe.Flush(e.h.small.descW0(idx))
 	expectViolation(t, e, "global free list has owner")
 }

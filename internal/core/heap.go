@@ -195,7 +195,8 @@ func NewHeap(cfg Config, dev *memsim.Device) (*Heap, error) {
 		localStride: lay.SmallLocalStride,
 		descBase:    lay.SmallDescBase,
 		descStride:  lay.SmallDescStride,
-		bitsetWords: lay.SmallBitsetWords,
+		lines:       classLines(SmallSlabSize, smallClassSizes),
+		descLines:   lay.SmallDescStride / lineWords,
 		dataOff:     lay.SmallDataOff,
 		opBit:       0,
 		magBase:     lay.SmallMagBase,
@@ -214,7 +215,8 @@ func NewHeap(cfg Config, dev *memsim.Device) (*Heap, error) {
 		localStride: lay.LargeLocalStride,
 		descBase:    lay.LargeDescBase,
 		descStride:  lay.LargeDescStride,
-		bitsetWords: lay.LargeBitsetWords,
+		lines:       classLines(LargeSlabSize, largeClassSizes),
+		descLines:   lay.LargeDescStride / lineWords,
 		dataOff:     lay.LargeDataOff,
 		opBit:       opLargeBit,
 		magBase:     lay.LargeMagBase,

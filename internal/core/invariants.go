@@ -283,7 +283,7 @@ func (s *slabHeap) auditEmpty(ts *threadState, tid int) error {
 	for idx := 0; idx < n; idx++ {
 		// The auditor is usually not the slab's owner: invalidate any
 		// stale cached descriptor lines before reading.
-		s.flushDesc(ts, idx)
+		s.flushDesc(ts, idx, s.descLines)
 		w0 := s.loadW0(ts, idx)
 		class := w0Class(w0)
 		if class == 0 {

@@ -223,7 +223,7 @@ func (h *Heap) redo(ts *threadState, tid, op int, a uint32, b uint16, ver uint16
 			// The slab is ours and private; adopt it so the list rebuild
 			// links it. (If adoption already happened, this rewrite is
 			// equivalent.)
-			s.storeW0(ts, idx, packW0(0, uint16(tid+1), 0))
+			s.storeW0(ts, idx, packW0(0, uint16(tid+1), 0, 0))
 			ts.space.Install(s.slabData(idx), uint64(s.slabSize))
 		}
 
@@ -232,7 +232,7 @@ func (h *Heap) redo(ts *threadState, tid, op int, a uint32, b uint16, ver uint16
 			idx := int(a)
 			if w0Owner(s.loadW0(ts, idx)) != uint16(tid+1) {
 				// Popped but never adopted: claim it now.
-				s.storeW0(ts, idx, packW0(0, uint16(tid+1), 0))
+				s.storeW0(ts, idx, packW0(0, uint16(tid+1), 0, 0))
 			}
 		}
 
@@ -245,7 +245,7 @@ func (h *Heap) redo(ts *threadState, tid, op int, a uint32, b uint16, ver uint16
 			for {
 				headWord := h.dcas.Load(tid, s.freeW)
 				s.setNext(ts, idx, atomicx.Payload(headWord))
-				s.flushDesc(ts, idx)
+				s.flushDesc(ts, idx, s.descLines)
 				if h.dcas.CAS(tid, ver, s.freeW, headWord, uint32(idx+1)) {
 					break
 				}
@@ -256,11 +256,8 @@ func (h *Heap) redo(ts *threadState, tid, op int, a uint32, b uint16, ver uint16
 		// Initialization is private to the owner and no block can have
 		// been handed out yet; rerun it wholesale.
 		idx, class := int(a), int(b)
-		total := s.blocksPer(class)
-		s.storeW0(ts, idx, packW0(0, uint16(tid+1), uint8(class)))
-		s.setFreeCount(ts, idx, uint32(total))
-		s.fillBitset(ts, idx, total)
-		h.dcas.Store(tid, s.hwBase+idx, uint32(total))
+		s.initDesc(ts, tid, idx, class)
+		h.dcas.Store(tid, s.hwBase+idx, uint32(s.blocksPer(class)))
 
 	case opDetach, opDisown:
 		// List membership and ownership are repaired by the scan: it
@@ -411,9 +408,9 @@ func (h *Heap) redo(ts *threadState, tid, op int, a uint32, b uint16, ver uint16
 // Only the thread whose decrement reached zero ever steals, so this
 // write is exclusive.
 func (h *Heap) redoSteal(ts *threadState, tid int, s *slabHeap, idx int) {
-	s.flushDesc(ts, idx)
+	s.flushDesc(ts, idx, s.descLines)
 	if w0Owner(s.loadW0(ts, idx)) != uint16(tid+1) {
-		s.storeW0(ts, idx, packW0(0, uint16(tid+1), 0))
+		s.storeW0(ts, idx, packW0(0, uint16(tid+1), 0, 0))
 	} else {
 		// Already adopted pre-crash; normalize to unsized (the scan
 		// links owner==tid, class==0 slabs into the unsized list).
@@ -422,7 +419,7 @@ func (h *Heap) redoSteal(ts *threadState, tid int, s *slabHeap, idx int) {
 	// Overwrite the old owner's detach-published w0 on the device, as
 	// steal itself does — a crash between the countdown decrement and
 	// steal's durable clear must not leave owner==old-owner fetchable.
-	s.flushDesc(ts, idx)
+	s.flushDesc(ts, idx, s.extent(ts, idx))
 	// steal hands the slab to pushUnsized, which spills past the
 	// threshold. The rebuild scan links every owned classless slab and
 	// spills nothing, so spill here as that push would have.
@@ -553,7 +550,7 @@ func (s *slabHeap) rebuildLocal(ts *threadState, tid int) {
 			// only tolerates stale *remote* routing — a pinned copy from
 			// a past incarnation with owner==me would misroute a future
 			// free of the new incarnation down the local path.
-			s.flushDesc(ts, idx)
+			s.flushDesc(ts, idx, s.descLines)
 			continue
 		}
 		class := w0Class(w0)
@@ -569,7 +566,7 @@ func (s *slabHeap) rebuildLocal(ts *threadState, tid int) {
 			// discipline — publish the recomputed count and drop our
 			// copy, so a thief's durable owner-clear is re-fetched by
 			// our next read instead of shadowed by this resident line.
-			s.flushDesc(ts, idx)
+			s.flushDesc(ts, idx, s.extent(ts, idx))
 			continue
 		}
 		s.tlPush(ts, s.localW(tid, class), idx)

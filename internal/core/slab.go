@@ -33,10 +33,17 @@ type slabHeap struct {
 
 	lenW, freeW, hwBase int // HWcc words
 
-	localBase, localStride            int // SWcc per-thread list heads
-	descBase, descStride, bitsetWords int // SWcc descriptors
-	dataOff                           uint64
-	opBit                             int // opLargeBit for the large heap
+	localBase, localStride int // SWcc per-thread list heads
+	descBase, descStride   int // SWcc descriptors
+	dataOff                uint64
+	opBit                  int // opLargeBit for the large heap
+
+	// lines[class] is how many descriptor lines the class uses: word 0,
+	// the free count and ⌈blocksPer/64⌉ bitset words; 1 for class 0.
+	// descLines is the whole descriptor, for readers that are not the
+	// slab's owner.
+	lines     []int
+	descLines int
 
 	magBase int // SWcc magazine lines (magazine.go)
 	magIdx  int // threadState.mags index for this heap
@@ -53,6 +60,17 @@ func (s *slabHeap) descW1(idx int) int  { return s.descW0(idx) + 1 }
 func (s *slabHeap) bitsetW(idx int) int { return s.descW0(idx) + 2 }
 
 func (s *slabHeap) blocksPer(class int) int { return s.slabSize / s.classes[class] }
+
+// classLines returns the lines table of a heap of slabSize-byte slabs.
+func classLines(slabSize int, classes []int) []int {
+	lines := make([]int, len(classes))
+	lines[0] = 1
+	for c := 1; c < len(classes); c++ {
+		words := 2 + (slabSize/classes[c]+63)/64
+		lines[c] = (words + lineWords - 1) / lineWords
+	}
+	return lines
+}
 
 func (s *slabHeap) slabOf(p Ptr) int {
 	return int((p - s.dataOff) / uint64(s.slabSize))
@@ -81,15 +99,25 @@ func (s *slabHeap) cp(tid int, suffix string) {
 	s.h.cfg.Crash.Point(tid, s.name+"."+suffix)
 }
 
-// --- descriptor word 0: [ next+1 : 32 | owner+1 : 16 | class : 8 | - : 8 ]
+// --- descriptor word 0: [ next+1 : 32 | owner+1 : 16 | class : 8 | ext : 8 ]
+//
+// ext is the owner's dirty extent: how many descriptor lines the owner
+// may hold dirty in its cache. initSlab raises it to the new class's
+// lines and nothing but an acquisition lowers it (extend, popGlobal and
+// steal store 0: an acquirer holds no dirty line of the slab), so a slab
+// emptied as 16 B (5 lines) and re-initialized as 1 KiB (1 line) still
+// publishes all 5 at its next release. Without it the owner's cache
+// would keep the 16 B bitset lines dirty, to be written back over the
+// next owner's bitset at a crash or a later flush.
 
-func packW0(next uint32, owner uint16, class uint8) uint64 {
-	return uint64(next) | uint64(owner)<<32 | uint64(class)<<48
+func packW0(next uint32, owner uint16, class uint8, ext int) uint64 {
+	return uint64(next) | uint64(owner)<<32 | uint64(class)<<48 | uint64(uint8(ext))<<56
 }
 
 func w0Next(w uint64) uint32  { return uint32(w) }
 func w0Owner(w uint64) uint16 { return uint16(w >> 32) }
 func w0Class(w uint64) int    { return int(uint8(w >> 48)) }
+func w0Ext(w uint64) int      { return int(w >> 56) }
 
 func (s *slabHeap) loadW0(ts *threadState, idx int) uint64 {
 	return ts.cache.Load(s.descW0(idx))
@@ -101,30 +129,47 @@ func (s *slabHeap) storeW0(ts *threadState, idx int, w uint64) {
 
 func (s *slabHeap) setNext(ts *threadState, idx int, next uint32) {
 	w := s.loadW0(ts, idx)
-	s.storeW0(ts, idx, packW0(next, w0Owner(w), uint8(w0Class(w))))
+	s.storeW0(ts, idx, packW0(next, w0Owner(w), uint8(w0Class(w)), w0Ext(w)))
 }
 
 func (s *slabHeap) setOwnerClass(ts *threadState, idx int, owner uint16, class uint8) {
 	w := s.loadW0(ts, idx)
-	s.storeW0(ts, idx, packW0(w0Next(w), owner, class))
+	s.storeW0(ts, idx, packW0(w0Next(w), owner, class, w0Ext(w)))
 }
 
-// flushDesc publishes every line of slab idx's SWcc descriptor and
-// fences: the publication half of the §3.2.2 discipline, for sites that
-// hand the slab (or fresh descriptor contents) to other threads.
-func (s *slabHeap) flushDesc(ts *threadState, idx int) {
-	ts.cache.FlushRange(s.descW0(idx), s.descStride)
+// extent returns how many descriptor lines of slab idx its owner must
+// publish on release: every line its class uses and every line its
+// dirty extent records.
+func (s *slabHeap) extent(ts *threadState, idx int) int {
+	w := s.loadW0(ts, idx)
+	return max(w0Ext(w), s.lines[w0Class(w)])
+}
+
+// flushDesc publishes the first n lines of slab idx's SWcc descriptor
+// and fences: the publication half of the §3.2.2 discipline. The owner
+// handing the slab (or fresh descriptor contents) to other threads
+// passes s.extent; a reader that is not the owner, and may hold any
+// line of any past incarnation, passes s.descLines.
+func (s *slabHeap) flushDesc(ts *threadState, idx, n int) {
+	ts.cache.FlushRange(s.descW0(idx), n*lineWords)
 	ts.cache.Fence()
 }
 
 // invalidateDesc drops the thread's cached copy of slab idx's descriptor
-// WITHOUT a fence. Legal only when every cached descriptor line is clean
-// — the caller merely read — so there is nothing to publish; eviction
-// alone restores the re-fetch guarantee. This is the fence-coalescing
-// split (DESIGN.md §7.1): pure invalidations stop paying a drain fence,
-// while every dirty or ownership-transferring site keeps flushDesc.
+// line 0 WITHOUT a fence. Legal only when the line is clean — the caller
+// merely read — so there is nothing to publish; eviction alone restores
+// the re-fetch guarantee. This is the fence-coalescing split (DESIGN.md
+// §7.1): pure invalidations stop paying a drain fence, while every dirty
+// or ownership-transferring site keeps flushDesc.
+//
+// Line 0 is enough: every caller reads only word 0, and the caller's
+// clean copies of higher lines are harmless. They are never written back
+// (a write-back carries dirty words only); initSlab's fillBitset stores
+// every bitset word of the new class before anything reads one; and no
+// reader looks past ⌈total/64⌉ bitset words (firstFree, popcount,
+// magRefill, the invariants and the ledger audit).
 func (s *slabHeap) invalidateDesc(ts *threadState, idx int) {
-	ts.cache.FlushRange(s.descW0(idx), s.descStride)
+	ts.cache.Flush(s.descW0(idx))
 }
 
 // --- free bitset and count (owner-only access) ---
@@ -153,17 +198,15 @@ func (s *slabHeap) setBlockBit(ts *threadState, idx, block int, free bool) {
 	ts.cache.Store(wi, w)
 }
 
-// fillBitset marks the first total blocks free and the rest absent.
+// fillBitset marks the first total blocks free and the rest of the last
+// word absent. Words past ⌈total/64⌉ are not the class's and are left
+// alone: no reader looks at them (invalidateDesc).
 func (s *slabHeap) fillBitset(ts *threadState, idx, total int) {
 	base := s.bitsetW(idx)
-	for w := 0; w < s.bitsetWords; w++ {
-		var v uint64
-		lo := w * 64
-		switch {
-		case total >= lo+64:
-			v = ^uint64(0)
-		case total > lo:
-			v = (uint64(1) << uint(total-lo)) - 1
+	for w := 0; w < (total+63)/64; w++ {
+		v := ^uint64(0)
+		if rest := total - w*64; rest < 64 {
+			v = uint64(1)<<uint(rest) - 1
 		}
 		ts.cache.Store(base+w, v)
 	}
@@ -345,13 +388,13 @@ func (s *slabHeap) fullTransition(ts *threadState, tid, idx, class, total, block
 		// re-fetches the device word the stealer durably overwrites.
 		s.tlUnlink(ts, s.localW(tid, class), idx)
 		s.cp(tid, "detach.post-unlink")
-		s.flushDesc(ts, idx)
+		s.flushDesc(ts, idx, s.extent(ts, idx))
 		s.cp(tid, "detach.post-flush")
 	} else {
 		s.h.writeOplog(tid, ts, s.opc(opDisown), uint32(idx), uint16(class), uint16(block+1))
 		s.cp(tid, "disown.post-oplog")
 		s.setOwnerClass(ts, idx, 0, uint8(class))
-		s.flushDesc(ts, idx)
+		s.flushDesc(ts, idx, s.extent(ts, idx))
 		s.cp(tid, "disown.post-flush")
 		s.tlUnlink(ts, s.localW(tid, class), idx)
 		s.cp(tid, "disown.post-unlink")
@@ -379,26 +422,34 @@ func (s *slabHeap) initSlab(ts *threadState, tid, class int) {
 	if !ok {
 		s.h.fail("%s heap: initSlab with empty unsized list", s.name)
 	}
-	total := s.blocksPer(class)
 	s.h.writeOplog(tid, ts, s.opc(opInit), uint32(idx), uint16(class), 0)
 	s.cp(tid, "init.post-oplog")
-	s.storeW0(ts, idx, packW0(0, uint16(tid+1), uint8(class)))
-	s.setFreeCount(ts, idx, uint32(total))
-	s.fillBitset(ts, idx, total)
+	s.initDesc(ts, tid, idx, class)
 	s.cp(tid, "init.post-desc")
 	// Exclusive access: a plain store resets the countdown (§3.2.1).
-	s.h.dcas.Store(tid, s.hwBase+idx, uint32(total))
+	s.h.dcas.Store(tid, s.hwBase+idx, uint32(s.blocksPer(class)))
 	s.cp(tid, "init.post-counter")
 	s.tlPush(ts, s.localW(tid, class), idx)
 	s.cp(tid, "init.post-push")
 }
 
+// initDesc writes slab idx's descriptor as a class slab owned by tid
+// with every block free, raising the dirty extent to the class's lines.
+func (s *slabHeap) initDesc(ts *threadState, tid, idx, class int) {
+	total := s.blocksPer(class)
+	ext := max(w0Ext(s.loadW0(ts, idx)), s.lines[class])
+	s.storeW0(ts, idx, packW0(0, uint16(tid+1), uint8(class), ext))
+	s.setFreeCount(ts, idx, uint32(total))
+	s.fillBitset(ts, idx, total)
+}
+
 // pushUnsized adopts slab idx into tid's unsized list (owner set, no
-// class) and spills excess slabs to the global free list.
-func (s *slabHeap) pushUnsized(ts *threadState, tid, idx int) {
+// class, dirty extent ext) and spills excess slabs to the global free
+// list.
+func (s *slabHeap) pushUnsized(ts *threadState, tid, idx, ext int) {
 	unsizedW := s.localW(tid, 0)
 	head := ts.cache.Load(unsizedW)
-	s.storeW0(ts, idx, packW0(uint32(head), uint16(tid+1), 0))
+	s.storeW0(ts, idx, packW0(uint32(head), uint16(tid+1), 0, ext))
 	ts.cache.Store(unsizedW, uint64(idx+1))
 	limit := s.h.cfg.UnsizedThreshold
 	for s.tlLen(ts, unsizedW, limit+1) > limit {
@@ -426,10 +477,10 @@ func (s *slabHeap) popGlobal(ts *threadState, tid int) bool {
 		s.cp(tid, "pop-global.pre-cas")
 		if s.h.dcas.CAS(tid, ver, s.freeW, headWord, next) {
 			s.cp(tid, "pop-global.post-cas")
-			// Drop any stale cached lines; nothing is dirty yet, so no
+			// Drop the line read above; nothing is dirty yet, so no
 			// fence is owed (invalidateDesc vs flushDesc).
 			s.invalidateDesc(ts, idx)
-			s.pushUnsized(ts, tid, idx)
+			s.pushUnsized(ts, tid, idx, 0)
 			s.cp(tid, "pop-global.post-push")
 			return true
 		}
@@ -443,9 +494,10 @@ func (s *slabHeap) pushGlobal(ts *threadState, tid, idx int) {
 	for {
 		headWord := s.h.dcas.Load(tid, s.freeW)
 		s.setNext(ts, idx, atomicx.Payload(headWord))
-		// Publish next and owner before the head CAS makes the slab
-		// reachable by other threads (§3.2.2).
-		s.flushDesc(ts, idx)
+		// Publish next and owner, and every line the owner may still
+		// hold dirty, before the head CAS makes the slab reachable by
+		// other threads (§3.2.2).
+		s.flushDesc(ts, idx, s.extent(ts, idx))
 		ver := ts.nextVer()
 		s.h.writeOplog(tid, ts, s.opc(opPushGlobal), uint32(idx), 0, ver)
 		s.h.dcas.Begin(tid, ver)
@@ -476,7 +528,7 @@ func (s *slabHeap) extend(ts *threadState, tid int) bool {
 			idx := int(length)
 			s.cp(tid, "extend.post-cas")
 			ts.space.Install(s.slabData(idx), uint64(s.slabSize))
-			s.pushUnsized(ts, tid, idx)
+			s.pushUnsized(ts, tid, idx, 0)
 			s.cp(tid, "extend.post-push")
 			return true
 		}
@@ -578,7 +630,9 @@ func (s *slabHeap) emptyTransition(ts *threadState, tid, idx, class int) {
 	s.cp(tid, "empty.post-oplog")
 	s.tlUnlink(ts, s.localW(tid, class), idx)
 	s.cp(tid, "empty.post-unlink")
-	s.pushUnsized(ts, tid, idx)
+	// Keep the dirty extent: the bitset lines of the class just left stay
+	// dirty in this cache until the slab's next release publishes them.
+	s.pushUnsized(ts, tid, idx, w0Ext(s.loadW0(ts, idx)))
 	s.cp(tid, "empty.post-push")
 }
 
@@ -621,9 +675,9 @@ func (s *slabHeap) remoteFree(ts *threadState, tid, idx, n int) {
 func (s *slabHeap) steal(ts *threadState, tid, idx int) {
 	s.h.writeOplog(tid, ts, s.opc(opSteal), uint32(idx), 0, 0)
 	s.cp(tid, "steal.post-oplog")
-	// Drop stale cached lines before adopting: a pure invalidation (our
-	// copies are clean), so no fence — the dirty owner-clear below goes
-	// through flushDesc, which fences.
+	// Drop a stale cached line 0 before adopting: a pure invalidation
+	// (our copies are clean), so no fence — the dirty owner-clear below
+	// goes through flushDesc, which fences.
 	s.invalidateDesc(ts, idx)
 	// The device still holds the w0 the old owner published at detach
 	// (owner = old owner). Durably clear it before the slab can be
@@ -631,11 +685,13 @@ func (s *slabHeap) steal(ts *threadState, tid, idx int) {
 	// re-fetches owner==me and misroutes a free of the NEW incarnation
 	// down the local path — the one stale outcome the §3.2.2 case
 	// analysis cannot tolerate. pushGlobal and disown already publish
-	// a cleared owner for the same reason.
-	s.setOwnerClass(ts, idx, 0, 0)
-	s.flushDesc(ts, idx)
+	// a cleared owner for the same reason. The clear zeroes the dirty
+	// extent too: the old owner published its lines at detach or disown,
+	// and we hold none dirty but this one.
+	s.storeW0(ts, idx, packW0(0, 0, 0, 0))
+	s.flushDesc(ts, idx, s.extent(ts, idx))
 	s.cp(tid, "steal.post-clear")
-	s.pushUnsized(ts, tid, idx)
+	s.pushUnsized(ts, tid, idx, 0)
 	s.cp(tid, "steal.post-push")
 }
 

@@ -66,6 +66,48 @@ func TestSWccSpillPublishesDescriptor(t *testing.T) {
 	}
 }
 
+// A slab emptied as 16 B (5 descriptor lines dirty) and re-initialized
+// as 1 KiB (1 line) by the same owner must publish all 5 lines when it
+// is released: the dirty extent in word 0 carries them across the
+// re-init. Otherwise the old owner's cache keeps the 16 B bitset lines
+// dirty, and their eventual write-back (a crash, or any later drain)
+// lands on the next owner's bitset, marking its taken blocks free — the
+// ledger audit sees more free bits than the countdown allows.
+func TestReinitToFewerLinesPublishesOldExtent(t *testing.T) {
+	e := swccEnv(t)
+	e.h.SetMagazines(false) // classic path: the takes clear bitset bits
+	const owner, adopter, auditor = 0, 2, 1
+	s := e.h.small
+	p := e.alloc(owner, 16)
+	idx := s.slabOf(p)
+	e.h.Free(owner, p) // empty as 16 B: back to the unsized list
+	var big []Ptr
+	for i := 0; i < smallBlocks(e); i++ {
+		big = append(big, e.alloc(owner, smallMax)) // re-init as 1 KiB; the last detaches
+	}
+	for _, q := range big {
+		e.h.Free(adopter, q) // the last remote free steals the slab
+	}
+	// The adopter re-inits the slab as 16 B and takes blocks whose bits
+	// lie past line 0 (bitset words 6 and 7 are in line 1).
+	var taken []Ptr
+	for i := 0; i < 8*64; i++ {
+		taken = append(taken, e.alloc(adopter, 16))
+	}
+	if s.slabOf(big[0]) != idx || s.slabOf(taken[0]) != idx || s.slabOf(taken[len(taken)-1]) != idx {
+		t.Fatalf("the 1 KiB and 16 B incarnations are not both slab %d", idx)
+	}
+	for _, q := range taken {
+		e.h.Free(owner, q) // remote: the countdown falls, the bits stay clear
+	}
+	e.h.threads[adopter].cache.WritebackAll()
+	e.h.threads[owner].cache.WritebackAll()
+	e.checkAll(auditor)
+	if err := e.h.AuditEmpty(auditor); err != nil {
+		t.Fatalf("ledger: %v", err)
+	}
+}
+
 // Disowning publishes owner == 0 so future freers take the remote path.
 func TestSWccDisownPublishesOwnerClear(t *testing.T) {
 	e := swccEnv(t)

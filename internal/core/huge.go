@@ -12,9 +12,11 @@ import "cxlalloc/internal/atomicx"
 // mapping's resources are safe to reclaim (§3.3.2).
 //
 // SWcc access discipline: the paper treats all huge-heap SWcc data as
-// uncachable — flush after every write, flush-and-fence before every
-// read — because huge operations are rare and the data is single-writer.
-// hugeLoad and hugeStore implement that discipline.
+// uncachable, because huge operations are rare and the data is
+// single-writer. hugeStore stores, flushes and fences; hugeLoad flushes
+// the word's line and fetches it fresh, with no fence. A hazard scan
+// reads each hazard line fresh once (scanHazards); descriptor reads stay
+// per word.
 
 // hugeDesc word offsets within a descriptor.
 const (
@@ -313,20 +315,48 @@ func (h *Heap) hugeUsableSize(ts *threadState, tid int, p Ptr) int {
 
 // --- hazard offsets (§3.3.2) ---
 
+// scanHazards walks thread t's NumHazards hazard slots in order, calling
+// fn with each slot's index and value until fn returns true; it returns
+// that slot and true, or false if fn never did. Each hazard line is read
+// fresh once per scan (LoadFreshLine at the first slot and at every line
+// boundary), not once per word.
+//
+// Why one fetch per line is as safe as one per word: a hazard slot has
+// one writer, its thread (or that thread's recoverer while the slot is
+// dead), and every write to a slot is hugeStore — store, flush, fence. A
+// line fetched after the scan began returns each word's device value
+// from some instant after that start, so every hazard fenced before the
+// scan began is seen, which is exactly what the per-word scan
+// guaranteed. That is the hazard that matters: in a correct program a
+// process maps p (rule 1: publish, then map) before anyone frees p, and
+// the owner reads the free bit before it scans (rule 3).
+func (h *Heap) scanHazards(ts *threadState, t int, fn func(i int, v uint64) bool) (int, bool) {
+	var line [lineWords]uint64
+	for i := 0; i < h.cfg.NumHazards; i++ {
+		w := h.hazardW(t, i)
+		if i == 0 || w%lineWords == 0 {
+			line = ts.cache.LoadFreshLine(w)
+		}
+		if fn(i, line[w%lineWords]) {
+			return i, true
+		}
+	}
+	return 0, false
+}
+
 // tryPublishHazard records off in tid's hazard list (idempotently),
 // keeping the mapping safe from reclamation while this process has it
 // mapped. It reports false if the hazard list is full — the per-thread
 // cap on concurrent huge mappings.
 func (h *Heap) tryPublishHazard(ts *threadState, tid int, off uint64) bool {
 	empty := -1
-	for i := 0; i < h.cfg.NumHazards; i++ {
-		v := h.hugeLoad(ts, h.hazardW(tid, i))
-		if v == off {
-			return true // already published
-		}
+	if _, ok := h.scanHazards(ts, tid, func(i int, v uint64) bool {
 		if v == 0 && empty < 0 {
 			empty = i
 		}
+		return v == off
+	}); ok {
+		return true // already published
 	}
 	if empty < 0 {
 		return false
@@ -337,11 +367,8 @@ func (h *Heap) tryPublishHazard(ts *threadState, tid int, off uint64) bool {
 
 // removeHazard clears off from tid's hazard list if present.
 func (h *Heap) removeHazard(ts *threadState, tid int, off uint64) {
-	for i := 0; i < h.cfg.NumHazards; i++ {
-		if h.hugeLoad(ts, h.hazardW(tid, i)) == off {
-			h.hugeStore(ts, h.hazardW(tid, i), 0)
-			return
-		}
+	if i, ok := h.scanHazards(ts, tid, func(_ int, v uint64) bool { return v == off }); ok {
+		h.hugeStore(ts, h.hazardW(tid, i), 0)
 	}
 }
 
@@ -349,10 +376,8 @@ func (h *Heap) removeHazard(ts *threadState, tid int, off uint64) {
 // (reclamation rule 3).
 func (h *Heap) hazardPublished(ts *threadState, off uint64) bool {
 	for t := 0; t < h.cfg.NumThreads; t++ {
-		for i := 0; i < h.cfg.NumHazards; i++ {
-			if h.hugeLoad(ts, h.hazardW(t, i)) == off {
-				return true
-			}
+		if _, ok := h.scanHazards(ts, t, func(_ int, v uint64) bool { return v == off }); ok {
+			return true
 		}
 	}
 	return false
@@ -372,19 +397,18 @@ func (h *Heap) Maintain(tid int) {
 // hazardSweep retires tid's hazards whose allocations have been freed:
 // unmap locally, then remove the hazard (rule 2's ordering).
 func (h *Heap) hazardSweep(ts *threadState, tid int) {
-	for i := 0; i < h.cfg.NumHazards; i++ {
-		off := h.hugeLoad(ts, h.hazardW(tid, i))
+	h.scanHazards(ts, tid, func(i int, off uint64) bool {
 		if off == 0 {
-			continue
+			return false
 		}
 		region := h.regionOf(off)
 		ownerWord := atomicx.Payload(h.dcas.Load(tid, h.reservW(region)))
 		if ownerWord == 0 {
-			continue
+			return false
 		}
 		id, ok := h.findDesc(ts, int(ownerWord)-1, off)
 		if !ok || h.hugeLoad(ts, h.descW(id, hdFree)) == 0 {
-			continue
+			return false
 		}
 		size := h.hugeLoad(ts, h.descW(id, hdSize))
 		h.writeOplog(tid, ts, opHugeUnmap, uint32(off/uint64(PageSize)), uint16(id), 0)
@@ -393,7 +417,8 @@ func (h *Heap) hazardSweep(ts *threadState, tid int) {
 		h.crashPoint(tid, "huge.unmap.post-unmap")
 		h.hugeStore(ts, h.hazardW(tid, i), 0)
 		h.clearOplog(tid, ts)
-	}
+		return false
+	})
 }
 
 // hugeReclaim reclaims tid's freed descriptors whose offsets have no

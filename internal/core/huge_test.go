@@ -152,10 +152,8 @@ func TestHugeRemoteFree(t *testing.T) {
 	// hazard from allocation time legitimately remains until its own
 	// Maintain).
 	ts1 := e.h.ts(1)
-	for i := 0; i < e.cfg.NumHazards; i++ {
-		if e.h.hugeLoad(ts1, e.h.hazardW(1, i)) == p {
-			t.Fatal("freeing thread kept its hazard")
-		}
+	if _, kept := e.h.scanHazards(ts1, 1, func(_ int, v uint64) bool { return v == p }); kept {
+		t.Fatal("freeing thread kept its hazard")
 	}
 	// Owner cleanup: hazard of thread 0 (the allocator) still exists
 	// until thread 0 maintains; then reclamation proceeds.

@@ -236,14 +236,12 @@ func (h *Heap) checkHugeLocal(ts *threadState, tid int) error {
 		}
 	}
 	// Hazards must be page-aligned offsets within the huge area (or 0).
-	for i := 0; i < h.cfg.NumHazards; i++ {
-		v := h.hugeLoad(ts, h.hazardW(tid, i))
-		if v == 0 {
-			continue
-		}
-		if v < h.lay.HugeDataOff || v >= h.lay.DataBytes || v%uint64(PageSize) != 0 {
-			return fmt.Errorf("huge: thread %d hazard slot %d holds invalid offset %#x", tid, i, v)
-		}
+	var v uint64
+	if i, ok := h.scanHazards(ts, tid, func(_ int, hv uint64) bool {
+		v = hv
+		return v != 0 && (v < h.lay.HugeDataOff || v >= h.lay.DataBytes || v%uint64(PageSize) != 0)
+	}); ok {
+		return fmt.Errorf("huge: thread %d hazard slot %d holds invalid offset %#x", tid, i, v)
 	}
 	return bad
 }

@@ -222,3 +222,59 @@ func TestSWccHugeDescriptorImmediatelyVisible(t *testing.T) {
 	e.h.Free(2, p)
 	e.checkAll(0)
 }
+
+// A hazard scan must see a peer's publication over a stale cached copy
+// of the peer's hazard lines, and must see its removal too. Thread 1
+// (process 1) owns a huge block; thread 0 (process 0) maps it, which
+// publishes thread 0's hazard, after thread 1 cached thread 0's hazard
+// lines while they were empty. A scan that trusted those lines would
+// let the owner reclaim a block thread 0 still maps (the unsafe
+// direction); once thread 0 retires the hazard, a scan that trusted the
+// lines it fetched while the hazard was there would keep the descriptor
+// forever (the leak direction).
+func TestHazardScanSeesPeerPublishOverStaleCopy(t *testing.T) {
+	cfg := testConfig()
+	cfg.Mode = atomicx.ModeHWcc
+	e := newEnv(t, cfg, 2, 1) // tid 0 in process 0, tid 1 in process 1
+	const peer, owner = 0, 1
+	p := e.alloc(owner, largeMax+1)
+	n := uint64(e.h.UsableSize(owner, p))
+
+	ts := e.h.ts(owner)
+	for i := 0; i < cfg.NumHazards; i++ {
+		if v := ts.cache.Load(e.h.hazardW(peer, i)); v != 0 {
+			t.Fatalf("peer hazard slot %d = %#x before the peer mapped anything", i, v)
+		}
+	}
+	e.spaces[peer].Touch(peer, p, n) // fault: publish, then map
+	if !e.spaces[peer].MappedRange(p, n) {
+		t.Fatal("touch did not map the block into the peer's process")
+	}
+	if !ts.cache.Resident(e.h.hazardW(peer, 0)) {
+		t.Fatal("the owner's stale copy of the peer's hazard line is gone before the scan")
+	}
+
+	e.h.Free(owner, p) // frees, then reclaims: the peer's hazard must hold it
+	if _, ok := e.h.findDesc(ts, owner, p); !ok {
+		t.Fatal("owner reclaimed a descriptor whose block the peer still maps: the hazard scan read a stale line")
+	}
+	if !e.h.hazardPublished(ts, p) {
+		t.Fatal("hazardPublished missed the peer's hazard behind a stale cached line")
+	}
+
+	e.h.Maintain(peer) // the peer sees the free bit: unmap, then clear its hazard
+	if e.spaces[peer].MappedRange(p, 1) {
+		t.Fatal("peer's Maintain did not unmap the freed block")
+	}
+	if !ts.cache.Resident(e.h.hazardW(peer, 0)) {
+		t.Fatal("the owner holds no copy of the peer's hazard line from before the retirement")
+	}
+	if e.h.hazardPublished(ts, p) {
+		t.Fatal("hazardPublished still sees the peer's retired hazard in a stale cached line")
+	}
+	e.h.Maintain(owner)
+	if _, ok := e.h.findDesc(ts, owner, p); ok {
+		t.Fatal("owner kept the descriptor after the peer retired its hazard")
+	}
+	e.checkAll(owner)
+}

@@ -345,6 +345,28 @@ func (c *Cache) LoadFresh(w int) uint64 {
 	return c.Load(w)
 }
 
+// LoadFreshLine is LoadFresh for the whole line containing w: one flush
+// (writing back the caller's dirty words before the eviction, as Flush
+// does), one fetch, and the line's words returned by value. It counts
+// one flush, one load and one fetch, with no hit. A line fetch is not an
+// atomic snapshot: each word is its device value at some instant after
+// the call began, which is what a loop of LoadFresh calls guarantees too.
+func (c *Cache) LoadFreshLine(w int) [LineWords]uint64 {
+	if c.dev.cfg.Coherent {
+		// The no-op flush counts, as in LoadFresh.
+		c.stats.Flushes++
+		c.stats.Loads++
+		var line [LineWords]uint64
+		for i := range line {
+			line[i] = c.dev.swccLoad(w&^lineMask + i)
+		}
+		return line
+	}
+	c.Flush(w)
+	c.stats.Loads++
+	return c.tab[c.fetch(int32(uint(w)>>lineShift))].words
+}
+
 // Flush writes back the dirty words of the line containing w and evicts
 // the line. Flushing a non-resident line is a no-op (like CLFLUSH of an
 // uncached address).

@@ -113,6 +113,22 @@ func (c *refCache) LoadFresh(w int) uint64 {
 	return c.Load(w)
 }
 
+func (c *refCache) LoadFreshLine(w int) [LineWords]uint64 {
+	if c.dev.cfg.Coherent {
+		c.stats.Flushes++
+		c.stats.Loads++
+		var line [LineWords]uint64
+		for i := range line {
+			line[i] = c.dev.swccLoad(w/LineWords*LineWords + i)
+		}
+		return line
+	}
+	c.Flush(w)
+	c.stats.Loads++
+	l, _ := c.line(w)
+	return l.words
+}
+
 func (c *refCache) Flush(w int) {
 	c.stats.Flushes++
 	if c.dev.cfg.Coherent {
@@ -278,10 +294,16 @@ func TestCacheLockstepProperty(t *testing.T) {
 				w := rng.Intn(words)
 				var gv, rv uint64
 				var kind string
-				switch rng.Intn(16) {
+				switch rng.Intn(17) {
 				case 0, 1, 2, 3:
 					kind = "Load"
 					gv, rv = g.Load(w), r.Load(w)
+				case 16:
+					kind = "LoadFreshLine"
+					if gl, rl := g.LoadFreshLine(w), r.LoadFreshLine(w); gl != rl {
+						t.Fatalf("%s: op %d (%s tid=%d w=%d): got %v, reference %v",
+							name, op, kind, ti, w, gl, rl)
+					}
 				case 4, 5, 6, 7:
 					kind = "Store"
 					v := rng.Uint64()
@@ -410,11 +432,16 @@ func TestCrashDiscardLockstepProperty(t *testing.T) {
 			g, r := got[ti], ref[ti]
 			w := rng.Intn(words)
 			var kind string
-			switch rng.Intn(16) {
+			switch rng.Intn(17) {
 			case 0, 1, 2, 3:
 				kind = "Load"
 				if gv, rv := g.Load(w), r.Load(w); gv != rv {
 					t.Fatalf("%s: op %d Load(%d) diverged: %d vs %d", name, op, w, gv, rv)
+				}
+			case 16:
+				kind = "LoadFreshLine"
+				if gl, rl := g.LoadFreshLine(w), r.LoadFreshLine(w); gl != rl {
+					t.Fatalf("%s: op %d LoadFreshLine(%d) diverged: %v vs %v", name, op, w, gl, rl)
 				}
 			case 4, 5, 6, 7, 8, 9:
 				kind = "Store"

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"cxlalloc/internal/telemetry"
 	"cxlalloc/internal/xrand"
 )
 
@@ -119,6 +120,46 @@ func TestSWccLoadFreshPreservesOwnDirty(t *testing.T) {
 	probe := d.NewCache()
 	if got := probe.LoadFresh(5); got != 77 {
 		t.Fatalf("dirty word not written back by LoadFresh: %d", got)
+	}
+}
+
+// LoadFreshLine is LoadFresh for a whole line: it writes back the
+// caller's own dirty words, sees a peer's flushed store over a stale
+// resident copy, and costs one flush, one load and one fetch (one flush
+// and one load on a coherent device).
+func TestSWccLoadFreshLine(t *testing.T) {
+	d := newDev()
+	c, peer := d.NewCache(), d.NewCache()
+	c.Load(8) // a resident copy of line 1, soon stale
+	peer.Store(10, 99)
+	peer.Flush(10)
+	c.Store(13, 77) // the caller's own dirty word in the same line
+	s0 := c.Stats()
+	line := c.LoadFreshLine(12)
+	if line[2] != 99 {
+		t.Fatalf("LoadFreshLine read %d over a stale copy, want the peer's flushed 99", line[2])
+	}
+	if line[5] != 77 {
+		t.Fatalf("LoadFreshLine lost its own dirty word: %d", line[5])
+	}
+	if got := d.NewCache().LoadFresh(13); got != 77 {
+		t.Fatalf("dirty word not written back by LoadFreshLine: %d", got)
+	}
+	want := telemetry.CacheStats{Loads: 1, Fetches: 1, Flushes: 1, Writebacks: 1}
+	if got := telemetry.Delta(c.Stats(), s0); got != want {
+		t.Fatalf("LoadFreshLine counted %+v, want %+v", got, want)
+	}
+
+	coh := NewDevice(Config{SWccWords: 64, Coherent: true})
+	cc := coh.NewCache()
+	cc.Store(3, 5)
+	s0 = cc.Stats()
+	if line := cc.LoadFreshLine(7); line[3] != 5 {
+		t.Fatalf("coherent LoadFreshLine word 3 = %d, want 5", line[3])
+	}
+	want = telemetry.CacheStats{Loads: 1, Flushes: 1}
+	if got := telemetry.Delta(cc.Stats(), s0); got != want {
+		t.Fatalf("coherent LoadFreshLine counted %+v, want %+v", got, want)
 	}
 }
 

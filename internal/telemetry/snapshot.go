@@ -35,7 +35,7 @@ type CacheStats struct {
 	Stores     uint64 `json:"stores"`
 	Fetches    uint64 `json:"fetches"`    // lines fetched from device memory
 	Writebacks uint64 `json:"writebacks"` // lines written back to device memory
-	Flushes    uint64 `json:"flushes"`    // explicit Flush calls (incl. LoadFresh's, both modes)
+	Flushes    uint64 `json:"flushes"`    // explicit Flush calls (incl. LoadFresh's and LoadFreshLine's, both modes)
 	Fences     uint64 `json:"fences"`
 }
 

@@ -148,6 +148,8 @@ func (c *Config) validate() error {
 		return errors.New("core: HugeRegionSize must be a positive multiple of page size")
 	case c.NumReservations <= 0 || c.DescsPerThread <= 0 || c.NumHazards <= 0:
 		return errors.New("core: huge heap parameters must be positive")
+	case c.NumHazards > 64:
+		return fmt.Errorf("core: NumHazards %d exceeds the 64-bit hazard mask", c.NumHazards)
 	case c.NumThreads*c.DescsPerThread > 1<<16:
 		return errors.New("core: huge descriptor count exceeds 16-bit recovery-state field")
 	case c.UnsizedThreshold <= 0:

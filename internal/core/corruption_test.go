@@ -126,6 +126,22 @@ func TestDetectsBadHazardOffset(t *testing.T) {
 	expectViolation(t, e, "hazard")
 }
 
+// A hazard mask bit must name a slot below NumHazards that holds an
+// offset: a set bit over an empty slot is what a publication that
+// stores its bit before its slot leaves at a crash, and a bit past the
+// list names no slot at all.
+func TestDetectsHazardMaskOnEmptySlot(t *testing.T) {
+	e := newEnv(t, testConfig(), 1, 1)
+	ts := e.h.ts(0)
+	e.h.hugeStore(ts, e.h.hazardMaskW(0), 1<<3)
+	expectViolation(t, e, "names an empty slot")
+
+	e = newEnv(t, testConfig(), 1, 1)
+	ts = e.h.ts(0)
+	e.h.hugeStore(ts, e.h.hazardMaskW(0), 1<<uint(e.cfg.NumHazards))
+	expectViolation(t, e, "at or past")
+}
+
 func TestCheckAllPassesOnBusyHealthyHeap(t *testing.T) {
 	e := newEnv(t, testConfig(), 2, 2)
 	var live []Ptr

@@ -1,6 +1,10 @@
 package core
 
-import "cxlalloc/internal/atomicx"
+import (
+	"math/bits"
+
+	"cxlalloc/internal/atomicx"
+)
 
 // Huge heap (§3.1.2, Figure 5): allocations above 512 KiB are backed by
 // individual memory mappings. A reservation array in HWcc memory grants
@@ -15,8 +19,9 @@ import "cxlalloc/internal/atomicx"
 // uncachable, because huge operations are rare and the data is
 // single-writer. hugeStore stores, flushes and fences; hugeLoad flushes
 // the word's line and fetches it fresh, with no fence. A hazard scan
-// reads each hazard line fresh once (scanHazards); descriptor reads stay
-// per word.
+// reads a thread's first line fresh for its occupancy mask, then only
+// the lines that hold published hazards (scanHazards); descriptor reads
+// stay per word.
 
 // hugeDesc word offsets within a descriptor.
 const (
@@ -62,6 +67,11 @@ func (h *Heap) descW(id, word int) int {
 
 // hugeHeadW is thread tid's descriptor-list head word.
 func (h *Heap) hugeHeadW(tid int) int { return h.lay.hugeLocalW(tid) }
+
+// hazardMaskW is thread tid's hazard occupancy mask: bit i is set iff
+// slot i holds a published hazard. It shares line 0 with the list head
+// and slots 0–5.
+func (h *Heap) hazardMaskW(tid int) int { return h.lay.hugeLocalW(tid) + 1 }
 
 // hazardW is thread tid's hazard slot i.
 func (h *Heap) hazardW(tid, i int) int { return h.lay.hugeLocalW(tid) + 2 + i }
@@ -315,33 +325,54 @@ func (h *Heap) hugeUsableSize(ts *threadState, tid int, p Ptr) int {
 
 // --- hazard offsets (§3.3.2) ---
 
-// scanHazards walks thread t's NumHazards hazard slots in order, calling
-// fn with each slot's index and value until fn returns true; it returns
-// that slot and true, or false if fn never did. Each hazard line is read
-// fresh once per scan (LoadFreshLine at the first slot and at every line
-// boundary), not once per word.
+// scanHazards reads thread t's hazard list and calls fn(mask, i, v) for
+// each published slot i, in slot order, with the mask it read and the
+// slot's value, until fn returns true; it returns the mask, and that slot
+// and true, or false if fn never did. The first line (list head, mask, slots 0–5) is
+// read fresh once (LoadFreshLine), and each further line only if a set
+// bit names a slot in it: a thread with no hazards costs one line.
 //
-// Why one fetch per line is as safe as one per word: a hazard slot has
-// one writer, its thread (or that thread's recoverer while the slot is
-// dead), and every write to a slot is hugeStore — store, flush, fence. A
+// Why the mask is as safe as reading every slot: the mask and the slots
+// have one writer, their thread (or that thread's recoverer while the
+// slot is dead), and every write to them is fenced before the next. A
 // line fetched after the scan began returns each word's device value
-// from some instant after that start, so every hazard fenced before the
-// scan began is seen, which is exactly what the per-word scan
-// guaranteed. That is the hazard that matters: in a correct program a
-// process maps p (rule 1: publish, then map) before anyone frees p, and
-// the owner reads the free bit before it scans (rule 3).
-func (h *Heap) scanHazards(ts *threadState, t int, fn func(i int, v uint64) bool) (int, bool) {
-	var line [lineWords]uint64
-	for i := 0; i < h.cfg.NumHazards; i++ {
+// from some instant after that start.
+//   - A hazard is published once both of its fences are done: the
+//     slot's, then its bit's (tryPublishHazard). If that happened before
+//     the scan began, the fresh read of the first line sees the bit and
+//     the fresh read of the slot's line sees the value.
+//   - A slot whose bit is clear is never a hazard. Either it was removed,
+//     and rule 2 unmaps before it removes; or its publication never
+//     finished, and rule 1 maps only after publishing.
+//   - A stale old value read under a bit set during the scan can only
+//     hold a reclaim back, never let one through.
+//
+// The hazard that matters is fenced before the scan: in a correct
+// program a process maps p (rule 1: publish, then map) before anyone
+// frees p, and the owner reads the free bit before it scans (rule 3).
+func (h *Heap) scanHazards(ts *threadState, t int, fn func(mask uint64, i int, v uint64) bool) (uint64, int, bool) {
+	mw := h.hazardMaskW(t)
+	line := ts.cache.LoadFreshLine(mw)
+	cur := mw / lineWords
+	mask := line[mw%lineWords]
+	for m := mask; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
 		w := h.hazardW(t, i)
-		if i == 0 || w%lineWords == 0 {
+		if w/lineWords != cur {
+			cur = w / lineWords
 			line = ts.cache.LoadFreshLine(w)
 		}
-		if fn(i, line[w%lineWords]) {
-			return i, true
+		if fn(mask, i, line[w%lineWords]) {
+			return mask, i, true
 		}
 	}
-	return 0, false
+	return mask, 0, false
+}
+
+// findHazard scans thread t's hazard list for off, returning the mask it
+// read and off's slot if published.
+func (h *Heap) findHazard(ts *threadState, t int, off uint64) (uint64, int, bool) {
+	return h.scanHazards(ts, t, func(_ uint64, _ int, v uint64) bool { return v == off })
 }
 
 // tryPublishHazard records off in tid's hazard list (idempotently),
@@ -349,26 +380,33 @@ func (h *Heap) scanHazards(ts *threadState, t int, fn func(i int, v uint64) bool
 // mapped. It reports false if the hazard list is full — the per-thread
 // cap on concurrent huge mappings.
 func (h *Heap) tryPublishHazard(ts *threadState, tid int, off uint64) bool {
-	empty := -1
-	if _, ok := h.scanHazards(ts, tid, func(i int, v uint64) bool {
-		if v == 0 && empty < 0 {
-			empty = i
-		}
-		return v == off
-	}); ok {
+	mask, _, ok := h.findHazard(ts, tid, off)
+	if ok {
 		return true // already published
 	}
-	if empty < 0 {
+	// The first empty slot is the lowest clear bit; no slot is read.
+	i := bits.TrailingZeros64(^mask)
+	if i >= h.cfg.NumHazards {
 		return false
 	}
-	h.hugeStore(ts, h.hazardW(tid, empty), off)
+	// The slot before its bit, each fenced (see scanHazards): a set bit
+	// always names a slot holding a valid offset, at every crash. The
+	// slot's write-back keeps the line resident, so for slots 0–5 the
+	// mask store lands in the line the scan fetched.
+	w := h.hazardW(tid, i)
+	ts.cache.Store(w, off)
+	ts.cache.FlushOpt(w)
+	ts.cache.Fence()
+	h.crashPoint(tid, "huge.hazard.post-slot")
+	h.hugeStore(ts, h.hazardMaskW(tid), mask|1<<uint(i))
 	return true
 }
 
-// removeHazard clears off from tid's hazard list if present.
+// removeHazard clears off's bit in tid's hazard list if published. The
+// slot keeps its old value, dead once its bit is clear.
 func (h *Heap) removeHazard(ts *threadState, tid int, off uint64) {
-	if i, ok := h.scanHazards(ts, tid, func(_ int, v uint64) bool { return v == off }); ok {
-		h.hugeStore(ts, h.hazardW(tid, i), 0)
+	if mask, i, ok := h.findHazard(ts, tid, off); ok {
+		h.hugeStore(ts, h.hazardMaskW(tid), mask&^(1<<uint(i)))
 	}
 }
 
@@ -376,7 +414,7 @@ func (h *Heap) removeHazard(ts *threadState, tid int, off uint64) {
 // (reclamation rule 3).
 func (h *Heap) hazardPublished(ts *threadState, off uint64) bool {
 	for t := 0; t < h.cfg.NumThreads; t++ {
-		if _, ok := h.scanHazards(ts, t, func(_ int, v uint64) bool { return v == off }); ok {
+		if _, _, ok := h.findHazard(ts, t, off); ok {
 			return true
 		}
 	}
@@ -397,10 +435,8 @@ func (h *Heap) Maintain(tid int) {
 // hazardSweep retires tid's hazards whose allocations have been freed:
 // unmap locally, then remove the hazard (rule 2's ordering).
 func (h *Heap) hazardSweep(ts *threadState, tid int) {
-	h.scanHazards(ts, tid, func(i int, off uint64) bool {
-		if off == 0 {
-			return false
-		}
+	var retired uint64 // bits this sweep cleared; tid is the mask's one writer
+	h.scanHazards(ts, tid, func(mask uint64, i int, off uint64) bool {
 		region := h.regionOf(off)
 		ownerWord := atomicx.Payload(h.dcas.Load(tid, h.reservW(region)))
 		if ownerWord == 0 {
@@ -415,7 +451,8 @@ func (h *Heap) hazardSweep(ts *threadState, tid int) {
 		h.crashPoint(tid, "huge.unmap.post-oplog")
 		ts.space.Unmap(off, size)
 		h.crashPoint(tid, "huge.unmap.post-unmap")
-		h.hugeStore(ts, h.hazardW(tid, i), 0)
+		retired |= 1 << uint(i)
+		h.hugeStore(ts, h.hazardMaskW(tid), mask&^retired)
 		h.clearOplog(tid, ts)
 		return false
 	})

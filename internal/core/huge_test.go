@@ -152,7 +152,7 @@ func TestHugeRemoteFree(t *testing.T) {
 	// hazard from allocation time legitimately remains until its own
 	// Maintain).
 	ts1 := e.h.ts(1)
-	if _, kept := e.h.scanHazards(ts1, 1, func(_ int, v uint64) bool { return v == p }); kept {
+	if _, _, kept := e.h.findHazard(ts1, 1, p); kept {
 		t.Fatal("freeing thread kept its hazard")
 	}
 	// Owner cleanup: hazard of thread 0 (the allocator) still exists

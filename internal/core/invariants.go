@@ -235,13 +235,21 @@ func (h *Heap) checkHugeLocal(ts *threadState, tid int) error {
 			bad = fmt.Errorf("huge: live allocation at %#x overlaps thread %d's free set", off, tid)
 		}
 	}
-	// Hazards must be page-aligned offsets within the huge area (or 0).
-	var v uint64
-	if i, ok := h.scanHazards(ts, tid, func(_ int, hv uint64) bool {
-		v = hv
-		return v != 0 && (v < h.lay.HugeDataOff || v >= h.lay.DataBytes || v%uint64(PageSize) != 0)
-	}); ok {
-		return fmt.Errorf("huge: thread %d hazard slot %d holds invalid offset %#x", tid, i, v)
+	// Every slot, masked or not, holds 0 or a page-aligned offset within
+	// the huge area; every mask bit names a slot below NumHazards that
+	// holds a non-zero offset.
+	mask := h.hugeLoad(ts, h.hazardMaskW(tid))
+	if mask>>uint(h.cfg.NumHazards) != 0 {
+		return fmt.Errorf("huge: thread %d hazard mask %#x names a slot at or past %d", tid, mask, h.cfg.NumHazards)
+	}
+	for i := 0; i < h.cfg.NumHazards; i++ {
+		v := h.hugeLoad(ts, h.hazardW(tid, i))
+		if v == 0 && mask&(1<<uint(i)) != 0 {
+			return fmt.Errorf("huge: thread %d hazard mask bit %d names an empty slot", tid, i)
+		}
+		if v != 0 && (v < h.lay.HugeDataOff || v >= h.lay.DataBytes || v%uint64(PageSize) != 0) {
+			return fmt.Errorf("huge: thread %d hazard slot %d holds invalid offset %#x", tid, i, v)
+		}
 	}
 	return bad
 }

@@ -47,7 +47,7 @@ type Layout struct {
 	LargeDescBase    int
 	LargeDescStride  int
 	LargeBitsetWords int
-	HugeLocalBase    int // per-thread huge state: desc head + hazards
+	HugeLocalBase    int // per-thread huge state: desc head, hazard mask, hazards
 	HugeLocalStride  int
 	HugeDescBase     int // per-thread huge descriptor pools
 	HugeDescStride   int
@@ -120,8 +120,9 @@ func computeLayout(c *Config) Layout {
 	l.LargeDescStride = roundWords(2 + l.LargeBitsetWords)
 	w += c.MaxLargeSlabs * l.LargeDescStride
 
-	// Per-thread huge state: word 0 desc-list head, word 1 desc-pool
-	// bump counter, words 2..2+NumHazards-1 hazard offsets.
+	// Per-thread huge state: word 0 desc-list head, word 1 hazard
+	// occupancy mask (bit i: slot i is published), words
+	// 2..2+NumHazards-1 hazard offsets.
 	l.HugeLocalBase = w
 	l.HugeLocalStride = roundWords(2 + c.NumHazards)
 	w += c.NumThreads * l.HugeLocalStride

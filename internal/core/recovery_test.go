@@ -88,6 +88,7 @@ var crashScenarios = map[string]func(e *env) []Ptr{
 	"huge.alloc.post-desc":       func(e *env) []Ptr { e.h.Alloc(0, largeMax+1); return nil },
 	"huge.alloc.post-link":       func(e *env) []Ptr { e.h.Alloc(0, largeMax+1); return nil },
 	"huge.alloc.post-hazard":     func(e *env) []Ptr { e.h.Alloc(0, largeMax+1); return nil },
+	"huge.hazard.post-slot":      func(e *env) []Ptr { e.h.Alloc(0, largeMax+1); return nil },
 	"huge.free.post-oplog":       hugeFreeScenario,
 	"huge.free.post-bit":         hugeFreeScenario,
 	"huge.free.post-unmap":       hugeFreeScenario,
@@ -199,6 +200,46 @@ func hugeUnmapScenario(e *env) []Ptr {
 	e.h.Free(2, p)
 	e.h.Maintain(0)
 	return nil
+}
+
+// A crash between a publication's slot store and its mask store leaves
+// an orphan: the slot holds the offset, its bit is clear. The orphan is
+// no hazard — the mapping was never installed (rule 1) — so after
+// recovery the owner must reclaim the block at once. Here the crash is
+// in the fault handler: tid 0 (process 0) maps tid 2's (process 1)
+// block, which writes no oplog record.
+func TestHazardPublishCrashLeavesOrphanInvisible(t *testing.T) {
+	e, inj := crashEnv(t)
+	const mapper, owner = 0, 2
+	p := mustAlloc(e, owner, largeMax+1)
+	inj.Arm("huge.hazard.post-slot", mapper, 0)
+	if c := crash.Run(func() { e.h.Bytes(mapper, p, 8) }); c == nil || c.TID != mapper {
+		t.Fatalf("crashed at %+v, want tid %d at huge.hazard.post-slot", c, mapper)
+	}
+	e.h.MarkCrashed(mapper)
+	inj.Disarm()
+	if _, err := e.h.RecoverThread(mapper, e.spaces[0]); err != nil {
+		t.Fatalf("RecoverThread: %v", err)
+	}
+
+	ts := e.h.ts(owner)
+	if v := e.h.hugeLoad(ts, e.h.hazardW(mapper, 0)); v != p {
+		t.Fatalf("slot 0 holds %#x after the crash, want the orphan %#x", v, p)
+	}
+	if m := e.h.hugeLoad(ts, e.h.hazardMaskW(mapper)); m != 0 {
+		t.Fatalf("hazard mask %#x after a crash before the mask store", m)
+	}
+	if _, _, ok := e.h.findHazard(ts, mapper, p); ok {
+		t.Fatal("a hazard scan sees an orphan slot whose bit is clear")
+	}
+	e.h.Free(owner, p) // frees, retires the owner's own hazard, then reclaims
+	if _, ok := e.h.findDesc(ts, owner, p); ok {
+		t.Fatal("the orphan slot held back the owner's reclaim")
+	}
+	e.checkAll(owner)
+	if err := e.h.AuditEmpty(owner); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestWhiteBoxCrashRecovery(t *testing.T) {

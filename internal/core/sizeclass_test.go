@@ -118,6 +118,7 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.NumReservations = 0 },
 		func(c *Config) { c.DescsPerThread = 0 },
 		func(c *Config) { c.NumHazards = -1 },
+		func(c *Config) { c.NumHazards = 65 }, // the hazard mask is one word
 		func(c *Config) { c.UnsizedThreshold = 0 },
 		func(c *Config) { c.DescsPerThread = 1 << 20 },
 	}

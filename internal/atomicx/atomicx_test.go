@@ -370,3 +370,50 @@ func TestCASFallsBackWhenUnitDown(t *testing.T) {
 		t.Fatalf("fallbacks grew after recovery: %d", s.HWCASFallbacks)
 	}
 }
+
+// A record stored by BeginRecord rides through the help CAS and reads
+// back with Record; Succeeded and the help step compare only the
+// protocol bits, so the record changes no answer either gives. A later
+// Begin replaces it.
+func TestDCASBeginRecordSurvivesHelp(t *testing.T) {
+	for _, mode := range []Mode{ModeDRAM, ModeMCAS} {
+		t.Run(mode.String(), func(t *testing.T) {
+			_, hw := newHW(mode)
+			d := NewDCAS(hw, 128, false)
+			const a, b, w = 1, 2, 10
+			const rec = uint64(1)<<recordBits - 3 // every record bit but one
+			d.BeginRecord(a, 5, rec)
+			if ver, got := d.Record(a); ver != 5 || got != rec {
+				t.Fatalf("Record = (%d, %#x) after BeginRecord, want (5, %#x)", ver, got, rec)
+			}
+			if d.Succeeded(a, 5, w) {
+				t.Fatal("pending operation with a record reports success before its CAS")
+			}
+			if !d.CAS(a, 5, w, d.Load(a, w), 100) {
+				t.Fatal("uncontended CAS failed")
+			}
+			// b overwrites a's tag: the help CAS must find a pending on 5
+			// despite the record bits, and keep them.
+			d.Begin(b, 1)
+			if !d.CAS(b, 1, w, d.Load(b, w), 200) {
+				t.Fatal("overwrite CAS failed")
+			}
+			if got := hw.Load(b, 128+a); got != rec<<protoBits|helpObserved(5) {
+				t.Fatalf("help[a] = %#x after the help CAS, want record %#x kept over observed(5)", got, rec)
+			}
+			if ver, got := d.Record(a); ver != 5 || got != rec {
+				t.Fatalf("Record = (%d, %#x) after help, want (5, %#x)", ver, got, rec)
+			}
+			if !d.Succeeded(a, 5, w) {
+				t.Fatal("landed, helped operation with a record reports failure")
+			}
+			if d.Succeeded(a, 6, w) {
+				t.Fatal("an operation never begun reports success")
+			}
+			d.Begin(a, 6)
+			if ver, got := d.Record(a); ver != 6 || got != 0 {
+				t.Fatalf("Record = (%d, %#x) after a plain Begin, want (6, 0)", ver, got)
+			}
+		})
+	}
+}

@@ -27,7 +27,8 @@ package atomicx
 //     v<<1|1 ("observed"). That CAS may still fail — another helper
 //     won, or t moved on in between — and both make it unnecessary.
 //  3. Succeeded: on recovery, t's CAS with version v took effect iff the
-//     target still carries the (t, v) tag, or help[t] == v<<1|1.
+//     target still carries the (t, v) tag, or help[t]'s protocol bits
+//     (below) read v<<1|1.
 //
 // Why the load may stand in for the CAS. The help step used to be the
 // CAS alone, issued unconditionally, and it failed about as often as it
@@ -40,6 +41,17 @@ package atomicx
 // load, and Succeeded observes exactly the states it did before. What
 // changed is the price: on a pod without HWcc a failing CAS is a full
 // spwr/sprd pair (~2.3 µs, §5.4), the load one uncached read.
+//
+// Help-word layout: [ record : 47 | version : 16 | observed : 1 ].
+// Bits 0-16 are the protocol above. Bits 17-63 hold an optional record
+// the writer stores with Begin (BeginRecord) and reads back on recovery
+// (Record): the help word is a durable device store the operation pays
+// for anyway, so an operation whose redo is a no-op once its CAS has
+// landed may keep its whole redo record here instead of in a flushed
+// line of its own (core's non-zero remote free does). Helpers and
+// Succeeded compare only the protocol bits, and the help CAS sets the
+// observed bit in the word it loaded, so a record survives being
+// helped and stays until its writer's next Begin.
 //
 // With disabled set (the cxlalloc-nonrecoverable ablation of §5.2)
 // neither Begin nor the help step touches the help array, exactly as
@@ -92,7 +104,13 @@ func Tag(w uint64) (tid int, ver uint16, tagged bool) {
 	return int(t) - 1, uint16(w >> 32), true
 }
 
-const observedBit = 1
+const (
+	observedBit = 1
+	protoBits   = 17
+	protoMask   = uint64(1)<<protoBits - 1
+	// recordBits is the width of the record a help word carries.
+	recordBits = 64 - protoBits
+)
 
 func helpPending(ver uint16) uint64  { return uint64(ver) << 1 }
 func helpObserved(ver uint16) uint64 { return uint64(ver)<<1 | observedBit }
@@ -129,11 +147,26 @@ func (d *DCAS) Disabled() bool { return d.disabled }
 // ver. It must be called after the operation is recorded in the thread's
 // recovery state and before the first CAS attempt. Retries of the same
 // logical operation reuse the version and need no new Begin.
-func (d *DCAS) Begin(tid int, ver uint16) {
+func (d *DCAS) Begin(tid int, ver uint16) { d.BeginRecord(tid, ver, 0) }
+
+// BeginRecord is Begin storing rec (below 1<<47) in the help
+// word's record bits, in the same store. The record replaces the one
+// the thread's previous Begin left, and Record returns it.
+func (d *DCAS) BeginRecord(tid int, ver uint16, rec uint64) {
 	if d.disabled {
 		return
 	}
-	d.hw.Store(tid, d.helpBase+tid, helpPending(ver))
+	if rec>>recordBits != 0 {
+		panic("atomicx: help record wider than 47 bits")
+	}
+	d.hw.Store(tid, d.helpBase+tid, rec<<protoBits|helpPending(ver))
+}
+
+// Record returns the version and the record of thread tid's last Begin,
+// for recovery. A thread that never began an operation reads (0, 0).
+func (d *DCAS) Record(tid int) (ver uint16, rec uint64) {
+	w := d.hw.Load(tid, d.helpBase+tid)
+	return uint16(w >> 1), w >> protoBits
 }
 
 // CAS attempts to replace the full word oldWord (as previously loaded by
@@ -161,20 +194,23 @@ func (d *DCAS) Store(tid, w int, payload uint32) {
 // header comment). The caller's own tags are skipped, and the help CAS
 // is issued only when a load finds the writer still pending on exactly
 // that version; one attempt suffices, since failure means another helper
-// won or the writer has begun a later operation.
+// won or the writer has begun a later operation. Only the protocol bits
+// are compared, and the CAS sets the observed bit in the word loaded, so
+// the writer's record rides through the help unchanged.
 func (d *DCAS) helpBeforeOverwrite(tid int, oldWord uint64) {
 	t, v, tagged := Tag(oldWord)
 	if !tagged || t == tid {
 		return
 	}
 	hw := d.helpBase + t
-	if d.hw.Load(tid, hw) != helpPending(v) {
+	cur := d.hw.Load(tid, hw)
+	if cur&protoMask != helpPending(v) {
 		return
 	}
 	if d.testHookPreHelpCAS != nil {
 		d.testHookPreHelpCAS()
 	}
-	d.hw.CAS(tid, hw, helpPending(v), helpObserved(v))
+	d.hw.CAS(tid, hw, cur, cur|observedBit)
 }
 
 // Succeeded reports, after a crash, whether thread tid's in-flight CAS
@@ -185,5 +221,5 @@ func (d *DCAS) Succeeded(tid int, ver uint16, w int) bool {
 	if t, v, tagged := Tag(cur); tagged && t == tid && v == ver {
 		return true
 	}
-	return d.hw.Load(tid, d.helpBase+tid) == helpObserved(ver)
+	return d.hw.Load(tid, d.helpBase+tid)&protoMask == helpObserved(ver)
 }

@@ -6,6 +6,7 @@ import (
 
 	"cxlalloc/internal/atomicx"
 	"cxlalloc/internal/crash"
+	"cxlalloc/internal/memsim"
 	"cxlalloc/internal/telemetry"
 )
 
@@ -209,8 +210,9 @@ func freeBatch(t *testing.T, e *env, tid int, ptrs []Ptr) {
 }
 
 // N remote frees of one slab's blocks handed to FreeBatch are one
-// countdown decrement by N: one mCAS pair and one oplog flush. The same
-// N through Free are N of each.
+// countdown decrement by N: one mCAS pair. The same N through Free are N
+// pairs. None reaches zero and the freer's oplog line is clean, so
+// neither writes a line: the records ride in the help word.
 func TestFreeBatchOnePairPerSlab(t *testing.T) {
 	const n = 24
 	for _, batch := range []bool{false, true} {
@@ -230,8 +232,8 @@ func TestFreeBatchOnePairPerSlab(t *testing.T) {
 		if batch {
 			want = 1
 		}
-		if pairs != want || flushes != want {
-			t.Fatalf("batch=%v: %d remote frees into one slab cost %d pairs and %d flushes, want %d of each",
+		if pairs != want || flushes != 0 {
+			t.Fatalf("batch=%v: %d remote frees into one slab cost %d pairs and %d flushes, want %d and 0",
 				batch, n, pairs, flushes, want)
 		}
 		if got := e.h.small.remoteCount(1, idx); got != total-n {
@@ -242,7 +244,7 @@ func TestFreeBatchOnePairPerSlab(t *testing.T) {
 }
 
 // A batch spanning k slabs, small and large, owned by threads in both
-// processes, costs k pairs.
+// processes, costs k pairs and no flush.
 func TestFreeBatchOnePairPerSlabAcrossSlabs(t *testing.T) {
 	e, _ := costEnv(t)
 	var ptrs []Ptr
@@ -257,8 +259,8 @@ func TestFreeBatchOnePairPerSlabAcrossSlabs(t *testing.T) {
 	ptrs = append(ptrs, large...)
 	const k = 4
 	pairs, flushes := freeCost(e, 2, func() { freeBatch(t, e, 2, ptrs) })
-	if pairs != k || flushes != k {
-		t.Fatalf("batch over %d slabs cost %d pairs and %d flushes, want %d of each", k, pairs, flushes, k)
+	if pairs != k || flushes != 0 {
+		t.Fatalf("batch over %d slabs cost %d pairs and %d flushes, want %d and 0", k, pairs, flushes, k)
 	}
 	auditDrained(t, e)
 }
@@ -333,6 +335,237 @@ func TestFreeBatchMixedFreesEachOnce(t *testing.T) {
 	}
 	for tid := 0; tid < 4; tid++ {
 		e.h.Maintain(tid)
+	}
+	auditDrained(t, e)
+}
+
+// A remote free that does not reach zero keeps its redo record in the
+// help word its Begin stores: it flushes and fences a line only to
+// publish the lazy clear an earlier operation left in the oplog, and
+// never more than the one NMP store its Begin always cost. A
+// zero-reaching group owes a steal, so it still writes and flushes its
+// oplog record.
+func TestRemoteFreeRecordRidesInHelpWord(t *testing.T) {
+	e, inj := costEnv(t)
+	e.h.SetMagazines(false)
+	const b = 2
+	ptrs := fillExactlyOneSlab(e, 0)
+	idx := e.h.small.slabOf(ptrs[0])
+	ow := e.h.lay.oplogW(b)
+	clean := packOp(opNone, 0, 0, 0)
+
+	e.h.Free(b, mustAlloc(e, b, 64)) // a classic local free: its clear is pending
+	for i, p := range ptrs[:3] {
+		var c telemetry.CacheStats
+		d := nmpDelta(e, func() { c = lineCost(e, b, func() { e.h.Free(b, p) }) })
+		want := uint64(0)
+		if i == 0 {
+			want = 1 // the publish of the local free's clear
+		}
+		if c.Flushes != want || c.Fences != want {
+			t.Fatalf("remote free %d: %d flushes, %d fences; want %d of each", i, c.Flushes, c.Fences, want)
+		}
+		if d.Stores != 1 {
+			t.Fatalf("remote free %d: %d NMP stores, want 1 (its Begin)", i, d.Stores)
+		}
+		if got := e.dev.NewCache().LoadFresh(ow); got != clean {
+			t.Fatalf("remote free %d: durable oplog word %#x, want the clear", i, got)
+		}
+		ver, rec := e.h.dcas.Record(b)
+		if want := packOp(opRemoteFree, uint32(idx), 1, 0); rec != want || ver != e.h.threads[b].ver {
+			t.Fatalf("remote free %d: help word holds (ver %d, record %#x), want (%d, %#x)",
+				i, ver, rec, e.h.threads[b].ver, want)
+		}
+	}
+
+	// The rest of the slab in one group reaches zero: crash it before its
+	// CAS and find the record, flagged, in the flushed oplog word.
+	rest := slices.Clone(ptrs[3:])
+	inj.Arm("small.remote-free.pre-cas", b, 0)
+	c := lineCost(e, b, func() {
+		if cr := crash.Run(func() { e.h.FreeBatch(b, &rest) }); cr == nil || cr.TID != b {
+			t.Fatalf("no crash of thread %d before the zero-reaching CAS: %+v", b, cr)
+		}
+	})
+	inj.Disarm()
+	if c.Flushes != 1 || c.Fences != 1 {
+		t.Fatalf("zero-reaching group up to its CAS: %d flushes, %d fences; want 1 of each (its oplog record)",
+			c.Flushes, c.Fences)
+	}
+	want := packOp(opRemoteFree, uint32(idx), uint16(len(ptrs)-3)|remoteZero, e.h.threads[b].ver)
+	if got := e.dev.NewCache().LoadFresh(ow); got != want {
+		t.Fatalf("durable oplog word %#x, want the zero-reaching record %#x", got, want)
+	}
+	if _, rec := e.h.dcas.Record(b); rec != 0 {
+		t.Fatalf("help word still holds record %#x under an oplog-recorded free", rec)
+	}
+	e.h.MarkCrashed(b)
+	if _, err := e.h.RecoverThread(b, e.spaces[1]); err != nil {
+		t.Fatalf("RecoverThread: %v", err)
+	}
+	if owner := w0Owner(e.h.small.loadW0(&e.h.threads[b], idx)); owner != b+1 {
+		t.Fatalf("slab %d owned by %d after recovery, want the freer's steal (%d)", idx, owner, b+1)
+	}
+	auditDrained(t, e)
+}
+
+// After a magazine pop, whose record's clear is still unfenced, a
+// remote free owes a bare fence and no flush; the next one owes nothing.
+func TestRemoteFreeAfterPopCostsOneFence(t *testing.T) {
+	e, _ := costEnv(t)
+	const b = 0
+	qs, _ := allocInOneSlab(t, e, 2, 3)
+	warmMagazine(t, e, b, 64)
+	e.h.Free(b, qs[0]) // publishes the refill's oplog clear
+	mustAlloc(e, b, 64)
+	for i, q := range qs[1:] {
+		c := lineCost(e, b, func() { e.h.Free(b, q) })
+		want := uint64(0)
+		if i == 0 {
+			want = 1
+		}
+		if c.Flushes != 0 || c.Fences != want {
+			t.Fatalf("remote free %d after a pop: %d flushes, %d fences; want 0 and %d", i, c.Flushes, c.Fences, want)
+		}
+	}
+}
+
+// A thread recovered from a clean crash continues its version sequence
+// from the help word. Restarting at zero, its next remote free reused
+// version 1 while its own old (t, 1) tag still sat on the countdown, so
+// a crash before that free's CAS read back as landed and the block was
+// lost.
+func TestRecoveredThreadNeverReusesAVersion(t *testing.T) {
+	e, inj := costEnv(t)
+	const b = 2
+	ptrs, idx := allocInOneSlab(t, e, 0, 3)
+	total := e.h.small.remoteCount(1, idx)
+
+	e.h.Free(b, ptrs[0])
+	e.h.MarkCrashed(b)
+	if _, err := e.h.RecoverThread(b, e.spaces[1]); err != nil {
+		t.Fatalf("RecoverThread: %v", err)
+	}
+	inj.Arm("small.remote-free.pre-cas", b, 0)
+	if cr := crash.Run(func() { e.h.Free(b, ptrs[1]) }); cr == nil || cr.TID != b {
+		t.Fatalf("no crash before the second free's CAS: %+v", cr)
+	}
+	e.h.MarkCrashed(b)
+	inj.Disarm()
+	rep, err := e.h.RecoverThread(b, e.spaces[1])
+	if err != nil {
+		t.Fatalf("RecoverThread: %v", err)
+	}
+	if got := e.h.small.remoteCount(1, idx); got != total-2 {
+		t.Fatalf("countdown = %d after recovery, want %d", got, total-2)
+	}
+	if rep.Op != "remote-free" {
+		t.Fatalf("recovery reports in-flight op %q, want the redone remote-free", rep.Op)
+	}
+	e.h.Free(b, ptrs[2])
+	auditDrained(t, e)
+}
+
+// The publish guard: a remote free that keeps its record in the help
+// word, and so writes no oplog line, first fences what the thread's
+// previous operation left unfenced — every other operation opens with a
+// fence, so a crash at its points never drops an earlier operation's
+// writes. Those writes include lazily cleared records: the classic
+// allocation's oplog record, flushed first, and a magazine pop's record
+// in its magazine line. Dropped by a crash in the remote free, either
+// comes back, and recovery reports a block the application already
+// holds as pending — adopted, it is freed twice.
+func TestRemoteFreeFencesEarlierLazyClears(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mags bool
+		// drop reports whether the crash drops line l of thread tid.
+		drop func(e *env, tid int, l int32) bool
+	}{
+		{"classic-alloc", false, func(e *env, tid int, l int32) bool {
+			return int(l) == e.h.lay.oplogW(tid)/memsim.LineWords
+		}},
+		{"magazine-pop", true, func(*env, int, int32) bool { return true }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig()
+			cfg.Mode = atomicx.ModeMCAS
+			cfg.CheckInvariants = false
+			cfg.TrackPersist = true
+			inj := crash.NewInjector()
+			cfg.Crash = inj
+			e := newEnv(t, cfg, 2, 2)
+			e.h.SetMagazines(tc.mags)
+			e.h.SetCrashPersistPolicy(func(tid int, inPlay []int32) memsim.CrashPolicy {
+				mask := ^uint64(0)
+				for i, l := range inPlay {
+					if i < 64 && tc.drop(e, tid, l) {
+						mask &^= 1 << uint(i)
+					}
+				}
+				return memsim.CrashPolicy{Kind: memsim.PersistSubset, Mask: mask}
+			})
+			const b = 0
+			qs, _ := allocInOneSlab(t, e, 2, 2)
+			var live []Ptr
+			if tc.mags {
+				// Refill, then let a remote free publish the refill's oplog
+				// clear, so only the pop's record is left unfenced.
+				_, live = warmMagazine(t, e, b, 64)
+				e.h.Free(b, qs[0])
+			}
+			p := mustAlloc(e, b, 64)
+
+			inj.Arm("small.remote-free.pre-cas", b, 0)
+			if cr := crash.Run(func() { e.h.Free(b, qs[1]) }); cr == nil || cr.TID != b {
+				t.Fatalf("no crash before the remote free's CAS: %+v", cr)
+			}
+			e.h.MarkCrashed(b)
+			inj.Disarm()
+			rep, err := e.h.RecoverThread(b, e.spaces[0])
+			if err != nil {
+				t.Fatalf("RecoverThread: %v", err)
+			}
+			if rep.PendingAlloc != 0 {
+				t.Fatalf("recovery reported %#x pending, but %#x was handed out before the remote free: "+
+					"an earlier operation's record outlived the remote free's crash", rep.PendingAlloc, p)
+			}
+			if !tc.mags {
+				e.h.Free(b, qs[0])
+			}
+			for _, q := range append(live, p) {
+				e.h.Free(b, q)
+			}
+			auditDrained(t, e)
+		})
+	}
+}
+
+// Recovery redoes the help-word record before the oplog's: an opClaim
+// record stays in the oplog across the claimant's later operations, and
+// its redo Begins, replacing the help word. Read after that, a landed
+// remote free whose tag another thread overwrote would look unlanded
+// and be redone — one decrement too many.
+func TestHelpRecordRedoneBeforeOplogRecord(t *testing.T) {
+	e, _ := costEnv(t)
+	const b, c, victim = 2, 3, 1
+	ptrs, idx := allocInOneSlab(t, e, 0, 2)
+	total := e.h.small.remoteCount(1, idx)
+
+	if _, ok := e.h.ClaimAcquire(b, victim, 0); !ok {
+		t.Fatal("ClaimAcquire failed on a free claim word")
+	}
+	e.h.Free(b, ptrs[0]) // lands; its record rides in b's help word
+	e.h.Free(c, ptrs[1]) // overwrites b's tag, marking help[b] observed
+	e.h.MarkCrashed(b)
+	if _, err := e.h.RecoverThread(b, e.spaces[1]); err != nil {
+		t.Fatalf("RecoverThread: %v", err)
+	}
+	if got := e.h.small.remoteCount(1, idx); got != total-2 {
+		t.Fatalf("countdown = %d after recovery, want %d: b's landed free was redone", got, total-2)
+	}
+	if holder, _, held := unpackClaim(atomicx.Payload(e.h.dcas.Load(c, e.h.claimW(victim)))); held {
+		t.Fatalf("claim on %d still held by %d after the claimant's recovery", victim, holder)
 	}
 	auditDrained(t, e)
 }

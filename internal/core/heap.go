@@ -136,6 +136,13 @@ type threadState struct {
 	space    *vas.Space
 	ver      uint16
 
+	// oplogDirty and fenceOwed are set while a lazily cleared record is
+	// not yet covered by a fence: the oplog word's (clearOplog), or a
+	// magazine pop's in its magazine line (magPop). fenceLazyClears
+	// pays for them before a help-word record is published.
+	oplogDirty bool
+	fenceOwed  bool
+
 	// leaseEpoch is the heartbeat-lease epoch this incarnation acquired
 	// (0 = unleased). Renewals compare against it, so a handle from a
 	// superseded incarnation self-fences instead of renewing the new

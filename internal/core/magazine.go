@@ -104,7 +104,9 @@ func (s *slabHeap) magAt(ts *threadState, class int) *magSlot {
 // committed (report the pending block for adoption); a bit still set
 // means it never happened. The record is cleared lazily, like
 // clearOplog: the line's next flush carries the clear, and the next
-// fence drains it, so a later crash never reports this block again.
+// fence drains it, so a later crash never reports this block again. A
+// remote free that writes no oplog line owes that fence before its
+// first crash point (fenceOwed, fenceLazyClears).
 func (s *slabHeap) magPop(ts *threadState, tid, class int) (Ptr, bool) {
 	m := s.magAt(ts, class)
 	if m == nil || m.mask == 0 {
@@ -128,6 +130,7 @@ func (s *slabHeap) magPop(ts *threadState, tid, class int) (Ptr, bool) {
 	}
 	s.cp(tid, "magalloc.post-take")
 	ts.cache.Store(mw, meta)
+	ts.fenceOwed = true
 	return s.ptrOf(idx, block, class), true
 }
 
@@ -164,6 +167,7 @@ func (s *slabHeap) magFree(ts *threadState, tid, idx, class, block int) bool {
 	ts.cache.Store(mw+1, m.mask)
 	ts.cache.FlushOpt(mw + 1)
 	ts.cache.Fence()
+	ts.fenceOwed = false
 	s.cp(tid, "magfree.post-put")
 	return true
 }

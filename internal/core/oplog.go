@@ -19,10 +19,33 @@ package core
 // handlers are idempotent, so recovering a record whose operation had
 // already completed is harmless.
 //
-// One operation keeps its record elsewhere: the magazine pop writes its
-// handoff record into the magazine line it already flushes (the meta
-// word's record byte, magazine.go), so a steady-state pop writes back
-// one line, not two, and never touches this word.
+// Two operations keep their record elsewhere, so neither touches this
+// word on its common path:
+//
+//   - The magazine pop writes its handoff record into the magazine line
+//     it already flushes (the meta word's record byte, magazine.go), so
+//     a steady-state pop writes back one line, not two.
+//   - A remote free whose decrement does not reach zero writes its
+//     record — this word's op and a/b fields, packOp(op, slab, n, 0) —
+//     into the upper bits of the detectable-CAS help word its Begin
+//     stores anyway (atomicx.DCAS.BeginRecord). That is sound because
+//     its redo is a no-op once its CAS has landed, and Succeeded keeps
+//     saying so until the thread's next Begin replaces the record
+//     (DESIGN.md §7.3). A zero-reaching free owes a steal, whose redo is
+//     not a no-op, so it keeps its record here.
+//
+// Publish guard (fenceLazyClears): every other operation opens with a
+// fence, its record's or its magazine line's, so a crash at one of its
+// points never drops an earlier operation's writes. A remote free that writes
+// no oplog line must fence first itself whenever an earlier operation
+// left a lazily cleared record unfenced. Otherwise a crash in the free
+// could drop the clear and bring the record back: a stale oplog record
+// whose Succeeded turns false once the help word moves on, so recovery
+// redoes an operation that finished long ago; or a magazine pop's
+// record, so recovery reports a block the application already holds.
+// The oplog word is flushed as well as fenced, as the next record's
+// flush would have carried its clear; a pop's clear needs only the
+// fence, as it did when the next operation's record supplied one.
 
 const (
 	opNone       = iota
@@ -121,21 +144,43 @@ func (h *Heap) writeOplog(tid int, ts *threadState, op int, a uint32, b uint16, 
 	}
 	w := h.lay.oplogW(tid)
 	ts.cache.Store(w, packOp(op, a, b, ver))
-	if !h.coherent && !h.cfg.SkipOplogFlush {
+	if h.flushesOplog() {
 		ts.cache.FlushOpt(w)
 		ts.cache.Fence()
+		ts.oplogDirty, ts.fenceOwed = false, false
 	}
 }
 
 // clearOplog marks the operation complete. Not flushed: the next
-// record's flush (or the crash-model writeback) carries it, and redo is
-// idempotent either way.
+// record's flush, the publish guard (fenceLazyClears) or the
+// crash-model writeback carries it, and redo is idempotent either way.
 func (h *Heap) clearOplog(tid int, ts *threadState) {
 	if h.cfg.NonRecoverable {
 		return
 	}
 	ts.cache.Store(h.lay.oplogW(tid), packOp(opNone, 0, 0, 0))
+	ts.oplogDirty = true
 }
+
+// fenceLazyClears is the publish guard of a help-word record: it flushes a
+// pending oplog clear and fences any lazy clear not yet fenced. So a
+// remote free pays a line only after an operation that used the oplog,
+// and a bare fence after a magazine pop.
+func (h *Heap) fenceLazyClears(tid int, ts *threadState) {
+	if h.flushesOplog() {
+		if ts.oplogDirty {
+			ts.cache.FlushOpt(h.lay.oplogW(tid))
+		}
+		if ts.oplogDirty || ts.fenceOwed {
+			ts.cache.Fence()
+		}
+	}
+	ts.oplogDirty, ts.fenceOwed = false, false
+}
+
+// flushesOplog reports whether oplog stores need a flush to be durable:
+// not on a coherent pod, and not in the SkipOplogFlush mutant.
+func (h *Heap) flushesOplog() bool { return !h.coherent && !h.cfg.SkipOplogFlush }
 
 // readOplog returns tid's last flushed recovery record, bypassing any
 // (lost) cached copy.

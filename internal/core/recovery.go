@@ -32,9 +32,11 @@ var RecoveryCrashPoints = []string{
 // Non-blocking recovery (§3.4.2). A crashed thread's slot is recovered
 // by (in order):
 //
-//  1. Reading the thread's 8-byte recovery record and redoing the
-//     in-flight operation idempotently, using detectable CAS to learn
-//     whether its lock-free update became visible.
+//  1. Reading the thread's 8-byte recovery record, and the record a
+//     non-zero remote free keeps in its help word (oplog.go), and
+//     redoing the in-flight operation idempotently — the help word's
+//     first (redoHelpRecord) — using detectable CAS to learn whether
+//     its lock-free update became visible.
 //  2. Rebuilding the thread's volatile and single-writer state from the
 //     durable metadata: thread-local free lists are relinked from a
 //     descriptor scan (repairing any transient inconsistency the crash
@@ -119,7 +121,8 @@ func (h *Heap) recoverThread(tid int, space *vas.Space, tok ClaimToken) (Recover
 	}
 	// Start cold: a fresh cache so recovery cannot observe the crashed
 	// incarnation's stale lines, and continue the version sequence from
-	// the flushed record so in-flight detectability is preserved. The
+	// the flushed record and the help word (seedVer) so in-flight
+	// detectability is preserved and no version is reused. The
 	// slot stays dead (alive=false) until recovery completes, so a crash
 	// inside recovery leaves a slot that RecoverThread accepts again and
 	// invariant checks skip.
@@ -132,12 +135,15 @@ func (h *Heap) recoverThread(tid int, space *vas.Space, tok ClaimToken) (Recover
 	ts.cache.SetOwner(tid)
 	rec := h.readOplog(tid, ts)
 	op, a, b, ver := unpackOp(rec)
-	if opCASBearing(op) {
-		ts.ver = ver
-	}
+	hver, hrec := h.dcas.Record(tid)
+	ts.ver = seedVer(op, ver, hver)
 	h.crashPoint(tid, "recover.pre-redo")
 
 	report := RecoveryReport{TID: tid, Op: opName(op)}
+	if h.redoHelpRecord(ts, tid, hver, hrec) && op == opNone {
+		hop, _, _, _ := unpackOp(hrec)
+		report.Op = opName(hop)
+	}
 	h.redo(ts, tid, op, a, b, ver, &report)
 	h.crashPoint(tid, "recover.post-redo")
 
@@ -192,6 +198,45 @@ func (h *Heap) recoverThread(tid int, space *vas.Space, tok ClaimToken) (Recover
 		telemetry.Emit(rtid, telemetry.EvRecoveryExit, uint64(tid), telemetry.RecoveryOK)
 	}
 	return report, nil
+}
+
+// seedVer returns the version a recovered thread continues from: the
+// later, in 16-bit serial order, of its help word's and, when the oplog
+// record is CAS-bearing, that record's. The help word holds the last
+// version the thread began, the oplog one it may have recorded but not
+// yet begun. The oplog's can also be the older: an opClaim record stays
+// put while the claimant's later operations begin newer versions. A
+// thread restarting below either would reuse a version whose tag may
+// still sit in some word, and Succeeded would report a CAS of the new
+// operation that never landed.
+func seedVer(op int, ver, hver uint16) uint16 {
+	if opCASBearing(op) && int16(ver-hver) > 0 {
+		return ver
+	}
+	return hver
+}
+
+// redoHelpRecord redoes the operation whose record rides in tid's help
+// word, a non-zero remote free (oplog.go), and reports whether its CAS
+// had not landed. It runs before the oplog's redo, which may Begin and
+// so replace the help word: a non-zero remote free that landed is a
+// no-op to redo only while Succeeded can still see it. One that had not
+// landed was the thread's newest operation; the publish guard made the
+// oplog durable before it, so the oplog holds no record of an operation
+// that followed it.
+func (h *Heap) redoHelpRecord(ts *threadState, tid int, ver uint16, rec uint64) bool {
+	if rec == 0 {
+		return false
+	}
+	op, a, b, _ := unpackOp(rec)
+	if op&^opLargeBit != opRemoteFree {
+		h.fail("recovery: unknown op %d in thread %d's help record", op, tid)
+	}
+	s := h.small
+	if op&opLargeBit != 0 {
+		s = h.large
+	}
+	return h.redoRemoteFree(ts, tid, s, int(a), b, ver, rec)
 }
 
 // pend reports block of slab idx as the recovered thread's pending
@@ -304,35 +349,7 @@ func (h *Heap) redo(ts *threadState, tid, op int, a uint32, b uint16, ver uint16
 		// List membership and class are repaired by the scan.
 
 	case opRemoteFree:
-		// b blocks were freed as one decrement (slabHeap.remoteFree).
-		idx, n := int(a), uint32(b&^remoteZero)
-		cw := h.dcas.Load(tid, s.hwBase+idx)
-		if h.dcas.Succeeded(tid, ver, s.hwBase+idx) {
-			// Steal only if the landed decrement was the one to reach
-			// zero. A zero read now may be a survivor's, who stole the
-			// slab itself while this slot was dead.
-			if b&remoteZero != 0 {
-				h.redoSteal(ts, tid, s, idx)
-			}
-		} else {
-			// The free never landed; complete it (the application has
-			// already logically freed these blocks).
-			for {
-				cnt := atomicx.Payload(cw)
-				if cnt < n {
-					h.fail("%s heap: recovery remote free of %d blocks into slab %d with countdown %d",
-						s.name, n, idx, cnt)
-				}
-				h.dcas.Begin(tid, ver)
-				if h.dcas.CAS(tid, ver, s.hwBase+idx, cw, cnt-n) {
-					if cnt == n {
-						h.redoSteal(ts, tid, s, idx)
-					}
-					break
-				}
-				cw = h.dcas.Load(tid, s.hwBase+idx)
-			}
-		}
+		h.redoRemoteFree(ts, tid, s, int(a), b, ver, 0)
 
 	case opSteal:
 		h.redoSteal(ts, tid, s, int(a))
@@ -401,6 +418,42 @@ func (h *Heap) redo(ts *threadState, tid, op int, a uint32, b uint16, ver uint16
 
 	default:
 		h.fail("recovery: unknown op %d in thread %d's record", op, tid)
+	}
+}
+
+// redoRemoteFree redoes remote free ver of slab idx, b blocks freed as
+// one decrement (slabHeap.remoteFree), whose record came from the oplog
+// (rec 0) or the help word (rec, which each retry's Begin stores again,
+// so a crash inside recovery leaves the record in place). It reports
+// whether the free had not landed.
+func (h *Heap) redoRemoteFree(ts *threadState, tid int, s *slabHeap, idx int, b, ver uint16, rec uint64) bool {
+	n := uint32(b &^ remoteZero)
+	cw := h.dcas.Load(tid, s.hwBase+idx)
+	if h.dcas.Succeeded(tid, ver, s.hwBase+idx) {
+		// Steal only if the landed decrement was the one to reach zero.
+		// A zero read now may be a survivor's, who stole the slab itself
+		// while this slot was dead.
+		if b&remoteZero != 0 {
+			h.redoSteal(ts, tid, s, idx)
+		}
+		return false
+	}
+	// The free never landed; complete it (the application has already
+	// logically freed these blocks).
+	for {
+		cnt := atomicx.Payload(cw)
+		if cnt < n {
+			h.fail("%s heap: recovery remote free of %d blocks into slab %d with countdown %d",
+				s.name, n, idx, cnt)
+		}
+		h.dcas.BeginRecord(tid, ver, rec)
+		if h.dcas.CAS(tid, ver, s.hwBase+idx, cw, cnt-n) {
+			if cnt == n {
+				h.redoSteal(ts, tid, s, idx)
+			}
+			return true
+		}
+		cw = h.dcas.Load(tid, s.hwBase+idx)
 	}
 }
 

@@ -640,7 +640,9 @@ func (s *slabHeap) emptyTransition(ts *threadState, tid, idx, class int) {
 // one decrement of its countdown by n (§3.1.1 "Deallocation"): one
 // detectable CAS under one opRemoteFree record carrying n in b. A
 // countdown below n means some block was already freed. The decrement
-// that reaches zero steals the slab, and its record says so.
+// that reaches zero steals the slab, and its oplog record says so. Any
+// other decrement keeps its record in the help word its Begin stores
+// (oplog.go), so it writes no oplog line.
 func (s *slabHeap) remoteFree(ts *threadState, tid, idx, n int) {
 	cw := s.h.dcas.Load(tid, s.hwBase+idx)
 	for {
@@ -649,20 +651,22 @@ func (s *slabHeap) remoteFree(ts *threadState, tid, idx, n int) {
 			s.h.fail("%s heap: remote free of %d blocks into slab %d with countdown %d (double free?)",
 				s.name, n, idx, cnt)
 		}
-		b := uint16(n)
-		if cnt == uint32(n) {
-			b |= remoteZero
-		}
+		zero := cnt == uint32(n)
 		ver := ts.nextVer()
-		s.h.writeOplog(tid, ts, s.opc(opRemoteFree), uint32(idx), b, ver)
-		s.h.dcas.Begin(tid, ver)
+		if zero {
+			s.h.writeOplog(tid, ts, s.opc(opRemoteFree), uint32(idx), uint16(n)|remoteZero, ver)
+			s.h.dcas.Begin(tid, ver)
+		} else {
+			s.h.fenceLazyClears(tid, ts)
+			s.h.dcas.BeginRecord(tid, ver, packOp(s.opc(opRemoteFree), uint32(idx), uint16(n), 0))
+		}
 		s.cp(tid, "remote-free.pre-cas")
 		if s.h.dcas.CAS(tid, ver, s.hwBase+idx, cw, cnt-uint32(n)) {
 			s.cp(tid, "remote-free.post-cas")
-			if cnt == uint32(n) {
+			if zero {
 				s.steal(ts, tid, idx)
+				s.h.clearOplog(tid, ts)
 			}
-			s.h.clearOplog(tid, ts)
 			return
 		}
 		cw = s.h.dcas.Load(tid, s.hwBase+idx)

@@ -352,6 +352,9 @@ type harness struct {
 	pod  *cxlalloc.Pod
 	rng  *xrand.Rand
 	live []cxlalloc.Ptr
+	// batch is freeRun's FreeBatch argument: after a crash in it, the
+	// pointers whose free had not begun, still the application's.
+	batch []cxlalloc.Ptr
 }
 
 func newHarness(c cell, inj *crash.Injector) (*harness, error) {
@@ -461,6 +464,9 @@ func (h *harness) step(th *cxlalloc.Thread, i int) {
 	if i > 0 && i%97 == 0 {
 		th.DrainMagazines()
 	}
+	if i < h.Threads {
+		h.freeRun(th, i == 0)
+	}
 	r := h.rng
 	roll := r.Intn(100)
 	switch {
@@ -498,6 +504,34 @@ func (h *harness) step(th *cxlalloc.Thread, i int) {
 	default:
 		th.Maintain()
 	}
+}
+
+// freeRun has th allocate runLen 64 B blocks and free them in one
+// FreeBatch: a run of its own blocks in one bitset word, which one
+// durable line commits. Each thread's first step runs one, so the first
+// visits of the local-free.* and magfree.* points, the visits the sweeps
+// crash, are runs: thread 0's with magazines off, an opLocalFree record
+// that empties its slab; the others' into their magazines. Like the
+// toggles above it draws nothing from the rng. A crash inside FreeBatch
+// leaves in h.batch the pointers whose free had not begun (dispatch).
+func (h *harness) freeRun(th *cxlalloc.Thread, classic bool) {
+	const runLen = 4
+	heap := h.pod.Heap()
+	if classic {
+		defer heap.SetMagazines(heap.MagazinesEnabled())
+		heap.SetMagazines(false)
+	}
+	n := 0
+	for ; n < runLen; n++ {
+		p, err := th.Alloc(64)
+		if err != nil {
+			break
+		}
+		h.addLive(p)
+	}
+	h.batch = append(h.batch[:0], h.live[len(h.live)-n:]...)
+	h.live = h.live[:len(h.live)-n]
+	heap.FreeBatch(th.ID(), &h.batch)
 }
 
 // addLive tracks a pointer the application now owns. A pointer that is
@@ -646,6 +680,8 @@ func (h *harness) dispatch(c *crash.Crashed, onCrash crashHandler) error {
 	if onCrash == nil {
 		return fmt.Errorf("unexpected crash: %v", c)
 	}
+	h.live = append(h.live, h.batch...)
+	h.batch = h.batch[:0]
 	if err := onCrash(c); err != nil {
 		return err
 	}

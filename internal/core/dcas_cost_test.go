@@ -289,8 +289,10 @@ func TestFreeBatchStealsOnce(t *testing.T) {
 
 // A batch mixing the freer's own magazine, local and huge blocks with
 // another thread's small and huge blocks frees each exactly once: the
-// op ledger counts every pointer, each takes its own path, only the
-// remote slab group costs a pair, and the drained heap audits clean.
+// op ledger counts every pointer, each takes its own path, the freer's
+// magazine blocks of one word land as one run (one magfree visit per
+// run, not per block), only the remote slab group costs a pair, and the
+// drained heap audits clean.
 func TestFreeBatchMixedFreesEachOnce(t *testing.T) {
 	e, _ := costEnv(t)
 	inj := e.cfg.Crash
@@ -317,8 +319,8 @@ func TestFreeBatchMixedFreesEachOnce(t *testing.T) {
 	}
 	points := inj.Points()
 	for point, want := range map[string]uint64{
-		"small.magfree.post-put":     6,
-		"large.magfree.post-put":     2,
+		"small.magfree.post-put":     1,
+		"large.magfree.post-put":     1,
 		"small.local-free.post-put":  1,
 		"huge.free.post-unmap":       2,
 		"small.remote-free.post-cas": 1,

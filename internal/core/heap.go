@@ -446,17 +446,20 @@ func (h *Heap) Free(tid int, p Ptr) {
 const maxRemoteGroup = remoteZero - 1
 
 // FreeBatch frees every pointer in *ps, exactly as calling Free on each
-// would, except that remote frees landing in one slab share one
-// countdown decrement: N blocks of a slab tid does not own cost one
-// detectable CAS and one redo record, not N (slabHeap.remoteFree). Local,
-// magazine and huge pointers take Free's paths one at a time.
+// would, except that blocks sharing a slab share its durable work:
+// remote frees landing in one slab share one countdown decrement, so N
+// blocks of a slab tid does not own cost one detectable CAS and one redo
+// record, not N (slabHeap.remoteFree); and tid's own blocks in one
+// bitset word of a slab form a run committed by one durable line, a
+// magazine line or one opLocalFree record (slabHeap.freeOwned). Huge
+// pointers take Free's path one at a time.
 //
-// *ps is sorted, which groups blocks by slab, and then consumed from its
-// tail: each pointer, or each whole remote group, is truncated out of *ps
-// before its redo record is written, with no crash point in between. So
-// a crash leaves in *ps exactly the pointers whose free has not begun,
-// and the redo protocol completes the one that had. Nothing outlives the
-// call.
+// *ps is sorted, which groups blocks by slab and bitset word, and then
+// consumed from its tail: each huge pointer, run or remote group is
+// truncated out of *ps before its record is written, with no crash
+// point in between. So a crash leaves in *ps exactly the pointers whose
+// free has not begun, and the redo protocol completes the one that had.
+// Nothing outlives the call.
 func (h *Heap) FreeBatch(tid int, ps *[]Ptr) {
 	ts := h.ts(tid)
 	slices.Sort(*ps)
@@ -483,23 +486,24 @@ func (h *Heap) FreeBatch(tid int, ps *[]Ptr) {
 		idx := s.slabOf(p)
 		w0 := s.routeW0(ts, idx)
 		class |= uint32(w0Class(w0))
+		var n int
 		if w0Owner(w0) == uint16(tid+1) {
-			*ps = v[:len(v)-1]
-			s.freeOwned(ts, tid, idx, p, w0)
-			h.countFree(tid, oc, p, class)
-			h.maybeCheck(tid)
-			continue
+			n = s.ownedRun(v, idx, w0)
+			*ps = v[:len(v)-n]
+			s.freeOwned(ts, tid, idx, w0, v[len(v)-n:])
+		} else {
+			// v is sorted and p is its largest pointer, so every pointer
+			// at or above the slab's base shares p's slab. The slab's
+			// countdown is at least n > 0 until this group lands, so
+			// nobody can steal or reinitialise it, and tid's routing
+			// cannot flip meanwhile.
+			n = 1
+			for n < len(v) && n < maxRemoteGroup && v[len(v)-1-n] >= s.slabData(idx) {
+				n++
+			}
+			*ps = v[:len(v)-n]
+			s.remoteFree(ts, tid, idx, n)
 		}
-		// v is sorted and p is its largest pointer, so every pointer at or
-		// above the slab's base shares p's slab. The slab's countdown is at
-		// least n > 0 until this group lands, so nobody can steal or
-		// reinitialise it, and tid's routing cannot flip meanwhile.
-		n := 1
-		for n < len(v) && n < maxRemoteGroup && v[len(v)-1-n] >= s.slabData(idx) {
-			n++
-		}
-		*ps = v[:len(v)-n]
-		s.remoteFree(ts, tid, idx, n)
 		for _, q := range v[len(v)-n:] {
 			h.countFree(tid, oc, q, class)
 		}

@@ -134,14 +134,14 @@ func (s *slabHeap) magPop(ts *threadState, tid, class int) (Ptr, bool) {
 	return s.ptrOf(idx, block, class), true
 }
 
-// magFree returns block into the class magazine if the magazine covers
-// its slab and bitset word. No record is needed: the mask-set is a
-// single store committed by its own fence, after which the free is
-// durable (a completed pop's lazily cleared record shares the line, so
-// this flush and fence commit the clear and reclamation never
-// resurrects that pop). On a window miss it tries to re-target the
-// magazine at the freed block's word (magAdopt) before falling back to
-// the classic local free.
+// magFree returns the blocks mask names in bitset word word of slab idx
+// to the class magazine if the magazine covers that word: the whole run
+// is one mask update, one store committed by its own fence, after which
+// the free is durable. No record is needed (a completed pop's lazily
+// cleared record shares the line, so this flush and fence commit the
+// clear and reclamation never resurrects that pop). On a window miss it
+// tries to re-target the magazine at the run's word (magAdopt) before
+// falling back to the classic local free.
 //
 // A slab whose last allocated blocks return through the mask stays on
 // the sized list with fc < total — deliberate retention, bounded at one
@@ -149,20 +149,19 @@ func (s *slabHeap) magPop(ts *threadState, tid, class int) (Ptr, bool) {
 // window without a protocol round, and DrainMagazines returns the
 // blocks for callers that need the slab to complete its empty
 // transition (harness drains, exact-footprint audits).
-func (s *slabHeap) magFree(ts *threadState, tid, idx, class, block int) bool {
+func (s *slabHeap) magFree(ts *threadState, tid, idx, class, word int, mask uint64) bool {
 	m := s.magAt(ts, class)
-	if m == nil || int(m.slab) != idx+1 || int(m.word) != block/64 {
-		return s.magAdopt(ts, m, tid, idx, class, block)
+	if m == nil || int(m.slab) != idx+1 || int(m.word) != word {
+		return s.magAdopt(ts, m, tid, idx, class, word, mask)
 	}
-	bit := uint64(1) << (uint(block) % 64)
-	if m.mask&bit != 0 {
-		s.h.fail("%s heap: double free into magazine (slab %d block %d)", s.name, idx, block)
+	if dup := m.mask & mask; dup != 0 {
+		s.h.fail("%s heap: double free into magazine (slab %d block %d)", s.name, idx, firstBlock(word, dup))
 	}
-	if s.blockBit(ts, idx, block) {
+	if dup := ts.cache.Load(s.bitsetW(idx)+word) & mask; dup != 0 {
 		s.h.fail("%s heap: double free of slab %d block %d (free in bitset, freed into magazine)",
-			s.name, idx, block)
+			s.name, idx, firstBlock(word, dup))
 	}
-	m.mask |= bit
+	m.mask |= mask
 	mw := s.magW(tid, class)
 	ts.cache.Store(mw+1, m.mask)
 	ts.cache.FlushOpt(mw + 1)
@@ -172,18 +171,20 @@ func (s *slabHeap) magFree(ts *threadState, tid, idx, class, block int) bool {
 	return true
 }
 
-// magAdopt re-targets the class magazine at the freed block's bitset
-// word, so a burst of frees into a word the magazine no longer covers
-// (threadtest's batch boundary: the mirror points at the most recently
-// refilled word) becomes one window switch plus single-line magFrees
-// instead of a classic protocol round per free.
+// magAdopt re-targets the class magazine at the run's bitset word, so a
+// burst of frees into a word the magazine no longer covers (threadtest's
+// batch boundary: the mirror points at the most recently refilled word)
+// becomes one window switch plus single-line magFrees instead of a
+// classic protocol round per free.
 //
 // Policy: an empty magazine adopts any owned slab's word outright; a
-// live window on the SAME slab is drained first (the common ping-pong
-// between two words of the sized-list head); a live window on another
-// slab stays put — cross-slab churn would thrash the window for no
-// locality gain. The drain's record carries the in-flight free's block
-// as pending (ver = block+1), exactly like the alloc-nested drain: the
+// live window on the SAME slab is drained first when the run is one
+// block (the common ping-pong between two words of the sized-list
+// head); a live window on another slab, or on the same slab under a run
+// of several blocks, stays put. Cross-slab churn would thrash the window
+// for no locality gain, and a drain's record names one pending block,
+// not a run. The drain's record carries the in-flight free's block as
+// pending (ver = block+1), exactly like the alloc-nested drain: the
 // block is in neither the mask nor the bitset while the drain runs, so
 // a crash anywhere inside it makes redo report the block for adoption
 // and the harness's "a requested free is irrevocable" contract holds —
@@ -194,12 +195,12 @@ func (s *slabHeap) magFree(ts *threadState, tid, idx, class, block int) bool {
 // so the acked free is durable and the adversary persists the new
 // window atomically or not at all — the only crash point sits after
 // the fence, where nothing of this op is still in play.
-func (s *slabHeap) magAdopt(ts *threadState, m *magSlot, tid, idx, class, block int) bool {
+func (s *slabHeap) magAdopt(ts *threadState, m *magSlot, tid, idx, class, word int, mask uint64) bool {
 	if m != nil && m.mask != 0 {
-		if int(m.slab) != idx+1 {
+		if int(m.slab) != idx+1 || mask&(mask-1) != 0 {
 			return false
 		}
-		s.magDrain(ts, tid, class, block)
+		s.magDrain(ts, tid, class, firstBlock(word, mask))
 	}
 	if s.getFreeCount(ts, idx) == 0 {
 		// Full (detached) slab: the classic path's rescue reattaches it.
@@ -207,9 +208,9 @@ func (s *slabHeap) magAdopt(ts *threadState, m *magSlot, tid, idx, class, block 
 		// invariant that keeps magazine-backed slabs unstealable.
 		return false
 	}
-	if s.blockBit(ts, idx, block) {
+	if dup := ts.cache.Load(s.bitsetW(idx)+word) & mask; dup != 0 {
 		s.h.fail("%s heap: double free of slab %d block %d (free in bitset, adopted into magazine)",
-			s.name, idx, block)
+			s.name, idx, firstBlock(word, dup))
 	}
 	mw := s.magW(tid, class)
 	if v := ts.cache.Load(mw + 1); v != 0 {
@@ -219,10 +220,8 @@ func (s *slabHeap) magAdopt(ts *threadState, m *magSlot, tid, idx, class, block 
 		s.h.fail("%s heap: adopt over a live magazine line for thread %d class %d (mask %#x)",
 			s.name, tid, class, v)
 	}
-	word := block / 64
-	bit := uint64(1) << (uint(block) % 64)
 	ts.cache.Store(mw, packMagMeta(idx, word, class))
-	ts.cache.Store(mw+1, bit)
+	ts.cache.Store(mw+1, mask)
 	ts.cache.FlushOpt(mw)
 	ts.cache.Fence()
 	s.cp(tid, "magfree.post-adopt")
@@ -231,7 +230,7 @@ func (s *slabHeap) magAdopt(ts *threadState, m *magSlot, tid, idx, class, block 
 		mags = make([]magSlot, len(s.classes))
 		ts.mags[s.magIdx] = mags
 	}
-	mags[class] = magSlot{slab: int32(idx + 1), word: int16(word), mask: bit}
+	mags[class] = magSlot{slab: int32(idx + 1), word: int16(word), mask: mask}
 	return true
 }
 

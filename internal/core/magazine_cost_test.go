@@ -94,3 +94,87 @@ func TestMagFreeCostsOneLine(t *testing.T) {
 		t.Fatalf("pop's handoff record %d still durable after the free's fence", rec)
 	}
 }
+
+// localRun sets up one path of a grouped local free on thread 0 of e:
+// it returns k owned 64 B blocks of one bitset word, and the path the
+// run will take.
+type localRun struct {
+	name  string
+	point string // the crash point after the run's one commit
+	setup func(t *testing.T, e *env, k int) (run, keep []Ptr)
+}
+
+// localRuns covers every path a run of a thread's own blocks takes.
+var localRuns = []localRun{
+	// The magazine's window covers the run's word: the run is ORed into
+	// the mask line.
+	{"magazine-hit", "small.magfree.post-put", func(t *testing.T, e *env, k int) ([]Ptr, []Ptr) {
+		_, keep := warmMagazine(t, e, 0, 64)
+		var run []Ptr
+		for range k {
+			run = append(run, e.alloc(0, 64))
+		}
+		return run, keep
+	}},
+	// The magazine is empty: it adopts the run's word with the run's
+	// mask. A drained window leaves the magazine line resident.
+	{"adopt", "small.magfree.post-adopt", func(t *testing.T, e *env, k int) ([]Ptr, []Ptr) {
+		_, keep := warmMagazine(t, e, 0, 64)
+		e.h.DrainMagazines(0)
+		run := classicBlocks(e, k)
+		return run, keep
+	}},
+	// A live window on word 0 of the run's slab: a drain's record names
+	// one pending block, not a run, so the run takes one opLocalFree
+	// record.
+	{"classic", "small.local-free.post-put", func(t *testing.T, e *env, k int) ([]Ptr, []Ptr) {
+		m, keep := warmMagazine(t, e, 0, 64)
+		run := classicBlocks(e, k)
+		if idx := e.h.small.slabOf(run[0]); int(m.slab) != idx+1 || m.word != 0 || run[0] != e.h.small.ptrOf(idx, 64, smallClassOf(64)) {
+			t.Fatalf("magazine window (slab %d, word %d), run from %#x: want slab %d word 0, run from block 64",
+				m.slab-1, m.word, run[0], idx)
+		}
+		return run, keep
+	}},
+}
+
+// classicBlocks has thread 0 allocate n 64 B blocks through the classic
+// path, with magazines off: the lowest free blocks of the sized-list
+// head slab's bitset.
+func classicBlocks(e *env, n int) []Ptr {
+	e.h.SetMagazines(false)
+	defer e.h.SetMagazines(true)
+	ptrs := make([]Ptr, n)
+	for i := range ptrs {
+		ptrs[i] = e.alloc(0, 64)
+	}
+	return ptrs
+}
+
+// A run of k owned blocks in one bitset word, freed through FreeBatch,
+// is one line on every path: 1 flush, 1 write-back, 1 fence, no fetch
+// and no mCAS pair — not one line per block.
+func TestFreeBatchRunCostsOneLine(t *testing.T) {
+	const k = 5
+	for _, r := range localRuns {
+		t.Run(r.name, func(t *testing.T) {
+			e, inj := costEnv(t)
+			inj.EnableCoverage()
+			run, keep := r.setup(t, e, k)
+			visits0 := inj.Points()[r.point]
+			var c telemetry.CacheStats
+			d := nmpDelta(e, func() { c = lineCost(e, 0, func() { freeBatch(t, e, 0, run) }) })
+			wantOneLine(t, r.name+" run", c)
+			if pairs := d.Successes + d.Failures; pairs != 0 {
+				t.Fatalf("%s run: %d mCAS pairs, want 0", r.name, pairs)
+			}
+			if v := inj.Points()[r.point] - visits0; v != 1 {
+				t.Fatalf("%s run of %d blocks visited %s %d times, want 1", r.name, k, r.point, v)
+			}
+			for _, p := range keep {
+				e.h.Free(0, p)
+			}
+			auditDrained(t, e)
+		})
+	}
+}

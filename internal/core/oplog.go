@@ -9,8 +9,12 @@ package core
 //
 //	bits  0..5   op code (large-heap ops set opLargeBit)
 //	bits  6..31  a — 26-bit operand (slab index, descriptor ID, region)
-//	bits 32..47  b — 16-bit operand (class, block index)
+//	bits 32..47  b — 16-bit operand (class, block or bitset word index)
 //	bits 48..63  ver — detectable-CAS version for CAS-bearing ops
+//
+// One record carries more than 8 bytes: opLocalFree frees a run of
+// blocks in one bitset word, and its 64-bit mask sits in word 1 of the
+// same line, committed by the same flush and fence (writeOplogMask).
 //
 // Discipline: the record is written and flushed *before* the operation's
 // first effect; it is overwritten with opNone after the operation
@@ -56,7 +60,7 @@ const (
 	opDetach     // a = slab index, b = class, ver = pending block+1
 	opDisown     // a = slab index, b = class, ver = pending block+1
 	opAllocBlock // a = slab index, b = block (application handoff record)
-	opLocalFree  // a = slab index, b = block
+	opLocalFree  // a = slab index, b = bitset word; word 1 of the line = mask of blocks freed
 	opEmpty      // a = slab index (sized -> unsized transfer)
 	opRemoteFree // a = slab index, b = blocks freed (| remoteZero); ver on the remote-free word
 	opSteal      // a = slab index (remote count hit zero)
@@ -149,6 +153,23 @@ func (h *Heap) writeOplog(tid int, ts *threadState, op int, a uint32, b uint16, 
 		ts.cache.Fence()
 		ts.oplogDirty, ts.fenceOwed = false, false
 	}
+}
+
+// writeOplogMask is writeOplog for a record with a 64-bit operand, the
+// opLocalFree run's mask: it goes in word 1 of the record's line, stored
+// before word 0, so the FlushOpt and Fence that commit the record commit
+// the mask with it and the adversary persists both or neither.
+func (h *Heap) writeOplogMask(tid int, ts *threadState, op int, a uint32, b uint16, mask uint64) {
+	if h.cfg.NonRecoverable {
+		return
+	}
+	ts.cache.Store(h.lay.oplogW(tid)+1, mask)
+	h.writeOplog(tid, ts, op, a, b, 0)
+}
+
+// readOplogMask returns the 64-bit operand of tid's last flushed record.
+func (h *Heap) readOplogMask(tid int, ts *threadState) uint64 {
+	return ts.cache.LoadFresh(h.lay.oplogW(tid) + 1)
 }
 
 // clearOplog marks the operation complete. Not flushed: the next

@@ -339,10 +339,10 @@ func (h *Heap) redo(ts *threadState, tid, op int, a uint32, b uint16, ver uint16
 		}
 
 	case opLocalFree:
-		idx, block := int(a), int(b)
-		if !s.blockBit(ts, idx, block) {
-			s.setBlockBit(ts, idx, block, true)
-		}
+		// The run's mask sits in word 1 of the record's line, committed
+		// with it (writeOplogMask). ORing it in is idempotent.
+		wi := s.bitsetW(int(a)) + int(b)
+		ts.cache.Store(wi, ts.cache.Load(wi)|h.readOplogMask(tid, ts))
 		// Counts and list membership are repaired by the scan.
 
 	case opEmpty:

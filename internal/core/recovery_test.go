@@ -3,10 +3,12 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"cxlalloc/internal/crash"
+	"cxlalloc/internal/memsim"
 	"cxlalloc/internal/xrand"
 )
 
@@ -396,7 +398,33 @@ func TestSlabNotLeakedAcrossCrash(t *testing.T) {
 // recovery must change nothing. With the freer's unsized list already
 // at its spill threshold, the stolen slab must spill to the global list
 // as a finished steal's would, not overflow the rebuilt list.
+//
+// A grouped local free, a run of the freer's own blocks in one bitset
+// word, is crashed at every local-free.* and magfree.* point its path
+// visits, under every persist subset of the crash's in-play lines
+// (localRunCrash): after recovery every block of the run is free exactly
+// once.
 func TestGroupRemoteFreeCrashRecovery(t *testing.T) {
+	for _, r := range localRunCrashes {
+		for _, point := range localRunPoints(t, r) {
+			t.Run("local-run/"+r.name+"/"+point, func(t *testing.T) {
+				window := -1
+				localRunCrash(t, r, point, func(n int) memsim.CrashPolicy {
+					window = n
+					return memsim.CrashPolicy{Kind: memsim.PersistAll}
+				})
+				if window > 10 {
+					t.Fatalf("%d in-play lines at %s: too many subsets to enumerate", window, point)
+				}
+				t.Logf("%d in-play lines, %d persist subsets", window, 1<<uint(window))
+				for mask := uint64(0); mask < 1<<uint(window)-1; mask++ {
+					localRunCrash(t, r, point, func(int) memsim.CrashPolicy {
+						return memsim.CrashPolicy{Kind: memsim.PersistSubset, Mask: mask}
+					})
+				}
+			})
+		}
+	}
 	for _, point := range []string{
 		"small.remote-free.pre-cas",
 		"small.remote-free.post-cas",
@@ -477,6 +505,88 @@ func TestGroupRemoteFreeCrashRecovery(t *testing.T) {
 			})
 		}
 	}
+}
+
+// localRunCrashes are the local runs the crash table crashes: every
+// path of localRuns, a classic run that reattaches a full slab, and a
+// classic run that empties its slab.
+var localRunCrashes = append(slices.Clone(localRuns),
+	localRun{name: "classic-reattach", setup: func(t *testing.T, e *env, k int) ([]Ptr, []Ptr) {
+		full := fillExactlyOneSlab(e, 0)
+		return full[:k], full[k:]
+	}},
+	localRun{name: "classic-empty", setup: func(t *testing.T, e *env, k int) ([]Ptr, []Ptr) {
+		run := classicBlocks(e, k)
+		e.h.SetMagazines(false)
+		return run, nil
+	}},
+)
+
+// localRunK is how many blocks each crashed local run frees.
+const localRunK = 4
+
+// localRunPoints returns the local-free.* and magfree.* points run r's
+// FreeBatch visits, sorted by name.
+func localRunPoints(t *testing.T, r localRun) []string {
+	e, inj := costEnv(t)
+	inj.EnableCoverage()
+	run, _ := r.setup(t, e, localRunK)
+	before := inj.Points()
+	freeBatch(t, e, 0, run)
+	after := inj.Points()
+	var points []string
+	for _, p := range inj.PointNames() {
+		if after[p] > before[p] && (strings.Contains(p, ".local-free.") || strings.Contains(p, ".magfree.")) {
+			points = append(points, p)
+		}
+	}
+	if len(points) == 0 {
+		t.Fatalf("%s run visited no local-free or magfree point", r.name)
+	}
+	return points
+}
+
+// localRunCrash crashes thread 0 at point inside run r's FreeBatch on an
+// incoherent pod, resolves that crash's in-play lines by pol, and
+// recovers twice. The run's blocks must then be free exactly once: the
+// rest of the heap freed, the ledger audits clean, and no recovery
+// reports a pending allocation.
+func localRunCrash(t *testing.T, r localRun, point string, pol func(n int) memsim.CrashPolicy) {
+	t.Helper()
+	e, inj := magCrashEnv(t, true)
+	applied := false
+	e.h.SetCrashPersistPolicy(func(_ int, inPlay []int32) memsim.CrashPolicy {
+		if applied {
+			return memsim.CrashPolicy{Kind: memsim.PersistAll}
+		}
+		applied = true
+		return pol(len(inPlay))
+	})
+	run, keep := r.setup(t, e, localRunK)
+	ps := slices.Clone(run)
+	inj.Arm(point, 0, 0)
+	if c := crash.Run(func() { e.h.FreeBatch(0, &ps) }); c == nil || c.Point != point {
+		t.Fatalf("no crash at %q: %+v", point, c)
+	}
+	inj.Disarm()
+	if len(ps) != 0 {
+		t.Fatalf("%d pointers left in the batch; the run's commit had begun", len(ps))
+	}
+	for pass := 1; pass <= 2; pass++ {
+		e.h.MarkCrashed(0)
+		rep, err := e.h.RecoverThread(0, e.spaces[0])
+		if err != nil {
+			t.Fatalf("recovery %d: %v", pass, err)
+		}
+		if rep.PendingAlloc != 0 {
+			t.Fatalf("recovery %d reported %#x pending; no allocation was in flight", pass, rep.PendingAlloc)
+		}
+	}
+	e.h.SetMagazines(true)
+	for _, p := range keep {
+		e.h.Free(0, p)
+	}
+	auditDrained(t, e)
 }
 
 // Black-box: random crashes at random points across a random workload,

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"cxlalloc/internal/atomicx"
 )
@@ -187,15 +188,9 @@ func (s *slabHeap) blockBit(ts *threadState, idx, block int) bool {
 	return w&(1<<(uint(block)%64)) != 0
 }
 
-func (s *slabHeap) setBlockBit(ts *threadState, idx, block int, free bool) {
+func (s *slabHeap) clearBlockBit(ts *threadState, idx, block int) {
 	wi := s.bitsetW(idx) + block/64
-	w := ts.cache.Load(wi)
-	if free {
-		w |= 1 << (uint(block) % 64)
-	} else {
-		w &^= 1 << (uint(block) % 64)
-	}
-	ts.cache.Store(wi, w)
+	ts.cache.Store(wi, ts.cache.Load(wi)&^(1<<(uint(block)%64)))
 }
 
 // fillBitset marks the first total blocks free and the rest of the last
@@ -339,7 +334,7 @@ func (s *slabHeap) alloc(ts *threadState, tid, class int) (Ptr, error) {
 		// leaking it.
 		s.h.writeOplog(tid, ts, s.opc(opAllocBlock), uint32(idx), uint16(block), 0)
 		s.cp(tid, "alloc.post-oplog")
-		s.setBlockBit(ts, idx, block, false)
+		s.clearBlockBit(ts, idx, block)
 		fc := s.getFreeCount(ts, idx) - 1
 		s.setFreeCount(ts, idx, fc)
 		s.cp(tid, "alloc.post-take")
@@ -550,7 +545,7 @@ func (s *slabHeap) free(ts *threadState, tid int, p Ptr) int {
 	idx := s.slabOf(p)
 	w0 := s.routeW0(ts, idx)
 	if w0Owner(w0) == uint16(tid+1) {
-		s.freeOwned(ts, tid, idx, p, w0)
+		s.freeOwned(ts, tid, idx, w0, []Ptr{p})
 	} else {
 		s.remoteFree(ts, tid, idx, 1)
 	}
@@ -569,40 +564,76 @@ func (s *slabHeap) routeW0(ts *threadState, idx int) uint64 {
 	return s.loadW0(ts, idx)
 }
 
-// freeOwned frees p into slab idx, which tid owns by w0.
-func (s *slabHeap) freeOwned(ts *threadState, tid, idx int, p Ptr, w0 uint64) {
-	// A free landing inside the live magazine's window goes straight
-	// into the mask — one line, one fence, no descriptor traffic — and a
-	// window miss may re-target the magazine at the freed block's word
-	// (magAdopt). Routing here is safe against stale w0 reads by the same
-	// §3.2.2 argument localFree relies on: only this thread relinquishes
-	// its own ownership, and its own stores are never stale in its own
-	// cache.
-	if class := w0Class(w0); class != 0 && s.h.magsEnabled() &&
-		s.magFree(ts, tid, idx, class, s.blockOf(p, idx, class)) {
-		return
-	}
-	s.localFree(ts, tid, idx, p, w0)
-}
-
-func (s *slabHeap) localFree(ts *threadState, tid, idx int, p Ptr, w0 uint64) {
+// ownedRun returns how many pointers at the tail of the sorted batch v
+// form one run with its last pointer: blocks of the same bitset word of
+// slab idx, whose descriptor word is w0. An unsized slab has no blocks,
+// so its run is the one pointer freeOwned rejects.
+func (s *slabHeap) ownedRun(v []Ptr, idx int, w0 uint64) int {
 	class := w0Class(w0)
 	if class == 0 {
-		s.h.fail("%s heap: local free %#x into unsized slab %d", s.name, p, idx)
+		return 1
 	}
+	base := s.ptrOf(idx, s.blockOf(v[len(v)-1], idx, class)&^63, class)
+	n := 1
+	for n < len(v) && v[len(v)-1-n] >= base {
+		n++
+	}
+	return n
+}
+
+// freeOwned frees run, blocks of one bitset word of slab idx, which tid
+// owns by w0, with one durable line (DESIGN.md §7.3 "Grouped local
+// frees"): the magazine's mask line when its window covers the word or
+// it can adopt the word, else one opLocalFree record carrying the run's
+// mask. Free's owned path is the one-block run. Routing here is safe
+// against stale w0 reads by the same §3.2.2 argument localFree relies
+// on: only this thread relinquishes its own ownership, and its own
+// stores are never stale in its own cache.
+func (s *slabHeap) freeOwned(ts *threadState, tid, idx int, w0 uint64, run []Ptr) {
+	class := w0Class(w0)
+	if class == 0 {
+		s.h.fail("%s heap: local free %#x into unsized slab %d", s.name, run[0], idx)
+	}
+	word := s.blockOf(run[0], idx, class) / 64
+	var mask uint64
+	for _, p := range run {
+		bit := uint64(1) << (uint(s.blockOf(p, idx, class)) % 64)
+		if mask&bit != 0 {
+			s.h.fail("%s heap: double free of %#x (twice in one batch)", s.name, p)
+		}
+		mask |= bit
+	}
+	if s.h.magsEnabled() && s.magFree(ts, tid, idx, class, word, mask) {
+		return
+	}
+	s.localFree(ts, tid, idx, class, word, mask)
+}
+
+// firstBlock names the lowest block of mask in bitset word word, for
+// corruption reports.
+func firstBlock(word int, mask uint64) int { return word*64 + bits.TrailingZeros64(mask) }
+
+// localFree is the classic local free of the blocks mask names in
+// bitset word word of slab idx: one opLocalFree record, its mask in the
+// record's own line, then the bitset word, the free count and the
+// full→reattach and empty transitions.
+func (s *slabHeap) localFree(ts *threadState, tid, idx, class, word int, mask uint64) {
 	total := s.blocksPer(class)
-	block := s.blockOf(p, idx, class)
-	if s.blockBit(ts, idx, block) {
-		s.h.fail("%s heap: double free of %#x (slab %d block %d)", s.name, p, idx, block)
+	wi := s.bitsetW(idx) + word
+	free := ts.cache.Load(wi)
+	if free&mask != 0 {
+		block := firstBlock(word, free&mask)
+		s.h.fail("%s heap: double free of %#x (slab %d block %d)",
+			s.name, s.ptrOf(idx, block, class), idx, block)
 	}
-	s.h.writeOplog(tid, ts, s.opc(opLocalFree), uint32(idx), uint16(block), 0)
+	s.h.writeOplogMask(tid, ts, s.opc(opLocalFree), uint32(idx), uint16(word), mask)
 	s.cp(tid, "local-free.post-oplog")
-	wasFull := s.getFreeCount(ts, idx) == 0
-	s.setBlockBit(ts, idx, block, true)
-	fc := s.getFreeCount(ts, idx) + 1
+	fc0 := s.getFreeCount(ts, idx)
+	ts.cache.Store(wi, free|mask)
+	fc := fc0 + uint32(bits.OnesCount64(mask))
 	s.setFreeCount(ts, idx, fc)
 	s.cp(tid, "local-free.post-put")
-	if wasFull {
+	if fc0 == 0 {
 		// The slab was detached; reattach it (Figure 4).
 		s.tlPush(ts, s.localW(tid, class), idx)
 		s.cp(tid, "local-free.post-reattach")

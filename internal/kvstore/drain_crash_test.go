@@ -16,12 +16,22 @@ import (
 // so three slabs, thread 0 (another process) deletes them all, and
 // thread 0's drain crashes in its second group, at either side of that
 // group's one countdown decrement, with the third group not yet begun.
-// After recovering the thread and flushing again, every value must have
-// been freed exactly once: no double-free panic, every retiree counted,
-// and an empty heap's ledger audits clean.
+// In the local-run cases thread 0 wrote the values itself, so each
+// group is a run of its own blocks in one bitset word, and the drain
+// crashes after the second run's one commit: into its magazine, or,
+// with magazines off, its opLocalFree record. After recovering the
+// thread and flushing again, every value must have been freed exactly
+// once: no double-free panic, every retiree counted, and an empty
+// heap's ledger audits clean.
 func TestDrainCrashInSecondGroupFreesEachOnce(t *testing.T) {
 	for _, point := range []string{"small.remote-free.pre-cas", "small.remote-free.post-cas"} {
-		t.Run(point, func(t *testing.T) { drainCrashInSecondGroup(t, point) })
+		t.Run(point, func(t *testing.T) { drainCrashInSecondGroup(t, point, 1, true) })
+	}
+	for _, c := range []struct {
+		point string
+		mags  bool
+	}{{"small.magfree.post-put", true}, {"small.local-free.post-put", false}} {
+		t.Run("local-run/"+c.point, func(t *testing.T) { drainCrashInSecondGroup(t, c.point, 0, c.mags) })
 	}
 }
 
@@ -53,15 +63,18 @@ func newPodStore(tb testing.TB, threads, smallSlabs int, inj *crash.Injector) (*
 	return New(alloc.NewCXL(pod.Heap(), "cxlalloc"), 64, threads), pod.Heap(), procs
 }
 
-func drainCrashInSecondGroup(t *testing.T, point string) {
+// drainCrashInSecondGroup has writer put the values, with magazines on
+// or off, and crashes thread 0's drain at point's second visit.
+func drainCrashInSecondGroup(t *testing.T, point string, writer int, mags bool) {
 	const threads, keys = 2, 40 // 40 < the retire threshold: no drain before Drain
 	inj := crash.NewInjector()
 	s, heap, procs := newPodStore(t, threads, 16, inj)
+	heap.SetMagazines(mags)
 
 	sizes := []int{1000, 700, 480} // with the key: the 1 KiB, 768 B and 512 B classes
 	for k := 0; k < keys; k++ {
 		val := make([]byte, sizes[k%len(sizes)])
-		if err := s.Put(1, []byte(fmt.Sprintf("k%02d", k)), val); err != nil {
+		if err := s.Put(writer, []byte(fmt.Sprintf("k%02d", k)), val); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -96,7 +96,7 @@ func main() {
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
-	store.Drain(nThreads)
+	store.Drain()
 
 	st := store.Stats()
 	f := threads[0].Footprint()

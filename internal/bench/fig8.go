@@ -175,7 +175,7 @@ func runKVTrial(inst *Instance, spec workload.KVSpec, sc Scale, threads int, see
 		return kvResult{}, classify(err)
 	default:
 	}
-	store.Drain(threads)
+	store.Drain()
 	f := inst.A.Footprint()
 	ops := per * threads
 	return kvResult{

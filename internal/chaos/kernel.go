@@ -473,7 +473,7 @@ type Target struct {
 	Heap  *core.Heap
 	Store *kvstore.Store
 	Keys  int // key ids [0, Keys) the run may have written
-	Tids  int // thread slots to drain and maintain
+	Tids  int // thread slots to maintain
 	// On runs fn on a thread of the pod that may touch the store; nil
 	// calls fn(0) directly (at quiescence slot 0 is alive and idle).
 	On func(fn func(tid int)) error
@@ -506,7 +506,7 @@ func (g *Gates) Teardown(t Target) (orphans int) {
 		g.Violationf("%steardown: %v", t.Label, err)
 		return orphans
 	}
-	t.Store.Drain(t.Tids)
+	t.Store.Drain()
 	for round := 0; round < 3; round++ {
 		for tid := 0; tid < t.Tids; tid++ {
 			t.Heap.Maintain(tid)

@@ -23,7 +23,7 @@ func TestRetireNotFreedWhileReaderPinned(t *testing.T) {
 	r := New(2, each(func(tid int, p uint64) { freed = append(freed, p) }))
 	r.Enter(0) // reader pins the epoch
 	r.Enter(1)
-	r.Retire(1, 42)
+	r.Retire(1, 1, 42)
 	r.Exit(1)
 	// The epoch cannot advance past the pinned reader, so nothing frees.
 	for i := 0; i < 10; i++ {
@@ -47,7 +47,7 @@ func TestFlushFreesEverything(t *testing.T) {
 	var n int
 	r := New(1, each(func(int, uint64) { n++ }))
 	for i := uint64(0); i < 10; i++ {
-		r.Retire(0, i)
+		r.Retire(0, 0, i)
 	}
 	r.Flush(0)
 	if n != 10 {
@@ -138,9 +138,150 @@ func TestConcurrentGraceSafety(t *testing.T) {
 	for i := 0; i < rounds; i++ {
 		old := current.Load()
 		current.Store(next.Add(1))
-		r.Retire(readers, old)
+		r.Retire(readers, readers, old)
 		r.TryAdvance(readers)
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// ledger records which threads freed each pointer.
+type ledger map[uint64][]int
+
+func (l ledger) free(tid int, p uint64) { l[p] = append(l[p], tid) }
+
+// check fails unless each of ps was freed exactly once, by tid.
+func (l ledger) check(t *testing.T, tid int, ps ...uint64) {
+	t.Helper()
+	for _, p := range ps {
+		if got := l[p]; len(got) != 1 || got[0] != tid {
+			t.Errorf("pointer %d freed by %v, want once by thread %d", p, got, tid)
+		}
+	}
+}
+
+// expire advances the epoch three times on tid, routing every one of its
+// buckets.
+func expire(t *testing.T, r *Reclaimer, tid int) {
+	t.Helper()
+	for range buckets {
+		if !r.TryAdvance(tid) {
+			t.Fatalf("thread %d's advance blocked at quiescence", tid)
+		}
+	}
+}
+
+func TestRoutedPointerIsFreedOnceByItsHome(t *testing.T) {
+	l := ledger{}
+	r := New(2, each(l.free))
+	r.Retire(1, 0, 7) // thread 1 unlinks a value thread 0 allocated
+	r.Retire(1, 1, 9) // and one of its own
+	expire(t, r, 1)
+	l.check(t, 1, 9)
+	if _, ok := l[7]; ok {
+		t.Fatalf("routed pointer freed by %v before its home drained", l[7])
+	}
+	r.Retire(0, 0, 8) // the home's next drain pulls its inbox
+	l.check(t, 0, 7)
+	r.Drain()
+	l.check(t, 0, 7, 8)
+	l.check(t, 1, 9)
+	if r.Freed() != 3 {
+		t.Fatalf("Freed() = %d, want 3", r.Freed())
+	}
+}
+
+func TestFullInboxIsTakenOverByItsFinder(t *testing.T) {
+	l := ledger{}
+	r := New(2, each(l.free))
+	for p := uint64(0); p <= inboxCap; p++ {
+		r.Retire(1, 0, p) // thread 0 never drains
+	}
+	expire(t, r, 1)
+	// Routing pointer inboxCap found the inbox full: thread 1 freed the
+	// first inboxCap itself, and the last one went home.
+	for p := uint64(0); p < inboxCap; p++ {
+		l.check(t, 1, p)
+	}
+	if len(l) != inboxCap {
+		t.Fatalf("%d pointers freed before Drain, want %d", len(l), inboxCap)
+	}
+	r.Drain()
+	l.check(t, 0, inboxCap)
+}
+
+func TestIdleHomeStrandsAtMostTheBound(t *testing.T) {
+	l := ledger{}
+	r := New(3, each(l.free))
+	const n = 10 * inboxCap
+	for p := uint64(0); p < n; p++ {
+		r.Retire(1+int(p%2), 0, p) // threads 1 and 2 retire thread 0's values
+	}
+	expire(t, r, 1)
+	expire(t, r, 2)
+	stranded := n - r.Freed()
+	if stranded == 0 || stranded > inboxCap {
+		t.Fatalf("idle home strands %d pointers, want 1..%d", stranded, inboxCap)
+	}
+	r.Drain()
+	if len(l) != n || r.Freed() != n {
+		t.Fatalf("Drain left %d of %d pointers unfreed", n-len(l), n)
+	}
+	for p, tids := range l {
+		if len(tids) != 1 {
+			t.Fatalf("pointer %d freed by %v", p, tids)
+		}
+	}
+}
+
+// Drain advances every thread before it flushes any: thread 1's advance
+// routes thread 0's values home after thread 0's own advances, and a
+// Drain that flushed thread 0 first would leave them in its inbox.
+func TestDrainFreesWhatALaterAdvanceRoutesHome(t *testing.T) {
+	l := ledger{}
+	r := New(2, each(l.free))
+	for p := uint64(0); p < 5; p++ {
+		r.Retire(1, 0, p)
+	}
+	r.Drain()
+	l.check(t, 0, 0, 1, 2, 3, 4)
+	if r.Freed() != 5 {
+		t.Fatalf("Drain freed %d of 5", r.Freed())
+	}
+}
+
+// Threads retiring each other's pointers concurrently route them into
+// each other's inboxes while their homes pull and drain them: every
+// pointer is still freed exactly once.
+func TestConcurrentRoutingFreesEachOnce(t *testing.T) {
+	const threads, per = 4, 5000
+	var mu sync.Mutex
+	l := ledger{}
+	r := New(threads, each(func(tid int, p uint64) {
+		mu.Lock()
+		l.free(tid, p)
+		mu.Unlock()
+	}))
+	var wg sync.WaitGroup
+	for tid := 0; tid < threads; tid++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				r.Enter(tid)
+				r.Retire(tid, i%threads, uint64(tid*per+i))
+				r.Exit(tid)
+			}
+		}()
+	}
+	wg.Wait()
+	r.Drain()
+	if len(l) != threads*per || r.Freed() != threads*per {
+		t.Fatalf("freed %d distinct pointers, Freed() = %d, want %d", len(l), r.Freed(), threads*per)
+	}
+	for p, tids := range l {
+		if len(tids) != 1 {
+			t.Fatalf("pointer %d freed by %v", p, tids)
+		}
+	}
 }

@@ -10,9 +10,10 @@ import (
 // BenchmarkStoreMixed runs kv_mixed's operation mix, 50 % get, 25 % put
 // and 25 % delete of 960 B values over 1024 keys, on a ModeMCAS pod of
 // two threads in two processes, alternating threads so about half of
-// all frees are remote. Besides time it reports the device events an
-// operation costs: mcas/op (mCAS pairs, successes plus failures) and
-// flushes/op (SWcc flushes), the two an epoch drain's remote frees pay.
+// all values are retired by the thread that did not allocate them.
+// Besides time it reports the device events an operation costs: mcas/op
+// (mCAS pairs, successes plus failures), which an epoch drain's remote
+// frees pay, and flushes/op (SWcc flushes), which its local runs pay.
 func BenchmarkStoreMixed(b *testing.B) {
 	const threads, keys = 2, 1024
 	s, heap, _ := newPodStore(b, threads, 256, nil)

@@ -11,27 +11,40 @@ import (
 	"cxlalloc/internal/crash"
 )
 
-// A drain hands its whole bucket to the allocator, which frees it one
-// slab group at a time. Thread 1 writes values of three size classes,
-// so three slabs, thread 0 (another process) deletes them all, and
-// thread 0's drain crashes in its second group, at either side of that
-// group's one countdown decrement, with the third group not yet begun.
-// In the local-run cases thread 0 wrote the values itself, so each
-// group is a run of its own blocks in one bitset word, and the drain
-// crashes after the second run's one commit: into its magazine, or,
-// with magazines off, its opLocalFree record. After recovering the
-// thread and flushing again, every value must have been freed exactly
-// once: no double-free panic, every retiree counted, and an empty
-// heap's ledger audits clean.
+// A drain hands its whole batch to the allocator, which frees it one
+// slab group at a time. Values come in three size classes, so at least
+// three slabs, thread 0 deletes them all, and a drain crashes in its
+// second group, with the third not yet begun:
+//
+//   - remote: thread 1 wrote more values than the reclaimer's inbox
+//     bound (128) and never drains before the final Drain, so thread 0,
+//     routing them home, finds thread 1's inbox full, takes it over and
+//     frees it remotely; the crash lands at either side of the second
+//     group's one countdown decrement.
+//   - pulled-inbox: thread 1 wrote the values, thread 0's expiry routes
+//     them home, and thread 1's drain of its pulled inbox frees them as
+//     runs of its own blocks; the crash lands after the second run's
+//     magazine commit.
+//   - local-run: thread 0 wrote the values itself, and the crash lands
+//     after the second run's one commit: into its magazine, or, with
+//     magazines off, its opLocalFree record.
+//
+// After recovering the crashed thread, finishing the deletes and
+// draining again, every value must have been freed exactly once: no
+// double-free panic, every retiree counted, and an empty heap's ledger
+// audits clean.
 func TestDrainCrashInSecondGroupFreesEachOnce(t *testing.T) {
 	for _, point := range []string{"small.remote-free.pre-cas", "small.remote-free.post-cas"} {
-		t.Run(point, func(t *testing.T) { drainCrashInSecondGroup(t, point, 1, true) })
+		t.Run(point, func(t *testing.T) { drainCrashInSecondGroup(t, point, 200, 1, 0, true) })
 	}
+	t.Run("pulled-inbox/small.magfree.post-put", func(t *testing.T) {
+		drainCrashInSecondGroup(t, "small.magfree.post-put", 40, 1, 1, true)
+	})
 	for _, c := range []struct {
 		point string
 		mags  bool
 	}{{"small.magfree.post-put", true}, {"small.local-free.post-put", false}} {
-		t.Run("local-run/"+c.point, func(t *testing.T) { drainCrashInSecondGroup(t, c.point, 0, c.mags) })
+		t.Run("local-run/"+c.point, func(t *testing.T) { drainCrashInSecondGroup(t, c.point, 40, 0, 0, c.mags) })
 	}
 }
 
@@ -63,48 +76,56 @@ func newPodStore(tb testing.TB, threads, smallSlabs int, inj *crash.Injector) (*
 	return New(alloc.NewCXL(pod.Heap(), "cxlalloc"), 64, threads), pod.Heap(), procs
 }
 
-// drainCrashInSecondGroup has writer put the values, with magazines on
-// or off, and crashes thread 0's drain at point's second visit.
-func drainCrashInSecondGroup(t *testing.T, point string, writer int, mags bool) {
-	const threads, keys = 2, 40 // 40 < the retire threshold: no drain before Drain
+func key(k int) []byte { return []byte(fmt.Sprintf("k%03d", k)) }
+
+// drainCrashInSecondGroup has writer put keys values, with magazines on
+// or off, and thread 0 delete them and drain, crashing victim at
+// point's second visit.
+func drainCrashInSecondGroup(t *testing.T, point string, keys, writer, victim int, mags bool) {
+	const threads = 2
 	inj := crash.NewInjector()
 	s, heap, procs := newPodStore(t, threads, 16, inj)
 	heap.SetMagazines(mags)
 
 	sizes := []int{1000, 700, 480} // with the key: the 1 KiB, 768 B and 512 B classes
 	for k := 0; k < keys; k++ {
-		val := make([]byte, sizes[k%len(sizes)])
-		if err := s.Put(writer, []byte(fmt.Sprintf("k%02d", k)), val); err != nil {
+		if err := s.Put(writer, key(k), make([]byte, sizes[k%len(sizes)])); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for k := 0; k < keys; k++ {
-		if !s.Delete(0, []byte(fmt.Sprintf("k%02d", k))) {
+
+	// A delete that crashes has already unlinked and retired its value:
+	// Retire records it before draining.
+	inj.Arm(point, victim, 1) // the second group's visit
+	var c *crash.Crashed
+	for k := 0; k < keys && c == nil; k++ {
+		found := false
+		if c = crash.Run(func() { found = s.Delete(0, key(k)) }); c == nil && !found {
 			t.Fatalf("key %d missing", k)
 		}
 	}
-	if got := s.Stats().Reclaimed; got != 0 {
-		t.Fatalf("%d values freed before the drain", got)
+	if c == nil {
+		c = crash.Run(s.Drain)
 	}
-
-	inj.Arm(point, 0, 1) // the second group's visit
-	c := crash.Run(func() { s.Drain(threads) })
-	if c == nil || c.TID != 0 || c.Point != point {
-		t.Fatalf("drain did not crash at %q on thread 0: %+v", point, c)
+	if c == nil || c.TID != victim || c.Point != point {
+		t.Fatalf("drain did not crash at %q on thread %d: %+v", point, victim, c)
 	}
 	inj.Disarm()
 	// Freed counts what left the batch: two groups, the second's free
 	// begun (recovery completes it), the third never touched.
-	if got := s.Stats().Reclaimed; got == 0 || got >= keys {
-		t.Fatalf("%d of %d values freed at the crash; want two of three groups", got, keys)
+	if got := s.Stats().Reclaimed; got == 0 || got >= uint64(keys) {
+		t.Fatalf("%d of %d values freed at the crash; want part of the batch", got, keys)
 	}
-	heap.MarkCrashed(0)
-	if _, _, err := procs[0].Recover(0); err != nil {
+	heap.MarkCrashed(victim)
+	if _, _, err := procs[victim].Recover(victim); err != nil {
 		t.Fatalf("Recover: %v", err)
 	}
 
-	s.Drain(threads)
-	if got := s.Stats().Reclaimed; got != keys {
+	for k := 0; k < keys; k++ {
+		s.Delete(0, key(k))
+	}
+	s.Drain()
+	if got := s.Stats().Reclaimed; got != uint64(keys) {
 		t.Fatalf("%d of %d retired values freed", got, keys)
 	}
 	for tid := 0; tid < threads; tid++ {

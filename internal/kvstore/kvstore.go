@@ -8,8 +8,10 @@
 // not the index data structure"): chain nodes live in harness memory,
 // while every entry's key and value bytes are one allocation from the
 // allocator under test — so each insert is one Alloc, each
-// delete/replace is one (possibly remote, possibly deferred) Free, and
-// each read is one AccessHook on the allocation.
+// delete/replace is one deferred Free, and each read is one AccessHook
+// on the allocation. The epoch reclaimer hands each expired allocation
+// back to the thread that allocated it, so a deferred Free is local
+// whenever the allocator has a local path (see package epoch).
 package kvstore
 
 import (
@@ -28,6 +30,7 @@ import (
 type node struct {
 	next    atomic.Pointer[node]
 	deleted atomic.Bool
+	home    int32     // the thread that allocated ptr, which frees it
 	ptr     alloc.Ptr // key||value allocation
 	keyLen  int32
 	valLen  int32
@@ -114,7 +117,7 @@ func (s *Store) PutTracked(tid int, key, val []byte, onAlloc func(alloc.Ptr)) er
 	copy(buf[len(key):], val)
 
 	h := hash(key)
-	n := &node{ptr: p, keyLen: int32(len(key)), valLen: int32(len(val)), hash: h}
+	n := &node{home: int32(tid), ptr: p, keyLen: int32(len(key)), valLen: int32(len(val)), hash: h}
 	b := &s.buckets[h&s.mask]
 
 	s.rec.Enter(tid)
@@ -297,7 +300,7 @@ func (s *Store) unlink(tid int, h uint64, victim *node) {
 		}
 		// A concurrent head insert changed the bucket; retry.
 	}
-	s.rec.Retire(tid, victim.ptr)
+	s.rec.Retire(tid, int(victim.home), victim.ptr)
 }
 
 // ResolvePut settles a PutTracked that crashed, from the repaired slot:
@@ -408,13 +411,6 @@ func (s *Store) LivePtrs() []alloc.Ptr {
 	return out
 }
 
-// Drain flushes every thread's deferred reclamations. Only safe at
+// Drain frees every thread's deferred reclamations. Only safe at
 // quiescence; benchmarks call it before measuring memory.
-func (s *Store) Drain(nThreads int) {
-	for tid := 0; tid < nThreads; tid++ {
-		s.rec.TryAdvance(tid)
-		s.rec.TryAdvance(tid)
-		s.rec.TryAdvance(tid)
-		s.rec.Flush(tid)
-	}
-}
+func (s *Store) Drain() { s.rec.Drain() }

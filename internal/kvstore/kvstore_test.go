@@ -56,7 +56,7 @@ func TestReplaceSemanticsReclaimOldValue(t *testing.T) {
 	if st := s.Stats(); st.Replaces != 99 {
 		t.Fatalf("replaces = %d, want 99", st.Replaces)
 	}
-	s.Drain(1)
+	s.Drain()
 	if st := s.Stats(); st.Reclaimed != 99 {
 		t.Fatalf("reclaimed = %d, want 99 (old values leak)", st.Reclaimed)
 	}
@@ -151,7 +151,7 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 		}(tid)
 	}
 	wg.Wait()
-	s.Drain(threads)
+	s.Drain()
 	// Every surviving key reads back consistently.
 	var val []byte
 	for i := 0; i < 500; i++ {
@@ -178,7 +178,7 @@ func TestChurnBoundedFootprint(t *testing.T) {
 			s.Put(0, k, make([]byte, 900))
 		}
 	}
-	s.Drain(2)
+	s.Drain()
 	grown := a.Footprint().PSS()
 	if grown > base*4+(8<<20) {
 		t.Fatalf("footprint grew %d -> %d under constant live set", base, grown)
@@ -239,7 +239,7 @@ func TestPutTrackedLinkedUnderConcurrentDeletes(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	s.Drain(threads)
+	s.Drain()
 }
 
 // sweep after a simulated crashed replace: two live nodes for one key
@@ -285,7 +285,7 @@ func TestSweepRestoresSingleNodeUnderConcurrentDeletes(t *testing.T) {
 			t.Fatalf("round %d: survivor = %q, want the newest node", round, v)
 		}
 	}
-	s.Drain(threads)
+	s.Drain()
 }
 
 // TestGetNeverMissesAPresentKeyUnderReplace is ROADMAP item 0's probe:

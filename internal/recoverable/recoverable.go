@@ -115,14 +115,13 @@ func (q *Queue) Len() int {
 // Map is the hash-map structure: elements are keyed by index in the
 // lock-free kvstore index.
 type Map struct {
-	s        *kvstore.Store
-	nThreads int
-	maxIdx   atomic.Int64
+	s      *kvstore.Store
+	maxIdx atomic.Int64
 }
 
 // NewMap creates a map over a with nBuckets index buckets.
 func NewMap(a alloc.Allocator, nBuckets, nThreads int) *Map {
-	m := &Map{s: kvstore.New(a, nBuckets, nThreads), nThreads: nThreads}
+	m := &Map{s: kvstore.New(a, nBuckets, nThreads)}
 	m.maxIdx.Store(-1)
 	return m
 }
@@ -170,7 +169,7 @@ func (m *Map) RemoveAll(tid int) int {
 			count++
 		}
 	}
-	m.s.Drain(m.nThreads)
+	m.s.Drain()
 	return count
 }
 

@@ -13,13 +13,24 @@ import (
 // deterministic harness: put/delete traffic on every slot in turn, one
 // victim armed at a single free-path crash point, watchdog-only
 // recovery, ground-truth resolution, audit.
+//
+// An epoch drain hands each expired value to the slot that allocated
+// it, so the victim frees another slot's values remotely only when that
+// slot is idle and its inbox is full (more than the reclaimer's bound of
+// 128). The survivors are idle while the victim runs alone, so the
+// remote-free point needs a keyspace holding well over 128 values of
+// each survivor when the victim is armed: about keys/6 each, as a key is
+// present two thirds of the time and last written by any of 4 slots.
 func TestLiveRepairDrainFree(t *testing.T) {
-	for _, point := range []string{
-		"small.local-free.post-oplog",
-		"small.local-free.post-put",
-		"small.remote-free.pre-cas",
+	for _, c := range []struct {
+		point string
+		keys  int
+	}{
+		{"small.local-free.post-oplog", 64},
+		{"small.local-free.post-put", 64},
+		{"small.remote-free.pre-cas", 1024},
 	} {
-		t.Run(point, func(t *testing.T) { repairDrainFree(t, point) })
+		t.Run(c.point, func(t *testing.T) { repairDrainFree(t, c.point, c.keys) })
 	}
 }
 
@@ -37,8 +48,8 @@ type drainPend struct {
 	ptr cxlalloc.Ptr // put: captured allocation (0 = Alloc never returned)
 }
 
-func repairDrainFree(t *testing.T, point string) {
-	const threads, keys = 4, 64
+func repairDrainFree(t *testing.T, point string, keys int) {
+	const threads = 4
 	inj := crash.NewInjector()
 	pt, err := NewPodTarget(threads, 2, keys, 64, 16, inj)
 	if err != nil {
@@ -64,8 +75,8 @@ func repairDrainFree(t *testing.T, point string) {
 
 	// step runs one put or delete in w's slot, or first settles the write
 	// a crash left pending. Keys are drawn over the whole keyspace, so a
-	// slot frees what another allocated (the remote-free path); a key a
-	// crashed write still holds is left alone until it is settled.
+	// slot retires what another allocated; a key a crashed write still
+	// holds is left alone until it is settled.
 	var keyb, valb []byte
 	step := func(w *drainWriter) *cxlalloc.Crashed {
 		th, err := pod.ThreadOf(w.tid)

@@ -8,7 +8,10 @@ import "math/bits"
 // bitset into a single-writer magazine line, after which allocation is
 // a one-line mask update plus one fence — no descriptor, bitset, or
 // free-count traffic. The shared slab protocol is touched only on
-// refill (privatize a word) and drain (return the mask).
+// refill (privatize a word) and drain (return the mask). A refill takes
+// from whichever slab on the class's sized list offers the most blocks,
+// not from the head the classic path allocates from: a local free
+// reattaches a full slab at the head with only a few blocks free.
 //
 // The magazine line is a durable ownership record, exactly like the
 // oplog: word 0 packs the source slab, bitset word, class, and the
@@ -179,11 +182,11 @@ func (s *slabHeap) magFree(ts *threadState, tid, idx, class, word int, mask uint
 //
 // Policy: an empty magazine adopts any owned slab's word outright; a
 // live window on the SAME slab is drained first when the run is one
-// block (the common ping-pong between two words of the sized-list
-// head); a live window on another slab, or on the same slab under a run
-// of several blocks, stays put. Cross-slab churn would thrash the window
-// for no locality gain, and a drain's record names one pending block,
-// not a run. The drain's record carries the in-flight free's block as
+// block (the common ping-pong between two words of one slab); a live
+// window on another slab, or on the same slab under a run of several
+// blocks, stays put. Cross-slab churn would thrash the window for no
+// locality gain, and a drain's record names one pending block, not a
+// run. The drain's record carries the in-flight free's block as
 // pending (ver = block+1), exactly like the alloc-nested drain: the
 // block is in neither the mask nor the bitset while the drain runs, so
 // a crash anywhere inside it makes redo report the block for adoption
@@ -234,49 +237,26 @@ func (s *slabHeap) magAdopt(ts *threadState, m *magSlot, tid, idx, class, word i
 	return true
 }
 
-// magRefill privatizes one bitset word of the sized-list head slab into
-// the class magazine. Two-phase (DESIGN.md §7.2): phase 1 makes the
-// record and the filled magazine line durable under one fence, phase 2
-// clears the privatized bits from the shared bitset and commits at a
-// second fence. A crash between the phases leaves the blocks in both
-// the mask and the bitset; reclamation's idempotent union resolves the
-// overlap. The leave-one rule keeps the slab's free count >= 1, so a
-// magazine-backed slab never reaches the full transition while its
-// mask is live.
+// magRefill privatizes one bitset word into the class magazine, from
+// the owned slab that offers the most blocks (refillSource). Two-phase
+// (DESIGN.md §7.2): phase 1 makes the record and the filled magazine
+// line durable under one fence, phase 2 clears the privatized bits from
+// the shared bitset and commits at a second fence. A crash between the
+// phases leaves the blocks in both the mask and the bitset;
+// reclamation's idempotent union resolves the overlap. The leave-one
+// rule keeps the slab's free count >= 1, so a magazine-backed slab never
+// reaches the full transition while its mask is live.
 //
 // Returns false (caller falls back to the classic path) when the sized
-// list is empty or the word would leave nothing behind.
+// list is empty or no slab on it can give a block beyond its last.
 func (s *slabHeap) magRefill(ts *threadState, tid, class int) bool {
-	head := ts.cache.Load(s.localW(tid, class))
-	if head == 0 {
+	idx, word, take := s.refillSource(ts, tid, class)
+	if take == 0 {
 		return false
 	}
-	idx := int(head - 1)
-	total := s.blocksPer(class)
 	base := s.bitsetW(idx)
-	words := (total + 63) / 64
-	word := -1
-	var take uint64
-	for w := 0; w < words; w++ {
-		if v := ts.cache.Load(base + w); v != 0 {
-			word, take = w, v
-			break
-		}
-	}
-	if word < 0 {
-		s.h.fail("%s heap: full slab %d on sized list %d", s.name, idx, class)
-	}
 	fc := s.getFreeCount(ts, idx)
 	n := uint32(bits.OnesCount64(take))
-	if n == fc {
-		// The word holds the slab's last free blocks: leave the lowest
-		// one to the classic path so the free count stays positive.
-		take &= take - 1
-		n--
-		if take == 0 {
-			return false
-		}
-	}
 	mw := s.magW(tid, class)
 	if v := ts.cache.Load(mw + 1); v != 0 {
 		// The mirror said empty but the durable line holds blocks: a prior
@@ -307,6 +287,49 @@ func (s *slabHeap) magRefill(ts *threadState, tid, class int) bool {
 	}
 	mags[class] = magSlot{slab: int32(idx + 1), word: int16(word), mask: take}
 	return true
+}
+
+// refillSource picks the slab magRefill privatizes from: of the slabs
+// on tid's class sized list, the one whose first non-zero bitset word
+// offers the largest take, where a word holding all of its slab's free
+// blocks gives up its lowest one (the leave-one rule). Only each slab's
+// first word is weighed, not its best: frees return to the word a
+// window last covered, and moving the window off it costs more refills
+// and drains than a fuller word saves (DESIGN.md §7.2). The walk reads
+// lines the owner already holds; it stops at the first whole word it
+// sees. take is 0 when no slab can give a block.
+func (s *slabHeap) refillSource(ts *threadState, tid, class int) (idx, word int, take uint64) {
+	total := s.blocksPer(class)
+	words, whole := (total+63)/64, min(64, total-1)
+	cur := ts.cache.Load(s.localW(tid, class))
+	for steps := 0; cur != 0; steps++ {
+		if steps > s.maxSlabs {
+			s.h.fail("%s heap: sized list %d cycles", s.name, class)
+		}
+		i := int(cur - 1)
+		base := s.bitsetW(i)
+		w, v := -1, uint64(0)
+		for j := 0; j < words; j++ {
+			if v = ts.cache.Load(base + j); v != 0 {
+				w = j
+				break
+			}
+		}
+		if w < 0 {
+			s.h.fail("%s heap: full slab %d on sized list %d", s.name, i, class)
+		}
+		if uint32(bits.OnesCount64(v)) == s.getFreeCount(ts, i) {
+			v &= v - 1
+		}
+		if n := bits.OnesCount64(v); n > bits.OnesCount64(take) {
+			idx, word, take = i, w, v
+			if n == whole {
+				break
+			}
+		}
+		cur = uint64(w0Next(s.loadW0(ts, i)))
+	}
+	return idx, word, take
 }
 
 // magDrain returns the class magazine's blocks to their slab. pending

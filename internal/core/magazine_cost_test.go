@@ -1,10 +1,14 @@
 package core
 
 import (
+	"maps"
 	"math/bits"
+	"slices"
 	"testing"
 
+	"cxlalloc/internal/crash"
 	"cxlalloc/internal/telemetry"
+	"cxlalloc/internal/xrand"
 )
 
 // The magazine fast path's device cost, counted the way dcas_cost_test.go
@@ -177,4 +181,177 @@ func TestFreeBatchRunCostsOneLine(t *testing.T) {
 			auditDrained(t, e)
 		})
 	}
+}
+
+// reattachedSlabs fills two 1 KiB slabs of thread 0 through the classic
+// path, so both detach, then frees deepFree blocks of the first and
+// headFree blocks of the second the same way: each free's first block
+// reattaches its slab at the sized-list head, so the second slab is the
+// head and the first sits behind it. Thread 0's magazine is empty. It
+// returns the two slabs and every
+// block still allocated.
+func reattachedSlabs(t *testing.T, e *env, headFree, deepFree int) (head, deep int, held []Ptr) {
+	t.Helper()
+	s := e.h.small
+	per := smallBlocks(e)
+	e.h.SetMagazines(false)
+	defer e.h.SetMagazines(true)
+	ptrs := make([]Ptr, 2*per)
+	for i := range ptrs {
+		ptrs[i] = e.alloc(0, smallMax)
+	}
+	deep, head = s.slabOf(ptrs[0]), s.slabOf(ptrs[per])
+	for _, p := range append(slices.Clone(ptrs[:deepFree]), ptrs[per:per+headFree]...) {
+		e.h.Free(0, p)
+	}
+	ts := &e.h.threads[0]
+	class := smallClassOf(smallMax)
+	if got := ts.cache.Load(s.localW(0, class)); got != uint64(head+1) {
+		t.Fatalf("sized-list head is slab %d, want %d", int(got)-1, head)
+	}
+	for _, c := range []struct{ idx, free int }{{head, headFree}, {deep, deepFree}} {
+		if fc := s.getFreeCount(ts, c.idx); fc != uint32(c.free) {
+			t.Fatalf("slab %d has %d free blocks, want %d", c.idx, fc, c.free)
+		}
+	}
+	// Resident, as for any thread that has used its magazine before: the
+	// first use of a line fetches it, and that is no refill's cost.
+	ts.cache.Load(s.magW(0, class))
+	held = append(slices.Clone(ptrs[deepFree:per]), ptrs[per+headFree:]...)
+	return head, deep, held
+}
+
+// classicVisits returns how often each classic-path point that a refill
+// must not reach was visited.
+func classicVisits(inj *crash.Injector) map[string]uint64 {
+	pts := inj.Points()
+	out := map[string]uint64{}
+	for _, p := range []string{"small.alloc.post-oplog", "small.detach.post-oplog", "small.disown.post-oplog"} {
+		out[p] = pts[p]
+	}
+	return out
+}
+
+// A refill takes the sized-list slab with the most free blocks, not the
+// head: with 3 free blocks in the head slab and 20 in the one behind it,
+// the magazine privatizes 19 of the 20 (the leave-one rule keeps one)
+// and pops one of them. The alloc is the refill's two records (the
+// oplog line, then the magazine line, each flushed under its own fence,
+// and the bitset commit's bare fence) plus the pop's one line: 3
+// flushes, 4 fences, no fetch, and no classic take or detach. Taking
+// the head's word instead gives a 2-block window.
+func TestRefillTakesTheSlabWithMostFreeBlocks(t *testing.T) {
+	e, inj := costEnv(t)
+	inj.EnableCoverage()
+	_, deep, held := reattachedSlabs(t, e, 3, 20)
+	before := classicVisits(inj)
+	var p Ptr
+	c := lineCost(e, 0, func() { p = e.alloc(0, smallMax) })
+	if got := e.h.small.slabOf(p); got != deep {
+		t.Fatalf("alloc took a block of slab %d, want slab %d (20 free)", got, deep)
+	}
+	m := e.h.small.magAt(&e.h.threads[0], smallClassOf(smallMax))
+	if int(m.slab) != deep+1 || bits.OnesCount64(m.mask) != 18 {
+		t.Fatalf("magazine holds %d blocks of slab %d, want 18 of slab %d (19 taken, 1 popped)",
+			bits.OnesCount64(m.mask), m.slab-1, deep)
+	}
+	if c.Flushes != 3 || c.Writebacks != 3 || c.Fences != 4 || c.Fetches != 0 {
+		t.Fatalf("refill and pop: %d flushes, %d write-backs, %d fences, %d fetches; want 3, 3, 4, 0",
+			c.Flushes, c.Writebacks, c.Fences, c.Fetches)
+	}
+	if after := classicVisits(inj); !maps.Equal(after, before) {
+		t.Fatalf("the refill fell to the classic path: %v -> %v", before, after)
+	}
+	e.h.Free(0, p)
+	for _, q := range held {
+		e.h.Free(0, q)
+	}
+	auditDrained(t, e)
+}
+
+// A head slab with one free block can give the magazine nothing; the
+// refill takes from a slab behind it instead of falling to the classic
+// path, which would take the head's last block (an opAllocBlock
+// record), load its countdown from the NMP unit and detach it (an
+// opDetach record and a descriptor flush), only for the next local
+// free to fetch the descriptor back to reattach it.
+func TestRefillSkipsASlabThatCanGiveOnlyItsLastBlock(t *testing.T) {
+	e, inj := costEnv(t)
+	inj.EnableCoverage()
+	head, deep, held := reattachedSlabs(t, e, 1, 5)
+	before := classicVisits(inj)
+	var p Ptr
+	d := nmpDelta(e, func() { p = e.alloc(0, smallMax) })
+	if after := classicVisits(inj); !maps.Equal(after, before) {
+		t.Fatalf("the refill fell to the classic path: %v -> %v", before, after)
+	}
+	if d.Loads != 0 {
+		t.Fatalf("%d NMP loads; a refill reads no countdown", d.Loads)
+	}
+	if got := e.h.small.slabOf(p); got != deep {
+		t.Fatalf("alloc took a block of slab %d, want slab %d (the head, slab %d, has 1 free)", got, deep, head)
+	}
+	if fc := e.h.small.getFreeCount(&e.h.threads[0], head); fc != 1 {
+		t.Fatalf("head slab %d has %d free blocks, want its 1 untouched", head, fc)
+	}
+	e.h.Free(0, p)
+	for _, q := range held {
+		e.h.Free(0, q)
+	}
+	auditDrained(t, e)
+}
+
+// A kv-like churn: thread 0 keeps 512 live 1 KiB blocks spread over 32
+// slabs, about half of each free, and in each round frees 128 of them, drawn
+// at random, through one FreeBatch — runs of about 4 blocks per slab,
+// as an epoch drain hands expired values home — then allocates 128.
+// Reattached slabs sit at the sized-list head with a few free blocks
+// each; a refill that takes the head's word refills every few pops and
+// detaches the head once only its last block is left. Counted over the
+// last 40 of 50 rounds, per alloc (the frees included). Taking the
+// head's word: 8215 flushes and 597 fetches over 5120 allocs (1.604 and
+// 0.117 per alloc). Taking the fullest slab's: 6705 and 0 (1.310 and 0).
+func TestRefillChurnCostsPerAlloc(t *testing.T) {
+	e, _ := costEnv(t)
+	const live, batch, rounds, warm = 512, 128, 50, 10
+	rng := xrand.New(2026)
+	shuffle := func(ptrs []Ptr) {
+		rng.Shuffle(len(ptrs), func(i, j int) { ptrs[i], ptrs[j] = ptrs[j], ptrs[i] })
+	}
+	ptrs := make([]Ptr, 2*live)
+	for i := range ptrs {
+		ptrs[i] = e.alloc(0, smallMax)
+	}
+	shuffle(ptrs)
+	for i := live; i < len(ptrs); i += batch {
+		freeBatch(t, e, 0, ptrs[i:i+batch])
+	}
+	ptrs = ptrs[:live]
+	round := func() {
+		shuffle(ptrs)
+		freeBatch(t, e, 0, ptrs[:batch])
+		for i := range batch {
+			ptrs[i] = e.alloc(0, smallMax)
+		}
+	}
+	var c telemetry.CacheStats
+	for r := 0; r < rounds; r++ {
+		if r < warm {
+			round()
+			continue
+		}
+		c = telemetry.Add(c, lineCost(e, 0, round))
+	}
+	allocs := float64((rounds - warm) * batch)
+	flushes, fetches := float64(c.Flushes)/allocs, float64(c.Fetches)/allocs
+	t.Logf("%.3f flushes, %.3f write-backs, %.3f fences, %.4f fetches per alloc",
+		flushes, float64(c.Writebacks)/allocs, float64(c.Fences)/allocs, fetches)
+	if c.Flushes != 6705 || c.Fetches != 0 {
+		t.Fatalf("%d flushes and %d fetches over %.0f allocs (%.3f and %.4f per alloc); want 6705 and 0",
+			c.Flushes, c.Fetches, allocs, flushes, fetches)
+	}
+	for _, p := range ptrs {
+		e.h.Free(0, p)
+	}
+	auditDrained(t, e)
 }

@@ -408,20 +408,9 @@ func TestGroupRemoteFreeCrashRecovery(t *testing.T) {
 	for _, r := range localRunCrashes {
 		for _, point := range localRunPoints(t, r) {
 			t.Run("local-run/"+r.name+"/"+point, func(t *testing.T) {
-				window := -1
-				localRunCrash(t, r, point, func(n int) memsim.CrashPolicy {
-					window = n
-					return memsim.CrashPolicy{Kind: memsim.PersistAll}
+				everyPersistSubset(t, point, func(pol func(n int) memsim.CrashPolicy) {
+					localRunCrash(t, r, point, pol)
 				})
-				if window > 10 {
-					t.Fatalf("%d in-play lines at %s: too many subsets to enumerate", window, point)
-				}
-				t.Logf("%d in-play lines, %d persist subsets", window, 1<<uint(window))
-				for mask := uint64(0); mask < 1<<uint(window)-1; mask++ {
-					localRunCrash(t, r, point, func(int) memsim.CrashPolicy {
-						return memsim.CrashPolicy{Kind: memsim.PersistSubset, Mask: mask}
-					})
-				}
 			})
 		}
 	}
@@ -546,13 +535,30 @@ func localRunPoints(t *testing.T, r localRun) []string {
 	return points
 }
 
-// localRunCrash crashes thread 0 at point inside run r's FreeBatch on an
-// incoherent pod, resolves that crash's in-play lines by pol, and
-// recovers twice. The run's blocks must then be free exactly once: the
-// rest of the heap freed, the ledger audits clean, and no recovery
-// reports a pending allocation.
-func localRunCrash(t *testing.T, r localRun, point string, pol func(n int) memsim.CrashPolicy) {
+// everyPersistSubset runs crash once with every in-play line of its
+// crash persisted, to learn how many lines are in play, then once per
+// other subset of them.
+func everyPersistSubset(t *testing.T, point string, crash func(pol func(n int) memsim.CrashPolicy)) {
 	t.Helper()
+	window := -1
+	crash(func(n int) memsim.CrashPolicy {
+		window = n
+		return memsim.CrashPolicy{Kind: memsim.PersistAll}
+	})
+	if window > 10 {
+		t.Fatalf("%d in-play lines at %s: too many subsets to enumerate", window, point)
+	}
+	t.Logf("%d in-play lines, %d persist subsets", window, 1<<uint(window))
+	for mask := uint64(0); mask < 1<<uint(window)-1; mask++ {
+		crash(func(int) memsim.CrashPolicy {
+			return memsim.CrashPolicy{Kind: memsim.PersistSubset, Mask: mask}
+		})
+	}
+}
+
+// firstCrashEnv is an incoherent pod whose first crash resolves its
+// in-play lines by pol; later crashes persist them all.
+func firstCrashEnv(t *testing.T, pol func(n int) memsim.CrashPolicy) (*env, *crash.Injector) {
 	e, inj := magCrashEnv(t, true)
 	applied := false
 	e.h.SetCrashPersistPolicy(func(_ int, inPlay []int32) memsim.CrashPolicy {
@@ -562,16 +568,19 @@ func localRunCrash(t *testing.T, r localRun, point string, pol func(n int) memsi
 		applied = true
 		return pol(len(inPlay))
 	})
-	run, keep := r.setup(t, e, localRunK)
-	ps := slices.Clone(run)
+	return e, inj
+}
+
+// crashRecoverTwice crashes thread 0 at point inside op and recovers it
+// twice; op allocates nothing the caller holds, so no recovery may
+// report a pending allocation.
+func crashRecoverTwice(t *testing.T, e *env, inj *crash.Injector, point string, op func()) {
+	t.Helper()
 	inj.Arm(point, 0, 0)
-	if c := crash.Run(func() { e.h.FreeBatch(0, &ps) }); c == nil || c.Point != point {
+	if c := crash.Run(op); c == nil || c.Point != point {
 		t.Fatalf("no crash at %q: %+v", point, c)
 	}
 	inj.Disarm()
-	if len(ps) != 0 {
-		t.Fatalf("%d pointers left in the batch; the run's commit had begun", len(ps))
-	}
 	for pass := 1; pass <= 2; pass++ {
 		e.h.MarkCrashed(0)
 		rep, err := e.h.RecoverThread(0, e.spaces[0])
@@ -582,8 +591,63 @@ func localRunCrash(t *testing.T, r localRun, point string, pol func(n int) memsi
 			t.Fatalf("recovery %d reported %#x pending; no allocation was in flight", pass, rep.PendingAlloc)
 		}
 	}
+}
+
+// localRunCrash crashes thread 0 at point inside run r's FreeBatch on an
+// incoherent pod, resolves that crash's in-play lines by pol, and
+// recovers twice. The run's blocks must then be free exactly once: the
+// rest of the heap freed, the ledger audits clean, and no recovery
+// reports a pending allocation.
+func localRunCrash(t *testing.T, r localRun, point string, pol func(n int) memsim.CrashPolicy) {
+	t.Helper()
+	e, inj := firstCrashEnv(t, pol)
+	run, keep := r.setup(t, e, localRunK)
+	ps := slices.Clone(run)
+	crashRecoverTwice(t, e, inj, point, func() { e.h.FreeBatch(0, &ps) })
+	if len(ps) != 0 {
+		t.Fatalf("%d pointers left in the batch; the run's commit had begun", len(ps))
+	}
 	e.h.SetMagazines(true)
 	for _, p := range keep {
+		e.h.Free(0, p)
+	}
+	auditDrained(t, e)
+}
+
+// A magazine refill from a slab behind the sized-list head, crashed at
+// either side of its first commit under every persist subset of the
+// crash's in-play lines: recovery unions whatever part of the window
+// reached the device back into that slab, and every block is then free
+// or held exactly once. Each cell names the head's and the deeper
+// slab's free blocks; the second is a head that could give only its
+// last block.
+func TestNonHeadRefillCrashRecovery(t *testing.T) {
+	for _, cell := range []struct{ headFree, deepFree int }{{3, 20}, {1, 5}} {
+		for _, point := range []string{"small.magrefill.post-oplog", "small.magrefill.pre-commit"} {
+			name := fmt.Sprintf("head-%d/deep-%d/%s", cell.headFree, cell.deepFree, point)
+			t.Run(name, func(t *testing.T) {
+				everyPersistSubset(t, point, func(pol func(n int) memsim.CrashPolicy) {
+					refillCrash(t, cell.headFree, cell.deepFree, point, pol)
+				})
+			})
+		}
+	}
+}
+
+// refillCrash crashes thread 0 at point inside the alloc whose refill
+// takes from the slab behind the head (reattachedSlabs), resolves that
+// crash's in-play lines by pol, and recovers twice. No block was handed
+// out, so no recovery may report one; the held blocks are then freed
+// and the ledger must audit clean.
+func refillCrash(t *testing.T, headFree, deepFree int, point string, pol func(n int) memsim.CrashPolicy) {
+	t.Helper()
+	e, inj := firstCrashEnv(t, pol)
+	_, deep, held := reattachedSlabs(t, e, headFree, deepFree)
+	if idx, _, _ := e.h.small.refillSource(&e.h.threads[0], 0, smallClassOf(smallMax)); idx != deep {
+		t.Fatalf("the refill would take slab %d, want %d (behind the head)", idx, deep)
+	}
+	crashRecoverTwice(t, e, inj, point, func() { e.h.Alloc(0, smallMax) })
+	for _, p := range held {
 		e.h.Free(0, p)
 	}
 	auditDrained(t, e)

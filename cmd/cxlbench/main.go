@@ -9,10 +9,8 @@
 //	cxlbench -exp fig11 -threads 1,4,8,16    # latency sweep
 //	cxlbench -exp table1                     # property matrix
 //	cxlbench -exp fig9 -scale small -out results.ndjson
-//	cxlbench -exp hotpath -json BENCH_hotpath.json -label after
-//	cxlbench -exp hotpath -cpuprofile cpu.pprof -memprofile mem.pprof
+//	cxlbench -exp fig9 -scale small -cpuprofile cpu.pprof -memprofile mem.pprof
 //	cxlbench -trace out.json -exp fig9 -scale small
-//	cxlbench -exp slo -json BENCH_slo.json -label baseline
 //
 // Run cxlbench -list for the experiment registry with descriptions, and
 // cxlbench -h for the flags: the run-wide ones, then each experiment's
@@ -53,10 +51,10 @@
 // the sweep against the deliberately broken SkipOplogFlush allocator,
 // which must fail — the mutation meta-test.
 //
-// -json appends a labeled run (rows sorted, stable field order) to a
-// BENCH_*.json trajectory file, so per-PR before/after numbers are
-// machine-recorded and diffable in review. -cpuprofile/-memprofile
-// write standard pprof profiles of whatever experiments ran.
+// -out appends every report row as NDJSON. -cpuprofile/-memprofile
+// write standard pprof profiles of whatever experiments ran. Performance
+// claims are measured by the stack benchmark (benchmark/run.sh), not by
+// cxlbench.
 //
 // -trace records every pod event of the run (alloc/free, SWcc flushes,
 // mCAS retries, crashes, recoveries, lease activity) into a Chrome
@@ -125,8 +123,6 @@ func experiments() []*experiment {
 		paperExp("chaos", "crash-point sweep gate (thread/process kills, NMP faults)", runChaos),
 		persistExp(),
 		paperExp("mttr", "watchdog repair-time distribution", bench.RunMTTR),
-		paperExp("hotpath", "allocation hot-path microbenchmark", bench.RunHotpath),
-		paperExp("obs", "telemetry overhead on/off comparison", bench.RunObs),
 		liveChaosExp(),
 		sloExp(),
 		sloChaosExp(),
@@ -152,7 +148,7 @@ type invocation struct {
 	exps []*experiment
 	sc   bench.Scale
 
-	out, jsonOut, label    string
+	out                    string
 	cpuProfile, memProfile string
 	traceOut, metricsOut   string
 	traceCap               int
@@ -195,8 +191,6 @@ func parse(args []string, stderr io.Writer) (*invocation, error) {
 	global.BoolVar(&inv.list, "list", false, "print the registered experiments and exit")
 	scaleName := global.String("scale", "default", "small | default")
 	global.StringVar(&inv.out, "out", "", "append NDJSON results to this file")
-	global.StringVar(&inv.jsonOut, "json", "", "append a labeled, stably sorted run to this BENCH_*.json file")
-	global.StringVar(&inv.label, "label", "current", "run label recorded in -json output (e.g. before, after)")
 	global.StringVar(&inv.cpuProfile, "cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	global.StringVar(&inv.memProfile, "memprofile", "", "write a pprof heap profile after the run to this file")
 	global.StringVar(&inv.traceOut, "trace", "", "record a Chrome trace_event JSON of the run to this file (open in chrome://tracing or ui.perfetto.dev)")
@@ -216,10 +210,8 @@ func parse(args []string, stderr io.Writer) (*invocation, error) {
 			return err
 		})
 	}
-	scaleInt("procs", "process count", func(sc *bench.Scale) *int { return &sc.Procs })
 	scaleInt("ops", "total operations per trial", func(sc *bench.Scale) *int { return &sc.Ops })
 	scaleInt("trials", "trial count", func(sc *bench.Scale) *int { return &sc.Trials })
-	scaleInt("arena", "per-allocator backing memory (bytes)", func(sc *bench.Scale) *int { return &sc.ArenaBytes })
 	global.Func("threads", "thread counts, e.g. 1,2,4,8 (default: the scale's)", func(s string) error {
 		var ts []int
 		for _, f := range strings.Split(s, ",") {
@@ -382,9 +374,9 @@ func main() {
 	// -trace installs the global tracer for the whole invocation. Rings
 	// must cover the widest thread sweep (chaos pods use 4 slots). A
 	// requested trace is a request for the full event stream: hot-kind
-	// sampling (the leave-it-on default that the obs experiment measures)
-	// is switched to full fidelity, and the ring default is sized so a
-	// hotpath-scale run fits without drops (tune with -trace-cap).
+	// sampling (the leave-it-on default) is switched to full fidelity, and
+	// the ring default is sized so a -scale small fig9 run fits without
+	// drops (tune with -trace-cap).
 	var tracer *telemetry.Tracer
 	if inv.traceOut != "" {
 		maxT := 4
@@ -397,7 +389,7 @@ func main() {
 	var metrics []telemetry.MetricsRecord
 	if inv.metricsOut != "" {
 		bench.MetricsSink = func(dims map[string]string, s telemetry.Snapshot) {
-			metrics = append(metrics, telemetry.MetricsRecord{Label: inv.label, Dims: dims, Values: s})
+			metrics = append(metrics, telemetry.MetricsRecord{Dims: dims, Values: s})
 		}
 	}
 
@@ -431,12 +423,6 @@ func main() {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "wrote %d rows to %s\n", len(all), inv.out)
-	}
-	if inv.jsonOut != "" {
-		if err := bench.AppendBenchJSON(inv.jsonOut, inv.label, all); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "recorded %d rows as run %q in %s\n", len(all), inv.label, inv.jsonOut)
 	}
 	if tracer != nil {
 		telemetry.Stop()

@@ -15,40 +15,52 @@ import (
 	"cxlalloc/internal/server"
 )
 
-// Every cxlbench command CI runs parses, and names registered
-// experiments: a flag renamed or removed fails here, not in a CI job.
-// Files under /tmp/ move to a temporary directory, where each -replay
-// file is a one-spec schedule.
+// Every cxlbench command that CI runs or README shows parses, and names
+// registered experiments: a flag renamed or removed fails here, not in a
+// CI job or a reader's shell. A trailing "# ..." comment is not part of
+// the command. Files under /tmp/ and -replay files move to a temporary
+// directory, where each -replay file is a one-spec schedule.
 func TestCIInvocationsParse(t *testing.T) {
-	raw, err := os.ReadFile("../../.github/workflows/ci.yml")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmds := regexp.MustCompile(`go run (?:-race )?\./cmd/cxlbench (.*)`).FindAllStringSubmatch(string(raw), -1)
-	if len(cmds) < 8 {
-		t.Fatalf("found %d cxlbench commands in ci.yml; the pattern no longer matches them", len(cmds))
-	}
+	cmdRE := regexp.MustCompile(`go run (?:-race )?\./cmd/cxlbench ([^#\n]*)`)
 	dir := t.TempDir()
-	for _, m := range cmds {
-		args := strings.Fields(m[1])
-		for i, a := range args {
-			if !strings.HasPrefix(a, "/tmp/") {
-				continue
-			}
-			args[i] = filepath.Join(dir, filepath.Base(a))
-			if i > 0 && args[i-1] == "-replay" {
-				if err := chaos.SaveSchedule(args[i], []chaos.FaultSpec{{Kind: chaos.FaultThreadKill}}); err != nil {
-					t.Fatal(err)
+	for _, src := range []struct {
+		path string
+		min  int
+	}{
+		{"../../.github/workflows/ci.yml", 8},
+		{"../../README.md", 14},
+	} {
+		raw, err := os.ReadFile(src.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cmds := cmdRE.FindAllStringSubmatch(string(raw), -1)
+		if len(cmds) < src.min {
+			t.Fatalf("found %d cxlbench commands in %s; the pattern no longer matches them", len(cmds), src.path)
+		}
+		for _, m := range cmds {
+			cmd := strings.TrimSpace(m[1])
+			args := strings.Fields(cmd)
+			for i, a := range args {
+				replay := i > 0 && args[i-1] == "-replay"
+				if !strings.HasPrefix(a, "/tmp/") && !replay {
+					continue
+				}
+				args[i] = filepath.Join(dir, filepath.Base(a))
+				if replay {
+					if err := chaos.SaveSchedule(args[i], []chaos.FaultSpec{{Kind: chaos.FaultThreadKill}}); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
-		}
-		inv, err := parse(args, io.Discard)
-		if err != nil {
-			t.Errorf("cxlbench %s: %v", m[1], err)
-			continue
-		}
-		if len(inv.exps) == 0 {
-			t.Errorf("cxlbench %s: names no experiment", m[1])
+			inv, err := parse(args, io.Discard)
+			if err != nil {
+				t.Errorf("%s: cxlbench %s: %v", src.path, cmd, err)
+				continue
+			}
+			if len(inv.exps) == 0 {
+				t.Errorf("%s: cxlbench %s: names no experiment", src.path, cmd)
+			}
 		}
 	}
 }

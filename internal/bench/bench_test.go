@@ -6,6 +6,9 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"cxlalloc/internal/atomicx"
+	"cxlalloc/internal/telemetry"
 )
 
 // tinyScale keeps harness tests fast.
@@ -20,6 +23,24 @@ func tinyScale() Scale {
 		Threads:     []int{2},
 		Procs:       2,
 		Seed:        7,
+	}
+}
+
+// requireCellsRan fails, naming the cell, on every row that did not run
+// to completion: one with a Failed reason, or one whose workload saw
+// allocation errors. The only failure allowed is the one the paper
+// reports: cxl-shm cannot allocate MC-12's and MC-37's values.
+func requireCellsRan(t *testing.T, rows []Row) {
+	t.Helper()
+	for _, r := range rows {
+		if r.Allocator == "cxl-shm" && (r.Workload == "MC-12" || r.Workload == "MC-37") &&
+			r.Failed == "crash: allocation size unsupported" {
+			continue
+		}
+		if r.Failed != "" || r.Extra["allocErrors"] != "" {
+			t.Errorf("%s %s/%s threads=%d procs=%d: failed %q, allocErrors %q",
+				r.Experiment, r.Workload, r.Allocator, r.Threads, r.Procs, r.Failed, r.Extra["allocErrors"])
+		}
 	}
 }
 
@@ -75,6 +96,7 @@ func TestRunFig8SingleWorkload(t *testing.T) {
 	if len(rows) != 7 { // 7 allocators x 1 thread count
 		t.Fatalf("rows = %d", len(rows))
 	}
+	requireCellsRan(t, rows)
 	for _, r := range rows {
 		if r.Failed == "" && r.Throughput <= 0 {
 			t.Fatalf("no throughput for %s", r.Allocator)
@@ -92,6 +114,7 @@ func TestRunFig8UnsupportedSizeRecorded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireCellsRan(t, rows)
 	found := false
 	for _, r := range rows {
 		if r.Allocator == "cxl-shm" {
@@ -114,6 +137,7 @@ func TestRunFig9(t *testing.T) {
 	if len(rows) != 2*7 {
 		t.Fatalf("rows = %d", len(rows))
 	}
+	requireCellsRan(t, rows)
 }
 
 func TestRunFig10(t *testing.T) {
@@ -123,6 +147,7 @@ func TestRunFig10(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireCellsRan(t, rows)
 	for _, r := range rows {
 		if r.Failed == "" && r.Throughput <= 0 {
 			t.Fatalf("huge bench produced no throughput: %+v", r)
@@ -168,6 +193,7 @@ func TestRunFig12(t *testing.T) {
 	if len(rows) != 2*6 {
 		t.Fatalf("rows = %d", len(rows))
 	}
+	requireCellsRan(t, rows)
 	// Structural claim: ralloc's mcas variant is slower than its dram
 	// twin — the protocol rounds are pure added cost there. cxlalloc no
 	// longer satisfies the same inequality: magazines run only on
@@ -231,6 +257,7 @@ func TestAblationRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireCellsRan(t, rows)
 	sawRatio := false
 	for _, r := range rows {
 		if r.Allocator == "cxlalloc" && r.Extra["vsBase"] != "" {
@@ -248,6 +275,7 @@ func TestAblationHWcc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireCellsRan(t, rows)
 	// cxlalloc must use far less HWcc memory than ralloc.
 	for _, r := range rows {
 		if r.Allocator == "cxlalloc" && r.Workload == "threadtest-small" {
@@ -290,6 +318,7 @@ func TestAblationDisown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireCellsRan(t, rows)
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -303,5 +332,29 @@ func TestAblationDisown(t *testing.T) {
 	// per round of mixed frees.
 	if without <= with*2 {
 		t.Fatalf("no-disown heap (%d slabs) should dwarf disown heap (%d slabs)", without, with)
+	}
+}
+
+// At the default hot sample period, a 64Ki-event ring holds every
+// sampled event of a 600k-op threadtest-small trial, so a tracer left on
+// overwrites nothing. A hot site that stops sampling, or a new per-op
+// event outside the sampled kinds, wraps the ring and fails here.
+func TestTraceRingHoldsA600kOpTrial(t *testing.T) {
+	sc := tinyScale()
+	sc.Ops = 600_000
+	fac := NewCXLFactory(CXLVariant{Name: "cxlalloc-mcas", Mode: atomicx.ModeMCAS, Procs: 1}, sc.ArenaBytes)
+	tr := telemetry.Start(1, 1<<16)
+	row, err := runMicro("trace", fac, "threadtest-small", sc, 1, 64)
+	telemetry.Stop()
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireCellsRan(t, []Row{row})
+	t.Logf("sample period %d: %d events recorded, %d overwritten", telemetry.HotSamplePeriod(), tr.Recorded(), tr.Dropped())
+	if tr.Recorded() == 0 {
+		t.Fatal("the traced trial recorded no events")
+	}
+	if d := tr.Dropped(); d != 0 {
+		t.Fatalf("the ring overwrote %d of its %d events", d, tr.Recorded())
 	}
 }

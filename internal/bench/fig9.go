@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"cxlalloc/internal/telemetry"
 	"cxlalloc/internal/workload"
 )
 
@@ -26,6 +27,13 @@ func RunFig9(sc Scale) ([]Row, error) {
 	}
 	return rows, nil
 }
+
+// MetricsSink, when non-nil, receives the unified telemetry snapshot of
+// every cxlalloc instance a microbenchmark cell measures, after the
+// workload joined and the published mirrors were force-refreshed (so the
+// snapshot is exact, not cadence-lagged). cmd/cxlbench installs it for
+// -metrics; dims carry experiment/workload/allocator/threads/trial.
+var MetricsSink func(dims map[string]string, s telemetry.Snapshot)
 
 // runMicro runs one microbenchmark cell over sc.Trials trials.
 // objSize chooses small (64 B) or huge (multi-MiB) objects.

@@ -176,6 +176,14 @@ func (h *Heap) hugeAlloc(ts *threadState, tid int, size uint64) (Ptr, error) {
 // an allocation of size bytes, adding every claimed region to tid's
 // interval set. Partially successful claims are kept: a claimed region
 // is usable capacity, never a leak.
+//
+// A run is claimed from its last region down. Scans run upward, so a
+// thread that finds a run whose last region is taken skips past it, and
+// two threads that found the same run contend for that last region
+// first: the loser holds none of the run. Claiming upward, the loser of
+// the second region would keep the first, a region too small for the
+// allocation that no later claim can extend (internal/bench's
+// TestRunFig10 runs two threads at that capacity edge).
 func (h *Heap) claimRegions(ts *threadState, tid int, size uint64) bool {
 	k := int((size + h.cfg.HugeRegionSize - 1) / h.cfg.HugeRegionSize)
 	nr := h.cfg.NumReservations
@@ -188,7 +196,7 @@ func (h *Heap) claimRegions(ts *threadState, tid int, size uint64) bool {
 			continue
 		}
 		claimed := 0
-		for i := 0; i < k; i++ {
+		for i := k - 1; i >= 0; i-- {
 			if h.claimRegion(ts, tid, start+i) {
 				claimed++
 			} else {
@@ -198,7 +206,7 @@ func (h *Heap) claimRegions(ts *threadState, tid int, size uint64) bool {
 		if claimed == k {
 			return true
 		}
-		// Lost a race mid-run; the claimed prefix stays ours. Rescan.
+		// Lost a race mid-run; the claimed suffix stays ours. Rescan.
 		if claimed > 0 {
 			return true // let the caller retry Alloc; it may now fit
 		}

@@ -37,8 +37,8 @@ import "math/bits"
 //     which point the mask is provably zero, or is drained first.
 //
 // Magazines run only on incoherent devices (the coherent pod has no
-// flush/fence protocol cost to avoid, and keeping the DRAM baseline
-// byte-identical keeps the hotpath comparison honest) and can be
+// flush/fence protocol cost to avoid, and keeping the DRAM path
+// byte-identical keeps fig12's DRAM baseline honest) and can be
 // toggled at runtime (SetMagazines) so crash harnesses exercise both
 // the magazine and the classic paths.
 

@@ -179,10 +179,9 @@ func combineInto(a, b reflect.Value, op func(x, y uint64) uint64) {
 	}
 }
 
-// MetricsRecord is one NDJSON metrics line: a labeled snapshot with
-// optional free-form dimensions (experiment, workload, allocator…).
+// MetricsRecord is one NDJSON metrics line: a snapshot with optional
+// free-form dimensions (experiment, workload, allocator…).
 type MetricsRecord struct {
-	Label  string            `json:"label,omitempty"`
 	Dims   map[string]string `json:"dims,omitempty"`
 	Values Snapshot          `json:"values"`
 }

@@ -216,8 +216,8 @@ func TestWriteMetricsNDJSON(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	recs := []MetricsRecord{
-		{Label: "t0", Values: a},
-		{Label: "t1", Dims: map[string]string{"exp": "obs"}, Values: b},
+		{Values: a},
+		{Dims: map[string]string{"exp": "fig9"}, Values: b},
 	}
 	if err := WriteMetricsNDJSON(&buf, recs); err != nil {
 		t.Fatal(err)

@@ -71,6 +71,11 @@ type Heap struct {
 	// goroutines can race Recover/Restart safely under -race.
 	recMu []sync.Mutex
 
+	// live mirrors each slot's attached && alive, stored under recMu at
+	// the end of every transition, so Alive — read by every pod
+	// Thread.Run — takes no lock and writes no line.
+	live []paddedFlag
+
 	// testHookPreCommit, tests only: runs between recoverThread's rebuilds
 	// and its commit fence check, so a supersede can be interposed
 	// deterministically.
@@ -182,6 +187,7 @@ func NewHeap(cfg Config, dev *memsim.Device) (*Heap, error) {
 		threads:  make([]threadState, cfg.NumThreads),
 		ops:      make([]threadOps, cfg.NumThreads),
 		recMu:    make([]sync.Mutex, cfg.NumThreads),
+		live:     make([]paddedFlag, cfg.NumThreads),
 	}
 	if cfg.Mode == atomicx.ModeMCAS {
 		h.unit = nmp.New(dev, cfg.Latency)
@@ -282,6 +288,7 @@ func (h *Heap) AttachThread(tid int, space *vas.Space) error {
 		space:    space,
 	}
 	ts.cache.SetOwner(tid)
+	h.publishLive(tid)
 	return nil
 }
 
@@ -289,10 +296,20 @@ func (h *Heap) AttachThread(tid int, space *vas.Space) error {
 func (h *Heap) ThreadSpace(tid int) *vas.Space { return h.threads[tid].space }
 
 // Alive reports whether thread slot tid is attached and not crashed.
-func (h *Heap) Alive(tid int) bool {
-	h.recMu[tid].Lock()
-	defer h.recMu[tid].Unlock()
-	return h.threads[tid].attached && h.threads[tid].alive
+func (h *Heap) Alive(tid int) bool { return h.live[tid].v.Load() }
+
+// paddedFlag is one slot's liveness on its own cache line, so one slot's
+// transition never invalidates the line another slot's Alive reads.
+type paddedFlag struct {
+	v atomic.Bool
+	_ [63]byte
+}
+
+// publishLive stores slot tid's liveness for Alive. The caller holds
+// recMu[tid] and has finished the transition.
+func (h *Heap) publishLive(tid int) {
+	ts := &h.threads[tid]
+	h.live[tid].v.Store(ts.attached && ts.alive)
 }
 
 // MarkCrashed records that thread tid crashed. Its CPU core survives, so
@@ -327,6 +344,7 @@ func (h *Heap) MarkCrashed(tid int) {
 	} else {
 		ts.cache.WritebackAll()
 	}
+	h.publishLive(tid)
 	if wasAlive {
 		h.crashesMarked.Add(1)
 		if telemetry.Enabled() {

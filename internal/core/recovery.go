@@ -193,6 +193,7 @@ func (h *Heap) recoverThread(tid int, space *vas.Space, tok ClaimToken) (Recover
 	ts.cache.FlushOpt(h.lay.oplogW(tid))
 	ts.cache.Fence()
 	ts.alive = true
+	h.publishLive(tid)
 	h.recoveries.Add(1)
 	if telemetry.Enabled() {
 		telemetry.Emit(rtid, telemetry.EvRecoveryExit, uint64(tid), telemetry.RecoveryOK)

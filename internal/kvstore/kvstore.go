@@ -50,12 +50,14 @@ type Store struct {
 	mem     alloc.Allocator
 	rec     *epoch.Reclaimer
 	shards  []sync.Mutex
+	counts  []opCounts // per thread; Stats sums them
+}
 
-	inserts  atomic.Uint64
-	replaces atomic.Uint64
-	deletes  atomic.Uint64
-	hits     atomic.Uint64
-	misses   atomic.Uint64
+// opCounts is one thread's operation counters on its own cache line, so
+// counting a request writes no line another thread's requests write.
+type opCounts struct {
+	inserts, replaces, deletes, hits, misses atomic.Uint64
+	_                                        [24]byte
 }
 
 // New creates a store with nBuckets (rounded up to a power of two)
@@ -73,6 +75,7 @@ func New(mem alloc.Allocator, nBuckets, nThreads int) *Store {
 			alloc.FreeAll(mem, tid, ps)
 		}),
 		shards: make([]sync.Mutex, min(n, 4096)),
+		counts: make([]opCounts, nThreads),
 	}
 }
 
@@ -128,10 +131,11 @@ func (s *Store) PutTracked(tid int, key, val []byte, onAlloc func(alloc.Ptr)) er
 			break
 		}
 	}
-	s.inserts.Add(1)
+	c := &s.counts[tid]
+	c.inserts.Add(1)
 	// Retire any older entry for the same key (replace semantics).
 	if s.removeAfter(tid, n, key, h) {
-		s.replaces.Add(1)
+		c.replaces.Add(1)
 	}
 	s.rec.Exit(tid)
 	return nil
@@ -171,11 +175,11 @@ func (s *Store) Get(tid int, key []byte, dst []byte) ([]byte, bool) {
 			}
 			s.mem.AccessHook(tid, n.ptr)
 			dst = append(dst[:0], buf[n.keyLen:]...)
-			s.hits.Add(1)
+			s.counts[tid].hits.Add(1)
 			return dst, true
 		}
 		if b.Load() == head {
-			s.misses.Add(1)
+			s.counts[tid].misses.Add(1)
 			return dst, false
 		}
 	}
@@ -242,7 +246,7 @@ func (s *Store) Delete(tid int, key []byte) bool {
 		}
 		n.deleted.Store(true)
 		s.unlink(tid, h, n)
-		s.deletes.Add(1)
+		s.counts[tid].deletes.Add(1)
 		return true
 	}
 	return false
@@ -382,14 +386,16 @@ type Stats struct {
 
 // Stats returns a snapshot.
 func (s *Store) Stats() Stats {
-	return Stats{
-		Inserts:   s.inserts.Load(),
-		Replaces:  s.replaces.Load(),
-		Deletes:   s.deletes.Load(),
-		Hits:      s.hits.Load(),
-		Misses:    s.misses.Load(),
-		Reclaimed: s.rec.Freed(),
+	st := Stats{Reclaimed: s.rec.Freed()}
+	for i := range s.counts {
+		c := &s.counts[i]
+		st.Inserts += c.inserts.Load()
+		st.Replaces += c.replaces.Load()
+		st.Deletes += c.deletes.Load()
+		st.Hits += c.hits.Load()
+		st.Misses += c.misses.Load()
 	}
+	return st
 }
 
 // FreeOrphan returns an allocation that never got linked (a recovered

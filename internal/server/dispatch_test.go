@@ -132,13 +132,15 @@ func (f *dispatchFixture) holdEveryWorker(t *testing.T) []*Request {
 	return plugs
 }
 
-// answeredOnce fails the test if r has a second response waiting.
+// answered reports whether r has a response that no Wait has taken yet.
+func answered(r *Request) bool { return r.state.Load() == reqDone }
+
+// answeredOnce fails the test if r, already waited for, has a second
+// response waiting.
 func answeredOnce(t *testing.T, r *Request) {
 	t.Helper()
-	select {
-	case <-r.done:
+	if answered(r) {
 		t.Errorf("request %q answered twice", r.Key)
-	default:
 	}
 }
 
@@ -270,11 +272,10 @@ func TestDispatchStopAnswersPrivateBatches(t *testing.T) {
 
 	done, refused := 0, 0
 	for _, p := range puts {
-		select {
-		case <-p.done:
-		default:
+		if !answered(p) {
 			t.Fatalf("put %q: no answer after Stop returned", p.Key)
 		}
+		p.Wait()
 		switch {
 		case p.resp.Err == nil:
 			done++

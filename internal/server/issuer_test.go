@@ -93,8 +93,7 @@ func (s *scriptedStore) Submit(r *Request) {
 			Reject(r, ErrCrashed)
 			return
 		}
-		r.resp.DoneWall = time.Now()
-		r.done <- r
+		r.finish(nil, now())
 	}()
 }
 

@@ -53,16 +53,47 @@ type Request struct {
 	deadlineWall time.Time
 
 	resp Response
-	done chan *Request
+	// state is the completion word: reqPending until finish publishes the
+	// response, reqWaiting while Wait is parked on wake. Wait consumes the
+	// answer and returns the word to reqPending, so a request is answered
+	// exactly once per Wait, as a one-slot channel would be.
+	state atomic.Uint32
+	wake  chan struct{} // finish's token for a parked Wait; cap 1
 }
 
-// NewRequest allocates a request with its completion channel.
-func NewRequest() *Request { return &Request{done: make(chan *Request, 1)} }
+// Completion-word states (Request.state).
+const (
+	reqPending uint32 = iota
+	reqWaiting
+	reqDone
+)
 
-// Wait blocks until the server responds and returns the response.
+// NewRequest allocates a request with its completion word.
+func NewRequest() *Request { return &Request{wake: make(chan struct{}, 1)} }
+
+// Wait blocks until the server responds and returns the response. An
+// answer that is already there costs one atomic load; only a Wait that
+// gets there first parks, and only it costs finish a channel send.
 func (r *Request) Wait() *Response {
-	<-r.done
+	if r.state.Load() != reqDone && r.state.CompareAndSwap(reqPending, reqWaiting) {
+		<-r.wake
+	}
+	r.state.Store(reqPending)
 	return &r.resp
+}
+
+// finish publishes r's response, stamped done, and wakes a parked Wait.
+// The fields of r.resp are written before the swap, so whoever reads the
+// word as reqDone, or takes the token, reads the whole response.
+func (r *Request) finish(err error, done time.Time) {
+	r.resp.Err = err
+	r.resp.DoneWall = done
+	switch r.state.Swap(reqDone) {
+	case reqWaiting:
+		r.wake <- struct{}{}
+	case reqDone:
+		panic("server: request answered twice")
+	}
 }
 
 // Reset prepares the request for a fresh operation (pooled reuse),
@@ -155,7 +186,8 @@ type group struct {
 	parked atomic.Int32
 	wake   chan struct{} // one token wakes one worker; cap = len(tids)
 
-	admitted, executed atomic.Uint64
+	admitted atomic.Uint64
+	workers  []*worker // one per tid; Stats sums their executed counts
 }
 
 // signal wakes up to n parked workers of g. A token left over by a worker
@@ -187,7 +219,7 @@ func (g *group) park(stopped *atomic.Bool) {
 
 // Server is the KV service front end. One worker goroutine serves per
 // thread slot; requests enter through Submit and complete through
-// their channel.
+// their completion word (Request.Wait).
 type Server struct {
 	cfg    Config
 	heap   *core.Heap
@@ -261,6 +293,7 @@ func New(cfg Config) *Server {
 			g.brk.workerUp()
 			w := &worker{s: s, g: g, tid: tid, up: true}
 			w.batch = w.buf[:0]
+			g.workers = append(g.workers, w)
 			s.wg.Add(1)
 			go w.serve()
 		}
@@ -321,7 +354,9 @@ func (s *Server) Stats() telemetry.ServerStats {
 	}
 	for _, g := range s.groups {
 		st.Admitted += g.admitted.Load()
-		st.Executed += g.executed.Load()
+		for _, w := range g.workers {
+			st.Executed += w.executed.n.Load()
+		}
 		st.BreakerOpens += g.brk.opens.Load()
 	}
 	st.Submitted = st.Admitted + s.refused.Load()
@@ -335,10 +370,21 @@ func (s *Server) Stats() telemetry.ServerStats {
 // would hide its true fate from the acked-write oracle.
 func (s *Server) PendingCrashed() int64 { return s.pendingCrashed.Load() }
 
-func (s *Server) respond(r *Request, err error) {
-	r.resp.Err = err
-	r.resp.DoneWall = time.Now()
-	r.done <- r
+// clockBase anchors the server's stamps; see now.
+var clockBase = time.Now()
+
+// now is the server's clock: one monotonic-only reading, cheaper than
+// time.Now's wall-and-monotonic pair, placed on clockBase's wall clock.
+// Every consumer of a stamp — CoDel's sojourn, the deadline check, a
+// client's latency — subtracts or compares times that all carry
+// monotonic readings, so the wall part is never consulted.
+func now() time.Time { return clockBase.Add(time.Since(clockBase)) }
+
+// respond answers r with err, stamped now, and returns the stamp.
+func (s *Server) respond(r *Request, err error) time.Time {
+	t := now()
+	r.finish(err, t)
+	return t
 }
 
 // Reject answers r with err without admitting it to any server — the
@@ -346,28 +392,27 @@ func (s *Server) respond(r *Request, err error) {
 // owner). It stamps r as Submit does, so client backoff and deadline
 // propagation see a normally stamped request.
 func Reject(r *Request, err error) {
-	now := time.Now()
-	r.stamp(now)
-	r.resp.Err = err
-	r.resp.DoneWall = now
-	r.done <- r
+	t := now()
+	r.stamp(t)
+	r.finish(err, t)
 }
 
-// Submit admits r (asynchronously; the response arrives on r's
-// channel): watermark checks, breaker-aware routing, then the chosen
+// Submit admits r (asynchronously; the response arrives through r's
+// Wait): watermark checks, breaker-aware routing, then the chosen
 // group's bounded queue.
 func (s *Server) Submit(r *Request) {
-	r.stamp(time.Now())
+	t := now()
+	r.stamp(t)
 	if err := s.refuse(r); err != nil {
 		s.refused.Add(1)
-		s.respond(r, err)
+		r.finish(err, t)
 		return
 	}
 	g := s.route(nil)
 	if g == nil {
 		s.refused.Add(1)
 		s.shedBreaker.Add(1)
-		s.respond(r, ErrBreakerOpen)
+		r.finish(ErrBreakerOpen, t)
 		return
 	}
 	g.admitted.Add(1)
@@ -404,9 +449,16 @@ func (s *Server) enqueue(g *group, r *Request) {
 }
 
 // route picks the next group round-robin, skipping open breakers and
-// the excluded group. nil means every eligible group is broken.
+// the excluded group. nil means every eligible group is broken. A server
+// of one group has nothing to rotate through, so it writes no cursor.
 func (s *Server) route(except *group) *group {
 	n := len(s.groups)
+	if n == 1 {
+		if g := s.groups[0]; g != except && !g.brk.open() {
+			return g
+		}
+		return nil
+	}
 	start := int(s.rr.Add(1))
 	skippedBroken := false
 	for i := 0; i < n; i++ {
@@ -552,12 +604,31 @@ type worker struct {
 	batch []*Request
 	buf   [batchMax]*Request
 	pend  *pendOp // a crashed write awaiting its post-repair resolution
+	// pendBuf is the running write's crash record, reused: pend points
+	// at it only while the worker runs nothing but its resolution.
+	pendBuf pendOp
+
+	// last is the stamp of the worker's latest response, which the next
+	// fill reads as its clock instead of taking a reading of its own; zero
+	// after a park or a crash, when it would be stale.
+	last time.Time
+
+	executed paddedCount // ops run to completion, for Stats
+}
+
+// paddedCount is a counter on its own cache line: one writer, read only
+// by Stats, so counting an op writes no line another worker writes.
+type paddedCount struct {
+	_ [56]byte
+	n atomic.Uint64
+	_ [56]byte
 }
 
 // down records that the worker's slot died: the handle is dropped and,
 // if the group just went dark, its queue is re-routed.
 func (w *worker) down() {
 	w.th = nil
+	w.last = time.Time{}
 	if w.up {
 		w.up = false
 		if w.g.brk.workerDown() && !w.s.stopped.Load() {
@@ -597,14 +668,20 @@ func (w *worker) idleTicks() bool {
 	return true
 }
 
-// fill pops the next batch, answering what the queue shed on the way.
+// fill pops the next batch, answering what the queue shed on the way at
+// the pop's own stamp: the last response's, or a fresh one.
 func (w *worker) fill() {
 	s := w.s
+	t := w.last
+	if t.IsZero() {
+		t = now()
+	}
+	w.last = time.Time{}
 	var sheds []shedReq
-	w.batch, sheds = w.g.q.popBatch(time.Now(), w.buf[:0])
+	w.batch, sheds = w.g.q.popBatch(t, w.buf[:0])
 	for _, sd := range sheds {
 		s.countShed(sd.err)
-		s.respond(sd.req, sd.err)
+		sd.req.finish(sd.err, t)
 	}
 }
 
@@ -657,7 +734,7 @@ func (w *worker) serve() {
 			s.crashResolves.Add(1)
 			p.req.resp.Applied = p.applied
 			w.pend = nil
-			s.respond(p.req, ErrCrashed)
+			w.last = s.respond(p.req, ErrCrashed)
 			p.settle()
 			s.pendingCrashed.Add(-1)
 			continue
@@ -672,6 +749,7 @@ func (w *worker) serve() {
 			}
 			idle = true
 			g.park(&s.stopped)
+			w.last = time.Time{}
 			continue
 		}
 		idle = false
@@ -686,14 +764,15 @@ func (w *worker) serve() {
 			if release, gerr = s.cfg.Gate(req); gerr != nil {
 				w.batch = w.batch[1:]
 				s.shedShard.Add(1)
-				s.respond(req, gerr)
+				w.last = s.respond(req, gerr)
 				continue
 			}
 		}
 
 		var pc *pendOp
 		if req.Op != OpGet {
-			pc = &pendOp{req: req}
+			w.pendBuf = pendOp{req: req}
+			pc = &w.pendBuf
 		}
 		started := false
 		c := w.th.Run(func() {
@@ -705,8 +784,8 @@ func (w *worker) serve() {
 				release()
 			}
 			w.batch = w.batch[1:]
-			g.executed.Add(1)
-			s.respond(req, req.resp.Err)
+			w.executed.n.Add(1)
+			w.last = s.respond(req, req.resp.Err)
 			continue
 		}
 		if c.TID == tid {

@@ -468,22 +468,29 @@ const maxRemoteGroup = remoteZero - 1
 // remote frees landing in one slab share one countdown decrement, so N
 // blocks of a slab tid does not own cost one detectable CAS and one redo
 // record, not N (slabHeap.remoteFree); and tid's own blocks in one
-// bitset word of a slab form a run committed by one durable line, a
-// magazine line or one opLocalFree record (slabHeap.freeOwned). Huge
-// pointers take Free's path one at a time.
+// bitset word of a slab form a run, which the magazine's line commits
+// when its window covers the word or it can adopt it
+// (slabHeap.freeOwned), and otherwise joins a group of up to
+// maxLocalGroup runs that one opLocalFree record commits
+// (Heap.localFree). Huge pointers take Free's path one at a time.
 //
 // *ps is sorted, which groups blocks by slab and bitset word, and then
-// consumed from its tail: each huge pointer, run or remote group is
-// truncated out of *ps before its record is written, with no crash
-// point in between. So a crash leaves in *ps exactly the pointers whose
-// free has not begun, and the redo protocol completes the one that had.
-// Nothing outlives the call.
+// consumed from its tail. Each huge pointer, run or remote group is cut
+// out of *ps before its record is written, with no crash point in
+// between. A classic run goes back in: its pointers are held at the
+// tail, with its group's other runs, and later units are rotated past
+// them, until the group is cut out before its record. So a crash leaves
+// in *ps exactly the pointers whose free has not begun, and the redo
+// protocol completes the one that had. Nothing outlives the call.
 func (h *Heap) FreeBatch(tid int, ps *[]Ptr) {
 	ts := h.ts(tid)
 	slices.Sort(*ps)
-	for len(*ps) > 0 {
+	var group [maxLocalGroup]classicRun
+	ng, held := 0, 0
+	for len(*ps) > held {
 		v := *ps
-		p := v[len(v)-1]
+		top := len(v) - held
+		p := v[top-1]
 		var s *slabHeap
 		var oc int
 		var class uint32
@@ -493,7 +500,7 @@ func (h *Heap) FreeBatch(tid int, ps *[]Ptr) {
 		case p >= h.lay.LargeDataOff && p < h.lay.HugeDataOff:
 			s, oc, class = h.large, ocLargeFree, evClassLarge
 		case p >= h.lay.HugeDataOff && p < h.lay.DataBytes:
-			*ps = v[:len(v)-1]
+			cutBelow(ps, 1, held)
 			h.hugeFreePtr(ts, tid, p)
 			h.countFree(tid, ocHugeFree, p, evClassHuge)
 			h.maybeCheck(tid)
@@ -506,20 +513,30 @@ func (h *Heap) FreeBatch(tid int, ps *[]Ptr) {
 		class |= uint32(w0Class(w0))
 		var n int
 		if w0Owner(w0) == uint16(tid+1) {
-			n = s.ownedRun(v, idx, w0)
-			*ps = v[:len(v)-n]
-			s.freeOwned(ts, tid, idx, w0, v[len(v)-n:])
+			n = s.ownedRun(v[:top], idx, w0)
+			cutBelow(ps, n, held)
+			if r, classic := s.freeOwned(ts, tid, idx, w0, v[len(v)-n:]); classic {
+				// Nothing was written: the run goes back into *ps, on top
+				// of the held tail, to wait for its group's record.
+				*ps = v
+				group[ng], ng, held = r, ng+1, held+n
+				if ng == maxLocalGroup {
+					h.freeGroup(ts, tid, ps, group[:ng])
+					ng, held = 0, 0
+				}
+				continue
+			}
 		} else {
-			// v is sorted and p is its largest pointer, so every pointer
-			// at or above the slab's base shares p's slab. The slab's
-			// countdown is at least n > 0 until this group lands, so
-			// nobody can steal or reinitialise it, and tid's routing
-			// cannot flip meanwhile.
+			// v is sorted and p is the largest pointer below the held
+			// tail, so every pointer at or above the slab's base shares
+			// p's slab. The slab's countdown is at least n > 0 until this
+			// group lands, so nobody can steal or reinitialise it, and
+			// tid's routing cannot flip meanwhile.
 			n = 1
-			for n < len(v) && n < maxRemoteGroup && v[len(v)-1-n] >= s.slabData(idx) {
+			for n < top && n < maxRemoteGroup && v[top-1-n] >= s.slabData(idx) {
 				n++
 			}
-			*ps = v[:len(v)-n]
+			cutBelow(ps, n, held)
 			s.remoteFree(ts, tid, idx, n)
 		}
 		for _, q := range v[len(v)-n:] {
@@ -527,6 +544,49 @@ func (h *Heap) FreeBatch(tid int, ps *[]Ptr) {
 		}
 		h.maybeCheck(tid)
 	}
+	if ng > 0 {
+		h.freeGroup(ts, tid, ps, group[:ng])
+	}
+}
+
+// cutBelow cuts the n pointers just below the held tail out of *ps,
+// keeping the held pointers at its tail: the cut pointers end up just
+// past the new length, where the caller's copy of the slice still reads
+// them.
+func cutBelow(ps *[]Ptr, n, held int) {
+	v := *ps
+	if held > 0 {
+		// Rotate the n pointers past the held tail.
+		unit := v[len(v)-held-n:]
+		slices.Reverse(unit[:n])
+		slices.Reverse(unit[n:])
+		slices.Reverse(unit)
+	}
+	*ps = v[:len(v)-n]
+}
+
+// freeGroup commits runs, whose pointers are the tail of *ps in run
+// order, with one local-free record: it cuts them out of *ps first,
+// then frees them.
+func (h *Heap) freeGroup(ts *threadState, tid int, ps *[]Ptr, runs []classicRun) {
+	v := *ps
+	start := len(v)
+	for _, r := range runs {
+		start -= r.n
+	}
+	*ps = v[:start]
+	h.localFree(ts, tid, runs)
+	for _, r := range runs {
+		oc, class := ocSmallFree, uint32(r.class)
+		if r.s == h.large {
+			oc, class = ocLargeFree, class|evClassLarge
+		}
+		for _, q := range v[start : start+r.n] {
+			h.countFree(tid, oc, q, class)
+		}
+		start += r.n
+	}
+	h.maybeCheck(tid)
 }
 
 // countFree ticks one free in tid's op ledger and, sampled, the trace.

@@ -239,13 +239,17 @@ func (s *slabHeap) magAdopt(ts *threadState, m *magSlot, tid, idx, class, word i
 
 // magRefill privatizes one bitset word into the class magazine, from
 // the owned slab that offers the most blocks (refillSource). Two-phase
-// (DESIGN.md §7.2): phase 1 makes the record and the filled magazine
-// line durable under one fence, phase 2 clears the privatized bits from
-// the shared bitset and commits at a second fence. A crash between the
-// phases leaves the blocks in both the mask and the bitset;
-// reclamation's idempotent union resolves the overlap. The leave-one
-// rule keeps the slab's free count >= 1, so a magazine-backed slab never
-// reaches the full transition while its mask is live.
+// (DESIGN.md §7.2): phase 1 makes the filled magazine line durable
+// under one fence, phase 2 clears the privatized bits from the shared
+// bitset and commits at a second fence. The magazine line is phase 1's
+// record, so the oplog is not written: a crash before its fence leaves
+// nothing of the refill durable but bitset and count stores the rebuild
+// scan recomputes, and a crash between the phases leaves the blocks in
+// both the mask and the bitset, which reclamation's idempotent union
+// resolves. Phase 1's fence also opens the op for the publish guard
+// (oplog.go). The leave-one rule keeps the slab's free count >= 1, so a
+// magazine-backed slab never reaches the full transition while its mask
+// is live.
 //
 // Returns false (caller falls back to the classic path) when the sized
 // list is empty or no slab on it can give a block beyond its last.
@@ -265,11 +269,11 @@ func (s *slabHeap) magRefill(ts *threadState, tid, class int) bool {
 		s.h.fail("%s heap: refill over a live magazine line for thread %d class %d (mask %#x)",
 			s.name, tid, class, v)
 	}
-	s.h.writeOplog(tid, ts, s.opc(opMagRefill), uint32(idx), uint16(class)<<8|uint16(word), 0)
 	ts.cache.Store(mw, packMagMeta(idx, word, class))
 	ts.cache.Store(mw+1, take)
 	ts.cache.FlushOpt(mw)
 	ts.cache.Fence()
+	ts.fenceOwed = false
 	s.cp(tid, "magrefill.post-oplog")
 	// Phase 2: the magazine line is durable; remove the privatized
 	// blocks from the shared ledger. These two lines are the open crash
@@ -279,7 +283,6 @@ func (s *slabHeap) magRefill(ts *threadState, tid, class int) bool {
 	s.setFreeCount(ts, idx, fc-n)
 	s.cp(tid, "magrefill.pre-commit")
 	ts.cache.Fence()
-	s.h.clearOplog(tid, ts)
 	mags := ts.mags[s.magIdx]
 	if mags == nil {
 		mags = make([]magSlot, len(s.classes))

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"maps"
 	"math/bits"
 	"slices"
@@ -183,6 +184,51 @@ func TestFreeBatchRunCostsOneLine(t *testing.T) {
 	}
 }
 
+// k runs of owned blocks that the magazine neither covers nor can adopt
+// — two blocks in each of words 1..k of the slab whose word 0 the live
+// window holds — cost one opLocalFree record per group of up to three:
+// ceil(k/3) flushes, write-backs and fences, and no fetch.
+func TestFreeBatchGroupsClassicRuns(t *testing.T) {
+	for k := 1; k <= 7; k++ {
+		t.Run(fmt.Sprintf("runs=%d", k), func(t *testing.T) {
+			e, inj := costEnv(t)
+			inj.EnableCoverage()
+			m, keep := warmMagazine(t, e, 0, 64)
+			blocks := classicBlocks(e, 6*64+2) // words 1..6 and two of word 7
+			idx := e.h.small.slabOf(blocks[0])
+			if int(m.slab) != idx+1 || m.word != 0 || e.h.small.slabOf(blocks[len(blocks)-1]) != idx {
+				t.Fatalf("magazine window (slab %d, word %d) and classic blocks of slabs %d..%d: want one slab",
+					m.slab-1, m.word, idx, e.h.small.slabOf(blocks[len(blocks)-1]))
+			}
+			var run []Ptr
+			for i, p := range blocks {
+				if i/64 < k && i%64 < 2 {
+					run = append(run, p)
+				} else {
+					keep = append(keep, p)
+				}
+			}
+			p0 := inj.Points()
+			c := lineCost(e, 0, func() { freeBatch(t, e, 0, run) })
+			want := uint64((k + 2) / 3)
+			if c.Flushes != want || c.Writebacks != want || c.Fences != want || c.Fetches != 0 {
+				t.Fatalf("%d runs: %d flushes, %d write-backs, %d fences, %d fetches; want %d, %d, %d, 0",
+					k, c.Flushes, c.Writebacks, c.Fences, c.Fetches, want, want, want)
+			}
+			p1 := inj.Points()
+			for point, n := range map[string]uint64{"small.local-free.post-oplog": want, "small.local-free.post-put": uint64(k)} {
+				if got := p1[point] - p0[point]; got != n {
+					t.Fatalf("%d runs visited %s %d times, want %d", k, point, got, n)
+				}
+			}
+			for _, p := range keep {
+				e.h.Free(0, p)
+			}
+			auditDrained(t, e)
+		})
+	}
+}
+
 // reattachedSlabs fills two 1 KiB slabs of thread 0 through the classic
 // path, so both detach, then frees deepFree blocks of the first and
 // headFree blocks of the second the same way: each free's first block
@@ -235,11 +281,11 @@ func classicVisits(inj *crash.Injector) map[string]uint64 {
 // A refill takes the sized-list slab with the most free blocks, not the
 // head: with 3 free blocks in the head slab and 20 in the one behind it,
 // the magazine privatizes 19 of the 20 (the leave-one rule keeps one)
-// and pops one of them. The alloc is the refill's two records (the
-// oplog line, then the magazine line, each flushed under its own fence,
-// and the bitset commit's bare fence) plus the pop's one line: 3
-// flushes, 4 fences, no fetch, and no classic take or detach. Taking
-// the head's word instead gives a 2-block window.
+// and pops one of them. The alloc is the refill's magazine line,
+// flushed under its own fence (the refill writes no oplog record), and
+// the bitset commit's bare fence, plus the pop's one line: 2 flushes, 3
+// fences, no fetch, and no classic take or detach. Taking the head's
+// word instead gives a 2-block window.
 func TestRefillTakesTheSlabWithMostFreeBlocks(t *testing.T) {
 	e, inj := costEnv(t)
 	inj.EnableCoverage()
@@ -255,8 +301,8 @@ func TestRefillTakesTheSlabWithMostFreeBlocks(t *testing.T) {
 		t.Fatalf("magazine holds %d blocks of slab %d, want 18 of slab %d (19 taken, 1 popped)",
 			bits.OnesCount64(m.mask), m.slab-1, deep)
 	}
-	if c.Flushes != 3 || c.Writebacks != 3 || c.Fences != 4 || c.Fetches != 0 {
-		t.Fatalf("refill and pop: %d flushes, %d write-backs, %d fences, %d fetches; want 3, 3, 4, 0",
+	if c.Flushes != 2 || c.Writebacks != 2 || c.Fences != 3 || c.Fetches != 0 {
+		t.Fatalf("refill and pop: %d flushes, %d write-backs, %d fences, %d fetches; want 2, 2, 3, 0",
 			c.Flushes, c.Writebacks, c.Fences, c.Fetches)
 	}
 	if after := classicVisits(inj); !maps.Equal(after, before) {
@@ -310,7 +356,9 @@ func TestRefillSkipsASlabThatCanGiveOnlyItsLastBlock(t *testing.T) {
 // detaches the head once only its last block is left. Counted over the
 // last 40 of 50 rounds, per alloc (the frees included). Taking the
 // head's word: 8215 flushes and 597 fetches over 5120 allocs (1.604 and
-// 0.117 per alloc). Taking the fullest slab's: 6705 and 0 (1.310 and 0).
+// 0.117 per alloc). Taking the fullest slab's: 6705 and 0 (1.310 and 0);
+// 6518 once a refill writes no oplog record, and 5747 (1.122) once one
+// record commits up to three classic runs of a batch.
 func TestRefillChurnCostsPerAlloc(t *testing.T) {
 	e, _ := costEnv(t)
 	const live, batch, rounds, warm = 512, 128, 50, 10
@@ -346,8 +394,8 @@ func TestRefillChurnCostsPerAlloc(t *testing.T) {
 	flushes, fetches := float64(c.Flushes)/allocs, float64(c.Fetches)/allocs
 	t.Logf("%.3f flushes, %.3f write-backs, %.3f fences, %.4f fetches per alloc",
 		flushes, float64(c.Writebacks)/allocs, float64(c.Fences)/allocs, fetches)
-	if c.Flushes != 6705 || c.Fetches != 0 {
-		t.Fatalf("%d flushes and %d fetches over %.0f allocs (%.3f and %.4f per alloc); want 6705 and 0",
+	if c.Flushes != 5747 || c.Fetches != 0 {
+		t.Fatalf("%d flushes and %d fetches over %.0f allocs (%.3f and %.4f per alloc); want 5747 and 0",
 			c.Flushes, c.Fetches, allocs, flushes, fetches)
 	}
 	for _, p := range ptrs {

@@ -12,9 +12,12 @@ package core
 //	bits 32..47  b — 16-bit operand (class, block or bitset word index)
 //	bits 48..63  ver — detectable-CAS version for CAS-bearing ops
 //
-// One record carries more than 8 bytes: opLocalFree frees a run of
-// blocks in one bitset word, and its 64-bit mask sits in word 1 of the
-// same line, committed by the same flush and fence (writeOplogMask).
+// One record carries more than 8 bytes: opLocalFree frees up to
+// maxLocalGroup runs, each the blocks of one bitset word. Word 0 holds
+// the op and the run count (b); run i takes words 1+2i and 2+2i of the
+// same line — packOp(heap's opLocalFree, slab, bitset word, 0), then
+// the run's 64-bit mask — committed by the same flush and fence
+// (writeOplogRuns).
 //
 // Discipline: the record is written and flushed *before* the operation's
 // first effect; it is overwritten with opNone after the operation
@@ -28,7 +31,10 @@ package core
 //
 //   - The magazine pop writes its handoff record into the magazine line
 //     it already flushes (the meta word's record byte, magazine.go), so
-//     a steady-state pop writes back one line, not two.
+//     a steady-state pop writes back one line, not two. A refill writes
+//     no record at all: its magazine line is the record of its first
+//     phase, and reclamation's union and the rebuild scan repair either
+//     phase (magRefill).
 //   - A remote free whose decrement does not reach zero writes its
 //     record — this word's op and a/b fields, packOp(op, slab, n, 0) —
 //     into the upper bits of the detectable-CAS help word its Begin
@@ -39,7 +45,8 @@ package core
 //     not a no-op, so it keeps its record here.
 //
 // Publish guard (fenceLazyClears): every other operation opens with a
-// fence, its record's or its magazine line's, so a crash at one of its
+// fence, its record's or its magazine line's (a pop's, a free's into
+// the magazine, or a refill's first phase), so a crash at one of its
 // points never drops an earlier operation's writes. A remote free that writes
 // no oplog line must fence first itself whenever an earlier operation
 // left a lazily cleared record unfenced. Otherwise a crash in the free
@@ -60,7 +67,7 @@ const (
 	opDetach     // a = slab index, b = class, ver = pending block+1
 	opDisown     // a = slab index, b = class, ver = pending block+1
 	opAllocBlock // a = slab index, b = block (application handoff record)
-	opLocalFree  // a = slab index, b = bitset word; word 1 of the line = mask of blocks freed
+	opLocalFree  // b = run count; words 1..6 of the line = (slab, word) and mask per run
 	opEmpty      // a = slab index (sized -> unsized transfer)
 	opRemoteFree // a = slab index, b = blocks freed (| remoteZero); ver on the remote-free word
 	opSteal      // a = slab index (remote count hit zero)
@@ -75,10 +82,10 @@ const (
 	opClaim       // a = victim tid, b = claim generation; ver on the claim word
 	// Magazine ops (thread-local allocation caches, DESIGN.md §7). The
 	// magazine line itself is the durable record of which blocks a thread
-	// privatized, and of the pop in flight; these records cover the
-	// windows where the magazine and the slab bitset disagree.
-	opMagRefill // a = slab index, b = class<<8 | bitset word (fill in flight)
-	opMagDrain  // a = slab index, b = class<<8 | word, ver = pending block+1
+	// privatized, of the pop in flight and of a refill's first phase; this
+	// record covers the drain's window, where the magazine and the slab
+	// bitset disagree and a block may be in flight.
+	opMagDrain // a = slab index, b = class<<8 | word, ver = pending block+1
 
 	// opLargeBit distinguishes large-heap slab operations from small.
 	opLargeBit = 1 << 5
@@ -114,7 +121,7 @@ func opName(op int) string {
 		"none", "extend", "pop-global", "push-global", "init", "detach",
 		"disown", "alloc-block", "local-free", "empty", "remote-free",
 		"steal", "reserve", "huge-alloc", "huge-free", "huge-unmap",
-		"huge-reclaim", "claim", "mag-refill", "mag-drain",
+		"huge-reclaim", "claim", "mag-drain",
 	}
 	n := "invalid"
 	if base < len(names) {
@@ -155,21 +162,36 @@ func (h *Heap) writeOplog(tid int, ts *threadState, op int, a uint32, b uint16, 
 	}
 }
 
-// writeOplogMask is writeOplog for a record with a 64-bit operand, the
-// opLocalFree run's mask: it goes in word 1 of the record's line, stored
-// before word 0, so the FlushOpt and Fence that commit the record commit
-// the mask with it and the adversary persists both or neither.
-func (h *Heap) writeOplogMask(tid int, ts *threadState, op int, a uint32, b uint16, mask uint64) {
+// writeOplogRuns writes the opLocalFree record of runs, at most
+// maxLocalGroup of them: each run's (slab, word) and mask go in words
+// 1..6 of the record's line, stored before word 0, so the FlushOpt and
+// Fence that commit the record commit the runs with it and the
+// adversary persists all or none.
+func (h *Heap) writeOplogRuns(tid int, ts *threadState, runs []classicRun) {
 	if h.cfg.NonRecoverable {
 		return
 	}
-	ts.cache.Store(h.lay.oplogW(tid)+1, mask)
-	h.writeOplog(tid, ts, op, a, b, 0)
+	w := h.lay.oplogW(tid)
+	for i, r := range runs {
+		ts.cache.Store(w+1+2*i, packOp(r.s.opc(opLocalFree), uint32(r.idx), uint16(r.word), 0))
+		ts.cache.Store(w+2+2*i, r.mask)
+	}
+	h.writeOplog(tid, ts, opLocalFree, 0, uint16(len(runs)), 0)
 }
 
-// readOplogMask returns the 64-bit operand of tid's last flushed record.
-func (h *Heap) readOplogMask(tid int, ts *threadState) uint64 {
-	return ts.cache.LoadFresh(h.lay.oplogW(tid) + 1)
+// readOplogRun returns run i of tid's last flushed opLocalFree record:
+// its heap, slab, bitset word and mask.
+func (h *Heap) readOplogRun(tid int, ts *threadState, i int) (s *slabHeap, idx, word int, mask uint64) {
+	w := h.lay.oplogW(tid) + 1 + 2*i
+	op, a, b, _ := unpackOp(ts.cache.LoadFresh(w))
+	s = h.small
+	if op&opLargeBit != 0 {
+		s = h.large
+	}
+	if op&^opLargeBit != opLocalFree {
+		h.fail("recovery: run %d of thread %d's local-free record names op %d", i, tid, op)
+	}
+	return s, int(a), int(b), ts.cache.LoadFresh(w + 1)
 }
 
 // clearOplog marks the operation complete. Not flushed: the next

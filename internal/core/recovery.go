@@ -340,11 +340,18 @@ func (h *Heap) redo(ts *threadState, tid, op int, a uint32, b uint16, ver uint16
 		}
 
 	case opLocalFree:
-		// The run's mask sits in word 1 of the record's line, committed
-		// with it (writeOplogMask). ORing it in is idempotent.
-		wi := s.bitsetW(int(a)) + int(b)
-		ts.cache.Store(wi, ts.cache.Load(wi)|h.readOplogMask(tid, ts))
-		// Counts and list membership are repaired by the scan.
+		// Each run's (heap, slab, word) and mask sit in the record's
+		// line, committed with it (writeOplogRuns). ORing them in is
+		// idempotent; counts and list membership are repaired by the
+		// scan.
+		if b == 0 || b > maxLocalGroup {
+			h.fail("recovery: thread %d's local-free record holds %d runs", tid, b)
+		}
+		for i := 0; i < int(b); i++ {
+			rs, idx, word, mask := h.readOplogRun(tid, ts, i)
+			wi := rs.bitsetW(idx) + word
+			ts.cache.Store(wi, ts.cache.Load(wi)|mask)
+		}
 
 	case opEmpty:
 		// List membership and class are repaired by the scan.
@@ -354,12 +361,6 @@ func (h *Heap) redo(ts *threadState, tid, op int, a uint32, b uint16, ver uint16
 
 	case opSteal:
 		h.redoSteal(ts, tid, s, int(a))
-
-	case opMagRefill:
-		// Either phase may have committed. Nothing to redo in place:
-		// reclaimMagazines unions whatever mask became durable back into
-		// the bitset (idempotent against the pre-commit overlap window),
-		// and the rebuild scan recomputes the free count.
 
 	case opMagDrain:
 		// The union itself is repaired by reclamation (bits still in the

@@ -576,7 +576,13 @@ func firstCrashEnv(t *testing.T, pol func(n int) memsim.CrashPolicy) (*env, *cra
 // report a pending allocation.
 func crashRecoverTwice(t *testing.T, e *env, inj *crash.Injector, point string, op func()) {
 	t.Helper()
-	inj.Arm(point, 0, 0)
+	crashRecoverTwiceAt(t, e, inj, point, 0, op)
+}
+
+// crashRecoverTwiceAt is crashRecoverTwice at point's visit after+1.
+func crashRecoverTwiceAt(t *testing.T, e *env, inj *crash.Injector, point string, after int, op func()) {
+	t.Helper()
+	inj.Arm(point, 0, after)
 	if c := crash.Run(op); c == nil || c.Point != point {
 		t.Fatalf("no crash at %q: %+v", point, c)
 	}
@@ -608,6 +614,147 @@ func localRunCrash(t *testing.T, r localRun, point string, pol func(n int) memsi
 		t.Fatalf("%d pointers left in the batch; the run's commit had begun", len(ps))
 	}
 	e.h.SetMagazines(true)
+	for _, p := range keep {
+		e.h.Free(0, p)
+	}
+	auditDrained(t, e)
+}
+
+// A group of classic local-free runs committed by one opLocalFree
+// record, crashed at every visit of every point its FreeBatch reaches
+// under every persist subset of the crash's in-play lines, then
+// recovered twice: every block is then free exactly once. The cells
+// cover groups of one, two and three runs, with a run that reattaches
+// a detached slab, a run that empties its slab, two runs of one slab of
+// which the first reattaches it and the second empties it, and a group
+// whose runs are in both heaps.
+func TestLocalFreeGroupCrashRecovery(t *testing.T) {
+	for _, cell := range localGroupCells {
+		for _, v := range localGroupVisits(t, cell) {
+			t.Run(fmt.Sprintf("%s/%s#%d", cell.name, v.point, v.after), func(t *testing.T) {
+				everyPersistSubset(t, v.point, func(pol func(n int) memsim.CrashPolicy) {
+					localGroupCrash(t, cell, v.point, v.after, pol)
+				})
+			})
+		}
+	}
+}
+
+// groupRun sets up classic runs on thread 0 of e, with magazines off:
+// it returns their blocks and the blocks still to free afterwards. Each
+// uses a class of its own, so a cell's runs land in distinct slabs.
+type groupRun func(e *env) (run, keep []Ptr)
+
+var (
+	// reattachRun frees four blocks of a full 1 KiB slab, which the
+	// classic path detached.
+	reattachRun groupRun = func(e *env) ([]Ptr, []Ptr) {
+		full := fillExactlyOneSlab(e, 0)
+		return full[:localRunK], full[localRunK:]
+	}
+	// emptyRun frees the only three blocks allocated from a 512 B slab,
+	// which empties it.
+	emptyRun groupRun = func(e *env) ([]Ptr, []Ptr) {
+		return allocClass(e, 512, 3), nil
+	}
+	// plainRun frees three of six 64 B blocks.
+	plainRun groupRun = func(e *env) ([]Ptr, []Ptr) {
+		ptrs := allocClass(e, 64, 6)
+		return ptrs[:3], ptrs[3:]
+	}
+	// oneSlabRuns frees a full 256 B slab, two bitset words: the first
+	// run to land reattaches the slab, the second empties it.
+	oneSlabRuns groupRun = func(e *env) ([]Ptr, []Ptr) {
+		return allocClass(e, 256, SmallSlabSize/256), nil
+	}
+	// largeRun frees two of four 4 KiB blocks of the large heap: its
+	// record word names the large heap.
+	largeRun groupRun = func(e *env) ([]Ptr, []Ptr) {
+		ptrs := allocClass(e, 4096, 4)
+		return ptrs[:2], ptrs[2:]
+	}
+)
+
+// allocClass has thread 0 allocate n size-byte blocks.
+func allocClass(e *env, size, n int) []Ptr {
+	ptrs := make([]Ptr, n)
+	for i := range ptrs {
+		ptrs[i] = mustAlloc(e, 0, size)
+	}
+	return ptrs
+}
+
+// groupCell is one group TestLocalFreeGroupCrashRecovery crashes: its
+// runs' setups, in a class each.
+type groupCell struct {
+	name string
+	runs []groupRun
+}
+
+var localGroupCells = []groupCell{
+	{"1-run/empty", []groupRun{emptyRun}},
+	{"2-run/reattach+empty", []groupRun{reattachRun, emptyRun}},
+	{"3-run/reattach+empty+plain", []groupRun{reattachRun, emptyRun, plainRun}},
+	{"2-run/one-slab", []groupRun{oneSlabRuns}},
+	{"2-run/large+plain", []groupRun{largeRun, plainRun}},
+}
+
+// setupGroup runs a cell's setups on thread 0 of e, magazines off, and
+// returns the group's blocks and the blocks still to free afterwards.
+func setupGroup(e *env, runs []groupRun) (group, keep []Ptr) {
+	e.h.SetMagazines(false)
+	for _, r := range runs {
+		run, k := r(e)
+		group, keep = append(group, run...), append(keep, k...)
+	}
+	return group, keep
+}
+
+// groupVisit is one crash of a group: the visit after+1 of point.
+type groupVisit struct {
+	point string
+	after int
+}
+
+// localGroupVisits returns every visit of every point a cell's
+// FreeBatch reaches, and checks the group took exactly one record.
+func localGroupVisits(t *testing.T, cell groupCell) []groupVisit {
+	e, inj := costEnv(t)
+	inj.EnableCoverage()
+	group, _ := setupGroup(e, cell.runs)
+	before := inj.Points()
+	freeBatch(t, e, 0, group)
+	after := inj.Points()
+	records := uint64(0)
+	for _, heap := range []string{"small", "large"} {
+		p := heap + ".local-free.post-oplog"
+		records += after[p] - before[p]
+	}
+	if records != 1 {
+		t.Fatalf("%s: %d local-free records, want 1", cell.name, records)
+	}
+	var visits []groupVisit
+	for _, p := range inj.PointNames() {
+		for i := 0; i < int(after[p]-before[p]); i++ {
+			visits = append(visits, groupVisit{p, i})
+		}
+	}
+	return visits
+}
+
+// localGroupCrash crashes thread 0 at the visit after+1 of point inside
+// the cell's FreeBatch on an incoherent pod, resolves that crash's
+// in-play lines by pol, recovers twice, frees the rest and audits the
+// ledger.
+func localGroupCrash(t *testing.T, cell groupCell, point string, after int, pol func(n int) memsim.CrashPolicy) {
+	t.Helper()
+	e, inj := firstCrashEnv(t, pol)
+	group, keep := setupGroup(e, cell.runs)
+	ps := slices.Clone(group)
+	crashRecoverTwiceAt(t, e, inj, point, after, func() { e.h.FreeBatch(0, &ps) })
+	if len(ps) != 0 {
+		t.Fatalf("%d pointers left in the batch; the group's record was written", len(ps))
+	}
 	for _, p := range keep {
 		e.h.Free(0, p)
 	}

@@ -545,7 +545,9 @@ func (s *slabHeap) free(ts *threadState, tid int, p Ptr) int {
 	idx := s.slabOf(p)
 	w0 := s.routeW0(ts, idx)
 	if w0Owner(w0) == uint16(tid+1) {
-		s.freeOwned(ts, tid, idx, w0, []Ptr{p})
+		if r, classic := s.freeOwned(ts, tid, idx, w0, []Ptr{p}); classic {
+			s.h.localFree(ts, tid, []classicRun{r})
+		}
 	} else {
 		s.remoteFree(ts, tid, idx, 1)
 	}
@@ -581,15 +583,31 @@ func (s *slabHeap) ownedRun(v []Ptr, idx int, w0 uint64) int {
 	return n
 }
 
+// classicRun is a run of a thread's own blocks bound for the classic
+// local free: the blocks mask names in bitset word word of slab idx of
+// heap s. n is how many pointers of the batch it covers; fc0 and fc are
+// the slab's free count before and after the run lands.
+type classicRun struct {
+	s                   *slabHeap
+	idx, class, word, n int
+	mask                uint64
+	fc0, fc             uint32
+}
+
+// maxLocalGroup is how many runs one opLocalFree record commits: each
+// takes two of words 1..6 of the oplog line (writeOplogRuns).
+const maxLocalGroup = 3
+
 // freeOwned frees run, blocks of one bitset word of slab idx, which tid
-// owns by w0, with one durable line (DESIGN.md §7.3 "Grouped local
-// frees"): the magazine's mask line when its window covers the word or
-// it can adopt the word, else one opLocalFree record carrying the run's
-// mask. Free's owned path is the one-block run. Routing here is safe
-// against stale w0 reads by the same §3.2.2 argument localFree relies
-// on: only this thread relinquishes its own ownership, and its own
-// stores are never stale in its own cache.
-func (s *slabHeap) freeOwned(ts *threadState, tid, idx int, w0 uint64, run []Ptr) {
+// owns by w0 (DESIGN.md §7.3 "Grouped local frees"): ORed into the
+// magazine's mask line when its window covers the word or it can adopt
+// the word. Otherwise nothing is written, and it returns the run for
+// the classic local free, which commits up to maxLocalGroup runs under
+// one record (Heap.localFree). Routing here is safe against stale w0
+// reads by the same §3.2.2 argument localFree relies on: only this
+// thread relinquishes its own ownership, and its own stores are never
+// stale in its own cache.
+func (s *slabHeap) freeOwned(ts *threadState, tid, idx int, w0 uint64, run []Ptr) (classicRun, bool) {
 	class := w0Class(w0)
 	if class == 0 {
 		s.h.fail("%s heap: local free %#x into unsized slab %d", s.name, run[0], idx)
@@ -604,44 +622,52 @@ func (s *slabHeap) freeOwned(ts *threadState, tid, idx int, w0 uint64, run []Ptr
 		mask |= bit
 	}
 	if s.h.magsEnabled() && s.magFree(ts, tid, idx, class, word, mask) {
-		return
+		return classicRun{}, false
 	}
-	s.localFree(ts, tid, idx, class, word, mask)
+	return classicRun{s: s, idx: idx, class: class, word: word, n: len(run), mask: mask}, true
 }
 
 // firstBlock names the lowest block of mask in bitset word word, for
 // corruption reports.
 func firstBlock(word int, mask uint64) int { return word*64 + bits.TrailingZeros64(mask) }
 
-// localFree is the classic local free of the blocks mask names in
-// bitset word word of slab idx: one opLocalFree record, its mask in the
-// record's own line, then the bitset word, the free count and the
-// full→reattach and empty transitions.
-func (s *slabHeap) localFree(ts *threadState, tid, idx, class, word int, mask uint64) {
-	total := s.blocksPer(class)
-	wi := s.bitsetW(idx) + word
-	free := ts.cache.Load(wi)
-	if free&mask != 0 {
-		block := firstBlock(word, free&mask)
-		s.h.fail("%s heap: double free of %#x (slab %d block %d)",
-			s.name, s.ptrOf(idx, block, class), idx, block)
+// localFree is the classic local free of runs, at most maxLocalGroup of
+// them, in distinct (heap, slab, bitset word)s: one opLocalFree record
+// names every run and its mask in the record's own line, then each
+// run's bitset word and free count land, and only then the full→reattach
+// and empty transitions run. An empty transition writes its own record,
+// so no run's effect may still be owed to this one when it does; its
+// fence makes every bitset store before it durable.
+func (h *Heap) localFree(ts *threadState, tid int, runs []classicRun) {
+	for _, r := range runs {
+		if dup := ts.cache.Load(r.s.bitsetW(r.idx)+r.word) & r.mask; dup != 0 {
+			block := firstBlock(r.word, dup)
+			h.fail("%s heap: double free of %#x (slab %d block %d)",
+				r.s.name, r.s.ptrOf(r.idx, block, r.class), r.idx, block)
+		}
 	}
-	s.h.writeOplogMask(tid, ts, s.opc(opLocalFree), uint32(idx), uint16(word), mask)
-	s.cp(tid, "local-free.post-oplog")
-	fc0 := s.getFreeCount(ts, idx)
-	ts.cache.Store(wi, free|mask)
-	fc := fc0 + uint32(bits.OnesCount64(mask))
-	s.setFreeCount(ts, idx, fc)
-	s.cp(tid, "local-free.post-put")
-	if fc0 == 0 {
-		// The slab was detached; reattach it (Figure 4).
-		s.tlPush(ts, s.localW(tid, class), idx)
-		s.cp(tid, "local-free.post-reattach")
+	h.writeOplogRuns(tid, ts, runs)
+	runs[0].s.cp(tid, "local-free.post-oplog")
+	for i := range runs {
+		r := &runs[i]
+		wi := r.s.bitsetW(r.idx) + r.word
+		ts.cache.Store(wi, ts.cache.Load(wi)|r.mask)
+		r.fc0 = r.s.getFreeCount(ts, r.idx)
+		r.fc = r.fc0 + uint32(bits.OnesCount64(r.mask))
+		r.s.setFreeCount(ts, r.idx, r.fc)
+		r.s.cp(tid, "local-free.post-put")
 	}
-	if int(fc) == total {
-		s.emptyTransition(ts, tid, idx, class)
+	for _, r := range runs {
+		if r.fc0 == 0 {
+			// The slab was detached; reattach it (Figure 4).
+			r.s.tlPush(ts, r.s.localW(tid, r.class), r.idx)
+			r.s.cp(tid, "local-free.post-reattach")
+		}
+		if int(r.fc) == r.s.blocksPer(r.class) {
+			r.s.emptyTransition(ts, tid, r.idx, r.class)
+		}
 	}
-	s.h.clearOplog(tid, ts)
+	h.clearOplog(tid, ts)
 }
 
 // emptyTransition moves a fully free slab from the sized list to the

@@ -208,6 +208,9 @@ type Fabric struct {
 	cfg   Config
 	pods  []*podNode
 	shard []shardSlot
+	// writeDone[s] is shard s's write release, built once so the write
+	// path allocates nothing.
+	writeDone []func()
 
 	ringMu sync.Mutex
 	ring   *ring
@@ -254,8 +257,10 @@ func New(cfg Config) (*Fabric, error) {
 	}
 	f.ring = buildRing(cfg.Pods, cfg.Seed, func(p int) bool { return true })
 	f.shard = make([]shardSlot, cfg.Shards)
+	f.writeDone = make([]func(), cfg.Shards)
 	for s := range f.shard {
 		f.shard[s].word.Store(packWord(f.ring.place(uint64(s), cfg.Seed), shardServing, 1))
+		f.writeDone[s] = f.shard[s].unpin
 	}
 	for _, n := range f.pods {
 		n.lastAdvance.Store(time.Now().UnixNano())
@@ -412,7 +417,7 @@ func (f *Fabric) gateFor(p int) func(r *server.Request) (func(), error) {
 			sl.pins.Add(-1)
 			return nil, &ShardFrozenError{Shard: r.Shard}
 		}
-		return func() { sl.pins.Add(-1) }, nil
+		return f.writeDone[r.Shard], nil
 	}
 }
 

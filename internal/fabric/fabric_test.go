@@ -617,3 +617,54 @@ func TestIdleFabricPodsStayLit(t *testing.T) {
 		}
 	}
 }
+
+// The execution-time gate allocates nothing per write: a window of puts
+// and deletes, each pinned and released the way a pod's worker does,
+// costs no Go allocation, as reads never have. A release closure built
+// per write would cost one each.
+func TestGateAllocsPerWrite(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	cfg := testConfig()
+	cfg.Pods = 2
+	f := newTestFabric(t, cfg)
+	const window = 64
+	gate := f.gateFor(0)
+	shards := f.OwnedShards(0)
+	if len(shards) == 0 {
+		t.Fatal("pod 0 owns no shard")
+	}
+	ring := make([]*server.Request, window)
+	for i := range ring {
+		r := server.NewRequest()
+		r.Op = server.OpPut
+		if i%2 == 1 {
+			r.Op = server.OpDelete
+		}
+		r.Shard = shards[i%len(shards)]
+		_, r.ShardEpoch = f.Owner(r.Shard)
+		ring[i] = r
+	}
+	releases := make([]func(), window)
+	pipeline := func() {
+		for i, r := range ring {
+			release, err := gate(r)
+			if err != nil {
+				t.Fatalf("gate refused a write to shard %d: %v", r.Shard, err)
+			}
+			releases[i] = release
+		}
+		for _, release := range releases {
+			release()
+		}
+	}
+	if n := testing.AllocsPerRun(20, pipeline); n != 0 {
+		t.Errorf("a window of %d writes allocated %.0f times in the gate, want 0", window, n)
+	}
+	for _, s := range shards {
+		if pins := f.shard[s].pins.Load(); pins != 0 {
+			t.Fatalf("shard %d holds %d pins after every release", s, pins)
+		}
+	}
+}

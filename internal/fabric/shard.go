@@ -30,6 +30,9 @@ type shardSlot struct {
 	claim atomic.Uint64 // gen<<1 | held
 }
 
+// unpin releases a write's gate permit.
+func (sl *shardSlot) unpin() { sl.pins.Add(-1) }
+
 // readPin counts one pod's in-flight reads of one shard.
 type readPin struct{ atomic.Int64 }
 

@@ -26,8 +26,9 @@ import (
 //     runs of its own blocks; the crash lands after the second run's
 //     magazine commit.
 //   - local-run: thread 0 wrote the values itself, and the crash lands
-//     after the second run's one commit: into its magazine, or, with
-//     magazines off, its opLocalFree record.
+//     after the second group's commit: the second run's into its
+//     magazine, or, with magazines off, the opLocalFree record of the
+//     second group of up to three runs, at its first run's bitset store.
 //
 // After recovering the crashed thread, finishing the deletes and
 // draining again, every value must have been freed exactly once: no
@@ -35,17 +36,20 @@ import (
 // audits clean.
 func TestDrainCrashInSecondGroupFreesEachOnce(t *testing.T) {
 	for _, point := range []string{"small.remote-free.pre-cas", "small.remote-free.post-cas"} {
-		t.Run(point, func(t *testing.T) { drainCrashInSecondGroup(t, point, 200, 1, 0, true) })
+		t.Run(point, func(t *testing.T) { drainCrashInSecondGroup(t, point, 1, 200, 1, 0, true) })
 	}
 	t.Run("pulled-inbox/small.magfree.post-put", func(t *testing.T) {
-		drainCrashInSecondGroup(t, "small.magfree.post-put", 40, 1, 1, true)
+		drainCrashInSecondGroup(t, "small.magfree.post-put", 1, 40, 1, 1, true)
 	})
-	for _, c := range []struct {
-		point string
-		mags  bool
-	}{{"small.magfree.post-put", true}, {"small.local-free.post-put", false}} {
-		t.Run("local-run/"+c.point, func(t *testing.T) { drainCrashInSecondGroup(t, c.point, 40, 0, 0, c.mags) })
-	}
+	t.Run("local-run/small.magfree.post-put", func(t *testing.T) {
+		drainCrashInSecondGroup(t, "small.magfree.post-put", 1, 40, 0, 0, true)
+	})
+	// One record commits up to three classic runs, so the second group
+	// starts at the fourth run's visit: 200 values fill enough slabs for
+	// a batch of more than six runs.
+	t.Run("local-run/small.local-free.post-put", func(t *testing.T) {
+		drainCrashInSecondGroup(t, "small.local-free.post-put", 3, 200, 0, 0, false)
+	})
 }
 
 // newPodStore builds a Store over a two-process, ModeMCAS cxlalloc pod
@@ -80,8 +84,8 @@ func key(k int) []byte { return []byte(fmt.Sprintf("k%03d", k)) }
 
 // drainCrashInSecondGroup has writer put keys values, with magazines on
 // or off, and thread 0 delete them and drain, crashing victim at
-// point's second visit.
-func drainCrashInSecondGroup(t *testing.T, point string, keys, writer, victim int, mags bool) {
+// point's visit after+1, the second group's.
+func drainCrashInSecondGroup(t *testing.T, point string, after, keys, writer, victim int, mags bool) {
 	const threads = 2
 	inj := crash.NewInjector()
 	s, heap, procs := newPodStore(t, threads, 16, inj)
@@ -96,7 +100,7 @@ func drainCrashInSecondGroup(t *testing.T, point string, keys, writer, victim in
 
 	// A delete that crashes has already unlinked and retired its value:
 	// Retire records it before draining.
-	inj.Arm(point, victim, 1) // the second group's visit
+	inj.Arm(point, victim, after)
 	var c *crash.Crashed
 	for k := 0; k < keys && c == nil; k++ {
 		found := false

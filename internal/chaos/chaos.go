@@ -508,12 +508,13 @@ func (h *harness) step(th *cxlalloc.Thread, i int) {
 
 // freeRun has th allocate runLen 64 B blocks and free them in one
 // FreeBatch: a run of its own blocks in one bitset word, which one
-// durable line commits. Each thread's first step runs one, so the first
-// visits of the local-free.* and magfree.* points, the visits the sweeps
-// crash, are runs: thread 0's with magazines off, an opLocalFree record
-// that empties its slab; the others' into their magazines. Like the
-// toggles above it draws nothing from the rng. A crash inside FreeBatch
-// leaves in h.batch the pointers whose free had not begun (dispatch).
+// opLocalFree record commits. Each thread's first step runs one, so the
+// first visits of the local-free.* points, the visits the sweeps crash,
+// are runs: thread 0's with magazines off, which empties its slab; the
+// others' inside their magazines' windows, which keep their masks. (The
+// magfree.* points are Free's alone.) Like the toggles above it draws
+// nothing from the rng. A crash inside FreeBatch leaves in h.batch the
+// pointers whose free had not begun (dispatch).
 func (h *harness) freeRun(th *cxlalloc.Thread, classic bool) {
 	const runLen = 4
 	heap := h.pod.Heap()

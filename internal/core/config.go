@@ -109,9 +109,9 @@ type Config struct {
 	SkipOplogFlush bool
 
 	// LateHandoffRecord stores the magazine pop's handoff record after
-	// the pop's commit fence instead of before it, so the mask-clear can
-	// become durable while the record that names the taken block is
-	// still in play. This deliberately breaks the one-line pop of
+	// the pop's commit fence instead of before it (a refill's folded pop:
+	// after its bitset commit's fence), so the take can become durable
+	// while the record that names the taken block is still in play. This deliberately breaks the one-line pop of
 	// DESIGN.md §7.1; it exists ONLY so the persist sweep's mutation
 	// meta-test can prove the sweep detects a handoff record that is not
 	// committed with its effect. Never set outside that test.

@@ -290,8 +290,9 @@ func TestFreeBatchStealsOnce(t *testing.T) {
 // A batch mixing the freer's own magazine, local and huge blocks with
 // another thread's small and huge blocks frees each exactly once: the
 // op ledger counts every pointer, each takes its own path, the freer's
-// magazine blocks of one word land as one run (one magfree visit per
-// run, not per block), only the remote slab group costs a pair, and the
+// blocks of one word land as one run — the small and large magazine
+// windows' runs and the full slab's run under one local-free record, no
+// magazine line — only the remote slab group costs a pair, and the
 // drained heap audits clean.
 func TestFreeBatchMixedFreesEachOnce(t *testing.T) {
 	e, _ := costEnv(t)
@@ -319,15 +320,21 @@ func TestFreeBatchMixedFreesEachOnce(t *testing.T) {
 	}
 	points := inj.Points()
 	for point, want := range map[string]uint64{
-		"small.magfree.post-put":     1,
-		"large.magfree.post-put":     1,
-		"small.local-free.post-put":  1,
+		"small.magfree.post-put":     0,
+		"large.magfree.post-put":     0,
+		"small.local-free.post-put":  2,
+		"large.local-free.post-put":  1,
 		"huge.free.post-unmap":       2,
 		"small.remote-free.post-cas": 1,
 	} {
 		if got := points[point] - points0[point]; got != want {
 			t.Errorf("%s visited %d times, want %d", point, got, want)
 		}
+	}
+	records := points["small.local-free.post-oplog"] + points["large.local-free.post-oplog"] -
+		points0["small.local-free.post-oplog"] - points0["large.local-free.post-oplog"]
+	if records != 1 {
+		t.Errorf("the three local runs took %d local-free records, want 1", records)
 	}
 	if pairs != 1 {
 		t.Fatalf("mixed batch cost %d pairs, want 1 (the remote slab group)", pairs)

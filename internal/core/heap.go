@@ -468,20 +468,20 @@ const maxRemoteGroup = remoteZero - 1
 // remote frees landing in one slab share one countdown decrement, so N
 // blocks of a slab tid does not own cost one detectable CAS and one redo
 // record, not N (slabHeap.remoteFree); and tid's own blocks in one
-// bitset word of a slab form a run, which the magazine's line commits
-// when its window covers the word or it can adopt it
-// (slabHeap.freeOwned), and otherwise joins a group of up to
+// bitset word of a slab form a run, which joins a group of up to
 // maxLocalGroup runs that one opLocalFree record commits
-// (Heap.localFree). Huge pointers take Free's path one at a time.
+// (Heap.localFree), whether or not a magazine's window covers its word:
+// a magazine would commit each run with a line of its own (DESIGN.md
+// §7.3). Huge pointers take Free's path one at a time.
 //
 // *ps is sorted, which groups blocks by slab and bitset word, and then
-// consumed from its tail. Each huge pointer, run or remote group is cut
-// out of *ps before its record is written, with no crash point in
-// between. A classic run goes back in: its pointers are held at the
-// tail, with its group's other runs, and later units are rotated past
-// them, until the group is cut out before its record. So a crash leaves
-// in *ps exactly the pointers whose free has not begun, and the redo
-// protocol completes the one that had. Nothing outlives the call.
+// consumed from its tail. Each huge pointer or remote group is cut out
+// of *ps before its record is written, with no crash point in between.
+// A run's pointers are held at the tail, with its group's other runs,
+// and later units are rotated past them, until the group is cut out
+// before its record. So a crash leaves in *ps exactly the pointers
+// whose free has not begun, and the redo protocol completes the one
+// that had. Nothing outlives the call.
 func (h *Heap) FreeBatch(tid int, ps *[]Ptr) {
 	ts := h.ts(tid)
 	slices.Sort(*ps)
@@ -511,34 +511,29 @@ func (h *Heap) FreeBatch(tid int, ps *[]Ptr) {
 		idx := s.slabOf(p)
 		w0 := s.routeW0(ts, idx)
 		class |= uint32(w0Class(w0))
-		var n int
 		if w0Owner(w0) == uint16(tid+1) {
-			n = s.ownedRun(v[:top], idx, w0)
-			cutBelow(ps, n, held)
-			if r, classic := s.freeOwned(ts, tid, idx, w0, v[len(v)-n:]); classic {
-				// Nothing was written: the run goes back into *ps, on top
-				// of the held tail, to wait for its group's record.
-				*ps = v
-				group[ng], ng, held = r, ng+1, held+n
-				if ng == maxLocalGroup {
-					h.freeGroup(ts, tid, ps, group[:ng])
-					ng, held = 0, 0
-				}
-				continue
+			// The run joins the held tail, on top of its group's other
+			// runs, to wait for the group's record.
+			n := s.ownedRun(v[:top], idx, w0)
+			holdBelow(v, n, held)
+			group[ng], ng, held = s.runOf(idx, w0, v[len(v)-n:]), ng+1, held+n
+			if ng == maxLocalGroup {
+				h.freeGroup(ts, tid, ps, group[:ng])
+				ng, held = 0, 0
 			}
-		} else {
-			// v is sorted and p is the largest pointer below the held
-			// tail, so every pointer at or above the slab's base shares
-			// p's slab. The slab's countdown is at least n > 0 until this
-			// group lands, so nobody can steal or reinitialise it, and
-			// tid's routing cannot flip meanwhile.
-			n = 1
-			for n < top && n < maxRemoteGroup && v[top-1-n] >= s.slabData(idx) {
-				n++
-			}
-			cutBelow(ps, n, held)
-			s.remoteFree(ts, tid, idx, n)
+			continue
 		}
+		// v is sorted and p is the largest pointer below the held tail,
+		// so every pointer at or above the slab's base shares p's slab.
+		// The slab's countdown is at least n > 0 until this group lands,
+		// so nobody can steal or reinitialise it, and tid's routing cannot
+		// flip meanwhile.
+		n := 1
+		for n < top && n < maxRemoteGroup && v[top-1-n] >= s.slabData(idx) {
+			n++
+		}
+		cutBelow(ps, n, held)
+		s.remoteFree(ts, tid, idx, n)
 		for _, q := range v[len(v)-n:] {
 			h.countFree(tid, oc, q, class)
 		}
@@ -555,14 +550,19 @@ func (h *Heap) FreeBatch(tid int, ps *[]Ptr) {
 // them.
 func cutBelow(ps *[]Ptr, n, held int) {
 	v := *ps
+	holdBelow(v, n, held)
+	*ps = v[:len(v)-n]
+}
+
+// holdBelow rotates the n pointers just below v's held tail past it, so
+// they end v.
+func holdBelow(v []Ptr, n, held int) {
 	if held > 0 {
-		// Rotate the n pointers past the held tail.
 		unit := v[len(v)-held-n:]
 		slices.Reverse(unit[:n])
 		slices.Reverse(unit[n:])
 		slices.Reverse(unit)
 	}
-	*ps = v[:len(v)-n]
 }
 
 // freeGroup commits runs, whose pointers are the tail of *ps in run

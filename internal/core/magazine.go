@@ -105,11 +105,13 @@ func (s *slabHeap) magAt(ts *threadState, class int) *magSlot {
 // them, and the adversary persists both or neither. Reclamation reads
 // the durable line: a record whose mask bit is cleared means the pop
 // committed (report the pending block for adoption); a bit still set
-// means it never happened. The record is cleared lazily, like
-// clearOplog: the line's next flush carries the clear, and the next
-// fence drains it, so a later crash never reports this block again. A
-// remote free that writes no oplog line owes that fence before its
-// first crash point (fenceOwed, fenceLazyClears).
+// means it never happened. (A pop that a refill folded into its own
+// line is pending only once its block is also clear in the durable
+// bitset: magRefill, reclaimMagazines.) The record is cleared lazily,
+// like clearOplog: the line's next flush carries the clear, and the
+// next fence drains it, so a later crash never reports this block
+// again. A remote free that writes no oplog line owes that fence before
+// its first crash point (fenceOwed, fenceLazyClears).
 func (s *slabHeap) magPop(ts *threadState, tid, class int) (Ptr, bool) {
 	m := s.magAt(ts, class)
 	if m == nil || m.mask == 0 {
@@ -137,22 +139,27 @@ func (s *slabHeap) magPop(ts *threadState, tid, class int) (Ptr, bool) {
 	return s.ptrOf(idx, block, class), true
 }
 
-// magFree returns the blocks mask names in bitset word word of slab idx
-// to the class magazine if the magazine covers that word: the whole run
-// is one mask update, one store committed by its own fence, after which
-// the free is durable. No record is needed (a completed pop's lazily
-// cleared record shares the line, so this flush and fence commit the
-// clear and reclamation never resurrects that pop). On a window miss it
-// tries to re-target the magazine at the run's word (magAdopt) before
-// falling back to the classic local free.
+// magFree returns Free's block, r, to the class magazine if the
+// magazine covers its bitset word: one mask update, one store committed
+// by its own fence, after which the free is durable. No record is
+// needed (a completed pop's lazily cleared record shares the line, so
+// this flush and fence commit the clear and reclamation never
+// resurrects that pop). On a window miss it tries to re-target the
+// magazine at the block's word (magAdopt) before falling back to the
+// classic local free. Only Free comes here: a FreeBatch run joins a
+// grouped local-free record instead, which commits up to maxLocalGroup
+// runs in one line where each would pay a magazine line of its own
+// (DESIGN.md §7.3), and leaves the window's mask as it is.
 //
 // A slab whose last allocated blocks return through the mask stays on
 // the sized list with fc < total — deliberate retention, bounded at one
 // bitset word per (thread, class): the next same-class alloc reuses the
 // window without a protocol round, and DrainMagazines returns the
 // blocks for callers that need the slab to complete its empty
-// transition (harness drains, exact-footprint audits).
-func (s *slabHeap) magFree(ts *threadState, tid, idx, class, word int, mask uint64) bool {
+// transition (harness drains, exact-footprint audits). Blocks a batch
+// frees land in the bitset, so only Free's frees are retained this way.
+func (s *slabHeap) magFree(ts *threadState, tid int, r classicRun) bool {
+	idx, class, word, mask := r.idx, r.class, r.word, r.mask
 	m := s.magAt(ts, class)
 	if m == nil || int(m.slab) != idx+1 || int(m.word) != word {
 		return s.magAdopt(ts, m, tid, idx, class, word, mask)
@@ -174,19 +181,17 @@ func (s *slabHeap) magFree(ts *threadState, tid, idx, class, word int, mask uint
 	return true
 }
 
-// magAdopt re-targets the class magazine at the run's bitset word, so a
-// burst of frees into a word the magazine no longer covers (threadtest's
-// batch boundary: the mirror points at the most recently refilled word)
-// becomes one window switch plus single-line magFrees instead of a
-// classic protocol round per free.
+// magAdopt re-targets the class magazine at the freed block's bitset
+// word, so a burst of frees into a word the magazine no longer covers
+// (threadtest's batch boundary: the mirror points at the most recently
+// refilled word) becomes one window switch plus single-line magFrees
+// instead of a classic protocol round per free.
 //
 // Policy: an empty magazine adopts any owned slab's word outright; a
-// live window on the SAME slab is drained first when the run is one
-// block (the common ping-pong between two words of one slab); a live
-// window on another slab, or on the same slab under a run of several
-// blocks, stays put. Cross-slab churn would thrash the window for no
-// locality gain, and a drain's record names one pending block, not a
-// run. The drain's record carries the in-flight free's block as
+// live window on the SAME slab is drained first (the common ping-pong
+// between two words of one slab); a live window on another slab stays
+// put. Cross-slab churn would thrash the window for no locality gain.
+// The drain's record carries the in-flight free's block as
 // pending (ver = block+1), exactly like the alloc-nested drain: the
 // block is in neither the mask nor the bitset while the drain runs, so
 // a crash anywhere inside it makes redo report the block for adoption
@@ -200,7 +205,7 @@ func (s *slabHeap) magFree(ts *threadState, tid, idx, class, word int, mask uint
 // the fence, where nothing of this op is still in play.
 func (s *slabHeap) magAdopt(ts *threadState, m *magSlot, tid, idx, class, word int, mask uint64) bool {
 	if m != nil && m.mask != 0 {
-		if int(m.slab) != idx+1 || mask&(mask-1) != 0 {
+		if int(m.slab) != idx+1 {
 			return false
 		}
 		s.magDrain(ts, tid, class, firstBlock(word, mask))
@@ -238,25 +243,33 @@ func (s *slabHeap) magAdopt(ts *threadState, m *magSlot, tid, idx, class, word i
 }
 
 // magRefill privatizes one bitset word into the class magazine, from
-// the owned slab that offers the most blocks (refillSource). Two-phase
+// the owned slab that offers the most blocks (refillSource), and pops
+// the lowest of them for the alloc it was made for. Two-phase
 // (DESIGN.md §7.2): phase 1 makes the filled magazine line durable
 // under one fence, phase 2 clears the privatized bits from the shared
 // bitset and commits at a second fence. The magazine line is phase 1's
-// record, so the oplog is not written: a crash before its fence leaves
-// nothing of the refill durable but bitset and count stores the rebuild
-// scan recomputes, and a crash between the phases leaves the blocks in
-// both the mask and the bitset, which reclamation's idempotent union
-// resolves. Phase 1's fence also opens the op for the publish guard
+// record, so the oplog is not written, and it carries the pop too: its
+// mask is the taken blocks minus the popped one, and its record byte
+// names the popped block, exactly as magPop's line would. So one flush
+// and one fence commit both the refill and the pop.
+//
+// A crash before phase 1's fence leaves nothing of the refill durable
+// but bitset and count stores the rebuild scan recomputes. After it,
+// reclamation's idempotent union resolves the overlap of mask and
+// bitset, and the record names a pending block only once its bit is
+// clear in the durable bitset (reclaimMagazines): while phase 2 has not
+// landed, the popped block is still free there and Alloc never
+// returned. Phase 1's fence also opens the op for the publish guard
 // (oplog.go). The leave-one rule keeps the slab's free count >= 1, so a
 // magazine-backed slab never reaches the full transition while its mask
 // is live.
 //
-// Returns false (caller falls back to the classic path) when the sized
-// list is empty or no slab on it can give a block beyond its last.
-func (s *slabHeap) magRefill(ts *threadState, tid, class int) bool {
+// ok is false (the caller falls back to the classic path) when the
+// sized list is empty or no slab on it can give a block beyond its last.
+func (s *slabHeap) magRefill(ts *threadState, tid, class int) (Ptr, bool) {
 	idx, word, take := s.refillSource(ts, tid, class)
 	if take == 0 {
-		return false
+		return 0, false
 	}
 	base := s.bitsetW(idx)
 	fc := s.getFreeCount(ts, idx)
@@ -269,27 +282,44 @@ func (s *slabHeap) magRefill(ts *threadState, tid, class int) bool {
 		s.h.fail("%s heap: refill over a live magazine line for thread %d class %d (mask %#x)",
 			s.name, tid, class, v)
 	}
-	ts.cache.Store(mw, packMagMeta(idx, word, class))
-	ts.cache.Store(mw+1, take)
+	b := bits.TrailingZeros64(take)
+	mask := take &^ (1 << uint(b))
+	meta := packMagMeta(idx, word, class)
+	rec, late := magRecord(b), s.h.cfg.LateHandoffRecord
+	if late {
+		rec = 0
+	}
+	ts.cache.Store(mw, meta|rec)
+	ts.cache.Store(mw+1, mask)
 	ts.cache.FlushOpt(mw)
 	ts.cache.Fence()
 	ts.fenceOwed = false
 	s.cp(tid, "magrefill.post-oplog")
 	// Phase 2: the magazine line is durable; remove the privatized
-	// blocks from the shared ledger. These two lines are the open crash
-	// window the persist sweep attacks at magrefill.pre-commit — any
-	// dropped subset is repaired by reclamation's union.
+	// blocks, the popped one included, from the shared ledger. These two
+	// lines are the open crash window the persist sweep attacks at
+	// magrefill.pre-commit — any dropped subset is repaired by
+	// reclamation's union, and the record is pending only if the bitset
+	// line landed.
 	ts.cache.Store(base+word, ts.cache.Load(base+word)&^take)
 	s.setFreeCount(ts, idx, fc-n)
 	s.cp(tid, "magrefill.pre-commit")
 	ts.cache.Fence()
+	if late {
+		// The mutant stores the record after the pop's last fence, as
+		// magPop's does.
+		ts.cache.Store(mw, meta|magRecord(b))
+	}
+	s.cp(tid, "magalloc.post-take")
+	ts.cache.Store(mw, meta)
+	ts.fenceOwed = true
 	mags := ts.mags[s.magIdx]
 	if mags == nil {
 		mags = make([]magSlot, len(s.classes))
 		ts.mags[s.magIdx] = mags
 	}
-	mags[class] = magSlot{slab: int32(idx + 1), word: int16(word), mask: take}
-	return true
+	mags[class] = magSlot{slab: int32(idx + 1), word: int16(word), mask: mask}
+	return s.ptrOf(idx, word*64+b, class), true
 }
 
 // refillSource picks the slab magRefill privatizes from: of the slabs
@@ -415,6 +445,15 @@ func (h *Heap) DrainMagazines(tid int) {
 // pending allocation. The meta word is read even when the mask is 0:
 // the pop that took the last block leaves exactly that line.
 //
+// A record names a pending block only if that block is clear in the
+// durable bitset too. A refill writes its first pop's record with its
+// own phase 1 (magRefill), before phase 2 takes the block out of the
+// bitset; a crash between the two leaves the block free there, and
+// Alloc never returned, so the block stays free and is not reported.
+// The check never changes an ordinary pop's outcome: its block was in
+// the mask, so it is clear in the bitset until a later free of it, and
+// that free's fence drains the pop's lazily cleared record first.
+//
 // A pending pop's record is the only durable name of its block, so it
 // outlives this pass: only the mask is retired, and recovery clears the
 // record at its commit point (retireMagRecords). A crash later in
@@ -440,7 +479,7 @@ func (s *slabHeap) reclaimMagazines(ts *threadState, tid int, report *RecoveryRe
 			s.h.fail("%s heap: magazine of thread %d class %d references slab %d it does not own",
 				s.name, tid, class, idx)
 		}
-		pending := rec != 0 && mask&(1<<uint(rec-1)) == 0
+		pending := rec != 0 && mask&(1<<uint(rec-1)) == 0 && !s.blockBit(ts, idx, word*64+rec-1)
 		if pending {
 			s.pend(report, idx, word*64+rec-1, class)
 		} else {

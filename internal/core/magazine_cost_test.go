@@ -5,6 +5,7 @@ import (
 	"maps"
 	"math/bits"
 	"slices"
+	"strings"
 	"testing"
 
 	"cxlalloc/internal/crash"
@@ -81,38 +82,56 @@ func TestMagPopCostsOneLine(t *testing.T) {
 	}
 }
 
-// A free into the magazine's window is one line too: the mask-set,
-// flushed and fenced. It also writes back a pop's lazily cleared record,
-// which shares the line.
+// A Free into the magazine's window is one line too: the mask-set,
+// flushed and fenced; so is a Free the empty magazine adopts. Each also
+// writes back a pop's lazily cleared record, which shares the line.
 func TestMagFreeCostsOneLine(t *testing.T) {
-	e, _ := costEnv(t)
-	const tid = 0
-	m, _ := warmMagazine(t, e, tid, smallMax)
-	p := e.alloc(tid, smallMax)
-	before := m.mask
-	c := lineCost(e, tid, func() { e.h.Free(tid, p) })
-	if bits.OnesCount64(m.mask) != bits.OnesCount64(before)+1 {
-		t.Fatalf("free did not land in the magazine (mask %#x -> %#x)", before, m.mask)
-	}
-	wantOneLine(t, "magazine free", c)
-	if rec := magMetaRecord(e.dev.NewCache().LoadFresh(e.h.small.magW(tid, smallClassOf(smallMax)))); rec != 0 {
-		t.Fatalf("pop's handoff record %d still durable after the free's fence", rec)
+	for _, r := range localRuns {
+		if r.freePoint == "" {
+			continue
+		}
+		t.Run(r.name, func(t *testing.T) {
+			e, inj := costEnv(t)
+			inj.EnableCoverage()
+			run, keep := r.setup(t, e, 1)
+			m := e.h.small.magAt(&e.h.threads[0], smallClassOf(64))
+			before := m.mask
+			visits0 := inj.Points()[r.freePoint]
+			c := lineCost(e, 0, func() { e.h.Free(0, run[0]) })
+			if bits.OnesCount64(m.mask) != bits.OnesCount64(before)+1 {
+				t.Fatalf("free did not land in the magazine (mask %#x -> %#x)", before, m.mask)
+			}
+			wantOneLine(t, r.name+" free", c)
+			if v := inj.Points()[r.freePoint] - visits0; v != 1 {
+				t.Fatalf("%s free visited %s %d times, want 1", r.name, r.freePoint, v)
+			}
+			if rec := magMetaRecord(e.dev.NewCache().LoadFresh(e.h.small.magW(0, smallClassOf(64)))); rec != 0 {
+				t.Fatalf("pop's handoff record %d still durable after the free's fence", rec)
+			}
+			for _, p := range keep {
+				e.h.Free(0, p)
+			}
+			auditDrained(t, e)
+		})
 	}
 }
 
-// localRun sets up one path of a grouped local free on thread 0 of e:
-// it returns k owned 64 B blocks of one bitset word, and the path the
-// run will take.
+// localRun sets up a run of a thread's own blocks on thread 0 of e: it
+// returns k owned 64 B blocks of one bitset word, and the blocks still
+// to free afterwards. A FreeBatch commits every such run with an
+// opLocalFree record, whatever the magazine holds; a Free of one of its
+// blocks commits it with the magazine line at freePoint.
 type localRun struct {
-	name  string
-	point string // the crash point after the run's one commit
-	setup func(t *testing.T, e *env, k int) (run, keep []Ptr)
+	name      string
+	freePoint string // "" when a Free drains the magazine first
+	setup     func(t *testing.T, e *env, k int) (run, keep []Ptr)
 }
 
-// localRuns covers every path a run of a thread's own blocks takes.
+// localRuns covers every state of the magazine a run of a thread's own
+// blocks can meet.
 var localRuns = []localRun{
-	// The magazine's window covers the run's word: the run is ORed into
-	// the mask line.
+	// The magazine's window covers the run's word: a Free ORs its block
+	// into the mask line.
 	{"magazine-hit", "small.magfree.post-put", func(t *testing.T, e *env, k int) ([]Ptr, []Ptr) {
 		_, keep := warmMagazine(t, e, 0, 64)
 		var run []Ptr
@@ -121,18 +140,17 @@ var localRuns = []localRun{
 		}
 		return run, keep
 	}},
-	// The magazine is empty: it adopts the run's word with the run's
-	// mask. A drained window leaves the magazine line resident.
+	// The magazine is empty: a Free's block has it adopt the run's word.
+	// A drained window leaves the magazine line resident.
 	{"adopt", "small.magfree.post-adopt", func(t *testing.T, e *env, k int) ([]Ptr, []Ptr) {
 		_, keep := warmMagazine(t, e, 0, 64)
 		e.h.DrainMagazines(0)
 		run := classicBlocks(e, k)
 		return run, keep
 	}},
-	// A live window on word 0 of the run's slab: a drain's record names
-	// one pending block, not a run, so the run takes one opLocalFree
-	// record.
-	{"classic", "small.local-free.post-put", func(t *testing.T, e *env, k int) ([]Ptr, []Ptr) {
+	// A live window on word 0 of the run's slab, and the run in word 1:
+	// a Free drains the window before it adopts its block's word.
+	{"classic", "", func(t *testing.T, e *env, k int) ([]Ptr, []Ptr) {
 		m, keep := warmMagazine(t, e, 0, 64)
 		run := classicBlocks(e, k)
 		if idx := e.h.small.slabOf(run[0]); int(m.slab) != idx+1 || m.word != 0 || run[0] != e.h.small.ptrOf(idx, 64, smallClassOf(64)) {
@@ -157,8 +175,9 @@ func classicBlocks(e *env, n int) []Ptr {
 }
 
 // A run of k owned blocks in one bitset word, freed through FreeBatch,
-// is one line on every path: 1 flush, 1 write-back, 1 fence, no fetch
-// and no mCAS pair — not one line per block.
+// is one line whatever the magazine holds: one opLocalFree record, 1
+// flush, 1 write-back, 1 fence, no fetch and no mCAS pair — not one line
+// per block, and no magazine line.
 func TestFreeBatchRunCostsOneLine(t *testing.T) {
 	const k = 5
 	for _, r := range localRuns {
@@ -166,15 +185,23 @@ func TestFreeBatchRunCostsOneLine(t *testing.T) {
 			e, inj := costEnv(t)
 			inj.EnableCoverage()
 			run, keep := r.setup(t, e, k)
-			visits0 := inj.Points()[r.point]
+			p0 := inj.Points()
 			var c telemetry.CacheStats
 			d := nmpDelta(e, func() { c = lineCost(e, 0, func() { freeBatch(t, e, 0, run) }) })
 			wantOneLine(t, r.name+" run", c)
 			if pairs := d.Successes + d.Failures; pairs != 0 {
 				t.Fatalf("%s run: %d mCAS pairs, want 0", r.name, pairs)
 			}
-			if v := inj.Points()[r.point] - visits0; v != 1 {
-				t.Fatalf("%s run of %d blocks visited %s %d times, want 1", r.name, k, r.point, v)
+			p1 := inj.Points()
+			for _, point := range []string{"small.local-free.post-oplog", "small.local-free.post-put"} {
+				if v := p1[point] - p0[point]; v != 1 {
+					t.Fatalf("%s run of %d blocks visited %s %d times, want 1", r.name, k, point, v)
+				}
+			}
+			for _, point := range inj.PointNames() {
+				if v := p1[point] - p0[point]; v != 0 && strings.Contains(point, ".mag") {
+					t.Fatalf("%s run of %d blocks visited magazine point %s", r.name, k, point)
+				}
 			}
 			for _, p := range keep {
 				e.h.Free(0, p)
@@ -184,10 +211,10 @@ func TestFreeBatchRunCostsOneLine(t *testing.T) {
 	}
 }
 
-// k runs of owned blocks that the magazine neither covers nor can adopt
-// — two blocks in each of words 1..k of the slab whose word 0 the live
-// window holds — cost one opLocalFree record per group of up to three:
-// ceil(k/3) flushes, write-backs and fences, and no fetch.
+// k runs of owned blocks outside the magazine's window — two blocks in
+// each of words 1..k of the slab whose word 0 the live window holds —
+// cost one opLocalFree record per group of up to three: ceil(k/3)
+// flushes, write-backs and fences, and no fetch.
 func TestFreeBatchGroupsClassicRuns(t *testing.T) {
 	for k := 1; k <= 7; k++ {
 		t.Run(fmt.Sprintf("runs=%d", k), func(t *testing.T) {
@@ -219,6 +246,67 @@ func TestFreeBatchGroupsClassicRuns(t *testing.T) {
 			for point, n := range map[string]uint64{"small.local-free.post-oplog": want, "small.local-free.post-put": uint64(k)} {
 				if got := p1[point] - p0[point]; got != n {
 					t.Fatalf("%d runs visited %s %d times, want %d", k, point, got, n)
+				}
+			}
+			for _, p := range keep {
+				e.h.Free(0, p)
+			}
+			auditDrained(t, e)
+		})
+	}
+}
+
+// k runs inside magazine windows — two blocks popped from the live
+// window of each of k small classes — cost what k runs outside any
+// window cost: one opLocalFree record per group of up to three, so
+// ceil(k/3) flushes, write-backs and fences, and no fetch. No run
+// touches its magazine: each window's mask is unchanged, and its line
+// is neither stored to, in the freer's cache, nor written back.
+func TestFreeBatchGroupsMagazineRuns(t *testing.T) {
+	sizes := []int{16, 32, 64, 128, 256, 512, 1024}
+	for k := 1; k <= len(sizes); k++ {
+		t.Run(fmt.Sprintf("runs=%d", k), func(t *testing.T) {
+			e, inj := costEnv(t)
+			inj.EnableCoverage()
+			s, ts := e.h.small, &e.h.threads[0]
+			dev := e.dev.NewCache()
+			type window struct {
+				m           *magSlot
+				mask        uint64
+				line, saved [2]uint64
+			}
+			var wins []window
+			var run, keep []Ptr
+			for _, size := range sizes[:k] {
+				m, held := warmMagazine(t, e, 0, size)
+				keep = append(keep, held...)
+				run = append(run, e.alloc(0, size), e.alloc(0, size))
+				mw := s.magW(0, smallClassOf(size))
+				wins = append(wins, window{m: m, mask: m.mask,
+					line:  [2]uint64{ts.cache.Load(mw), ts.cache.Load(mw + 1)},
+					saved: [2]uint64{dev.LoadFresh(mw), dev.LoadFresh(mw + 1)}})
+			}
+			p0 := inj.Points()
+			c := lineCost(e, 0, func() { freeBatch(t, e, 0, run) })
+			want := uint64((k + 2) / 3)
+			if c.Flushes != want || c.Writebacks != want || c.Fences != want || c.Fetches != 0 {
+				t.Fatalf("%d runs: %d flushes, %d write-backs, %d fences, %d fetches; want %d, %d, %d, 0",
+					k, c.Flushes, c.Writebacks, c.Fences, c.Fetches, want, want, want)
+			}
+			p1 := inj.Points()
+			for point, n := range map[string]uint64{"small.local-free.post-oplog": want, "small.local-free.post-put": uint64(k),
+				"small.magfree.post-put": 0, "small.magfree.post-adopt": 0} {
+				if got := p1[point] - p0[point]; got != n {
+					t.Fatalf("%d runs visited %s %d times, want %d", k, point, got, n)
+				}
+			}
+			for i, w := range wins {
+				mw := s.magW(0, smallClassOf(sizes[i]))
+				line := [2]uint64{ts.cache.Load(mw), ts.cache.Load(mw + 1)}
+				saved := [2]uint64{dev.LoadFresh(mw), dev.LoadFresh(mw + 1)}
+				if w.m.mask != w.mask || line != w.line || saved != w.saved {
+					t.Fatalf("%d B magazine: mask %#x -> %#x, line %#x -> %#x, device %#x -> %#x; want all unchanged",
+						sizes[i], w.mask, w.m.mask, w.line, line, w.saved, saved)
 				}
 			}
 			for _, p := range keep {
@@ -281,11 +369,11 @@ func classicVisits(inj *crash.Injector) map[string]uint64 {
 // A refill takes the sized-list slab with the most free blocks, not the
 // head: with 3 free blocks in the head slab and 20 in the one behind it,
 // the magazine privatizes 19 of the 20 (the leave-one rule keeps one)
-// and pops one of them. The alloc is the refill's magazine line,
-// flushed under its own fence (the refill writes no oplog record), and
-// the bitset commit's bare fence, plus the pop's one line: 2 flushes, 3
-// fences, no fetch, and no classic take or detach. Taking the head's
-// word instead gives a 2-block window.
+// and pops one of them. The alloc is the refill's magazine line, which
+// carries the pop's record and mask, flushed under its own fence (the
+// refill writes no oplog record), and the bitset commit's bare fence: 1
+// flush, 2 fences, no fetch, and no classic take or detach. Taking the
+// head's word instead gives a 2-block window.
 func TestRefillTakesTheSlabWithMostFreeBlocks(t *testing.T) {
 	e, inj := costEnv(t)
 	inj.EnableCoverage()
@@ -301,8 +389,8 @@ func TestRefillTakesTheSlabWithMostFreeBlocks(t *testing.T) {
 		t.Fatalf("magazine holds %d blocks of slab %d, want 18 of slab %d (19 taken, 1 popped)",
 			bits.OnesCount64(m.mask), m.slab-1, deep)
 	}
-	if c.Flushes != 2 || c.Writebacks != 2 || c.Fences != 3 || c.Fetches != 0 {
-		t.Fatalf("refill and pop: %d flushes, %d write-backs, %d fences, %d fetches; want 2, 2, 3, 0",
+	if c.Flushes != 1 || c.Writebacks != 1 || c.Fences != 2 || c.Fetches != 0 {
+		t.Fatalf("refill and pop: %d flushes, %d write-backs, %d fences, %d fetches; want 1, 1, 2, 0",
 			c.Flushes, c.Writebacks, c.Fences, c.Fetches)
 	}
 	if after := classicVisits(inj); !maps.Equal(after, before) {
@@ -357,8 +445,10 @@ func TestRefillSkipsASlabThatCanGiveOnlyItsLastBlock(t *testing.T) {
 // last 40 of 50 rounds, per alloc (the frees included). Taking the
 // head's word: 8215 flushes and 597 fetches over 5120 allocs (1.604 and
 // 0.117 per alloc). Taking the fullest slab's: 6705 and 0 (1.310 and 0);
-// 6518 once a refill writes no oplog record, and 5747 (1.122) once one
-// record commits up to three classic runs of a batch.
+// 6518 once a refill writes no oplog record, 5747 (1.122) once one
+// record commits up to three classic runs of a batch, 5735 once every
+// run of a batch joins those records, none paying a magazine line, and
+// 5543 (1.083) once a refill's line carries its first pop.
 func TestRefillChurnCostsPerAlloc(t *testing.T) {
 	e, _ := costEnv(t)
 	const live, batch, rounds, warm = 512, 128, 50, 10
@@ -394,8 +484,8 @@ func TestRefillChurnCostsPerAlloc(t *testing.T) {
 	flushes, fetches := float64(c.Flushes)/allocs, float64(c.Fetches)/allocs
 	t.Logf("%.3f flushes, %.3f write-backs, %.3f fences, %.4f fetches per alloc",
 		flushes, float64(c.Writebacks)/allocs, float64(c.Fences)/allocs, fetches)
-	if c.Flushes != 5747 || c.Fetches != 0 {
-		t.Fatalf("%d flushes and %d fetches over %.0f allocs (%.3f and %.4f per alloc); want 5747 and 0",
+	if c.Flushes != 5543 || c.Fetches != 0 {
+		t.Fatalf("%d flushes and %d fetches over %.0f allocs (%.3f and %.4f per alloc); want 5543 and 0",
 			c.Flushes, c.Fetches, allocs, flushes, fetches)
 	}
 	for _, p := range ptrs {

@@ -13,7 +13,9 @@ package core
 //	bits 48..63  ver — detectable-CAS version for CAS-bearing ops
 //
 // One record carries more than 8 bytes: opLocalFree frees up to
-// maxLocalGroup runs, each the blocks of one bitset word. Word 0 holds
+// maxLocalGroup runs, each the blocks of one bitset word — every run of
+// a FreeBatch, inside a magazine's window or not, and Free's one block
+// when the magazine does not take it. Word 0 holds
 // the op and the run count (b); run i takes words 1+2i and 2+2i of the
 // same line — packOp(heap's opLocalFree, slab, bitset word, 0), then
 // the run's 64-bit mask — committed by the same flush and fence
@@ -32,9 +34,11 @@ package core
 //   - The magazine pop writes its handoff record into the magazine line
 //     it already flushes (the meta word's record byte, magazine.go), so
 //     a steady-state pop writes back one line, not two. A refill writes
-//     no record at all: its magazine line is the record of its first
-//     phase, and reclamation's union and the rebuild scan repair either
-//     phase (magRefill).
+//     no record here either: its magazine line is the record of its
+//     first phase and carries its first pop's handoff record, and
+//     reclamation's union and the rebuild scan repair either phase
+//     (magRefill). That pop is pending only once its block is clear in
+//     the durable bitset (reclaimMagazines).
 //   - A remote free whose decrement does not reach zero writes its
 //     record — this word's op and a/b fields, packOp(op, slab, n, 0) —
 //     into the upper bits of the detectable-CAS help word its Begin
@@ -45,7 +49,7 @@ package core
 //     not a no-op, so it keeps its record here.
 //
 // Publish guard (fenceLazyClears): every other operation opens with a
-// fence, its record's or its magazine line's (a pop's, a free's into
+// fence, its record's or its magazine line's (a pop's, a Free's into
 // the magazine, or a refill's first phase), so a crash at one of its
 // points never drops an earlier operation's writes. A remote free that writes
 // no oplog line must fence first itself whenever an earlier operation

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 	"strings"
 	"testing"
@@ -400,16 +402,25 @@ func TestSlabNotLeakedAcrossCrash(t *testing.T) {
 // as a finished steal's would, not overflow the rebuilt list.
 //
 // A grouped local free, a run of the freer's own blocks in one bitset
-// word, is crashed at every local-free.* and magfree.* point its path
-// visits, under every persist subset of the crash's in-play lines
+// word, is crashed at every local-free.* point its FreeBatch visits,
+// under every persist subset of the crash's in-play lines
 // (localRunCrash): after recovery every block of the run is free exactly
-// once.
+// once. So are the same blocks freed one at a time through Free, which
+// commits them with the magazine line, crashed at the first visit of
+// that magfree.* point (localFreeCrash).
 func TestGroupRemoteFreeCrashRecovery(t *testing.T) {
 	for _, r := range localRunCrashes {
 		for _, point := range localRunPoints(t, r) {
 			t.Run("local-run/"+r.name+"/"+point, func(t *testing.T) {
 				everyPersistSubset(t, point, func(pol func(n int) memsim.CrashPolicy) {
 					localRunCrash(t, r, point, pol)
+				})
+			})
+		}
+		if r.freePoint != "" {
+			t.Run("local-run/"+r.name+"/"+r.freePoint, func(t *testing.T) {
+				everyPersistSubset(t, r.freePoint, func(pol func(n int) memsim.CrashPolicy) {
+					localFreeCrash(t, r, pol)
 				})
 			})
 		}
@@ -514,8 +525,8 @@ var localRunCrashes = append(slices.Clone(localRuns),
 // localRunK is how many blocks each crashed local run frees.
 const localRunK = 4
 
-// localRunPoints returns the local-free.* and magfree.* points run r's
-// FreeBatch visits, sorted by name.
+// localRunPoints returns the local-free.* points run r's FreeBatch
+// visits, sorted by name.
 func localRunPoints(t *testing.T, r localRun) []string {
 	e, inj := costEnv(t)
 	inj.EnableCoverage()
@@ -525,12 +536,12 @@ func localRunPoints(t *testing.T, r localRun) []string {
 	after := inj.Points()
 	var points []string
 	for _, p := range inj.PointNames() {
-		if after[p] > before[p] && (strings.Contains(p, ".local-free.") || strings.Contains(p, ".magfree.")) {
+		if after[p] > before[p] && strings.Contains(p, ".local-free.") {
 			points = append(points, p)
 		}
 	}
 	if len(points) == 0 {
-		t.Fatalf("%s run visited no local-free or magfree point", r.name)
+		t.Fatalf("%s run visited no local-free point", r.name)
 	}
 	return points
 }
@@ -615,6 +626,25 @@ func localRunCrash(t *testing.T, r localRun, point string, pol func(n int) memsi
 	}
 	e.h.SetMagazines(true)
 	for _, p := range keep {
+		e.h.Free(0, p)
+	}
+	auditDrained(t, e)
+}
+
+// localFreeCrash frees run r's blocks on thread 0 one at a time through
+// Free, crashes the first at r.freePoint, resolves that crash's in-play
+// lines by pol, and recovers twice: the crashed free was committed, the
+// rest of the run is freed after, and the ledger must audit clean.
+func localFreeCrash(t *testing.T, r localRun, pol func(n int) memsim.CrashPolicy) {
+	t.Helper()
+	e, inj := firstCrashEnv(t, pol)
+	run, keep := r.setup(t, e, localRunK)
+	crashRecoverTwice(t, e, inj, r.freePoint, func() {
+		for _, p := range run {
+			e.h.Free(0, p)
+		}
+	})
+	for _, p := range append(run[1:], keep...) {
 		e.h.Free(0, p)
 	}
 	auditDrained(t, e)
@@ -764,36 +794,105 @@ func localGroupCrash(t *testing.T, cell groupCell, point string, after int, pol 
 // A magazine refill from a slab behind the sized-list head, crashed at
 // either side of its first commit under every persist subset of the
 // crash's in-play lines: recovery unions whatever part of the window
-// reached the device back into that slab, and every block is then free
-// or held exactly once. Each cell names the head's and the deeper
-// slab's free blocks; the second is a head that could give only its
-// last block.
+// reached the device back into that slab, reports the refill's pop as
+// pending exactly when its block is clear in the durable bitset, and
+// every block is then free or held exactly once. Each cell names the
+// head's and the deeper slab's free blocks; the second is a head that
+// could give only its last block.
 func TestNonHeadRefillCrashRecovery(t *testing.T) {
 	for _, cell := range []struct{ headFree, deepFree int }{{3, 20}, {1, 5}} {
 		for _, point := range []string{"small.magrefill.post-oplog", "small.magrefill.pre-commit"} {
 			name := fmt.Sprintf("head-%d/deep-%d/%s", cell.headFree, cell.deepFree, point)
 			t.Run(name, func(t *testing.T) {
 				everyPersistSubset(t, point, func(pol func(n int) memsim.CrashPolicy) {
-					refillCrash(t, cell.headFree, cell.deepFree, point, pol)
+					e, inj := firstCrashEnv(t, pol)
+					_, deep, held := reattachedSlabs(t, e, cell.headFree, cell.deepFree)
+					if idx, _, _ := e.h.small.refillSource(&e.h.threads[0], 0, smallClassOf(smallMax)); idx != deep {
+						t.Fatalf("the refill would take slab %d, want %d (behind the head)", idx, deep)
+					}
+					refillPopCrash(t, e, inj, point, "", held)
 				})
 			})
 		}
 	}
 }
 
-// refillCrash crashes thread 0 at point inside the alloc whose refill
-// takes from the slab behind the head (reattachedSlabs), resolves that
-// crash's in-play lines by pol, and recovers twice. No block was handed
-// out, so no recovery may report one; the held blocks are then freed
-// and the ledger must audit clean.
-func refillCrash(t *testing.T, headFree, deepFree int, point string, pol func(n int) memsim.CrashPolicy) {
-	t.Helper()
-	e, inj := firstCrashEnv(t, pol)
-	_, deep, held := reattachedSlabs(t, e, headFree, deepFree)
-	if idx, _, _ := e.h.small.refillSource(&e.h.threads[0], 0, smallClassOf(smallMax)); idx != deep {
-		t.Fatalf("the refill would take slab %d, want %d (behind the head)", idx, deep)
+// A refill's line carries the pop it was made for (magRefill). Crashed
+// at every point of that alloc — the refill's first commit, the bitset
+// commit's window and the pop's take — under every persist subset of
+// the crash's in-play lines, with and without a crash inside the first
+// recovery after reclamation: the popped block is reported pending
+// exactly when its bit is clear in the durable bitset, never while it is
+// also free, and not again once a recovery committed; every block is
+// then free or held exactly once.
+func TestRefillPopCrashRecovery(t *testing.T) {
+	for _, point := range []string{"small.magrefill.post-oplog", "small.magrefill.pre-commit", "small.magalloc.post-take"} {
+		for _, interrupt := range []string{"", "recover.post-redo", "recover.post-rebuild-huge"} {
+			t.Run(point+"/"+cmp.Or(interrupt, "recovered"), func(t *testing.T) {
+				everyPersistSubset(t, point, func(pol func(n int) memsim.CrashPolicy) {
+					e, inj := firstCrashEnv(t, pol)
+					// A fresh slab's first block is the classic path's;
+					// the next alloc refills from the rest of its word.
+					held := []Ptr{e.alloc(0, smallMax)}
+					refillPopCrash(t, e, inj, point, interrupt, held)
+				})
+			})
+		}
 	}
-	crashRecoverTwice(t, e, inj, point, func() { e.h.Alloc(0, smallMax) })
+}
+
+// refillPopCrash crashes thread 0 at the first visit of point inside an
+// alloc that refills its empty class-smallMax magazine, and recovers it;
+// when interrupt names a recovery crash point, the first recovery
+// crashes there and a second one runs. The refill's popped block must be
+// reported pending exactly when its bit is clear in the durable bitset
+// after the crash, and clear in the bitset when it is; a crash after the
+// committed recovery must report nothing. held, and the pending block,
+// are then freed and the ledger must audit clean.
+func refillPopCrash(t *testing.T, e *env, inj *crash.Injector, point, interrupt string, held []Ptr) {
+	t.Helper()
+	s, class := e.h.small, smallClassOf(smallMax)
+	idx, word, take := s.refillSource(&e.h.threads[0], 0, class)
+	if take == 0 {
+		t.Fatal("the alloc would not refill the magazine")
+	}
+	block := word*64 + bits.TrailingZeros64(take)
+	popped := s.ptrOf(idx, block, class)
+	inj.Arm(point, 0, 0)
+	if c := crash.Run(func() { e.h.Alloc(0, smallMax) }); c == nil || c.Point != point {
+		t.Fatalf("no crash at %q: %+v", point, c)
+	}
+	inj.Disarm()
+	e.h.MarkCrashed(0)
+	bit := uint64(1) << uint(block%64)
+	durablyFree := e.dev.NewCache().LoadFresh(s.bitsetW(idx)+word)&bit != 0
+	if interrupt != "" {
+		inj.Arm(interrupt, 0, 0)
+		if c := crash.Run(func() { e.h.RecoverThread(0, e.spaces[0]) }); c == nil {
+			t.Fatalf("recovery never reached %q", interrupt)
+		}
+		inj.Disarm()
+		e.h.MarkCrashed(0)
+	}
+	rep, err := e.h.RecoverThread(0, e.spaces[0])
+	if err != nil {
+		t.Fatalf("RecoverThread: %v", err)
+	}
+	switch {
+	case durablyFree && rep.PendingAlloc != 0:
+		t.Fatalf("popped block %#x still free in the durable bitset, but recovery reports %#x pending", popped, rep.PendingAlloc)
+	case !durablyFree && rep.PendingAlloc != popped:
+		t.Fatalf("popped block %#x taken from the durable bitset, but recovery reports %#x pending", popped, rep.PendingAlloc)
+	case rep.PendingAlloc != 0 && s.blockBit(&e.h.threads[0], idx, block):
+		t.Fatalf("pending block %#x is also free in the bitset", popped)
+	}
+	if rep.PendingAlloc != 0 {
+		held = append(held, rep.PendingAlloc)
+	}
+	e.h.MarkCrashed(0)
+	if again, err := e.h.RecoverThread(0, e.spaces[0]); err != nil || again.PendingAlloc != 0 {
+		t.Fatalf("recovery after a committed one: pending %#x, err %v; want none", again.PendingAlloc, err)
+	}
 	for _, p := range held {
 		e.h.Free(0, p)
 	}

@@ -301,11 +301,7 @@ func (s *slabHeap) alloc(ts *threadState, tid, class int) (Ptr, error) {
 		if p, ok := s.magPop(ts, tid, class); ok {
 			return p, nil
 		}
-		if s.magRefill(ts, tid, class) {
-			p, ok := s.magPop(ts, tid, class)
-			if !ok {
-				s.h.fail("%s heap: refilled magazine for class %d is empty", s.name, class)
-			}
+		if p, ok := s.magRefill(ts, tid, class); ok {
 			return p, nil
 		}
 		// No refillable slab (sized list empty, or down to its last free
@@ -544,12 +540,10 @@ func (s *slabHeap) length(tid int) uint32 {
 func (s *slabHeap) free(ts *threadState, tid int, p Ptr) int {
 	idx := s.slabOf(p)
 	w0 := s.routeW0(ts, idx)
-	if w0Owner(w0) == uint16(tid+1) {
-		if r, classic := s.freeOwned(ts, tid, idx, w0, []Ptr{p}); classic {
-			s.h.localFree(ts, tid, []classicRun{r})
-		}
-	} else {
+	if w0Owner(w0) != uint16(tid+1) {
 		s.remoteFree(ts, tid, idx, 1)
+	} else if r := s.runOf(idx, w0, []Ptr{p}); !s.h.magsEnabled() || !s.magFree(ts, tid, r) {
+		s.h.localFree(ts, tid, []classicRun{r})
 	}
 	return w0Class(w0)
 }
@@ -569,7 +563,7 @@ func (s *slabHeap) routeW0(ts *threadState, idx int) uint64 {
 // ownedRun returns how many pointers at the tail of the sorted batch v
 // form one run with its last pointer: blocks of the same bitset word of
 // slab idx, whose descriptor word is w0. An unsized slab has no blocks,
-// so its run is the one pointer freeOwned rejects.
+// so its run is the one pointer runOf rejects.
 func (s *slabHeap) ownedRun(v []Ptr, idx int, w0 uint64) int {
 	class := w0Class(w0)
 	if class == 0 {
@@ -584,9 +578,10 @@ func (s *slabHeap) ownedRun(v []Ptr, idx int, w0 uint64) int {
 }
 
 // classicRun is a run of a thread's own blocks bound for the classic
-// local free: the blocks mask names in bitset word word of slab idx of
-// heap s. n is how many pointers of the batch it covers; fc0 and fc are
-// the slab's free count before and after the run lands.
+// local free (or, for Free's one block, the magazine): the blocks mask
+// names in bitset word word of slab idx of heap s. n is how many
+// pointers of the batch it covers; fc0 and fc are the slab's free count
+// before and after the run lands.
 type classicRun struct {
 	s                   *slabHeap
 	idx, class, word, n int
@@ -598,16 +593,15 @@ type classicRun struct {
 // takes two of words 1..6 of the oplog line (writeOplogRuns).
 const maxLocalGroup = 3
 
-// freeOwned frees run, blocks of one bitset word of slab idx, which tid
-// owns by w0 (DESIGN.md §7.3 "Grouped local frees"): ORed into the
-// magazine's mask line when its window covers the word or it can adopt
-// the word. Otherwise nothing is written, and it returns the run for
-// the classic local free, which commits up to maxLocalGroup runs under
-// one record (Heap.localFree). Routing here is safe against stale w0
-// reads by the same §3.2.2 argument localFree relies on: only this
-// thread relinquishes its own ownership, and its own stores are never
-// stale in its own cache.
-func (s *slabHeap) freeOwned(ts *threadState, tid, idx int, w0 uint64, run []Ptr) (classicRun, bool) {
+// runOf returns run, blocks of one bitset word of slab idx, which the
+// freeing thread owns by w0, as a classicRun for the classic local free,
+// which commits up to maxLocalGroup runs under one record
+// (Heap.localFree, DESIGN.md §7.3 "Grouped local frees"). It writes
+// nothing. Routing here is safe against stale w0 reads by the same
+// §3.2.2 argument localFree relies on: only this thread relinquishes
+// its own ownership, and its own stores are never stale in its own
+// cache.
+func (s *slabHeap) runOf(idx int, w0 uint64, run []Ptr) classicRun {
 	class := w0Class(w0)
 	if class == 0 {
 		s.h.fail("%s heap: local free %#x into unsized slab %d", s.name, run[0], idx)
@@ -621,10 +615,7 @@ func (s *slabHeap) freeOwned(ts *threadState, tid, idx int, w0 uint64, run []Ptr
 		}
 		mask |= bit
 	}
-	if s.h.magsEnabled() && s.magFree(ts, tid, idx, class, word, mask) {
-		return classicRun{}, false
-	}
-	return classicRun{s: s, idx: idx, class: class, word: word, n: len(run), mask: mask}, true
+	return classicRun{s: s, idx: idx, class: class, word: word, n: len(run), mask: mask}
 }
 
 // firstBlock names the lowest block of mask in bitset word word, for
@@ -637,10 +628,17 @@ func firstBlock(word int, mask uint64) int { return word*64 + bits.TrailingZeros
 // run's bitset word and free count land, and only then the full→reattach
 // and empty transitions run. An empty transition writes its own record,
 // so no run's effect may still be owed to this one when it does; its
-// fence makes every bitset store before it durable.
+// fence makes every bitset store before it durable. A run inside the
+// class magazine's window leaves the mask as it is: its blocks were
+// allocated, so they are in neither the mask nor the bitset, and they
+// land in the bitset.
 func (h *Heap) localFree(ts *threadState, tid int, runs []classicRun) {
 	for _, r := range runs {
-		if dup := ts.cache.Load(r.s.bitsetW(r.idx)+r.word) & r.mask; dup != 0 {
+		dup := ts.cache.Load(r.s.bitsetW(r.idx)+r.word) & r.mask
+		if m := r.s.magAt(ts, r.class); m != nil && int(m.slab) == r.idx+1 && int(m.word) == r.word {
+			dup |= m.mask & r.mask
+		}
+		if dup != 0 {
 			block := firstBlock(r.word, dup)
 			h.fail("%s heap: double free of %#x (slab %d block %d)",
 				r.s.name, r.s.ptrOf(r.idx, block, r.class), r.idx, block)

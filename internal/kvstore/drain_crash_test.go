@@ -12,8 +12,8 @@ import (
 )
 
 // A drain hands its whole batch to the allocator, which frees it one
-// slab group at a time. Values come in three size classes, so at least
-// three slabs, thread 0 deletes them all, and a drain crashes in its
+// slab group at a time. Values come in seven size classes, so at least
+// seven slabs, thread 0 deletes them all, and a drain crashes in its
 // second group, with the third not yet begun:
 //
 //   - remote: thread 1 wrote more values than the reclaimer's inbox
@@ -23,12 +23,11 @@ import (
 //     group's one countdown decrement.
 //   - pulled-inbox: thread 1 wrote the values, thread 0's expiry routes
 //     them home, and thread 1's drain of its pulled inbox frees them as
-//     runs of its own blocks; the crash lands after the second run's
-//     magazine commit.
-//   - local-run: thread 0 wrote the values itself, and the crash lands
-//     after the second group's commit: the second run's into its
-//     magazine, or, with magazines off, the opLocalFree record of the
-//     second group of up to three runs, at its first run's bitset store.
+//     runs of its own blocks, whose words its magazines' windows cover;
+//     the crash lands after the opLocalFree record of the second group
+//     of up to three runs, at its first run's bitset store.
+//   - local-run: thread 0 wrote the values itself, with magazines on or
+//     off, and the crash lands at the same point.
 //
 // After recovering the crashed thread, finishing the deletes and
 // draining again, every value must have been freed exactly once: no
@@ -38,15 +37,16 @@ func TestDrainCrashInSecondGroupFreesEachOnce(t *testing.T) {
 	for _, point := range []string{"small.remote-free.pre-cas", "small.remote-free.post-cas"} {
 		t.Run(point, func(t *testing.T) { drainCrashInSecondGroup(t, point, 1, 200, 1, 0, true) })
 	}
-	t.Run("pulled-inbox/small.magfree.post-put", func(t *testing.T) {
-		drainCrashInSecondGroup(t, "small.magfree.post-put", 1, 40, 1, 1, true)
+	// One record commits up to three runs, so the second group starts at
+	// the fourth run's visit.
+	t.Run("pulled-inbox/small.local-free.post-put", func(t *testing.T) {
+		drainCrashInSecondGroup(t, "small.local-free.post-put", 3, 40, 1, 1, true)
 	})
-	t.Run("local-run/small.magfree.post-put", func(t *testing.T) {
-		drainCrashInSecondGroup(t, "small.magfree.post-put", 1, 40, 0, 0, true)
+	t.Run("local-run/magazines/small.local-free.post-put", func(t *testing.T) {
+		drainCrashInSecondGroup(t, "small.local-free.post-put", 3, 40, 0, 0, true)
 	})
-	// One record commits up to three classic runs, so the second group
-	// starts at the fourth run's visit: 200 values fill enough slabs for
-	// a batch of more than six runs.
+	// With magazines off, 200 values fill enough slabs for a batch of
+	// more than six runs.
 	t.Run("local-run/small.local-free.post-put", func(t *testing.T) {
 		drainCrashInSecondGroup(t, "small.local-free.post-put", 3, 200, 0, 0, false)
 	})
@@ -91,7 +91,7 @@ func drainCrashInSecondGroup(t *testing.T, point string, after, keys, writer, vi
 	s, heap, procs := newPodStore(t, threads, 16, inj)
 	heap.SetMagazines(mags)
 
-	sizes := []int{1000, 700, 480} // with the key: the 1 KiB, 768 B and 512 B classes
+	sizes := []int{1000, 700, 480, 360, 240, 180, 120} // with the key: the 1 KiB, 768, 512, 384, 256, 192 and 128 B classes
 	for k := 0; k < keys; k++ {
 		if err := s.Put(writer, key(k), make([]byte, sizes[k%len(sizes)])); err != nil {
 			t.Fatal(err)

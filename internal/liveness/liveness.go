@@ -212,15 +212,17 @@ func (m *Manager) Config() Config { return m.cfg }
 // process is inside Heartbeat/Poll — a quiesce point, such as the
 // calibration barrier of the online chaos harness, which measures the
 // pod's real tick rate and then widens the lease to a wall-clock target.
-// Every thread's next heartbeat renews under the new configuration: a
-// renewal scheduled by the old interval may lie arbitrarily far ahead,
-// and until it came the slot would keep its old deadline.
+// Every thread's next heartbeat renews under the new configuration, and
+// the next heartbeat sweeps: a renewal or a sweep scheduled by the old
+// intervals may lie arbitrarily far ahead, and until it came a slot
+// would keep its old deadline, or an expired one would wait unclaimed.
 func (m *Manager) Retune(cfg Config) {
 	m.pollMu.Lock()
 	m.cfg = cfg.WithDefaults()
 	for i := range m.renewAt {
 		m.renewAt[i].at.Store(0)
 	}
+	m.pollAt.Store(0)
 	m.pollMu.Unlock()
 }
 

@@ -178,6 +178,30 @@ func TestWatchdogDetectsAndRepairs(t *testing.T) {
 	}
 }
 
+// A manager retuned from a long PollInterval to a short one sweeps on
+// its next heartbeat: a sweep the old interval scheduled lies ~2^40
+// ticks ahead, and waiting it out would leave an expired slot unclaimed.
+func TestRetuneRearmsPoll(t *testing.T) {
+	e := newTenv(t, Config{PollInterval: 1 << 40})
+	e.lease(0, 3)
+	e.beat(0) // the first sweep, which schedules the next 2^40 ticks out
+	e.h.MarkCrashed(3)
+	for i := uint64(0); i <= e.cfg.LeaseTicks(); i++ {
+		e.beat(0)
+	}
+	if got := e.count(3, KindClaim); got != 0 {
+		t.Fatalf("victim claimed %d times under PollInterval 2^40, want 0", got)
+	}
+	e.mgrs[0].Retune(Config{PollInterval: 4})
+	for tick := 1; tick <= 4; tick++ {
+		e.beat(0)
+		if e.count(3, KindClaim) == 1 {
+			return
+		}
+	}
+	t.Fatalf("expired slot 3 not claimed within 4 ticks of the retune; events: %v", e.kinds(3))
+}
+
 func TestWatchdogRetriesAfterRepairCrash(t *testing.T) {
 	e := newTenv(t, Config{})
 	e.lease(0, 2, 3)

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
+	"testing"
 	"time"
 
 	"cxlalloc/internal/alloc"
@@ -88,16 +89,19 @@ func runKVOnce(exp string, fac Factory, spec workload.KVSpec, sc Scale, threads 
 	return summarizeTrials(row, tputs), nil
 }
 
-// releaseMemory returns freed arenas to the OS between trials (outside
-// any timed region). It trades wall time for peak RSS: each next
-// NewDevice and NewArena then zeroes pages the OS must fault back in
-// (memclrNoHeapPointers under makeslice is 87 % of TestRunFig12's CPU).
-// Measured on 2 vCPUs with runtime.GC() alone: this package's tests take
-// 11 s instead of 35 s, and -exp fig12 -scale small -trials 1 -threads 2
-// 13 s instead of 25 s, but that run's peak RSS rises from 3.2 to 4.7 GB.
+// releaseMemory collects freed arenas between trials (outside any timed
+// region) and, outside tests, returns them to the OS. Returning them
+// trades wall time for peak RSS: each next NewDevice and NewArena then
+// zeroes pages the OS must fault back in (memclrNoHeapPointers under
+// makeslice is 87 % of TestRunFig12's CPU). Measured on 2 vCPUs with
+// runtime.GC() alone: -exp fig12 -scale small -trials 1 -threads 2 takes
+// 13 s instead of 25 s, but its peak RSS rises from 3.2 to 4.7 GB. The
+// tests' scales are smaller, so there runtime.GC() alone is enough.
 func releaseMemory() {
 	runtime.GC()
-	debug.FreeOSMemory()
+	if !testing.Testing() {
+		debug.FreeOSMemory()
+	}
 }
 
 type unsupportedError struct{ reason string }

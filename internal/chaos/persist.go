@@ -176,8 +176,8 @@ func PersistSweep(cfg PersistConfig) (*PersistReport, error) {
 	musts := append([]string{"small.alloc.post-take", "huge.alloc.post-link",
 		"small.magalloc.post-take", "small.magrefill.post-oplog",
 		"small.magrefill.pre-commit", "small.magfree.post-put",
-		"small.magfree.post-adopt", "small.magdrain.post-oplog",
-		"small.magdrain.pre-commit", "small.magdrain.post-clear"},
+		"small.magdrain.post-oplog", "small.magdrain.pre-commit",
+		"small.magdrain.post-clear"},
 		core.RecoveryCrashPoints...)
 	points, missing, err := discover(cfg.cell("", nil), musts)
 	if err != nil {

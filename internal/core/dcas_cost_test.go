@@ -518,8 +518,9 @@ func TestRemoteFreeFencesEarlierLazyClears(t *testing.T) {
 			qs, _ := allocInOneSlab(t, e, 2, 2)
 			var live []Ptr
 			if tc.mags {
-				// Refill, then let a remote free publish the refill's oplog
-				// clear, so only the pop's record is left unfenced.
+				// Open a window on a fresh slab, then let a remote free
+				// publish the slab init's oplog clear, so only the pop's
+				// record is left unfenced.
 				_, live = warmMagazine(t, e, b, 64)
 				e.h.Free(b, qs[0])
 			}

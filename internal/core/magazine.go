@@ -11,7 +11,10 @@ import "math/bits"
 // refill (privatize a word) and drain (return the mask). A refill takes
 // from whichever slab on the class's sized list offers the most blocks,
 // not from the head the classic path allocates from: a local free
-// reattaches a full slab at the head with only a few blocks free.
+// reattaches a full slab at the head with only a few blocks free. A
+// window opens only when allocating: a refill opens it, from a fresh
+// slab too when the sized list is empty (slabHeap.alloc), and a Free
+// outside it takes the classic local free.
 //
 // The magazine line is a durable ownership record, exactly like the
 // oplog: word 0 packs the source slab, bitset word, class, and the
@@ -144,9 +147,9 @@ func (s *slabHeap) magPop(ts *threadState, tid, class int) (Ptr, bool) {
 // by its own fence, after which the free is durable. No record is
 // needed (a completed pop's lazily cleared record shares the line, so
 // this flush and fence commit the clear and reclamation never
-// resurrects that pop). On a window miss it tries to re-target the
-// magazine at the block's word (magAdopt) before falling back to the
-// classic local free. Only Free comes here: a FreeBatch run joins a
+// resurrects that pop). On a window miss it reports false and the
+// caller takes the classic local free: a window opens only when
+// allocating (magRefill). Only Free comes here: a FreeBatch run joins a
 // grouped local-free record instead, which commits up to maxLocalGroup
 // runs in one line where each would pay a magazine line of its own
 // (DESIGN.md §7.3), and leaves the window's mask as it is.
@@ -162,7 +165,7 @@ func (s *slabHeap) magFree(ts *threadState, tid int, r classicRun) bool {
 	idx, class, word, mask := r.idx, r.class, r.word, r.mask
 	m := s.magAt(ts, class)
 	if m == nil || int(m.slab) != idx+1 || int(m.word) != word {
-		return s.magAdopt(ts, m, tid, idx, class, word, mask)
+		return false
 	}
 	if dup := m.mask & mask; dup != 0 {
 		s.h.fail("%s heap: double free into magazine (slab %d block %d)", s.name, idx, firstBlock(word, dup))
@@ -178,67 +181,6 @@ func (s *slabHeap) magFree(ts *threadState, tid int, r classicRun) bool {
 	ts.cache.Fence()
 	ts.fenceOwed = false
 	s.cp(tid, "magfree.post-put")
-	return true
-}
-
-// magAdopt re-targets the class magazine at the freed block's bitset
-// word, so a burst of frees into a word the magazine no longer covers
-// (threadtest's batch boundary: the mirror points at the most recently
-// refilled word) becomes one window switch plus single-line magFrees
-// instead of a classic protocol round per free.
-//
-// Policy: an empty magazine adopts any owned slab's word outright; a
-// live window on the SAME slab is drained first (the common ping-pong
-// between two words of one slab); a live window on another slab stays
-// put. Cross-slab churn would thrash the window for no locality gain.
-// The drain's record carries the in-flight free's block as
-// pending (ver = block+1), exactly like the alloc-nested drain: the
-// block is in neither the mask nor the bitset while the drain runs, so
-// a crash anywhere inside it makes redo report the block for adoption
-// and the harness's "a requested free is irrevocable" contract holds —
-// the application re-owns the pointer and frees it again.
-//
-// The adoption itself needs no record: meta and mask share one SWcc
-// line, stored and committed under one fence before the free returns,
-// so the acked free is durable and the adversary persists the new
-// window atomically or not at all — the only crash point sits after
-// the fence, where nothing of this op is still in play.
-func (s *slabHeap) magAdopt(ts *threadState, m *magSlot, tid, idx, class, word int, mask uint64) bool {
-	if m != nil && m.mask != 0 {
-		if int(m.slab) != idx+1 {
-			return false
-		}
-		s.magDrain(ts, tid, class, firstBlock(word, mask))
-	}
-	if s.getFreeCount(ts, idx) == 0 {
-		// Full (detached) slab: the classic path's rescue reattaches it.
-		// Adopting here would break mask != 0 => free count >= 1, the
-		// invariant that keeps magazine-backed slabs unstealable.
-		return false
-	}
-	if dup := ts.cache.Load(s.bitsetW(idx)+word) & mask; dup != 0 {
-		s.h.fail("%s heap: double free of slab %d block %d (free in bitset, adopted into magazine)",
-			s.name, idx, firstBlock(word, dup))
-	}
-	mw := s.magW(tid, class)
-	if v := ts.cache.Load(mw + 1); v != 0 {
-		// Mirror empty but the durable line holds blocks: a prior
-		// incarnation's magazine was never reclaimed (reattach without
-		// recovery). Overwriting it would leak every masked block.
-		s.h.fail("%s heap: adopt over a live magazine line for thread %d class %d (mask %#x)",
-			s.name, tid, class, v)
-	}
-	ts.cache.Store(mw, packMagMeta(idx, word, class))
-	ts.cache.Store(mw+1, mask)
-	ts.cache.FlushOpt(mw)
-	ts.cache.Fence()
-	s.cp(tid, "magfree.post-adopt")
-	mags := ts.mags[s.magIdx]
-	if mags == nil {
-		mags = make([]magSlot, len(s.classes))
-		ts.mags[s.magIdx] = mags
-	}
-	mags[class] = magSlot{slab: int32(idx + 1), word: int16(word), mask: mask}
 	return true
 }
 
@@ -369,9 +311,8 @@ func (s *slabHeap) refillSource(ts *threadState, tid, class int) (idx, word int,
 // is the block the caller holds mid-operation — the classic take when
 // the drain runs nested inside alloc's full transition (the magazine
 // was toggled off and classic allocs emptied the slab around a live
-// mask), or the block being freed when magAdopt retires a stale window
-// — or -1 for a standalone drain. Its record carries pending+1 in ver
-// so the in-flight pointer stays recoverable, exactly like opDetach.
+// mask) — or -1 for a standalone drain. Its record carries pending+1 in
+// ver so the in-flight pointer stays recoverable, exactly like opDetach.
 func (s *slabHeap) magDrain(ts *threadState, tid, class, pending int) {
 	m := s.magAt(ts, class)
 	idx := int(m.slab) - 1
@@ -380,7 +321,7 @@ func (s *slabHeap) magDrain(ts *threadState, tid, class, pending int) {
 	if pending >= 0 {
 		ver = uint16(pending + 1)
 	}
-	s.h.writeOplog(tid, ts, s.opc(opMagDrain), uint32(idx), uint16(class)<<8|uint16(word), ver)
+	s.h.writeOplog(tid, ts, s.opc(opMagDrain), uint32(idx), uint16(class), ver)
 	s.cp(tid, "magdrain.post-oplog")
 	wi := s.bitsetW(idx) + word
 	ts.cache.Store(wi, ts.cache.Load(wi)|m.mask)

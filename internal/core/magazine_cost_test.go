@@ -83,8 +83,8 @@ func TestMagPopCostsOneLine(t *testing.T) {
 }
 
 // A Free into the magazine's window is one line too: the mask-set,
-// flushed and fenced; so is a Free the empty magazine adopts. Each also
-// writes back a pop's lazily cleared record, which shares the line.
+// flushed and fenced. It also writes back a pop's lazily cleared
+// record, which shares the line.
 func TestMagFreeCostsOneLine(t *testing.T) {
 	for _, r := range localRuns {
 		if r.freePoint == "" {
@@ -116,6 +116,41 @@ func TestMagFreeCostsOneLine(t *testing.T) {
 	}
 }
 
+// One live block of one class, in alloc/free pairs on a fresh heap —
+// BenchmarkSmallMallocFree's shape. The first alloc opens the magazine's
+// window on a fresh slab, and every later pair pops from it and frees
+// back into it: one refill in all, no slab init or empty transition
+// after the first pair, and at most one flushed line per op. Were the
+// window opened only by a Free, the first block would come from the
+// classic take, its Free would empty the slab, and the next alloc would
+// init it again, every pair.
+func TestOneLiveBlockKeepsItsWindow(t *testing.T) {
+	const pairs = 256
+	e, inj := costEnv(t)
+	inj.EnableCoverage()
+	pair := func() { e.h.Free(0, e.alloc(0, 64)) }
+	pair()
+	p0 := inj.Points()
+	c := lineCost(e, 0, func() {
+		for range pairs - 1 {
+			pair()
+		}
+	})
+	p1 := inj.Points()
+	if n := p1["small.magrefill.post-oplog"]; n != 1 {
+		t.Fatalf("%d refills over %d pairs, want 1", n, pairs)
+	}
+	for _, point := range inj.PointNames() {
+		if v := p1[point] - p0[point]; v != 0 && (strings.HasPrefix(point, "small.init.") || strings.HasPrefix(point, "small.empty.")) {
+			t.Fatalf("pairs 2..%d visited %s %d times, want 0", pairs, point, v)
+		}
+	}
+	if ops := uint64(2 * (pairs - 1)); c.Flushes > ops {
+		t.Fatalf("pairs 2..%d: %d flushes over %d ops, want at most 1 per op", pairs, c.Flushes, ops)
+	}
+	auditDrained(t, e)
+}
+
 // localRun sets up a run of a thread's own blocks on thread 0 of e: it
 // returns k owned 64 B blocks of one bitset word, and the blocks still
 // to free afterwards. A FreeBatch commits every such run with an
@@ -123,7 +158,7 @@ func TestMagFreeCostsOneLine(t *testing.T) {
 // blocks commits it with the magazine line at freePoint.
 type localRun struct {
 	name      string
-	freePoint string // "" when a Free drains the magazine first
+	freePoint string // "" when a Free misses the magazine's window
 	setup     func(t *testing.T, e *env, k int) (run, keep []Ptr)
 }
 
@@ -140,16 +175,15 @@ var localRuns = []localRun{
 		}
 		return run, keep
 	}},
-	// The magazine is empty: a Free's block has it adopt the run's word.
-	// A drained window leaves the magazine line resident.
-	{"adopt", "small.magfree.post-adopt", func(t *testing.T, e *env, k int) ([]Ptr, []Ptr) {
+	// The magazine's window is closed by a drain, and the run is in word
+	// 0: a Free misses the window and takes the classic local free.
+	{"closed", "", func(t *testing.T, e *env, k int) ([]Ptr, []Ptr) {
 		_, keep := warmMagazine(t, e, 0, 64)
 		e.h.DrainMagazines(0)
-		run := classicBlocks(e, k)
-		return run, keep
+		return classicBlocks(e, k), keep
 	}},
 	// A live window on word 0 of the run's slab, and the run in word 1:
-	// a Free drains the window before it adopts its block's word.
+	// a Free misses the window and takes the classic local free.
 	{"classic", "", func(t *testing.T, e *env, k int) ([]Ptr, []Ptr) {
 		m, keep := warmMagazine(t, e, 0, 64)
 		run := classicBlocks(e, k)
@@ -295,7 +329,7 @@ func TestFreeBatchGroupsMagazineRuns(t *testing.T) {
 			}
 			p1 := inj.Points()
 			for point, n := range map[string]uint64{"small.local-free.post-oplog": want, "small.local-free.post-put": uint64(k),
-				"small.magfree.post-put": 0, "small.magfree.post-adopt": 0} {
+				"small.magfree.post-put": 0} {
 				if got := p1[point] - p0[point]; got != n {
 					t.Fatalf("%d runs visited %s %d times, want %d", k, point, got, n)
 				}

@@ -417,7 +417,9 @@ func TestMagPopPendingSurvivesRecoveryCrash(t *testing.T) {
 				// The application adopts the block; the committed recovery
 				// retired its record, so the next crash must not report it.
 				live = append(live, want)
+				e.h.SetMagazines(false)
 				rep = crashTID0(t, e, inj, "small.alloc.post-take", func() { e.alloc(0, 64) })
+				e.h.SetMagazines(true)
 				if rep.PendingAlloc == want {
 					t.Fatalf("adopted block %#x reported pending again", want)
 				}

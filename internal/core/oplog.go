@@ -89,7 +89,7 @@ const (
 	// privatized, of the pop in flight and of a refill's first phase; this
 	// record covers the drain's window, where the magazine and the slab
 	// bitset disagree and a block may be in flight.
-	opMagDrain // a = slab index, b = class<<8 | word, ver = pending block+1
+	opMagDrain // a = slab index, b = class, ver = pending block+1
 
 	// opLargeBit distinguishes large-heap slab operations from small.
 	opLargeBit = 1 << 5

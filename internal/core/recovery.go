@@ -149,8 +149,7 @@ func (h *Heap) recoverThread(tid int, space *vas.Space, tok ClaimToken) (Recover
 
 	// Reclaim the dead incarnation's magazines before the list rebuild,
 	// so the returned blocks are in the bitsets the rebuild scans
-	// (magazine.go). Must follow redo: the opMagDrain handler reads the
-	// pre-reclaim line to classify its pending block.
+	// (magazine.go).
 	h.small.reclaimMagazines(ts, tid, &report)
 	h.large.reclaimMagazines(ts, tid, &report)
 	// The volatile mirrors died with the thread; anything they claimed is
@@ -305,7 +304,7 @@ func (h *Heap) redo(ts *threadState, tid, op int, a uint32, b uint16, ver uint16
 		s.initDesc(ts, tid, idx, class)
 		h.dcas.Store(tid, s.hwBase+idx, uint32(s.blocksPer(class)))
 
-	case opDetach, opDisown:
+	case opDetach, opDisown, opMagDrain:
 		// List membership and ownership are repaired by the scan: it
 		// classifies a full slab as detached (unlinked) whether or not
 		// the transition finished, and a crash before the disown's
@@ -321,7 +320,10 @@ func (h *Heap) redo(ts *threadState, tid, op int, a uint32, b uint16, ver uint16
 		// zero countdown, which needs every block remotely freed,
 		// including this one that no application thread holds.) If the
 		// bit instead reverted to free, the take never became durable
-		// and the rebuild scan rolls the allocation back.
+		// and the rebuild scan rolls the allocation back. A drain's union
+		// is repaired by reclamation; one nested in fullTransition
+		// carries the classic take the same way, and that block came
+		// from the bitset, so it is never in the drained mask.
 		if ver != 0 {
 			idx, block, class := int(a), int(ver-1), int(b)
 			if !s.blockBit(ts, idx, block) {
@@ -361,33 +363,6 @@ func (h *Heap) redo(ts *threadState, tid, op int, a uint32, b uint16, ver uint16
 
 	case opSteal:
 		h.redoSteal(ts, tid, s, int(a))
-
-	case opMagDrain:
-		// The union itself is repaired by reclamation (bits still in the
-		// durable mask re-union; a committed drain's cleared mask is a
-		// no-op). Like opDetach, a nested drain's record carries the
-		// in-flight block as ver = block+1 — the classic alloc's take when
-		// the drain ran inside a full transition, or the block being freed
-		// when it ran inside magFree's window re-target. Either way the
-		// crash left the block's pointer with the application: report it
-		// for adoption unless it is durably free — in the bitset, or
-		// re-unionable because the durable magazine window still covers
-		// its word and holds its bit. The word check matters: testing the
-		// bit position alone against a mask covering a different word
-		// would spuriously suppress the report on positional collisions.
-		if ver != 0 {
-			idx, block := int(a), int(ver-1)
-			class := int(b >> 8)
-			mw := s.magW(tid, class)
-			meta := ts.cache.LoadFresh(mw)
-			mask := ts.cache.LoadFresh(mw + 1)
-			covered := int(magMetaSlab(meta))-1 == idx &&
-				magMetaWord(meta) == block/64 &&
-				mask&(1<<(uint(block)%64)) != 0
-			if !s.blockBit(ts, idx, block) && !covered {
-				s.pend(report, idx, block, class)
-			}
-		}
 
 	case opReserve:
 		// Region ownership is rebuilt from the reservation array scan.

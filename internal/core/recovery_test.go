@@ -593,21 +593,36 @@ func crashRecoverTwice(t *testing.T, e *env, inj *crash.Injector, point string, 
 // crashRecoverTwiceAt is crashRecoverTwice at point's visit after+1.
 func crashRecoverTwiceAt(t *testing.T, e *env, inj *crash.Injector, point string, after int, op func()) {
 	t.Helper()
+	if p := crashRecoverTwicePending(t, e, inj, point, after, op); p != 0 {
+		t.Fatalf("recovery reported %#x pending; no allocation was in flight", p)
+	}
+}
+
+// crashRecoverTwicePending crashes thread 0 at point's visit after+1
+// inside op and recovers it twice. It returns the allocation the first
+// recovery reports pending; the second, after a committed recovery,
+// must report none.
+func crashRecoverTwicePending(t *testing.T, e *env, inj *crash.Injector, point string, after int, op func()) Ptr {
+	t.Helper()
 	inj.Arm(point, 0, after)
 	if c := crash.Run(op); c == nil || c.Point != point {
 		t.Fatalf("no crash at %q: %+v", point, c)
 	}
 	inj.Disarm()
+	var pending Ptr
 	for pass := 1; pass <= 2; pass++ {
 		e.h.MarkCrashed(0)
 		rep, err := e.h.RecoverThread(0, e.spaces[0])
 		if err != nil {
 			t.Fatalf("recovery %d: %v", pass, err)
 		}
-		if rep.PendingAlloc != 0 {
-			t.Fatalf("recovery %d reported %#x pending; no allocation was in flight", pass, rep.PendingAlloc)
+		if pass == 1 {
+			pending = rep.PendingAlloc
+		} else if rep.PendingAlloc != 0 {
+			t.Fatalf("recovery %d reported %#x pending after a committed recovery", pass, rep.PendingAlloc)
 		}
 	}
+	return pending
 }
 
 // localRunCrash crashes thread 0 at point inside run r's FreeBatch on an
@@ -833,11 +848,65 @@ func TestRefillPopCrashRecovery(t *testing.T) {
 					e, inj := firstCrashEnv(t, pol)
 					// A fresh slab's first block is the classic path's;
 					// the next alloc refills from the rest of its word.
+					e.h.SetMagazines(false)
 					held := []Ptr{e.alloc(0, smallMax)}
+					e.h.SetMagazines(true)
 					refillPopCrash(t, e, inj, point, interrupt, held)
 				})
 			})
 		}
+	}
+}
+
+// An alloc on a fresh heap opens the magazine's window on a fresh slab:
+// extend, init, then a refill that carries the alloc's pop (slabHeap.alloc).
+// That alloc and the pop after it are crashed at every visit of every
+// point they reach, under every persist subset of the crash's in-play
+// lines, and recovered twice: each block is then held or free exactly
+// once. The init's oplog record is cleared before the refill's first
+// fence; a record left durable would have recovery re-init the slab
+// under the block the first alloc handed out.
+func TestWindowOpenerCrashRecovery(t *testing.T) {
+	op := func(e *env, got *[]Ptr) func() {
+		return func() {
+			for range 2 {
+				*got = append(*got, e.alloc(0, 64))
+			}
+		}
+	}
+	e, inj := costEnv(t)
+	inj.EnableCoverage()
+	op(e, new([]Ptr))()
+	pts := inj.Points()
+	for _, want := range []string{"small.init.post-oplog", "small.magrefill.post-oplog",
+		"small.magrefill.pre-commit", "small.magalloc.post-take"} {
+		if pts[want] == 0 {
+			t.Fatalf("the opener never visited %s", want)
+		}
+	}
+	var visits []groupVisit
+	for _, p := range inj.PointNames() {
+		for i := range int(pts[p]) {
+			visits = append(visits, groupVisit{p, i})
+		}
+	}
+	for _, v := range visits {
+		t.Run(fmt.Sprintf("%s#%d", v.point, v.after), func(t *testing.T) {
+			everyPersistSubset(t, v.point, func(pol func(n int) memsim.CrashPolicy) {
+				e, inj := firstCrashEnv(t, pol)
+				var held []Ptr
+				if p := crashRecoverTwicePending(t, e, inj, v.point, v.after, op(e, &held)); p != 0 {
+					if slices.Contains(held, p) {
+						t.Fatalf("recovery reported %#x pending, which the alloc returned", p)
+					}
+					held = append(held, p)
+				}
+				for _, p := range held {
+					e.h.Free(0, p)
+				}
+				auditDrained(t, e)
+			})
+		})
 	}
 }
 

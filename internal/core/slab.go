@@ -304,10 +304,22 @@ func (s *slabHeap) alloc(ts *threadState, tid, class int) (Ptr, error) {
 		if p, ok := s.magRefill(ts, tid, class); ok {
 			return p, nil
 		}
-		// No refillable slab (sized list empty, or down to its last free
-		// block): the classic path below initializes or drains one — and
-		// keeps the classic crash points reachable under magazines, since
-		// every fresh slab's first block is allocated here.
+		if ts.cache.Load(s.localW(tid, class)) == 0 {
+			// A fresh slab opens the window. A refill writes no oplog
+			// record, so nothing else overwrites initSlab's: clear it
+			// before the refill's first fence, which makes the clear
+			// durable, or a later crash re-inits a slab whose blocks are
+			// handed out.
+			if err := s.refill(ts, tid, class); err != nil {
+				return 0, err
+			}
+			s.h.clearOplog(tid, ts)
+			if p, ok := s.magRefill(ts, tid, class); ok {
+				return p, nil
+			}
+		}
+		// No refillable slab (each left with its last free block, or a
+		// class of one block per slab): the classic path takes one.
 	}
 	sizedW := s.localW(tid, class)
 	total := s.blocksPer(class)

@@ -80,12 +80,14 @@ type LivenessConfig = liveness.Config
 // NoExpiryLiveness is the heartbeat configuration of a pod whose leases
 // never run out: the first renewal of a slot sets a deadline 2^40 ticks
 // away, the next is due 2^38 ticks later, so nothing is ever taken over
-// and no renewal is ever paid for. It is what a pod runs under when
+// and no renewal is ever paid for. The watchdog sweeps the lease table
+// on the first Run and then every 2^38 ticks: a sweep in between could
+// find no expired lease to claim. It is what a pod runs under when
 // intra-pod repair is not its subject (a fabric pod: the unit of failure
 // is the pod), and what a calibrating harness starts under before it
-// retunes to a measured lease (RetuneLiveness). The deadline must stay
-// inside the lease word's 48 timestamp bits.
-var NoExpiryLiveness = LivenessConfig{RenewInterval: 1 << 38, GraceMult: 4, PollInterval: 4}
+// retunes to a measured lease (RetuneLiveness), which re-arms the sweep.
+// The deadline must stay inside the lease word's 48 timestamp bits.
+var NoExpiryLiveness = LivenessConfig{RenewInterval: 1 << 38, GraceMult: 4, PollInterval: 1 << 38}
 
 // LivenessEvent is one observable watchdog action (claim, repair, ...).
 type LivenessEvent = liveness.Event

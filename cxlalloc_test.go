@@ -473,3 +473,31 @@ func TestPodNoHandleFromDeadProcess(t *testing.T) {
 		t.Fatalf("after adoption: handle %v, err %v; want one under the survivor", h, err)
 	}
 }
+
+// A pod under NoExpiryLiveness has no lease that can run out, so its
+// watchdog sweeps the lease table once, on the first Run, and not again
+// for 2^38 ticks: over 10 000 Runs of one thread it reads the other
+// slots' lease words (an NMP load each in ModeMCAS) once. Polling every
+// 4 ticks, as the pod did, read them 2 500 times.
+func TestNoExpiryPodSweepsAtMostOnce(t *testing.T) {
+	cfg := smallPodConfig()
+	cfg.Mode = atomicx.ModeMCAS
+	pod, err := NewPodWith(PodConfig{Config: cfg, AutoRecover: true, Liveness: NoExpiryLiveness})
+	if err != nil {
+		t.Fatal(err)
+	}
+	th, err := pod.NewProcess().AttachThreadID(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := pod.Snapshot().NMP.Loads
+	for range 10000 {
+		if c := th.Run(func() {}); c != nil {
+			t.Fatalf("Run crashed: %+v", c)
+		}
+	}
+	sweep := uint64(cfg.NumThreads - 1)
+	if loads := pod.Snapshot().NMP.Loads - before; loads >= 2*sweep {
+		t.Fatalf("10000 Runs made %d NMP loads, at least two sweeps of %d lease words", loads, sweep)
+	}
+}

@@ -87,8 +87,48 @@ type Properties struct {
 // decrement per remote slab). FreeBatch consumes *ps from its tail and
 // takes each pointer, or each group it frees as one, out of *ps before
 // that free begins, so a crash leaves in *ps exactly what is still owed.
+// It returns with *ps empty; only a Carrier's FreeOwing may leave
+// pointers owed.
 type BatchFreer interface {
 	FreeBatch(tid int, ps *[]Ptr)
+}
+
+// Carrier is implemented by allocators whose allocation can carry some
+// of the allocating thread's own frees, committing them under the
+// durable write the allocation pays anyway (cxlalloc: a magazine pop's
+// line commits up to three runs of blocks). Both methods keep
+// FreeBatch's crash contract: each pointer, or each group freed as one,
+// leaves *ps before its free begins.
+type Carrier interface {
+	// AllocFreeing is Alloc that may also free pointers off the tail of
+	// *ps, which must be sorted.
+	AllocFreeing(tid int, size int, ps *[]Ptr) (Ptr, error)
+	// FreeOwing frees what FreeBatch frees, but may leave up to keep of
+	// tid's own pointers in *ps, sorted, owed to its next AllocFreeing
+	// calls.
+	FreeOwing(tid int, ps *[]Ptr, keep int)
+}
+
+// AllocFreeing allocates size bytes for tid and frees what it can of
+// *ps: through a's AllocFreeing when a is a Carrier, and otherwise by
+// freeing all of *ps (FreeAll), then allocating.
+func AllocFreeing(a Allocator, tid, size int, ps *[]Ptr) (Ptr, error) {
+	if c, ok := a.(Carrier); ok {
+		return c.AllocFreeing(tid, size, ps)
+	}
+	FreeAll(a, tid, ps)
+	return a.Alloc(tid, size)
+}
+
+// FreeOwing frees *ps on behalf of tid, leaving up to keep pointers
+// owed to tid's next AllocFreeing when a is a Carrier, and freeing all
+// of it (FreeAll) otherwise.
+func FreeOwing(a Allocator, tid int, ps *[]Ptr, keep int) {
+	if c, ok := a.(Carrier); ok {
+		c.FreeOwing(tid, ps, keep)
+		return
+	}
+	FreeAll(a, tid, ps)
 }
 
 // FreeAll frees every pointer in *ps on behalf of tid, through

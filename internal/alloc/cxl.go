@@ -27,6 +27,12 @@ func (c *CXL) Free(tid int, p Ptr) { c.heap.Free(tid, p) }
 
 func (c *CXL) FreeBatch(tid int, ps *[]Ptr) { c.heap.FreeBatch(tid, ps) }
 
+func (c *CXL) AllocFreeing(tid int, size int, ps *[]Ptr) (Ptr, error) {
+	return c.heap.AllocFreeing(tid, size, ps)
+}
+
+func (c *CXL) FreeOwing(tid int, ps *[]Ptr, keep int) { c.heap.FreeOwing(tid, ps, keep) }
+
 func (c *CXL) Bytes(tid int, p Ptr, n int) []byte {
 	return c.heap.Bytes(tid, p, n)
 }

@@ -157,6 +157,11 @@ type threadState struct {
 	hugeFree interval.Set // free virtual address ranges owned by this thread
 	descFree []int        // free huge-descriptor slots
 
+	// carried holds the runs the allocation in progress carries
+	// (slabHeap.carry); it lives here so a pop that carries nothing
+	// clears no array.
+	carried [maxLocalGroup]classicRun
+
 	// mags are the volatile magazine mirrors, one slice per slab heap
 	// (indexed by slabHeap.magIdx), allocated lazily on first refill.
 	// Deliberately NOT rebuilt by recovery: reclamation returns a dead
@@ -399,6 +404,25 @@ func (ts *threadState) nextVer() uint16 {
 // pointer. Allocation is lock-free: a crashed thread never blocks a live
 // one (§3.4.1).
 func (h *Heap) Alloc(tid int, size int) (Ptr, error) {
+	return h.alloc(tid, size, nil)
+}
+
+// AllocFreeing is Alloc that may also free up to maxLocalGroup runs of
+// tid's own blocks off the tail of *ps, which must be sorted: a
+// magazine pop, or a refill's line that carries its pop, commits them
+// in its own line under the flush and fence it pays anyway, where a
+// FreeBatch would pay an opLocalFree record's line (DESIGN.md §7.2). A
+// run is the blocks of one bitset word of a slab tid owns; the carry
+// stops at the first pointer that is not in one, and a classic or huge
+// allocation carries nothing. Each carried run is taken out of *ps
+// before its free begins, as FreeBatch takes its groups, so a crash
+// leaves in *ps exactly the pointers still owed, and the redo protocol
+// completes the frees that had begun.
+func (h *Heap) AllocFreeing(tid, size int, ps *[]Ptr) (Ptr, error) {
+	return h.alloc(tid, size, ps)
+}
+
+func (h *Heap) alloc(tid, size int, ps *[]Ptr) (Ptr, error) {
 	if size <= 0 {
 		return 0, fmt.Errorf("core: Alloc size %d must be positive", size)
 	}
@@ -410,11 +434,11 @@ func (h *Heap) Alloc(tid int, size int) (Ptr, error) {
 	switch {
 	case size <= smallMax:
 		c := smallClassOf(size)
-		p, err = h.small.alloc(ts, tid, c)
+		p, err = h.small.alloc(ts, tid, c, ps)
 		oc, class = ocSmallAlloc, uint32(c)
 	case size <= largeMax:
 		c := largeClassOf(size)
-		p, err = h.large.alloc(ts, tid, c)
+		p, err = h.large.alloc(ts, tid, c, ps)
 		oc, class = ocLargeAlloc, uint32(c)|evClassLarge
 	default:
 		p, err = h.hugeAlloc(ts, tid, uint64(size))
@@ -482,7 +506,27 @@ const maxRemoteGroup = remoteZero - 1
 // before its record. So a crash leaves in *ps exactly the pointers
 // whose free has not begun, and the redo protocol completes the one
 // that had. Nothing outlives the call.
-func (h *Heap) FreeBatch(tid int, ps *[]Ptr) {
+func (h *Heap) FreeBatch(tid int, ps *[]Ptr) { h.freeBatch(tid, ps, false) }
+
+// FreeOwing frees what FreeBatch frees, except tid's own blocks: while
+// there are at most keep of them, they stay in *ps, sorted, owed to
+// tid's next allocations to carry (AllocFreeing). More than keep, or
+// with magazines off, where no allocation carries, it frees them as
+// FreeBatch does. Its crash contract is FreeBatch's.
+func (h *Heap) FreeOwing(tid int, ps *[]Ptr, keep int) {
+	if keep > 0 && h.magsEnabled() {
+		h.freeBatch(tid, ps, true)
+		if len(*ps) <= keep {
+			slices.Sort(*ps)
+			return
+		}
+	}
+	h.freeBatch(tid, ps, false)
+}
+
+// freeBatch is FreeBatch, which with owe holds tid's own runs at *ps's
+// tail instead of freeing them, and leaves them there.
+func (h *Heap) freeBatch(tid int, ps *[]Ptr, owe bool) {
 	ts := h.ts(tid)
 	slices.Sort(*ps)
 	var group [maxLocalGroup]classicRun
@@ -516,6 +560,10 @@ func (h *Heap) FreeBatch(tid int, ps *[]Ptr) {
 			// runs, to wait for the group's record.
 			n := s.ownedRun(v[:top], idx, w0)
 			holdBelow(v, n, held)
+			if owe {
+				held += n
+				continue
+			}
 			group[ng], ng, held = s.runOf(idx, w0, v[len(v)-n:]), ng+1, held+n
 			if ng == maxLocalGroup {
 				h.freeGroup(ts, tid, ps, group[:ng])
@@ -577,16 +625,33 @@ func (h *Heap) freeGroup(ts *threadState, tid int, ps *[]Ptr, runs []classicRun)
 	*ps = v[:start]
 	h.localFree(ts, tid, runs)
 	for _, r := range runs {
-		oc, class := ocSmallFree, uint32(r.class)
-		if r.s == h.large {
-			oc, class = ocLargeFree, class|evClassLarge
-		}
-		for _, q := range v[start : start+r.n] {
-			h.countFree(tid, oc, q, class)
-		}
+		h.countRun(tid, r, v[start:start+r.n])
 		start += r.n
 	}
 	h.maybeCheck(tid)
+}
+
+// countRun ticks the free of run r's pointers, ptrs, in tid's op ledger.
+func (h *Heap) countRun(tid int, r classicRun, ptrs []Ptr) {
+	oc, class := ocSmallFree, uint32(r.class)
+	if r.s == h.large {
+		oc, class = ocLargeFree, class|evClassLarge
+	}
+	for _, q := range ptrs {
+		h.countFree(tid, oc, q, class)
+	}
+}
+
+// slabHeapOf returns the slab heap holding p, or nil for a huge pointer
+// or one outside the heap.
+func (h *Heap) slabHeapOf(p Ptr) *slabHeap {
+	switch {
+	case p >= h.lay.SmallDataOff && p < h.lay.LargeDataOff:
+		return h.small
+	case p >= h.lay.LargeDataOff && p < h.lay.HugeDataOff:
+		return h.large
+	}
+	return nil
 }
 
 // countFree ticks one free in tid's op ledger and, sampled, the trace.

@@ -123,10 +123,10 @@ func (s *slabHeap) checkLocal(ts *threadState, tid int) error {
 	// bitset, and the thread's cached magazine line in sync with the
 	// mirror. No pop is in flight at quiescence, so no cached meta word —
 	// not even one whose last pop emptied its mask — may still hold a
-	// handoff record: every pop stores the cleared meta before it
-	// returns. The device copy is not checked; it keeps the last pop's
-	// record until the line's next flush, the same lazy clear as
-	// clearOplog's.
+	// handoff record, nor any line a carried run: every pop stores the
+	// cleared meta and run words before it returns. The device copy is
+	// not checked; it keeps the last pop's record and runs until the
+	// line's next flush, the same lazy clear as clearOplog's.
 	if mags := ts.mags[s.magIdx]; mags != nil {
 		for c := 1; c < len(s.classes); c++ {
 			m := &mags[c]
@@ -137,6 +137,12 @@ func (s *slabHeap) checkLocal(ts *threadState, tid int) error {
 			if meta := ts.cache.Load(mw); magMetaRecord(meta) != 0 {
 				return fmt.Errorf("%s: magazine line of thread %d class %d holds a handoff record at quiescence (meta %#x)",
 					s.name, tid, c, meta)
+			}
+			for w := mw + 2; w < mw+lineWords; w++ {
+				if v := ts.cache.Load(w); v != 0 {
+					return fmt.Errorf("%s: magazine line of thread %d class %d carries a run at quiescence (word %d: %#x)",
+						s.name, tid, c, w-mw, v)
+				}
 			}
 			if m.mask == 0 {
 				continue

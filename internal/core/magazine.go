@@ -19,10 +19,13 @@ import "math/bits"
 // The magazine line is a durable ownership record, exactly like the
 // oplog: word 0 packs the source slab, bitset word, class, and the
 // in-flight pop's handoff record; word 1 is the mask of privatized free
-// blocks. Crash-time reclamation unions a dead thread's masks back into
-// the slab bitsets during recovery (reclaimMagazines), and the
-// drain-time ledger audit counts magazine blocks as free
-// (magUnionMasks), so a privatized block is never lost.
+// blocks; words 2..7 hold up to three runs of the thread's own blocks
+// that the pop frees with it (carry), as an opLocalFree record holds
+// them, and are zero between pops. Crash-time reclamation redoes the
+// runs and unions a dead thread's masks back into the slab bitsets
+// during recovery (reclaimMagazines), and the drain-time ledger audit
+// counts magazine blocks as free (magUnionMasks), so a privatized block
+// is never lost.
 //
 // Safety invariants, each load-bearing for recovery:
 //
@@ -115,11 +118,16 @@ func (s *slabHeap) magAt(ts *threadState, class int) *magSlot {
 // next fence drains it, so a later crash never reports this block
 // again. A remote free that writes no oplog line owes that fence before
 // its first crash point (fenceOwed, fenceLazyClears).
-func (s *slabHeap) magPop(ts *threadState, tid, class int) (Ptr, bool) {
+//
+// The line carries up to maxLocalGroup of ps's runs of tid's own
+// blocks, freed under the same flush and fence (carry); ps is nil for
+// an allocation that carries nothing.
+func (s *slabHeap) magPop(ts *threadState, tid, class int, ps *[]Ptr) (Ptr, bool) {
 	m := s.magAt(ts, class)
 	if m == nil || m.mask == 0 {
 		return 0, false
 	}
+	nr := s.h.carry(ts, tid, ps)
 	b := bits.TrailingZeros64(m.mask)
 	idx := int(m.slab) - 1
 	block := int(m.word)*64 + b
@@ -131,15 +139,110 @@ func (s *slabHeap) magPop(ts *threadState, tid, class int) (Ptr, bool) {
 		ts.cache.Store(mw, meta|magRecord(b))
 	}
 	ts.cache.Store(mw+1, m.mask)
+	if nr > 0 {
+		storeRuns(ts, mw+2, ts.carried[:nr])
+	}
 	ts.cache.FlushOpt(mw)
 	ts.cache.Fence()
 	if late {
 		ts.cache.Store(mw, meta|magRecord(b))
 	}
 	s.cp(tid, "magalloc.post-take")
+	if nr > 0 {
+		s.h.settleCarried(ts, tid, mw, ts.carried[:nr], ps)
+	}
 	ts.cache.Store(mw, meta)
 	ts.fenceOwed = true
 	return s.ptrOf(idx, block, class), true
+}
+
+// carry takes up to maxLocalGroup runs of tid's own blocks off the tail
+// of *ps, which is sorted, for the magazine line an allocation is about
+// to write (Heap.AllocFreeing): each run is the blocks of one bitset
+// word of a slab tid owns, in either heap. It stops at the first pointer
+// that is huge or in a slab tid does not own, which a FreeBatch frees
+// later, and at the first that breaks the order: a list a crash left
+// half-rotated is carried only as far as it is still sorted, so no two
+// runs share a word. Each run is checked as localFree checks it, then
+// every run is cut out of *ps before the line is stored, as freeGroup
+// cuts a group before its record; the cut pointers stay just past *ps's
+// new length, the last run first. It returns how many runs it put in
+// ts.carried.
+func (h *Heap) carry(ts *threadState, tid int, ps *[]Ptr) int {
+	if ps == nil || len(*ps) == 0 {
+		return 0
+	}
+	return h.carryRuns(ts, tid, ps)
+}
+
+// carryRuns is carry's body, apart so that carry inlines into every pop
+// and one that carries nothing pays no call.
+func (h *Heap) carryRuns(ts *threadState, tid int, ps *[]Ptr) int {
+	runs := &ts.carried
+	v := *ps
+	n, top := 0, len(v)
+	for n < maxLocalGroup && top > 0 {
+		p := v[top-1]
+		s := h.slabHeapOf(p)
+		if s == nil || top < len(v) && p >= v[top] {
+			break
+		}
+		idx := s.slabOf(p)
+		w0 := s.routeW0(ts, idx)
+		class := w0Class(w0)
+		if w0Owner(w0) != uint16(tid+1) || class == 0 {
+			break
+		}
+		base := s.ptrOf(idx, s.blockOf(p, idx, class)&^63, class)
+		k := 1
+		for k < top && v[top-1-k] >= base && v[top-1-k] <= v[top-k] {
+			k++
+		}
+		runs[n] = s.runOf(idx, w0, v[top-k:top])
+		n, top = n+1, top-k
+	}
+	h.checkRuns(ts, runs[:n])
+	*ps = v[:top]
+	return n
+}
+
+// storeRuns stores runs from SWcc word w on, two words each:
+// packOp(heap's opLocalFree, slab, bitset word, 0), then the mask. The
+// oplog line holds them from its word 1 (writeOplogRuns), a magazine
+// line from its word 2 (carry).
+func storeRuns(ts *threadState, w int, runs []classicRun) {
+	for i, r := range runs {
+		ts.cache.Store(w+2*i, packOp(r.s.opc(opLocalFree), uint32(r.idx), uint16(r.word), 0))
+		ts.cache.Store(w+1+2*i, r.mask)
+	}
+}
+
+// settleCarried completes the runs magazine line mw committed, after the
+// line's fence and its magalloc.post-take point, as localFree completes
+// its record's: each run's bitset word and free count land, detached
+// slabs reattach, and then the empty transitions run. The run words are
+// cleared before the first empty transition, with no crash point
+// between: its record's fence makes the clear durable before the slab
+// can leave tid, so a stale run is never redone into a slab another
+// thread owns (reclaimMagazines fails on one). Otherwise the clear is
+// lazy, like the pop's record, which the caller clears after this:
+// until then a crash reports the popped block, whatever transition it
+// interrupts. The runs' pointers are just past *ps's length (carry).
+func (h *Heap) settleCarried(ts *threadState, tid, mw int, runs []classicRun, ps *[]Ptr) {
+	h.landRuns(ts, tid, runs)
+	h.reattachRuns(ts, tid, runs)
+	for i := range runs {
+		ts.cache.Store(mw+2+2*i, 0)
+		ts.cache.Store(mw+3+2*i, 0)
+	}
+	if h.emptyRuns(ts, tid, runs) {
+		h.clearOplog(tid, ts)
+	}
+	cut := (*ps)[len(*ps):cap(*ps)]
+	for i := len(runs) - 1; i >= 0; i-- {
+		h.countRun(tid, runs[i], cut[:runs[i].n])
+		cut = cut[runs[i].n:]
+	}
 }
 
 // magFree returns Free's block, r, to the class magazine if the
@@ -206,13 +309,17 @@ func (s *slabHeap) magFree(ts *threadState, tid int, r classicRun) bool {
 // magazine-backed slab never reaches the full transition while its mask
 // is live.
 //
+// Like a pop's line, phase 1's carries up to maxLocalGroup of ps's
+// runs (carry), which land after phase 2.
+//
 // ok is false (the caller falls back to the classic path) when the
 // sized list is empty or no slab on it can give a block beyond its last.
-func (s *slabHeap) magRefill(ts *threadState, tid, class int) (Ptr, bool) {
+func (s *slabHeap) magRefill(ts *threadState, tid, class int, ps *[]Ptr) (Ptr, bool) {
 	idx, word, take := s.refillSource(ts, tid, class)
 	if take == 0 {
 		return 0, false
 	}
+	nr := s.h.carry(ts, tid, ps)
 	base := s.bitsetW(idx)
 	fc := s.getFreeCount(ts, idx)
 	n := uint32(bits.OnesCount64(take))
@@ -233,6 +340,9 @@ func (s *slabHeap) magRefill(ts *threadState, tid, class int) (Ptr, bool) {
 	}
 	ts.cache.Store(mw, meta|rec)
 	ts.cache.Store(mw+1, mask)
+	if nr > 0 {
+		storeRuns(ts, mw+2, ts.carried[:nr])
+	}
 	ts.cache.FlushOpt(mw)
 	ts.cache.Fence()
 	ts.fenceOwed = false
@@ -253,14 +363,17 @@ func (s *slabHeap) magRefill(ts *threadState, tid, class int) (Ptr, bool) {
 		ts.cache.Store(mw, meta|magRecord(b))
 	}
 	s.cp(tid, "magalloc.post-take")
-	ts.cache.Store(mw, meta)
-	ts.fenceOwed = true
 	mags := ts.mags[s.magIdx]
 	if mags == nil {
 		mags = make([]magSlot, len(s.classes))
 		ts.mags[s.magIdx] = mags
 	}
 	mags[class] = magSlot{slab: int32(idx + 1), word: int16(word), mask: mask}
+	if nr > 0 {
+		s.h.settleCarried(ts, tid, mw, ts.carried[:nr], ps)
+	}
+	ts.cache.Store(mw, meta)
+	ts.fenceOwed = true
 	return s.ptrOf(idx, word*64+b, class), true
 }
 
@@ -401,12 +514,22 @@ func (h *Heap) DrainMagazines(tid int) {
 // recovery re-runs this pass on a line with mask 0 and the record set,
 // and reports the same block again. A record whose bit is still in the
 // mask names no pending block, and is retired with the rest of the line.
+//
+// A durable line's carried runs (carry) are redone first: each run's
+// mask is ORed into its bitset word, which is idempotent, and the run
+// words are retired with the mask. Counts and lists are the rebuild
+// scan's to repair, as for the oplog's opLocalFree record.
 func (s *slabHeap) reclaimMagazines(ts *threadState, tid int, report *RecoveryReport) {
 	for class := 1; class < len(s.classes); class++ {
 		mw := s.magW(tid, class)
 		meta := ts.cache.LoadFresh(mw)
 		mask := ts.cache.Load(mw + 1)
 		rec := magMetaRecord(meta)
+		if s.h.redoCarried(ts, tid, mw) && mask == 0 && rec == 0 {
+			ts.cache.FlushOpt(mw)
+			ts.cache.Fence()
+			continue
+		}
 		if mask == 0 && rec == 0 {
 			continue
 		}
@@ -432,6 +555,41 @@ func (s *slabHeap) reclaimMagazines(ts *threadState, tid int, report *RecoveryRe
 		ts.cache.FlushOpt(mw)
 		ts.cache.Fence()
 	}
+}
+
+// redoCarried, recovery only: OR the mask of every run durable in tid's
+// magazine line mw into its bitset word, then clear the run's words,
+// unflushed; it reports whether the line held any run. A durable run's
+// slab is one tid owns, with a class: settleCarried clears the run
+// before the slab can leave tid, so a run naming any other slab is
+// stale, and redoing it would free blocks of a slab that is not tid's.
+func (h *Heap) redoCarried(ts *threadState, tid, mw int) bool {
+	found := false
+	for i := 0; i < maxLocalGroup; i++ {
+		w := mw + 2 + 2*i
+		op, a, b, _ := unpackOp(ts.cache.Load(w))
+		if op == opNone {
+			continue
+		}
+		s := h.small
+		if op&opLargeBit != 0 {
+			s = h.large
+		}
+		idx, word := int(a), int(b)
+		if op&^opLargeBit != opLocalFree || idx >= s.maxSlabs {
+			h.fail("recovery: run %d of thread %d's magazine line names op %d, slab %d", i, tid, op, idx)
+		}
+		if w0 := s.loadW0(ts, idx); w0Owner(w0) != uint16(tid+1) || w0Class(w0) == 0 {
+			h.fail("%s heap: thread %d's magazine line carries a run of slab %d, which it does not hold (owner %d, class %d)",
+				s.name, tid, idx, int(w0Owner(w0))-1, w0Class(w0))
+		}
+		wi := s.bitsetW(idx) + word
+		ts.cache.Store(wi, ts.cache.Load(wi)|ts.cache.Load(w+1))
+		ts.cache.Store(w, 0)
+		ts.cache.Store(w+1, 0)
+		found = true
+	}
+	return found
 }
 
 // retireMagRecords, recovery's commit point only: clear the pending

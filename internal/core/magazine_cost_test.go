@@ -290,6 +290,131 @@ func TestFreeBatchGroupsClassicRuns(t *testing.T) {
 	}
 }
 
+// k owed runs outside the magazine's window — two blocks in each of
+// words 1..k of the slab whose word 0 the live window holds — ride
+// ceil(k/3) pops of that window, up to three to a pop (AllocFreeing):
+// each pop is one flush, one write-back and one fence and no fetch, and
+// no pop stores to the oplog word, so no opLocalFree record is written.
+// Freed through FreeBatch ahead of the same pops, the runs cost
+// ceil(k/3) lines more.
+func TestPopCarriesOwedRuns(t *testing.T) {
+	for k := 1; k <= 7; k++ {
+		t.Run(fmt.Sprintf("runs=%d", k), func(t *testing.T) {
+			pops := uint64((k + 2) / 3)
+			carried := owedRunsCost(t, k, true)
+			batched := owedRunsCost(t, k, false)
+			if carried.Flushes != pops || batched.Flushes != 2*pops || batched.Writebacks != 2*pops ||
+				batched.Fences != 2*pops || batched.Fetches != 0 {
+				t.Fatalf("%d runs: carried by %d pops, %d flushes; freed by FreeBatch first, %d flushes, %d write-backs, %d fences, %d fetches; want %d and %d, %d, %d, 0",
+					k, pops, carried.Flushes, batched.Flushes, batched.Writebacks, batched.Fences, batched.Fetches,
+					pops, 2*pops, 2*pops, 2*pops)
+			}
+		})
+	}
+}
+
+// A carrying allocation whose class has no slab left to refill from
+// frees what its thread owes before it takes a fresh slab. Thread 0
+// fills one 1 KiB slab, which detaches, and owes all of its blocks: the
+// allocation frees them, which empties the slab, and reuses it instead
+// of extending the heap.
+func TestOwedBlocksAreFreedBeforeAFreshSlab(t *testing.T) {
+	e, _ := costEnv(t)
+	s := e.h.small
+	owed := fillExactlyOneSlab(e, 0)
+	idx, length := s.slabOf(owed[0]), s.length(0)
+	if got := e.h.threads[0].cache.Load(s.localW(0, smallClassOf(smallMax))); got != 0 {
+		t.Fatalf("1 KiB sized list holds slab %d, want none", got-1)
+	}
+	p, err := e.h.AllocFreeing(0, smallMax, &owed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(owed) != 0 || s.length(0) != length || s.slabOf(p) != idx {
+		t.Fatalf("%d blocks still owed, heap of %d slabs (was %d), block from slab %d; want 0, %d and slab %d",
+			len(owed), s.length(0), length, s.slabOf(p), length, idx)
+	}
+	e.h.Free(0, p)
+	auditDrained(t, e)
+}
+
+// owedRunsCost frees k two-block runs outside the live 64 B window of
+// thread 0 and pops ceil(k/3) blocks from the window: carried by the
+// pops when carry is set, freed through one FreeBatch before them
+// otherwise. It returns what thread 0's cache counted, after checking
+// every block is then free exactly once.
+func owedRunsCost(t *testing.T, k int, carry bool) telemetry.CacheStats {
+	t.Helper()
+	e, inj := costEnv(t)
+	inj.EnableCoverage()
+	m, keep := warmMagazine(t, e, 0, 64)
+	blocks := classicBlocks(e, 6*64+2) // words 1..6 and two of word 7
+	if idx := e.h.small.slabOf(blocks[0]); int(m.slab) != idx+1 || m.word != 0 {
+		t.Fatalf("magazine window (slab %d, word %d), classic blocks from slab %d: want word 0 of it",
+			m.slab-1, m.word, idx)
+	}
+	var run []Ptr
+	for i, p := range blocks {
+		if i/64 < k && i%64 < 2 {
+			run = append(run, p)
+		} else {
+			keep = append(keep, p)
+		}
+	}
+	ts, ow := &e.h.threads[0], e.h.lay.oplogW(0)
+	sentinel := packOp(opNone, 1, 2, 3)
+	ts.cache.Store(ow, sentinel)
+	ts.cache.FlushOpt(ow)
+	ts.cache.Fence()
+	pops := (k + 2) / 3
+	p0 := inj.Points()
+	var total telemetry.CacheStats
+	if carry {
+		ps := slices.Clone(run)
+		for i := range pops {
+			var p Ptr
+			c := lineCost(e, 0, func() {
+				var err error
+				if p, err = e.h.AllocFreeing(0, 64, &ps); err != nil {
+					t.Fatal(err)
+				}
+			})
+			wantOneLine(t, fmt.Sprintf("pop %d", i), c)
+			if want := max(0, k-3*(i+1)); len(ps) != 2*want {
+				t.Fatalf("pop %d left %d pointers owed, want %d", i, len(ps), 2*want)
+			}
+			total = telemetry.Add(total, c)
+			keep = append(keep, p)
+		}
+		if got := ts.cache.Load(ow); got != sentinel {
+			t.Fatalf("the pops stored %#x to the oplog word", got)
+		}
+	} else {
+		total = lineCost(e, 0, func() {
+			freeBatch(t, e, 0, run)
+			for range pops {
+				keep = append(keep, e.alloc(0, 64))
+			}
+		})
+	}
+	p1 := inj.Points()
+	records := uint64(0)
+	if !carry {
+		records = uint64(pops)
+	}
+	for point, n := range map[string]uint64{"small.local-free.post-oplog": records, "small.local-free.post-put": uint64(k),
+		"small.magalloc.post-take": uint64(pops), "small.magrefill.post-oplog": 0} {
+		if got := p1[point] - p0[point]; got != n {
+			t.Fatalf("carry=%v, %d runs: %s visited %d times, want %d", carry, k, point, got, n)
+		}
+	}
+	for _, p := range keep {
+		e.h.Free(0, p)
+	}
+	auditDrained(t, e)
+	return total
+}
+
 // k runs inside magazine windows — two blocks popped from the live
 // window of each of k small classes — cost what k runs outside any
 // window cost: one opLocalFree record per group of up to three, so

@@ -19,7 +19,9 @@ package core
 // the op and the run count (b); run i takes words 1+2i and 2+2i of the
 // same line — packOp(heap's opLocalFree, slab, bitset word, 0), then
 // the run's 64-bit mask — committed by the same flush and fence
-// (writeOplogRuns).
+// (writeOplogRuns). The same run words also ride in words 2..7 of a
+// magazine line, whose pop or refill carries them (AllocFreeing), and
+// then no record is written here.
 //
 // Discipline: the record is written and flushed *before* the operation's
 // first effect; it is overwritten with opNone after the operation
@@ -33,7 +35,8 @@ package core
 //
 //   - The magazine pop writes its handoff record into the magazine line
 //     it already flushes (the meta word's record byte, magazine.go), so
-//     a steady-state pop writes back one line, not two. A refill writes
+//     a steady-state pop writes back one line, not two. So do the
+//     local-free runs it carries. A refill writes
 //     no record here either: its magazine line is the record of its
 //     first phase and carries its first pop's handoff record, and
 //     reclamation's union and the rebuild scan repair either phase
@@ -175,11 +178,7 @@ func (h *Heap) writeOplogRuns(tid int, ts *threadState, runs []classicRun) {
 	if h.cfg.NonRecoverable {
 		return
 	}
-	w := h.lay.oplogW(tid)
-	for i, r := range runs {
-		ts.cache.Store(w+1+2*i, packOp(r.s.opc(opLocalFree), uint32(r.idx), uint16(r.word), 0))
-		ts.cache.Store(w+2+2*i, r.mask)
-	}
+	storeRuns(ts, h.lay.oplogW(tid)+1, runs)
 	h.writeOplog(tid, ts, opLocalFree, 0, uint16(len(runs)), 0)
 }
 

@@ -48,6 +48,16 @@ var RecoveryCrashPoints = []string{
 // crashed thread touched is lock-free and transitions atomically between
 // consistent states, and recovery only writes to state it exclusively
 // owns (plus idempotent completions of its own in-flight CAS).
+//
+// A thread's records live in three places, redone in this order:
+//
+//  1. the help word's upper bits: a non-zero remote free
+//     (redoHelpRecord);
+//  2. the oplog word and its line: every other slab, huge and claim
+//     op, opLocalFree's runs included (redo);
+//  3. each magazine line (reclaimMagazines): the runs a pop or refill
+//     carried in words 2..7, then the mask's union and the record
+//     byte's pending pop.
 
 // RecoveryReport describes what recovery found and did.
 type RecoveryReport struct {

@@ -806,6 +806,117 @@ func localGroupCrash(t *testing.T, cell groupCell, point string, after int, pol 
 	auditDrained(t, e)
 }
 
+// Owed runs carried by an allocation's magazine line (AllocFreeing),
+// crashed at every visit of every point the allocation reaches under
+// every persist subset of the crash's in-play lines, then recovered
+// twice: every block is then free or held exactly once. The block the
+// allocation took is held when recovery reports it pending, and the
+// pointers a crash left owed are freed after. The cells carry groups of
+// one, two and three runs, with a run that reattaches a detached slab,
+// a run that empties its slab, two runs of one slab, and a large-heap
+// run, by a small-class pop, and a group by a refill's line.
+func TestCarriedGroupCrashRecovery(t *testing.T) {
+	for _, cell := range carriedCells {
+		for _, v := range carriedVisits(t, cell) {
+			t.Run(fmt.Sprintf("%s/%s#%d", cell.name, v.point, v.after), func(t *testing.T) {
+				everyPersistSubset(t, v.point, func(pol func(n int) memsim.CrashPolicy) {
+					carriedCrash(t, cell, v.point, v.after, pol)
+				})
+			})
+		}
+	}
+}
+
+// carriedCell is a group of TestLocalFreeGroupCrashRecovery's runs,
+// carried by a 32 B pop or, with refill set, by a 16 B refill.
+type carriedCell struct {
+	groupCell
+	refill bool
+}
+
+var carriedCells = []carriedCell{
+	{groupCell{"pop/1-run/empty", []groupRun{emptyRun}}, false},
+	{groupCell{"pop/2-run/reattach+empty", []groupRun{reattachRun, emptyRun}}, false},
+	{groupCell{"pop/3-run/reattach+empty+plain", []groupRun{reattachRun, emptyRun, plainRun}}, false},
+	{groupCell{"pop/2-run/one-slab", []groupRun{oneSlabRuns}}, false},
+	{groupCell{"pop/2-run/large+plain", []groupRun{largeRun, plainRun}}, false},
+	{groupCell{"refill/3-run/reattach+empty+plain", []groupRun{reattachRun, emptyRun, plainRun}}, true},
+}
+
+// setupCarried runs a cell's setups on thread 0 of e and opens the
+// carrier's window: a 32 B one for a pop, or a 16 B one that it drains,
+// so the next 16 B allocation refills from the window's slab. It
+// returns the group, sorted, the blocks still to free afterwards, and
+// the size the carrying allocation asks for.
+func setupCarried(t *testing.T, e *env, cell carriedCell) (group, keep []Ptr, size int) {
+	group, keep = setupGroup(e, cell.runs)
+	e.h.SetMagazines(true)
+	size = 32
+	if cell.refill {
+		size = 16
+	}
+	_, held := warmMagazine(t, e, 0, size)
+	keep = append(keep, held...)
+	if cell.refill {
+		e.h.DrainMagazines(0)
+	}
+	slices.Sort(group)
+	return group, keep, size
+}
+
+// carriedVisits returns every visit of every point a cell's carrying
+// allocation reaches, and checks it carried the whole group with no
+// local-free record.
+func carriedVisits(t *testing.T, cell carriedCell) []groupVisit {
+	e, inj := costEnv(t)
+	inj.EnableCoverage()
+	ps, _, size := setupCarried(t, e, cell)
+	before := inj.Points()
+	if _, err := e.h.AllocFreeing(0, size, &ps); err != nil {
+		t.Fatal(err)
+	}
+	after := inj.Points()
+	if len(ps) != 0 {
+		t.Fatalf("%s: %d pointers still owed; the allocation carries the whole group", cell.name, len(ps))
+	}
+	for _, heap := range []string{"small", "large"} {
+		if p := heap + ".local-free.post-oplog"; after[p] != before[p] {
+			t.Fatalf("%s: %d local-free records, want 0", cell.name, after[p]-before[p])
+		}
+	}
+	if cell.refill && after["small.magrefill.post-oplog"] != before["small.magrefill.post-oplog"]+1 {
+		t.Fatalf("%s: the allocation did not refill", cell.name)
+	}
+	var visits []groupVisit
+	for _, p := range inj.PointNames() {
+		for i := 0; i < int(after[p]-before[p]); i++ {
+			visits = append(visits, groupVisit{p, i})
+		}
+	}
+	return visits
+}
+
+// carriedCrash crashes thread 0 at the visit after+1 of point inside the
+// cell's carrying allocation on an incoherent pod, resolves that crash's
+// in-play lines by pol and recovers twice. It then frees the pending
+// allocation recovery reported, if any, the pointers left owed and the
+// rest, and audits the ledger.
+func carriedCrash(t *testing.T, cell carriedCell, point string, after int, pol func(n int) memsim.CrashPolicy) {
+	t.Helper()
+	e, inj := firstCrashEnv(t, pol)
+	ps, keep, size := setupCarried(t, e, cell)
+	if p := crashRecoverTwicePending(t, e, inj, point, after, func() { e.h.AllocFreeing(0, size, &ps) }); p != 0 {
+		keep = append(keep, p)
+	}
+	if len(ps) > 0 {
+		e.h.FreeBatch(0, &ps)
+	}
+	for _, p := range keep {
+		e.h.Free(0, p)
+	}
+	auditDrained(t, e)
+}
+
 // A magazine refill from a slab behind the sized-list head, crashed at
 // either side of its first commit under every persist subset of the
 // crash's in-play lines: recovery unions whatever part of the window

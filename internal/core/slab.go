@@ -296,13 +296,26 @@ func (s *slabHeap) tlLen(ts *threadState, listW, limit int) int {
 
 // --- allocation (§3.1.1) ---
 
-func (s *slabHeap) alloc(ts *threadState, tid, class int) (Ptr, error) {
+// alloc takes one class block for tid. A magazine pop or refill carries
+// up to maxLocalGroup runs off ps's tail (carry); the classic take
+// carries nothing.
+func (s *slabHeap) alloc(ts *threadState, tid, class int, ps *[]Ptr) (Ptr, error) {
 	if s.h.magsEnabled() {
-		if p, ok := s.magPop(ts, tid, class); ok {
+		if p, ok := s.magPop(ts, tid, class, ps); ok {
 			return p, nil
 		}
-		if p, ok := s.magRefill(ts, tid, class); ok {
+		if p, ok := s.magRefill(ts, tid, class, ps); ok {
 			return p, nil
+		}
+		if ts.cache.Load(s.localW(tid, class)) == 0 && ps != nil && len(*ps) > 0 {
+			// Free what tid owes before taking a fresh slab: an owed
+			// block may reattach a slab of this class, or empty one the
+			// fresh slab then comes from, so owing never makes the heap
+			// map a slab it would not have mapped.
+			s.h.FreeBatch(tid, ps)
+			if p, ok := s.magRefill(ts, tid, class, nil); ok {
+				return p, nil
+			}
 		}
 		if ts.cache.Load(s.localW(tid, class)) == 0 {
 			// A fresh slab opens the window. A refill writes no oplog
@@ -314,7 +327,7 @@ func (s *slabHeap) alloc(ts *threadState, tid, class int) (Ptr, error) {
 				return 0, err
 			}
 			s.h.clearOplog(tid, ts)
-			if p, ok := s.magRefill(ts, tid, class); ok {
+			if p, ok := s.magRefill(ts, tid, class, ps); ok {
 				return p, nil
 			}
 		}
@@ -623,7 +636,7 @@ func (s *slabHeap) runOf(idx int, w0 uint64, run []Ptr) classicRun {
 	for _, p := range run {
 		bit := uint64(1) << (uint(s.blockOf(p, idx, class)) % 64)
 		if mask&bit != 0 {
-			s.h.fail("%s heap: double free of %#x (twice in one batch)", s.name, p)
+			s.doubleFree(idx, s.blockOf(p, idx, class), class)
 		}
 		mask |= bit
 	}
@@ -643,21 +656,40 @@ func firstBlock(word int, mask uint64) int { return word*64 + bits.TrailingZeros
 // fence makes every bitset store before it durable. A run inside the
 // class magazine's window leaves the mask as it is: its blocks were
 // allocated, so they are in neither the mask nor the bitset, and they
-// land in the bitset.
+// land in the bitset. A magazine pop commits runs the same way, in its
+// own line instead of this record (slabHeap.carry).
 func (h *Heap) localFree(ts *threadState, tid int, runs []classicRun) {
+	h.checkRuns(ts, runs)
+	h.writeOplogRuns(tid, ts, runs)
+	runs[0].s.cp(tid, "local-free.post-oplog")
+	h.landRuns(ts, tid, runs)
+	h.reattachRuns(ts, tid, runs)
+	h.emptyRuns(ts, tid, runs)
+	h.clearOplog(tid, ts)
+}
+
+// checkRuns fails on a block of runs that is already free: in its
+// slab's bitset, or in the mask of the class magazine whose window
+// covers its word.
+func (h *Heap) checkRuns(ts *threadState, runs []classicRun) {
 	for _, r := range runs {
 		dup := ts.cache.Load(r.s.bitsetW(r.idx)+r.word) & r.mask
 		if m := r.s.magAt(ts, r.class); m != nil && int(m.slab) == r.idx+1 && int(m.word) == r.word {
 			dup |= m.mask & r.mask
 		}
 		if dup != 0 {
-			block := firstBlock(r.word, dup)
-			h.fail("%s heap: double free of %#x (slab %d block %d)",
-				r.s.name, r.s.ptrOf(r.idx, block, r.class), r.idx, block)
+			r.s.doubleFree(r.idx, firstBlock(r.word, dup), r.class)
 		}
 	}
-	h.writeOplogRuns(tid, ts, runs)
-	runs[0].s.cp(tid, "local-free.post-oplog")
+}
+
+// doubleFree reports block of slab idx freed while already free.
+func (s *slabHeap) doubleFree(idx, block, class int) {
+	s.h.fail("%s heap: double free of %#x (slab %d block %d)", s.name, s.ptrOf(idx, block, class), idx, block)
+}
+
+// landRuns stores each committed run's bitset word and free count.
+func (h *Heap) landRuns(ts *threadState, tid int, runs []classicRun) {
 	for i := range runs {
 		r := &runs[i]
 		wi := r.s.bitsetW(r.idx) + r.word
@@ -667,17 +699,30 @@ func (h *Heap) localFree(ts *threadState, tid int, runs []classicRun) {
 		r.s.setFreeCount(ts, r.idx, r.fc)
 		r.s.cp(tid, "local-free.post-put")
 	}
+}
+
+// reattachRuns links every slab a landed run found detached back onto
+// its sized list (Figure 4).
+func (h *Heap) reattachRuns(ts *threadState, tid int, runs []classicRun) {
 	for _, r := range runs {
 		if r.fc0 == 0 {
-			// The slab was detached; reattach it (Figure 4).
 			r.s.tlPush(ts, r.s.localW(tid, r.class), r.idx)
 			r.s.cp(tid, "local-free.post-reattach")
 		}
+	}
+}
+
+// emptyRuns hands every slab a landed run completed to the empty
+// transition, and reports whether any was.
+func (h *Heap) emptyRuns(ts *threadState, tid int, runs []classicRun) bool {
+	emptied := false
+	for _, r := range runs {
 		if int(r.fc) == r.s.blocksPer(r.class) {
 			r.s.emptyTransition(ts, tid, r.idx, r.class)
+			emptied = true
 		}
 	}
-	h.clearOplog(tid, ts)
+	return emptied
 }
 
 // emptyTransition moves a fully free slab from the sized list to the

@@ -13,7 +13,9 @@
 // grace period ends, the thread that expires it routes it to its home's
 // inbox, and the home frees it with its next drain: an allocator whose
 // free is cheapest on the allocating thread (cxlalloc's local free, §3.1.1)
-// then takes its local path for nearly every pointer.
+// then takes its local path for nearly every pointer. A drain may leave
+// the home's own pointers owed (New), for the home's next allocations to
+// free in the durable line each pays anyway (Owed).
 package epoch
 
 import (
@@ -29,7 +31,9 @@ const retireThreshold = 64
 
 // inboxCap bounds a thread's inbox: an idle home strands no more than
 // this many pointers. A thread that routes a pointer to a full inbox
-// takes the whole inbox and frees it itself.
+// takes the whole inbox and frees it itself. It bounds a thread's owed
+// pointers the same way: a thread that stops allocating strands no more
+// of them.
 const inboxCap = 2 * retireThreshold
 
 type slot struct {
@@ -64,9 +68,16 @@ type threadState struct {
 	// recording the new retiree: the free below is crash-instrumented,
 	// and a crash must never unwind past the point where the retiree
 	// would have been recorded — the caller has already unlinked it, so
-	// a dropped pointer is a leaked block.
+	// a dropped pointer is a leaked block. What the free callback leaves
+	// in it is owed (New); the thread's own allocations may free it off
+	// the tail (Owed).
 	draining []uint64
-	inbox    inbox
+	// left is how many pointers the last free call left in draining, and
+	// fresh how many have joined it since: the next drain counts what
+	// the thread's allocations carried off the list as freed, and calls
+	// the callback only when fresh pointers arrived.
+	left, fresh int
+	inbox       inbox
 }
 
 // Reclaimer coordinates reclamation across nThreads threads. Enter,
@@ -77,7 +88,7 @@ type Reclaimer struct {
 	global  atomic.Uint64
 	slots   []slot
 	threads []threadState
-	free    func(tid int, ps *[]uint64)
+	free    func(tid int, ps *[]uint64, keep int)
 
 	freed atomic.Uint64
 }
@@ -90,8 +101,11 @@ type Reclaimer struct {
 // thread crashes inside free and is revived, what is left in *ps is
 // exactly what the next drain still owes, and a pointer whose free had
 // begun is the allocator's redo protocol's to complete, never freed
-// twice. On return *ps is empty.
-func New(nThreads int, free func(tid int, ps *[]uint64)) *Reclaimer {
+// twice. On return *ps holds at most keep pointers, which stay owed:
+// they stay in the list, the thread's allocations may free them through
+// Owed under the same contract, and the next batch is handed over with
+// them. keep is 0 on a Flush, which frees everything.
+func New(nThreads int, free func(tid int, ps *[]uint64, keep int)) *Reclaimer {
 	r := &Reclaimer{
 		slots:   make([]slot, nThreads),
 		threads: make([]threadState, nThreads),
@@ -129,7 +143,7 @@ func (r *Reclaimer) Retire(tid, home int, p uint64) {
 	}
 	b.ptrs = append(b.ptrs, retiree{p, home})
 	ts.retires++
-	r.drain(tid)
+	r.drain(tid, inboxCap)
 	if ts.retires >= retireThreshold {
 		ts.retires = 0
 		r.TryAdvance(tid)
@@ -154,13 +168,14 @@ func (r *Reclaimer) TryAdvance(tid int) bool {
 	// Bucket (e+1)%3 holds retirements from epoch e-2 or older; with the
 	// global epoch now at e+1, their grace period is complete.
 	r.route(tid, &r.threads[tid].buckets[(e+1)%buckets])
-	r.drain(tid)
+	r.drain(tid, inboxCap)
 	return true
 }
 
-// Flush frees everything tid holds — its buckets, its draining list
-// and its inbox — on tid, wherever each pointer's home is. Only safe at
-// quiescence (no thread inside a critical section).
+// Flush frees everything tid holds — its buckets, its draining list,
+// owed pointers included, and its inbox — on tid, wherever each
+// pointer's home is. Only safe at quiescence (no thread inside a
+// critical section).
 func (r *Reclaimer) Flush(tid int) {
 	ts := &r.threads[tid]
 	for i := range ts.buckets {
@@ -168,10 +183,17 @@ func (r *Reclaimer) Flush(tid int) {
 		for _, x := range b.ptrs {
 			ts.draining = append(ts.draining, x.p)
 		}
+		ts.fresh += len(b.ptrs)
 		b.ptrs = b.ptrs[:0]
 	}
-	r.drain(tid)
+	r.drain(tid, 0)
 }
+
+// Owed returns tid's owed pointers: what its last drain left for its
+// allocations to free. The caller, tid's own thread, may free pointers
+// off the list's tail under the free callback's contract (New), taking
+// each out before its free begins; the next drain counts them as freed.
+func (r *Reclaimer) Owed(tid int) *[]uint64 { return &r.threads[tid].draining }
 
 // Drain frees everything every thread has retired. Only safe at
 // quiescence; benchmarks call it before measuring memory. Every thread
@@ -199,12 +221,14 @@ func (r *Reclaimer) route(tid int, b *bucket) {
 	for _, x := range b.ptrs {
 		if x.home == tid {
 			ts.draining = append(ts.draining, x.p)
+			ts.fresh++
 			continue
 		}
 		in := &r.threads[x.home].inbox
 		in.mu.Lock()
 		if len(in.ptrs) == inboxCap {
 			ts.draining = append(ts.draining, in.ptrs...)
+			ts.fresh += len(in.ptrs)
 			in.ptrs = in.ptrs[:0]
 		}
 		in.ptrs = append(in.ptrs, x.p)
@@ -213,23 +237,32 @@ func (r *Reclaimer) route(tid int, b *bucket) {
 	b.ptrs = b.ptrs[:0]
 }
 
-// drain pulls tid's inbox into its draining list and hands the list to
-// the free callback whole. The callback takes each pointer out before
-// its free begins (see New), so what left the list is what was freed,
-// even when a crash unwinds through here.
-func (r *Reclaimer) drain(tid int) {
+// drain pulls tid's inbox into its draining list and, when fresh
+// pointers joined it or it holds more than keep, hands the list to the
+// free callback whole. The callback takes each pointer out before its
+// free begins (see New), and so do tid's allocations (Owed), so what
+// left the list is what was freed, even when a crash unwinds through
+// here or through an allocation.
+func (r *Reclaimer) drain(tid, keep int) {
 	ts := &r.threads[tid]
 	in := &ts.inbox
 	in.mu.Lock()
 	ts.draining = append(ts.draining, in.ptrs...)
+	ts.fresh += len(in.ptrs)
 	in.ptrs = in.ptrs[:0]
 	in.mu.Unlock()
 	n := len(ts.draining)
-	if n == 0 {
+	r.freed.Add(uint64(ts.left + ts.fresh - n))
+	fresh := ts.fresh
+	ts.left, ts.fresh = n, 0
+	if fresh == 0 && n <= keep {
 		return
 	}
-	defer func() { r.freed.Add(uint64(n - len(ts.draining))) }()
-	r.free(tid, &ts.draining)
+	defer func() {
+		ts.left = len(ts.draining)
+		r.freed.Add(uint64(n - ts.left))
+	}()
+	r.free(tid, &ts.draining, keep)
 }
 
 // Freed returns how many retired pointers have been freed.

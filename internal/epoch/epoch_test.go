@@ -7,9 +7,9 @@ import (
 )
 
 // each adapts a per-pointer free to the reclaimer's batch callback,
-// popping each pointer before freeing it.
-func each(free func(tid int, p uint64)) func(int, *[]uint64) {
-	return func(tid int, ps *[]uint64) {
+// popping each pointer before freeing it, and leaving none owed.
+func each(free func(tid int, p uint64)) func(int, *[]uint64, int) {
+	return func(tid int, ps *[]uint64, _ int) {
 		for len(*ps) > 0 {
 			p := (*ps)[len(*ps)-1]
 			*ps = (*ps)[:len(*ps)-1]
@@ -283,5 +283,84 @@ func TestConcurrentRoutingFreesEachOnce(t *testing.T) {
 		if len(tids) != 1 {
 			t.Fatalf("pointer %d freed by %v", p, tids)
 		}
+	}
+}
+
+// owing adapts a per-pointer free to a callback that leaves the whole
+// batch owed while it holds at most keep pointers, as an allocator
+// whose allocations carry the thread's own frees does, and otherwise
+// frees all of it as each does.
+func owing(free func(tid int, p uint64)) func(int, *[]uint64, int) {
+	all := each(free)
+	return func(tid int, ps *[]uint64, keep int) {
+		if len(*ps) > keep {
+			all(tid, ps, keep)
+		}
+	}
+}
+
+// carry frees n pointers off tid's owed list, as an allocation that
+// carries them does.
+func carry(r *Reclaimer, tid, n int, free func(tid int, p uint64)) {
+	owed := r.Owed(tid)
+	for range n {
+		p := (*owed)[len(*owed)-1]
+		*owed = (*owed)[:len(*owed)-1]
+		free(tid, p)
+	}
+}
+
+// A drain leaves a thread's own expired pointers owed; its allocations
+// carry some off, and Flush, or Drain, frees the rest. Freed counts
+// each pointer once, whichever freed it.
+func TestFlushAndDrainFreeOwedPointers(t *testing.T) {
+	for _, quiesce := range []string{"Flush", "Drain"} {
+		t.Run(quiesce, func(t *testing.T) {
+			l := ledger{}
+			r := New(2, owing(l.free))
+			for p := uint64(0); p < 10; p++ {
+				r.Retire(0, 0, p)
+			}
+			expire(t, r, 0)
+			if owed := len(*r.Owed(0)); owed != 10 || len(l) != 0 {
+				t.Fatalf("%d pointers owed and %d freed after expiry, want 10 and 0", owed, len(l))
+			}
+			carry(r, 0, 3, l.free)
+			l.check(t, 0, 7, 8, 9)
+			if quiesce == "Flush" {
+				r.Flush(0)
+			} else {
+				r.Drain()
+			}
+			if owed := len(*r.Owed(0)); owed != 0 {
+				t.Fatalf("%s left %d pointers owed", quiesce, owed)
+			}
+			l.check(t, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9)
+			if r.Freed() != 10 {
+				t.Fatalf("Freed() = %d, want 10", r.Freed())
+			}
+		})
+	}
+}
+
+// A thread that only retires, and never allocates, owes no more than
+// the bound: once its owed list passes inboxCap, a drain frees it all.
+func TestOwedListIsFreedPastTheBound(t *testing.T) {
+	l := ledger{}
+	r := New(1, owing(l.free))
+	const n = 4 * inboxCap
+	for p := uint64(0); p < n; p++ {
+		r.Retire(0, 0, p)
+		if owed := len(*r.Owed(0)); owed > inboxCap {
+			t.Fatalf("%d pointers owed after %d retirements, want at most %d", owed, p+1, inboxCap)
+		}
+	}
+	if len(l) == 0 || r.Freed() != uint64(len(l)) {
+		t.Fatalf("%d pointers freed, Freed() = %d, after %d retirements; want some, counted",
+			len(l), r.Freed(), n)
+	}
+	r.Drain()
+	if len(l) != n || r.Freed() != n {
+		t.Fatalf("Drain left %d of %d pointers unfreed", n-len(l), n)
 	}
 }

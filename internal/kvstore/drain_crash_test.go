@@ -2,6 +2,7 @@ package kvstore
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"cxlalloc"
@@ -141,5 +142,64 @@ func drainCrashInSecondGroup(t *testing.T, point string, after, keys, writer, vi
 	heap.DrainCaches()
 	if err := heap.AuditEmpty(0); err != nil {
 		t.Fatalf("ledger: %v", err)
+	}
+}
+
+// A put carries the runs of its thread's owed values in its allocation's
+// magazine line. Thread 0 puts 40 values in seven classes, one run
+// each, deletes them and lets them expire, so all seven runs are owed;
+// then its puts crash at point's visit after+1: inside the first put's
+// carry, or the second's. Recovery completes the runs the crashed put
+// had cut, which it reports pending or not with the put's own block,
+// and the owed list keeps exactly the values whose free had not begun:
+// a prefix of what it held before that put, shorter by the runs it
+// cut. Each value is then freed exactly once, and the ledger audits
+// clean.
+func TestCarryingPutCrashFreesEachOnce(t *testing.T) {
+	for _, c := range []struct {
+		point string
+		after int
+	}{
+		{"small.magalloc.post-take", 0},
+		{"small.local-free.post-put", 1},
+		{"small.local-free.post-put", 4},
+	} {
+		t.Run(fmt.Sprintf("%s#%d", c.point, c.after), func(t *testing.T) {
+			inj := crash.NewInjector()
+			s, heap, procs := newPodStore(t, 2, 16, inj)
+			const keys = 40
+			putDelete(t, s, keys)
+			inj.Arm(c.point, 0, c.after)
+			var cr *crash.Crashed
+			var before []uint64
+			puts := 0
+			for ; puts < 8 && cr == nil; puts++ {
+				before = keysOwed(s)
+				cr = crash.Run(func() { s.Put(0, key(keys+puts), make([]byte, 100)) })
+			}
+			if cr == nil || cr.TID != 0 || cr.Point != c.point {
+				t.Fatalf("puts did not crash at %q on thread 0: %+v", c.point, cr)
+			}
+			inj.Disarm()
+			after := keysOwed(s)
+			if len(after) >= len(before) || !slices.Equal(after, before[:len(after)]) {
+				t.Fatalf("owed %d values before the crashed put and %d after; want a shorter prefix", len(before), len(after))
+			}
+			heap.MarkCrashed(0)
+			_, rep, err := procs[0].Recover(0)
+			if err != nil {
+				t.Fatalf("Recover: %v", err)
+			}
+			if rep.PendingAlloc != 0 {
+				s.FreeOrphan(0, rep.PendingAlloc)
+			}
+			// The puts before the crashed one linked their values.
+			for k := keys; k < keys+puts-1; k++ {
+				if !s.Delete(0, key(k)) {
+					t.Fatalf("key %d missing", k)
+				}
+			}
+			drainAndAudit(t, s, heap, keys+puts-1)
+		})
 	}
 }

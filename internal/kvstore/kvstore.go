@@ -11,7 +11,9 @@
 // delete/replace is one deferred Free, and each read is one AccessHook
 // on the allocation. The epoch reclaimer hands each expired allocation
 // back to the thread that allocated it, so a deferred Free is local
-// whenever the allocator has a local path (see package epoch).
+// whenever the allocator has a local path (see package epoch). An
+// allocator that carries frees (alloc.Carrier) frees the thread's own
+// expired values with its puts' allocations rather than in the drain.
 package kvstore
 
 import (
@@ -71,8 +73,8 @@ func New(mem alloc.Allocator, nBuckets, nThreads int) *Store {
 		buckets: make([]atomic.Pointer[node], n),
 		mask:    uint64(n - 1),
 		mem:     mem,
-		rec: epoch.New(nThreads, func(tid int, ps *[]uint64) {
-			alloc.FreeAll(mem, tid, ps)
+		rec: epoch.New(nThreads, func(tid int, ps *[]uint64, keep int) {
+			alloc.FreeOwing(mem, tid, ps, keep)
 		}),
 		shards: make([]sync.Mutex, min(n, 4096)),
 		counts: make([]opCounts, nThreads),
@@ -106,9 +108,10 @@ func (s *Store) Put(tid int, key, val []byte) error {
 // client that crashes mid-Put can then resolve the op's fate exactly
 // with ResolvePut. (A crash before onAlloc runs leaves the allocation, if
 // any, to the recovery report's PendingAlloc — the two windows cannot
-// overlap.)
+// overlap.) The allocation frees what it can of tid's owed values
+// (epoch.Reclaimer.Owed); a crash inside it leaves the rest owed.
 func (s *Store) PutTracked(tid int, key, val []byte, onAlloc func(alloc.Ptr)) error {
-	p, err := s.mem.Alloc(tid, len(key)+len(val))
+	p, err := alloc.AllocFreeing(s.mem, tid, len(key)+len(val), s.rec.Owed(tid))
 	if err != nil {
 		return err
 	}

@@ -508,7 +508,7 @@ func (h *harness) step(th *cxlalloc.Thread, i int) {
 
 // freeRun has th allocate runLen 64 B blocks and free them in one
 // FreeBatch: a run of its own blocks in one bitset word, which one
-// opLocalFree record commits. Each thread's first step runs one, so the
+// record in its class magazine line commits. Each thread's first step runs one, so the
 // first visits of the local-free.* points, the visits the sweeps crash,
 // are runs: thread 0's with magazines off, which empties its slab; the
 // others' inside their magazines' windows, which keep their masks. (The

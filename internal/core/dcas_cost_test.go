@@ -551,6 +551,50 @@ func TestRemoteFreeFencesEarlierLazyClears(t *testing.T) {
 	}
 }
 
+// A local free leaves its run words' clear unfenced, and a remote free
+// owes that a fence too: a crash in the remote free that keeps the
+// cleared run words but drops the bitset line they committed would
+// lose the local free, and the ledger audit would find its block
+// neither free nor held.
+func TestRemoteFreeFencesALocalFreesRunClear(t *testing.T) {
+	e, inj := magCrashEnv(t, true)
+	const b = 0
+	qs, _ := allocInOneSlab(t, e, 2, 2)
+	inj.EnableCoverage()
+	_, live := warmMagazine(t, e, b, 64)
+	blocks := classicBlocks(e, 65)
+	p := blocks[64]
+	e.h.Free(b, qs[0]) // publishes the classic allocations' oplog clear
+	mw := e.h.small.magW(b, smallClassOf(64))
+	e.h.SetCrashPersistPolicy(func(_ int, inPlay []int32) memsim.CrashPolicy {
+		mask := uint64(0)
+		for i, l := range inPlay {
+			if i < 64 && int(l) == mw/memsim.LineWords {
+				mask |= 1 << uint(i)
+			}
+		}
+		return memsim.CrashPolicy{Kind: memsim.PersistSubset, Mask: mask}
+	})
+	p0 := inj.Points()["small.local-free.post-oplog"]
+	e.h.Free(b, p)
+	if inj.Points()["small.local-free.post-oplog"] != p0+1 {
+		t.Fatalf("Free(%#x) did not take the classic local free", p)
+	}
+	inj.Arm("small.remote-free.pre-cas", b, 0)
+	if cr := crash.Run(func() { e.h.Free(b, qs[1]) }); cr == nil || cr.TID != b {
+		t.Fatalf("no crash before the remote free's CAS: %+v", cr)
+	}
+	e.h.MarkCrashed(b)
+	inj.Disarm()
+	if _, err := e.h.RecoverThread(b, e.spaces[0]); err != nil {
+		t.Fatalf("RecoverThread: %v", err)
+	}
+	for _, q := range append(live, blocks[:64]...) {
+		e.h.Free(b, q)
+	}
+	auditDrained(t, e)
+}
+
 // Recovery redoes the help-word record before the oplog's: an opClaim
 // record stays in the oplog across the claimant's later operations, and
 // its redo Begins, replacing the help word. Read after that, a landed

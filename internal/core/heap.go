@@ -143,8 +143,9 @@ type threadState struct {
 
 	// oplogDirty and fenceOwed are set while a lazily cleared record is
 	// not yet covered by a fence: the oplog word's (clearOplog), or a
-	// magazine pop's in its magazine line (magPop). fenceLazyClears
-	// pays for them before a help-word record is published.
+	// magazine pop's or local-free run words in a magazine line (magPop,
+	// settleRuns). fenceLazyClears pays for them before a help-word
+	// record is published.
 	oplogDirty bool
 	fenceOwed  bool
 
@@ -411,13 +412,13 @@ func (h *Heap) Alloc(tid int, size int) (Ptr, error) {
 // tid's own blocks off the tail of *ps, which must be sorted: a
 // magazine pop, or a refill's line that carries its pop, commits them
 // in its own line under the flush and fence it pays anyway, where a
-// FreeBatch would pay an opLocalFree record's line (DESIGN.md §7.2). A
-// run is the blocks of one bitset word of a slab tid owns; the carry
-// stops at the first pointer that is not in one, and a classic or huge
-// allocation carries nothing. Each carried run is taken out of *ps
-// before its free begins, as FreeBatch takes its groups, so a crash
-// leaves in *ps exactly the pointers still owed, and the redo protocol
-// completes the frees that had begun.
+// FreeBatch would pay a line and a fence of its own for them
+// (DESIGN.md §7.2). A run is the blocks of one bitset word of a slab
+// tid owns; the carry stops at the first pointer that is not in one,
+// and a classic or huge allocation carries nothing. Each carried run is
+// taken out of *ps before its free begins, as FreeBatch takes its
+// groups, so a crash leaves in *ps exactly the pointers still owed, and
+// the redo protocol completes the frees that had begun.
 func (h *Heap) AllocFreeing(tid, size int, ps *[]Ptr) (Ptr, error) {
 	return h.alloc(tid, size, ps)
 }
@@ -493,10 +494,11 @@ const maxRemoteGroup = remoteZero - 1
 // blocks of a slab tid does not own cost one detectable CAS and one redo
 // record, not N (slabHeap.remoteFree); and tid's own blocks in one
 // bitset word of a slab form a run, which joins a group of up to
-// maxLocalGroup runs that one opLocalFree record commits
-// (Heap.localFree), whether or not a magazine's window covers its word:
-// a magazine would commit each run with a line of its own (DESIGN.md
-// §7.3). Huge pointers take Free's path one at a time.
+// maxLocalGroup runs that one magazine line commits (Heap.localFree),
+// the line of the group's first run's class, whether or not a window
+// covers its word: a Free into the window would pay each block a line
+// of its own (DESIGN.md §7.3). Huge pointers take Free's path one at a
+// time.
 //
 // *ps is sorted, which groups blocks by slab and bitset word, and then
 // consumed from its tail. Each huge pointer or remote group is cut out

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"cxlalloc/internal/xrand"
@@ -293,18 +295,68 @@ func TestSegfaultOutsideHeap(t *testing.T) {
 	e.h.Bytes(0, e.h.lay.SmallDataOff+10*uint64(SmallSlabSize), 8)
 }
 
+// Every second free of a thread's own block fails with one message,
+// whichever path freed it first and whichever frees it again: the
+// magazine's window, the classic local free outside it, a FreeBatch
+// group, or a run an allocation carried. Each case frees its block once,
+// checks the first free took its path by the crash point it visited,
+// then frees the block again through Free.
 func TestDoubleFreePanics(t *testing.T) {
-	cfg := testConfig()
-	cfg.CheckInvariants = false
-	e := newEnv(t, cfg, 1, 1)
-	p := e.alloc(0, 64)
-	e.h.Free(0, p)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("double free not detected")
-		}
-	}()
-	e.h.Free(0, p)
+	cases := []struct {
+		name, point string
+		// first frees one of thread 0's blocks and returns it.
+		first func(t *testing.T, e *env) Ptr
+	}{
+		{"free-in-window", "small.magfree.post-put", func(t *testing.T, e *env) Ptr {
+			warmMagazine(t, e, 0, 64)
+			p := e.alloc(0, 64)
+			e.h.Free(0, p)
+			return p
+		}},
+		{"free-outside-window", "small.local-free.post-oplog", func(t *testing.T, e *env) Ptr {
+			warmMagazine(t, e, 0, 64)
+			p := classicBlocks(e, 65)[64]
+			e.h.Free(0, p)
+			return p
+		}},
+		{"free-batch", "small.local-free.post-oplog", func(t *testing.T, e *env) Ptr {
+			warmMagazine(t, e, 0, 64)
+			p := e.alloc(0, 64)
+			freeBatch(t, e, 0, []Ptr{p})
+			return p
+		}},
+		{"carried", "small.magalloc.post-take", func(t *testing.T, e *env) Ptr {
+			warmMagazine(t, e, 0, 64)
+			p := e.alloc(0, 64)
+			ps := []Ptr{p}
+			if _, err := e.h.AllocFreeing(0, 64, &ps); err != nil || len(ps) != 0 {
+				t.Fatalf("AllocFreeing: %v, %d pointers still owed", err, len(ps))
+			}
+			return p
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			e, inj := costEnv(t)
+			inj.EnableCoverage()
+			p0 := inj.Points()[c.point]
+			p := c.first(t, e)
+			if inj.Points()[c.point] == p0 {
+				t.Fatalf("the first free did not visit %s", c.point)
+			}
+			s := e.h.small
+			idx := s.slabOf(p)
+			block := s.blockOf(p, idx, smallClassOf(64))
+			want := fmt.Sprintf("small heap: double free of %#x (slab %d block %d)", p, idx, block)
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, want) {
+					t.Fatalf("second free panicked with %q, want %q", msg, want)
+				}
+			}()
+			e.h.Free(0, p)
+		})
+	}
 }
 
 func TestLargeHeapIndependentOfSmall(t *testing.T) {

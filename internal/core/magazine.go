@@ -20,12 +20,13 @@ import "math/bits"
 // oplog: word 0 packs the source slab, bitset word, class, and the
 // in-flight pop's handoff record; word 1 is the mask of privatized free
 // blocks; words 2..7 hold up to three runs of the thread's own blocks
-// that the pop frees with it (carry), as an opLocalFree record holds
-// them, and are zero between pops. Crash-time reclamation redoes the
-// runs and unions a dead thread's masks back into the slab bitsets
-// during recovery (reclaimMagazines), and the drain-time ledger audit
-// counts magazine blocks as free (magUnionMasks), so a privatized block
-// is never lost.
+// that the pop frees with it (carry), or that a local free commits in
+// the line of its first run's class (Heap.localFree), and are zero
+// between operations: they are the only record of those frees.
+// Crash-time reclamation redoes the runs and unions a dead thread's
+// masks back into the slab bitsets during recovery (reclaimMagazines),
+// and the drain-time ledger audit counts magazine blocks as free
+// (magUnionMasks), so a privatized block is never lost.
 //
 // Safety invariants, each load-bearing for recovery:
 //
@@ -206,10 +207,10 @@ func (h *Heap) carryRuns(ts *threadState, tid int, ps *[]Ptr) int {
 	return n
 }
 
-// storeRuns stores runs from SWcc word w on, two words each:
-// packOp(heap's opLocalFree, slab, bitset word, 0), then the mask. The
-// oplog line holds them from its word 1 (writeOplogRuns), a magazine
-// line from its word 2 (carry).
+// storeRuns stores runs in a magazine line from its SWcc word w, the
+// line's word 2, on, two words each: packOp(heap's opLocalFree, slab,
+// bitset word, 0), then the mask. A pop or refill stores the runs it
+// carries (carry), a local free its group (Heap.localFree).
 func storeRuns(ts *threadState, w int, runs []classicRun) {
 	for i, r := range runs {
 		ts.cache.Store(w+2*i, packOp(r.s.opc(opLocalFree), uint32(r.idx), uint16(r.word), 0))
@@ -217,27 +218,42 @@ func storeRuns(ts *threadState, w int, runs []classicRun) {
 	}
 }
 
-// settleCarried completes the runs magazine line mw committed, after the
-// line's fence and its magalloc.post-take point, as localFree completes
-// its record's: each run's bitset word and free count land, detached
-// slabs reattach, and then the empty transitions run. The run words are
-// cleared before the first empty transition, with no crash point
-// between: its record's fence makes the clear durable before the slab
-// can leave tid, so a stale run is never redone into a slab another
-// thread owns (reclaimMagazines fails on one). Otherwise the clear is
-// lazy, like the pop's record, which the caller clears after this:
-// until then a crash reports the popped block, whatever transition it
-// interrupts. The runs' pointers are just past *ps's length (carry).
-func (h *Heap) settleCarried(ts *threadState, tid, mw int, runs []classicRun, ps *[]Ptr) {
+// settleRuns completes the runs magazine line mw committed, after the
+// line's fence and the point that follows it (a pop's or refill's
+// magalloc.post-take, localFree's local-free.post-oplog): each run's
+// bitset word and free count land, detached slabs reattach, and then
+// the empty transitions run. The run words are cleared before the
+// first empty transition, with no crash point between: its record's
+// fence makes the clear durable before the slab can leave tid, so a
+// stale run is never redone into a slab another thread owns
+// (redoCarried fails on one). Otherwise the clear is lazy, and it owes
+// the publish guard's fence (fenceOwed): a remote free that writes no
+// oplog line fences nothing, so a crash in it could persist the
+// cleared run words but drop the bitset words they committed, and the
+// free would be lost. mw is -1 when no run words were stored
+// (NonRecoverable).
+func (h *Heap) settleRuns(ts *threadState, tid, mw int, runs []classicRun) {
 	h.landRuns(ts, tid, runs)
 	h.reattachRuns(ts, tid, runs)
-	for i := range runs {
-		ts.cache.Store(mw+2+2*i, 0)
-		ts.cache.Store(mw+3+2*i, 0)
+	if mw >= 0 {
+		for i := range runs {
+			ts.cache.Store(mw+2+2*i, 0)
+			ts.cache.Store(mw+3+2*i, 0)
+		}
+		ts.fenceOwed = true
 	}
 	if h.emptyRuns(ts, tid, runs) {
 		h.clearOplog(tid, ts)
 	}
+}
+
+// settleCarried settles the runs a pop or refill carried in line mw,
+// then counts their pointers, which are just past *ps's length (carry).
+// The pop's record is cleared after this, as lazily as the runs: until
+// then a crash reports the popped block, whatever transition it
+// interrupts.
+func (h *Heap) settleCarried(ts *threadState, tid, mw int, runs []classicRun, ps *[]Ptr) {
+	h.settleRuns(ts, tid, mw, runs)
 	cut := (*ps)[len(*ps):cap(*ps)]
 	for i := len(runs) - 1; i >= 0; i-- {
 		h.countRun(tid, runs[i], cut[:runs[i].n])
@@ -247,15 +263,19 @@ func (h *Heap) settleCarried(ts *threadState, tid, mw int, runs []classicRun, ps
 
 // magFree returns Free's block, r, to the class magazine if the
 // magazine covers its bitset word: one mask update, one store committed
-// by its own fence, after which the free is durable. No record is
+// by its own fence, after which the free is durable. It checks r as
+// every free of tid's own blocks is checked (checkRuns), so a double
+// free fails with one message whichever path freed the block first.
+// No record is
 // needed (a completed pop's lazily cleared record shares the line, so
 // this flush and fence commit the clear and reclamation never
 // resurrects that pop). On a window miss it reports false and the
 // caller takes the classic local free: a window opens only when
 // allocating (magRefill). Only Free comes here: a FreeBatch run joins a
-// grouped local-free record instead, which commits up to maxLocalGroup
-// runs in one line where each would pay a magazine line of its own
-// (DESIGN.md §7.3), and leaves the window's mask as it is.
+// group of up to maxLocalGroup runs that one magazine line's words 2..7
+// commit (Heap.localFree), where each would pay a line of its own here
+// (DESIGN.md §7.3), and leaves the window's mask as it is. A Free
+// outside the window writes the same class line, as a one-run group.
 //
 // A slab whose last allocated blocks return through the mask stays on
 // the sized list with fc < total — deliberate retention, bounded at one
@@ -270,13 +290,7 @@ func (s *slabHeap) magFree(ts *threadState, tid int, r classicRun) bool {
 	if m == nil || int(m.slab) != idx+1 || int(m.word) != word {
 		return false
 	}
-	if dup := m.mask & mask; dup != 0 {
-		s.h.fail("%s heap: double free into magazine (slab %d block %d)", s.name, idx, firstBlock(word, dup))
-	}
-	if dup := ts.cache.Load(s.bitsetW(idx)+word) & mask; dup != 0 {
-		s.h.fail("%s heap: double free of slab %d block %d (free in bitset, freed into magazine)",
-			s.name, idx, firstBlock(word, dup))
-	}
+	s.h.checkRuns(ts, []classicRun{r})
 	m.mask |= mask
 	mw := s.magW(tid, class)
 	ts.cache.Store(mw+1, m.mask)
@@ -515,10 +529,11 @@ func (h *Heap) DrainMagazines(tid int) {
 // and reports the same block again. A record whose bit is still in the
 // mask names no pending block, and is retired with the rest of the line.
 //
-// A durable line's carried runs (carry) are redone first: each run's
-// mask is ORed into its bitset word, which is idempotent, and the run
-// words are retired with the mask. Counts and lists are the rebuild
-// scan's to repair, as for the oplog's opLocalFree record.
+// A durable line's runs, carried by a pop or refill or committed by a
+// local free, are redone first: this is the one place recovery redoes
+// a thread's own local frees. Each run's mask is ORed into its bitset
+// word, which is idempotent, and the run words are retired with the
+// mask. Counts and lists are the rebuild scan's to repair.
 func (s *slabHeap) reclaimMagazines(ts *threadState, tid int, report *RecoveryReport) {
 	for class := 1; class < len(s.classes); class++ {
 		mw := s.magW(tid, class)
@@ -560,9 +575,9 @@ func (s *slabHeap) reclaimMagazines(ts *threadState, tid int, report *RecoveryRe
 // redoCarried, recovery only: OR the mask of every run durable in tid's
 // magazine line mw into its bitset word, then clear the run's words,
 // unflushed; it reports whether the line held any run. A durable run's
-// slab is one tid owns, with a class: settleCarried clears the run
-// before the slab can leave tid, so a run naming any other slab is
-// stale, and redoing it would free blocks of a slab that is not tid's.
+// slab is one tid owns, with a class: settleRuns clears the run before
+// the slab can leave tid, so a run naming any other slab is stale, and
+// redoing it would free blocks of a slab that is not tid's.
 func (h *Heap) redoCarried(ts *threadState, tid, mw int) bool {
 	found := false
 	for i := 0; i < maxLocalGroup; i++ {

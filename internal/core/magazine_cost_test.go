@@ -153,9 +153,9 @@ func TestOneLiveBlockKeepsItsWindow(t *testing.T) {
 
 // localRun sets up a run of a thread's own blocks on thread 0 of e: it
 // returns k owned 64 B blocks of one bitset word, and the blocks still
-// to free afterwards. A FreeBatch commits every such run with an
-// opLocalFree record, whatever the magazine holds; a Free of one of its
-// blocks commits it with the magazine line at freePoint.
+// to free afterwards. A FreeBatch commits every such run with a run
+// record in a magazine line, whatever the magazine holds; a Free of one
+// of its blocks commits it with the magazine line at freePoint.
 type localRun struct {
 	name      string
 	freePoint string // "" when a Free misses the magazine's window
@@ -209,9 +209,9 @@ func classicBlocks(e *env, n int) []Ptr {
 }
 
 // A run of k owned blocks in one bitset word, freed through FreeBatch,
-// is one line whatever the magazine holds: one opLocalFree record, 1
-// flush, 1 write-back, 1 fence, no fetch and no mCAS pair — not one line
-// per block, and no magazine line.
+// is one line whatever the magazine holds: one run record in the
+// class magazine line, 1 flush, 1 write-back, 1 fence, no fetch and no
+// mCAS pair — not one line per block, and no magazine point.
 func TestFreeBatchRunCostsOneLine(t *testing.T) {
 	const k = 5
 	for _, r := range localRuns {
@@ -247,8 +247,10 @@ func TestFreeBatchRunCostsOneLine(t *testing.T) {
 
 // k runs of owned blocks outside the magazine's window — two blocks in
 // each of words 1..k of the slab whose word 0 the live window holds —
-// cost one opLocalFree record per group of up to three: ceil(k/3)
-// flushes, write-backs and fences, and no fetch.
+// cost one record per group of up to three, in the window's magazine
+// line: ceil(k/3) flushes, write-backs and fences, and no fetch. The
+// oplog stays one word: once the caches drain, words 1..7 of the
+// thread's oplog line are 0, and no magazine line holds a run word.
 func TestFreeBatchGroupsClassicRuns(t *testing.T) {
 	for k := 1; k <= 7; k++ {
 		t.Run(fmt.Sprintf("runs=%d", k), func(t *testing.T) {
@@ -286,7 +288,33 @@ func TestFreeBatchGroupsClassicRuns(t *testing.T) {
 				e.h.Free(0, p)
 			}
 			auditDrained(t, e)
+			wantNoRunWords(t, e, 0)
 		})
+	}
+}
+
+// wantNoRunWords fails if the device holds a run word of tid's: in
+// words 1..7 of its oplog line, or in words 2..7 of any of its magazine
+// lines.
+func wantNoRunWords(t *testing.T, e *env, tid int) {
+	t.Helper()
+	dev := e.dev.NewCache()
+	ow := e.h.lay.oplogW(tid)
+	for w := ow + 1; w < ow+lineWords; w++ {
+		if v := dev.LoadFresh(w); v != 0 {
+			t.Fatalf("word %d of thread %d's oplog line holds %#x, want 0", w-ow, tid, v)
+		}
+	}
+	for _, s := range []*slabHeap{e.h.small, e.h.large} {
+		for class := 1; class < len(s.classes); class++ {
+			mw := s.magW(tid, class)
+			for w := mw + 2; w < mw+lineWords; w++ {
+				if v := dev.LoadFresh(w); v != 0 {
+					t.Fatalf("word %d of thread %d's %s class-%d magazine line holds %#x, want 0",
+						w-mw, tid, s.name, class, v)
+				}
+			}
+		}
 	}
 }
 
@@ -294,7 +322,7 @@ func TestFreeBatchGroupsClassicRuns(t *testing.T) {
 // words 1..k of the slab whose word 0 the live window holds — ride
 // ceil(k/3) pops of that window, up to three to a pop (AllocFreeing):
 // each pop is one flush, one write-back and one fence and no fetch, and
-// no pop stores to the oplog word, so no opLocalFree record is written.
+// no pop stores to the oplog word, so no local-free record is written.
 // Freed through FreeBatch ahead of the same pops, the runs cost
 // ceil(k/3) lines more.
 func TestPopCarriesOwedRuns(t *testing.T) {
@@ -417,10 +445,13 @@ func owedRunsCost(t *testing.T, k int, carry bool) telemetry.CacheStats {
 
 // k runs inside magazine windows — two blocks popped from the live
 // window of each of k small classes — cost what k runs outside any
-// window cost: one opLocalFree record per group of up to three, so
-// ceil(k/3) flushes, write-backs and fences, and no fetch. No run
-// touches its magazine: each window's mask is unchanged, and its line
-// is neither stored to, in the freer's cache, nor written back.
+// window cost: one record per group of up to three, in the magazine
+// line of the group's first run, so ceil(k/3) flushes, write-backs and
+// fences, and no fetch. No run changes its window: each mask and each
+// cached meta and mask word is unchanged. A group's record flushes its
+// line, which writes out the lazily cleared record of the window's
+// last pop, as a Free into the window does: ceil(k/3) device lines
+// come to equal their cached lines, and the rest are unchanged.
 func TestFreeBatchGroupsMagazineRuns(t *testing.T) {
 	sizes := []int{16, 32, 64, 128, 256, 512, 1024}
 	for k := 1; k <= len(sizes); k++ {
@@ -459,14 +490,21 @@ func TestFreeBatchGroupsMagazineRuns(t *testing.T) {
 					t.Fatalf("%d runs visited %s %d times, want %d", k, point, got, n)
 				}
 			}
+			written := uint64(0)
 			for i, w := range wins {
 				mw := s.magW(0, smallClassOf(sizes[i]))
 				line := [2]uint64{ts.cache.Load(mw), ts.cache.Load(mw + 1)}
 				saved := [2]uint64{dev.LoadFresh(mw), dev.LoadFresh(mw + 1)}
-				if w.m.mask != w.mask || line != w.line || saved != w.saved {
-					t.Fatalf("%d B magazine: mask %#x -> %#x, line %#x -> %#x, device %#x -> %#x; want all unchanged",
+				if w.m.mask != w.mask || line != w.line || saved != w.saved && saved != line {
+					t.Fatalf("%d B magazine: mask %#x -> %#x, line %#x -> %#x, device %#x -> %#x; want mask and line unchanged, device unchanged or the line",
 						sizes[i], w.mask, w.m.mask, w.line, line, w.saved, saved)
 				}
+				if saved != w.saved {
+					written++
+				}
+			}
+			if written != want {
+				t.Fatalf("%d runs wrote out %d magazine lines, want %d", k, written, want)
 			}
 			for _, p := range keep {
 				e.h.Free(0, p)

@@ -12,17 +12,6 @@ package core
 //	bits 32..47  b — 16-bit operand (class, block or bitset word index)
 //	bits 48..63  ver — detectable-CAS version for CAS-bearing ops
 //
-// One record carries more than 8 bytes: opLocalFree frees up to
-// maxLocalGroup runs, each the blocks of one bitset word — every run of
-// a FreeBatch, inside a magazine's window or not, and Free's one block
-// when the magazine does not take it. Word 0 holds
-// the op and the run count (b); run i takes words 1+2i and 2+2i of the
-// same line — packOp(heap's opLocalFree, slab, bitset word, 0), then
-// the run's 64-bit mask — committed by the same flush and fence
-// (writeOplogRuns). The same run words also ride in words 2..7 of a
-// magazine line, whose pop or refill carries them (AllocFreeing), and
-// then no record is written here.
-//
 // Discipline: the record is written and flushed *before* the operation's
 // first effect; it is overwritten with opNone after the operation
 // completes (lazily flushed — the next record's flush carries it, and a
@@ -35,13 +24,15 @@ package core
 //
 //   - The magazine pop writes its handoff record into the magazine line
 //     it already flushes (the meta word's record byte, magazine.go), so
-//     a steady-state pop writes back one line, not two. So do the
-//     local-free runs it carries. A refill writes
+//     a steady-state pop writes back one line, not two. A refill writes
 //     no record here either: its magazine line is the record of its
 //     first phase and carries its first pop's handoff record, and
 //     reclamation's union and the rebuild scan repair either phase
 //     (magRefill). That pop is pending only once its block is clear in
-//     the durable bitset (reclaimMagazines).
+//     the durable bitset (reclaimMagazines). A thread's own local frees
+//     have no op here at all: their runs live only in words 2..7 of a
+//     magazine line (localFree, carry), and opLocalFree is the tag of
+//     those run words, which an oplog word never holds.
 //   - A remote free whose decrement does not reach zero writes its
 //     record — this word's op and a/b fields, packOp(op, slab, n, 0) —
 //     into the upper bits of the detectable-CAS help word its Begin
@@ -53,17 +44,20 @@ package core
 //
 // Publish guard (fenceLazyClears): every other operation opens with a
 // fence, its record's or its magazine line's (a pop's, a Free's into
-// the magazine, or a refill's first phase), so a crash at one of its
-// points never drops an earlier operation's writes. A remote free that writes
-// no oplog line must fence first itself whenever an earlier operation
-// left a lazily cleared record unfenced. Otherwise a crash in the free
-// could drop the clear and bring the record back: a stale oplog record
-// whose Succeeded turns false once the help word moves on, so recovery
-// redoes an operation that finished long ago; or a magazine pop's
-// record, so recovery reports a block the application already holds.
-// The oplog word is flushed as well as fenced, as the next record's
-// flush would have carried its clear; a pop's clear needs only the
-// fence, as it did when the next operation's record supplied one.
+// the magazine, a local free's, or a refill's first phase), so a crash
+// at one of its points never drops an earlier operation's writes. A
+// remote free that writes no oplog line must fence first itself
+// whenever an earlier operation left a lazily cleared record unfenced.
+// Otherwise a crash in the free could drop the clear and bring the
+// record back: a stale oplog record whose Succeeded turns false once
+// the help word moves on, so recovery redoes an operation that finished
+// long ago; or a magazine pop's record, so recovery reports a block the
+// application already holds. Or it could keep a local free's cleared
+// run words and drop the bitset stores they committed (settleRuns), and
+// the free is lost. The oplog word is flushed as well as fenced, as the
+// next record's flush would have carried its clear; a magazine line's
+// clears need only the fence, as they did when the next operation's
+// record supplied one.
 
 const (
 	opNone       = iota
@@ -74,7 +68,7 @@ const (
 	opDetach     // a = slab index, b = class, ver = pending block+1
 	opDisown     // a = slab index, b = class, ver = pending block+1
 	opAllocBlock // a = slab index, b = block (application handoff record)
-	opLocalFree  // b = run count; words 1..6 of the line = (slab, word) and mask per run
+	opLocalFree  // tag of a run word in a magazine line (storeRuns); never an oplog op
 	opEmpty      // a = slab index (sized -> unsized transfer)
 	opRemoteFree // a = slab index, b = blocks freed (| remoteZero); ver on the remote-free word
 	opSteal      // a = slab index (remote count hit zero)
@@ -169,34 +163,6 @@ func (h *Heap) writeOplog(tid int, ts *threadState, op int, a uint32, b uint16, 
 	}
 }
 
-// writeOplogRuns writes the opLocalFree record of runs, at most
-// maxLocalGroup of them: each run's (slab, word) and mask go in words
-// 1..6 of the record's line, stored before word 0, so the FlushOpt and
-// Fence that commit the record commit the runs with it and the
-// adversary persists all or none.
-func (h *Heap) writeOplogRuns(tid int, ts *threadState, runs []classicRun) {
-	if h.cfg.NonRecoverable {
-		return
-	}
-	storeRuns(ts, h.lay.oplogW(tid)+1, runs)
-	h.writeOplog(tid, ts, opLocalFree, 0, uint16(len(runs)), 0)
-}
-
-// readOplogRun returns run i of tid's last flushed opLocalFree record:
-// its heap, slab, bitset word and mask.
-func (h *Heap) readOplogRun(tid int, ts *threadState, i int) (s *slabHeap, idx, word int, mask uint64) {
-	w := h.lay.oplogW(tid) + 1 + 2*i
-	op, a, b, _ := unpackOp(ts.cache.LoadFresh(w))
-	s = h.small
-	if op&opLargeBit != 0 {
-		s = h.large
-	}
-	if op&^opLargeBit != opLocalFree {
-		h.fail("recovery: run %d of thread %d's local-free record names op %d", i, tid, op)
-	}
-	return s, int(a), int(b), ts.cache.LoadFresh(w + 1)
-}
-
 // clearOplog marks the operation complete. Not flushed: the next
 // record's flush, the publish guard (fenceLazyClears) or the
 // crash-model writeback carries it, and redo is idempotent either way.
@@ -211,7 +177,7 @@ func (h *Heap) clearOplog(tid int, ts *threadState) {
 // fenceLazyClears is the publish guard of a help-word record: it flushes a
 // pending oplog clear and fences any lazy clear not yet fenced. So a
 // remote free pays a line only after an operation that used the oplog,
-// and a bare fence after a magazine pop.
+// and a bare fence after a magazine pop or a local free.
 func (h *Heap) fenceLazyClears(tid int, ts *threadState) {
 	if h.flushesOplog() {
 		if ts.oplogDirty {

@@ -53,11 +53,10 @@ var RecoveryCrashPoints = []string{
 //
 //  1. the help word's upper bits: a non-zero remote free
 //     (redoHelpRecord);
-//  2. the oplog word and its line: every other slab, huge and claim
-//     op, opLocalFree's runs included (redo);
-//  3. each magazine line (reclaimMagazines): the runs a pop or refill
-//     carried in words 2..7, then the mask's union and the record
-//     byte's pending pop.
+//  2. the oplog word: every other slab, huge and claim op (redo);
+//  3. each magazine line (reclaimMagazines): the local-free runs in
+//     words 2..7, a pop's or refill's carried runs and localFree's
+//     alike, then the mask's union and the record byte's pending pop.
 
 // RecoveryReport describes what recovery found and did.
 type RecoveryReport struct {
@@ -349,20 +348,6 @@ func (h *Heap) redo(ts *threadState, tid, op int, a uint32, b uint16, ver uint16
 			// The block was taken but the pointer never reached the
 			// application: report it for app-level adoption.
 			s.pend(report, idx, block, class)
-		}
-
-	case opLocalFree:
-		// Each run's (heap, slab, word) and mask sit in the record's
-		// line, committed with it (writeOplogRuns). ORing them in is
-		// idempotent; counts and list membership are repaired by the
-		// scan.
-		if b == 0 || b > maxLocalGroup {
-			h.fail("recovery: thread %d's local-free record holds %d runs", tid, b)
-		}
-		for i := 0; i < int(b); i++ {
-			rs, idx, word, mask := h.readOplogRun(tid, ts, i)
-			wi := rs.bitsetW(idx) + word
-			ts.cache.Store(wi, ts.cache.Load(wi)|mask)
 		}
 
 	case opEmpty:

@@ -665,8 +665,8 @@ func localFreeCrash(t *testing.T, r localRun, pol func(n int) memsim.CrashPolicy
 	auditDrained(t, e)
 }
 
-// A group of classic local-free runs committed by one opLocalFree
-// record, crashed at every visit of every point its FreeBatch reaches
+// A group of classic local-free runs committed by one record in a
+// magazine line, crashed at every visit of every point its FreeBatch reaches
 // under every persist subset of the crash's in-play lines, then
 // recovered twice: every block is then free exactly once. The cells
 // cover groups of one, two and three runs, with a run that reattaches

@@ -614,13 +614,13 @@ type classicRun struct {
 	fc0, fc             uint32
 }
 
-// maxLocalGroup is how many runs one opLocalFree record commits: each
-// takes two of words 1..6 of the oplog line (writeOplogRuns).
+// maxLocalGroup is how many runs one magazine line commits: each takes
+// two of words 2..7 of the line (storeRuns).
 const maxLocalGroup = 3
 
 // runOf returns run, blocks of one bitset word of slab idx, which the
 // freeing thread owns by w0, as a classicRun for the classic local free,
-// which commits up to maxLocalGroup runs under one record
+// which commits up to maxLocalGroup runs in one magazine line
 // (Heap.localFree, DESIGN.md §7.3 "Grouped local frees"). It writes
 // nothing. Routing here is safe against stale w0 reads by the same
 // §3.2.2 argument localFree relies on: only this thread relinquishes
@@ -648,24 +648,30 @@ func (s *slabHeap) runOf(idx int, w0 uint64, run []Ptr) classicRun {
 func firstBlock(word int, mask uint64) int { return word*64 + bits.TrailingZeros64(mask) }
 
 // localFree is the classic local free of runs, at most maxLocalGroup of
-// them, in distinct (heap, slab, bitset word)s: one opLocalFree record
-// names every run and its mask in the record's own line, then each
-// run's bitset word and free count land, and only then the full→reattach
-// and empty transitions run. An empty transition writes its own record,
-// so no run's effect may still be owed to this one when it does; its
-// fence makes every bitset store before it durable. A run inside the
-// class magazine's window leaves the mask as it is: its blocks were
+// them, in distinct (heap, slab, bitset word)s: the runs are stored in
+// words 2..7 of the first run's class magazine line and committed by
+// that line's one flush and fence, as a magazine pop commits the runs
+// it carries (slabHeap.carry); then settleRuns lands them. The line is
+// their only record, whether or not a window is open in it: its meta
+// and mask words are already durable, and a completed pop's lazily
+// cleared record there is written out with it. A run inside the class
+// magazine's window leaves the mask as it is: its blocks were
 // allocated, so they are in neither the mask nor the bitset, and they
-// land in the bitset. A magazine pop commits runs the same way, in its
-// own line instead of this record (slabHeap.carry).
+// land in the bitset. NonRecoverable stores no run words, and a
+// coherent pod's stores are durable without a flush.
 func (h *Heap) localFree(ts *threadState, tid int, runs []classicRun) {
 	h.checkRuns(ts, runs)
-	h.writeOplogRuns(tid, ts, runs)
+	mw := -1
+	if !h.cfg.NonRecoverable {
+		mw = runs[0].s.magW(tid, runs[0].class)
+		storeRuns(ts, mw+2, runs)
+		if h.flushesOplog() {
+			ts.cache.FlushOpt(mw)
+			ts.cache.Fence()
+		}
+	}
 	runs[0].s.cp(tid, "local-free.post-oplog")
-	h.landRuns(ts, tid, runs)
-	h.reattachRuns(ts, tid, runs)
-	h.emptyRuns(ts, tid, runs)
-	h.clearOplog(tid, ts)
+	h.settleRuns(ts, tid, mw, runs)
 }
 
 // checkRuns fails on a block of runs that is already free: in its

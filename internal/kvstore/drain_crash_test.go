@@ -25,8 +25,9 @@ import (
 //   - pulled-inbox: thread 1 wrote the values, thread 0's expiry routes
 //     them home, and thread 1's drain of its pulled inbox frees them as
 //     runs of its own blocks, whose words its magazines' windows cover;
-//     the crash lands after the opLocalFree record of the second group
-//     of up to three runs, at its first run's bitset store.
+//     the crash lands after the record of the second group of up to
+//     three runs, in its first run's magazine line, at that run's
+//     bitset store.
 //   - local-run: thread 0 wrote the values itself, with magazines on or
 //     off, and the crash lands at the same point.
 //
@@ -38,7 +39,7 @@ func TestDrainCrashInSecondGroupFreesEachOnce(t *testing.T) {
 	for _, point := range []string{"small.remote-free.pre-cas", "small.remote-free.post-cas"} {
 		t.Run(point, func(t *testing.T) { drainCrashInSecondGroup(t, point, 1, 200, 1, 0, true) })
 	}
-	// One record commits up to three runs, so the second group starts at
+	// One line commits up to three runs, so the second group starts at
 	// the fourth run's visit.
 	t.Run("pulled-inbox/small.local-free.post-put", func(t *testing.T) {
 		drainCrashInSecondGroup(t, "small.local-free.post-put", 3, 40, 1, 1, true)

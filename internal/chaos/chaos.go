@@ -454,13 +454,8 @@ func (h *harness) step(th *cxlalloc.Thread, i int) {
 	// Exercise the magazine machinery deterministically, keyed on the op
 	// index rather than the rng so the random stream — and with it every
 	// persist probe and cell window — is byte-identical whether or not
-	// magazines exist. Toggling routes the same workload through both the
-	// magazine and the classic paths (and makes the nested-drain full
-	// transition reachable); periodic drains visit the magdrain.* points.
-	// Both are no-ops on coherent devices.
-	if i > 0 && i%131 == 0 {
-		h.pod.Heap().SetMagazines((i/131)%2 == 0)
-	}
+	// magazines exist. Periodic drains visit the magdrain.* points; they
+	// are no-ops on coherent devices.
 	if i > 0 && i%97 == 0 {
 		th.DrainMagazines()
 	}
@@ -506,25 +501,28 @@ func (h *harness) step(th *cxlalloc.Thread, i int) {
 	}
 }
 
-// freeRun has th allocate runLen 64 B blocks and free them in one
+// freeRun has th allocate a run of blocks and free them in one
 // FreeBatch: a run of its own blocks in one bitset word, which one
-// record in its class magazine line commits. Each thread's first step runs one, so the
-// first visits of the local-free.* points, the visits the sweeps crash,
-// are runs: thread 0's with magazines off, which empties its slab; the
-// others' inside their magazines' windows, which keep their masks. (The
-// magfree.* points are Free's alone.) Like the toggles above it draws
-// nothing from the rng. A crash inside FreeBatch leaves in h.batch the
-// pointers whose free had not begun (dispatch).
-func (h *harness) freeRun(th *cxlalloc.Thread, classic bool) {
-	const runLen = 4
-	heap := h.pod.Heap()
-	if classic {
-		defer heap.SetMagazines(heap.MagazinesEnabled())
-		heap.SetMagazines(false)
+// record in its class magazine line commits. Each thread's first step
+// runs one, so the first visits of the local-free.* points, the visits
+// the sweeps crash, are runs. Thread 0's (fill) takes every block of
+// one largest-small-class slab, and the last take detaches it: on an
+// incoherent pod a window gives all blocks but that last one, which
+// the classic take gives, as production reaches the classic take. The
+// batch then reattaches the slab and empties it. The other threads' runs are four 64 B blocks inside
+// their magazines' windows, which keep their masks. (The magfree.*
+// points are Free's alone.) Like the drains above it draws nothing from
+// the rng. A crash inside FreeBatch leaves in h.batch the pointers
+// whose free had not begun (dispatch).
+func (h *harness) freeRun(th *cxlalloc.Thread, fill bool) {
+	size, runLen := 64, 4
+	if fill {
+		size = core.SmallMax()
+		runLen = core.SmallSlabSize / size
 	}
 	n := 0
 	for ; n < runLen; n++ {
-		p, err := th.Alloc(64)
+		p, err := th.Alloc(size)
 		if err != nil {
 			break
 		}
@@ -532,7 +530,7 @@ func (h *harness) freeRun(th *cxlalloc.Thread, classic bool) {
 	}
 	h.batch = append(h.batch[:0], h.live[len(h.live)-n:]...)
 	h.live = h.live[:len(h.live)-n]
-	heap.FreeBatch(th.ID(), &h.batch)
+	h.pod.Heap().FreeBatch(th.ID(), &h.batch)
 }
 
 // addLive tracks a pointer the application now owns. A pointer that is

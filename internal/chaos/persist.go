@@ -177,7 +177,10 @@ func PersistSweep(cfg PersistConfig) (*PersistReport, error) {
 		"small.magalloc.post-take", "small.magrefill.post-oplog",
 		"small.magrefill.pre-commit", "small.magfree.post-put",
 		"small.magdrain.post-oplog", "small.magdrain.pre-commit",
-		"small.magdrain.post-clear"},
+		"small.magdrain.post-clear",
+		// The small heap's classic take, which only a slab's last block
+		// reaches on this device, and the local free that reattaches it.
+		"small.detach.post-oplog", "small.local-free.post-reattach"},
 		core.RecoveryCrashPoints...)
 	points, missing, err := discover(cfg.cell("", nil), musts)
 	if err != nil {
@@ -186,6 +189,15 @@ func PersistSweep(cfg PersistConfig) (*PersistReport, error) {
 	rep.Errors = missing
 
 	if len(cfg.Points) > 0 {
+		// A point filter waives the coverage musts, but not its own
+		// points: a filter naming a point the script never visits would
+		// otherwise pass with nothing swept.
+		rep.Errors = nil
+		for _, p := range cfg.Points {
+			if !contains(points, p) {
+				rep.Errors = append(rep.Errors, fmt.Sprintf("point %q never visited at seed %d", p, cfg.Seed))
+			}
+		}
 		var kept []string
 		for _, p := range points {
 			if contains(cfg.Points, p) {
@@ -193,7 +205,6 @@ func PersistSweep(cfg PersistConfig) (*PersistReport, error) {
 			}
 		}
 		points = kept
-		rep.Errors = nil // point filter waives the coverage musts
 	}
 
 	for _, point := range points {

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -33,6 +34,25 @@ func TestPersistSweepPasses(t *testing.T) {
 	if rep.CellsRun == 0 || rep.LinesDropped == 0 {
 		t.Fatalf("sweep ran no adversarial cells (cells=%d, dropped=%d) — the adversary is not wired",
 			rep.CellsRun, rep.LinesDropped)
+	}
+}
+
+// TestPersistSweepFailsOnUnvisitedPoint pins that a point filter is no
+// way to pass vacuously: a repro line naming a point the script no
+// longer visits fails by name instead of sweeping nothing.
+func TestPersistSweepFailsOnUnvisitedPoint(t *testing.T) {
+	cfg := DefaultPersistConfig()
+	cfg.Points = []string{"no.such.point"}
+	rep, err := PersistSweep(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("point %q never visited at seed %d", "no.such.point", cfg.Seed)
+	if rep.Ok() || len(rep.Errors) != 1 || rep.Errors[0] != want {
+		t.Fatalf("sweep of an unvisited point: ok=%v errors=%q, want one error %q", rep.Ok(), rep.Errors, want)
+	}
+	if len(rep.Points) != 0 || rep.CellsRun != 0 {
+		t.Fatalf("sweep of an unvisited point ran %d points, %d cells", len(rep.Points), rep.CellsRun)
 	}
 }
 

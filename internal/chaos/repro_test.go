@@ -57,7 +57,6 @@ func repairDrainFree(t *testing.T, point string, keys int) {
 	}
 	pod, heap := pt.Pod, pt.Pod.Heap()
 	pod.RetuneLiveness(cxlalloc.LivenessConfig{RenewInterval: 4, GraceMult: 64, PollInterval: 4})
-	heap.SetMagazines(false) // the points under test are on the classic free path
 	orc := NewOracle(keys)
 	var gates Gates
 	workers := make([]*drainWriter, threads)

@@ -356,7 +356,6 @@ func TestFreeBatchMixedFreesEachOnce(t *testing.T) {
 // oplog record.
 func TestRemoteFreeRecordRidesInHelpWord(t *testing.T) {
 	e, inj := costEnv(t)
-	e.h.SetMagazines(false)
 	const b = 2
 	ptrs := fillExactlyOneSlab(e, 0)
 	idx := e.h.small.slabOf(ptrs[0])
@@ -483,11 +482,12 @@ func TestRecoveredThreadNeverReusesAVersion(t *testing.T) {
 // allocation's oplog record, flushed first, and a magazine pop's record
 // in its magazine line. Dropped by a crash in the remote free, either
 // comes back, and recovery reports a block the application already
-// holds as pending — adopted, it is freed twice.
+// holds as pending — adopted, it is freed twice. The classic allocation
+// is of a class of one block per slab, which no window can give.
 func TestRemoteFreeFencesEarlierLazyClears(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		mags bool
+		pop  bool
 		// drop reports whether the crash drops line l of thread tid.
 		drop func(e *env, tid int, l int32) bool
 	}{
@@ -504,7 +504,6 @@ func TestRemoteFreeFencesEarlierLazyClears(t *testing.T) {
 			inj := crash.NewInjector()
 			cfg.Crash = inj
 			e := newEnv(t, cfg, 2, 2)
-			e.h.SetMagazines(tc.mags)
 			e.h.SetCrashPersistPolicy(func(tid int, inPlay []int32) memsim.CrashPolicy {
 				mask := ^uint64(0)
 				for i, l := range inPlay {
@@ -517,14 +516,17 @@ func TestRemoteFreeFencesEarlierLazyClears(t *testing.T) {
 			const b = 0
 			qs, _ := allocInOneSlab(t, e, 2, 2)
 			var live []Ptr
-			if tc.mags {
+			var p Ptr
+			if tc.pop {
 				// Open a window on a fresh slab, then let a remote free
 				// publish the slab init's oplog clear, so only the pop's
 				// record is left unfenced.
 				_, live = warmMagazine(t, e, b, 64)
 				e.h.Free(b, qs[0])
+				p = mustAlloc(e, b, 64)
+			} else {
+				p = mustAlloc(e, b, largeMax)
 			}
-			p := mustAlloc(e, b, 64)
 
 			inj.Arm("small.remote-free.pre-cas", b, 0)
 			if cr := crash.Run(func() { e.h.Free(b, qs[1]) }); cr == nil || cr.TID != b {
@@ -540,7 +542,7 @@ func TestRemoteFreeFencesEarlierLazyClears(t *testing.T) {
 				t.Fatalf("recovery reported %#x pending, but %#x was handed out before the remote free: "+
 					"an earlier operation's record outlived the remote free's crash", rep.PendingAlloc, p)
 			}
-			if !tc.mags {
+			if !tc.pop {
 				e.h.Free(b, qs[0])
 			}
 			for _, q := range append(live, p) {
@@ -561,10 +563,9 @@ func TestRemoteFreeFencesALocalFreesRunClear(t *testing.T) {
 	const b = 0
 	qs, _ := allocInOneSlab(t, e, 2, 2)
 	inj.EnableCoverage()
-	_, live := warmMagazine(t, e, b, 64)
-	blocks := classicBlocks(e, 65)
+	_, blocks, live := windowBeside(t, e, 65)
 	p := blocks[64]
-	e.h.Free(b, qs[0]) // publishes the classic allocations' oplog clear
+	e.h.Free(b, qs[0]) // publishes the drain's oplog clear
 	mw := e.h.small.magW(b, smallClassOf(64))
 	e.h.SetCrashPersistPolicy(func(_ int, inPlay []int32) memsim.CrashPolicy {
 		mask := uint64(0)

@@ -13,15 +13,9 @@ import (
 // no latency model. A slab pays for the descriptor lines its class uses
 // (slabHeap.lines) — word 0, the free count and ⌈blocks/64⌉ bitset words
 // — plus any its owner still holds dirty from an earlier class (the
-// dirty extent in word 0), not for the whole descriptor stride.
-// Magazines are off so every take and its bitset store are the classic
-// path's.
-
-func descCostEnv(t *testing.T) *env {
-	e, _ := costEnv(t)
-	e.h.SetMagazines(false)
-	return e
-}
+// dirty extent in word 0), not for the whole descriptor stride. The
+// allocation that detaches a slab is a classic take, as every slab's
+// last block is: its window gives all the others.
 
 // warmLocal makes tid's list-head lines and oplog line resident, so an
 // operation's fetches are its descriptor lines only.
@@ -69,7 +63,7 @@ func wantDetach(t *testing.T, what string, c telemetry.CacheStats, n int) {
 
 // Only classes of 64 B and below span more than descriptor line 0.
 func TestClassLinesTable(t *testing.T) {
-	e := descCostEnv(t)
+	e, _ := costEnv(t)
 	want := []int{1, 9, 5, 3, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1}
 	if got := e.h.small.lines; !slices.Equal(got, want) {
 		t.Fatalf("small lines = %v, want %v", got, want)
@@ -96,7 +90,7 @@ func TestDescCostFollowsClassLines(t *testing.T) {
 		}
 		for class := 1; class < len(classes); class++ {
 			t.Run(fmt.Sprintf("%s/%dB", heap, classes[class]), func(t *testing.T) {
-				e := descCostEnv(t)
+				e, _ := costEnv(t)
 				s := e.h.small
 				if heap == "large" {
 					s = e.h.large
@@ -126,12 +120,13 @@ func TestDescCostFollowsClassLines(t *testing.T) {
 // lines. The acquisition that follows — a steal by the last remote
 // freer — zeroes the extent, so the new owner's release publishes 1.
 func TestReinitPublishesOldExtentUntilAcquired(t *testing.T) {
-	e := descCostEnv(t)
+	e, _ := costEnv(t)
 	const owner, adopter = 0, 2
 	s := e.h.small
 	p := e.alloc(owner, 16)
 	idx := s.slabOf(p)
 	e.h.Free(owner, p)
+	e.h.DrainMagazines(owner) // the slab empties as 16 B
 	if ext := w0Ext(s.loadW0(&e.h.threads[owner], idx)); ext != 5 {
 		t.Fatalf("emptied 16 B slab has dirty extent %d, want 5", ext)
 	}

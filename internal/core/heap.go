@@ -34,9 +34,9 @@ type Heap struct {
 	// semantic no-ops, so hot paths skip the calls entirely.
 	coherent bool
 
-	// magsOff is the runtime magazine toggle (SetMagazines), kept
-	// inverted so the zero value means "on". See magazine.go.
-	magsOff atomic.Bool
+	// mags is fixed by NewHeap: magazines run on an incoherent,
+	// recoverable heap and nowhere else (magazine.go).
+	mags bool
 
 	threads []threadState
 
@@ -190,6 +190,7 @@ func NewHeap(cfg Config, dev *memsim.Device) (*Heap, error) {
 		lay:      lay,
 		dev:      dev,
 		coherent: dc.Coherent,
+		mags:     !dc.Coherent && !cfg.NonRecoverable,
 		threads:  make([]threadState, cfg.NumThreads),
 		ops:      make([]threadOps, cfg.NumThreads),
 		recMu:    make([]sync.Mutex, cfg.NumThreads),
@@ -513,8 +514,8 @@ func (h *Heap) FreeBatch(tid int, ps *[]Ptr) { h.freeBatch(tid, ps, false) }
 // FreeOwing frees what FreeBatch frees, except tid's own blocks: while
 // there are at most keep of them, they stay in *ps, sorted, owed to
 // tid's next allocations to carry (AllocFreeing). More than keep, or
-// with magazines off, where no allocation carries, it frees them as
-// FreeBatch does. Its crash contract is FreeBatch's.
+// on a coherent or NonRecoverable heap, which runs no magazines and so
+// no allocation carries, it frees them as FreeBatch does. Its crash contract is FreeBatch's.
 func (h *Heap) FreeOwing(tid int, ps *[]Ptr, keep int) {
 	if keep > 0 && h.magsEnabled() {
 		h.freeBatch(tid, ps, true)

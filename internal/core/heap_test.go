@@ -314,8 +314,8 @@ func TestDoubleFreePanics(t *testing.T) {
 			return p
 		}},
 		{"free-outside-window", "small.local-free.post-oplog", func(t *testing.T, e *env) Ptr {
-			warmMagazine(t, e, 0, 64)
-			p := classicBlocks(e, 65)[64]
+			_, blocks, _ := windowBeside(t, e, 65)
+			p := blocks[64]
 			e.h.Free(0, p)
 			return p
 		}},

@@ -162,16 +162,6 @@ func computeLayout(c *Config) Layout {
 	return l
 }
 
-// smallLocalW returns the SWcc word of thread tid's small-heap list head
-// for class c (c == 0 is the unsized list).
-func (l *Layout) smallLocalW(tid, c int) int {
-	return l.SmallLocalBase + tid*l.SmallLocalStride + c
-}
-
-func (l *Layout) largeLocalW(tid, c int) int {
-	return l.LargeLocalBase + tid*l.LargeLocalStride + c
-}
-
 // hugeLocalW returns the base SWcc word of thread tid's huge state.
 func (l *Layout) hugeLocalW(tid int) int {
 	return l.HugeLocalBase + tid*l.HugeLocalStride

@@ -41,13 +41,15 @@ import "math/bits"
 //     of the two.
 //   - The volatile mirror (threadState.mags) is invalidated whenever
 //     the slab's state machine moves (full/empty transitions) — at
-//     which point the mask is provably zero, or is drained first.
+//     which point the mask is provably zero; both transitions fail on
+//     a live one.
 //
-// Magazines run only on incoherent devices (the coherent pod has no
-// flush/fence protocol cost to avoid, and keeping the DRAM path
-// byte-identical keeps fig12's DRAM baseline honest) and can be
-// toggled at runtime (SetMagazines) so crash harnesses exercise both
-// the magazine and the classic paths.
+// Magazines run exactly on an incoherent, recoverable heap, fixed when
+// NewHeap builds it (the coherent pod has no flush/fence protocol cost
+// to avoid, and keeping the DRAM path byte-identical keeps fig12's DRAM
+// baseline honest). There the classic take runs only when no window
+// can give a block: a slab's last block (the leave-one rule) or a class
+// of one block per slab.
 
 // magSlot is the volatile mirror of one magazine line.
 type magSlot struct {
@@ -75,26 +77,13 @@ func magMetaWord(w uint64) int    { return int(uint16(w >> 32)) }
 func magMetaClass(w uint64) int   { return int(uint8(w >> 48)) }
 func magMetaRecord(w uint64) int  { return int(w >> 56) }
 
-// magsEnabled gates the magazine fast path: incoherent device, the
-// recovery protocol on, and the runtime toggle on. NonRecoverable turns
-// magazines off because their entire value is amortizing durability
-// traffic — with no oplog flushes or fences to coalesce, the classic path
-// runs on cached stores alone and a magazine line's flush+fence would be
-// pure added cost.
-func (h *Heap) magsEnabled() bool {
-	return !h.coherent && !h.cfg.NonRecoverable && !h.magsOff.Load()
-}
-
-// SetMagazines toggles the magazine fast path at runtime. Toggling off
-// does not drain: privatized blocks stay in their (durable) magazine
-// lines, invisible to the classic path, until DrainMagazines or a
-// toggle back on; the ledger audit and crash reclamation account for
-// them either way. Chaos harnesses flip this so both the magazine and
-// the classic crash points fire under one workload.
-func (h *Heap) SetMagazines(on bool) { h.magsOff.Store(!on) }
-
-// MagazinesEnabled reports whether the magazine fast path is active.
-func (h *Heap) MagazinesEnabled() bool { return h.magsEnabled() }
+// magsEnabled gates the magazine fast path: an incoherent device with
+// the recovery protocol on (Heap.mags). NonRecoverable turns magazines
+// off because their entire value is amortizing durability traffic —
+// with no oplog flushes or fences to coalesce, the classic path runs on
+// cached stores alone and a magazine line's flush+fence would be pure
+// added cost.
+func (h *Heap) magsEnabled() bool { return h.mags }
 
 // magAt returns the mirror slot for class, or nil if this thread has
 // never refilled a magazine on this heap.
@@ -434,21 +423,13 @@ func (s *slabHeap) refillSource(ts *threadState, tid, class int) (idx, word int,
 	return idx, word, take
 }
 
-// magDrain returns the class magazine's blocks to their slab. pending
-// is the block the caller holds mid-operation — the classic take when
-// the drain runs nested inside alloc's full transition (the magazine
-// was toggled off and classic allocs emptied the slab around a live
-// mask) — or -1 for a standalone drain. Its record carries pending+1 in
-// ver so the in-flight pointer stays recoverable, exactly like opDetach.
-func (s *slabHeap) magDrain(ts *threadState, tid, class, pending int) {
+// magDrain returns the class magazine's blocks to their slab. No block
+// is in flight, so its record carries no pending block.
+func (s *slabHeap) magDrain(ts *threadState, tid, class int) {
 	m := s.magAt(ts, class)
 	idx := int(m.slab) - 1
 	word := int(m.word)
-	ver := uint16(0)
-	if pending >= 0 {
-		ver = uint16(pending + 1)
-	}
-	s.h.writeOplog(tid, ts, s.opc(opMagDrain), uint32(idx), uint16(class), ver)
+	s.h.writeOplog(tid, ts, s.opc(opMagDrain), uint32(idx), uint16(class), 0)
 	s.cp(tid, "magdrain.post-oplog")
 	wi := s.bitsetW(idx) + word
 	ts.cache.Store(wi, ts.cache.Load(wi)|m.mask)
@@ -465,10 +446,8 @@ func (s *slabHeap) magDrain(ts *threadState, tid, class, pending int) {
 	ts.cache.FlushOpt(mw)
 	s.cp(tid, "magdrain.post-clear")
 	*m = magSlot{}
-	// A standalone drain can complete the slab (every block outside the
-	// magazine was already free); hand it back through the normal
-	// transition. Nested drains cannot get here: the pending block is
-	// still allocated, so fc < total.
+	// The drain can complete the slab (every block outside the magazine
+	// was already free); hand it back through the normal transition.
 	if int(fc) == s.blocksPer(class) {
 		s.emptyTransition(ts, tid, idx, class)
 	}
@@ -483,7 +462,7 @@ func (s *slabHeap) drainAll(ts *threadState, tid int) {
 	}
 	for class := 1; class < len(s.classes); class++ {
 		if mags[class].mask != 0 {
-			s.magDrain(ts, tid, class, -1)
+			s.magDrain(ts, tid, class)
 		} else {
 			mags[class] = magSlot{}
 		}

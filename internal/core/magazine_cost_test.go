@@ -175,37 +175,45 @@ var localRuns = []localRun{
 		}
 		return run, keep
 	}},
-	// The magazine's window is closed by a drain, and the run is in word
-	// 0: a Free misses the window and takes the classic local free.
+	// The window gave the run, in word 0, and a drain closed it: a Free
+	// misses the window and takes the classic local free.
 	{"closed", "", func(t *testing.T, e *env, k int) ([]Ptr, []Ptr) {
 		_, keep := warmMagazine(t, e, 0, 64)
+		run := allocClass(e, 64, k)
 		e.h.DrainMagazines(0)
-		return classicBlocks(e, k), keep
+		return run, keep
 	}},
 	// A live window on word 0 of the run's slab, and the run in word 1:
 	// a Free misses the window and takes the classic local free.
 	{"classic", "", func(t *testing.T, e *env, k int) ([]Ptr, []Ptr) {
-		m, keep := warmMagazine(t, e, 0, 64)
-		run := classicBlocks(e, k)
-		if idx := e.h.small.slabOf(run[0]); int(m.slab) != idx+1 || m.word != 0 || run[0] != e.h.small.ptrOf(idx, 64, smallClassOf(64)) {
-			t.Fatalf("magazine window (slab %d, word %d), run from %#x: want slab %d word 0, run from block 64",
-				m.slab-1, m.word, run[0], idx)
-		}
+		_, run, keep := windowBeside(t, e, k)
 		return run, keep
 	}},
 }
 
-// classicBlocks has thread 0 allocate n 64 B blocks through the classic
-// path, with magazines off: the lowest free blocks of the sized-list
-// head slab's bitset.
-func classicBlocks(e *env, n int) []Ptr {
-	e.h.SetMagazines(false)
-	defer e.h.SetMagazines(true)
-	ptrs := make([]Ptr, n)
-	for i := range ptrs {
-		ptrs[i] = e.alloc(0, 64)
+// windowBeside has thread 0 of a fresh heap allocate n 64 B blocks of
+// one slab from bitset word 1 on, and leaves its 64 B window live on
+// word 0 of that slab: a first window takes word 0 and gives its blocks,
+// later refills take words 1 on and give the n, and once word 0's
+// blocks but one are freed and the last window drained, one more
+// refill brings the window back to word 0. It returns the window's
+// mirror, the n blocks from block 64 on, and the blocks thread 0 still
+// holds besides them.
+func windowBeside(t *testing.T, e *env, n int) (m *magSlot, blocks, held []Ptr) {
+	t.Helper()
+	s, class := e.h.small, smallClassOf(64)
+	word0 := allocClass(e, 64, 64)
+	blocks = allocClass(e, 64, n)
+	freeBatch(t, e, 0, word0[1:])
+	e.h.DrainMagazines(0)
+	held = []Ptr{word0[0], e.alloc(0, 64)}
+	m = s.magAt(&e.h.threads[0], class)
+	idx := s.slabOf(word0[0])
+	if int(m.slab) != idx+1 || m.word != 0 || blocks[0] != s.ptrOf(idx, 64, class) || s.slabOf(blocks[n-1]) != idx {
+		t.Fatalf("magazine window (slab %d, word %d), blocks %#x..%#x: want slab %d word 0, blocks from block 64 of it",
+			m.slab-1, m.word, blocks[0], blocks[n-1], idx)
 	}
-	return ptrs
+	return m, blocks, held
 }
 
 // A run of k owned blocks in one bitset word, freed through FreeBatch,
@@ -256,13 +264,7 @@ func TestFreeBatchGroupsClassicRuns(t *testing.T) {
 		t.Run(fmt.Sprintf("runs=%d", k), func(t *testing.T) {
 			e, inj := costEnv(t)
 			inj.EnableCoverage()
-			m, keep := warmMagazine(t, e, 0, 64)
-			blocks := classicBlocks(e, 6*64+2) // words 1..6 and two of word 7
-			idx := e.h.small.slabOf(blocks[0])
-			if int(m.slab) != idx+1 || m.word != 0 || e.h.small.slabOf(blocks[len(blocks)-1]) != idx {
-				t.Fatalf("magazine window (slab %d, word %d) and classic blocks of slabs %d..%d: want one slab",
-					m.slab-1, m.word, idx, e.h.small.slabOf(blocks[len(blocks)-1]))
-			}
+			_, blocks, keep := windowBeside(t, e, 6*64+2) // words 1..6 and two of word 7
 			var run []Ptr
 			for i, p := range blocks {
 				if i/64 < k && i%64 < 2 {
@@ -375,12 +377,7 @@ func owedRunsCost(t *testing.T, k int, carry bool) telemetry.CacheStats {
 	t.Helper()
 	e, inj := costEnv(t)
 	inj.EnableCoverage()
-	m, keep := warmMagazine(t, e, 0, 64)
-	blocks := classicBlocks(e, 6*64+2) // words 1..6 and two of word 7
-	if idx := e.h.small.slabOf(blocks[0]); int(m.slab) != idx+1 || m.word != 0 {
-		t.Fatalf("magazine window (slab %d, word %d), classic blocks from slab %d: want word 0 of it",
-			m.slab-1, m.word, idx)
-	}
+	_, blocks, keep := windowBeside(t, e, 6*64+2) // words 1..6 and two of word 7
 	var run []Ptr
 	for i, p := range blocks {
 		if i/64 < k && i%64 < 2 {
@@ -514,23 +511,18 @@ func TestFreeBatchGroupsMagazineRuns(t *testing.T) {
 	}
 }
 
-// reattachedSlabs fills two 1 KiB slabs of thread 0 through the classic
-// path, so both detach, then frees deepFree blocks of the first and
-// headFree blocks of the second the same way: each free's first block
-// reattaches its slab at the sized-list head, so the second slab is the
-// head and the first sits behind it. Thread 0's magazine is empty. It
-// returns the two slabs and every
-// block still allocated.
+// reattachedSlabs fills two 1 KiB slabs of thread 0, so both detach
+// (each slab's window gives all of its blocks but the last, which the
+// classic take gives), then frees deepFree blocks of the first and
+// headFree blocks of the second outside any window: each free's first
+// block reattaches its slab at the sized-list head, so the second slab
+// is the head and the first sits behind it. Thread 0's magazine is
+// empty. It returns the two slabs and every block still allocated.
 func reattachedSlabs(t *testing.T, e *env, headFree, deepFree int) (head, deep int, held []Ptr) {
 	t.Helper()
 	s := e.h.small
 	per := smallBlocks(e)
-	e.h.SetMagazines(false)
-	defer e.h.SetMagazines(true)
-	ptrs := make([]Ptr, 2*per)
-	for i := range ptrs {
-		ptrs[i] = e.alloc(0, smallMax)
-	}
+	ptrs := append(fillExactlyOneSlab(e, 0), fillExactlyOneSlab(e, 0)...)
 	deep, head = s.slabOf(ptrs[0]), s.slabOf(ptrs[per])
 	for _, p := range append(slices.Clone(ptrs[:deepFree]), ptrs[per:per+headFree]...) {
 		e.h.Free(0, p)

@@ -14,38 +14,40 @@ import (
 	"cxlalloc/internal/xrand"
 )
 
-// TestMagazineGating pins the magazine availability rules: active on an
-// incoherent device, inert on DRAM (the coherent baseline must stay
-// byte-identical), and controllable via the runtime toggle.
+// TestMagazineGating pins the magazine availability rule, which NewHeap
+// fixes for the heap's life: active on every incoherent device, inert
+// on DRAM (the coherent baseline must stay byte-identical) and on a
+// NonRecoverable heap (no durability traffic to amortize).
 func TestMagazineGating(t *testing.T) {
-	cfg := testConfig()
-	cfg.Mode = atomicx.ModeSWFlush
-	e := newEnv(t, cfg, 1, 2)
-	if !e.h.MagazinesEnabled() {
-		t.Fatal("magazines should be enabled on an incoherent device")
-	}
-	e.h.SetMagazines(false)
-	if e.h.MagazinesEnabled() {
-		t.Fatal("runtime toggle off did not take")
-	}
-	e.h.SetMagazines(true)
-	if !e.h.MagazinesEnabled() {
-		t.Fatal("runtime toggle on did not take")
-	}
-
-	dcfg := testConfig()
-	dcfg.Mode = atomicx.ModeDRAM
-	de := newEnv(t, dcfg, 1, 2)
-	if de.h.MagazinesEnabled() {
-		t.Fatal("magazines must be inert on a coherent device")
+	for _, tc := range []struct {
+		name   string
+		mode   atomicx.Mode
+		nonRec bool
+		want   bool
+	}{
+		{"hwcc", atomicx.ModeHWcc, false, true},
+		{"swflush", atomicx.ModeSWFlush, false, true},
+		{"mcas", atomicx.ModeMCAS, false, true},
+		{"dram", atomicx.ModeDRAM, false, false},
+		{"swflush-nonrecoverable", atomicx.ModeSWFlush, true, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig()
+			cfg.Mode = tc.mode
+			cfg.NonRecoverable = tc.nonRec
+			e := newEnv(t, cfg, 1, 2)
+			if got := e.h.magsEnabled(); got != tc.want {
+				t.Fatalf("magazines enabled = %v, want %v", got, tc.want)
+			}
+		})
 	}
 }
 
 // TestMagazineChurnAndDrain drives one thread through enough same-class
 // churn to refill, pop, and re-fill magazines repeatedly, interleaves
-// runtime toggles (so blocks move between magazine and classic paths),
-// and checks that a full drain leaves a ledger-clean heap whether the
-// magazines were drained explicitly or left for the audit to count.
+// drains, and checks that a full drain leaves a ledger-clean heap
+// whether the magazines were drained explicitly or left for the audit
+// to count.
 func TestMagazineChurnAndDrain(t *testing.T) {
 	cfg := testConfig()
 	cfg.Mode = atomicx.ModeSWFlush
@@ -53,9 +55,6 @@ func TestMagazineChurnAndDrain(t *testing.T) {
 	rng := xrand.New(11)
 	var live []Ptr
 	for op := 0; op < 4000; op++ {
-		if op%257 == 0 {
-			e.h.SetMagazines((op/257)%2 == 0)
-		}
 		if op%611 == 0 {
 			e.h.DrainMagazines(0)
 		}
@@ -100,10 +99,10 @@ func TestMagazineChurnAndDrain(t *testing.T) {
 
 // TestMagazineStressRace is the race-detector stress test the CI race
 // job runs: concurrent per-thread churn in magazine-heavy size classes,
-// cross-thread remote frees through mailboxes, and concurrent runtime
-// toggles of the global magazine switch. Magazines are thread-private
-// by design, so the only shared mutable state they add is the toggle —
-// this test proves the fast path stays data-race-free around it.
+// drains, and cross-thread remote frees through mailboxes into
+// magazine-backed slabs. Magazines are thread-private by design; this
+// test proves the fast path stays data-race-free beside the shared
+// slab protocol.
 func TestMagazineStressRace(t *testing.T) {
 	cfg := testConfig()
 	cfg.Mode = atomicx.ModeSWFlush
@@ -137,9 +136,6 @@ func TestMagazineStressRace(t *testing.T) {
 				}
 			}()
 			for op := 0; op < 2500; op++ {
-				if op%403 == 0 {
-					e.h.SetMagazines((op/403+tid)%2 == 0)
-				}
 				if op%509 == 0 {
 					e.h.DrainMagazines(tid)
 				}
@@ -182,7 +178,6 @@ func TestMagazineStressRace(t *testing.T) {
 	if t.Failed() {
 		t.FailNow() // a mutator aborted: the emptiness audit would only echo it
 	}
-	e.h.SetMagazines(true)
 	for tid := range boxes {
 		for {
 			select {
@@ -295,43 +290,53 @@ func TestMagPopCrashReportsBlockFromLine(t *testing.T) {
 // A pop that returned is never reported again: its record is cleared
 // in the line and the next fence drains the clear, whatever op the
 // thread crashes in next. Reporting it would hand the block out twice.
+// The classic local free frees a class-A block of a full slab, which
+// the classic take of its last block detached, so it misses A's window
+// and commits in A's line.
 func TestMagPopCompletedIsNotReportedAgain(t *testing.T) {
 	const sizeA, sizeB = smallMax, 64
 	later := []struct {
 		name, point string
 		// prep readies the op that crashes and names the block its crash
-		// must report (0 for none).
-		prep func(e *env) (run func(), want Ptr)
+		// must report (0 for none). outside is a block of the detached
+		// slab; spent reports whether the op frees it.
+		prep  func(e *env, outside Ptr) (run func(), want Ptr)
+		spent bool
 	}{
-		{"class-B pop", "small.magalloc.post-take", func(e *env) (func(), Ptr) {
+		{"class-B pop", "small.magalloc.post-take", func(e *env, _ Ptr) (func(), Ptr) {
 			m := e.h.small.magAt(&e.h.threads[0], smallClassOf(sizeB))
 			return func() { e.alloc(0, sizeB) }, nextPop(e, m, sizeB)
-		}},
-		{"magazine free", "small.magfree.post-put", func(e *env) (func(), Ptr) {
+		}, false},
+		{"magazine free", "small.magfree.post-put", func(e *env, _ Ptr) (func(), Ptr) {
 			p := e.alloc(0, sizeA)
 			return func() { e.h.Free(0, p) }, 0
-		}},
-		{"classic local free", "small.local-free.post-put", func(e *env) (func(), Ptr) {
-			p := e.alloc(0, sizeA)
-			e.h.SetMagazines(false)
-			return func() { e.h.Free(0, p) }, 0
-		}},
+		}, false},
+		{"classic local free", "small.local-free.post-put", func(e *env, outside Ptr) (func(), Ptr) {
+			return func() { e.h.Free(0, outside) }, 0
+		}, true},
 	}
 	for _, mode := range magCrashModes {
 		for _, op := range later {
 			t.Run(mode.name+"/"+op.name, func(t *testing.T) {
 				e, inj := magCrashEnv(t, mode.drop)
 				_, live := warmMagazine(t, e, 0, sizeB)
+				full := fillExactlyOneSlab(e, 0)
+				live = append(live, full[1:]...)
 				mA, liveA := warmMagazine(t, e, 0, sizeA)
 				live = append(live, liveA...)
+				if int(mA.slab) == e.h.small.slabOf(full[0])+1 {
+					t.Fatalf("class-A window on the detached slab %d", mA.slab-1)
+				}
 				a := nextPop(e, mA, sizeA)
 				if got := e.alloc(0, sizeA); got != a {
 					t.Fatalf("alloc returned %#x, want magazine pop of %#x", got, a)
 				}
 				live = append(live, a) // the application holds A
-				run, want := op.prep(e)
+				run, want := op.prep(e, full[0])
+				if !op.spent {
+					live = append(live, full[0])
+				}
 				rep := crashTID0(t, e, inj, op.point, run)
-				e.h.SetMagazines(true)
 				if rep.PendingAlloc != want {
 					t.Fatalf("pending %#x, want %#x (completed pop A is %#x)", rep.PendingAlloc, want, a)
 				}
@@ -416,10 +421,10 @@ func TestMagPopPendingSurvivesRecoveryCrash(t *testing.T) {
 				}
 				// The application adopts the block; the committed recovery
 				// retired its record, so the next crash must not report it.
+				// The crash is a classic take's, in a class of one block
+				// per slab, which no window can give.
 				live = append(live, want)
-				e.h.SetMagazines(false)
-				rep = crashTID0(t, e, inj, "small.alloc.post-take", func() { e.alloc(0, 64) })
-				e.h.SetMagazines(true)
+				rep = crashTID0(t, e, inj, "large.alloc.post-take", func() { e.alloc(0, largeMax) })
 				if rep.PendingAlloc == want {
 					t.Fatalf("adopted block %#x reported pending again", want)
 				}

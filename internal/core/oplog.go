@@ -85,8 +85,8 @@ const (
 	// magazine line itself is the durable record of which blocks a thread
 	// privatized, of the pop in flight and of a refill's first phase; this
 	// record covers the drain's window, where the magazine and the slab
-	// bitset disagree and a block may be in flight.
-	opMagDrain // a = slab index, b = class, ver = pending block+1
+	// bitset disagree. No block is in flight.
+	opMagDrain // a = slab index, b = class
 
 	// opLargeBit distinguishes large-heap slab operations from small.
 	opLargeBit = 1 << 5

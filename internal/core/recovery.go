@@ -313,7 +313,7 @@ func (h *Heap) redo(ts *threadState, tid, op int, a uint32, b uint16, ver uint16
 		s.initDesc(ts, tid, idx, class)
 		h.dcas.Store(tid, s.hwBase+idx, uint32(s.blocksPer(class)))
 
-	case opDetach, opDisown, opMagDrain:
+	case opDetach, opDisown:
 		// List membership and ownership are repaired by the scan: it
 		// classifies a full slab as detached (unlinked) whether or not
 		// the transition finished, and a crash before the disown's
@@ -329,10 +329,7 @@ func (h *Heap) redo(ts *threadState, tid, op int, a uint32, b uint16, ver uint16
 		// zero countdown, which needs every block remotely freed,
 		// including this one that no application thread holds.) If the
 		// bit instead reverted to free, the take never became durable
-		// and the rebuild scan rolls the allocation back. A drain's union
-		// is repaired by reclamation; one nested in fullTransition
-		// carries the classic take the same way, and that block came
-		// from the bitset, so it is never in the drained mask.
+		// and the rebuild scan rolls the allocation back.
 		if ver != 0 {
 			idx, block, class := int(a), int(ver-1), int(b)
 			if !s.blockBit(ts, idx, block) {
@@ -352,6 +349,10 @@ func (h *Heap) redo(ts *threadState, tid, op int, a uint32, b uint16, ver uint16
 
 	case opEmpty:
 		// List membership and class are repaired by the scan.
+
+	case opMagDrain:
+		// No block is in flight: reclamation re-unions the drained mask
+		// (reclaimMagazines) and the scan repairs the slab.
 
 	case opRemoteFree:
 		h.redoRemoteFree(ts, tid, s, int(a), b, ver, 0)

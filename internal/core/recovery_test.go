@@ -446,7 +446,6 @@ func TestGroupRemoteFreeCrashRecovery(t *testing.T) {
 				if c.fullUnsized {
 					// Empty UnsizedThreshold slabs of thread 0 through the
 					// classic local free path, leaving them on its unsized list.
-					e.h.SetMagazines(false)
 					var own []Ptr
 					for i := 0; i < e.cfg.UnsizedThreshold*perSlab; i++ {
 						own = append(own, mustAlloc(e, 0, size))
@@ -454,7 +453,6 @@ func TestGroupRemoteFreeCrashRecovery(t *testing.T) {
 					for _, p := range own {
 						e.h.Free(0, p)
 					}
-					e.h.SetMagazines(true)
 					ts := &e.h.threads[0]
 					if got := s.tlLen(ts, s.localW(0, 0), 8); got != e.cfg.UnsizedThreshold {
 						t.Fatalf("thread 0's unsized list has %d slabs, want %d", got, e.cfg.UnsizedThreshold)
@@ -516,8 +514,8 @@ var localRunCrashes = append(slices.Clone(localRuns),
 		return full[:k], full[k:]
 	}},
 	localRun{name: "classic-empty", setup: func(t *testing.T, e *env, k int) ([]Ptr, []Ptr) {
-		run := classicBlocks(e, k)
-		e.h.SetMagazines(false)
+		run := allocClass(e, 64, k)
+		e.h.DrainMagazines(0)
 		return run, nil
 	}},
 )
@@ -639,7 +637,6 @@ func localRunCrash(t *testing.T, r localRun, point string, pol func(n int) memsi
 	if len(ps) != 0 {
 		t.Fatalf("%d pointers left in the batch; the run's commit had begun", len(ps))
 	}
-	e.h.SetMagazines(true)
 	for _, p := range keep {
 		e.h.Free(0, p)
 	}
@@ -685,14 +682,15 @@ func TestLocalFreeGroupCrashRecovery(t *testing.T) {
 	}
 }
 
-// groupRun sets up classic runs on thread 0 of e, with magazines off:
-// it returns their blocks and the blocks still to free afterwards. Each
-// uses a class of its own, so a cell's runs land in distinct slabs.
+// groupRun sets up runs on thread 0 of e, which setupGroup frees outside
+// any window: it returns their blocks and the blocks still to free
+// afterwards. Each uses a class of its own, so a cell's runs land in
+// distinct slabs.
 type groupRun func(e *env) (run, keep []Ptr)
 
 var (
 	// reattachRun frees four blocks of a full 1 KiB slab, which the
-	// classic path detached.
+	// classic take of its last block detached.
 	reattachRun groupRun = func(e *env) ([]Ptr, []Ptr) {
 		full := fillExactlyOneSlab(e, 0)
 		return full[:localRunK], full[localRunK:]
@@ -744,14 +742,15 @@ var localGroupCells = []groupCell{
 	{"2-run/large+plain", []groupRun{largeRun, plainRun}},
 }
 
-// setupGroup runs a cell's setups on thread 0 of e, magazines off, and
-// returns the group's blocks and the blocks still to free afterwards.
+// setupGroup runs a cell's setups on thread 0 of e, then drains its
+// magazines, so every run is outside any window, and returns the
+// group's blocks and the blocks still to free afterwards.
 func setupGroup(e *env, runs []groupRun) (group, keep []Ptr) {
-	e.h.SetMagazines(false)
 	for _, r := range runs {
 		run, k := r(e)
 		group, keep = append(group, run...), append(keep, k...)
 	}
+	e.h.DrainMagazines(0)
 	return group, keep
 }
 
@@ -850,7 +849,6 @@ var carriedCells = []carriedCell{
 // the size the carrying allocation asks for.
 func setupCarried(t *testing.T, e *env, cell carriedCell) (group, keep []Ptr, size int) {
 	group, keep = setupGroup(e, cell.runs)
-	e.h.SetMagazines(true)
 	size = 32
 	if cell.refill {
 		size = 16
@@ -957,11 +955,11 @@ func TestRefillPopCrashRecovery(t *testing.T) {
 			t.Run(point+"/"+cmp.Or(interrupt, "recovered"), func(t *testing.T) {
 				everyPersistSubset(t, point, func(pol func(n int) memsim.CrashPolicy) {
 					e, inj := firstCrashEnv(t, pol)
-					// A fresh slab's first block is the classic path's;
-					// the next alloc refills from the rest of its word.
-					e.h.SetMagazines(false)
+					// The window a fresh slab opens gives its first
+					// block and is drained, so the next alloc refills
+					// from the rest of the slab's word.
 					held := []Ptr{e.alloc(0, smallMax)}
-					e.h.SetMagazines(true)
+					e.h.DrainMagazines(0)
 					refillPopCrash(t, e, inj, point, interrupt, held)
 				})
 			})

@@ -379,15 +379,13 @@ func (s *slabHeap) alloc(ts *threadState, tid, class int, ps *[]Ptr) (Ptr, error
 // opAllocBlock redo would have.
 func (s *slabHeap) fullTransition(ts *threadState, tid, idx, class, total, block int) {
 	if m := s.magAt(ts, class); m != nil && int(m.slab) == idx+1 {
+		// The classic take runs only once magPop found the class's mask
+		// empty, so the mirror is stale: invalidate it before the slab
+		// changes state.
 		if m.mask != 0 {
-			// Classic allocs emptied the bitset around a live magazine
-			// (only reachable with the runtime toggle off). Drain it —
-			// the slab is no longer full, so no transition happens; the
-			// drain record carries the in-flight block like opDetach.
-			s.magDrain(ts, tid, class, block)
-			return
+			s.h.fail("%s heap: full transition of slab %d with live magazine mask %#x",
+				s.name, idx, m.mask)
 		}
-		// Stale empty mirror: invalidate before the slab changes state.
 		m.slab = 0
 	}
 	remote := atomicx.Payload(s.h.dcas.Load(tid, s.hwBase+idx))

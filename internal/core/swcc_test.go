@@ -75,12 +75,12 @@ func TestSWccSpillPublishesDescriptor(t *testing.T) {
 // ledger audit sees more free bits than the countdown allows.
 func TestReinitToFewerLinesPublishesOldExtent(t *testing.T) {
 	e := swccEnv(t)
-	e.h.SetMagazines(false) // classic path: the takes clear bitset bits
 	const owner, adopter, auditor = 0, 2, 1
 	s := e.h.small
 	p := e.alloc(owner, 16)
 	idx := s.slabOf(p)
-	e.h.Free(owner, p) // empty as 16 B: back to the unsized list
+	e.h.Free(owner, p)
+	e.h.DrainMagazines(owner) // empty as 16 B: back to the unsized list
 	var big []Ptr
 	for i := 0; i < smallBlocks(e); i++ {
 		big = append(big, e.alloc(owner, smallMax)) // re-init as 1 KiB; the last detaches

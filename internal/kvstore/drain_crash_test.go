@@ -28,8 +28,8 @@ import (
 //     the crash lands after the record of the second group of up to
 //     three runs, in its first run's magazine line, at that run's
 //     bitset store.
-//   - local-run: thread 0 wrote the values itself, with magazines on or
-//     off, and the crash lands at the same point.
+//   - local-run: thread 0 wrote the values itself, and the crash lands
+//     at the same point: in a batch of up to six runs, or of more.
 //
 // After recovering the crashed thread, finishing the deletes and
 // draining again, every value must have been freed exactly once: no
@@ -37,20 +37,19 @@ import (
 // audits clean.
 func TestDrainCrashInSecondGroupFreesEachOnce(t *testing.T) {
 	for _, point := range []string{"small.remote-free.pre-cas", "small.remote-free.post-cas"} {
-		t.Run(point, func(t *testing.T) { drainCrashInSecondGroup(t, point, 1, 200, 1, 0, true) })
+		t.Run(point, func(t *testing.T) { drainCrashInSecondGroup(t, point, 1, 200, 1, 0) })
 	}
 	// One line commits up to three runs, so the second group starts at
 	// the fourth run's visit.
 	t.Run("pulled-inbox/small.local-free.post-put", func(t *testing.T) {
-		drainCrashInSecondGroup(t, "small.local-free.post-put", 3, 40, 1, 1, true)
+		drainCrashInSecondGroup(t, "small.local-free.post-put", 3, 40, 1, 1)
 	})
 	t.Run("local-run/magazines/small.local-free.post-put", func(t *testing.T) {
-		drainCrashInSecondGroup(t, "small.local-free.post-put", 3, 40, 0, 0, true)
+		drainCrashInSecondGroup(t, "small.local-free.post-put", 3, 40, 0, 0)
 	})
-	// With magazines off, 200 values fill enough slabs for a batch of
-	// more than six runs.
+	// 200 values fill enough slabs for a batch of more than six runs.
 	t.Run("local-run/small.local-free.post-put", func(t *testing.T) {
-		drainCrashInSecondGroup(t, "small.local-free.post-put", 3, 200, 0, 0, false)
+		drainCrashInSecondGroup(t, "small.local-free.post-put", 3, 200, 0, 0)
 	})
 }
 
@@ -84,14 +83,13 @@ func newPodStore(tb testing.TB, threads, smallSlabs int, inj *crash.Injector) (*
 
 func key(k int) []byte { return []byte(fmt.Sprintf("k%03d", k)) }
 
-// drainCrashInSecondGroup has writer put keys values, with magazines on
-// or off, and thread 0 delete them and drain, crashing victim at
-// point's visit after+1, the second group's.
-func drainCrashInSecondGroup(t *testing.T, point string, after, keys, writer, victim int, mags bool) {
+// drainCrashInSecondGroup has writer put keys values, and thread 0
+// delete them and drain, crashing victim at point's visit after+1, the
+// second group's.
+func drainCrashInSecondGroup(t *testing.T, point string, after, keys, writer, victim int) {
 	const threads = 2
 	inj := crash.NewInjector()
 	s, heap, procs := newPodStore(t, threads, 16, inj)
-	heap.SetMagazines(mags)
 
 	sizes := []int{1000, 700, 480, 360, 240, 180, 120} // with the key: the 1 KiB, 768, 512, 384, 256, 192 and 128 B classes
 	for k := 0; k < keys; k++ {

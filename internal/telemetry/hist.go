@@ -103,14 +103,6 @@ func (h *Hist) Count() uint64 { return h.n }
 // Sum returns the total of recorded values.
 func (h *Hist) Sum() uint64 { return h.sum }
 
-// Mean returns the exact mean of recorded values (0 if empty).
-func (h *Hist) Mean() float64 {
-	if h.n == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.n)
-}
-
 // Quantile returns the value at quantile q in [0,1], using the same
 // nearest-rank convention as an exact sort of the samples
 // (rank = int(q*(n-1))), so a Hist-reported percentile agrees with the

@@ -370,15 +370,6 @@ func Stop() *Tracer {
 	return t
 }
 
-// Resume reinstalls a tracer previously returned by Stop (a no-op for
-// nil), so a harness can pause global tracing around a measurement that
-// must not record and then pick up where it left off.
-func Resume(t *Tracer) {
-	if t != nil {
-		active.Store(t)
-	}
-}
-
 // Active returns the installed tracer, or nil.
 func Active() *Tracer { return active.Load() }
 
